@@ -256,7 +256,7 @@ func fallsThrough(b *Block) bool {
 	if len(b.Insts) == 0 {
 		return true
 	}
-	last := b.Insts[len(b.Insts)-1]
+	last := &b.Insts[len(b.Insts)-1]
 	if last.Raw {
 		return false
 	}
@@ -301,14 +301,14 @@ func resolveJumpTables(p *Program) error {
 			if len(b.Insts) == 0 {
 				continue
 			}
-			last := b.Insts[len(b.Insts)-1]
+			last := &b.Insts[len(b.Insts)-1]
 			if last.Raw || last.Format != isa.FormatJump || last.JFunc != isa.JmpJMP {
 				continue
 			}
 			// Find the nearest preceding la pair whose data symbol holds a
 			// table of code addresses.
 			for i := len(b.Insts) - 2; i >= 0; i-- {
-				in := b.Insts[i]
+				in := &b.Insts[i]
 				if in.Kind != TargetLo16 {
 					continue
 				}

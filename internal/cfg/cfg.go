@@ -135,7 +135,7 @@ func (b *Block) Succs() ([]string, bool) {
 	var out []string
 	known := true
 	if n := len(b.Insts); n > 0 {
-		last := b.Insts[n-1]
+		last := &b.Insts[n-1]
 		switch {
 		case last.Raw:
 			// Raw words (sentinels, tags) never fall through.
@@ -172,7 +172,8 @@ type CallSite struct {
 // immediately preceded by `la pv, f` within the block is resolved to f.
 func (b *Block) Calls() []CallSite {
 	var out []CallSite
-	for i, in := range b.Insts {
+	for i := range b.Insts {
+		in := &b.Insts[i]
 		if in.Raw {
 			continue
 		}
@@ -194,21 +195,21 @@ func (b *Block) Calls() []CallSite {
 // most recently loaded register reg, returning its symbol.
 func (b *Block) laTargetBefore(idx int, reg uint32) (string, bool) {
 	for i := idx - 1; i > 0; i-- {
-		lo := b.Insts[i]
-		hi := b.Insts[i-1]
+		lo := &b.Insts[i]
+		hi := &b.Insts[i-1]
 		if lo.Kind == TargetLo16 && lo.RA == reg &&
 			hi.Kind == TargetHi16 && hi.RA == reg && hi.Target == lo.Target {
 			return lo.Target, true
 		}
 		// A later write to reg invalidates earlier definitions.
-		if writesReg(b.Insts[i], reg) {
+		if writesReg(lo, reg) {
 			return "", false
 		}
 	}
 	return "", false
 }
 
-func writesReg(in Inst, reg uint32) bool {
+func writesReg(in *Inst, reg uint32) bool {
 	if in.Raw || reg == isa.RegZero {
 		return false
 	}
@@ -236,8 +237,8 @@ func writesReg(in Inst, reg uint32) bool {
 // call; such functions are never compressed (paper, §2.2).
 func (f *Func) CallsSetjmp() bool {
 	for _, b := range f.Blocks {
-		for _, in := range b.Insts {
-			if !in.Raw && in.Format == isa.FormatPal && in.Func == isa.SysSETJMP {
+		for i := range b.Insts {
+			if in := &b.Insts[i]; !in.Raw && in.Format == isa.FormatPal && in.Func == isa.SysSETJMP {
 				return true
 			}
 		}

@@ -14,7 +14,6 @@ package regions
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cfg"
 	"repro/internal/isa"
@@ -42,9 +41,6 @@ type Config struct {
 	// any worker count.
 	Workers int
 }
-
-// DebugTrace, when set, receives partitioning diagnostics.
-var DebugTrace func(string)
 
 // DefaultConfig returns the paper's parameter choices.
 func DefaultConfig() Config { return Config{K: 512, Gamma: 0.66, Pack: true} }
@@ -139,83 +135,6 @@ type Preds struct {
 	// register (la): control may arrive from anywhere.
 	AddressTaken map[string]bool
 	ProgramEntry string
-	owner        map[string]*cfg.Func
-}
-
-// BuildPreds indexes the program.
-func BuildPreds(p *cfg.Program) *Preds {
-	return BuildPredsWorkers(p, 1)
-}
-
-// predEdges is one function's contribution to the predecessor graph.
-type predEdges struct {
-	flow, call [][2]string // (to, from) pairs
-	addrTaken  []string
-}
-
-// BuildPredsWorkers is BuildPreds with the per-function edge scan fanned
-// out over the given worker count (<= 0 means one per CPU). The edge sets
-// are unions, so the merged graph is identical at any worker count.
-func BuildPredsWorkers(p *cfg.Program, workers int) *Preds {
-	pr := &Preds{
-		FlowPreds:    map[string]map[string]bool{},
-		CallPreds:    map[string]map[string]bool{},
-		AddressTaken: map[string]bool{},
-		ProgramEntry: p.Entry,
-		owner:        map[string]*cfg.Func{},
-	}
-	add := func(m map[string]map[string]bool, to, from string) {
-		if m[to] == nil {
-			m[to] = map[string]bool{}
-		}
-		m[to][from] = true
-	}
-	labels := map[string]bool{}
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			labels[b.Label] = true
-			pr.owner[b.Label] = f
-		}
-	}
-	scans, _ := parallel.Map(len(p.Funcs), workers, func(fi int) (predEdges, error) {
-		var e predEdges
-		for _, b := range p.Funcs[fi].Blocks {
-			succs, _ := b.Succs()
-			for _, s := range succs {
-				e.flow = append(e.flow, [2]string{s, b.Label})
-			}
-			for _, c := range b.Calls() {
-				if c.Callee != "" && labels[c.Callee] {
-					e.call = append(e.call, [2]string{c.Callee, b.Label})
-				}
-			}
-			for _, in := range b.Insts {
-				// A la of a code label takes its address (indirect call or
-				// computed branch target).
-				if in.Kind == cfg.TargetLo16 && labels[in.Target] {
-					e.addrTaken = append(e.addrTaken, in.Target)
-				}
-			}
-		}
-		return e, nil
-	})
-	for _, e := range scans {
-		for _, fl := range e.flow {
-			add(pr.FlowPreds, fl[0], fl[1])
-		}
-		for _, c := range e.call {
-			add(pr.CallPreds, c[0], c[1])
-		}
-		for _, l := range e.addrTaken {
-			pr.AddressTaken[l] = true
-		}
-	}
-	for _, r := range p.DataRelocs {
-		if labels[r.Sym] {
-			pr.AddressTaken[r.Sym] = true
-		}
-	}
-	return pr
 }
 
 // BufferWords reports the exact number of runtime-buffer words region r
@@ -307,8 +226,8 @@ func compressible(p *cfg.Program, cold map[string]bool, workers int) (map[string
 }
 
 func hasRaw(b *cfg.Block) bool {
-	for _, in := range b.Insts {
-		if in.Raw {
+	for i := range b.Insts {
+		if b.Insts[i].Raw {
 			return true
 		}
 	}
@@ -319,7 +238,7 @@ func endsInTableJump(b *cfg.Block) bool {
 	if len(b.Insts) == 0 {
 		return false
 	}
-	last := b.Insts[len(b.Insts)-1]
+	last := &b.Insts[len(b.Insts)-1]
 	return !last.Raw && last.Format == isa.FormatJump && last.JFunc == isa.JmpJMP
 }
 
@@ -339,7 +258,7 @@ func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Pre
 		return nil, nil, fmt.Errorf("regions: invalid config K=%d gamma=%v", conf.K, conf.Gamma)
 	}
 	maxWords := conf.K / isa.WordSize
-	preds := BuildPredsWorkers(p, conf.Workers)
+	x, preds := newBlockIndex(p, conf.Workers)
 	candidates, excluded := compressible(p, cold, conf.Workers)
 
 	res := &Result{
@@ -363,52 +282,41 @@ func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Pre
 		res.Regions = append(res.Regions,
 			seedLoopRegions(p, preds, candidates, assigned, res, maxWords, conf.Gamma)...)
 	}
-	for _, f := range p.Funcs {
-		for _, root := range f.Blocks {
-			if assigned[root.Label] || noRetry[root.Label] || candidates[root.Label] == nil {
-				continue
-			}
-			tree := dfsTree(f, root, candidates, assigned, maxWords)
-			if len(tree) == 0 {
-				if DebugTrace != nil {
-					DebugTrace(fmt.Sprintf("root %s: empty tree (block %d insts)", root.Label, len(root.Insts)))
-				}
-				continue
-			}
-			r := &Region{ID: len(res.Regions), Blocks: tree}
+	for i, root := range x.blocks {
+		if assigned[root.Label] || noRetry[root.Label] || candidates[root.Label] == nil {
+			continue
+		}
+		tree := x.dfsTree(int32(i), candidates, assigned, maxWords)
+		if len(tree) == 0 {
+			continue
+		}
+		r := &Region{ID: len(res.Regions), Blocks: tree}
+		for _, b := range tree {
+			res.InRegion[b.Label] = r.ID
+		}
+		if profitable(res, preds, r, conf.Gamma) {
 			for _, b := range tree {
-				res.InRegion[b.Label] = r.ID
+				assigned[b.Label] = true
 			}
-			if DebugTrace != nil {
-				e := EntryStubWords * len(res.Entries(preds, r))
-				DebugTrace(fmt.Sprintf("root %s: tree %d blocks %d insts, E=%d profitable=%v",
-					root.Label, len(tree), r.NumInsts(), e, profitable(res, preds, r, conf.Gamma)))
+			res.Regions = append(res.Regions, r)
+		} else {
+			for _, b := range tree {
+				delete(res.InRegion, b.Label)
 			}
-			if profitable(res, preds, r, conf.Gamma) {
-				for _, b := range tree {
-					assigned[b.Label] = true
-				}
-				res.Regions = append(res.Regions, r)
-			} else {
-				for _, b := range tree {
-					delete(res.InRegion, b.Label)
-				}
-				noRetry[root.Label] = true
-			}
+			noRetry[root.Label] = true
 		}
 	}
 
 	if conf.Pack {
-		packRegions(res, preds, maxWords)
+		packRegions(res, x, maxWords)
 	}
 
 	// Final bookkeeping: exclusion reasons for cold blocks left out.
-	for label, b := range candidates {
+	for label := range candidates {
 		if _, in := res.InRegion[label]; !in {
 			if _, already := res.Excluded[label]; !already {
 				res.Excluded[label] = "not profitable to compress"
 			}
-			_ = b
 		}
 	}
 	for _, r := range res.Regions {
@@ -423,40 +331,6 @@ func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Pre
 	return res, preds, nil
 }
 
-// dfsTree grows a region from root by depth-first search over successor
-// edges, restricted to compressible, unassigned blocks of the same
-// function, keeping the exact buffer requirement within maxWords.
-func dfsTree(f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, assigned map[string]bool, maxWords int) []*cfg.Block {
-	inFunc := map[string]*cfg.Block{}
-	for _, b := range f.Blocks {
-		inFunc[b.Label] = b
-	}
-	var tree []*cfg.Block
-	seen := map[string]bool{}
-	var visit func(b *cfg.Block)
-	visit = func(b *cfg.Block) {
-		if seen[b.Label] || assigned[b.Label] || candidates[b.Label] == nil || inFunc[b.Label] == nil {
-			return
-		}
-		// Tentatively accept and check the exact buffer bound.
-		seen[b.Label] = true
-		tree = append(tree, b)
-		if BufferWords(&Region{Blocks: tree}, nil) > maxWords {
-			tree = tree[:len(tree)-1]
-			delete(seen, b.Label)
-			return
-		}
-		succs, _ := b.Succs()
-		for _, s := range succs {
-			if nb := inFunc[s]; nb != nil {
-				visit(nb)
-			}
-		}
-	}
-	visit(root)
-	return tree
-}
-
 // profitable implements the paper's test: a region of I instructions saves
 // (1-γ)·I instructions when compressed and costs E instructions of entry
 // stubs; compress only when E < (1-γ)·I.
@@ -465,194 +339,4 @@ func profitable(res *Result, preds *Preds, r *Region, gamma float64) bool {
 	e := EntryStubWords * len(entries)
 	i := r.NumInsts()
 	return float64(e) < (1-gamma)*float64(i)
-}
-
-// packRegions repeatedly merges the pair of regions with the greatest
-// savings without exceeding the buffer bound (paper, §4). Savings per merge:
-// entry stubs for blocks whose external predecessors all lie in the partner
-// region, restore-stub machinery for calls between the regions, a jump for
-// fallthrough edges knitted by concatenation, and one function-offset-table
-// word for the eliminated region.
-//
-// For tractability the pass runs in two phases: greedy best-pair merging
-// over *related* regions (pairs connected by a control-flow edge, a call, or
-// a fallthrough — the only pairs whose savings exceed the one-word table
-// saving), followed by first-fit-decreasing packing of the remainder, which
-// realizes the table-word savings the paper attributes to packing small
-// fragmented regions together.
-func packRegions(res *Result, preds *Preds, maxWords int) {
-	const restoreStubSavingWords = 3 // stub code words plus the buffer word
-
-	live := map[int]*Region{}
-	for _, r := range res.Regions {
-		live[r.ID] = r
-	}
-
-	mergedBufferWords := func(a, b *Region) int {
-		return BufferWords(&Region{Blocks: append(append([]*cfg.Block{}, a.Blocks...), b.Blocks...)}, nil)
-	}
-
-	savings := func(a, b *Region) int {
-		s := 1 // one fewer function-offset-table entry
-		merged := &Region{ID: a.ID, Blocks: append(append([]*cfg.Block{}, a.Blocks...), b.Blocks...)}
-		memberMerged := func(label string) (int, bool) {
-			id, ok := res.InRegion[label]
-			if ok && id == b.ID {
-				return a.ID, true
-			}
-			return id, ok
-		}
-		member := func(label string) (int, bool) {
-			id, ok := res.InRegion[label]
-			return id, ok
-		}
-		before := len(EntriesOf(preds, a, member)) + len(EntriesOf(preds, b, member))
-		after := len(EntriesOf(preds, merged, memberMerged))
-		s += EntryStubWords * (before - after)
-		// Calls between the two regions become intra-region.
-		for _, pair := range [2][2]*Region{{a, b}, {b, a}} {
-			for _, blk := range pair[0].Blocks {
-				for _, c := range blk.Calls() {
-					if c.Callee == "" {
-						continue
-					}
-					if id, in := res.InRegion[c.Callee]; in && id == pair[1].ID {
-						s += restoreStubSavingWords
-					}
-				}
-			}
-		}
-		// Fallthrough knitting: the last block of a falling through to the
-		// first block of b saves the inserted branch.
-		if n := len(a.Blocks); n > 0 && len(b.Blocks) > 0 {
-			if a.Blocks[n-1].FallsTo == b.Blocks[0].Label {
-				s++
-			}
-		}
-		return s
-	}
-
-	// relatedPairs: region pairs connected by flow, call, or fallthrough.
-	relatedPairs := func() map[[2]int]bool {
-		pairs := map[[2]int]bool{}
-		addPair := func(x, y int) {
-			if x == y {
-				return
-			}
-			if x > y {
-				x, y = y, x
-			}
-			pairs[[2]int{x, y}] = true
-		}
-		for _, r := range live {
-			for _, blk := range r.Blocks {
-				succs, _ := blk.Succs()
-				for _, s := range succs {
-					if id, in := res.InRegion[s]; in {
-						addPair(r.ID, id)
-					}
-				}
-				for _, c := range blk.Calls() {
-					if c.Callee == "" {
-						continue
-					}
-					if id, in := res.InRegion[c.Callee]; in {
-						addPair(r.ID, id)
-					}
-				}
-			}
-		}
-		return pairs
-	}
-
-	// Phase 1: greedy merging of related pairs by savings. Pairs are
-	// scored in sorted order so ties resolve deterministically.
-	for {
-		bestS, bestA, bestB := 1, -1, -1 // require savings beyond the table word
-		pairSet := relatedPairs()
-		pairs := make([][2]int, 0, len(pairSet))
-		for pr := range pairSet {
-			pairs = append(pairs, pr)
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i][0] != pairs[j][0] {
-				return pairs[i][0] < pairs[j][0]
-			}
-			return pairs[i][1] < pairs[j][1]
-		})
-		for _, pr := range pairs {
-			a, b := live[pr[0]], live[pr[1]]
-			if a == nil || b == nil {
-				continue
-			}
-			if mergedBufferWords(a, b) > maxWords {
-				continue
-			}
-			if s := savings(a, b); s > bestS {
-				bestS, bestA, bestB = s, pr[0], pr[1]
-			}
-		}
-		if bestA < 0 {
-			break
-		}
-		a, b := live[bestA], live[bestB]
-		a.Blocks = append(a.Blocks, b.Blocks...)
-		for _, blk := range b.Blocks {
-			res.InRegion[blk.Label] = a.ID
-		}
-		delete(live, bestB)
-	}
-
-	// Phase 2: first-fit-decreasing packing of what remains, for the
-	// function-offset-table savings.
-	ids := make([]int, 0, len(live))
-	for id := range live {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		wi := BufferWords(live[ids[i]], nil)
-		wj := BufferWords(live[ids[j]], nil)
-		if wi != wj {
-			return wi > wj
-		}
-		return ids[i] < ids[j]
-	})
-	var bins []*Region
-	for _, id := range ids {
-		r := live[id]
-		placed := false
-		for _, bin := range bins {
-			if mergedBufferWords(bin, r) <= maxWords {
-				bin.Blocks = append(bin.Blocks, r.Blocks...)
-				for _, blk := range r.Blocks {
-					res.InRegion[blk.Label] = bin.ID
-				}
-				delete(live, id)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			bins = append(bins, r)
-		}
-	}
-
-	// Renumber compactly in ascending original-ID order.
-	finalIDs := make([]int, 0, len(live))
-	for id := range live {
-		finalIDs = append(finalIDs, id)
-	}
-	sort.Ints(finalIDs)
-	var out []*Region
-	remap := map[int]int{}
-	for newID, oldID := range finalIDs {
-		r := live[oldID]
-		remap[oldID] = newID
-		r.ID = newID
-		out = append(out, r)
-	}
-	for l, id := range res.InRegion {
-		res.InRegion[l] = remap[id]
-	}
-	res.Regions = out
 }
