@@ -23,7 +23,6 @@ import (
 
 func main() {
 	connect := flag.String("connect", "", "router address (main or -admin listener)")
-	proto := flag.Int("proto", 0, "pin the wire protocol version (0 negotiates, preferring v2)")
 	asJSON := flag.Bool("json", false, "list: print the raw cluster snapshot as JSON")
 	flag.Parse()
 
@@ -32,7 +31,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cl, err := serve.DialClientProto(*connect, *proto)
+	cl, err := serve.DialClient(*connect)
 	if err != nil {
 		fail(err)
 	}
@@ -66,7 +65,7 @@ func main() {
 	case "ping":
 		start := time.Now()
 		must(cl.Do(&serve.Request{Op: serve.OpPing}))
-		fmt.Printf("router at %s is up, proto v%d (%s)\n", *connect, cl.Proto(), time.Since(start).Round(time.Microsecond))
+		fmt.Printf("router at %s is up (%s)\n", *connect, time.Since(start).Round(time.Microsecond))
 
 	default:
 		fail(fmt.Errorf("unknown command %q (want list, stats, drain, undrain, or ping)", cmd))
@@ -79,7 +78,6 @@ func printCluster(cs *serve.ClusterSnapshot) {
 	if cs == nil {
 		fail(fmt.Errorf("response carried no cluster snapshot (is %q a squashrouter?)", "-connect"))
 	}
-	fmt.Printf("policy: %s, %d backends\n", cs.Policy, len(cs.Backends))
 	fmt.Printf("%-28s %-9s %9s %9s %7s %6s %10s %9s\n",
 		"BACKEND", "STATE", "REQUESTS", "ERRORS", "INFLT", "FAILS", "CHECKED", "HITRATE")
 	for _, b := range cs.Backends {

@@ -47,7 +47,6 @@ func main() {
 	batch := flag.Int("batch", 1, "synthetic: objects per frame (>1 sends batch requests)")
 	duration := flag.Duration("duration", 5*time.Second, "synthetic: closed-loop run length")
 	requests := flag.Int("requests", 0, "synthetic: fixed request budget instead of -duration")
-	proto := flag.Int("proto", 0, "pin the wire protocol version (1 or 2; 0 negotiates, preferring v2)")
 	noImage := flag.Bool("noimage", false, "stats-only requests: the server squashes but omits image bytes from responses")
 	flag.Parse()
 
@@ -64,7 +63,6 @@ func main() {
 		BatchSize:     *batch,
 		Duration:      *duration,
 		Requests:      *requests,
-		Proto:         *proto,
 		NoImage:       *noImage,
 	}
 	if !*quiet {
@@ -104,8 +102,8 @@ func main() {
 	fmt.Printf("latency ms: p50=%.2f p90=%.2f p99=%.2f max=%.2f mean=%.2f\n",
 		rep.Latency.P50, rep.Latency.P90, rep.Latency.P99, rep.Latency.Max, rep.Latency.Mean)
 	fmt.Printf("cache hit rate: result=%.2f prep=%.2f\n", rep.CacheHitRate, rep.PrepHitRate)
-	fmt.Printf("wire: proto=v%d in=%s/s out=%s/s (%d / %d bytes total)\n",
-		rep.Proto, fmtBytes(rep.BytesInPerSec), fmtBytes(rep.BytesOutPerSec), rep.BytesIn, rep.BytesOut)
+	fmt.Printf("wire: in=%s/s out=%s/s (%d / %d bytes total)\n",
+		fmtBytes(rep.BytesInPerSec), fmtBytes(rep.BytesOutPerSec), rep.BytesIn, rep.BytesOut)
 
 	if *out != "" {
 		data, merr := json.MarshalIndent(rep, "", "  ")

@@ -1,18 +1,16 @@
 // Command squashrouter fronts a fleet of squashd backends with one
-// daemon-protocol endpoint. It speaks the same v1/v2 wire protocol as
-// squashd — any serve client (squashd -connect, squashload, squashctl)
-// works against it unchanged — and forwards each request to a backend
-// picked by the routing policy, over pooled connections. The default
-// policy shards by content hash (rendezvous hashing over the squash
-// result key), so each backend's warm result cache stays hot for its
-// share of the key space; batches are split per shard and reassembled in
-// item order. Backends are health-checked and marked down after
-// consecutive failures; failed requests re-route to the next-ranked live
-// backend, so killing a backend mid-stream is invisible to clients.
+// daemon-protocol endpoint. It speaks the same wire protocol as squashd —
+// any serve client (squashd -connect, squashload, squashctl) works against
+// it unchanged — and forwards each request over pooled connections to the
+// backend that owns its content hash (rendezvous hashing over the squash
+// result key), so each backend's warm result cache stays hot for its share
+// of the key space; batches are split per shard and reassembled in item
+// order. Backends are health-checked and marked down after consecutive
+// failures; failed requests reroute to the next-ranked live backend, so
+// killing a backend mid-stream is invisible to clients.
 //
 //	squashrouter -listen tcp:127.0.0.1:7700 \
-//	    -backends unix:/tmp/sq1.sock,unix:/tmp/sq2.sock,unix:/tmp/sq3.sock \
-//	    -route hash
+//	    -backends unix:/tmp/sq1.sock,unix:/tmp/sq2.sock,unix:/tmp/sq3.sock
 //
 // The admin plane (cluster snapshot, drain/undrain) answers on the main
 // listener and, when -admin is set, on a second listener reserved for
@@ -40,16 +38,13 @@ func main() {
 	listen := flag.String("listen", "", "client-facing address (unix:/path or tcp:host:port)")
 	admin := flag.String("admin", "", "optional second listener for the admin plane (same protocol; squashctl)")
 	backends := flag.String("backends", "", "comma-separated squashd addresses to fan out to")
-	route := flag.String("route", "hash", "routing policy: hash (content shard), least-conn, or ordered")
 	checkEvery := flag.Duration("check-interval", 2*time.Second, "health-probe period")
 	checkTimeout := flag.Duration("check-timeout", time.Second, "health-probe timeout")
 	failAfter := flag.Int("fail-after", 3, "consecutive failures (probes or requests) before a backend is marked down")
 	retries := flag.Int("retries", 2, "extra live backends to try after a transport failure")
 	backendTimeout := flag.Duration("backend-timeout", 2*time.Minute, "per-forward exchange timeout (0 = none)")
-	backendProto := flag.Int("backend-proto", 0, "pin the wire protocol toward backends (0 negotiates, preferring v2)")
 	maxIdle := flag.Int("max-idle", 4, "pooled idle connections per backend")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /metrics.json, and /debug/pprof on this host:port")
-	protoMax := flag.Int("proto-max", 0, "highest wire protocol version to accept from clients (0 = latest)")
 	noPool := flag.Bool("nopool", false, "disable frame-buffer pooling (identical behavior)")
 	flag.Parse()
 	if *noPool {
@@ -57,7 +52,7 @@ func main() {
 	}
 
 	if *listen == "" || *backends == "" {
-		fmt.Fprintln(os.Stderr, "usage: squashrouter -listen ADDR -backends ADDR,ADDR,... [-route hash|least-conn|ordered]")
+		fmt.Fprintln(os.Stderr, "usage: squashrouter -listen ADDR -backends ADDR,ADDR,...")
 		os.Exit(2)
 	}
 	var addrs []string
@@ -69,13 +64,11 @@ func main() {
 
 	r, err := cluster.New(cluster.Config{
 		Backends:       addrs,
-		Policy:         *route,
 		CheckInterval:  *checkEvery,
 		CheckTimeout:   *checkTimeout,
 		FailAfter:      *failAfter,
 		Retries:        *retries,
 		BackendTimeout: *backendTimeout,
-		BackendProto:   *backendProto,
 		MaxIdle:        *maxIdle,
 	})
 	if err != nil {
@@ -85,10 +78,10 @@ func main() {
 	defer r.Stop()
 
 	// The front is a stock serve.Server with the squash pipeline replaced
-	// by the router's Handle: listeners, codec negotiation, request
-	// metrics, and graceful drain all come from the daemon machinery.
+	// by the router's Handle: listeners, the frame codec, request metrics,
+	// and graceful drain all come from the daemon machinery.
 	rec := &obs.Recorder{Metrics: obs.NewRegistry()}
-	s := serve.NewServer(serve.Options{Handler: r.Handle, Obs: rec, MaxProto: *protoMax})
+	s := serve.NewServer(serve.Options{Handler: r.Handle, Obs: rec})
 
 	serveDone := make(chan error, 2)
 	listeners := 1
@@ -97,7 +90,7 @@ func main() {
 		fail(err)
 	}
 	go func() { serveDone <- s.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "squashrouter: listening on %s, %d backends, policy %s\n", *listen, len(addrs), r.Policy())
+	fmt.Fprintf(os.Stderr, "squashrouter: listening on %s, %d backends\n", *listen, len(addrs))
 	if *admin != "" {
 		aln, err := serve.Listen(*admin)
 		if err != nil {

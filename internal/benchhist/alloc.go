@@ -8,7 +8,8 @@ package benchhist
 // absolute allocs/op ceiling (the O(1)-steady-state guarantee), and the
 // fresh variant allocates at least MinRatio times as much (the pools keep
 // buying something). Both medians are recorded, so the history documents the
-// reduction itself, not just pass/fail.
+// reduction itself, not just pass/fail. A gate without a fresh variant is
+// ceiling-only: it records and checks its pooled side alone.
 
 import (
 	"fmt"
@@ -22,7 +23,8 @@ type AllocGate struct {
 	// <name>-bytes-fresh).
 	Name string
 	// Pooled and Fresh are benchmark names as printed by `go test -bench`,
-	// without the -GOMAXPROCS suffix.
+	// without the -GOMAXPROCS suffix. An empty Fresh makes the gate
+	// ceiling-only: no fresh entries, no MinRatio check.
 	Pooled string
 	Fresh  string
 	// MaxPooledAllocs is the ceiling on the pooled variant's median
@@ -36,7 +38,7 @@ type AllocGate struct {
 	MinRatio float64
 }
 
-// DefaultAllocGates covers the four pooled hot paths. Measured medians on
+// DefaultAllocGates covers the five pooled hot paths. Measured medians on
 // the development machine are noted for scale; ceilings and floors leave
 // room for pool warm-up and rounding, not for regressions.
 func DefaultAllocGates() []AllocGate {
@@ -55,13 +57,14 @@ func DefaultAllocGates() []AllocGate {
 		// one exact-size copy the cache retains (1 vs 3 allocs/op).
 		{Name: "request-scratch", Pooled: "BenchmarkRequestScratch/pooled", Fresh: "BenchmarkRequestScratch/fresh",
 			MaxPooledAllocs: 2, MinRatio: 2},
-		// Frame codec: one warm cache-hit squash exchange, server side (v2
-		// read+decode+respond vs the v1 JSON/base64 codec). v2's pooled
-		// buffers, zero-copy sections, and pooled envelope decoder run the
-		// whole exchange allocation-free (0 vs 9 allocs/op); the ceiling of
-		// 2 leaves room for pool warm-up and rounding only.
-		{Name: "frame-codec", Pooled: "BenchmarkFrameCodecAlloc/v2", Fresh: "BenchmarkFrameCodecAlloc/v1",
-			MaxPooledAllocs: 2, MinRatio: 3},
+		// Frame codec: one warm cache-hit squash exchange, server side
+		// (read+decode+respond). Pooled buffers, zero-copy sections, and
+		// the pooled envelope decoder run the whole exchange
+		// allocation-free (0 allocs/op); the ceiling of 2 leaves room for
+		// pool warm-up and rounding only. Ceiling-only: the codec has no
+		// unpooled variant to compare against.
+		{Name: "frame-codec", Pooled: "BenchmarkFrameCodecAlloc",
+			MaxPooledAllocs: 2},
 	}
 }
 
@@ -73,7 +76,8 @@ type allocMetric struct {
 }
 
 // AllocEntries turns parsed allocs/op and B/op samples into history entries:
-// four per gate (pooled and fresh medians of both metrics), as absolute
+// four per gate (pooled and fresh medians of both metrics; two for a
+// ceiling-only gate), as absolute
 // value+unit records. Every gated benchmark must be present in the allocs
 // samples — a missing one means the alloc bench run silently dropped a
 // pooled path, which is itself a regression.
@@ -81,6 +85,9 @@ func AllocEntries(allocs, bytes map[string][]float64, gates []AllocGate, commit,
 	var entries []Entry
 	for _, g := range gates {
 		for _, side := range []struct{ label, bench string }{{"pooled", g.Pooled}, {"fresh", g.Fresh}} {
+			if side.bench == "" {
+				continue // ceiling-only gate
+			}
 			for _, m := range []allocMetric{
 				{"allocs", allocs, "allocs/op"},
 				{"bytes", bytes, "B/op"},
@@ -105,8 +112,8 @@ func AllocEntries(allocs, bytes map[string][]float64, gates []AllocGate, commit,
 	return entries, nil
 }
 
-// CheckAllocs enforces every gate's pooled ceiling and fresh/pooled floor
-// over parsed allocs/op samples.
+// CheckAllocs enforces every gate's pooled ceiling and, for gates with a
+// fresh variant, its fresh/pooled floor over parsed allocs/op samples.
 func CheckAllocs(allocs map[string][]float64, gates []AllocGate) error {
 	var fails []string
 	for _, g := range gates {
@@ -115,17 +122,20 @@ func CheckAllocs(allocs map[string][]float64, gates []AllocGate) error {
 			fails = append(fails, fmt.Sprintf("%s: no samples for %s", g.Name, g.Pooled))
 			continue
 		}
+		mp := median(pooled)
+		if mp > g.MaxPooledAllocs {
+			fails = append(fails, fmt.Sprintf("%s: pooled %.1f allocs/op above ceiling %.1f",
+				g.Name, mp, g.MaxPooledAllocs))
+		}
+		if g.Fresh == "" {
+			continue
+		}
 		fresh, ok := allocs[g.Fresh]
 		if !ok {
 			fails = append(fails, fmt.Sprintf("%s: no samples for %s", g.Name, g.Fresh))
 			continue
 		}
-		mp, mf := median(pooled), median(fresh)
-		if mp > g.MaxPooledAllocs {
-			fails = append(fails, fmt.Sprintf("%s: pooled %.1f allocs/op above ceiling %.1f",
-				g.Name, mp, g.MaxPooledAllocs))
-		}
-		if mf < g.MinRatio*mp {
+		if mf := median(fresh); mf < g.MinRatio*mp {
 			fails = append(fails, fmt.Sprintf("%s: fresh %.1f allocs/op is under %.1fx pooled %.1f — pooling stopped paying off",
 				g.Name, mf, g.MinRatio, mp))
 		}

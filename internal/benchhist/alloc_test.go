@@ -110,3 +110,40 @@ func TestAllocEntriesMissingBenchmark(t *testing.T) {
 		t.Fatalf("got %d entries without B/op, want 2", len(entries))
 	}
 }
+
+func TestCeilingOnlyGate(t *testing.T) {
+	gates := []AllocGate{{Name: "codec", Pooled: "BenchmarkCodec", MaxPooledAllocs: 2}}
+	for _, tc := range []struct {
+		name    string
+		allocs  []float64
+		wantErr bool
+	}{
+		{"zero", []float64{0, 0}, false},
+		{"at ceiling", []float64{2, 2}, false},
+		{"above ceiling", []float64{3, 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := map[string][]float64{"BenchmarkCodec": tc.allocs}
+			bytes := map[string][]float64{"BenchmarkCodec": {21}}
+			err := CheckAllocs(allocs, gates)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("CheckAllocs err = %v, want error %v", err, tc.wantErr)
+			}
+			if err != nil && !strings.Contains(err.Error(), "ceiling") {
+				t.Fatalf("error missing ceiling detail: %v", err)
+			}
+			entries, err := AllocEntries(allocs, bytes, gates, "abc", "2026-10-17")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 2 {
+				t.Fatalf("got %d entries, want 2 (pooled allocs and bytes)", len(entries))
+			}
+			for _, e := range entries {
+				if strings.HasSuffix(e.Benchmark, "-fresh") {
+					t.Errorf("ceiling-only gate emitted fresh entry %q", e.Benchmark)
+				}
+			}
+		})
+	}
+}

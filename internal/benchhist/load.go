@@ -49,9 +49,9 @@ func DefaultLoadGates() []LoadGate {
 		// No request of the replay may fail.
 		{Name: "load-errors", Field: "errors", Unit: "count", Max: 0, HasMax: true},
 		// Wire throughput across the load connections. Recorded without
-		// bounds: the value tracks codec efficiency per commit (v2 dropped
-		// the ~33% base64 inflation), but absolute B/s on a shared CI
-		// runner is too noisy to gate.
+		// bounds: the value tracks codec efficiency per commit (binary
+		// payload sections avoid base64's ~33% inflation), but absolute
+		// B/s on a shared CI runner is too noisy to gate.
 		{Name: "load-bytes-in-s", Field: "bytes_in_per_sec", Unit: "B/s"},
 		{Name: "load-bytes-out-s", Field: "bytes_out_per_sec", Unit: "B/s"},
 	}

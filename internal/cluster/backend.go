@@ -37,11 +37,11 @@ type Backend struct {
 	lastStats   *serve.Snapshot // most recent successful probe's snapshot
 }
 
-func newBackend(addr string, proto, maxIdle int) *Backend {
+func newBackend(addr string, maxIdle int) *Backend {
 	return &Backend{
 		Addr:     addr,
 		hashSeed: fnv64a(addr),
-		pool:     serve.NewClientPool(addr, proto, maxIdle),
+		pool:     serve.NewClientPool(addr, maxIdle),
 	}
 }
 

@@ -141,7 +141,6 @@ func TestRendezvousStability(t *testing.T) {
 		addrs[i] = fmt.Sprintf("tcp:10.0.0.%d:7777", i)
 	}
 	full := mk(addrs...)
-	var pick hashPicker
 
 	const keys = 2000
 	key := func(i int) [32]byte {
@@ -151,7 +150,7 @@ func TestRendezvousStability(t *testing.T) {
 	}
 	first := make([]string, keys)
 	for i := 0; i < keys; i++ {
-		first[i] = pick.rank(key(i), full, nil)[0].Addr
+		first[i] = rank(key(i), full, nil)[0].Addr
 	}
 
 	// Distribution sanity: every backend owns a non-trivial share.
@@ -169,12 +168,12 @@ func TestRendezvousStability(t *testing.T) {
 	// key keeps its first pick.
 	without := mk(append(append([]string{}, addrs[:3]...), addrs[4:]...)...)
 	for i := 0; i < keys; i++ {
-		got := pick.rank(key(i), without, nil)[0].Addr
+		got := rank(key(i), without, nil)[0].Addr
 		if first[i] == addrs[3] {
 			if got == addrs[3] {
 				t.Fatalf("key %d still maps to the removed backend", i)
 			}
-			if want := pick.rank(key(i), full, nil)[1].Addr; got != want {
+			if want := rank(key(i), full, nil)[1].Addr; got != want {
 				t.Fatalf("key %d fell to %s, want its second choice %s", i, got, want)
 			}
 		} else if got != first[i] {
@@ -187,7 +186,7 @@ func TestRendezvousStability(t *testing.T) {
 	grown := mk(append(append([]string{}, addrs...), "tcp:10.0.0.10:7777")...)
 	moved := 0
 	for i := 0; i < keys; i++ {
-		got := pick.rank(key(i), grown, nil)[0].Addr
+		got := rank(key(i), grown, nil)[0].Addr
 		if got != first[i] {
 			if got != "tcp:10.0.0.10:7777" {
 				t.Fatalf("key %d moved to %s, not the new backend", i, got)
@@ -201,75 +200,121 @@ func TestRendezvousStability(t *testing.T) {
 	}
 }
 
-// TestRouterByteIdentity: every routing policy, on both wire protocols,
-// returns images byte-identical to the one-shot path — through single
-// requests and through batches with duplicates and a per-item error.
+// TestRouterByteIdentity: the router returns images byte-identical to
+// the one-shot path — through single requests and through batches with
+// duplicates and a per-item error.
 func TestRouterByteIdentity(t *testing.T) {
 	conf := core.DefaultConfig()
 	obj1, prof1, want1 := buildWorkload(t, 3, conf)
 	obj2, prof2, want2 := buildWorkload(t, 11, conf)
 
-	for _, policy := range []string{PolicyHash, PolicyLeastConn, PolicyOrdered} {
-		t.Run(policy, func(t *testing.T) {
-			addr, _, _, stop := startCluster(t, 3, Config{Policy: policy})
-			defer stop()
-			for _, proto := range []int{1, 2} {
-				c, err := serve.DialClientProto(addr, proto)
+	// Rendezvous hashing is the router's placement.
+	t.Run("hash", func(t *testing.T) {
+		addr, _, _, stop := startCluster(t, 3, Config{})
+		defer stop()
+		c, err := serve.DialClient(addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		// Singles, twice each: second pass exercises backend cache hits
+		// through the router.
+		for pass := 0; pass < 2; pass++ {
+			for _, w := range []struct{ obj, prof, want []byte }{
+				{obj1, prof1, want1}, {obj2, prof2, want2},
+			} {
+				resp, err := c.Do(&serve.Request{Op: serve.OpSquash, Obj: w.obj, Profile: w.prof})
 				if err != nil {
-					t.Fatalf("dial v%d: %v", proto, err)
+					t.Fatalf("do: %v", err)
 				}
-				// Singles, twice each: second pass exercises backend cache
-				// hits through the router.
-				for pass := 0; pass < 2; pass++ {
-					for _, w := range []struct{ obj, prof, want []byte }{
-						{obj1, prof1, want1}, {obj2, prof2, want2},
-					} {
-						resp, err := c.Do(&serve.Request{Op: serve.OpSquash, Obj: w.obj, Profile: w.prof})
-						if err != nil {
-							t.Fatalf("v%d do: %v", proto, err)
-						}
-						if !resp.OK {
-							t.Fatalf("v%d squash failed: %s", proto, resp.Err)
-						}
-						if !bytes.Equal(resp.Image, w.want) {
-							t.Fatalf("v%d pass %d: routed image differs from one-shot output", proto, pass)
-						}
-					}
+				if !resp.OK {
+					t.Fatalf("squash failed: %s", resp.Err)
 				}
-				// A batch with a duplicate and a broken item: identity per
-				// item, dedup marking intact, error isolated to its index.
-				resp, err := c.Do(&serve.Request{Op: serve.OpBatch, Items: []serve.BatchItem{
-					{Obj: obj1, Profile: prof1},
-					{Obj: obj2, Profile: prof2},
-					{Obj: obj1, Profile: prof1},
-					{Obj: []byte("garbage"), Profile: prof1},
-				}})
-				if err != nil {
-					t.Fatalf("v%d batch: %v", proto, err)
+				if !bytes.Equal(resp.Image, w.want) {
+					t.Fatalf("pass %d: routed image differs from one-shot output", pass)
 				}
-				if !resp.OK || len(resp.Results) != 4 {
-					t.Fatalf("v%d batch response: ok=%v results=%d err=%q", proto, resp.OK, len(resp.Results), resp.Err)
-				}
-				for i, want := range [][]byte{want1, want2, want1} {
-					if !resp.Results[i].OK || !bytes.Equal(resp.Results[i].Image, want) {
-						t.Fatalf("v%d batch item %d: ok=%v, image identity=%v", proto, i,
-							resp.Results[i].OK, bytes.Equal(resp.Results[i].Image, want))
-					}
-				}
-				if !resp.Results[2].Shared {
-					t.Errorf("v%d: within-batch duplicate lost its Shared mark across the split", proto)
-				}
-				if resp.Results[3].OK || resp.Results[3].Err == "" {
-					t.Fatalf("v%d: malformed item 3 did not fail in isolation: %+v", proto, resp.Results[3])
-				}
-				c.Close()
 			}
-		})
+		}
+		// A batch with a duplicate and a broken item: identity per item, dedup
+		// marking intact, error isolated to its index.
+		resp, err := c.Do(&serve.Request{Op: serve.OpBatch, Items: []serve.BatchItem{
+			{Obj: obj1, Profile: prof1},
+			{Obj: obj2, Profile: prof2},
+			{Obj: obj1, Profile: prof1},
+			{Obj: []byte("garbage"), Profile: prof1},
+		}})
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		if !resp.OK || len(resp.Results) != 4 {
+			t.Fatalf("batch response: ok=%v results=%d err=%q", resp.OK, len(resp.Results), resp.Err)
+		}
+		for i, want := range [][]byte{want1, want2, want1} {
+			if !resp.Results[i].OK || !bytes.Equal(resp.Results[i].Image, want) {
+				t.Fatalf("batch item %d: ok=%v, image identity=%v", i,
+					resp.Results[i].OK, bytes.Equal(resp.Results[i].Image, want))
+			}
+		}
+		if !resp.Results[2].Shared {
+			t.Errorf("within-batch duplicate lost its Shared mark across the split")
+		}
+		if resp.Results[3].OK || resp.Results[3].Err == "" {
+			t.Fatalf("malformed item 3 did not fail in isolation: %+v", resp.Results[3])
+		}
+	})
+}
+
+// TestRankAllocs: ranking a small fleet into caller scratch allocates
+// nothing — it runs once per routed request and once per batch item.
+func TestRankAllocs(t *testing.T) {
+	live := []*Backend{
+		{Addr: "unix:/a.sock", hashSeed: fnv64a("unix:/a.sock")},
+		{Addr: "unix:/b.sock", hashSeed: fnv64a("unix:/b.sock")},
+		{Addr: "unix:/c.sock", hashSeed: fnv64a("unix:/c.sock")},
+	}
+	dst := make([]*Backend, 0, len(live))
+	var key [32]byte
+	allocs := testing.AllocsPerRun(100, func() {
+		key[0]++
+		dst = rank(key, live, dst)
+	})
+	if allocs != 0 {
+		t.Fatalf("rank allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestRankOrder: the ranking is by descending rendezvous score with ties
+// broken by address, whatever the input order.
+func TestRankOrder(t *testing.T) {
+	var live []*Backend
+	for i := 0; i < 7; i++ {
+		a := fmt.Sprintf("unix:/b%d.sock", i)
+		live = append(live, &Backend{Addr: a, hashSeed: fnv64a(a)})
+	}
+	// Two backends sharing a seed tie on every key.
+	live = append(live, &Backend{Addr: "unix:/tie.sock", hashSeed: live[3].hashSeed})
+	for k := 0; k < 200; k++ {
+		key := [32]byte{byte(k), byte(k >> 8)}
+		got := rank(key, live, nil)
+		rev := make([]*Backend, len(live))
+		for i, b := range live {
+			rev[len(live)-1-i] = b
+		}
+		if again := rank(key, rev, nil); fmt.Sprint(again) != fmt.Sprint(got) {
+			t.Fatalf("key %d: ranking depends on input order", k)
+		}
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			sa, sb := rendezvousScore(a.hashSeed, key), rendezvousScore(b.hashSeed, key)
+			if sa < sb || sa == sb && a.Addr > b.Addr {
+				t.Fatalf("key %d: %s ranked before %s out of order", k, a.Addr, b.Addr)
+			}
+		}
 	}
 }
 
 // TestRouterFailover: killing a backend mid-stream produces zero
-// client-visible errors — requests re-route to the next-ranked live
+// client-visible errors — requests reroute to the next-ranked live
 // backend and the answers stay byte-identical throughout.
 func TestRouterFailover(t *testing.T) {
 	conf := core.DefaultConfig()
@@ -277,7 +322,6 @@ func TestRouterFailover(t *testing.T) {
 	obj2, prof2, want2 := buildWorkload(t, 11, conf)
 
 	addr, r, backendStops, stop := startCluster(t, 3, Config{
-		Policy:        PolicyHash,
 		CheckInterval: 50 * time.Millisecond,
 		CheckTimeout:  time.Second,
 		FailAfter:     2,
@@ -309,7 +353,7 @@ func TestRouterFailover(t *testing.T) {
 		do(i)
 	}
 	// Kill one backend mid-stream. Both keys may or may not live on it —
-	// either way every later request must succeed via re-routing.
+	// either way every later request must succeed via rerouting.
 	backendStops[0]()
 	for i := 10; i < 40; i++ {
 		do(i)
@@ -327,7 +371,7 @@ func TestRouterFailover(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// Batches keep working too, with the dead backend's shards re-routed.
+	// Batches keep working too, with the dead backend's shards rerouted.
 	resp, err := c.Do(&serve.Request{Op: serve.OpBatch, Items: []serve.BatchItem{
 		{Obj: obj1, Profile: prof1}, {Obj: obj2, Profile: prof2},
 	}})
@@ -354,7 +398,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	conf := core.DefaultConfig()
 	obj, prof, want := buildWorkload(t, 7, conf)
 
-	addr, r, _, stop := startCluster(t, 2, Config{Policy: PolicyOrdered})
+	addr, r, _, stop := startCluster(t, 2, Config{})
 	defer stop()
 
 	c, err := serve.DialClient(addr)
@@ -363,7 +407,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Ordered policy: all traffic lands on backend 0.
+	// Hash placement: every request for one key lands on one backend.
 	for i := 0; i < 3; i++ {
 		resp, err := c.Do(&serve.Request{Op: serve.OpSquash, Obj: obj, Profile: prof})
 		if err != nil || !resp.OK || !bytes.Equal(resp.Image, want) {
@@ -371,33 +415,39 @@ func TestRouterAdminPlane(t *testing.T) {
 		}
 	}
 	cs := r.clusterSnapshot()
-	if cs.Backends[0].Requests == 0 || cs.Backends[1].Requests != 0 {
-		t.Fatalf("ordered routing split traffic: %d / %d", cs.Backends[0].Requests, cs.Backends[1].Requests)
+	owner := 0
+	if cs.Backends[1].Requests > 0 {
+		owner = 1
+	}
+	other := 1 - owner
+	if cs.Backends[owner].Requests != 3 || cs.Backends[other].Requests != 0 {
+		t.Fatalf("hash routing split one key's traffic: %d / %d", cs.Backends[0].Requests, cs.Backends[1].Requests)
 	}
 
-	// Drain backend 0 over the wire; traffic must shift to backend 1.
-	b0 := cs.Backends[0].Addr
-	resp, err := c.Do(&serve.Request{Op: serve.OpDrain, Backend: b0})
+	// Drain the key's owner over the wire; traffic must shift to the
+	// other backend.
+	ownerAddr := cs.Backends[owner].Addr
+	resp, err := c.Do(&serve.Request{Op: serve.OpDrain, Backend: ownerAddr})
 	if err != nil || !resp.OK {
 		t.Fatalf("drain: err=%v resp=%+v", err, resp)
 	}
-	if resp.Cluster == nil || resp.Cluster.Backends[0].State != StateDraining {
-		t.Fatalf("drain response does not show backend 0 draining: %+v", resp.Cluster)
+	if resp.Cluster == nil || resp.Cluster.Backends[owner].State != StateDraining {
+		t.Fatalf("drain response does not show backend %d draining: %+v", owner, resp.Cluster)
 	}
-	before := r.clusterSnapshot().Backends[1].Requests
+	before := r.clusterSnapshot().Backends[other].Requests
 	if resp, err := c.Do(&serve.Request{Op: serve.OpSquash, Obj: obj, Profile: prof}); err != nil || !resp.OK {
 		t.Fatalf("drained-state request failed: %v", err)
 	}
-	if got := r.clusterSnapshot().Backends[1].Requests; got != before+1 {
-		t.Fatalf("draining backend still took traffic: backend 1 went %d -> %d", before, got)
+	if got := r.clusterSnapshot().Backends[other].Requests; got != before+1 {
+		t.Fatalf("draining backend still took traffic: backend %d went %d -> %d", other, before, got)
 	}
 
 	// Undrain restores it.
-	if resp, err := c.Do(&serve.Request{Op: serve.OpUndrain, Backend: b0}); err != nil || !resp.OK {
+	if resp, err := c.Do(&serve.Request{Op: serve.OpUndrain, Backend: ownerAddr}); err != nil || !resp.OK {
 		t.Fatalf("undrain: err=%v resp=%+v", err, resp)
 	}
-	if st := r.clusterSnapshot().Backends[0].State; st != StateUp {
-		t.Fatalf("backend 0 state after undrain = %q, want up", st)
+	if st := r.clusterSnapshot().Backends[owner].State; st != StateUp {
+		t.Fatalf("backend %d state after undrain = %q, want up", owner, st)
 	}
 
 	// Unknown backend is an error, not a silent no-op.
@@ -414,19 +464,12 @@ func TestRouterAdminPlane(t *testing.T) {
 	if got := sresp.Server.Requests[serve.OpSquash]; got < 4 {
 		t.Fatalf("merged stats count %d squashes, want >= 4", got)
 	}
-	// OpCluster over the wire round-trips on both protocols.
-	for _, proto := range []int{1, 2} {
-		cc, err := serve.DialClientProto(addr, proto)
-		if err != nil {
-			t.Fatalf("dial v%d: %v", proto, err)
-		}
-		cresp, err := cc.Do(&serve.Request{Op: serve.OpCluster})
-		if err != nil || !cresp.OK || cresp.Cluster == nil {
-			t.Fatalf("v%d cluster op: err=%v", proto, err)
-		}
-		if cresp.Cluster.Policy != PolicyOrdered || len(cresp.Cluster.Backends) != 2 {
-			t.Fatalf("v%d cluster snapshot: %+v", proto, cresp.Cluster)
-		}
-		cc.Close()
+	// OpCluster round-trips over the wire.
+	cresp, err := c.Do(&serve.Request{Op: serve.OpCluster})
+	if err != nil || !cresp.OK || cresp.Cluster == nil {
+		t.Fatalf("cluster op: err=%v", err)
+	}
+	if bs := cresp.Cluster.Backends; len(bs) != 2 || bs[owner].Requests != 3 || bs[other].Requests != 1 {
+		t.Fatalf("cluster snapshot: %+v", cresp.Cluster)
 	}
 }

@@ -1,84 +1,46 @@
 // Package cluster is the squashd fleet tier: a router that speaks the
 // daemon wire protocol on the front and fans requests out to N backend
-// squashd instances, placed by a pluggable policy. The default policy is
-// content-hash placement via rendezvous hashing over the serve result-key
-// digest, so each backend's result LRU stays hot for its shard and a
-// backend joining or leaving moves only ~1/N of the key space. Backends
-// are health-checked (periodic stats probes), marked down after K
-// consecutive failures, and failed requests re-route to the next-ranked
-// live backend — safe because squash is deterministic and idempotent for
-// a given (object, profile, config).
+// squashd instances. Placement is content-hash placement via rendezvous
+// hashing over the serve result-key digest, so each backend's result LRU
+// stays hot for its shard and a backend joining or leaving moves only
+// ~1/N of the key space. Backends are health-checked (periodic stats
+// probes), marked down after K consecutive failures, and failed requests
+// reroute to the next-ranked live backend — safe because squash is
+// deterministic and idempotent for a given (object, profile, config).
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
+// fleetScratch is the fleet size the routed path ranks without
+// allocating: rank's score buffer and routeOne's backend buffers are all
+// this long. Larger fleets rank correctly but spill to the heap.
+const fleetScratch = 16
 
-// Policy names accepted by ParsePolicy (the -route flag).
-const (
-	PolicyHash      = "hash"
-	PolicyLeastConn = "least-conn"
-	PolicyOrdered   = "ordered"
-)
-
-// picker ranks the live backends for one placement key, best first. The
-// router tries them in order until one answers. Implementations must be
-// pure: no side effects, same ranking for the same inputs (modulo
-// least-conn's live in-flight counts).
-type picker interface {
-	name() string
-	// rank orders live (the backends eligible for new work) into dst,
-	// best-ranked first, and returns it. dst is scratch from the caller
-	// (avoids a per-request allocation); len(live) may be zero.
-	rank(key [32]byte, live []*Backend, dst []*Backend) []*Backend
-}
-
-// parsePolicy resolves a -route policy name.
-func parsePolicy(name string) (picker, error) {
-	switch name {
-	case PolicyHash, "":
-		return hashPicker{}, nil
-	case PolicyLeastConn:
-		return leastConnPicker{}, nil
-	case PolicyOrdered:
-		return orderedPicker{}, nil
-	}
-	return nil, fmt.Errorf("cluster: unknown routing policy %q (want %s, %s, or %s)",
-		name, PolicyHash, PolicyLeastConn, PolicyOrdered)
-}
-
-// hashPicker is rendezvous (highest-random-weight) hashing: every backend
-// scores hash(backend, key) and the ranking is by descending score. Each
-// key's ranking is stable under membership change everywhere except at
-// the backends that joined or left — removing a backend moves exactly its
-// own keys (they fall to their second-ranked backend), and adding one
-// steals only the ~1/N of keys it now wins — which is what keeps the
-// per-backend result LRUs hot across fleet changes.
-type hashPicker struct{}
-
-func (hashPicker) name() string { return PolicyHash }
-
-func (hashPicker) rank(key [32]byte, live []*Backend, dst []*Backend) []*Backend {
-	scores := make([]uint64, len(live))
-	for i, b := range live {
-		scores[i] = rendezvousScore(b.hashSeed, key)
-	}
-	// Sort indices by score (descending), tie-broken by backend address so
-	// the ranking is total and deterministic.
-	idx := make([]int, len(live))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
-		}
-		return live[idx[a]].Addr < live[idx[b]].Addr
-	})
+// rank is rendezvous (highest-random-weight) hashing: every backend scores
+// hash(backend, key) and the ranking is by descending score. Each key's
+// ranking is stable under membership change everywhere except at the
+// backends that joined or left — removing a backend moves exactly its own
+// keys (they fall to their second-ranked backend), and adding one steals
+// only the ~1/N of keys it now wins — which is what keeps the per-backend
+// result LRUs hot across fleet changes.
+//
+// rank orders live (the backends eligible for new work) into dst by
+// descending score, tie-broken by ascending address so the ranking is
+// total and deterministic, and returns it. dst is scratch from the
+// caller: with capacity for len(live) ≤ fleetScratch backends, ranking
+// allocates nothing. len(live) may be zero.
+func rank(key [32]byte, live []*Backend, dst []*Backend) []*Backend {
+	var buf [fleetScratch]uint64
+	scores := buf[:0]
 	dst = dst[:0]
-	for _, i := range idx {
-		dst = append(dst, live[i])
+	for _, b := range live {
+		s := rendezvousScore(b.hashSeed, key)
+		dst = append(dst, b)
+		scores = append(scores, s)
+		// Insertion sort: fleets are small, and it needs no closure.
+		i := len(dst) - 1
+		for ; i > 0 && (s > scores[i-1] || s == scores[i-1] && b.Addr < dst[i-1].Addr); i-- {
+			dst[i], scores[i] = dst[i-1], scores[i-1]
+		}
+		dst[i], scores[i] = b, s
 	}
 	return dst
 }
@@ -106,31 +68,4 @@ func fnv64a(s string) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-// leastConnPicker ranks by the router's live in-flight count per backend
-// (ascending), tie-broken by configuration order — sshproxy's
-// connection-count placement. Ignores the key: use it when request cost
-// varies so much that queue depth beats cache affinity.
-type leastConnPicker struct{}
-
-func (leastConnPicker) name() string { return PolicyLeastConn }
-
-func (leastConnPicker) rank(_ [32]byte, live []*Backend, dst []*Backend) []*Backend {
-	dst = append(dst[:0], live...)
-	sort.SliceStable(dst, func(i, j int) bool {
-		return dst[i].inFlight.Load() < dst[j].inFlight.Load()
-	})
-	return dst
-}
-
-// orderedPicker always prefers backends in configuration order: all
-// traffic on the first live backend, the rest as spares — sshproxy's
-// ordered routing, useful for primary/standby setups.
-type orderedPicker struct{}
-
-func (orderedPicker) name() string { return PolicyOrdered }
-
-func (orderedPicker) rank(_ [32]byte, live []*Backend, dst []*Backend) []*Backend {
-	return append(dst[:0], live...)
 }

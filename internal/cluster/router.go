@@ -12,12 +12,8 @@ import (
 
 // Config wires a Router to its backend fleet.
 type Config struct {
-	// Backends are the squashd addresses to fan out to (at least one),
-	// in preference order for the "ordered" policy.
+	// Backends are the squashd addresses to fan out to (at least one).
 	Backends []string
-	// Policy picks the routing policy: "hash" (default, rendezvous over
-	// the content key), "least-conn", or "ordered".
-	Policy string
 	// CheckInterval is the health-probe period (default 2s); CheckTimeout
 	// bounds one probe exchange (default 1s).
 	CheckInterval time.Duration
@@ -32,10 +28,8 @@ type Config struct {
 	Retries int
 	// BackendTimeout bounds one forwarded exchange; 0 disables.
 	BackendTimeout time.Duration
-	// BackendProto pins the wire protocol toward backends (0 negotiates,
-	// preferring v2); MaxIdle bounds pooled idle connections per backend.
-	BackendProto int
-	MaxIdle      int
+	// MaxIdle bounds pooled idle connections per backend.
+	MaxIdle int
 	// Logf receives lifecycle lines (backend up/down, drain); nil logs to
 	// stderr.
 	Logf func(format string, args ...any)
@@ -43,13 +37,12 @@ type Config struct {
 
 // Router fans daemon-protocol requests out to a fleet of squashd
 // backends. Its Handle method plugs into serve.Options.Handler, so the
-// front side — listeners, v1/v2 codec, negotiation, metrics, graceful
-// drain — is the stock daemon machinery and any serve.Client works
-// against it unchanged. Handle is safe for concurrent use; concurrency
-// arrives as one connection goroutine per client connection.
+// front side — listeners, frame codec, metrics, graceful drain — is the
+// stock daemon machinery and any serve.Client works against it unchanged.
+// Handle is safe for concurrent use; concurrency arrives as one
+// connection goroutine per client connection.
 type Router struct {
 	cfg      Config
-	pick     picker
 	backends []*Backend
 	byAddr   map[string]*Backend
 	logf     func(format string, args ...any)
@@ -63,10 +56,6 @@ type Router struct {
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one backend")
-	}
-	pick, err := parsePolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
 	}
 	if cfg.CheckInterval <= 0 {
 		cfg.CheckInterval = 2 * time.Second
@@ -89,7 +78,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:    cfg,
-		pick:   pick,
 		byAddr: map[string]*Backend{},
 		logf:   logf,
 		stop:   make(chan struct{}),
@@ -98,15 +86,12 @@ func New(cfg Config) (*Router, error) {
 		if _, dup := r.byAddr[addr]; dup {
 			return nil, fmt.Errorf("cluster: duplicate backend address %q", addr)
 		}
-		b := newBackend(addr, cfg.BackendProto, cfg.MaxIdle)
+		b := newBackend(addr, cfg.MaxIdle)
 		r.backends = append(r.backends, b)
 		r.byAddr[addr] = b
 	}
 	return r, nil
 }
-
-// Policy reports the active routing policy name.
-func (r *Router) Policy() string { return r.pick.name() }
 
 // Start launches the health-check loop.
 func (r *Router) Start() {
@@ -150,28 +135,27 @@ func (r *Router) Handle(req *serve.Request) *serve.Response {
 	}
 }
 
-// live collects the backends currently eligible for new work, in
-// configuration order (the ordered policy's preference, and the
-// tie-break order everywhere else).
-func (r *Router) live() []*Backend {
-	out := make([]*Backend, 0, len(r.backends))
+// live appends to dst the backends currently eligible for new work and
+// not in excluded, in configuration order, and returns it.
+func (r *Router) live(dst []*Backend, excluded map[*Backend]bool) []*Backend {
 	for _, b := range r.backends {
-		if b.live() {
-			out = append(out, b)
+		if b.live() && !excluded[b] {
+			dst = append(dst, b)
 		}
 	}
-	return out
+	return dst
 }
 
 // routeOne forwards a single-object request with bounded failover: rank
 // the live backends for the request's content key, try them best-first,
-// and re-route on transport error. Squash is deterministic and
+// and reroute on transport error. Squash is deterministic and
 // idempotent per (object, profile, config), so a retry after a
 // half-completed exchange cannot produce a different answer — the worst
 // case is a backend doing duplicate work that warms its cache.
 func (r *Router) routeOne(req *serve.Request) *serve.Response {
 	key, _ := serve.RouteKey(req)
-	ranked := r.pick.rank(key, r.live(), nil)
+	var liveBuf, rankBuf [fleetScratch]*Backend
+	ranked := rank(key, r.live(liveBuf[:0], nil), rankBuf[:0])
 	if len(ranked) == 0 {
 		return &serve.Response{Err: "cluster: no live backends"}
 	}
@@ -197,7 +181,7 @@ func (r *Router) routeOne(req *serve.Request) *serve.Response {
 // routeBatch splits one OpBatch frame into per-backend sub-batches by
 // each item's content key, forwards the shards concurrently, and
 // reassembles results in item order. Failover works per shard: a shard
-// whose backend fails with a transport error re-routes on the next round
+// whose backend fails with a transport error reroutes on the next round
 // with that backend excluded, up to Retries extra rounds. Errors stay
 // per-item throughout — a shard that exhausts failover yields error
 // results only at its own indices. Within-batch duplicates hash to the
@@ -220,12 +204,7 @@ func (r *Router) routeBatch(req *serve.Request) *serve.Response {
 	excluded := map[*Backend]bool{}
 
 	for round := 0; round <= r.cfg.Retries && len(pending) > 0; round++ {
-		live := make([]*Backend, 0, len(r.backends))
-		for _, b := range r.backends {
-			if b.live() && !excluded[b] {
-				live = append(live, b)
-			}
-		}
+		live := r.live(make([]*Backend, 0, len(r.backends)), excluded)
 		if len(live) == 0 {
 			break
 		}
@@ -235,7 +214,7 @@ func (r *Router) routeBatch(req *serve.Request) *serve.Response {
 		scratch := make([]*Backend, 0, len(live))
 		for _, i := range pending {
 			key := serve.RouteKeyItem(&items[i])
-			ranked := r.pick.rank(key, live, scratch)
+			ranked := rank(key, live, scratch)
 			shards[ranked[0]] = append(shards[ranked[0]], i)
 		}
 
@@ -263,7 +242,7 @@ func (r *Router) routeBatch(req *serve.Request) *serve.Response {
 			out := <-outc
 			switch {
 			case out.err != nil:
-				// Transport failure: the whole shard re-routes next round,
+				// Transport failure: the whole shard reroutes next round,
 				// away from this backend.
 				r.noteFailed(out.b, out.err)
 				excluded[out.b] = true
@@ -330,7 +309,7 @@ func (r *Router) handleStats() *serve.Response {
 // hang; per-backend stats are the last successful probes').
 func (r *Router) clusterSnapshot() *serve.ClusterSnapshot {
 	now := time.Now()
-	cs := &serve.ClusterSnapshot{Policy: r.pick.name()}
+	cs := &serve.ClusterSnapshot{}
 	snaps := make([]*serve.Snapshot, 0, len(r.backends))
 	for _, b := range r.backends {
 		st := b.status(now)

@@ -376,7 +376,7 @@ func TestCollectorPersistence(t *testing.T) {
 
 // TestCollectorOverServe runs the collector behind the real serve stack —
 // the daemon wiring cmd/squashprofd uses — and drives it through a network
-// client, covering the v2 frame path for every profile op.
+// client, covering the frame path for every profile op.
 func TestCollectorOverServe(t *testing.T) {
 	conf := core.DefaultConfig()
 	objBytes, profBytes, imageBytes := buildSquashed(t, 71, steadyInput, conf)

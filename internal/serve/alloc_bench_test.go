@@ -62,12 +62,11 @@ func BenchmarkRequestScratch(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkFrameCodecAlloc is the paired allocation benchmark for the wire
-// codec: one warm cache-hit squash exchange as the server sees it — read
-// and decode a request frame, encode and write the cached response. "v2"
-// is the binary frame codec (pooled buffers, zero-copy payload sections);
-// "v1" is the length-prefixed JSON codec with base64 payloads. CI gates
-// the v2 allocs/op ceiling and the v1/v2 reduction via benchhist.
+// BenchmarkFrameCodecAlloc is the allocation benchmark for the wire codec:
+// one warm cache-hit squash exchange as the server sees it — read
+// and decode a request frame, encode and write the cached response, through
+// pooled buffers and zero-copy payload sections. CI gates its allocs/op
+// ceiling via benchhist.
 func BenchmarkFrameCodecAlloc(b *testing.B) {
 	src := testprog.Random(7)
 	obj, err := asm.Assemble(src)
@@ -102,63 +101,36 @@ func BenchmarkFrameCodecAlloc(b *testing.B) {
 	stats, foot := out.Stats, out.Foot
 	resp := &Response{OK: true, Image: img.Bytes(), Stats: &stats, Foot: &foot, Cached: true}
 
-	b.Run("v2", func(b *testing.B) {
-		var frame bytes.Buffer
-		fw := bufio.NewWriter(&frame)
-		sc := getFrameScratch()
-		defer putFrameScratch(sc)
-		if err := writeRequestV2(fw, sc, req); err != nil {
+	var frame bytes.Buffer
+	fw := bufio.NewWriter(&frame)
+	sc := getFrameScratch()
+	defer putFrameScratch(sc)
+	if err := writeRequestFrame(fw, sc, req); err != nil {
+		b.Fatal(err)
+	}
+	fw.Flush()
+	reqFrame := frame.Bytes()
+
+	rd := bytes.NewReader(reqFrame)
+	br := bufio.NewReaderSize(rd, frameIOSize)
+	bw := bufio.NewWriterSize(io.Discard, frameIOSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(reqFrame)
+		br.Reset(rd)
+		fb, env, pay, err := readFrameBody(br)
+		if err != nil {
 			b.Fatal(err)
 		}
-		fw.Flush()
-		reqFrame := frame.Bytes()
-
-		rd := bytes.NewReader(reqFrame)
-		br := bufio.NewReaderSize(rd, frameIOSize)
-		bw := bufio.NewWriterSize(io.Discard, frameIOSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rd.Reset(reqFrame)
-			br.Reset(rd)
-			fb, env, pay, err := readFrameBodyV2(br)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var r Request
-			if err := decodeRequestV2(sc, env, pay, fb, &r); err != nil {
-				b.Fatal(err)
-			}
-			if err := writeResponseV2(bw, sc, resp); err != nil {
-				b.Fatal(err)
-			}
-			bw.Flush()
-			r.releasePayload()
-		}
-	})
-	b.Run("v1", func(b *testing.B) {
-		var frame bytes.Buffer
-		if err := WriteFrame(&frame, req); err != nil {
+		var r Request
+		if err := decodeRequest(sc, env, pay, fb, &r); err != nil {
 			b.Fatal(err)
 		}
-		reqFrame := frame.Bytes()
-
-		rd := bytes.NewReader(reqFrame)
-		br := bufio.NewReaderSize(rd, frameIOSize)
-		bw := bufio.NewWriterSize(io.Discard, frameIOSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rd.Reset(reqFrame)
-			br.Reset(rd)
-			var r Request
-			if err := ReadFrame(br, &r); err != nil {
-				b.Fatal(err)
-			}
-			if err := WriteFrame(bw, resp); err != nil {
-				b.Fatal(err)
-			}
-			bw.Flush()
+		if err := writeResponseFrame(bw, sc, resp); err != nil {
+			b.Fatal(err)
 		}
-	})
+		bw.Flush()
+		r.releasePayload()
+	}
 }

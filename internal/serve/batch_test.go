@@ -21,11 +21,11 @@ func TestBatchByteIdenticalToOneShot(t *testing.T) {
 
 	s, addr, stop := startServer(t, Options{Workers: 4})
 	defer stop()
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 
 	// A twice (dedup), B once, and A again under confB (distinct config —
 	// must NOT be shared with the confA items).
@@ -35,7 +35,7 @@ func TestBatchByteIdenticalToOneShot(t *testing.T) {
 		{Obj: objA, Profile: profA, Config: &confA},
 		{Obj: objA, Profile: profA, Config: &confB},
 	}
-	resp, err := Do(conn, &Request{Op: OpBatch, Items: items})
+	resp, err := cl.Do(&Request{Op: OpBatch, Items: items})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestBatchByteIdenticalToOneShot(t *testing.T) {
 
 	// A repeat of the whole frame must be served from the warm result
 	// cache, still byte-identical.
-	resp2, err := Do(conn, &Request{Op: OpBatch, Items: items})
+	resp2, err := cl.Do(&Request{Op: OpBatch, Items: items})
 	if err != nil {
 		t.Fatalf("repeat batch: %v", err)
 	}
@@ -105,11 +105,11 @@ func TestBatchErrorIsolation(t *testing.T) {
 
 	s, addr, stop := startServer(t, Options{Workers: 2})
 	defer stop()
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 
 	items := []BatchItem{
 		{Obj: obj, Profile: prof},
@@ -118,7 +118,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 		{}, // neither payload nor bench
 		{Obj: obj, Profile: prof},
 	}
-	resp, err := Do(conn, &Request{Op: OpBatch, Items: items})
+	resp, err := cl.Do(&Request{Op: OpBatch, Items: items})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -158,13 +158,13 @@ func TestBatchErrorIsolation(t *testing.T) {
 func TestBatchValidation(t *testing.T) {
 	_, addr, stop := startServer(t, Options{Workers: 1})
 	defer stop()
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 
-	resp, err := Do(conn, &Request{Op: OpBatch})
+	resp, err := cl.Do(&Request{Op: OpBatch})
 	if err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestBatchValidation(t *testing.T) {
 	}
 
 	over := make([]BatchItem, MaxBatchItems+1)
-	resp, err = Do(conn, &Request{Op: OpBatch, Items: over})
+	resp, err = cl.Do(&Request{Op: OpBatch, Items: over})
 	if err != nil {
 		t.Fatalf("oversized batch: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatalf("oversized batch accepted: %+v", resp)
 	}
 
-	if resp, err := Do(conn, &Request{Op: OpPing}); err != nil || !resp.OK {
+	if resp, err := cl.Do(&Request{Op: OpPing}); err != nil || !resp.OK {
 		t.Fatalf("connection unusable after rejected batches: resp=%+v err=%v", resp, err)
 	}
 }
@@ -194,18 +194,18 @@ func TestBatchDedupWithCacheDisabled(t *testing.T) {
 
 	_, addr, stop := startServer(t, Options{Workers: 2, CacheEntries: -1})
 	defer stop()
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 
 	items := []BatchItem{
 		{Obj: obj, Profile: prof},
 		{Obj: obj, Profile: prof},
 		{Obj: obj, Profile: prof},
 	}
-	resp, err := Do(conn, &Request{Op: OpBatch, Items: items})
+	resp, err := cl.Do(&Request{Op: OpBatch, Items: items})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}

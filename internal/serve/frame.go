@@ -1,8 +1,8 @@
 package serve
 
-// Wire protocol v2: binary frames with zero-copy payload sections.
+// Wire protocol: binary frames with zero-copy payload sections.
 //
-// A v2 frame is a fixed 12-byte header followed by a small JSON envelope
+// A frame is a fixed 12-byte header followed by a small JSON envelope
 // and a raw payload trailer:
 //
 //	byte  0      protocol version (0x02)
@@ -24,15 +24,14 @@ package serve
 // at exact size (the "at most one copy" of a read), because a response
 // must outlive the connection's recycled buffers.
 //
-// The magic doubles as version discrimination. Read as a v1 little-endian
-// length prefix, bytes 0-3 of a v2 header decode to at least 0xF2510000 —
-// far above MaxFrame — so a v1 reader cleanly rejects a v2 frame, and a v2
-// reader can sniff four bytes to tell the framings apart without consuming
-// input. A connection latches the version of its first frame: old clients
-// keep speaking length-prefixed JSON forever; new clients open with v2 and
-// downgrade when the server either answers with a v1 proto_max error (a
-// version-capped server) or hangs up on the unreadable frame (a server
-// that predates v2 entirely).
+// This is the only framing. The reader treats every header byte as
+// untrusted input: the version, flag and magic bytes are checked before it
+// waits for the rest of the header, the lengths are bounded by MaxFrame
+// before anything is allocated, and every section reference is checked
+// against the canonical layout. Any violation is fatal to the connection —
+// the server answers with one error frame and closes — so a peer speaking
+// some other framing (such as a length-prefixed JSON document) gets an
+// error, never a hang on bytes that will not come.
 
 import (
 	"bufio"
@@ -45,16 +44,10 @@ import (
 	"repro/internal/core"
 )
 
-// Protocol versions. The first frame of a connection declares the highest
-// version the client speaks; the server answers in kind.
 const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-	// MaxProtoVersion is the highest protocol version this build speaks.
-	MaxProtoVersion = ProtoV2
-)
-
-const (
+	// frameVersion is header byte 0; frames carrying any other value are
+	// refused.
+	frameVersion   = 2
 	frameMagic2    = 0x51
 	frameMagic3    = 0xF2
 	frameHeaderLen = 12
@@ -63,21 +56,10 @@ const (
 	frameIOSize = 64 << 10
 )
 
-// isV2Header reports whether 4 peeked bytes open a v2 frame. The check is
-// unambiguous: as a v1 length prefix these bytes would decode above
-// MaxFrame, so no valid v1 frame can alias a v2 header.
-func isV2Header(b []byte) bool {
-	return len(b) >= 4 && b[2] == frameMagic2 && b[3] == frameMagic3
-}
-
-// protoError is a wire-protocol violation or version-negotiation miss.
-// Non-fatal errors (max > 0, fatal false) are reported to the client and
-// the connection continues; fatal ones are reported best-effort and the
-// connection closes.
+// protoError is a wire-protocol violation. The server reports it
+// best-effort in an error frame and closes the connection.
 type protoError struct {
-	msg   string
-	max   int // > 0: advertise the server's highest supported version
-	fatal bool
+	msg string
 }
 
 func (e *protoError) Error() string { return "serve: " + e.msg }
@@ -207,7 +189,7 @@ func (o *wireOp) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// reqEnv is the v2 request envelope: Request with every []byte field
+// reqEnv is the request envelope: Request with every []byte field
 // replaced by its payload section reference.
 type reqEnv struct {
 	Op       wireOp       `json:"op"`
@@ -234,7 +216,7 @@ type itemEnv struct {
 	Config  *core.Config `json:"config,omitempty"`
 }
 
-// respEnv is the v2 response envelope, mirroring Response the same way.
+// respEnv is the response envelope, mirroring Response the same way.
 type respEnv struct {
 	OK         bool             `json:"ok"`
 	Err        string           `json:"err,omitempty"`
@@ -249,7 +231,6 @@ type respEnv struct {
 	Feed       *FeedSnapshot    `json:"feed,omitempty"`
 	Resquash   *ResquashReport  `json:"resquash,omitempty"`
 	ImageKey   string           `json:"image_key,omitempty"`
-	ProtoMax   int              `json:"proto_max,omitempty"`
 }
 
 type resultEnv struct {
@@ -301,16 +282,16 @@ type secCursor struct {
 func (c *secCursor) take(r secRef) ([]byte, error) {
 	if r.Len == 0 {
 		if r.Off != 0 {
-			return nil, &protoError{msg: "payload section with zero length at nonzero offset", fatal: true}
+			return nil, &protoError{msg: "payload section with zero length at nonzero offset"}
 		}
 		return nil, nil
 	}
 	if r.Off != c.off {
-		return nil, &protoError{msg: fmt.Sprintf("payload section at offset %d out of order (cursor %d)", r.Off, c.off), fatal: true}
+		return nil, &protoError{msg: fmt.Sprintf("payload section at offset %d out of order (cursor %d)", r.Off, c.off)}
 	}
 	end := uint64(r.Off) + uint64(r.Len)
 	if end > uint64(len(c.pay)) {
-		return nil, &protoError{msg: fmt.Sprintf("payload section [%d,%d) out of bounds (trailer %d bytes)", r.Off, end, len(c.pay)), fatal: true}
+		return nil, &protoError{msg: fmt.Sprintf("payload section [%d,%d) out of bounds (trailer %d bytes)", r.Off, end, len(c.pay))}
 	}
 	c.off = uint32(end)
 	return c.pay[r.Off:end:end], nil
@@ -318,7 +299,7 @@ func (c *secCursor) take(r secRef) ([]byte, error) {
 
 func (c *secCursor) done() error {
 	if int(c.off) != len(c.pay) {
-		return &protoError{msg: fmt.Sprintf("payload trailer has %d trailing bytes past the last section", len(c.pay)-int(c.off)), fatal: true}
+		return &protoError{msg: fmt.Sprintf("payload trailer has %d trailing bytes past the last section", len(c.pay)-int(c.off))}
 	}
 	return nil
 }
@@ -326,11 +307,11 @@ func (c *secCursor) done() error {
 // v2HeaderPad reserves header room at the front of the envelope buffer.
 var v2HeaderPad [frameHeaderLen]byte
 
-// emitFrameV2 writes one v2 frame: header, envelope, then each payload
+// emitFrame writes one frame: header, envelope, then each payload
 // section straight from its source slice. Nothing assembles a full frame in
 // memory — a multi-megabyte image streams through the bufio.Writer — and
 // the caller's flush hands the socket whole buffered frames.
-func emitFrameV2(bw *bufio.Writer, sc *frameScratch, env any, t *secTable) error {
+func emitFrame(bw *bufio.Writer, sc *frameScratch, env any, t *secTable) error {
 	if t.err != nil {
 		return t.err
 	}
@@ -341,7 +322,7 @@ func emitFrameV2(bw *bufio.Writer, sc *frameScratch, env any, t *secTable) error
 	sc.env.Reset()
 	sc.env.Write(v2HeaderPad[:])
 	if err := sc.enc.Encode(env); err != nil {
-		return fmt.Errorf("serve: marshal v2 envelope: %w", err)
+		return fmt.Errorf("serve: marshal envelope: %w", err)
 	}
 	frame := sc.env.Bytes()
 	if n := len(frame); n > frameHeaderLen && frame[n-1] == '\n' {
@@ -351,7 +332,7 @@ func emitFrameV2(bw *bufio.Writer, sc *frameScratch, env any, t *secTable) error
 	if uint64(envLen)+t.off > MaxFrame {
 		return fmt.Errorf("serve: frame of %d bytes exceeds limit %d", uint64(envLen)+t.off, MaxFrame)
 	}
-	frame[0] = ProtoV2
+	frame[0] = frameVersion
 	frame[1] = 0
 	frame[2] = frameMagic2
 	frame[3] = frameMagic3
@@ -368,8 +349,8 @@ func emitFrameV2(bw *bufio.Writer, sc *frameScratch, env any, t *secTable) error
 	return nil
 }
 
-// writeRequestV2 encodes req as one v2 frame into bw (not flushed).
-func writeRequestV2(bw *bufio.Writer, sc *frameScratch, req *Request) error {
+// writeRequestFrame encodes req as one frame into bw (not flushed).
+func writeRequestFrame(bw *bufio.Writer, sc *frameScratch, req *Request) error {
 	t := secTable{secs: sc.secs[:0]}
 	e := &sc.reqEnv
 	*e = reqEnv{
@@ -401,15 +382,15 @@ func writeRequestV2(bw *bufio.Writer, sc *frameScratch, req *Request) error {
 		}
 		e.Items = items
 	}
-	err := emitFrameV2(bw, sc, e, &t)
+	err := emitFrame(bw, sc, e, &t)
 	sc.recycleReq(e, &t)
 	return err
 }
 
-// writeResponseV2 encodes resp as one v2 frame into bw (not flushed). The
+// writeResponseFrame encodes resp as one frame into bw (not flushed). The
 // image bytes — a cache entry's retained copy on the warm path — go to the
 // socket directly; the envelope is the only per-frame encoding work.
-func writeResponseV2(bw *bufio.Writer, sc *frameScratch, resp *Response) error {
+func writeResponseFrame(bw *bufio.Writer, sc *frameScratch, resp *Response) error {
 	t := secTable{secs: sc.secs[:0]}
 	e := &sc.respEnv
 	*e = respEnv{
@@ -425,7 +406,6 @@ func writeResponseV2(bw *bufio.Writer, sc *frameScratch, resp *Response) error {
 		Feed:       resp.Feed,
 		Resquash:   resp.Resquash,
 		ImageKey:   resp.ImageKey,
-		ProtoMax:   resp.ProtoMax,
 	}
 	if len(resp.Results) > 0 {
 		results := sc.results[:0]
@@ -439,48 +419,46 @@ func writeResponseV2(bw *bufio.Writer, sc *frameScratch, resp *Response) error {
 		}
 		e.Results = results
 	}
-	err := emitFrameV2(bw, sc, e, &t)
+	err := emitFrame(bw, sc, e, &t)
 	sc.recycleResp(e, &t)
 	return err
 }
 
-// readFrameBodyV2 reads one v2 frame (header included) into a pooled frame
+// readFrameBody reads one frame (header included) into a pooled frame
 // buffer and returns the envelope and payload views into it. The caller
 // owns fb and must release it — directly on error paths, or through
 // Request.releasePayload once decoded sections can no longer be read.
 // Frames larger than the pool class go to an exact-size one-off buffer, so
 // an oversized payload streams socket→buffer without pinning pool memory.
-func readFrameBodyV2(br *bufio.Reader) (fb *frameBuf, env, pay []byte, err error) {
+func readFrameBody(br *bufio.Reader) (fb *frameBuf, env, pay []byte, err error) {
 	// Peek instead of reading into a stack array: the array would escape
-	// into io.ReadFull and allocate on every frame.
-	hdr, err := br.Peek(frameHeaderLen)
+	// into io.ReadFull and allocate on every frame. The fixed prefix is
+	// checked on its own first, so foreign bytes are refused without
+	// waiting for a full header.
+	hdr, err := peekHeader(br, 4)
 	if err != nil {
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
 		return nil, nil, nil, err
 	}
 	if hdr[2] != frameMagic2 || hdr[3] != frameMagic3 {
-		return nil, nil, nil, &protoError{msg: "bad v2 frame magic", fatal: true}
+		return nil, nil, nil, &protoError{msg: "bad frame magic"}
 	}
-	if hdr[0] != ProtoV2 {
-		return nil, nil, nil, &protoError{
-			msg:   fmt.Sprintf("unsupported frame version %d (max %d)", hdr[0], MaxProtoVersion),
-			max:   MaxProtoVersion,
-			fatal: true,
-		}
+	if hdr[0] != frameVersion {
+		return nil, nil, nil, &protoError{msg: fmt.Sprintf("unsupported frame version %d (want %d)", hdr[0], frameVersion)}
 	}
 	if hdr[1] != 0 {
-		return nil, nil, nil, &protoError{msg: fmt.Sprintf("unsupported frame flags %#x", hdr[1]), fatal: true}
+		return nil, nil, nil, &protoError{msg: fmt.Sprintf("unsupported frame flags %#x", hdr[1])}
+	}
+	if hdr, err = peekHeader(br, frameHeaderLen); err != nil {
+		return nil, nil, nil, err
 	}
 	envLen := binary.LittleEndian.Uint32(hdr[4:8])
 	payLen := binary.LittleEndian.Uint32(hdr[8:12])
 	if envLen == 0 {
-		return nil, nil, nil, &protoError{msg: "frame with empty envelope", fatal: true}
+		return nil, nil, nil, &protoError{msg: "frame with empty envelope"}
 	}
 	total := uint64(envLen) + uint64(payLen)
 	if total > MaxFrame {
-		return nil, nil, nil, &protoError{msg: fmt.Sprintf("frame of %d bytes exceeds limit %d", total, MaxFrame), fatal: true}
+		return nil, nil, nil, &protoError{msg: fmt.Sprintf("frame of %d bytes exceeds limit %d", total, MaxFrame)}
 	}
 	br.Discard(frameHeaderLen) // buffered by the Peek, cannot fail
 	fb = getFrameBuf(int(total))
@@ -490,6 +468,16 @@ func readFrameBodyV2(br *bufio.Reader) (fb *frameBuf, env, pay []byte, err error
 		return nil, nil, nil, err
 	}
 	return fb, buf[:envLen], buf[envLen:total], nil
+}
+
+// peekHeader peeks the first n header bytes. A stream that ends inside the
+// header is truncated, not cleanly closed.
+func peekHeader(br *bufio.Reader, n int) ([]byte, error) {
+	hdr, err := br.Peek(n)
+	if err == io.EOF && len(hdr) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return hdr, err
 }
 
 // decodeEnv unmarshals one envelope through the scratch's pooled JSON
@@ -510,17 +498,17 @@ func (sc *frameScratch) decodeEnv(env []byte, v any) error {
 	return err
 }
 
-// decodeRequestV2 fills req from an envelope + payload pair. Payload
+// decodeRequest fills req from an envelope + payload pair. Payload
 // fields are zero-copy views into fb's buffer; on success req takes
 // ownership of fb (releasePayload recycles it). On error the caller still
 // owns fb. The envelope decodes into sc's pooled struct (zeroed first, so
 // no field of an earlier frame survives); everything req keeps is either
 // copied scalars or json-allocated values, never scratch-owned memory.
-func decodeRequestV2(sc *frameScratch, env, pay []byte, fb *frameBuf, req *Request) error {
+func decodeRequest(sc *frameScratch, env, pay []byte, fb *frameBuf, req *Request) error {
 	e := &sc.reqEnv
 	*e = reqEnv{}
 	if err := sc.decodeEnv(env, e); err != nil {
-		return &protoError{msg: fmt.Sprintf("bad v2 envelope: %v", err), fatal: true}
+		return &protoError{msg: fmt.Sprintf("bad envelope: %v", err)}
 	}
 	cur := secCursor{pay: pay}
 	*req = Request{
@@ -568,15 +556,15 @@ func decodeRequestV2(sc *frameScratch, env, pay []byte, fb *frameBuf, req *Reque
 	return nil
 }
 
-// decodeResponseV2 fills resp from an envelope + payload pair. Unlike the
+// decodeResponse fills resp from an envelope + payload pair. Unlike the
 // server's request decode, payload sections are copied out at exact size:
 // a response is retained by callers (files, caches, comparisons) long
 // after the client's frame buffer recycles.
-func decodeResponseV2(sc *frameScratch, env, pay []byte, resp *Response) error {
+func decodeResponse(sc *frameScratch, env, pay []byte, resp *Response) error {
 	e := &sc.respEnv
 	*e = respEnv{}
 	if err := sc.decodeEnv(env, e); err != nil {
-		return &protoError{msg: fmt.Sprintf("bad v2 envelope: %v", err), fatal: true}
+		return &protoError{msg: fmt.Sprintf("bad envelope: %v", err)}
 	}
 	cur := secCursor{pay: pay}
 	*resp = Response{
@@ -585,7 +573,6 @@ func decodeResponseV2(sc *frameScratch, env, pay []byte, resp *Response) error {
 		Cached: e.Cached, PrepCached: e.PrepCached,
 		Server: e.Server, Cluster: e.Cluster,
 		Feed: e.Feed, Resquash: e.Resquash, ImageKey: e.ImageKey,
-		ProtoMax: e.ProtoMax,
 	}
 	img, err := cur.take(e.Image)
 	if err != nil {
@@ -618,25 +605,19 @@ func copySection(b []byte) []byte {
 	return out
 }
 
-// serverCodec is one connection's frame state: buffered I/O, the pooled
-// encode scratch, and the latched protocol version.
+// serverCodec is one connection's frame state: buffered I/O and the pooled
+// encode scratch.
 type serverCodec struct {
-	br     *bufio.Reader
-	bw     *bufio.Writer
-	sc     *frameScratch
-	ver    int // latched by the first frame; 0 until then
-	maxVer int
+	br *bufio.Reader
+	bw *bufio.Writer
+	sc *frameScratch
 }
 
-func newServerCodec(r io.Reader, w io.Writer, maxVer int) *serverCodec {
-	if maxVer <= 0 || maxVer > MaxProtoVersion {
-		maxVer = MaxProtoVersion
-	}
+func newServerCodec(r io.Reader, w io.Writer) *serverCodec {
 	return &serverCodec{
-		br:     bufio.NewReaderSize(r, frameIOSize),
-		bw:     bufio.NewWriterSize(w, frameIOSize),
-		sc:     getFrameScratch(),
-		maxVer: maxVer,
+		br: bufio.NewReaderSize(r, frameIOSize),
+		bw: bufio.NewWriterSize(w, frameIOSize),
+		sc: getFrameScratch(),
 	}
 }
 
@@ -645,76 +626,23 @@ func (c *serverCodec) close() {
 	c.sc = nil
 }
 
-// readRequest reads one frame in whichever version the connection speaks.
-// The first frame latches the version; mixing framings afterwards is a
-// fatal protocol error.
+// readRequest reads and decodes one frame.
 func (c *serverCodec) readRequest(req *Request) error {
-	peek, err := c.br.Peek(4)
+	fb, env, pay, err := readFrameBody(c.br)
 	if err != nil {
 		return err
 	}
-	if isV2Header(peek) {
-		if c.ver == ProtoV1 {
-			return &protoError{msg: "v2 frame on a connection speaking v1", fatal: true}
-		}
-		if c.maxVer < ProtoV2 {
-			// Version-capped server: consume the frame so the connection
-			// survives, and tell the client what to downgrade to.
-			if err := c.skipFrameV2(); err != nil {
-				return err
-			}
-			return &protoError{
-				msg: fmt.Sprintf("unsupported protocol version %d (server max %d)", peek[0], c.maxVer),
-				max: c.maxVer,
-			}
-		}
-		fb, env, pay, err := readFrameBodyV2(c.br)
-		if err != nil {
-			return err
-		}
-		if err := decodeRequestV2(c.sc, env, pay, fb, req); err != nil {
-			fb.release()
-			return err
-		}
-		c.ver = ProtoV2
-		return nil
-	}
-	if c.ver >= ProtoV2 {
-		return &protoError{msg: "v1 frame on a connection speaking v2", fatal: true}
-	}
-	if err := ReadFrame(c.br, req); err != nil {
+	if err := decodeRequest(c.sc, env, pay, fb, req); err != nil {
+		fb.release()
 		return err
 	}
-	c.ver = ProtoV1
 	return nil
 }
 
-// skipFrameV2 discards one v2 frame after validating its bounds.
-func (c *serverCodec) skipFrameV2() error {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return err
-	}
-	total := uint64(binary.LittleEndian.Uint32(hdr[4:8])) + uint64(binary.LittleEndian.Uint32(hdr[8:12]))
-	if total > MaxFrame {
-		return &protoError{msg: fmt.Sprintf("frame of %d bytes exceeds limit %d", total, MaxFrame), fatal: true}
-	}
-	_, err := c.br.Discard(int(total))
-	return err
-}
-
-// writeResponse answers in the connection's latched version and flushes,
-// so the frame reaches the socket in whole buffered writes. Before any
-// version is latched (a negotiation error on the first frame) the answer
-// is v1: the one framing every client can read.
+// writeResponse encodes resp and flushes, so the frame reaches the socket
+// in whole buffered writes.
 func (c *serverCodec) writeResponse(resp *Response) error {
-	var err error
-	if c.ver >= ProtoV2 {
-		err = writeResponseV2(c.bw, c.sc, resp)
-	} else {
-		err = WriteFrame(c.bw, resp)
-	}
-	if err != nil {
+	if err := writeResponseFrame(c.bw, c.sc, resp); err != nil {
 		return err
 	}
 	return c.bw.Flush()

@@ -7,21 +7,22 @@ import (
 	"errors"
 	"io"
 	"net"
-	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
 
-// encodeV2Request renders one request as v2 frame bytes.
-func encodeV2Request(t *testing.T, req *Request) []byte {
+// encodeRequest renders one request as frame bytes.
+func encodeRequest(t *testing.T, req *Request) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	sc := getFrameScratch()
 	defer putFrameScratch(sc)
-	if err := writeRequestV2(bw, sc, req); err != nil {
-		t.Fatalf("writeRequestV2: %v", err)
+	if err := writeRequestFrame(bw, sc, req); err != nil {
+		t.Fatalf("writeRequestFrame: %v", err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -29,11 +30,11 @@ func encodeV2Request(t *testing.T, req *Request) []byte {
 	return buf.Bytes()
 }
 
-// v2Frame hand-crafts a v2 frame from an envelope string and payload — for
+// v2Frame hand-crafts a frame from an envelope string and payload — for
 // wire shapes the writer would refuse to produce.
 func v2Frame(env string, pay []byte) []byte {
 	b := make([]byte, frameHeaderLen, frameHeaderLen+len(env)+len(pay))
-	b[0] = ProtoV2
+	b[0] = frameVersion
 	b[2] = frameMagic2
 	b[3] = frameMagic3
 	binary.LittleEndian.PutUint32(b[4:8], uint32(len(env)))
@@ -62,18 +63,18 @@ func TestFrameV2RoundTrip(t *testing.T) {
 			{Bench: "gsm", Scale: 2},
 		},
 	}
-	data := encodeV2Request(t, in)
+	data := encodeRequest(t, in)
 
 	br := bufio.NewReader(bytes.NewReader(data))
-	fb, env, pay, err := readFrameBodyV2(br)
+	fb, env, pay, err := readFrameBody(br)
 	if err != nil {
-		t.Fatalf("readFrameBodyV2: %v", err)
+		t.Fatalf("readFrameBody: %v", err)
 	}
 	sc := getFrameScratch()
 	defer putFrameScratch(sc)
 	var out Request
-	if err := decodeRequestV2(sc, env, pay, fb, &out); err != nil {
-		t.Fatalf("decodeRequestV2: %v", err)
+	if err := decodeRequest(sc, env, pay, fb, &out); err != nil {
+		t.Fatalf("decodeRequest: %v", err)
 	}
 	if out.Op != in.Op || out.Bench != in.Bench || out.Scale != in.Scale || !out.NoImage {
 		t.Fatalf("scalar fields diverged: %+v", out)
@@ -100,8 +101,7 @@ func TestFrameV2RoundTrip(t *testing.T) {
 
 // TestFrameV2ProfileOpsRoundTrip: the profile-plane request fields — the
 // Image and Input payload sections, ImageKey, RunMeta, Force — and the
-// Feed/Resquash/ImageKey response fields survive encode/decode, and v1 JSON
-// framing carries them too.
+// Feed/Resquash/ImageKey response fields survive encode/decode.
 func TestFrameV2ProfileOpsRoundTrip(t *testing.T) {
 	in := &Request{
 		Op:       OpProfilePush,
@@ -112,18 +112,18 @@ func TestFrameV2ProfileOpsRoundTrip(t *testing.T) {
 		Run:      &RunMeta{Instructions: 1000, Cycles: 2500, Decompressions: 7, Evictions: 3, BitsRead: 99, Source: "host-1"},
 		Force:    true,
 	}
-	data := encodeV2Request(t, in)
+	data := encodeRequest(t, in)
 
 	br := bufio.NewReader(bytes.NewReader(data))
-	fb, env, pay, err := readFrameBodyV2(br)
+	fb, env, pay, err := readFrameBody(br)
 	if err != nil {
-		t.Fatalf("readFrameBodyV2: %v", err)
+		t.Fatalf("readFrameBody: %v", err)
 	}
 	sc := getFrameScratch()
 	defer putFrameScratch(sc)
 	var out Request
-	if err := decodeRequestV2(sc, env, pay, fb, &out); err != nil {
-		t.Fatalf("decodeRequestV2: %v", err)
+	if err := decodeRequest(sc, env, pay, fb, &out); err != nil {
+		t.Fatalf("decodeRequest: %v", err)
 	}
 	if out.Op != OpProfilePush || out.ImageKey != "abc123" || !out.Force {
 		t.Fatalf("scalar fields diverged: %+v", out)
@@ -147,18 +147,18 @@ func TestFrameV2ProfileOpsRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	if err := writeResponseV2(bw, sc, resp); err != nil {
-		t.Fatalf("writeResponseV2: %v", err)
+	if err := writeResponseFrame(bw, sc, resp); err != nil {
+		t.Fatalf("writeResponseFrame: %v", err)
 	}
 	bw.Flush()
-	fb2, env2, pay2, err := readFrameBodyV2(bufio.NewReader(&buf))
+	fb2, env2, pay2, err := readFrameBody(bufio.NewReader(&buf))
 	if err != nil {
-		t.Fatalf("readFrameBodyV2 (resp): %v", err)
+		t.Fatalf("readFrameBody (resp): %v", err)
 	}
 	defer fb2.release()
 	var rout Response
-	if err := decodeResponseV2(sc, env2, pay2, &rout); err != nil {
-		t.Fatalf("decodeResponseV2: %v", err)
+	if err := decodeResponse(sc, env2, pay2, &rout); err != nil {
+		t.Fatalf("decodeResponse: %v", err)
 	}
 	if rout.ImageKey != "def456" || rout.Feed == nil || len(rout.Feed.Images) != 1 ||
 		rout.Feed.Images[0].Key != "abc123" || rout.Feed.Images[0].Threshold != 0.25 {
@@ -172,19 +172,6 @@ func TestFrameV2ProfileOpsRoundTrip(t *testing.T) {
 		t.Fatalf("image diverged: %q", rout.Image)
 	}
 
-	// v1 JSON framing must carry the same fields (base64 for payloads).
-	var v1buf bytes.Buffer
-	if err := WriteFrame(&v1buf, in); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	var v1out Request
-	if err := ReadFrame(&v1buf, &v1out); err != nil {
-		t.Fatalf("ReadFrame: %v", err)
-	}
-	if !bytes.Equal(v1out.Image, in.Image) || !bytes.Equal(v1out.Input, in.Input) ||
-		v1out.ImageKey != in.ImageKey || v1out.Run == nil || *v1out.Run != *in.Run || !v1out.Force {
-		t.Fatalf("v1 framing diverged: %+v", v1out)
-	}
 }
 
 // TestFrameV2ResponseRoundTrip: responses round-trip with the image copied
@@ -205,20 +192,20 @@ func TestFrameV2ResponseRoundTrip(t *testing.T) {
 	bw := bufio.NewWriter(&buf)
 	sc := getFrameScratch()
 	defer putFrameScratch(sc)
-	if err := writeResponseV2(bw, sc, in); err != nil {
-		t.Fatalf("writeResponseV2: %v", err)
+	if err := writeResponseFrame(bw, sc, in); err != nil {
+		t.Fatalf("writeResponseFrame: %v", err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 
-	fb, env, pay, err := readFrameBodyV2(bufio.NewReader(&buf))
+	fb, env, pay, err := readFrameBody(bufio.NewReader(&buf))
 	if err != nil {
-		t.Fatalf("readFrameBodyV2: %v", err)
+		t.Fatalf("readFrameBody: %v", err)
 	}
 	var out Response
-	if err := decodeResponseV2(sc, env, pay, &out); err != nil {
-		t.Fatalf("decodeResponseV2: %v", err)
+	if err := decodeResponse(sc, env, pay, &out); err != nil {
+		t.Fatalf("decodeResponse: %v", err)
 	}
 	if !out.OK || !out.Cached || out.Stats == nil || out.Stats.SquashedBytes != 60 {
 		t.Fatalf("scalar fields diverged: %+v", out)
@@ -260,7 +247,7 @@ func TestFrameV2RejectsHostileSections(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			br := bufio.NewReader(bytes.NewReader(v2Frame(c.env, c.pay)))
-			fb, env, pay, err := readFrameBodyV2(br)
+			fb, env, pay, err := readFrameBody(br)
 			if err != nil {
 				t.Fatalf("frame read rejected before decode: %v", err)
 			}
@@ -268,7 +255,7 @@ func TestFrameV2RejectsHostileSections(t *testing.T) {
 			sc := getFrameScratch()
 			defer putFrameScratch(sc)
 			var req Request
-			err = decodeRequestV2(sc, env, pay, fb, &req)
+			err = decodeRequest(sc, env, pay, fb, &req)
 			var pe *protoError
 			if !errors.As(err, &pe) {
 				t.Fatalf("decode error = %v, want a protoError", err)
@@ -276,20 +263,34 @@ func TestFrameV2RejectsHostileSections(t *testing.T) {
 		})
 	}
 
-	// A hostile header must be rejected without allocating the claimed size.
-	huge := make([]byte, frameHeaderLen)
-	huge[0], huge[2], huge[3] = ProtoV2, frameMagic2, frameMagic3
-	binary.LittleEndian.PutUint32(huge[4:8], 1<<31)
-	binary.LittleEndian.PutUint32(huge[8:12], 1<<31)
-	if _, _, _, err := readFrameBodyV2(bufio.NewReader(bytes.NewReader(huge))); err == nil {
-		t.Fatal("oversized v2 frame accepted")
+	// Hostile header lengths must be rejected without allocating the
+	// claimed size.
+	for _, c := range []struct {
+		name        string
+		env, pay    uint32
+		wantMessage string
+	}{
+		{"oversized envelope and payload", 1 << 31, 1 << 31, "exceeds limit"},
+		{"all-ones envelope length", 0xFFFFFFFF, 0, "exceeds limit"},
+		{"payload just over limit", 1, MaxFrame, "exceeds limit"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hdr := make([]byte, frameHeaderLen)
+			hdr[0], hdr[2], hdr[3] = frameVersion, frameMagic2, frameMagic3
+			binary.LittleEndian.PutUint32(hdr[4:8], c.env)
+			binary.LittleEndian.PutUint32(hdr[8:12], c.pay)
+			_, _, _, err := readFrameBody(bufio.NewReader(bytes.NewReader(hdr)))
+			var pe *protoError
+			if !errors.As(err, &pe) || !strings.Contains(pe.msg, c.wantMessage) {
+				t.Fatalf("oversized header: err = %v, want a protoError containing %q", err, c.wantMessage)
+			}
+		})
 	}
 }
 
 // TestProtoInteropByteIdentity is the acceptance invariant: the same
-// workload returns byte-identical images across protocol v1 (legacy
-// package-level client), pinned v1, negotiated v2, and batch framing, with
-// pooling on and off.
+// workload returns byte-identical images through the client's single
+// requests and batch framing, with pooling on and off.
 func TestProtoInteropByteIdentity(t *testing.T) {
 	conf := core.DefaultConfig()
 	obj, prof, want := buildWorkload(t, 13, conf)
@@ -306,143 +307,131 @@ func TestProtoInteropByteIdentity(t *testing.T) {
 				core.SetPooling(true)
 			}()
 
-			s, addr, stop := startServer(t, Options{Workers: 2})
+			_, addr, stop := startServer(t, Options{Workers: 2})
 			defer stop()
-			req := func() *Request {
-				return &Request{Op: OpSquash, Obj: obj, Profile: prof}
-			}
 
-			// Legacy v1 path: raw conn + package-level Do.
-			conn, err := Dial(addr)
-			if err != nil {
-				t.Fatalf("dial: %v", err)
-			}
-			resp, err := Do(conn, req())
-			conn.Close()
-			if err != nil || !resp.OK {
-				t.Fatalf("v1 Do: resp=%+v err=%v", resp, err)
-			}
-			if !bytes.Equal(resp.Image, want) {
-				t.Fatal("legacy v1 image diverged from one-shot squash")
-			}
-
-			// Negotiated client: must land on v2 and return the same bytes.
 			cl, err := DialClient(addr)
 			if err != nil {
 				t.Fatalf("DialClient: %v", err)
 			}
 			defer cl.Close()
-			resp, err = cl.Do(req())
-			if err != nil || !resp.OK {
-				t.Fatalf("v2 Do: resp=%+v err=%v", resp, err)
-			}
-			if cl.Proto() != ProtoV2 {
-				t.Fatalf("negotiated proto = v%d, want v2", cl.Proto())
-			}
-			if !bytes.Equal(resp.Image, want) {
-				t.Fatal("v2 image diverged from one-shot squash")
+			// Twice: the second exchange is a warm cache hit.
+			for pass := 0; pass < 2; pass++ {
+				resp, err := cl.Do(&Request{Op: OpSquash, Obj: obj, Profile: prof})
+				if err != nil || !resp.OK {
+					t.Fatalf("pass %d: resp=%+v err=%v", pass, resp, err)
+				}
+				if !bytes.Equal(resp.Image, want) {
+					t.Fatalf("pass %d: image diverged from one-shot squash", pass)
+				}
 			}
 			if cl.BytesIn() == 0 || cl.BytesOut() == 0 {
 				t.Fatalf("wire counters empty: in=%d out=%d", cl.BytesIn(), cl.BytesOut())
 			}
 
-			// Pinned v1 client.
-			cl1, err := DialClientProto(addr, ProtoV1)
-			if err != nil {
-				t.Fatalf("DialClientProto(1): %v", err)
-			}
-			defer cl1.Close()
-			resp, err = cl1.Do(req())
-			if err != nil || !resp.OK || cl1.Proto() != ProtoV1 {
-				t.Fatalf("pinned v1: resp=%+v err=%v proto=%d", resp, err, cl1.Proto())
-			}
-			if !bytes.Equal(resp.Image, want) {
-				t.Fatal("pinned v1 image diverged from one-shot squash")
-			}
-
-			// Batch over v2: every result byte-identical too.
-			resp, err = cl.Do(&Request{Op: OpBatch, Items: []BatchItem{
+			// Batch framing: every result byte-identical too.
+			resp, err := cl.Do(&Request{Op: OpBatch, Items: []BatchItem{
 				{Obj: obj, Profile: prof},
 				{Obj: obj, Profile: prof},
 			}})
 			if err != nil || !resp.OK || len(resp.Results) != 2 {
-				t.Fatalf("v2 batch: resp=%+v err=%v", resp, err)
+				t.Fatalf("batch: resp=%+v err=%v", resp, err)
 			}
 			for i, r := range resp.Results {
 				if !r.OK || !bytes.Equal(r.Image, want) {
 					t.Fatalf("batch result %d diverged (ok=%v err=%q)", i, r.OK, r.Err)
 				}
 			}
-
-			snap := s.StatsSnapshot()
-			if snap.ProtoConns["v1"] == 0 || snap.ProtoConns["v2"] == 0 {
-				t.Fatalf("proto_conns = %v, want both versions counted", snap.ProtoConns)
-			}
 		})
 	}
 }
 
-// TestV2ConnRejectsV1MidStream: a connection latches its first frame's
-// version; switching framings afterwards is a fatal protocol error with an
-// explicit error response before the close.
-func TestV2ConnRejectsV1MidStream(t *testing.T) {
-	_, addr, stop := startServer(t, Options{Workers: 1})
-	defer stop()
+// v1Frame renders a frame in the retired v1 framing — a 4-byte
+// little-endian length followed by a JSON document — which the server must
+// now refuse as foreign bytes.
+func v1Frame(doc string) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(doc)))
+	return append(b, doc...)
+}
 
-	conn, err := Dial(addr)
+// expectRefused reads from a connection that just sent foreign bytes: the
+// server must answer with one decodable error frame (OK=false, Err set)
+// and then close, within a deadline — never hang, never hang up silently.
+func expectRefused(t *testing.T, conn net.Conn, br *bufio.Reader) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fb, env, pay, err := readFrameBody(br)
 	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-
-	// First frame v2: latches the connection.
-	if _, err := conn.Write(encodeV2Request(t, &Request{Op: OpPing})); err != nil {
-		t.Fatalf("write v2 ping: %v", err)
-	}
-	br := bufio.NewReader(conn)
-	fb, env, pay, err := readFrameBodyV2(br)
-	if err != nil {
-		t.Fatalf("read v2 response: %v", err)
+		t.Fatalf("read error response: %v", err)
 	}
 	sc := getFrameScratch()
 	defer putFrameScratch(sc)
 	var resp Response
-	if err := decodeResponseV2(sc, env, pay, &resp); err != nil || !resp.OK {
-		t.Fatalf("v2 ping: resp=%+v err=%v", resp, err)
-	}
+	err = decodeResponse(sc, env, pay, &resp)
 	fb.release()
-
-	// Now a v1 frame on the same connection: explicit error, then close.
-	if err := WriteFrame(conn, &Request{Op: OpPing}); err != nil {
-		t.Fatalf("write v1 ping: %v", err)
-	}
-	fb, env, pay, err = readFrameBodyV2(br)
 	if err != nil {
-		t.Fatalf("read error response: %v", err)
-	}
-	resp = Response{}
-	if err := decodeResponseV2(sc, env, pay, &resp); err != nil {
 		t.Fatalf("decode error response: %v", err)
 	}
-	fb.release()
 	if resp.OK || resp.Err == "" {
-		t.Fatalf("mixed-version frame not rejected: %+v", resp)
+		t.Fatalf("foreign frame not rejected: %+v", resp)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		t.Fatalf("connection still open after fatal protocol error (err=%v)", err)
 	}
 }
 
-// TestServerV1Capped: a server pinned to proto v1 (mimicking a pre-v2
-// build's capabilities) downgrades negotiating clients transparently and
-// rejects pinned-v2 clients with an explicit error.
-func TestServerV1Capped(t *testing.T) {
-	conf := core.DefaultConfig()
-	obj, prof, want := buildWorkload(t, 17, conf)
-	_, addr, stop := startServer(t, Options{Workers: 1, MaxProto: 1})
+// TestV2ConnRejectsV1MidStream: a v1-framed request after a valid exchange
+// is a fatal protocol error with an explicit error response before the
+// close.
+func TestV2ConnRejectsV1MidStream(t *testing.T) {
+	_, addr, stop := startServer(t, Options{Workers: 1})
 	defer stop()
 
-	// Negotiating client: downgrade happens inside the first Do.
+	conn := dialRaw(t, addr)
+	if err := conn.send(&Request{Op: OpPing}); err != nil {
+		t.Fatalf("write ping: %v", err)
+	}
+	var resp Response
+	if err := conn.recv(&resp); err != nil || !resp.OK {
+		t.Fatalf("ping: resp=%+v err=%v", resp, err)
+	}
+
+	if _, err := conn.Write(v1Frame(`{"op":"ping"}`)); err != nil {
+		t.Fatalf("write v1 ping: %v", err)
+	}
+	expectRefused(t, conn, conn.br)
+}
+
+// TestLegacyV1OpeningRejected: a connection that opens with a v1 frame
+// gets an error frame and a close within a deadline, never a hang, and the
+// same server keeps answering clients afterwards.
+func TestLegacyV1OpeningRejected(t *testing.T) {
+	conf := core.DefaultConfig()
+	obj, prof, want := buildWorkload(t, 17, conf)
+	_, addr, stop := startServer(t, Options{Workers: 1})
+	defer stop()
+
+	for _, c := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"ping", v1Frame(`{"op":"ping"}`)},
+		{"short", v1Frame(`{}`)},
+		{"length only", v1Frame("")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			conn, err := net.Dial(SplitAddr(addr))
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(c.bytes); err != nil {
+				t.Fatalf("write v1 opening: %v", err)
+			}
+			expectRefused(t, conn, bufio.NewReader(conn))
+		})
+	}
+
 	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("DialClient: %v", err)
@@ -450,82 +439,10 @@ func TestServerV1Capped(t *testing.T) {
 	defer cl.Close()
 	resp, err := cl.Do(&Request{Op: OpSquash, Obj: obj, Profile: prof})
 	if err != nil || !resp.OK {
-		t.Fatalf("negotiated request: resp=%+v err=%v", resp, err)
-	}
-	if cl.Proto() != ProtoV1 {
-		t.Fatalf("client proto = v%d, want downgrade to v1", cl.Proto())
+		t.Fatalf("request after v1 openings: resp=%+v err=%v", resp, err)
 	}
 	if !bytes.Equal(resp.Image, want) {
-		t.Fatal("downgraded image diverged from one-shot squash")
-	}
-	// The connection keeps serving after the downgrade.
-	if resp, err := cl.Do(&Request{Op: OpPing}); err != nil || !resp.OK {
-		t.Fatalf("ping after downgrade: resp=%+v err=%v", resp, err)
-	}
-
-	// Pinned v2 client: the version miss surfaces instead of downgrading.
-	cl2, err := DialClientProto(addr, ProtoV2)
-	if err != nil {
-		t.Fatalf("DialClientProto(2): %v", err)
-	}
-	defer cl2.Close()
-	resp, err = cl2.Do(&Request{Op: OpPing})
-	if err != nil {
-		t.Fatalf("pinned v2 transport error: %v", err)
-	}
-	if resp.OK || resp.ProtoMax != 1 {
-		t.Fatalf("pinned v2 against capped server: %+v, want error with proto_max=1", resp)
-	}
-}
-
-// TestClientFallbackOldServer: a genuinely pre-v2 server can't parse a v2
-// opening at all — it sees an oversized v1 length prefix and hangs up. The
-// negotiating client redials and resends in v1.
-func TestClientFallbackOldServer(t *testing.T) {
-	// A minimal replica of the pre-v2 daemon loop: length-prefixed JSON
-	// only, connection dropped on any read error.
-	path := filepath.Join(t.TempDir(), "oldserver.sock")
-	ln, err := net.Listen("unix", path)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				for {
-					var req Request
-					if err := ReadFrame(c, &req); err != nil {
-						return
-					}
-					if err := WriteFrame(c, &Response{OK: true}); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	cl, err := DialClient("unix:" + path)
-	if err != nil {
-		t.Fatalf("DialClient: %v", err)
-	}
-	defer cl.Close()
-	resp, err := cl.Do(&Request{Op: OpPing})
-	if err != nil || !resp.OK {
-		t.Fatalf("fallback request: resp=%+v err=%v", resp, err)
-	}
-	if cl.Proto() != ProtoV1 {
-		t.Fatalf("client proto = v%d, want v1 fallback", cl.Proto())
-	}
-	// And it keeps working.
-	if resp, err := cl.Do(&Request{Op: OpPing}); err != nil || !resp.OK {
-		t.Fatalf("second request after fallback: resp=%+v err=%v", resp, err)
+		t.Fatal("image diverged from one-shot squash after v1 openings")
 	}
 }
 
@@ -566,17 +483,6 @@ func TestNoImage(t *testing.T) {
 	}
 	if !bytes.Equal(resp.Image, want) {
 		t.Fatal("cache warmed by a noimage request returned different bytes")
-	}
-
-	// The v1 framing honors the flag too.
-	conn, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	resp, err = Do(conn, &Request{Op: OpSquash, Obj: obj, Profile: prof, NoImage: true})
-	if err != nil || !resp.OK || resp.Image != nil || resp.Stats == nil {
-		t.Fatalf("v1 noimage: resp.OK=%v image=%d stats=%v err=%v", resp.OK, len(resp.Image), resp.Stats, err)
 	}
 	if snap := s.StatsSnapshot(); snap.Errors != 0 {
 		t.Fatalf("server reported %d errors", snap.Errors)
@@ -654,31 +560,28 @@ func TestFrameBufPool(t *testing.T) {
 	off.release()
 }
 
-// FuzzFrame drives the server-side codec over arbitrary byte streams at
-// both protocol caps: no input may panic, and every malformed frame must
-// surface as a clean connection-level error (or a recoverable version
-// miss), never a hang or an aliased read.
+// FuzzFrame drives the server-side codec over arbitrary byte streams: no
+// input may panic, and every malformed frame — v1-shaped input included —
+// must surface as a clean connection-level error, never a hang or an
+// aliased read.
 func FuzzFrame(f *testing.F) {
-	// Well-formed openings of both versions.
-	var v1ping bytes.Buffer
-	if err := WriteFrame(&v1ping, &Request{Op: OpPing}); err != nil {
-		f.Fatal(err)
-	}
+	// A well-formed request, plus a ping in the retired v1 framing.
+	v1ping := v1Frame(`{"op":"ping"}`)
 	var v2buf bytes.Buffer
 	bw := bufio.NewWriter(&v2buf)
 	sc := newFrameScratch()
-	if err := writeRequestV2(bw, sc, &Request{Op: OpSquash, Obj: []byte("obj"), Profile: []byte("prof")}); err != nil {
+	if err := writeRequestFrame(bw, sc, &Request{Op: OpSquash, Obj: []byte("obj"), Profile: []byte("prof")}); err != nil {
 		f.Fatal(err)
 	}
 	bw.Flush()
 	v2req := v2buf.Bytes()
 
-	f.Add(v1ping.Bytes())
+	f.Add(v1ping)
 	f.Add(v2req)
-	f.Add(append(append([]byte{}, v2req...), v1ping.Bytes()...)) // v1 JSON mid-v2-stream
-	f.Add(append(append([]byte{}, v1ping.Bytes()...), v2req...)) // v2 mid-v1-stream
-	f.Add(v2req[:len(v2req)-3])                                  // truncated payload
-	f.Add(v2req[:frameHeaderLen-2])                              // truncated header
+	f.Add(append(append([]byte{}, v2req...), v1ping...)) // v1 JSON after a valid frame
+	f.Add(append(append([]byte{}, v1ping...), v2req...)) // valid frame after v1 JSON
+	f.Add(v2req[:len(v2req)-3])                          // truncated payload
+	f.Add(v2req[:frameHeaderLen-2])                      // truncated header
 	f.Add([]byte{0xFF, 0xFF, 0x51, 0xF2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(v2Frame(`{"op":"squash","obj":{"o":0,"n":99},"profile":{"o":0,"n":0}}`, []byte("x")))
 	f.Add(v2Frame(`{"op":"squash","obj":{"o":0,"n":2},"profile":{"o":1,"n":1}}`, []byte("ab")))
@@ -686,27 +589,24 @@ func FuzzFrame(f *testing.F) {
 	f.Add(v2Frame(``, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, maxVer := range []int{1, MaxProtoVersion} {
-			codec := newServerCodec(bytes.NewReader(data), io.Discard, maxVer)
-			for i := 0; i < 64; i++ {
-				var req Request
-				err := codec.readRequest(&req)
-				if err == nil {
-					// Frames that parse get a response written, exercising
-					// the encode side, and their payload released as the
-					// server would after processing.
-					codec.writeResponse(&Response{OK: true})
-					req.releasePayload()
-					continue
-				}
+		codec := newServerCodec(bytes.NewReader(data), io.Discard)
+		defer codec.close()
+		for i := 0; i < 64; i++ {
+			var req Request
+			err := codec.readRequest(&req)
+			if err != nil {
 				var pe *protoError
-				if errors.As(err, &pe) && !pe.fatal {
-					codec.writeResponse(&Response{Err: pe.msg, ProtoMax: pe.max})
-					continue
+				if errors.As(err, &pe) {
+					// The server's answer to a violation, before it closes.
+					codec.writeResponse(&Response{Err: pe.msg})
 				}
-				break
+				return
 			}
-			codec.close()
+			// Frames that parse get a response written, exercising the
+			// encode side, and their payload released as the server would
+			// after processing.
+			codec.writeResponse(&Response{OK: true})
+			req.releasePayload()
 		}
 	})
 }

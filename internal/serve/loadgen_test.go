@@ -90,23 +90,23 @@ func TestReplayRoundTrip(t *testing.T) {
 	var rec syncBuffer
 	_, addr, stop := startServer(t, Options{Workers: 2, Record: NewStreamRecorder(&rec)})
 	defer stop()
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 
 	// Record a short mix: three one-shots and a batch.
 	for i := 0; i < 3; i++ {
-		if _, err := Do(conn, &Request{Op: OpSquash, Obj: obj, Profile: prof}); err != nil {
+		if _, err := cl.Do(&Request{Op: OpSquash, Obj: obj, Profile: prof}); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 	}
-	if _, err := Do(conn, &Request{Op: OpBatch, Items: []BatchItem{
+	if _, err := cl.Do(&Request{Op: OpBatch, Items: []BatchItem{
 		{Obj: obj, Profile: prof}, {Obj: obj, Profile: prof},
 	}}); err != nil {
 		t.Fatalf("seed batch: %v", err)
 	}
-	conn.Close()
+	cl.Close()
 
 	entries, err := ReadStream(strings.NewReader(rec.String()))
 	if err != nil {

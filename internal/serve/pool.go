@@ -69,7 +69,7 @@ func serializeInto(buf *bytes.Buffer, src io.WriterTo) ([]byte, error) {
 	return out, nil
 }
 
-// frameBuf is one frame's read buffer. A v2 request's payload sections are
+// frameBuf is one frame's read buffer. A request's payload sections are
 // zero-copy views into data, so the buffer must stay untouched until the
 // request's worker is done with them — release is idempotent and tied to
 // request completion, not response delivery, because a timed-out request's
@@ -113,7 +113,7 @@ func (fb *frameBuf) release() {
 	frameBufPool.Put(fb)
 }
 
-// frameScratch is one connection's (or client's) v2 encode working set: the
+// frameScratch is one connection's (or client's) encode working set: the
 // envelope staging buffer with its JSON encoder, reusable envelope structs,
 // and the section/item slices the writers append into. Everything here is
 // fully overwritten before each use on the encode side; decode always goes

@@ -52,17 +52,17 @@ func TestServePooledWarmDeterminismInterleaved(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := Dial(addr)
+			cl, err := DialClient(addr)
 			if err != nil {
 				errs <- fmt.Errorf("client %d: dial: %v", c, err)
 				return
 			}
-			defer conn.Close()
+			defer cl.Close()
 			for i := 0; i < reqsPerClient; i++ {
 				// Stride the workload list differently per client so the
 				// server sees size transitions in varying orders.
 				w := loads[(c*3+i*5)%len(loads)]
-				resp, err := Do(conn, &Request{Op: OpSquash, Obj: w.obj, Profile: w.prof, Config: &w.conf})
+				resp, err := cl.Do(&Request{Op: OpSquash, Obj: w.obj, Profile: w.prof, Config: &w.conf})
 				if err != nil {
 					errs <- fmt.Errorf("client %d req %d: %v", c, i, err)
 					return

@@ -38,11 +38,11 @@ func TestRecordStream(t *testing.T) {
 	var rec syncBuffer
 	_, addr, stop := startServer(t, Options{Workers: 2, Record: NewStreamRecorder(&rec)})
 	defer stop()
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 
 	reqs := []*Request{
 		{Op: OpPing},
@@ -52,7 +52,7 @@ func TestRecordStream(t *testing.T) {
 		{Op: OpStats},
 	}
 	for _, req := range reqs {
-		if _, err := Do(conn, req); err != nil {
+		if _, err := cl.Do(req); err != nil {
 			t.Fatalf("op %s: %v", req.Op, err)
 		}
 	}

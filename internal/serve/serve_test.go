@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -85,6 +86,47 @@ func startServer(t *testing.T, opts Options) (*Server, string, func()) {
 	return s, addr, stop
 }
 
+// rawConn is a bare connection that writes a request and reads its
+// response as separate steps, for tests that act between the two.
+type rawConn struct {
+	net.Conn
+	br *bufio.Reader
+	sc *frameScratch
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial(SplitAddr(addr))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	rc := &rawConn{Conn: conn, br: bufio.NewReader(conn), sc: getFrameScratch()}
+	t.Cleanup(func() {
+		conn.Close()
+		putFrameScratch(rc.sc)
+	})
+	return rc
+}
+
+// send writes one request frame.
+func (rc *rawConn) send(req *Request) error {
+	bw := bufio.NewWriter(rc.Conn)
+	if err := writeRequestFrame(bw, rc.sc, req); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// recv reads and decodes one response frame.
+func (rc *rawConn) recv(resp *Response) error {
+	fb, env, pay, err := readFrameBody(rc.br)
+	if err != nil {
+		return err
+	}
+	defer fb.release()
+	return decodeResponse(rc.sc, env, pay, resp)
+}
+
 // TestServeDeterminismConcurrentClients is the tentpole guarantee: the
 // daemon's output is byte-identical to one-shot cmd/squash for the same
 // inputs, with many clients hammering it at once, and the repeats show up
@@ -120,19 +162,19 @@ func TestServeDeterminismConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := Dial(addr)
+			cl, err := DialClient(addr)
 			if err != nil {
 				errs <- fmt.Errorf("client %d: dial: %v", c, err)
 				return
 			}
-			defer conn.Close()
+			defer cl.Close()
 			for i := 0; i < reqsPerClient; i++ {
 				w := loads[(c+i)%len(loads)]
 				conf := w.conf
 				// Vary the request's worker count: the daemon must stay
 				// byte-identical regardless (cache keys ignore workers).
 				conf.Workers = 1 + (c+i)%4
-				resp, err := Do(conn, &Request{Op: OpSquash, Obj: w.obj, Profile: w.prof, Config: &conf})
+				resp, err := cl.Do(&Request{Op: OpSquash, Obj: w.obj, Profile: w.prof, Config: &conf})
 				if err != nil {
 					errs <- fmt.Errorf("client %d req %d: %v", c, i, err)
 					return
@@ -189,14 +231,10 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 	s, addr, _ := startServer(t, Options{Workers: 2})
 	s.testDelay.Store(int64(150 * time.Millisecond))
 
-	conn, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, addr)
 
 	// Fire the request and give the server time to pull it onto a worker.
-	if err := WriteFrame(conn, &Request{Op: OpSquash, Obj: obj, Profile: prof}); err != nil {
+	if err := conn.send(&Request{Op: OpSquash, Obj: obj, Profile: prof}); err != nil {
 		t.Fatalf("write request: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -216,7 +254,7 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 
 	// The in-flight request must complete with the correct bytes.
 	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
+	if err := conn.recv(&resp); err != nil {
 		t.Fatalf("read response during shutdown: %v", err)
 	}
 	if !resp.OK {
@@ -230,11 +268,11 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 	}
 
 	// The connection was drained closed: the next read reports EOF.
-	if err := ReadFrame(conn, &resp); err == nil {
+	if err := conn.recv(&resp); err == nil {
 		t.Fatal("connection still serving after drain")
 	}
 	// And new connections are refused.
-	if c, err := Dial(addr); err == nil {
+	if c, err := DialClient(addr); err == nil {
 		c.Close()
 		t.Fatal("dial succeeded after shutdown")
 	}
@@ -248,13 +286,13 @@ func TestServeRequestTimeout(t *testing.T) {
 	defer stop()
 	s.testDelay.Store(int64(500 * time.Millisecond))
 
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 	obj, prof, _ := buildWorkload(t, 7, core.DefaultConfig())
-	resp, err := Do(conn, &Request{Op: OpSquash, Obj: obj, Profile: prof})
+	resp, err := cl.Do(&Request{Op: OpSquash, Obj: obj, Profile: prof})
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
@@ -270,7 +308,7 @@ func TestServeRequestTimeout(t *testing.T) {
 	// The timed-out squash may still hold the single worker; wait for it.
 	pingOK := false
 	for d := time.Now().Add(5 * time.Second); time.Now().Before(d); {
-		r, err := Do(conn, &Request{Op: OpPing})
+		r, err := cl.Do(&Request{Op: OpPing})
 		if err != nil {
 			t.Fatalf("ping after timeout: %v", err)
 		}
@@ -289,11 +327,11 @@ func TestServeRequestTimeout(t *testing.T) {
 func TestServeBadRequests(t *testing.T) {
 	s, addr, stop := startServer(t, Options{Workers: 1})
 	defer stop()
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 
 	cases := []*Request{
 		{Op: "nonsense"},
@@ -302,7 +340,7 @@ func TestServeBadRequests(t *testing.T) {
 		{Op: OpBench, Bench: "no-such-benchmark"},
 	}
 	for _, req := range cases {
-		resp, err := Do(conn, req)
+		resp, err := cl.Do(req)
 		if err != nil {
 			t.Fatalf("op %q: transport error: %v", req.Op, err)
 		}
@@ -317,7 +355,7 @@ func TestServeBadRequests(t *testing.T) {
 		t.Fatalf("errors = %d, want %d", snap.Errors, len(cases))
 	}
 	// The connection survives all of it.
-	if resp, err := Do(conn, &Request{Op: OpPing}); err != nil || !resp.OK {
+	if resp, err := cl.Do(&Request{Op: OpPing}); err != nil || !resp.OK {
 		t.Fatalf("ping after bad requests: resp=%+v err=%v", resp, err)
 	}
 }
@@ -329,12 +367,8 @@ func TestServeStatsInline(t *testing.T) {
 	s.testDelay.Store(int64(300 * time.Millisecond))
 
 	obj, prof, _ := buildWorkload(t, 9, core.DefaultConfig())
-	busy, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer busy.Close()
-	if err := WriteFrame(busy, &Request{Op: OpSquash, Obj: obj, Profile: prof}); err != nil {
+	busy := dialRaw(t, addr)
+	if err := busy.send(&Request{Op: OpSquash, Obj: obj, Profile: prof}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -345,13 +379,13 @@ func TestServeStatsInline(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	conn, err := Dial(addr)
+	cl, err := DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	defer cl.Close()
 	start := time.Now()
-	resp, err := Do(conn, &Request{Op: OpStats})
+	resp, err := cl.Do(&Request{Op: OpStats})
 	if err != nil || !resp.OK || resp.Server == nil {
 		t.Fatalf("stats: resp=%+v err=%v", resp, err)
 	}
@@ -363,7 +397,7 @@ func TestServeStatsInline(t *testing.T) {
 	}
 	// Let the busy request finish so shutdown drains promptly.
 	var busyResp Response
-	if err := ReadFrame(busy, &busyResp); err != nil {
+	if err := busy.recv(&busyResp); err != nil {
 		t.Fatalf("busy response: %v", err)
 	}
 }
@@ -415,30 +449,6 @@ func TestResultCacheEvicts(t *testing.T) {
 	}
 	if _, ok := c.get(key(3)); ok {
 		t.Fatal("least recently used entry survived")
-	}
-}
-
-// TestFrameRoundTrip: frames survive the wire and oversized frames are
-// rejected on both sides.
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := &Request{Op: OpSquash, Obj: []byte{1, 2, 3}, Profile: []byte{4, 5}}
-	if err := WriteFrame(&buf, in); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	var out Request
-	if err := ReadFrame(&buf, &out); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if out.Op != in.Op || !bytes.Equal(out.Obj, in.Obj) || !bytes.Equal(out.Profile, in.Profile) {
-		t.Fatalf("round trip mutated the request: %+v", out)
-	}
-
-	// A hostile length prefix must not allocate.
-	var hdr bytes.Buffer
-	hdr.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if err := ReadFrame(&hdr, &out); err == nil {
-		t.Fatal("oversized frame accepted")
 	}
 }
 

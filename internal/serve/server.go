@@ -47,7 +47,7 @@ type Options struct {
 	// inline on the connection goroutine (no worker pool, no local result
 	// cache, no per-request timeout; the handler owns its own bounds).
 	// The cluster router uses this to reuse the daemon's listener, codec,
-	// negotiation, metrics, and drain machinery in front of its fan-out.
+	// metrics, and drain machinery in front of its fan-out.
 	Handler func(*Request) *Response
 	// PrepCacheDir is the on-disk experiments preparation cache for
 	// OpBench requests; empty uses only the in-memory layer.
@@ -64,12 +64,6 @@ type Options struct {
 	// or a recorder without a registry — gets a private metrics-only
 	// recorder so the /metrics exports always work.
 	Obs *obs.Recorder
-	// MaxProto caps the wire protocol version the server accepts; 0 (or
-	// anything out of range) means MaxProtoVersion. Capping to 1 makes the
-	// daemon behave like a pre-v2 build for compatibility testing: v2
-	// openings get a proto_max error response and the connection survives
-	// for the client's downgraded resend.
-	MaxProto int
 }
 
 // Server is the squash daemon.
@@ -205,30 +199,21 @@ func (s *Server) removeConn(cs *connState) {
 func (s *Server) handleConn(cs *connState) {
 	defer s.removeConn(cs)
 	setNoDelay(cs.c)
-	codec := newServerCodec(cs.c, cs.c, s.opts.MaxProto)
+	codec := newServerCodec(cs.c, cs.c)
 	defer codec.close()
-	counted := false
 	for {
 		var req Request
 		if err := codec.readRequest(&req); err != nil {
 			var pe *protoError
 			if errors.As(err, &pe) {
-				// A protocol violation or version miss gets an explicit
-				// error frame (v1: the framing every client reads) before
-				// the connection closes — or, for a recoverable version
-				// miss, survives for the client's downgraded resend.
-				resp := &Response{Err: pe.msg, ProtoMax: pe.max}
-				if werr := codec.writeResponse(resp); werr == nil && !pe.fatal {
-					continue
-				}
+				// A protocol violation gets an explicit error frame
+				// before the connection closes. Best-effort: the
+				// connection closes whether or not the write lands.
+				_ = codec.writeResponse(&Response{Err: pe.msg})
 			}
 			// EOF, client close, or the shutdown close of an idle
 			// connection all end the session here.
 			return
-		}
-		if !counted {
-			s.met.proto(codec.ver)
-			counted = true
 		}
 		cs.mu.Lock()
 		if cs.draining {
@@ -328,7 +313,7 @@ func (s *Server) dispatchWork(req *Request) (*Response, bool) {
 		defer cancel()
 	}
 	done := make(chan *Response, 1) // buffered: a late worker never blocks
-	// The frame buffer backing a v2 request's payload recycles when the
+	// The frame buffer backing a request's payload recycles when the
 	// worker finishes — not when the response is sent — because a timed-out
 	// request's worker keeps reading the payload after the error response.
 	if err := s.pool.Submit(ctx, func() {

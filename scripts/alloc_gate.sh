@@ -4,15 +4,16 @@
 # Each pooled hot path ships a paired benchmark that measures the same work
 # with pools enabled and with pools bypassed the way the code allocated
 # before pooling (BenchmarkBitIOAlloc/{pooled,fresh}, BenchmarkRegionEncode-
-# Alloc, BenchmarkLZTokenDecodeAlloc, BenchmarkRequestScratch, and
-# BenchmarkFrameCodecAlloc — the v2/v1 wire codec pair). This script runs
+# Alloc, BenchmarkLZTokenDecodeAlloc, BenchmarkRequestScratch), plus
+# BenchmarkFrameCodecAlloc — the wire codec, which has no unpooled
+# variant and is gated on its allocs/op ceiling alone. This script runs
 # them all with -benchmem; CI pipes the output into
 #
 #   go run ./cmd/benchhist -allocs alloc.txt
 #
 # which appends the pooled and fresh allocs/op + B/op medians to
 # BENCH_history.json and fails if a pooled path regressed past its
-# allocs/op ceiling or the fresh/pooled ratio fell under its floor.
+# allocs/op ceiling or a fresh/pooled ratio fell under its floor.
 #
 # -benchtime is iteration-count based (default 200x), not duration based:
 # Go reports allocs/op as an integer average over the run, so a fixed count

@@ -5,12 +5,10 @@
 # cmd/squash and once through a live squashd socket, and requires identical
 # SHA-256 of the two images. The same request is then repeated to confirm
 # the daemon's warm result cache serves hits (visible in -stats) that are
-# still byte-identical. A proto-compat leg then crosses protocol versions:
-# clients pinned to v1 and v2 against the default (v2) daemon, and an
-# unpinned client plus a pinned-v1 client against a second daemon capped at
-# proto v1 with pooling off — every image must hash identically to the
-# one-shot squash regardless of wire framing or pooling. Finally the daemon
-# is shut down with SIGTERM and must exit cleanly.
+# still byte-identical. A stats-only request must omit the image, and a
+# second daemon with pooling off must return the same one-shot-identical
+# bytes. Finally the daemons are shut down with SIGTERM and must exit
+# cleanly.
 #
 # Usage: scripts/squashd_smoke.sh [bench ...]   (default: adpcm)
 set -euo pipefail
@@ -21,10 +19,10 @@ benches=("$@")
 
 work=$(mktemp -d)
 daemon_pid=""
-old_pid=""
+nopool_pid=""
 cleanup() {
   [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null
-  [ -n "$old_pid" ] && kill "$old_pid" 2>/dev/null
+  [ -n "$nopool_pid" ] && kill "$nopool_pid" 2>/dev/null
   rm -rf "$work"
 }
 trap cleanup EXIT
@@ -79,19 +77,8 @@ for b in "${benches[@]}"; do
     echo "FAIL: $b squashed outputs differ between daemon and one-shot" >&2; exit 1; }
 done
 
-echo "-- proto-compat --"
 b="${benches[0]}"
 want=$(sha256sum "$work/$b.oneshot.exe" | cut -d' ' -f1)
-
-# Clients pinned to each protocol version against the default (v2) daemon.
-for pv in 1 2; do
-  "$work/squashd" -connect "$sock" -proto "$pv" -profile "$work/$b.prof" \
-    -o "$work/$b.proto$pv.exe" "$work/$b.o" > /dev/null
-  h=$(sha256sum "$work/$b.proto$pv.exe" | cut -d' ' -f1)
-  [ "$h" = "$want" ] || {
-    echo "FAIL: pinned proto v$pv image differs from one-shot ($h vs $want)" >&2; exit 1; }
-done
-echo "pinned v1/v2 clients match one-shot: sha256 $want"
 
 # A stats-only request must omit image bytes but report real stats.
 noimg_out=$("$work/squashd" -connect "$sock" -noimage -profile "$work/$b.prof" \
@@ -101,32 +88,25 @@ grep -q "image omitted" <<< "$noimg_out" || {
 [ ! -e "$work/$b.noimg.exe" ] || {
   echo "FAIL: -noimage wrote an image file" >&2; exit 1; }
 
-# A daemon capped at proto v1 with pooling off, standing in for a pre-v2
-# build: a negotiating client must downgrade transparently, a pinned-v1
-# client must interop, and both must produce one-shot-identical bytes.
-old_sock="unix:$work/squashd_v1.sock"
-"$work/squashd" -listen "$old_sock" -serve-workers 2 -proto-max 1 -nopool \
-  2> "$work/squashd_v1.log" &
-old_pid=$!
+# A daemon with pooling off must produce one-shot-identical bytes too.
+nopool_sock="unix:$work/squashd_nopool.sock"
+"$work/squashd" -listen "$nopool_sock" -serve-workers 2 -nopool \
+  2> "$work/squashd_nopool.log" &
+nopool_pid=$!
 for _ in $(seq 50); do
-  "$work/squashd" -connect "$old_sock" -ping > /dev/null 2>&1 && break
+  "$work/squashd" -connect "$nopool_sock" -ping > /dev/null 2>&1 && break
   sleep 0.1
 done
-ping_out=$("$work/squashd" -connect "$old_sock" -ping)
-grep -q "proto v1" <<< "$ping_out" || {
-  echo "FAIL: client did not downgrade against the v1-capped daemon: $ping_out" >&2; exit 1; }
-for pv in 0 1; do
-  "$work/squashd" -connect "$old_sock" -proto "$pv" -profile "$work/$b.prof" \
-    -o "$work/$b.capped$pv.exe" "$work/$b.o" > /dev/null
-  h=$(sha256sum "$work/$b.capped$pv.exe" | cut -d' ' -f1)
-  [ "$h" = "$want" ] || {
-    echo "FAIL: v1-capped daemon (client -proto $pv) image differs ($h vs $want)" >&2; exit 1; }
-done
-echo "v1-capped -nopool daemon matches one-shot: sha256 $want"
+"$work/squashd" -connect "$nopool_sock" -profile "$work/$b.prof" \
+  -o "$work/$b.nopool.exe" "$work/$b.o" > /dev/null
+h=$(sha256sum "$work/$b.nopool.exe" | cut -d' ' -f1)
+[ "$h" = "$want" ] || {
+  echo "FAIL: -nopool daemon image differs ($h vs $want)" >&2; exit 1; }
+echo "-nopool daemon matches one-shot: sha256 $want"
 
-kill -TERM "$old_pid"
-wait "$old_pid" || { echo "FAIL: v1-capped daemon exited non-zero on SIGTERM" >&2; exit 1; }
-old_pid=""
+kill -TERM "$nopool_pid"
+wait "$nopool_pid" || { echo "FAIL: -nopool daemon exited non-zero on SIGTERM" >&2; exit 1; }
+nopool_pid=""
 
 echo "-- stats --"
 "$work/squashd" -connect "$sock" -stats | tee "$work/stats.json"
