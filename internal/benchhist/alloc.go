@@ -38,7 +38,8 @@ type AllocGate struct {
 	MinRatio float64
 }
 
-// DefaultAllocGates covers the five pooled hot paths. Measured medians on
+// DefaultAllocGates covers the five pooled hot paths and the CFG lift.
+// Measured medians on
 // the development machine are noted for scale; ceilings and floors leave
 // room for pool warm-up and rounding, not for regressions.
 func DefaultAllocGates() []AllocGate {
@@ -65,6 +66,14 @@ func DefaultAllocGates() []AllocGate {
 		// unpooled variant to compare against.
 		{Name: "frame-codec", Pooled: "BenchmarkFrameCodecAlloc",
 			MaxPooledAllocs: 2},
+		// CFG lift of the squeezed pgp object: one backing array each for
+		// instructions, blocks and functions, so allocations no longer
+		// scale with the instruction count (115 allocs/op at GOMAXPROCS=2,
+		// 107 at 1 and 117 at 4 and 8; ~21000 before the flat lift). The
+		// ceiling of 120 leaves room for rounding and the decode workers
+		// only. Ceiling-only: there is no pooled/fresh pair.
+		{Name: "cfg-lift", Pooled: "BenchmarkBuild",
+			MaxPooledAllocs: 120},
 	}
 }
 

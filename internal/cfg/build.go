@@ -2,7 +2,9 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/isa"
 	"repro/internal/objfile"
@@ -18,164 +20,211 @@ import (
 // do not end blocks. Jump tables are discovered from relocations: an
 // indirect jmp is resolved if its block loads the address of a data symbol
 // whose contents are consecutive word relocations to text symbols.
+//
+// All instructions are decoded into one backing array. Each block's Insts is
+// a capped window of it (all[lo:hi:hi]), so a transform that appends to a
+// block reallocates that block instead of overwriting its neighbour.
 func Build(obj *objfile.Object, entry string) (*Program, error) {
 	nWords := len(obj.Text)
 
-	// Canonicalize symbols: group text symbols by word offset.
+	// Text symbols in word order; the stable sort keeps object order among
+	// the symbols of one word, which decides the canonical label.
 	type textSym struct {
+		w    int
 		name string
 		kind objfile.SymKind
 	}
-	textSymsAt := make(map[int][]textSym)
-	var funcOffsets []int
-	funcName := make(map[int]string)
-	for _, s := range obj.Symbols {
+	syms := make([]textSym, 0, len(obj.Symbols))
+	for i := range obj.Symbols {
+		s := &obj.Symbols[i]
 		if s.Section != objfile.SecText {
 			continue
 		}
 		if s.Offset%isa.WordSize != 0 {
 			return nil, fmt.Errorf("cfg: misaligned text symbol %s at %#x", s.Name, s.Offset)
 		}
-		w := int(s.Offset) / isa.WordSize
-		textSymsAt[w] = append(textSymsAt[w], textSym{s.Name, s.Kind})
-		if s.Kind == objfile.SymFunc {
-			if _, dup := funcName[w]; dup {
-				return nil, fmt.Errorf("cfg: two functions at word %d (%s)", w, s.Name)
-			}
-			funcName[w] = s.Name
-			funcOffsets = append(funcOffsets, w)
+		w := int(s.Offset / isa.WordSize)
+		if w >= nWords {
+			return nil, fmt.Errorf("cfg: text symbol beyond section end at word %d", w)
 		}
+		syms = append(syms, textSym{w, s.Name, s.Kind})
 	}
-	sort.Ints(funcOffsets)
-	if len(funcOffsets) == 0 || funcOffsets[0] != 0 {
+	slices.SortStableFunc(syms, func(a, b textSym) int { return a.w - b.w })
+	var funcs []int // indices into syms of the function symbols, in word order
+	for i := range syms {
+		if syms[i].kind != objfile.SymFunc {
+			continue
+		}
+		if n := len(funcs); n > 0 && syms[funcs[n-1]].w == syms[i].w {
+			return nil, fmt.Errorf("cfg: two functions at word %d (%s)", syms[i].w, syms[i].name)
+		}
+		funcs = append(funcs, i)
+	}
+	if len(funcs) == 0 || syms[funcs[0]].w != 0 {
 		return nil, fmt.Errorf("cfg: text does not begin with a function symbol")
 	}
 
-	// Text relocations by word offset.
-	textRelocAt := make(map[int]objfile.Reloc)
-	for _, r := range obj.Relocs {
+	// Text relocations by word: relocAt[w] is 1 + the index in obj.Relocs,
+	// 0 for none. Offsets come from outside, so words past the end of text
+	// go to a side set that still rejects duplicates.
+	relocAt := make([]int32, nWords)
+	var beyond map[int]bool
+	for ri := range obj.Relocs {
+		r := &obj.Relocs[ri]
 		if r.Section != objfile.SecText {
 			continue
 		}
 		if r.Offset%isa.WordSize != 0 {
 			return nil, fmt.Errorf("cfg: misaligned text relocation at %#x", r.Offset)
 		}
-		w := int(r.Offset) / isa.WordSize
-		if _, dup := textRelocAt[w]; dup {
+		w := int(r.Offset / isa.WordSize)
+		var dup bool
+		if w < nWords {
+			dup = relocAt[w] != 0
+			relocAt[w] = int32(ri + 1)
+		} else {
+			if beyond == nil {
+				beyond = make(map[int]bool)
+			}
+			dup = beyond[w]
+			beyond[w] = true
+		}
+		if dup {
 			return nil, fmt.Errorf("cfg: two relocations for word %d", w)
 		}
-		textRelocAt[w] = r
+	}
+	// Reject branch relocs with nonzero addends into code (never produced
+	// by the assembler) or with data targets, wherever they point.
+	symSection := make(map[string]objfile.Section, len(obj.Symbols))
+	for i := range obj.Symbols {
+		symSection[obj.Symbols[i].Name] = obj.Symbols[i].Section
+	}
+	for ri := range obj.Relocs {
+		r := &obj.Relocs[ri]
+		if r.Section != objfile.SecText || r.Kind != objfile.RelBrDisp21 {
+			continue
+		}
+		w := int(r.Offset / isa.WordSize)
+		if r.Addend != 0 {
+			return nil, fmt.Errorf("cfg: branch relocation with addend at word %d", w)
+		}
+		if symSection[r.Sym] != objfile.SecText {
+			return nil, fmt.Errorf("cfg: branch at word %d targets data symbol %q", w, r.Sym)
+		}
 	}
 
-	// Decode all instructions. Decoding is per word, so large texts are
-	// split into chunks across CPUs; each chunk writes its own slice range,
-	// and small inputs stay on the fast inline path.
-	insts := make([]isa.Inst, nWords)
-	_ = parallel.ForEachChunk(nWords, 0, 16384, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			insts[i] = isa.Decode(obj.Text[i])
+	// Leaders: function starts, every text symbol, instructions following
+	// block-ending instructions. Decoding and relocation attachment are per
+	// word, so large texts are split into chunks across CPUs; each chunk
+	// writes its own range of all and leader[lo+1:hi+1].
+	leader := make([]bool, nWords+1)
+	for i := range syms {
+		leader[syms[i].w] = true
+	}
+	all := make([]Inst, nWords)
+	err := parallel.ForEachChunk(nWords, 0, 16384, func(lo, hi int) error {
+		for w := lo; w < hi; w++ {
+			in := isa.Decode(obj.Text[w])
+			ci := &all[w]
+			if in.Format == isa.FormatIllegal {
+				*ci = RawWord(obj.Text[w])
+			} else {
+				ci.Inst = in
+			}
+			if endsBlock(in) {
+				leader[w+1] = true
+			}
+			if relocAt[w] == 0 {
+				continue
+			}
+			r := &obj.Relocs[relocAt[w]-1]
+			switch r.Kind {
+			case objfile.RelBrDisp21:
+				ci.Kind = TargetBranch
+			case objfile.RelHi16:
+				ci.Kind = TargetHi16
+			case objfile.RelLo16:
+				ci.Kind = TargetLo16
+			case objfile.RelWord32:
+				return fmt.Errorf("cfg: word32 relocation in text at word %d unsupported", w)
+			}
+			ci.Target = r.Sym
+			ci.Addend = r.Addend
 		}
 		return nil
 	})
-
-	// Leaders: function starts, every text symbol, instructions following
-	// block-ending instructions.
-	leader := make([]bool, nWords+1)
-	for w := range textSymsAt {
-		if w >= nWords {
-			return nil, fmt.Errorf("cfg: text symbol beyond section end at word %d", w)
-		}
-		leader[w] = true
+	if err != nil {
+		return nil, err
 	}
-	for i, in := range insts {
-		if endsBlock(in) && i+1 <= nWords {
-			leader[i+1] = true
-		}
-	}
-	// Branch targets: symbolic; the target symbol's block is already a
-	// leader because all text symbols are leaders. Reject branch relocs
-	// with nonzero addends into code (never produced by the assembler).
-	symSection := make(map[string]objfile.Section)
-	for _, s := range obj.Symbols {
-		symSection[s.Name] = s.Section
-	}
-	for w, r := range textRelocAt {
-		if r.Kind == objfile.RelBrDisp21 {
-			if r.Addend != 0 {
-				return nil, fmt.Errorf("cfg: branch relocation with addend at word %d", w)
-			}
-			if symSection[r.Sym] != objfile.SecText {
-				return nil, fmt.Errorf("cfg: branch at word %d targets data symbol %q", w, r.Sym)
-			}
+	nBlocks := 0
+	for _, l := range leader[:nWords] {
+		if l {
+			nBlocks++
 		}
 	}
 
 	// Canonical label per leader word: prefer the function symbol, then the
-	// first label symbol, else a synthetic name (assigned per function
-	// below). alias maps every text symbol to its canonical label.
-	alias := make(map[string]string)
+	// first label symbol, else a synthetic name. alias maps every text
+	// symbol to its canonical label.
+	alias := make(map[string]string, len(syms))
 
-	// Build functions and blocks.
+	// Build functions and blocks, each kind in one backing array.
 	p := &Program{
+		Funcs:       make([]*Func, len(funcs)),
 		Data:        append([]byte(nil), obj.Data...),
 		Entry:       entry,
 		DataSymbols: filterSymbols(obj.Symbols, objfile.SecData),
 	}
-	for fi, fw := range funcOffsets {
+	funcArr := make([]Func, len(funcs))
+	blockArr := make([]Block, nBlocks)
+	blockPtrs := make([]*Block, nBlocks)
+	nb, si := 0, 0
+	for fi, fsym := range funcs {
+		fw := syms[fsym].w
 		endW := nWords
-		if fi+1 < len(funcOffsets) {
-			endW = funcOffsets[fi+1]
+		if fi+1 < len(funcs) {
+			endW = syms[funcs[fi+1]].w
 		}
-		f := &Func{Name: funcName[fw]}
-		var cur *Block
+		f := &funcArr[fi]
+		f.Name = syms[fsym].name
+		first := nb
 		for w := fw; w < endW; w++ {
-			if leader[w] || cur == nil {
-				label := ""
-				for _, ts := range textSymsAt[w] {
-					if ts.kind == objfile.SymFunc {
-						label = ts.name
-						break
-					}
-					if label == "" {
-						label = ts.name
-					}
+			if !leader[w] {
+				continue
+			}
+			lo := si
+			for si < len(syms) && syms[si].w == w {
+				si++
+			}
+			label := ""
+			for _, ts := range syms[lo:si] {
+				if ts.kind == objfile.SymFunc {
+					label = ts.name
+					break
 				}
 				if label == "" {
-					label = fmt.Sprintf("%s$L%d", f.Name, w-fw)
+					label = ts.name
 				}
-				for _, ts := range textSymsAt[w] {
-					alias[ts.name] = label
-				}
-				cur = &Block{Label: label, SrcWordOff: w}
-				f.Blocks = append(f.Blocks, cur)
 			}
-			ci := Inst{Inst: insts[w]}
-			if insts[w].Format == isa.FormatIllegal {
-				ci = RawWord(obj.Text[w])
+			if label == "" {
+				label = f.Name + "$L" + strconv.Itoa(w-fw)
 			}
-			if r, ok := textRelocAt[w]; ok {
-				switch r.Kind {
-				case objfile.RelBrDisp21:
-					ci.Kind = TargetBranch
-				case objfile.RelHi16:
-					ci.Kind = TargetHi16
-				case objfile.RelLo16:
-					ci.Kind = TargetLo16
-				case objfile.RelWord32:
-					return nil, fmt.Errorf("cfg: word32 relocation in text at word %d unsupported", w)
-				}
-				ci.Target = r.Sym
-				ci.Addend = r.Addend
+			for _, ts := range syms[lo:si] {
+				alias[ts.name] = label
 			}
-			cur.Insts = append(cur.Insts, ci)
-			if endsBlock(insts[w]) {
-				cur = nil
-			}
+			blockArr[nb] = Block{Label: label, SrcWordOff: w}
+			blockPtrs[nb] = &blockArr[nb]
+			nb++
 		}
-		if len(f.Blocks) == 0 {
-			return nil, fmt.Errorf("cfg: function %s is empty", f.Name)
+		for k := first; k < nb; k++ {
+			lo, hi := blockArr[k].SrcWordOff, endW
+			if k+1 < nb {
+				hi = blockArr[k+1].SrcWordOff
+			}
+			blockArr[k].Insts = all[lo:hi:hi]
 		}
-		p.Funcs = append(p.Funcs, f)
+		f.Blocks = blockPtrs[first:nb:nb]
+		p.Funcs[fi] = f
 	}
 
 	// Canonicalize all symbol references, set fallthroughs, and resolve
@@ -186,13 +235,13 @@ func Build(obj *objfile.Object, entry string) (*Program, error) {
 		}
 		return sym // data symbol
 	}
+	for i := range all {
+		if all[i].Kind != TargetNone {
+			all[i].Target = canon(all[i].Target)
+		}
+	}
 	for _, f := range p.Funcs {
 		for bi, b := range f.Blocks {
-			for i := range b.Insts {
-				if b.Insts[i].Kind != TargetNone {
-					b.Insts[i].Target = canon(b.Insts[i].Target)
-				}
-			}
 			if fallsThrough(b) {
 				if bi+1 < len(f.Blocks) {
 					b.FallsTo = f.Blocks[bi+1].Label
@@ -289,7 +338,7 @@ func resolveJumpTables(p *Program) error {
 	}
 	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
 
-	labels := map[string]bool{}
+	labels := make(map[string]bool, p.NumBlocks())
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			labels[b.Label] = true

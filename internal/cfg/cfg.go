@@ -127,6 +127,15 @@ func (p *Program) NumInsts() int {
 	return n
 }
 
+// NumBlocks reports the total block count over all functions.
+func (p *Program) NumBlocks() int {
+	n := 0
+	for _, f := range p.Funcs {
+		n += len(f.Blocks)
+	}
+	return n
+}
+
 // Succs reports the labels of b's intra-procedural control-flow successors.
 // The second result is false when the block ends in an indirect jump whose
 // targets could not be resolved (no jump table found), meaning the true
@@ -202,35 +211,11 @@ func (b *Block) laTargetBefore(idx int, reg uint32) (string, bool) {
 			return lo.Target, true
 		}
 		// A later write to reg invalidates earlier definitions.
-		if writesReg(lo, reg) {
+		if WritesReg(lo, reg) {
 			return "", false
 		}
 	}
 	return "", false
-}
-
-func writesReg(in *Inst, reg uint32) bool {
-	if in.Raw || reg == isa.RegZero {
-		return false
-	}
-	switch in.Format {
-	case isa.FormatMem:
-		return (in.Op == isa.OpLDA || in.Op == isa.OpLDAH || in.Op == isa.OpLDW || in.Op == isa.OpLDB) && in.RA == reg
-	case isa.FormatBranch:
-		return (in.Op == isa.OpBR || in.Op == isa.OpBSR) && in.RA == reg
-	case isa.FormatOpReg, isa.FormatOpLit:
-		return in.RC == reg
-	case isa.FormatJump:
-		return in.RA == reg
-	case isa.FormatPal:
-		switch in.Func {
-		case isa.SysGETC, isa.SysSETJMP:
-			return reg == isa.RegV0
-		case isa.SysLNGJMP:
-			return true // restores the whole register file
-		}
-	}
-	return false
 }
 
 // CallsSetjmp reports whether any block of f performs the setjmp system
@@ -249,7 +234,7 @@ func (f *Func) CallsSetjmp() bool {
 // Validate checks structural invariants: unique labels, entry block naming,
 // resolvable branch targets and fallthroughs.
 func (p *Program) Validate() error {
-	labels := map[string]bool{}
+	labels := make(map[string]bool, p.NumBlocks())
 	for _, f := range p.Funcs {
 		if len(f.Blocks) == 0 {
 			return fmt.Errorf("cfg: function %s has no blocks", f.Name)
@@ -264,13 +249,14 @@ func (p *Program) Validate() error {
 			labels[b.Label] = true
 		}
 	}
-	dataSyms := map[string]bool{}
+	dataSyms := make(map[string]bool, len(p.DataSymbols))
 	for _, s := range p.DataSymbols {
 		dataSyms[s.Name] = true
 	}
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
-			for _, in := range b.Insts {
+			for i := range b.Insts {
+				in := &b.Insts[i]
 				if in.Kind == TargetNone {
 					continue
 				}

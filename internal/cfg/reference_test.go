@@ -1,0 +1,234 @@
+package cfg
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/isa"
+	"repro/internal/objfile"
+	"repro/internal/parallel"
+)
+
+// This file keeps the original lift as the test oracle for Build: it indexes
+// text symbols and relocations in maps keyed by word offset, decodes into a
+// separate isa.Inst array, and appends each block's instructions one at a
+// time. Build must lift every object to the same Program, and must fail
+// exactly where refBuild fails.
+
+// refBuild lifts a relocatable object into a Program. The entry argument names
+// the entry function (usually "main").
+//
+// Every text symbol starts a basic block; further block boundaries come from
+// branch-relocation targets and from instructions that end blocks (branches,
+// jumps, returns, halt/longjmp system calls, illegal words). Calls (bsr/jsr)
+// do not end blocks. Jump tables are discovered from relocations: an
+// indirect jmp is resolved if its block loads the address of a data symbol
+// whose contents are consecutive word relocations to text symbols.
+func refBuild(obj *objfile.Object, entry string) (*Program, error) {
+	nWords := len(obj.Text)
+
+	// Canonicalize symbols: group text symbols by word offset.
+	type textSym struct {
+		name string
+		kind objfile.SymKind
+	}
+	textSymsAt := make(map[int][]textSym)
+	var funcOffsets []int
+	funcName := make(map[int]string)
+	for _, s := range obj.Symbols {
+		if s.Section != objfile.SecText {
+			continue
+		}
+		if s.Offset%isa.WordSize != 0 {
+			return nil, fmt.Errorf("cfg: misaligned text symbol %s at %#x", s.Name, s.Offset)
+		}
+		w := int(s.Offset) / isa.WordSize
+		textSymsAt[w] = append(textSymsAt[w], textSym{s.Name, s.Kind})
+		if s.Kind == objfile.SymFunc {
+			if _, dup := funcName[w]; dup {
+				return nil, fmt.Errorf("cfg: two functions at word %d (%s)", w, s.Name)
+			}
+			funcName[w] = s.Name
+			funcOffsets = append(funcOffsets, w)
+		}
+	}
+	sort.Ints(funcOffsets)
+	if len(funcOffsets) == 0 || funcOffsets[0] != 0 {
+		return nil, fmt.Errorf("cfg: text does not begin with a function symbol")
+	}
+
+	// Text relocations by word offset.
+	textRelocAt := make(map[int]objfile.Reloc)
+	for _, r := range obj.Relocs {
+		if r.Section != objfile.SecText {
+			continue
+		}
+		if r.Offset%isa.WordSize != 0 {
+			return nil, fmt.Errorf("cfg: misaligned text relocation at %#x", r.Offset)
+		}
+		w := int(r.Offset) / isa.WordSize
+		if _, dup := textRelocAt[w]; dup {
+			return nil, fmt.Errorf("cfg: two relocations for word %d", w)
+		}
+		textRelocAt[w] = r
+	}
+
+	// Decode all instructions. Decoding is per word, so large texts are
+	// split into chunks across CPUs; each chunk writes its own slice range,
+	// and small inputs stay on the fast inline path.
+	insts := make([]isa.Inst, nWords)
+	_ = parallel.ForEachChunk(nWords, 0, 16384, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			insts[i] = isa.Decode(obj.Text[i])
+		}
+		return nil
+	})
+
+	// Leaders: function starts, every text symbol, instructions following
+	// block-ending instructions.
+	leader := make([]bool, nWords+1)
+	for w := range textSymsAt {
+		if w >= nWords {
+			return nil, fmt.Errorf("cfg: text symbol beyond section end at word %d", w)
+		}
+		leader[w] = true
+	}
+	for i, in := range insts {
+		if endsBlock(in) && i+1 <= nWords {
+			leader[i+1] = true
+		}
+	}
+	// Branch targets: symbolic; the target symbol's block is already a
+	// leader because all text symbols are leaders. Reject branch relocs
+	// with nonzero addends into code (never produced by the assembler).
+	symSection := make(map[string]objfile.Section)
+	for _, s := range obj.Symbols {
+		symSection[s.Name] = s.Section
+	}
+	for w, r := range textRelocAt {
+		if r.Kind == objfile.RelBrDisp21 {
+			if r.Addend != 0 {
+				return nil, fmt.Errorf("cfg: branch relocation with addend at word %d", w)
+			}
+			if symSection[r.Sym] != objfile.SecText {
+				return nil, fmt.Errorf("cfg: branch at word %d targets data symbol %q", w, r.Sym)
+			}
+		}
+	}
+
+	// Canonical label per leader word: prefer the function symbol, then the
+	// first label symbol, else a synthetic name (assigned per function
+	// below). alias maps every text symbol to its canonical label.
+	alias := make(map[string]string)
+
+	// Build functions and blocks.
+	p := &Program{
+		Data:        append([]byte(nil), obj.Data...),
+		Entry:       entry,
+		DataSymbols: filterSymbols(obj.Symbols, objfile.SecData),
+	}
+	for fi, fw := range funcOffsets {
+		endW := nWords
+		if fi+1 < len(funcOffsets) {
+			endW = funcOffsets[fi+1]
+		}
+		f := &Func{Name: funcName[fw]}
+		var cur *Block
+		for w := fw; w < endW; w++ {
+			if leader[w] || cur == nil {
+				label := ""
+				for _, ts := range textSymsAt[w] {
+					if ts.kind == objfile.SymFunc {
+						label = ts.name
+						break
+					}
+					if label == "" {
+						label = ts.name
+					}
+				}
+				if label == "" {
+					label = fmt.Sprintf("%s$L%d", f.Name, w-fw)
+				}
+				for _, ts := range textSymsAt[w] {
+					alias[ts.name] = label
+				}
+				cur = &Block{Label: label, SrcWordOff: w}
+				f.Blocks = append(f.Blocks, cur)
+			}
+			ci := Inst{Inst: insts[w]}
+			if insts[w].Format == isa.FormatIllegal {
+				ci = RawWord(obj.Text[w])
+			}
+			if r, ok := textRelocAt[w]; ok {
+				switch r.Kind {
+				case objfile.RelBrDisp21:
+					ci.Kind = TargetBranch
+				case objfile.RelHi16:
+					ci.Kind = TargetHi16
+				case objfile.RelLo16:
+					ci.Kind = TargetLo16
+				case objfile.RelWord32:
+					return nil, fmt.Errorf("cfg: word32 relocation in text at word %d unsupported", w)
+				}
+				ci.Target = r.Sym
+				ci.Addend = r.Addend
+			}
+			cur.Insts = append(cur.Insts, ci)
+			if endsBlock(insts[w]) {
+				cur = nil
+			}
+		}
+		if len(f.Blocks) == 0 {
+			return nil, fmt.Errorf("cfg: function %s is empty", f.Name)
+		}
+		p.Funcs = append(p.Funcs, f)
+	}
+
+	// Canonicalize all symbol references, set fallthroughs, and resolve
+	// jump tables.
+	canon := func(sym string) string {
+		if c, ok := alias[sym]; ok {
+			return c
+		}
+		return sym // data symbol
+	}
+	for _, f := range p.Funcs {
+		for bi, b := range f.Blocks {
+			for i := range b.Insts {
+				if b.Insts[i].Kind != TargetNone {
+					b.Insts[i].Target = canon(b.Insts[i].Target)
+				}
+			}
+			if fallsThrough(b) {
+				if bi+1 < len(f.Blocks) {
+					b.FallsTo = f.Blocks[bi+1].Label
+				} else {
+					return nil, fmt.Errorf("cfg: control falls off the end of function %s", f.Name)
+				}
+			}
+		}
+	}
+	p.DataRelocs = make([]objfile.Reloc, len(obj.Relocs))
+	n := 0
+	for _, r := range obj.Relocs {
+		if r.Section == objfile.SecData {
+			r.Sym = canon(r.Sym)
+			p.DataRelocs[n] = r
+			n++
+		}
+	}
+	p.DataRelocs = p.DataRelocs[:n]
+
+	if err := resolveJumpTables(p); err != nil {
+		return nil, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("cfg: lifted program invalid: %w", err)
+	}
+	return p, nil
+}
+
+// RefBuild exposes refBuild to the external test package, which compares it
+// with Build on squeezed objects (squeeze imports cfg, so those tests cannot
+// live in package cfg).
+var RefBuild = refBuild

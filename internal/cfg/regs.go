@@ -3,10 +3,32 @@ package cfg
 import "repro/internal/isa"
 
 // WritesReg reports whether the instruction writes the given register.
-func WritesReg(in Inst, reg uint32) bool { return writesReg(&in, reg) }
+func WritesReg(in *Inst, reg uint32) bool {
+	if in.Raw || reg == isa.RegZero {
+		return false
+	}
+	switch in.Format {
+	case isa.FormatMem:
+		return (in.Op == isa.OpLDA || in.Op == isa.OpLDAH || in.Op == isa.OpLDW || in.Op == isa.OpLDB) && in.RA == reg
+	case isa.FormatBranch:
+		return (in.Op == isa.OpBR || in.Op == isa.OpBSR) && in.RA == reg
+	case isa.FormatOpReg, isa.FormatOpLit:
+		return in.RC == reg
+	case isa.FormatJump:
+		return in.RA == reg
+	case isa.FormatPal:
+		switch in.Func {
+		case isa.SysGETC, isa.SysSETJMP:
+			return reg == isa.RegV0
+		case isa.SysLNGJMP:
+			return true // restores the whole register file
+		}
+	}
+	return false
+}
 
 // ReadsReg reports whether the instruction reads the given register.
-func ReadsReg(in Inst, reg uint32) bool {
+func ReadsReg(in *Inst, reg uint32) bool {
 	if in.Raw || reg == isa.RegZero {
 		return false
 	}
@@ -41,6 +63,6 @@ func ReadsReg(in Inst, reg uint32) bool {
 }
 
 // TouchesReg reports whether the instruction reads or writes the register.
-func TouchesReg(in Inst, reg uint32) bool {
+func TouchesReg(in *Inst, reg uint32) bool {
 	return ReadsReg(in, reg) || WritesReg(in, reg)
 }

@@ -201,7 +201,8 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 	}
 	if err := parallel.ForEach(len(p.Funcs), conf.Workers, func(fi int) error {
 		for _, b := range p.Funcs[fi].Blocks {
-			for _, in := range b.Insts {
+			for i := range b.Insts {
+				in := &b.Insts[i]
 				// System calls are exempt: setjmp/longjmp capture the whole
 				// register file, including AT, but nothing observes AT's
 				// value, so stub clobbers remain invisible.
@@ -247,12 +248,12 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 	sp.SetArg("cold_insts", res.ColdInsts)
 	sp.End()
 
-	compressed := map[string]bool{}
+	compressed := make(map[string]bool, len(res.InRegion))
 	for l := range res.InRegion {
 		compressed[l] = true
 	}
 
-	owner := map[string]string{} // block label -> owning function
+	owner := make(map[string]string, p.NumBlocks()) // block label -> owning function
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			owner[b.Label] = f.Name

@@ -51,10 +51,25 @@ func (w *BitWriter) Grow(n int) {
 	w.leaked = false
 }
 
-// WriteBits appends the low width bits of v, most significant first.
+// WriteBits appends the low width bits of v, most significant first. Each
+// step tops the pending byte up with the next bits of v and flushes it when
+// full, so a field costs at most one step per output byte it touches; the
+// stream is identical to width WriteBit calls.
 func (w *BitWriter) WriteBits(v uint64, width uint) {
-	for i := int(width) - 1; i >= 0; i-- {
-		w.WriteBit(uint8(v >> uint(i) & 1))
+	for ; width > 64; width-- {
+		w.WriteBit(0) // v has no bits above 64
+	}
+	w.n += int(width)
+	for width > 0 {
+		free := 8 - uint(w.bits)
+		if width < free {
+			w.cur = w.cur<<width | byte(v)&(0xFF>>(8-width))
+			w.bits += uint8(width)
+			return
+		}
+		width -= free
+		w.buf = append(w.buf, w.cur<<free|byte(v>>width)&(0xFF>>(8-free)))
+		w.cur, w.bits = 0, 0
 	}
 }
 

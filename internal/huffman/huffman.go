@@ -23,8 +23,12 @@ type Code struct {
 	// order, making the code deterministic).
 	D []uint32
 
-	// enc maps a value to its codeword; derived from N and D on demand.
-	enc map[uint32]codeword
+	// dense and enc map a value to its codeword; one of them is derived
+	// from N and D on demand. dense, indexed by value, serves codes whose
+	// values all lie below denseLimit (opcode, register, func and literal
+	// streams); enc serves the wide ones (displacements, hints).
+	dense []codeword
+	enc   map[uint32]codeword
 	// dec is the first-K-bits decode table (decode.go), derived on demand.
 	dec *decTable
 
@@ -53,10 +57,15 @@ func (s DecodeStats) AddTo(total *DecodeStats) {
 	total.TreeDecodes += s.TreeDecodes
 }
 
+// codeword is one value's code; len 0 marks a value absent from dense.
 type codeword struct {
 	bits uint64
 	len  uint8
 }
+
+// denseLimit bounds the values of a code encoded through the dense table.
+// 256 covers every 5- and 8-bit operand stream in a 4 KiB table.
+const denseLimit = 256
 
 // node is a Huffman tree node used only during construction.
 type node struct {
@@ -174,11 +183,19 @@ func (c *Code) NumValues() int { return len(c.D) }
 // MaxLen reports the longest codeword length.
 func (c *Code) MaxLen() int { return len(c.N) - 1 }
 
-// buildEncoder materializes the value→codeword map from N and D, assigning
-// the canonical codewords b_i, b_i+1, ... of each length i where b_1 = 0 and
-// b_i = 2(b_{i-1} + N[i-1]).
+// buildEncoder materializes the value→codeword table from N and D,
+// assigning the canonical codewords b_i, b_i+1, ... of each length i where
+// b_1 = 0 and b_i = 2(b_{i-1} + N[i-1]).
 func (c *Code) buildEncoder() {
-	c.enc = make(map[uint32]codeword, len(c.D))
+	var maxV uint32
+	for _, v := range c.D {
+		maxV = max(maxV, v)
+	}
+	if maxV < denseLimit {
+		c.dense = make([]codeword, maxV+1)
+	} else {
+		c.enc = make(map[uint32]codeword, len(c.D))
+	}
 	var b uint64
 	j := 0
 	for i := 1; i <= c.MaxLen(); i++ {
@@ -186,19 +203,40 @@ func (c *Code) buildEncoder() {
 			b = 2 * (b + uint64(c.N[i-1]))
 		}
 		for k := 0; k < c.N[i]; k++ {
-			c.enc[c.D[j]] = codeword{bits: b + uint64(k), len: uint8(i)}
+			cw := codeword{bits: b + uint64(k), len: uint8(i)}
+			if c.dense != nil {
+				c.dense[c.D[j]] = cw
+			} else {
+				c.enc[c.D[j]] = cw
+			}
 			j++
 		}
 	}
 }
 
-// Prime materializes the encoder map and the decode table eagerly. Encode,
-// CodeLen, and Decode build them lazily on first use, which is a data race
-// if a shared Code is first used from concurrent encoders or decoders;
-// callers that fan coding out across goroutines must Prime each code
-// beforehand.
+// lookup returns v's codeword, building the encoder on first use.
+func (c *Code) lookup(v uint32) (codeword, bool) {
+	if c.dense == nil && c.enc == nil {
+		c.buildEncoder()
+	}
+	if c.dense != nil {
+		if uint64(v) >= uint64(len(c.dense)) {
+			return codeword{}, false
+		}
+		cw := c.dense[v]
+		return cw, cw.len != 0
+	}
+	cw, ok := c.enc[v]
+	return cw, ok
+}
+
+// Prime materializes the encoder table and the decode table eagerly.
+// Encode, CodeLen, and Decode build them lazily on first use, which is a
+// data race if a shared Code is first used from concurrent encoders or
+// decoders; callers that fan coding out across goroutines must Prime each
+// code beforehand.
 func (c *Code) Prime() {
-	if c.enc == nil {
+	if c.dense == nil && c.enc == nil {
 		c.buildEncoder()
 	}
 	if c.dec == nil {
@@ -210,10 +248,7 @@ func (c *Code) Prime() {
 // the code, which indicates the frequency pass and the encode pass saw
 // different data.
 func (c *Code) Encode(w *BitWriter, v uint32) error {
-	if c.enc == nil {
-		c.buildEncoder()
-	}
-	cw, ok := c.enc[v]
+	cw, ok := c.lookup(v)
 	if !ok {
 		return fmt.Errorf("huffman: value %d not present in code", v)
 	}
@@ -223,10 +258,8 @@ func (c *Code) Encode(w *BitWriter, v uint32) error {
 
 // CodeLen reports the codeword length in bits for v, or 0 if absent.
 func (c *Code) CodeLen(v uint32) int {
-	if c.enc == nil {
-		c.buildEncoder()
-	}
-	return int(c.enc[v].len)
+	cw, _ := c.lookup(v)
+	return int(cw.len)
 }
 
 // ErrBadCode reports a codeword that exceeds every valid length, meaning the

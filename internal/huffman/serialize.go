@@ -97,7 +97,7 @@ func (c *Code) UnmarshalBinary(data []byte) error {
 	if pos != len(data) {
 		return fmt.Errorf("huffman: %d trailing bytes after code table", len(data)-pos)
 	}
-	c.enc = nil
+	c.dense, c.enc = nil, nil
 	c.dec = nil
 	return nil
 }

@@ -68,7 +68,7 @@ func TestNoReadBeforeDefOfTemporaries(t *testing.T) {
 						continue
 					}
 					for r := uint32(0); r < nTemps; r++ {
-						if cfg.WritesReg(ins, isa.RegT0+r) {
+						if cfg.WritesReg(&ins, isa.RegT0+r) {
 							d |= 1 << r
 						}
 					}
@@ -112,13 +112,13 @@ func TestNoReadBeforeDefOfTemporaries(t *testing.T) {
 						continue
 					}
 					for r := uint32(0); r < nTemps; r++ {
-						if cfg.ReadsReg(ins, isa.RegT0+r) && d&(1<<r) == 0 {
+						if cfg.ReadsReg(&ins, isa.RegT0+r) && d&(1<<r) == 0 {
 							t.Errorf("%s: %s block %s reads t%d before any definition reaches it: %v",
 								spec.Name, f.Name, b.Label, r, ins.Inst)
 						}
 					}
 					for r := uint32(0); r < nTemps; r++ {
-						if cfg.WritesReg(ins, isa.RegT0+r) {
+						if cfg.WritesReg(&ins, isa.RegT0+r) {
 							d |= 1 << r
 						}
 					}

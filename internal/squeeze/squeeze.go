@@ -238,7 +238,7 @@ func runKey(insts []cfg.Inst) string {
 // pureForAbstraction reports whether the instruction may be moved into an
 // abstracted function: straight-line, no control transfer, no system call,
 // and no use of the return-address register.
-func pureForAbstraction(in cfg.Inst) bool {
+func pureForAbstraction(in *cfg.Inst) bool {
 	if in.Raw {
 		return false
 	}
@@ -262,7 +262,7 @@ type runRef struct {
 // treated as live (the successor may read RA, e.g. a leaf return).
 func raDeadAfter(b *cfg.Block, end int) bool {
 	for i := end; i < len(b.Insts); i++ {
-		in := b.Insts[i]
+		in := &b.Insts[i]
 		if in.Raw {
 			return false
 		}
@@ -287,12 +287,12 @@ func abstractRepeats(p *cfg.Program, st *Stats) {
 		for _, b := range f.Blocks {
 			i := 0
 			for i < len(b.Insts) {
-				if !pureForAbstraction(b.Insts[i]) {
+				if !pureForAbstraction(&b.Insts[i]) {
 					i++
 					continue
 				}
 				j := i
-				for j < len(b.Insts) && pureForAbstraction(b.Insts[j]) {
+				for j < len(b.Insts) && pureForAbstraction(&b.Insts[j]) {
 					j++
 				}
 				if j-i >= MinRunLen && raDeadAfter(b, j) {

@@ -18,6 +18,7 @@ package streamcomp
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/huffman"
 	"repro/internal/isa"
@@ -31,7 +32,7 @@ type Options struct {
 	MTF bool
 	// Workers bounds the goroutines Train uses for frequency counting;
 	// <= 0 means one per CPU. The trained codes are identical at any
-	// worker count: per-sequence counts are summed, and summation is
+	// worker count: per-chunk counts are summed, and summation is
 	// order-independent.
 	Workers int
 }
@@ -83,36 +84,16 @@ var sentinelInst = isa.Inst{Op: isa.OpIllegal, Format: isa.FormatIllegal}
 func Train(seqs [][]isa.Inst, opts Options) *Compressor {
 	c := &Compressor{opts: opts}
 	if opts.MTF {
-		// Per-sequence alphabet collection fans out; the union is a set, so
-		// merge order cannot affect the sorted result.
-		partial, _ := parallel.Map(len(seqs), opts.Workers,
-			func(i int) ([isa.NumStreams]map[uint32]bool, error) {
-				var seen [isa.NumStreams]map[uint32]bool
-				for k := range seen {
-					seen[k] = make(map[uint32]bool)
-				}
-				collect := func(in isa.Inst) {
-					for _, fv := range isa.Fields(in) {
-						seen[fv.Kind][fv.Value] = true
-					}
-				}
-				for _, in := range seqs[i] {
-					collect(in)
-				}
-				collect(sentinelInst)
-				return seen, nil
-			})
-		var seen [isa.NumStreams]map[uint32]bool
-		for i := range seen {
-			seen[i] = make(map[uint32]bool)
-		}
-		for _, p := range partial {
-			for i := range p {
-				for v := range p[i] {
-					seen[i][v] = true
+		// Alphabet collection fans out too; the union is a set, so merge
+		// order cannot affect the sorted result.
+		seen := countChunks(seqs, opts.Workers, func(f *streamCounts, seq []isa.Inst) {
+			var fv [8]isa.FieldValue
+			for i := 0; i <= len(seq); i++ {
+				for _, x := range isa.AppendFields(fv[:0], instOrSentinel(seq, i)) {
+					f[x.Kind][x.Value] = 1
 				}
 			}
-		}
+		})
 		for i := range seen {
 			vals := make([]uint32, 0, len(seen[i]))
 			for v := range seen[i] {
@@ -124,41 +105,21 @@ func Train(seqs [][]isa.Inst, opts Options) *Compressor {
 	}
 
 	// Frequency counting is per sequence (each sequence restarts its MTF
-	// state), so it fans out too; the merged counts are sums, identical at
-	// any worker count.
-	partial, _ := parallel.Map(len(seqs), opts.Workers,
-		func(i int) ([isa.NumStreams]map[uint32]uint64, error) {
-			var f [isa.NumStreams]map[uint32]uint64
-			for k := range f {
-				f[k] = make(map[uint32]uint64)
-			}
-			mtf := c.newMTF()
-			count := func(in isa.Inst) {
-				for _, fv := range isa.Fields(in) {
-					v := fv.Value
-					if mtf != nil {
-						v = mtf[fv.Kind].encode(v)
-					}
-					f[fv.Kind][v]++
+	// state), so it fans out; the merged counts are sums, identical at any
+	// worker count.
+	freqs := countChunks(seqs, opts.Workers, func(f *streamCounts, seq []isa.Inst) {
+		mtf := c.newMTF()
+		var fv [8]isa.FieldValue
+		for i := 0; i <= len(seq); i++ {
+			for _, x := range isa.AppendFields(fv[:0], instOrSentinel(seq, i)) {
+				v := x.Value
+				if mtf != nil {
+					v = mtf[x.Kind].encode(v)
 				}
-			}
-			for _, in := range seqs[i] {
-				count(in)
-			}
-			count(sentinelInst)
-			return f, nil
-		})
-	var freqs [isa.NumStreams]map[uint32]uint64
-	for i := range freqs {
-		freqs[i] = make(map[uint32]uint64)
-	}
-	for _, p := range partial {
-		for i := range p {
-			for v, n := range p[i] {
-				freqs[i][v] += n
+				f[x.Kind][v]++
 			}
 		}
-	}
+	})
 	var totalBits, totalInsts uint64
 	for i := range c.codes {
 		c.codes[i] = huffman.Build(freqs[i])
@@ -174,6 +135,58 @@ func Train(seqs [][]isa.Inst, opts Options) *Compressor {
 		c.estBitsPerInst = int((totalBits + totalInsts - 1) / totalInsts)
 	}
 	return c
+}
+
+// streamCounts holds one value→count map per operand stream.
+type streamCounts [isa.NumStreams]map[uint32]uint64
+
+func newStreamCounts() *streamCounts {
+	var f streamCounts
+	for k := range f {
+		f[k] = make(map[uint32]uint64)
+	}
+	return &f
+}
+
+// instOrSentinel returns seq[i], or the region sentinel at i == len(seq).
+func instOrSentinel(seq []isa.Inst, i int) isa.Inst {
+	if i == len(seq) {
+		return sentinelInst
+	}
+	return seq[i]
+}
+
+// countChunks runs count over every sequence, split into one contiguous
+// chunk of sequences per worker. Each chunk counts into its own maps and
+// the chunks' maps are then summed, so the result is the same at any
+// worker count.
+func countChunks(seqs [][]isa.Inst, workers int, count func(f *streamCounts, seq []isa.Inst)) *streamCounts {
+	var (
+		mu    sync.Mutex
+		parts []*streamCounts
+	)
+	_ = parallel.ForEachChunk(len(seqs), workers, 1, func(lo, hi int) error {
+		f := newStreamCounts()
+		for _, seq := range seqs[lo:hi] {
+			count(f, seq)
+		}
+		mu.Lock()
+		parts = append(parts, f)
+		mu.Unlock()
+		return nil
+	})
+	if len(parts) == 0 {
+		return newStreamCounts()
+	}
+	out := parts[0]
+	for _, p := range parts[1:] {
+		for k := range p {
+			for v, n := range p[k] {
+				out[k][v] += n
+			}
+		}
+	}
+	return out
 }
 
 // sizeHint estimates the byte capacity a region of nInsts instructions needs,

@@ -39,10 +39,11 @@ func (c *Compressor) StreamStats() []StreamStat {
 // callers only invoke it when telemetry is on.
 func (c *Compressor) StreamBits(seqs [][]isa.Inst) [isa.NumStreams]uint64 {
 	var bits [isa.NumStreams]uint64
+	var fvbuf [8]isa.FieldValue
 	for _, seq := range seqs {
 		mtf := c.newMTF()
-		count := func(in isa.Inst) {
-			for _, fv := range isa.Fields(in) {
+		for i := 0; i <= len(seq); i++ {
+			for _, fv := range isa.AppendFields(fvbuf[:0], instOrSentinel(seq, i)) {
 				v := fv.Value
 				if mtf != nil {
 					v = mtf[fv.Kind].encode(v)
@@ -50,10 +51,6 @@ func (c *Compressor) StreamBits(seqs [][]isa.Inst) [isa.NumStreams]uint64 {
 				bits[fv.Kind] += uint64(c.codes[fv.Kind].CodeLen(v))
 			}
 		}
-		for _, in := range seq {
-			count(in)
-		}
-		count(sentinelInst)
 	}
 	return bits
 }

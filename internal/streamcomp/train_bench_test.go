@@ -1,0 +1,62 @@
+package streamcomp_test
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/isa"
+	"repro/internal/streamcomp"
+)
+
+// pgpRegions returns the region sequences core.Squash compresses for pgp at
+// θ = 5e-5, recovered by decompressing the squashed image, together with
+// the blob they encode to.
+func pgpRegions(tb testing.TB) ([][]isa.Inst, []byte) {
+	tb.Helper()
+	bench, _, err := experiments.PrepareSpec("pgp", 1, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	conf := core.DefaultConfig()
+	conf.Theta = 5e-5
+	conf.Workers = 1
+	out, err := core.Squash(bench.SqObj, bench.Profile, conf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var comp streamcomp.Compressor
+	if err := comp.UnmarshalBinary(out.Meta.Tables); err != nil {
+		tb.Fatal(err)
+	}
+	seqs := make([][]isa.Inst, len(out.Meta.OffsetTable))
+	for i, off := range out.Meta.OffsetTable {
+		if _, err := comp.Decompress(out.Meta.Blob, int(off), func(in isa.Inst) error {
+			seqs[i] = append(seqs[i], in)
+			return nil
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return seqs, out.Meta.Blob
+}
+
+// BenchmarkTrainEncode is the squash pipeline's coder.train and
+// region.encode stages on pgp's regions: both passes of the paper's
+// two-pass split-stream coder, serial as in the squash benchmark.
+func BenchmarkTrainEncode(b *testing.B) {
+	seqs, want := pgpRegions(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := streamcomp.Train(seqs, streamcomp.Options{Workers: 1})
+		blob, _, err := c.CompressAll(seqs, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 && !bytes.Equal(blob, want) {
+			b.Fatal("re-encoded regions differ from the squashed image's blob")
+		}
+	}
+}

@@ -61,9 +61,12 @@ func Run(p *cfg.Program, shouldUnswitch func(*cfg.Block) bool) (*Stats, error) {
 			reclaim = append(reclaim, m.tableSym)
 		}
 	}
-	for _, sym := range reclaim {
-		if n, err := reclaimTable(p, sym); err == nil {
-			st.TableBytesReclaimed += n
+	if len(reclaim) > 0 {
+		live := referencedSymbols(p, reclaim)
+		for _, sym := range reclaim {
+			if n, err := reclaimTable(p, sym, live); err == nil {
+				st.TableBytesReclaimed += n
+			}
 		}
 	}
 	if err := p.Validate(); err != nil {
@@ -185,18 +188,37 @@ func recount(b *cfg.Block, freq uint64) {
 	b.Weight = freq * uint64(len(b.Insts))
 }
 
-// reclaimTable removes the jump table at symbol sym from the data section
-// when nothing else references it. It returns the number of bytes freed.
-func reclaimTable(p *cfg.Program, sym string) (int, error) {
-	// Any surviving la of the symbol blocks reclamation.
+// referencedSymbols reports which of syms an instruction still references.
+// One scan serves every reclaimTable call of a Run: reclamation edits only
+// the data section, so the set cannot change between calls.
+func referencedSymbols(p *cfg.Program, syms []string) map[string]bool {
+	live := make(map[string]bool, len(syms))
+	for _, sym := range syms {
+		live[sym] = false
+	}
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
-			for _, in := range b.Insts {
-				if in.Kind != cfg.TargetNone && in.Target == sym {
-					return 0, fmt.Errorf("unswitch: table %s still referenced", sym)
+			for i := range b.Insts {
+				in := &b.Insts[i]
+				if in.Kind == cfg.TargetNone {
+					continue
+				}
+				if _, ok := live[in.Target]; ok {
+					live[in.Target] = true
 				}
 			}
 		}
+	}
+	return live
+}
+
+// reclaimTable removes the jump table at symbol sym from the data section
+// when no instruction references it (live, from referencedSymbols). It
+// returns the number of bytes freed.
+func reclaimTable(p *cfg.Program, sym string, live map[string]bool) (int, error) {
+	// Any surviving la of the symbol blocks reclamation.
+	if live[sym] {
+		return 0, fmt.Errorf("unswitch: table %s still referenced", sym)
 	}
 	var start uint32
 	found := false

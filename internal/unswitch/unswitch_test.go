@@ -224,3 +224,61 @@ table:  .word only
 		t.Fatalf("output = %q", got)
 	}
 }
+
+// sharedTableSrc dispatches through one table from two blocks.
+const sharedTableSrc = `
+        .text
+        .func main
+loop:   sys  getc
+        blt  v0, done
+        sub  v0, 48, t0
+        cmpult t0, 2, t1
+        beq  t1, second
+disp1:  sll  t0, 2, t1
+        la   t2, table
+        add  t2, t1, t2
+        ldw  t3, 0(t2)
+        jmp  (t3)
+second: sub  v0, 50, t0
+        cmpult t0, 2, t1
+        beq  t1, bad
+disp2:  sll  t0, 2, t1
+        la   t2, table
+        add  t2, t1, t2
+        ldw  t3, 0(t2)
+        jmp  (t3)
+case0:  li   a0, 97
+        br   out
+case1:  li   a0, 98
+        br   out
+bad:    li   a0, 63
+out:    sys  putc
+        br   loop
+done:   clr  a0
+        sys  halt
+        .data
+table:  .word case0, case1
+after:  .word 222
+`
+
+// TestSharedTableKept: a table still used by a dispatch the predicate
+// rejected survives the unswitching of the other one.
+func TestSharedTableKept(t *testing.T) {
+	const input = "0123x"
+	p := build(t, sharedTableSrc)
+	want := runSrcProgram(t, p, input)
+	dataLen := len(p.Data)
+	st, err := Run(p, func(b *cfg.Block) bool { return b.Label == "disp1" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Unswitched != 1 || st.Skipped != 1 || st.TableBytesReclaimed != 0 {
+		t.Fatalf("stats = %+v, want one unswitched, one skipped, nothing reclaimed", st)
+	}
+	if len(p.Data) != dataLen {
+		t.Fatalf("data shrank from %d to %d bytes", dataLen, len(p.Data))
+	}
+	if got := runSrcProgram(t, p, input); got != want {
+		t.Fatalf("output %q after unswitching, want %q", got, want)
+	}
+}

@@ -6,7 +6,8 @@
 # before pooling (BenchmarkBitIOAlloc/{pooled,fresh}, BenchmarkRegionEncode-
 # Alloc, BenchmarkLZTokenDecodeAlloc, BenchmarkRequestScratch), plus
 # BenchmarkFrameCodecAlloc — the wire codec, which has no unpooled
-# variant and is gated on its allocs/op ceiling alone. This script runs
+# variant and is gated on its allocs/op ceiling alone — and BenchmarkBuild,
+# the CFG lift, likewise ceiling-only. This script runs
 # them all with -benchmem; CI pipes the output into
 #
 #   go run ./cmd/benchhist -allocs alloc.txt
@@ -26,6 +27,6 @@ COUNT="${COUNT:-3}"
 BENCHTIME="${BENCHTIME:-200x}"
 
 go test -run '^$' \
-  -bench 'BenchmarkBitIOAlloc|BenchmarkRegionEncodeAlloc|BenchmarkLZTokenDecodeAlloc|BenchmarkRequestScratch|BenchmarkFrameCodecAlloc' \
+  -bench 'BenchmarkBitIOAlloc|BenchmarkRegionEncodeAlloc|BenchmarkLZTokenDecodeAlloc|BenchmarkRequestScratch|BenchmarkFrameCodecAlloc|BenchmarkBuild$' \
   -benchtime "$BENCHTIME" -count "$COUNT" -benchmem \
-  ./internal/huffman/ ./internal/streamcomp/ ./internal/lzcomp/ ./internal/serve/
+  ./internal/huffman/ ./internal/streamcomp/ ./internal/lzcomp/ ./internal/serve/ ./internal/cfg/
