@@ -110,8 +110,8 @@ func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 // ForEachChunk splits [0, n) into contiguous chunks of at least minChunk
 // items and runs fn(lo, hi) over them in parallel. It is the right shape for
 // tight loops over flat arrays (instruction decode, byte scans) where
-// per-index dispatch would dominate. With n <= minChunk the single chunk
-// runs inline.
+// per-index dispatch would dominate. Every chunk is non-empty. With
+// n <= minChunk the single chunk runs inline.
 func ForEachChunk(n, workers, minChunk int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -128,6 +128,10 @@ func ForEachChunk(n, workers, minChunk int, fn func(lo, hi int) error) error {
 		return fn(0, n)
 	}
 	size := (n + chunks - 1) / chunks
+	// Rounding size up can leave fewer non-empty chunks than asked for
+	// (n=5 in 4 chunks is 2+2+1), so count them again: every chunk then has
+	// lo < hi <= n.
+	chunks = (n + size - 1) / size
 	return ForEach(chunks, chunks, func(c int) error {
 		lo := c * size
 		hi := lo + size

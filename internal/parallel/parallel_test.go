@@ -114,6 +114,33 @@ func TestMapError(t *testing.T) {
 	}
 }
 
+// TestForEachChunkNeverEmpty checks every chunk bound over small n and
+// worker counts, where rounding the chunk size up used to leave a last
+// chunk with lo > hi (n=5 at 4 workers gave [6,5)).
+func TestForEachChunkNeverEmpty(t *testing.T) {
+	for n := 1; n <= 64; n++ {
+		for workers := 1; workers <= 16; workers++ {
+			covered := make([]atomic.Int32, n)
+			if err := ForEachChunk(n, workers, 1, func(lo, hi int) error {
+				if lo < 0 || lo >= hi || hi > n {
+					return fmt.Errorf("bad chunk [%d,%d)", lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					covered[i].Add(1)
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			for i := range covered {
+				if c := covered[i].Load(); c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d covered %d times", n, workers, i, c)
+				}
+			}
+		}
+	}
+}
+
 func TestForEachChunkCoversRange(t *testing.T) {
 	for _, tc := range []struct{ n, workers, minChunk int }{
 		{0, 4, 10}, {1, 4, 10}, {9, 4, 10}, {100, 4, 10}, {101, 3, 7}, {5000, 0, 64},
