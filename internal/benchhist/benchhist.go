@@ -40,11 +40,15 @@ type Pair struct {
 // loose (roughly half or less).
 func DefaultPairs() []Pair {
 	return []Pair{
-		// Predecoded µop dispatch vs decode-every-step (~2.2x measured).
+		// Predecoded µop dispatch vs decode-every-step, one Step call per
+		// instruction (1.5-2.5x measured).
 		{Name: "vm-step", Fast: "BenchmarkVMStep/fast", Slow: "BenchmarkVMStep/slow", Min: 1.3},
+		// Run to halt: block dispatch vs one reference step per
+		// instruction (~2.8x measured, 2.6-3.5x).
+		{Name: "vm-run", Fast: "BenchmarkVMRun/fast", Slow: "BenchmarkVMRun/slow", Min: 1.6},
 		// Table-driven canonical Huffman vs the paper's DECODE() loop (~4.6x).
 		{Name: "huffman-decode", Fast: "BenchmarkHuffmanDecode/table", Slow: "BenchmarkHuffmanDecode/tree", Min: 2.0},
-		// Memoized region fill vs fresh split-stream decode (~27x).
+		// Memoized region fill vs fresh split-stream decode (~40x).
 		{Name: "region-decompress", Fast: "BenchmarkRegionDecompress/memo", Slow: "BenchmarkRegionDecompress/decode", Min: 8.0},
 		// Interp-in-place region visit: decoded-instruction memo vs
 		// re-decoding the region per entry (~65x).

@@ -213,7 +213,7 @@ func TestDefaultPairsCoverFastPaths(t *testing.T) {
 		}
 		names[p.Name] = true
 	}
-	for _, want := range []string{"vm-step", "huffman-decode", "region-decompress", "interp-region-exec", "lz-decode-adpcm", "lz-decode-dictheavy"} {
+	for _, want := range []string{"vm-step", "vm-run", "huffman-decode", "region-decompress", "interp-region-exec", "lz-decode-adpcm", "lz-decode-dictheavy"} {
 		if !names[want] {
 			t.Errorf("pair %s missing", want)
 		}

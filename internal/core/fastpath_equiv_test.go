@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -33,11 +34,24 @@ func runSquashedMode(t *testing.T, out *Output, input []byte, fast bool) (*vm.Ma
 
 // assertModesIdentical compares every simulated observable between a
 // fast-path run and a reference run: output bytes, exit status, instruction
-// and cycle counts, the SP trace, and the full RuntimeStats struct. This is
-// the invariant the whole PR hangs on — the fast paths are pure
-// implementation speedups with zero simulated-behaviour drift.
+// and cycle counts, PC, registers, all of memory, the SP trace, and the full
+// RuntimeStats struct. The fast paths are pure implementation speedups with
+// zero simulated-behaviour drift.
 func assertModesIdentical(t *testing.T, label string, fastM, slowM *vm.Machine, fastRT, slowRT *Runtime) {
 	t.Helper()
+	if fastM.PC != slowM.PC {
+		t.Fatalf("%s: PC %#x (fast) vs %#x (slow)", label, fastM.PC, slowM.PC)
+	}
+	if fastM.Reg != slowM.Reg {
+		t.Fatalf("%s: registers differ:\n  fast %v\n  slow %v", label, fastM.Reg, slowM.Reg)
+	}
+	if !bytes.Equal(fastM.Mem, slowM.Mem) {
+		i := 0
+		for i < len(fastM.Mem) && i < len(slowM.Mem) && fastM.Mem[i] == slowM.Mem[i] {
+			i++
+		}
+		t.Fatalf("%s: memory differs from %#x", label, i)
+	}
 	if string(fastM.Output) != string(slowM.Output) {
 		t.Fatalf("%s: output differs:\n  fast %q\n  slow %q", label, fastM.Output, slowM.Output)
 	}
@@ -80,6 +94,34 @@ func TestSquashFastPathEquivalence(t *testing.T) {
 		assertModesIdentical(t, fmt.Sprintf("K=%d", k), fastM, slowM, fastRT, slowRT)
 		if fastRT.Stats.Decompressions < 2 {
 			t.Fatalf("K=%d: only %d decompressions; memoization untested", k, fastRT.Stats.Decompressions)
+		}
+	}
+}
+
+// TestSquashFastPathTriggerReplay feeds the test program an input made only
+// of trigger bytes (digits, which take the cold selector), so the same few
+// regions are replayed from the memo hundreds of times through
+// vm.WritePredecoded, and compares the run with the reference, which refills
+// the buffer through WriteWord after a fresh decode every time.
+func TestSquashFastPathTriggerReplay(t *testing.T) {
+	obj, _, counts := prepare(t, testProgram, profInput)
+	input := bytes.Repeat([]byte("0123456789"), 40)
+	for _, k := range []int{64, 256} {
+		conf := DefaultConfig()
+		conf.Regions.K = k
+		out, err := Squash(obj, counts, conf)
+		if err != nil {
+			t.Fatalf("K=%d: Squash: %v", k, err)
+		}
+		fastM, fastRT := runSquashedMode(t, out, input, true)
+		slowM, slowRT := runSquashedMode(t, out, input, false)
+		assertModesIdentical(t, fmt.Sprintf("trigger K=%d", k), fastM, slowM, fastRT, slowRT)
+		if fastRT.Telem.MemoHits < 300 {
+			t.Fatalf("K=%d: %d memo replays; want the replay path exercised", k, fastRT.Telem.MemoHits)
+		}
+		if fastM.Telem.InvalidatedWords >= slowM.Telem.InvalidatedWords {
+			t.Fatalf("K=%d: %d invalidated words with predecoded replays, %d without",
+				k, fastM.Telem.InvalidatedWords, slowM.Telem.InvalidatedWords)
 		}
 	}
 }

@@ -34,7 +34,8 @@ type Runtime struct {
 	// decompressed, so replays skip the Huffman decode and field reassembly
 	// entirely. The simulated cost is unchanged: the recorded bit count and
 	// instruction count feed the same cycle charges and RuntimeStats as a
-	// real decode, and the buffer is refilled through WriteWord either way.
+	// real decode, and a replay stores the same words, through
+	// vm.WritePredecoded instead of WriteWord.
 	memo       []*regionImage
 	noFastPath bool
 
@@ -58,10 +59,11 @@ type Runtime struct {
 
 // regionImage is one region's memoized decompression: the buffer words it
 // emits (indices 1..len; word 0 is the per-tag dispatch branch, written
-// fresh on every entry) and the compressed bits its decode consumed.
+// fresh on every entry) with their predecoded µops, and the compressed bits
+// its decode consumed.
 type regionImage struct {
-	words []uint32
-	bits  int
+	code *vm.Predecoded
+	bits int
 }
 
 type stubSlot struct {
@@ -308,14 +310,13 @@ func (rt *Runtime) decompressAndJump(m *vm.Machine, tag uint32) error {
 	if img := rt.memo[region]; img != nil && !rt.noFastPath {
 		rt.Telem.MemoHits++
 		// Replay the memoized emission. The words are offset-independent
-		// (only the dispatch word above depends on the tag), and WriteWord
-		// keeps the simulator's decode-cache invalidation exact.
-		for _, w := range img.words {
-			if err := m.WriteWord(base+uint32(pos*isa.WordSize), w); err != nil {
-				return err
-			}
-			pos++
+		// (only the dispatch word above depends on the tag), and
+		// WritePredecoded installs their µops with them, so the simulator
+		// neither invalidates nor re-predecodes the buffer.
+		if err := m.WritePredecoded(base+isa.WordSize, img.code); err != nil {
+			return err
 		}
+		pos += img.code.Len()
 		bits = img.bits
 	} else {
 		decompWord := int32(rt.meta.DecompAddr) / isa.WordSize
@@ -360,15 +361,15 @@ func (rt *Runtime) decompressAndJump(m *vm.Machine, tag uint32) error {
 		if !rt.noFastPath {
 			// Record the emission for replay: read the words back out of the
 			// buffer so the memo holds exactly what a decode produces.
-			img := &regionImage{words: make([]uint32, pos-1), bits: bits}
-			for i := range img.words {
+			words := make([]uint32, pos-1)
+			for i := range words {
 				w, err := m.ReadWord(base + uint32((i+1)*isa.WordSize))
 				if err != nil {
 					return err
 				}
-				img.words[i] = w
+				words[i] = w
 			}
-			rt.memo[region] = img
+			rt.memo[region] = &regionImage{code: vm.Predecode(words), bits: bits}
 			rt.Telem.MemoFills++
 		}
 	}

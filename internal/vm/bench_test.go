@@ -65,3 +65,63 @@ func BenchmarkVMStep(b *testing.B) {
 		})
 	}
 }
+
+// runBenchProgram is stepBenchProgram's loop bounded to 4096 passes, then a
+// halt, so each Run executes the same 40,963 instructions.
+const runBenchProgram = `
+        .text
+        .func main
+        li   t0, 0
+        li   t5, 4096
+        la   t1, buf
+loop:   add  t0, 1, t0
+        and  t0, 63, t2
+        stw  t2, 0(t1)
+        ldw  t3, 0(t1)
+        add  t3, t2, t3
+        cmpult t2, 32, t4
+        beq  t4, skip
+        add  t3, 1, t3
+skip:   cmplt t0, t5, t4
+        bne  t4, loop
+        sys  halt
+
+        .data
+buf:    .word 0
+`
+
+// BenchmarkVMRun measures Run from entry to halt, the path every program
+// execution takes. Unlike BenchmarkVMStep it sees the block dispatch loop:
+// fast runs whole blocks per dispatch call, slow (DisableFastPath) takes one
+// reference step per instruction. Each iteration resets the machine to its
+// entry state; ns/inst is reported alongside ns/op.
+func BenchmarkVMRun(b *testing.B) {
+	obj, err := asm.Assemble(runBenchProgram)
+	if err != nil {
+		b.Fatal(err)
+	}
+	im, err := objfile.Link("main", obj)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name    string
+		disable bool
+	}{{"fast", false}, {"slow", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			m := New(im, nil)
+			m.DisableFastPath = mode.disable
+			pc0, reg0 := m.PC, m.Reg
+			var insts uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.PC, m.Reg, m.Halted, m.Instructions = pc0, reg0, false, 0
+				if err := m.Run(); err != nil {
+					b.Fatal(err)
+				}
+				insts += m.Instructions
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+		})
+	}
+}

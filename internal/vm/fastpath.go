@@ -1,13 +1,14 @@
 package vm
 
-// Predecoded fast path. Step's hot loop used to re-derive operand fields and
-// re-dispatch on (Format, Op, Func) for every dynamic instruction. The decode
-// cache now stores a flat µop per text word — an operation kind plus resolved
-// register numbers and a pre-folded immediate — so executing a cached
-// instruction is one dense switch on the kind. Predecode happens at most once
-// per cache fill; the existing invalidation points (WriteWord, STB,
-// InvalidateRange) drop the µop together with the decoded instruction, so
-// self-modifying code and the decompressor's buffer writes are re-predecoded.
+// Predecoded fast path. The decode cache stores a flat µop per text word —
+// an operation kind plus resolved register numbers and a pre-folded
+// immediate — so executing a cached instruction is one dense switch on the
+// kind, and dispatch runs whole blocks of them in one loop (see dispatch).
+// Predecode happens at most once per cache fill; the invalidation points
+// (WriteWord, STB, InvalidateRange) drop the µop together with the decoded
+// instruction, so self-modifying code is re-predecoded, while
+// WritePredecoded installs words together with µops built ahead of time
+// (the decompressor's memoized buffer refills).
 //
 // The µop encoding folds the OpLit/OpReg distinction away: a literal operand
 // is represented as rb = RegZero (hardwired zero) plus the literal in imm, so
@@ -23,6 +24,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/objfile"
@@ -197,280 +199,378 @@ func predecode(c *cachedInst, in isa.Inst) {
 	}
 }
 
-// Step executes a single instruction (or a hook entry). Aligned fetches
-// inside the text segment take the predecoded fast path: one dense switch
-// over the cached µop, inlined here so the hot loop pays a single stack
-// frame. Everything else — unaligned PCs, execution outside text, uSlow
-// µops, or DisableFastPath — goes through the reference path (stepSlow /
-// ExecInst), with identical simulated behaviour: same register, memory,
-// cycle, and trap effects.
+// Predecoded is a run of instruction words together with their µop forms,
+// built once by Predecode and stored any number of times by
+// WritePredecoded. The decompression runtime keeps one per memoized region,
+// so a buffer refill copies words and µops instead of invalidating every
+// word and predecoding it again when it runs.
+type Predecoded struct {
+	bytes []byte // the words, little-endian, as they sit in memory
+	ops   []cachedInst
+}
+
+// Predecode builds the Predecoded form of words.
+func Predecode(words []uint32) *Predecoded {
+	p := &Predecoded{bytes: make([]byte, len(words)*isa.WordSize), ops: make([]cachedInst, len(words))}
+	for k, w := range words {
+		putWord(p.bytes, uint32(k*isa.WordSize), w)
+		predecode(&p.ops[k], isa.Decode(w))
+	}
+	return p
+}
+
+// Len reports the number of words in p.
+func (p *Predecoded) Len() int { return len(p.ops) }
+
+// WritePredecoded stores p's words at addr, addr+4, ... and installs their
+// µops in the decode cache in one pass. Memory, traps and every simulated
+// counter end up exactly as after a WriteWord of each word in order: an
+// unaligned addr traps before anything is written, and a run past the end
+// of memory writes the words that fit and traps at the first that does not.
+// Only the host telemetry differs: no entry is invalidated, and none is
+// predecoded again when it runs.
+func (m *Machine) WritePredecoded(addr uint32, p *Predecoded) error {
+	n := len(p.ops)
+	fit := 0
+	if addr%isa.WordSize == 0 && addr < uint32(len(m.Mem)) {
+		fit = min(n, (len(m.Mem)-int(addr))/isa.WordSize)
+	}
+	if fit > 0 {
+		copy(m.Mem[addr:], p.bytes[:fit*isa.WordSize])
+		// Copy the µops of the words that land in text.
+		first := (int(addr) - int(objfile.TextBase)) / isa.WordSize
+		lo, hi := max(0, -first), min(fit, len(m.icache)-first)
+		if lo < hi {
+			copy(m.icache[first+lo:first+hi], p.ops[lo:hi])
+		}
+	}
+	if fit < n {
+		// The reference trap: WriteWord faults on this word before storing it.
+		return m.WriteWord(addr+uint32(fit*isa.WordSize), getWord(p.bytes, uint32(fit*isa.WordSize)))
+	}
+	return nil
+}
+
+// Step executes a single instruction (or a hook entry): it is the block
+// dispatch loop below with a budget of one instruction.
 func (m *Machine) Step() error {
+	return m.dispatch(m.Instructions + 1)
+}
+
+// dispatch executes from m.PC until the instruction count reaches limit,
+// the machine halts or traps, or control reaches a PC the block loop does
+// not handle. A PC in the hook's range enters the hook; an unaligned PC, one
+// outside text, or DisableFastPath takes one reference step (stepSlow).
+// Any other PC starts the block loop, which keeps pc and the decode cache in
+// locals, charges profiling and the icache model, and executes cached µops
+// through one dense switch. It writes m.PC back only before something can
+// observe it: a trap, ExecInst for a uSlow µop, a system call, and its own
+// exit. It exits once limit is reached or the next PC is in the hook's
+// range, outside text or unaligned, so the caller's next dispatch takes the
+// matching path above. The µop kind is re-read for every instruction, so a
+// store into the running block is re-predecoded exactly as on the reference
+// path. Simulated state — registers, memory, cycles, instruction counts,
+// profiles, traps — is identical to stepping through stepSlow one
+// instruction at a time.
+func (m *Machine) dispatch(limit uint64) error {
 	pc := m.PC
+	var hookLo, hookSpan uint32
 	if h := m.Hook; h != nil {
 		if h != m.hookSrc {
-			m.hookLo, m.hookHi = h.Range()
-			m.hookSrc = h
+			lo, hi := h.Range()
+			m.hookLo, m.hookSpan, m.hookSrc = lo, 0, h
+			if hi > lo {
+				m.hookSpan = hi - lo
+			}
 		}
-		if pc >= m.hookLo && pc < m.hookHi {
+		hookLo, hookSpan = m.hookLo, m.hookSpan
+		if pc-hookLo < hookSpan {
 			return h.Enter(m)
 		}
 	}
 	ic := m.icache
-	i := uint(uint32(pc-objfile.TextBase) >> 2)
-	if pc&3 != 0 || i >= uint(len(ic)) || m.DisableFastPath {
+	i := textIndex(pc)
+	if i >= uint(len(ic)) || m.DisableFastPath {
 		return m.stepSlow(pc)
 	}
-	c := &ic[i]
-	if c.kind == uInvalid {
-		predecode(c, isa.Decode(getWord(m.Mem, pc)))
-		m.Telem.Predecodes++
-	}
-	if m.ICache != nil || m.Profile != nil {
-		if m.ICache != nil {
-			m.Cycles += m.ICache.access(pc)
+	prof, ick := m.Profile, m.ICache
+	counted := prof != nil || ick != nil
+	budget := limit - m.Instructions // >= 1: Run checks the limit first, Step passes Instructions+1
+	for {
+		c := &ic[i]
+		if c.kind == uInvalid {
+			predecode(c, isa.Decode(getWord(m.Mem, pc)))
+			m.Telem.Predecodes++
 		}
-		if m.Profile != nil && i < uint(len(m.Profile)) {
-			m.Profile[i]++
+		if counted {
+			if ick != nil {
+				m.Cycles += ick.access(pc)
+			}
+			if i < uint(len(prof)) {
+				prof[i]++
+			}
 		}
-	}
-	m.Instructions++
-	next := pc + isa.WordSize
-	// Masking the (already in-range) register numbers lets the compiler
-	// drop the bounds check on every Reg access below.
-	ra, rb, rc := c.ra&31, c.rb&31, c.rc&31
-	switch c.kind {
-	case uSlow:
-		m.Telem.SlowDispatches++
-		nx, err := m.exec(&c.inst, pc)
-		if err != nil {
-			return err
-		}
-		m.PC = nx
-		return nil
-	case uSys:
-		redirected, err := m.syscall(uint32(c.imm))
-		if err != nil {
-			return err
-		}
-		m.Cycles += CostSyscall
-		if m.Halted || redirected {
-			return nil // m.PC is already final
-		}
+		m.Instructions++
+		next := pc + isa.WordSize
+		// Masking the (already in-range) register numbers lets the compiler
+		// drop the bounds check on every Reg access below.
+		ra, rb, rc := c.ra&31, c.rb&31, c.rc&31
+		switch c.kind {
+		case uSlow:
+			m.Telem.SlowDispatches++
+			m.PC = pc
+			nx, err := m.exec(&c.inst, pc)
+			if err != nil {
+				return err
+			}
+			next = nx
+		case uSys:
+			m.PC = pc
+			redirected, err := m.syscall(uint32(c.imm))
+			if err != nil {
+				return err
+			}
+			m.Cycles += CostSyscall
+			if m.Halted {
+				return nil // m.PC stays at the halt
+			}
+			if redirected {
+				next = m.PC
+			}
 
-	case uLDA:
-		if ra != regZero {
-			m.Reg[ra] = m.Reg[rb] + c.imm
-		}
-		m.Cycles += CostOp
-	case uLDW:
-		addr := uint32(m.Reg[rb] + c.imm)
-		if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
-			_, err := m.ReadWord(addr) // reference trap message
-			return err
-		}
-		if ra != regZero {
-			m.Reg[ra] = int32(getWord(m.Mem, addr))
-		}
-		m.Cycles += CostMem
-	case uSTW:
-		addr := uint32(m.Reg[rb] + c.imm)
-		if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
-			return m.WriteWord(addr, uint32(m.Reg[ra]))
-		}
-		putWord(m.Mem, addr, uint32(m.Reg[ra]))
-		if idx := int(addr-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
-			m.icache[idx].kind = uInvalid
-			m.Telem.InvalidatedWords++
-		}
-		m.Cycles += CostMem
-	case uLDB:
-		addr := uint32(m.Reg[rb] + c.imm)
-		if addr >= uint32(len(m.Mem)) {
-			return &TrapError{pc, fmt.Sprintf("byte read out of bounds at %#x", addr)}
-		}
-		if ra != regZero {
-			m.Reg[ra] = int32(m.Mem[addr])
-		}
-		m.Cycles += CostMem
-	case uSTB:
-		addr := uint32(m.Reg[rb] + c.imm)
-		if addr >= uint32(len(m.Mem)) {
-			return &TrapError{pc, fmt.Sprintf("byte write out of bounds at %#x", addr)}
-		}
-		m.Mem[addr] = byte(m.Reg[ra])
-		if idx := int(addr&^3-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
-			m.icache[idx].kind = uInvalid
-			m.Telem.InvalidatedWords++
-		}
-		m.Cycles += CostMem
+		case uLDA:
+			if ra != regZero {
+				m.Reg[ra] = m.Reg[rb] + c.imm
+			}
+			m.Cycles += CostOp
+		case uLDW:
+			addr := uint32(m.Reg[rb] + c.imm)
+			if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
+				m.PC = pc
+				_, err := m.ReadWord(addr) // reference trap message
+				return err
+			}
+			if ra != regZero {
+				m.Reg[ra] = int32(getWord(m.Mem, addr))
+			}
+			m.Cycles += CostMem
+		case uSTW:
+			addr := uint32(m.Reg[rb] + c.imm)
+			if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
+				m.PC = pc
+				return m.WriteWord(addr, uint32(m.Reg[ra]))
+			}
+			putWord(m.Mem, addr, uint32(m.Reg[ra]))
+			if idx := int(addr-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(ic) {
+				ic[idx].kind = uInvalid
+				m.Telem.InvalidatedWords++
+			}
+			m.Cycles += CostMem
+		case uLDB:
+			addr := uint32(m.Reg[rb] + c.imm)
+			if addr >= uint32(len(m.Mem)) {
+				m.PC = pc
+				return &TrapError{pc, fmt.Sprintf("byte read out of bounds at %#x", addr)}
+			}
+			if ra != regZero {
+				m.Reg[ra] = int32(m.Mem[addr])
+			}
+			m.Cycles += CostMem
+		case uSTB:
+			addr := uint32(m.Reg[rb] + c.imm)
+			if addr >= uint32(len(m.Mem)) {
+				m.PC = pc
+				return &TrapError{pc, fmt.Sprintf("byte write out of bounds at %#x", addr)}
+			}
+			m.Mem[addr] = byte(m.Reg[ra])
+			if idx := int(addr&^3-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(ic) {
+				ic[idx].kind = uInvalid
+				m.Telem.InvalidatedWords++
+			}
+			m.Cycles += CostMem
 
-	case uBR:
-		if ra != regZero {
-			m.Reg[ra] = int32(next)
-		}
-		next += uint32(c.imm)
-		m.Cycles += CostBranchTaken
-	case uBEQ:
-		if m.Reg[ra] == 0 {
+		case uBR:
+			if ra != regZero {
+				m.Reg[ra] = int32(next)
+			}
 			next += uint32(c.imm)
 			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBNE:
-		if m.Reg[ra] != 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBLT:
-		if m.Reg[ra] < 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBLE:
-		if m.Reg[ra] <= 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBGT:
-		if m.Reg[ra] > 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uBGE:
-		if m.Reg[ra] >= 0 {
-			next += uint32(c.imm)
-			m.Cycles += CostBranchTaken
-		} else {
-			m.Cycles += CostBranchNotTaken
-		}
-	case uJump:
-		target := uint32(m.Reg[rb]) &^ 3
-		if ra != regZero {
-			m.Reg[ra] = int32(next)
-		}
-		next = target
-		m.Cycles += CostJump
+		case uBEQ:
+			if m.Reg[ra] == 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBNE:
+			if m.Reg[ra] != 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBLT:
+			if m.Reg[ra] < 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBLE:
+			if m.Reg[ra] <= 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBGT:
+			if m.Reg[ra] > 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uBGE:
+			if m.Reg[ra] >= 0 {
+				next += uint32(c.imm)
+				m.Cycles += CostBranchTaken
+			} else {
+				m.Cycles += CostBranchNotTaken
+			}
+		case uJump:
+			target := uint32(m.Reg[rb]) &^ 3
+			if ra != regZero {
+				m.Reg[ra] = int32(next)
+			}
+			next = target
+			m.Cycles += CostJump
 
-	case uAdd:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] + m.Reg[rb] + c.imm
+		case uAdd:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] + m.Reg[rb] + c.imm
+			}
+			m.Cycles += CostOp
+		case uSub:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] - (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uCmpEQ:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(m.Reg[ra] == m.Reg[rb]+c.imm)
+			}
+			m.Cycles += CostOp
+		case uCmpLT:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(m.Reg[ra] < m.Reg[rb]+c.imm)
+			}
+			m.Cycles += CostOp
+		case uCmpLE:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(m.Reg[ra] <= m.Reg[rb]+c.imm)
+			}
+			m.Cycles += CostOp
+		case uCmpULT:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(uint32(m.Reg[ra]) < uint32(m.Reg[rb]+c.imm))
+			}
+			m.Cycles += CostOp
+		case uCmpULE:
+			if rc != regZero {
+				m.Reg[rc] = boolReg(uint32(m.Reg[ra]) <= uint32(m.Reg[rb]+c.imm))
+			}
+			m.Cycles += CostOp
+		case uAnd:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] & (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uBic:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] &^ (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uBis:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] | (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uOrnot:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] | ^(m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uXor:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] ^ (m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uEqv:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] ^ ^(m.Reg[rb] + c.imm)
+			}
+			m.Cycles += CostOp
+		case uSll:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] << (uint32(m.Reg[rb]+c.imm) & 31)
+			}
+			m.Cycles += CostOp
+		case uSrl:
+			if rc != regZero {
+				m.Reg[rc] = int32(uint32(m.Reg[ra]) >> (uint32(m.Reg[rb]+c.imm) & 31))
+			}
+			m.Cycles += CostOp
+		case uSra:
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] >> (uint32(m.Reg[rb]+c.imm) & 31)
+			}
+			m.Cycles += CostOp
+		case uMul:
+			if rc != regZero {
+				m.Reg[rc] = int32(int64(m.Reg[ra]) * int64(m.Reg[rb]+c.imm))
+			}
+			m.Cycles += CostOp
+		case uMulh:
+			if rc != regZero {
+				m.Reg[rc] = int32(int64(m.Reg[ra]) * int64(m.Reg[rb]+c.imm) >> 32)
+			}
+			m.Cycles += CostOp
+		case uDiv:
+			b := m.Reg[rb] + c.imm
+			if b == 0 {
+				m.PC = pc
+				return &TrapError{pc, "integer division by zero"}
+			}
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] / b
+			}
+			m.Cycles += CostOp
+		case uMod:
+			b := m.Reg[rb] + c.imm
+			if b == 0 {
+				m.PC = pc
+				return &TrapError{pc, "integer remainder by zero"}
+			}
+			if rc != regZero {
+				m.Reg[rc] = m.Reg[ra] % b
+			}
+			m.Cycles += CostOp
 		}
-		m.Cycles += CostOp
-	case uSub:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] - (m.Reg[rb] + c.imm)
+		pc = next
+		i = textIndex(pc)
+		budget--
+		if budget == 0 || i >= uint(len(ic)) || pc-hookLo < hookSpan {
+			m.PC = pc
+			return nil
 		}
-		m.Cycles += CostOp
-	case uCmpEQ:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(m.Reg[ra] == m.Reg[rb]+c.imm)
-		}
-		m.Cycles += CostOp
-	case uCmpLT:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(m.Reg[ra] < m.Reg[rb]+c.imm)
-		}
-		m.Cycles += CostOp
-	case uCmpLE:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(m.Reg[ra] <= m.Reg[rb]+c.imm)
-		}
-		m.Cycles += CostOp
-	case uCmpULT:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(uint32(m.Reg[ra]) < uint32(m.Reg[rb]+c.imm))
-		}
-		m.Cycles += CostOp
-	case uCmpULE:
-		if rc != regZero {
-			m.Reg[rc] = boolReg(uint32(m.Reg[ra]) <= uint32(m.Reg[rb]+c.imm))
-		}
-		m.Cycles += CostOp
-	case uAnd:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] & (m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uBic:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] &^ (m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uBis:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] | (m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uOrnot:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] | ^(m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uXor:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] ^ (m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uEqv:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] ^ ^(m.Reg[rb] + c.imm)
-		}
-		m.Cycles += CostOp
-	case uSll:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] << (uint32(m.Reg[rb]+c.imm) & 31)
-		}
-		m.Cycles += CostOp
-	case uSrl:
-		if rc != regZero {
-			m.Reg[rc] = int32(uint32(m.Reg[ra]) >> (uint32(m.Reg[rb]+c.imm) & 31))
-		}
-		m.Cycles += CostOp
-	case uSra:
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] >> (uint32(m.Reg[rb]+c.imm) & 31)
-		}
-		m.Cycles += CostOp
-	case uMul:
-		if rc != regZero {
-			m.Reg[rc] = int32(int64(m.Reg[ra]) * int64(m.Reg[rb]+c.imm))
-		}
-		m.Cycles += CostOp
-	case uMulh:
-		if rc != regZero {
-			m.Reg[rc] = int32(int64(m.Reg[ra]) * int64(m.Reg[rb]+c.imm) >> 32)
-		}
-		m.Cycles += CostOp
-	case uDiv:
-		b := m.Reg[rb] + c.imm
-		if b == 0 {
-			return &TrapError{pc, "integer division by zero"}
-		}
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] / b
-		}
-		m.Cycles += CostOp
-	case uMod:
-		b := m.Reg[rb] + c.imm
-		if b == 0 {
-			return &TrapError{pc, "integer remainder by zero"}
-		}
-		if rc != regZero {
-			m.Reg[rc] = m.Reg[ra] % b
-		}
-		m.Cycles += CostOp
 	}
-	m.PC = next
-	return nil
+}
+
+// textIndex maps pc to its decode-cache index. The rotate moves the two
+// alignment bits to the top, so an unaligned pc, like one below TextBase,
+// yields an index past any text extent and one bounds check covers both.
+func textIndex(pc uint32) uint {
+	return uint(bits.RotateLeft32(pc-objfile.TextBase, -2))
 }
 
 func boolReg(cond bool) int32 {

@@ -1,7 +1,5 @@
 package vm
 
-import "repro/internal/isa"
-
 // ICache is an optional direct-mapped instruction-cache model. The paper's
 // test machine has a 64 KB two-way instruction cache, and the decompression
 // scheme interacts with instruction caching twice: the decompressor must
@@ -56,7 +54,10 @@ func (c *ICache) access(pc uint32) uint64 {
 // runtime buffer.
 func (c *ICache) FlushRange(lo, hi uint32) {
 	first := lo / c.LineBytes
-	last := (hi + c.LineBytes - 1) / c.LineBytes
+	last := hi / c.LineBytes // rounded up below; hi+LineBytes-1 could wrap
+	if hi%c.LineBytes != 0 {
+		last++
+	}
 	for la := first; la < last; la++ {
 		idx := la % c.NumLines
 		if c.valid[idx] && c.tags[idx] == la {
@@ -84,10 +85,9 @@ func (m *Machine) icacheAccess(pc uint32) {
 	}
 }
 
-// icacheFlush lets hooks flush the model when they rewrite code.
+// ICacheFlush lets hooks flush the model when they rewrite code.
 func (m *Machine) ICacheFlush(lo, hi uint32) {
 	if m.ICache != nil {
 		m.ICache.FlushRange(lo, hi)
 	}
-	_ = isa.WordSize
 }

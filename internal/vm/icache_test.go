@@ -91,3 +91,15 @@ func TestICacheConflictMapping(t *testing.T) {
 		t.Fatal("conflicting line did not evict")
 	}
 }
+
+// TestICacheFlushTopOfAddressSpace is a regression test: rounding hi up to
+// a line boundary used to overflow for a range ending near 2^32, so the
+// flush silently did nothing.
+func TestICacheFlushTopOfAddressSpace(t *testing.T) {
+	c := NewICache(1024, 64, 10)
+	c.access(0xFFFFFFC0)
+	c.FlushRange(0xFFFFFFC0, 0xFFFFFFFF)
+	if got := c.access(0xFFFFFFC0); got != 10 {
+		t.Fatal("line at the top of the address space survived its flush")
+	}
+}

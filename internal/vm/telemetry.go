@@ -9,7 +9,9 @@ package vm
 // split below may differ between fast-path and -nofastpath runs — that
 // is the point of measuring it.
 type Counters struct {
-	// Predecodes counts decode-cache fills (µop cache misses).
+	// Predecodes counts decode-cache fills (µop cache misses). Entries
+	// installed by WritePredecoded are not fills: their µops were built
+	// ahead of time.
 	Predecodes uint64 `json:"predecodes"`
 	// SlowDispatches counts fast-path steps that hit a uSlow µop and
 	// routed through the reference ExecInst.
@@ -19,6 +21,7 @@ type Counters struct {
 	SlowSteps uint64 `json:"slow_steps"`
 	// InvalidatedWords counts decode-cache entries dropped by stores
 	// and InvalidateRange (self-modifying code, decompressor writes).
+	// WritePredecoded replaces entries without dropping them.
 	InvalidatedWords uint64 `json:"invalidated_words"`
 }
 

@@ -105,11 +105,13 @@ type Machine struct {
 	// Decode cache over the text segment, invalidated on stores.
 	icache []cachedInst
 
-	// Cached Hook.Range() so the hot loop avoids an interface call per
-	// step; recomputed whenever the installed hook changes.
-	hookSrc Hook
-	hookLo  uint32
-	hookHi  uint32
+	// Cached Hook.Range() as [hookLo, hookLo+hookSpan) so the dispatch loop
+	// tests it with one unsigned compare and no interface call; recomputed
+	// whenever the installed hook changes. An empty or inverted range has
+	// span 0.
+	hookSrc  Hook
+	hookLo   uint32
+	hookSpan uint32
 
 	jmp *jmpState
 }
@@ -171,12 +173,14 @@ func (m *Machine) ProfileCounts() []uint64 {
 
 // InvalidateRange drops decode-cache entries for [lo, hi); hooks that write
 // instructions (the decompressor) must call this for the bytes they touch.
+// The range is clamped to the text extent first, so a range ending near the
+// top of the address space cannot wrap the word cursor.
 func (m *Machine) InvalidateRange(lo, hi uint32) {
+	lo = max(lo, objfile.TextBase)
+	hi = min(hi, objfile.TextBase+uint32(len(m.icache))*isa.WordSize)
 	for a := lo &^ 3; a < hi; a += isa.WordSize {
-		if idx := int(a-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
-			m.icache[idx].kind = uInvalid
-			m.Telem.InvalidatedWords++
-		}
+		m.icache[(a-objfile.TextBase)/isa.WordSize].kind = uInvalid
+		m.Telem.InvalidatedWords++
 	}
 }
 
@@ -236,7 +240,11 @@ func (m *Machine) fetch(pc uint32) (isa.Inst, error) {
 	return in, nil
 }
 
-// Run executes until HALT, a trap, or the instruction limit.
+// Run executes until HALT, a trap, or the instruction limit. Each dispatch
+// call runs a whole block of predecoded µops (see fastpath.go); the loop
+// here only re-enters it after a hook entry, a reference step or a block
+// exit, and stops with ErrInstructionLimit once exactly limit instructions
+// have executed.
 func (m *Machine) Run() error {
 	limit := m.MaxInstructions
 	if limit == 0 {
@@ -246,7 +254,7 @@ func (m *Machine) Run() error {
 		if m.Instructions >= limit {
 			return fmt.Errorf("%w (%d instructions, pc=%#x)", ErrInstructionLimit, m.Instructions, m.PC)
 		}
-		if err := m.Step(); err != nil {
+		if err := m.dispatch(limit); err != nil {
 			return err
 		}
 	}

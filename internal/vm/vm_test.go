@@ -2,12 +2,14 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/objfile"
+	"repro/internal/testprog"
 )
 
 func run(t *testing.T, src string, input []byte) *Machine {
@@ -272,6 +274,55 @@ loop:   br loop
 	m.MaxInstructions = 1000
 	if err := m.Run(); !errors.Is(err, ErrInstructionLimit) {
 		t.Fatalf("want instruction limit error, got %v", err)
+	}
+	if m.Instructions != 1000 {
+		t.Fatalf("stopped after %d instructions, want 1000", m.Instructions)
+	}
+
+	// Every limit short of a full run, on randomized programs: the block
+	// loop must stop after exactly limit instructions, mid-block or at a
+	// block edge, in the state the reference path reaches at that limit. The
+	// reference machine steps one limit further per iteration, which is the
+	// same as a fresh reference run at each limit.
+	for seed := int64(0); seed < 4; seed++ {
+		obj, err := asm.Assemble(testprog.Random(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		im, err := objfile.Link("main", obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := []byte(fmt.Sprintf("limit %d", seed))
+		ref := New(im, input)
+		ref.DisableFastPath = true
+		var midBlock, edges int
+		for limit := uint64(1); ; limit++ {
+			prevPC := ref.PC
+			ref.MaxInstructions = limit
+			rerr := ref.Run()
+			if rerr == nil {
+				break // halted at this limit: every shorter limit was checked
+			}
+			m := New(im, input)
+			m.MaxInstructions = limit
+			err := m.Run()
+			if !errors.Is(err, ErrInstructionLimit) || m.Instructions != limit {
+				t.Fatalf("seed %d limit %d: got %v after %d instructions", seed, limit, err, m.Instructions)
+			}
+			if err.Error() != rerr.Error() || m.PC != ref.PC || m.Reg != ref.Reg || m.Cycles != ref.Cycles {
+				t.Fatalf("seed %d limit %d: fast %v pc=%#x cycles=%d, reference %v pc=%#x cycles=%d",
+					seed, limit, err, m.PC, m.Cycles, rerr, ref.PC, ref.Cycles)
+			}
+			if ref.PC == prevPC+isa.WordSize {
+				midBlock++
+			} else {
+				edges++
+			}
+		}
+		if midBlock == 0 || edges == 0 {
+			t.Fatalf("seed %d: %d mid-block and %d block-edge limits; want both", seed, midBlock, edges)
+		}
 	}
 }
 

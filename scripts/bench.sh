@@ -2,7 +2,8 @@
 # bench.sh — run the fast-path microbenchmarks in a benchstat-friendly way.
 #
 # Each benchmark is a fast/slow pair executed in the same process
-# (BenchmarkVMStep/{fast,slow}, BenchmarkHuffmanDecode/{table,tree},
+# (BenchmarkVMStep/{fast,slow}, BenchmarkVMRun/{fast,slow},
+# BenchmarkHuffmanDecode/{table,tree},
 # BenchmarkRegionDecompress/{memo,decode}, BenchmarkInterpRegionExec/
 # {memo,decode}, BenchmarkLZDecode/*/{table,tree}), so the within-run ratio
 # is meaningful even on noisy shared machines. -count repetitions give
@@ -25,6 +26,6 @@ COUNT="${COUNT:-6}"
 BENCHTIME="${BENCHTIME:-1s}"
 
 go test -run '^$' \
-  -bench 'BenchmarkVMStep|BenchmarkHuffmanDecode|BenchmarkBitReaderReadBits|BenchmarkRegionDecompress|BenchmarkInterpRegionExec|BenchmarkLZDecode' \
+  -bench 'BenchmarkVMStep|BenchmarkVMRun|BenchmarkHuffmanDecode|BenchmarkBitReaderReadBits|BenchmarkRegionDecompress|BenchmarkInterpRegionExec|BenchmarkLZDecode' \
   -benchtime "$BENCHTIME" -count "$COUNT" -benchmem \
   ./internal/vm/ ./internal/huffman/ ./internal/core/ ./internal/lzcomp/
