@@ -51,7 +51,7 @@ func main() {
 	srvWorkers := flag.Int("serve-workers", 0, "concurrent squash requests (0 = one per CPU)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout (0 = none)")
 	cacheEntries := flag.Int("cache-entries", 64, "warm squash-result cache size (negative disables)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "additional byte budget for the result cache's images (0 = entry-count bound only)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "additional byte budget for the result cache: images plus the object and profile bytes it retains, each interned copy counted once (0 = entry-count bound only)")
 	prepDir := flag.String("prep-cache", "", "on-disk experiments prep cache dir for -bench requests")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /metrics.json, and /debug/pprof on this host:port")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of request and pipeline spans here at shutdown")

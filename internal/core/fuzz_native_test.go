@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/asm"
@@ -72,5 +74,77 @@ func FuzzSquash(f *testing.F) {
 		if string(base.Output) != string(sq.Output) || base.Status != sq.Status {
 			t.Fatalf("seed %d conf %+v: behaviour diverged", seed, conf)
 		}
+	})
+}
+
+// metaSeeds squashes a few random programs under the stream coder, the LZ
+// coder and interpret mode, and returns their serialized metadata.
+func metaSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	for i, conf := range []Config{DefaultConfig(), DefaultConfig(), DefaultConfig()} {
+		conf.Theta = 0.001
+		switch i {
+		case 1:
+			conf.Coder = CoderLZ
+		case 2:
+			conf.Interpret = true
+		}
+		obj, err := asm.Assemble(testprog.Random(int64(i + 1)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		im, err := objfile.Link("main", obj)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		m := vm.New(im, []byte("fuzz seed input"))
+		m.EnableProfile()
+		if err := m.Run(); err != nil {
+			tb.Fatal(err)
+		}
+		out, err := Squash(obj, m.Profile, conf)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		b, err := out.Meta.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	return seeds
+}
+
+// FuzzUnmarshalMeta feeds squash metadata bytes through UnmarshalMeta and
+// NewRuntime, the runtime's view of an image it is asked to run: malformed
+// metadata must give an error, never a panic or an allocation the input
+// does not pay for, and whatever decodes must re-encode stably.
+func FuzzUnmarshalMeta(f *testing.F) {
+	seeds := metaSeeds(f)
+	for _, b := range seeds {
+		f.Add(b)
+	}
+	// A restore-stub capacity of 2^32-1 slots: NewRuntime would size its
+	// slot table by it.
+	hostile := bytes.Clone(seeds[0])
+	binary.LittleEndian.PutUint32(hostile[12:], 0xFFFFFFFF)
+	f.Add(hostile)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, err := UnmarshalMeta(data)
+		if err != nil {
+			return
+		}
+		enc, err := meta.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := UnmarshalMeta(enc)
+		if err != nil {
+			t.Fatalf("re-encoded metadata does not decode: %v", err)
+		}
+		if enc2, _ := again.MarshalBinary(); !bytes.Equal(enc, enc2) {
+			t.Fatal("metadata encoding is not stable")
+		}
+		NewRuntime(meta)
 	})
 }

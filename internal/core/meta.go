@@ -14,6 +14,7 @@ import (
 	"repro/internal/huffman"
 	"repro/internal/isa"
 	"repro/internal/lzcomp"
+	"repro/internal/objfile"
 	"repro/internal/streamcomp"
 )
 
@@ -160,6 +161,11 @@ func UnmarshalMeta(data []byte) (*Meta, error) {
 	cap32, err := u32()
 	if err != nil {
 		return nil, err
+	}
+	// The stub area lives in VM memory, and NewRuntime sizes its slot
+	// table by the capacity, so a capacity memory cannot hold is corrupt.
+	if uint64(cap32)*StubSlotWords*isa.WordSize > uint64(objfile.MemSize) {
+		return nil, fmt.Errorf("core: implausible restore-stub capacity %d", cap32)
 	}
 	m.StubCapacity = int(cap32)
 	if m.RtBufAddr, err = u32(); err != nil {

@@ -165,6 +165,12 @@ func ReadImage(r io.Reader) (*Image, error) {
 	if n, err = readU32(); err != nil {
 		return nil, err
 	}
+	// A symbol takes at least 8 bytes and a relocation 12 (empty names),
+	// so a count the rest of the file cannot hold is rejected before it
+	// sizes an allocation.
+	if int(n) > (len(data)-pos)/8 {
+		return nil, fmt.Errorf("objfile: declared symbol count %d exceeds file size", n)
+	}
 	im.Symbols = make([]Symbol, 0, n)
 	for i := uint32(0); i < n; i++ {
 		var s Symbol
@@ -189,6 +195,9 @@ func ReadImage(r io.Reader) (*Image, error) {
 
 	if n, err = readU32(); err != nil {
 		return nil, err
+	}
+	if int(n) > (len(data)-pos)/12 {
+		return nil, fmt.Errorf("objfile: declared relocation count %d exceeds file size", n)
 	}
 	im.Relocs = make([]Reloc, 0, n)
 	for i := uint32(0); i < n; i++ {

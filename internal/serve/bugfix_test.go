@@ -5,21 +5,33 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // TestResultCacheByteBudget: with a byte budget set, the cache bounds
-// total image bytes — not just entry count — and the totals put reports
-// stay accurate across multi-entry evictions.
+// total resident bytes — not just entry count — and the totals put reports
+// stay accurate across multi-entry evictions. The requests here carry empty
+// payloads, so the resident bytes are the images alone (blob accounting is
+// TestResultCacheBytesCountBlobsOnce).
 func TestResultCacheByteBudget(t *testing.T) {
-	key := func(i byte) [32]byte { return [32]byte{i} }
 	img := func(n int) []byte { return make([]byte, n) }
 
 	// Entry cap far above what the byte budget admits: eviction pressure
 	// comes from bytes alone.
 	c := newResultCache(100, 1000)
+	key := func(i byte) requestID { return confID(c, i) }
+	put := func(i byte, image []byte) (int, int64) {
+		id := key(i)
+		return c.put(&id, image, core.Stats{}, core.Footprint{})
+	}
+	has := func(i byte) bool {
+		id := key(i)
+		_, ok := c.get(&id)
+		return ok
+	}
 	for i := byte(1); i <= 10; i++ {
-		entries, bytes := c.put(&cacheEntry{key: key(i), image: img(300)})
+		entries, bytes := put(i, img(300))
 		if bytes > 1000 {
 			t.Fatalf("after put %d: %d resident bytes exceed the 1000-byte budget", i, bytes)
 		}
@@ -31,34 +43,34 @@ func TestResultCacheByteBudget(t *testing.T) {
 	if entries, bytes := c.size(); entries != 3 || bytes != 900 {
 		t.Fatalf("steady state = (%d entries, %d bytes), want (3, 900)", entries, bytes)
 	}
-	if _, ok := c.get(key(10)); !ok {
+	if !has(10) {
 		t.Fatal("newest entry missing")
 	}
-	if _, ok := c.get(key(7)); ok {
+	if has(7) {
 		t.Fatal("entry beyond the byte budget survived")
 	}
 
 	// One large insert must evict several residents at once, and the totals
 	// returned from that single put must already reflect all of them.
-	entries, bytes := c.put(&cacheEntry{key: key(11), image: img(900)})
+	entries, bytes := put(11, img(900))
 	if entries != 1 || bytes != 900 {
 		t.Fatalf("multi-entry eviction left (%d entries, %d bytes), want (1, 900)", entries, bytes)
 	}
 
 	// An image larger than the whole budget is refused outright: admitting
 	// it would flush the cache and still bust the budget.
-	entries, bytes = c.put(&cacheEntry{key: key(12), image: img(1001)})
+	entries, bytes = put(12, img(1001))
 	if entries != 1 || bytes != 900 {
 		t.Fatalf("oversized insert changed totals to (%d, %d), want (1, 900) unchanged", entries, bytes)
 	}
-	if _, ok := c.get(key(12)); ok {
+	if has(12) {
 		t.Fatal("an image larger than the whole budget was cached")
 	}
 
 	// Zero budget keeps the old entry-count-only behavior.
 	c = newResultCache(2, 0)
-	c.put(&cacheEntry{key: key(1), image: img(1 << 20)})
-	c.put(&cacheEntry{key: key(2), image: img(1 << 20)})
+	put(1, img(1<<20))
+	put(2, img(1<<20))
 	if entries, _ := c.size(); entries != 2 {
 		t.Fatalf("unbudgeted cache holds %d entries, want 2", entries)
 	}

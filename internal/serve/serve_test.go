@@ -402,8 +402,10 @@ func TestServeStatsInline(t *testing.T) {
 	}
 }
 
-// TestResultKeyIgnoresWorkers: worker counts must not fragment the warm
-// cache — the pipeline output is identical across them.
+// TestResultKeyIgnoresWorkers: worker counts must not fragment the
+// placement and recording keys — the pipeline output is identical across
+// them, so the router must send both spellings to the same backend cache.
+// (The result cache's own identity is covered in cache_test.go.)
 func TestResultKeyIgnoresWorkers(t *testing.T) {
 	obj, prof := []byte("obj"), []byte("prof")
 	a := core.DefaultConfig()
@@ -412,15 +414,28 @@ func TestResultKeyIgnoresWorkers(t *testing.T) {
 	b := core.DefaultConfig()
 	b.Workers = 8
 	b.Regions.Workers = 3
-	if resultKey(obj, prof, a) != resultKey(obj, prof, b) {
-		t.Fatal("worker counts changed the cache key")
+	route := func(obj []byte, conf core.Config) [32]byte {
+		k, ok := RouteKey(&Request{Op: OpSquash, Obj: obj, Profile: prof, Config: &conf})
+		if !ok {
+			t.Fatal("squash request not routed by content")
+		}
+		if item := RouteKeyItem(&BatchItem{Obj: obj, Profile: prof, Config: &conf}); item != k {
+			t.Fatal("batch item and single request route differently")
+		}
+		return k
+	}
+	if route(obj, a) != route(obj, b) {
+		t.Fatal("worker counts changed the route key")
+	}
+	if contentKey(obj, prof, &a) != contentKey(obj, prof, &b) {
+		t.Fatal("worker counts changed the recorded content key")
 	}
 	c := core.DefaultConfig()
 	c.Theta = 0.123
-	if resultKey(obj, prof, a) == resultKey(obj, prof, c) {
+	if route(obj, a) == route(obj, c) || contentKey(obj, prof, &a) == contentKey(obj, prof, &c) {
 		t.Fatal("distinct configs collided")
 	}
-	if resultKey(obj, prof, a) == resultKey([]byte("obj2"), prof, a) {
+	if route(obj, a) == route([]byte("obj2"), a) || contentKey(obj, prof, &a) == contentKey([]byte("obj2"), prof, &a) {
 		t.Fatal("distinct objects collided")
 	}
 }
@@ -428,26 +443,34 @@ func TestResultKeyIgnoresWorkers(t *testing.T) {
 // TestResultCacheEvicts: the LRU stays bounded and evicts oldest-first.
 func TestResultCacheEvicts(t *testing.T) {
 	c := newResultCache(2, 0)
-	key := func(i byte) [32]byte { return [32]byte{i} }
+	put := func(i byte) {
+		id := confID(c, i)
+		c.put(&id, []byte{i}, core.Stats{}, core.Footprint{})
+	}
+	has := func(i byte) bool {
+		id := confID(c, i)
+		_, ok := c.get(&id)
+		return ok
+	}
 	for i := byte(1); i <= 3; i++ {
-		c.put(&cacheEntry{key: key(i), image: []byte{i}})
+		put(i)
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
-	if _, ok := c.get(key(1)); ok {
+	if has(1) {
 		t.Fatal("oldest entry survived past capacity")
 	}
-	if _, ok := c.get(key(3)); !ok {
+	if !has(3) {
 		t.Fatal("newest entry missing")
 	}
 	// A get refreshes recency: touch 2, insert 4, and 3 should go instead.
-	c.get(key(2))
-	c.put(&cacheEntry{key: key(4), image: []byte{4}})
-	if _, ok := c.get(key(2)); !ok {
+	has(2)
+	put(4)
+	if !has(2) {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, ok := c.get(key(3)); ok {
+	if has(3) {
 		t.Fatal("least recently used entry survived")
 	}
 }

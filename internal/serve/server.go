@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,10 +38,13 @@ type Options struct {
 	// CacheEntries bounds the warm squash-result cache; 0 means the
 	// default (64), negative disables caching.
 	CacheEntries int
-	// CacheBytes additionally bounds the result cache by total image
-	// bytes; 0 keeps the entry-count-only behavior. With a budget set, the
-	// LRU evicts (possibly several) oldest entries until the total fits,
-	// and an image larger than the whole budget is never cached.
+	// CacheBytes additionally bounds the result cache by its resident
+	// bytes: images plus the interned object and profile bytes entries
+	// retain to match hits exactly, each interned copy counted once; 0
+	// keeps the entry-count-only behavior. With a budget set, the LRU
+	// evicts (possibly several) oldest entries until the total fits, and
+	// an entry whose image and request bytes exceed the whole budget is
+	// never cached.
 	CacheBytes int64
 	// Handler, when non-nil, replaces the squash pipeline entirely: every
 	// request — stats and ping included — is answered by the handler,
@@ -87,6 +91,9 @@ type Server struct {
 	// draining and timeouts only). Nanoseconds; atomic because tests adjust
 	// it while abandoned workers may still be reading it.
 	testDelay atomic.Int64
+	// testPanic makes every squash panic (tests of the panic boundary
+	// only).
+	testPanic atomic.Bool
 }
 
 // connState tracks one client connection so Shutdown can distinguish idle
@@ -256,7 +263,7 @@ func (s *Server) dispatch(req *Request) *Response {
 		// op inline on the connection goroutine. The payload releases only
 		// after the handler returns — it may still be forwarding the
 		// request's zero-copy sections.
-		resp = s.opts.Handler(req)
+		resp = s.guard(func() *Response { return s.opts.Handler(req) })
 		req.releasePayload()
 	case req.Op == OpStats:
 		// Served inline: the stats endpoint must answer even when every
@@ -317,7 +324,7 @@ func (s *Server) dispatchWork(req *Request) (*Response, bool) {
 	// worker finishes — not when the response is sent — because a timed-out
 	// request's worker keeps reading the payload after the error response.
 	if err := s.pool.Submit(ctx, func() {
-		resp := s.process(req)
+		resp := s.guard(func() *Response { return s.process(req) })
 		req.releasePayload()
 		done <- resp
 	}); err != nil {
@@ -338,6 +345,20 @@ func (s *Server) dispatchWork(req *Request) (*Response, bool) {
 }
 
 func errResponse(msg string) *Response { return &Response{Err: msg} }
+
+// guard is the per-request panic boundary: a panic inside fn becomes an
+// error response for that request alone, counted and logged with its
+// stack, and the daemon, its connections and its warm cache carry on.
+func (s *Server) guard(fn func() *Response) (resp *Response) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.met.panicked()
+			s.logf("panic serving request: %v\n%s", p, debug.Stack())
+			resp = errResponse(fmt.Sprintf("internal error: %v", p))
+		}
+	}()
+	return fn()
+}
 
 // process executes one squash or bench request on a pool worker.
 func (s *Server) process(req *Request) *Response {
@@ -397,8 +418,11 @@ func (s *Server) process(req *Request) *Response {
 // the response only: the squash still runs, the cache still warms, and
 // stats/footprint report exactly as with the image attached.
 func (s *Server) squash(objBytes, profBytes []byte, conf core.Config, prepHit, noImage bool) *Response {
-	key := resultKey(objBytes, profBytes, conf)
-	if e, ok := s.cache.get(key); ok {
+	if s.testPanic.Load() {
+		panic("injected test panic")
+	}
+	id := s.cache.identify(objBytes, profBytes, conf)
+	if e, ok := s.cache.get(&id); ok {
 		s.met.squashCache(true)
 		stats, foot := e.stats, e.foot
 		resp := &Response{OK: true, Image: e.image, Stats: &stats, Foot: &foot,
@@ -433,7 +457,7 @@ func (s *Server) squash(objBytes, profBytes []byte, conf core.Config, prepHit, n
 	// put reports the post-eviction totals from inside its critical
 	// section, so the gauges stay accurate even when a byte-budget insert
 	// evicts several entries at once.
-	entries, cacheBytes := s.cache.put(&cacheEntry{key: key, image: image, stats: out.Stats, foot: out.Foot})
+	entries, cacheBytes := s.cache.put(&id, image, out.Stats, out.Foot)
 	s.met.resEntries.Set(int64(entries))
 	s.met.resBytes.Set(cacheBytes)
 	stats, foot := out.Stats, out.Foot

@@ -22,6 +22,7 @@ type metrics struct {
 	requests map[string]uint64
 	errors   uint64
 	timeouts uint64
+	panics   uint64
 
 	squashHits, squashMisses uint64
 	prepHits, prepMisses     uint64
@@ -36,6 +37,7 @@ type metrics struct {
 	inFlightG  *obs.Gauge
 	errorsC    *obs.Counter
 	timeoutsC  *obs.Counter
+	panicsC    *obs.Counter
 	resHitC    *obs.Counter
 	resMissC   *obs.Counter
 	prepHitC   *obs.Counter
@@ -58,6 +60,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		inFlightG:  reg.Gauge("squashd_in_flight"),
 		errorsC:    reg.Counter("squashd_errors_total"),
 		timeoutsC:  reg.Counter("squashd_timeouts_total"),
+		panicsC:    reg.Counter("squashd_panics_total"),
 		resHitC:    reg.Counter("squashd_cache_hits_total", obs.L("cache", "result")),
 		resMissC:   reg.Counter("squashd_cache_misses_total", obs.L("cache", "result")),
 		prepHitC:   reg.Counter("squashd_cache_hits_total", obs.L("cache", "prep")),
@@ -99,6 +102,15 @@ func (m *metrics) end(d time.Duration, failed, timedOut bool) {
 		m.timeoutsC.Inc()
 	}
 	m.lat.Observe(float64(d) / float64(time.Millisecond))
+}
+
+// panicked records a request whose processing panicked and was answered
+// with an error by the panic boundary.
+func (m *metrics) panicked() {
+	m.mu.Lock()
+	m.panics++
+	m.mu.Unlock()
+	m.panicsC.Inc()
 }
 
 func (m *metrics) squashCache(hit bool) {
@@ -172,6 +184,9 @@ type Snapshot struct {
 	Errors    uint64            `json:"errors"`
 	Timeouts  uint64            `json:"timeouts"`
 	InFlight  int               `json:"in_flight"`
+	// Panics counts requests whose processing panicked; each got an
+	// error response and the daemon kept serving.
+	Panics uint64 `json:"panics,omitempty"`
 
 	SquashCacheHits   uint64 `json:"squash_cache_hits"`
 	SquashCacheMisses uint64 `json:"squash_cache_misses"`
@@ -198,6 +213,7 @@ func (m *metrics) snapshot() *Snapshot {
 		Requests:          map[string]uint64{},
 		Errors:            m.errors,
 		Timeouts:          m.timeouts,
+		Panics:            m.panics,
 		InFlight:          m.inFlight,
 		SquashCacheHits:   m.squashHits,
 		SquashCacheMisses: m.squashMisses,
@@ -250,6 +266,7 @@ func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 		}
 		out.Errors += s.Errors
 		out.Timeouts += s.Timeouts
+		out.Panics += s.Panics
 		out.InFlight += s.InFlight
 		out.SquashCacheHits += s.SquashCacheHits
 		out.SquashCacheMisses += s.SquashCacheMisses
