@@ -45,7 +45,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	defer f.Close()
 	if *link {
 		im, err := objfile.Link(*entry, obj)
 		if err != nil {
@@ -54,11 +53,17 @@ func main() {
 		if _, err := im.WriteTo(f); err != nil {
 			fail(err)
 		}
+		if err := f.Close(); err != nil {
+			fail(err)
+		}
 		fmt.Printf("%s: %d instructions, %d data bytes, entry %#x\n",
 			name, len(im.Text), len(im.Data), im.Entry)
 		return
 	}
 	if _, err := obj.WriteTo(f); err != nil {
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
 		fail(err)
 	}
 	fmt.Printf("%s: %d instructions, %d data bytes, %d symbols, %d relocations\n",

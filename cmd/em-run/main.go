@@ -39,12 +39,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print execution statistics to stderr")
 	statsJSON := flag.String("stats-json", "", "write execution statistics as JSON to this file (\"-\" for stderr; program output stays on stdout)")
 	limit := flag.Uint64("limit", 0, "instruction limit (0 = default)")
-	noFast := flag.Bool("nofastpath", false, "force the reference decode/dispatch paths (identical simulated behaviour; used by the CI equivalence guard)")
-	noPool := flag.Bool("nopool", false, "disable buffer pooling in the runtime decompressor (identical simulated behaviour; used by the CI equivalence guard)")
 	flag.Parse()
-	if *noPool {
-		core.SetPooling(false)
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: em-run [-in file] [-profile out] [-profile-push addr] [-stats] prog.{exe,o}")
 		os.Exit(2)
@@ -66,7 +61,6 @@ func main() {
 
 	m := vm.New(im, input)
 	m.MaxInstructions = *limit
-	m.DisableFastPath = *noFast
 	if *profOut != "" || *profPush != "" || *statsJSON != "" {
 		m.EnableProfile()
 	}
@@ -79,7 +73,6 @@ func main() {
 		if rt, err = core.NewRuntime(meta); err != nil {
 			fail(err)
 		}
-		rt.SetFastPath(!*noFast)
 		rt.Install(m)
 	}
 	if err := m.Run(); err != nil {
@@ -95,7 +88,9 @@ func main() {
 		if _, err := profile.Counts(m.Profile).WriteTo(f); err != nil {
 			fail(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fail(err)
+		}
 	}
 	if *stats {
 		fmt.Fprintf(os.Stderr, "exit status %d, %d instructions, %d cycles\n",
@@ -168,7 +163,7 @@ func pushProfile(addr string, raw, input []byte, m *vm.Machine, rt *core.Runtime
 // runStats is the -stats-json payload: the simulated observables (status,
 // instructions, cycles, runtime stats — identical with the fast paths on or
 // off) plus host-side telemetry (vm fast-path counters, decode memo, and
-// Huffman decode-path counts), which may differ under -nofastpath.
+// Huffman decode-path counts), which describe the path the run took.
 type runStats struct {
 	ExitStatus   int    `json:"exit_status"`
 	Instructions uint64 `json:"instructions"`
@@ -222,12 +217,18 @@ func writeStatsJSON(path string, m *vm.Machine, rt *core.Runtime) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // error paths; the success path checks Close below
 		w = f
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(st)
+	if err := enc.Encode(st); err != nil {
+		return err
+	}
+	if w != os.Stderr {
+		return w.Close()
+	}
+	return nil
 }
 
 // loadBinary reads path as an image or relocatable object (linked on the

@@ -43,11 +43,7 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write pipeline metrics as JSON here (\"-\" for stderr)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the squash run here")
 	memProfile := flag.String("memprofile", "", "write a heap profile (post-squash) here")
-	noPool := flag.Bool("nopool", false, "disable buffer pooling in the squash pipeline (identical output; used by the CI equivalence guard)")
 	flag.Parse()
-	if *noPool {
-		core.SetPooling(false)
-	}
 	if flag.NArg() != 1 || *profIn == "" {
 		fmt.Fprintln(os.Stderr, "usage: squash -profile prog.prof [flags] prog.o")
 		os.Exit(2)
@@ -128,8 +124,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	defer of.Close()
 	if _, err := res.Image.WriteTo(of); err != nil {
+		fail(err)
+	}
+	if err := of.Close(); err != nil {
 		fail(err)
 	}
 
@@ -179,7 +177,9 @@ func writeTelemetry(rec *obs.Recorder, traceOut, metricsOut string) {
 		if err := rec.Trace.WriteChrome(f); err != nil {
 			fail(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fail(err)
+		}
 		fmt.Fprint(os.Stderr, rec.Trace.Summary())
 	}
 	if metricsOut != "" {
@@ -189,11 +189,15 @@ func writeTelemetry(rec *obs.Recorder, traceOut, metricsOut string) {
 			if err != nil {
 				fail(err)
 			}
-			defer f.Close()
 			w = f
 		}
 		if err := rec.Metrics.WriteJSON(w); err != nil {
 			fail(err)
+		}
+		if w != os.Stderr {
+			if err := w.Close(); err != nil {
+				fail(err)
+			}
 		}
 	}
 }

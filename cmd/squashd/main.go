@@ -82,12 +82,7 @@ func main() {
 	ctStubs := flag.Bool("compile-time-stubs", false, "materialize restore stubs statically (ablation)")
 	stubCap := flag.Int("stub-capacity", 16, "runtime restore-stub slots")
 	workers := flag.Int("workers", 0, "worker goroutines for one squash (0 = one per CPU); output is byte-identical at any count")
-	noPool := flag.Bool("nopool", false, "disable buffer pooling in the pipeline and the daemon's request scratch (identical output)")
 	flag.Parse()
-	if *noPool {
-		core.SetPooling(false)
-		serve.SetPooling(false)
-	}
 
 	switch {
 	case *listen != "" && *connect != "":
@@ -123,7 +118,7 @@ func main() {
 			bench: *bench, scale: *scale,
 			batch: *batch, outDir: *outDir,
 			profIn: *profIn, out: *out, conf: conf,
-			noImage: *noImage,
+			noImage: *noImage, args: flag.Args(),
 		})
 	default:
 		fmt.Fprintln(os.Stderr, "usage: squashd -listen ADDR [server flags]")
@@ -244,6 +239,7 @@ type clientArgs struct {
 	profIn, out   string
 	conf          core.Config
 	noImage       bool
+	args          []string // positional arguments: the object to squash
 }
 
 func runClient(addr string, a clientArgs) {
@@ -281,10 +277,10 @@ func runClient(addr string, a clientArgs) {
 		writeImage(name, resp)
 
 	default:
-		if flag.NArg() != 1 || a.profIn == "" {
+		if len(a.args) != 1 || a.profIn == "" {
 			fail(fmt.Errorf("client squash needs -profile and one object argument"))
 		}
-		objBytes, err := os.ReadFile(flag.Arg(0))
+		objBytes, err := os.ReadFile(a.args[0])
 		if err != nil {
 			fail(err)
 		}
@@ -297,7 +293,7 @@ func runClient(addr string, a clientArgs) {
 		}))
 		name := a.out
 		if name == "" {
-			name = flag.Arg(0) + ".sqz.exe"
+			name = a.args[0] + ".sqz.exe"
 		}
 		writeImage(name, resp)
 	}

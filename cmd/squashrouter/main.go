@@ -45,11 +45,7 @@ func main() {
 	backendTimeout := flag.Duration("backend-timeout", 2*time.Minute, "per-forward exchange timeout (0 = none)")
 	maxIdle := flag.Int("max-idle", 4, "pooled idle connections per backend")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /metrics.json, and /debug/pprof on this host:port")
-	noPool := flag.Bool("nopool", false, "disable frame-buffer pooling (identical behavior)")
 	flag.Parse()
-	if *noPool {
-		serve.SetPooling(false)
-	}
 
 	if *listen == "" || *backends == "" {
 		fmt.Fprintln(os.Stderr, "usage: squashrouter -listen ADDR -backends ADDR,ADDR,...")

@@ -61,8 +61,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	defer of.Close()
 	if _, err := sqObj.WriteTo(of); err != nil {
+		fail(err)
+	}
+	if err := of.Close(); err != nil {
 		fail(err)
 	}
 	fmt.Printf("%s: %d -> %d instructions (%.1f%% reduction)\n",

@@ -1,8 +1,8 @@
 package benchhist
 
 // Allocation gates. The zero-alloc work pairs each pooled hot path with a
-// "fresh" variant that allocates the way the code did before pooling
-// (BenchmarkBitIOAlloc/{pooled,fresh}, ...). CI runs them with -benchmem and
+// "fresh" variant that constructs its objects directly per op, the way the
+// code allocated before pooling (BenchmarkBitIOAlloc/{pooled,fresh}, ...). CI runs them with -benchmem and
 // this file turns the allocs/op and B/op columns into history entries and
 // enforces two properties per pair: the pooled variant stays under an
 // absolute allocs/op ceiling (the O(1)-steady-state guarantee), and the

@@ -3,34 +3,18 @@ package core
 import (
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/isa"
-	"repro/internal/objfile"
 	"repro/internal/testprog"
-	"repro/internal/vm"
 )
 
 // TestSquashPoolingOnOffByteIdentical is the pipeline-level pooling
-// invariant: with every pool enabled (run repeatedly so warm, recycled
-// buffers are actually exercised) and with pools disabled, the squashed
-// image and metadata are byte-identical — across coders, MTF, interpreted
-// regions, and worker counts.
+// invariant: with drained pools (every buffer freshly allocated, as before
+// pooling) and with pools warmed and dirtied by squashing a different,
+// larger program, the squashed image and metadata are byte-identical —
+// across coders, MTF, interpreted regions, and worker counts.
 func TestSquashPoolingOnOffByteIdentical(t *testing.T) {
-	defer SetPooling(true)
-	src := testprog.Random(23)
-	obj, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := objfile.Link("main", obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm := vm.New(im, []byte("pooling pooling"))
-	pm.EnableProfile()
-	if err := pm.Run(); err != nil {
-		t.Fatal(err)
-	}
+	obj, _, prof := prepare(t, testprog.Random(23), []byte("pooling pooling"))
+	_, bigObj, bigProf := prepareMediabench(t, "adpcm")
 
 	confs := map[string]Config{"default": DefaultConfig()}
 	lz := DefaultConfig()
@@ -45,16 +29,16 @@ func TestSquashPoolingOnOffByteIdentical(t *testing.T) {
 	confs["interp"] = interp
 
 	for name, conf := range confs {
-		SetPooling(false)
+		drainPools()
 		conf.Workers = 1
-		want := obsSquashDigest(t, obj, pm.Profile, conf, nil)
+		want := obsSquashDigest(t, obj, prof, conf, nil)
 
-		SetPooling(true)
 		for _, workers := range []int{1, 4} {
 			conf.Workers = workers
-			for cycle := 0; cycle < 3; cycle++ { // cycle 0 cold pools, later ones warm
-				if got := obsSquashDigest(t, obj, pm.Profile, conf, nil); got != want {
-					t.Fatalf("%s: workers=%d cycle=%d: pooled squash diverged from pools-off squash",
+			obsSquashDigest(t, bigObj, bigProf, conf, nil)
+			for cycle := 0; cycle < 3; cycle++ {
+				if got := obsSquashDigest(t, obj, prof, conf, nil); got != want {
+					t.Fatalf("%s: workers=%d cycle=%d: polluted-pool squash diverged from drained-pool squash",
 						name, workers, cycle)
 				}
 			}

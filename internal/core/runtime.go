@@ -36,7 +36,9 @@ type Runtime struct {
 	// instruction count feed the same cycle charges and RuntimeStats as a
 	// real decode, and a replay stores the same words, through
 	// vm.WritePredecoded instead of WriteWord.
-	memo       []*regionImage
+	memo []*regionImage
+	// noFastPath selects the reference paths (no memo, tree-walk decode);
+	// only tests set it, as the oracle the fast paths are checked against.
 	noFastPath bool
 
 	slots []stubSlot
@@ -120,16 +122,6 @@ func NewRuntime(meta *Meta) (*Runtime, error) {
 		rt.imemo = make([]*interpRegion, len(meta.OffsetTable))
 	}
 	return rt, nil
-}
-
-// SetFastPath enables (the default) or disables the runtime's fast paths:
-// region memoization here and the table-driven Huffman decoder underneath.
-// Disabled, every entry re-decodes its region bit by bit through the
-// reference decoder; simulated cycles, stats, and memory images are
-// identical either way.
-func (rt *Runtime) SetFastPath(enabled bool) {
-	rt.noFastPath = !enabled
-	rt.comp.SetSlowDecode(!enabled)
 }
 
 // Range reports the intercepted address interval: the decompressor region

@@ -17,21 +17,8 @@ package core
 import (
 	"sync"
 
-	"repro/internal/huffman"
 	"repro/internal/isa"
 )
-
-// SetPooling enables (the default) or disables every object pool on the
-// squash path: the bit I/O and coder-scratch pools (which share the huffman
-// package's switch) and the encoder's sequence arena. The produced images
-// are byte-identical either way — pooling is deliberately a process-level
-// switch, not a Config field, because Config travels in squashd's wire
-// protocol and keys the result cache, and an allocation strategy must never
-// partition cache entries.
-func SetPooling(on bool) { huffman.SetPooling(on) }
-
-// PoolingEnabled reports whether the squash-path pools are active.
-func PoolingEnabled() bool { return huffman.PoolingEnabled() }
 
 // encodeScratch is one request's sequence-building working set.
 type encodeScratch struct {
@@ -43,16 +30,10 @@ type encodeScratch struct {
 var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
 func getEncodeScratch() *encodeScratch {
-	if huffman.PoolingEnabled() {
-		return encodeScratchPool.Get().(*encodeScratch)
-	}
-	return new(encodeScratch)
+	return encodeScratchPool.Get().(*encodeScratch)
 }
 
 func putEncodeScratch(sc *encodeScratch) {
-	if !huffman.PoolingEnabled() {
-		return
-	}
 	// Drop the per-region headers so a retired, larger arena from a previous
 	// request can't stay pinned through stale subslice pointers.
 	for i := range sc.seqs {

@@ -11,28 +11,8 @@ package huffman
 //     see bitio.go), so recycling can never mutate a caller's bytes;
 //   - BitReader.Reset replays NewBitReader bit for bit, so pooled and fresh
 //     readers consume identical streams and charge identical bit counts.
-//
-// SetPooling(false) routes every Get through a fresh allocation and turns
-// Put into a no-op; the byte-identity guards squash images with pools on
-// and off against each other.
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// poolingOff disables the pools when set (see SetPooling). Atomic so a
-// toggling test never races a server goroutine mid-request; the value only
-// picks the allocation strategy, never the emitted bits.
-var poolingOff atomic.Bool
-
-// SetPooling enables (the default) or disables the package's writer and
-// reader pools. Off, Get* allocate fresh and Put* drop their argument; the
-// bit streams produced are identical either way.
-func SetPooling(on bool) { poolingOff.Store(!on) }
-
-// PoolingEnabled reports whether the pools are active.
-func PoolingEnabled() bool { return !poolingOff.Load() }
+import "sync"
 
 // maxPooledBytes bounds the writer capacity the pool retains; anything
 // larger (a pathological region) is dropped for the GC rather than pinned.
@@ -42,15 +22,10 @@ var writerPool = sync.Pool{New: func() any { return new(BitWriter) }}
 var readerPool = sync.Pool{New: func() any { return new(BitReader) }}
 
 // GetWriter returns a reset writer with capacity for at least sizeHint
-// bytes, recycled from the pool when pooling is on.
+// bytes, recycled from the pool.
 func GetWriter(sizeHint int) *BitWriter {
-	var w *BitWriter
-	if poolingOff.Load() {
-		w = new(BitWriter)
-	} else {
-		w = writerPool.Get().(*BitWriter)
-		w.Reset()
-	}
+	w := writerPool.Get().(*BitWriter)
+	w.Reset()
 	w.Grow(sizeHint)
 	return w
 }
@@ -58,7 +33,7 @@ func GetWriter(sizeHint int) *BitWriter {
 // PutWriter recycles w. The writer must no longer be referenced by the
 // caller; any slice obtained from Bytes stays valid (Reset detaches it).
 func PutWriter(w *BitWriter) {
-	if w == nil || poolingOff.Load() {
+	if w == nil {
 		return
 	}
 	w.Reset()
@@ -69,11 +44,8 @@ func PutWriter(w *BitWriter) {
 }
 
 // GetReader returns a reader positioned at bit 0 of buf, recycled from the
-// pool when pooling is on. It is interchangeable with NewBitReader.
+// pool. It is interchangeable with NewBitReader.
 func GetReader(buf []byte) *BitReader {
-	if poolingOff.Load() {
-		return NewBitReader(buf)
-	}
 	r := readerPool.Get().(*BitReader)
 	r.Reset(buf)
 	return r
@@ -81,7 +53,7 @@ func GetReader(buf []byte) *BitReader {
 
 // PutReader recycles r, dropping its reference to the caller's buffer.
 func PutReader(r *BitReader) {
-	if r == nil || poolingOff.Load() {
+	if r == nil {
 		return
 	}
 	r.Reset(nil)

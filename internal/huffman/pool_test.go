@@ -129,16 +129,4 @@ func TestPooledReaderStreamIdentical(t *testing.T) {
 			}
 		}
 	}
-
-	// Pooling disabled must behave identically as well.
-	SetPooling(false)
-	defer SetPooling(true)
-	r := GetReader(blob)
-	got := read(r)
-	PutReader(r)
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("pools-off read %d: got %d, want %d", k, got[k], want[k])
-		}
-	}
 }

@@ -144,37 +144,8 @@ type decScratch struct {
 	words []uint32
 }
 
-// The scratch pools follow the bit I/O pools' switch (huffman.SetPooling):
-// one toggle covers the whole coder layer, and the tokens and words produced
-// are identical either way.
 var encPool = sync.Pool{New: func() any { return new(encScratch) }}
 var decPool = sync.Pool{New: func() any { return new(decScratch) }}
-
-func getEncScratch() *encScratch {
-	if huffman.PoolingEnabled() {
-		return encPool.Get().(*encScratch)
-	}
-	return new(encScratch)
-}
-
-func putEncScratch(sc *encScratch) {
-	if huffman.PoolingEnabled() {
-		encPool.Put(sc)
-	}
-}
-
-func getDecScratch() *decScratch {
-	if huffman.PoolingEnabled() {
-		return decPool.Get().(*decScratch)
-	}
-	return new(decScratch)
-}
-
-func putDecScratch(sc *decScratch) {
-	if huffman.PoolingEnabled() {
-		decPool.Put(sc)
-	}
-}
 
 // tokenize converts a word sequence into tokens using greedy longest-match.
 func (c *Compressor) tokenize(words []uint32) []token {
@@ -315,8 +286,8 @@ func (c *Compressor) sizeHint(nWords int) int {
 
 // Compress appends the coded region to w.
 func (c *Compressor) Compress(w *huffman.BitWriter, seq []isa.Inst) error {
-	sc := getEncScratch()
-	defer putEncScratch(sc)
+	sc := encPool.Get().(*encScratch)
+	defer encPool.Put(sc)
 	words := sc.words[:0]
 	for _, in := range seq {
 		words = append(words, isa.Encode(in))
@@ -406,17 +377,23 @@ func (c *Compressor) CompressedBits(seq []isa.Inst) (int, error) {
 func (c *Compressor) Decompress(blob []byte, bitOff int, emit func(isa.Inst) error) (int, error) {
 	r := huffman.GetReader(blob)
 	defer huffman.PutReader(r)
+	sc := decPool.Get().(*decScratch)
+	defer decPool.Put(sc)
+	return c.decompress(r, sc, bitOff, emit)
+}
+
+// decompress is Decompress's body over a caller-supplied reader (positioned
+// anywhere in the region's blob) and back-reference window.
+func (c *Compressor) decompress(r *huffman.BitReader, sc *decScratch, bitOff int, emit func(isa.Inst) error) (int, error) {
 	r.Seek(bitOff)
 	fast := !c.slowDecode
 	if fast && c.dictInsts == nil {
 		c.primeDictInsts()
 	}
-	// The back-reference window lives in pooled scratch; appending through
-	// sc.words (rather than a local captured by a push closure) keeps the
-	// grown capacity across recycles and the loop allocation-free.
-	sc := getDecScratch()
+	// Appending through sc.words (rather than a local captured by a push
+	// closure) keeps the window's grown capacity across recycles and the
+	// loop allocation-free.
 	sc.words = sc.words[:0]
-	defer putDecScratch(sc)
 	for {
 		kind, err := c.decodeSym(c.kindCode, r)
 		if err != nil {

@@ -2,6 +2,7 @@ package lzcomp
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/huffman"
@@ -30,15 +31,15 @@ func lzTestSeqs() [][]isa.Inst {
 	return [][]isa.Inst{rep, mixed, {}, base}
 }
 
-// TestPoolingOnOffByteIdentical: with pools enabled (cycled to warmth) and
-// disabled, CompressAll emits the identical blob and offsets and Decompress
-// yields the identical instructions.
+// TestPoolingOnOffByteIdentical: with drained pools (fresh writers, readers
+// and scratch, as before pooling) and with pools warmed and dirtied by a
+// different, larger corpus, CompressAll emits the identical blob and offsets
+// and Decompress yields the identical instructions.
 func TestPoolingOnOffByteIdentical(t *testing.T) {
-	defer huffman.SetPooling(true)
 	seqs := lzTestSeqs()
 	c := Train(seqs)
 
-	cycle := func() ([]byte, []uint32, [][]isa.Inst) {
+	cycle := func(c *Compressor, seqs [][]isa.Inst) ([]byte, []uint32, [][]isa.Inst) {
 		blob, offsets, err := c.CompressAll(seqs, 2)
 		if err != nil {
 			t.Fatalf("CompressAll: %v", err)
@@ -55,14 +56,22 @@ func TestPoolingOnOffByteIdentical(t *testing.T) {
 		return blob, offsets, dec
 	}
 
-	huffman.SetPooling(false)
-	wantBlob, wantOffs, wantDec := cycle()
+	runtime.GC() // two cycles empty every sync.Pool, victim cache included
+	runtime.GC()
+	wantBlob, wantOffs, wantDec := cycle(c, seqs)
 
-	huffman.SetPooling(true)
+	// The polluter doubles every region and adds one more, so the pools end
+	// up holding larger, dirtier buffers than the measured corpus needs.
+	var polluter [][]isa.Inst
+	for _, seq := range lzTestSeqs() {
+		polluter = append(polluter, append(append([]isa.Inst(nil), seq...), seq...))
+	}
+	polluter = append(polluter, polluter[1])
+	cycle(Train(polluter), polluter)
 	for n := 0; n < 3; n++ {
-		blob, offs, dec := cycle()
+		blob, offs, dec := cycle(c, seqs)
 		if !bytes.Equal(blob, wantBlob) {
-			t.Fatalf("cycle %d: pooled blob differs from pools-off blob", n)
+			t.Fatalf("cycle %d: polluted-pool blob differs from drained-pool blob", n)
 		}
 		for i := range offs {
 			if offs[i] != wantOffs[i] {
@@ -82,10 +91,18 @@ func TestPoolingOnOffByteIdentical(t *testing.T) {
 	}
 }
 
+// Sinks for the fresh variant: storing the reader and window in package
+// variables makes them escape to the heap, as the ones handed out before
+// pooling did, so escape analysis cannot under-count the fresh side.
+var (
+	freshReader  *huffman.BitReader
+	freshScratch *decScratch
+)
+
 // BenchmarkLZTokenDecodeAlloc is the paired allocation benchmark for LZ token
 // decode: one op decompresses a full trained region (dictionary hits, matches
 // and raw escapes). "pooled" recycles the reader and the back-reference
-// window; "fresh" allocates both per op (pools off), the pre-pool behaviour.
+// window; "fresh" allocates both per op, the pre-pool behaviour.
 // CI gates the pooled allocs/op ceiling and the fresh/pooled reduction.
 func BenchmarkLZTokenDecodeAlloc(b *testing.B) {
 	seqs := lzTestSeqs()
@@ -97,18 +114,22 @@ func BenchmarkLZTokenDecodeAlloc(b *testing.B) {
 	}
 	blob := w.Bytes()
 	emit := func(isa.Inst) error { return nil }
-	run := func(b *testing.B, pooled bool) {
-		b.Helper()
-		huffman.SetPooling(pooled)
-		defer huffman.SetPooling(true)
+	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := c.Decompress(blob, 0, emit); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("pooled", func(b *testing.B) { run(b, true) })
-	b.Run("fresh", func(b *testing.B) { run(b, false) })
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r, sc := huffman.NewBitReader(blob), new(decScratch)
+			if _, err := c.decompress(r, sc, 0, emit); err != nil {
+				b.Fatal(err)
+			}
+			freshReader, freshScratch = r, sc
+		}
+	})
 }

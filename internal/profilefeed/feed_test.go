@@ -3,12 +3,16 @@ package profilefeed
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/mediabench"
 	"repro/internal/objfile"
 	"repro/internal/profile"
 	"repro/internal/serve"
@@ -22,7 +26,13 @@ import (
 // image bytes, and the config used.
 func buildSquashed(t *testing.T, seed int64, input []byte, conf core.Config) (objBytes, profBytes, imageBytes []byte) {
 	t.Helper()
-	obj, err := asm.Assemble(testprog.Random(seed))
+	return buildSquashedSrc(t, testprog.Random(seed), input, conf)
+}
+
+// buildSquashedSrc is buildSquashed for the assembly source src.
+func buildSquashedSrc(t *testing.T, src string, input []byte, conf core.Config) (objBytes, profBytes, imageBytes []byte) {
+	t.Helper()
+	obj, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
@@ -371,6 +381,65 @@ func TestCollectorPersistence(t *testing.T) {
 	resp2 := col2.Handle(&serve.Request{Op: serve.OpProfileResquash, ImageKey: newKey, Force: true})
 	if !resp2.OK || !resp2.Resquash.OutputOK {
 		t.Fatalf("re-squash after reload: ok=%v resp=%+v", resp2.OK, resp2.Resquash)
+	}
+}
+
+// TestStoreTornResquash simulates a crash inside a second re-squash: the
+// generation-2 current.emx is on disk but entry.json is still the one
+// written after the first re-squash. The reloaded store must never pair a
+// key with another image's bytes, so the torn entry is skipped.
+func TestStoreTornResquash(t *testing.T) {
+	// On adpcm at θ=0.01, re-squashing for a slice of the timing input and
+	// then for the registration input again yields three distinct image
+	// generations; short input prefixes keep the runs fast.
+	spec, _ := mediabench.SpecByName("adpcm")
+	regInput := spec.ProfilingInput()[:25000]
+	conf := core.DefaultConfig()
+	conf.Theta = 0.01
+	objBytes, profBytes, imageBytes := buildSquashedSrc(t, spec.Generate(), regInput, conf)
+	dir := t.TempDir()
+	clock := newFakeClock()
+	col := newTestCollector(t, Options{Dir: dir, Threshold: 10, Now: clock.Now})
+	key := register(t, col, objBytes, profBytes, imageBytes, regInput, conf)
+
+	resquash := func(cur []byte, curKey string, input []byte) *serve.Response {
+		t.Helper()
+		clock.Advance(time.Second)
+		pushResp(t, col, curKey, fleetProfile(t, cur, input), input)
+		clock.Advance(time.Second)
+		resp := col.Handle(&serve.Request{Op: serve.OpProfileResquash, ImageKey: curKey, Force: true})
+		if !resp.OK {
+			t.Fatalf("forced re-squash: %s", resp.Err)
+		}
+		return resp
+	}
+	gen1 := resquash(imageBytes, key, spec.TimingInput()[:12500])
+	entryPath := filepath.Join(dir, key, entryFile)
+	gen1Entry, err := os.ReadFile(entryPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen2 := resquash(gen1.Image, gen1.Resquash.NewKey, regInput)
+	if gen2.Resquash.NewKey == gen1.Resquash.NewKey || gen1.Resquash.NewKey == key {
+		t.Fatalf("re-squashes did not produce three distinct generations: %.12s, %.12s, %.12s",
+			key, gen1.Resquash.NewKey, gen2.Resquash.NewKey)
+	}
+	if err := os.WriteFile(entryPath, gen1Entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var skipped []string
+	sts, err := loadStore(dir, func(format string, args ...any) { skipped = append(skipped, fmt.Sprintf(format, args...)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, st := range sts {
+		if imageKey(st.regImage) != st.Key || imageKey(st.curImage) != st.CurrentKey {
+			t.Errorf("entry %.12s pairs keys %.12s/%.12s with other images' bytes", k, st.Key, st.CurrentKey)
+		}
+	}
+	if _, ok := sts[key]; ok || len(skipped) != 1 {
+		t.Fatalf("torn entry loaded (skip notes: %q)", skipped)
 	}
 }
 

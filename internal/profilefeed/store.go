@@ -88,7 +88,9 @@ func imageKey(imageBytes []byte) string {
 func (st *imageState) dir(root string) string { return filepath.Join(root, st.Key) }
 
 // writeFileAtomic writes data via a temp file + rename in the target's
-// directory (same filesystem, so the rename is atomic).
+// directory (same filesystem, so the rename is atomic). The data is synced
+// before the rename, so after a power loss the name holds either the old
+// bytes or all of the new ones.
 func writeFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
@@ -96,6 +98,11 @@ func writeFileAtomic(path string, data []byte) error {
 	}
 	name := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(name)
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(name)
 		return err
@@ -269,10 +276,18 @@ func loadEntry(dir string) (*imageState, error) {
 	if st.regImage, err = os.ReadFile(filepath.Join(dir, regImageFile)); err != nil {
 		return nil, err
 	}
+	if imageKey(st.regImage) != st.Key {
+		return nil, fmt.Errorf("%s does not hash to key %.12s", regImageFile, st.Key)
+	}
 	st.curImage = st.regImage
 	if st.CurrentKey != st.Key {
 		if st.curImage, err = os.ReadFile(filepath.Join(dir, curImageFile)); err != nil {
 			return nil, err
+		}
+		// A crash inside a re-squash can leave the next generation's image
+		// under this entry.json's older current key.
+		if imageKey(st.curImage) != st.CurrentKey {
+			return nil, fmt.Errorf("%s does not hash to current key %.12s", curImageFile, st.CurrentKey)
 		}
 	}
 	if st.baseObjProf, err = readCountsFile(filepath.Join(dir, baseProfFile)); err != nil {

@@ -40,26 +40,29 @@ func BenchmarkRequestScratch(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	run := func(b *testing.B, pooled bool) {
-		b.Helper()
-		SetPooling(pooled)
-		defer SetPooling(true)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sc := getReqScratch()
-			image, err := serializeInto(&sc.img, out.Image)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(image) == 0 {
-				b.Fatal("empty image")
-			}
-			putReqScratch(sc)
+	serialize := func(b *testing.B, sc *reqScratch) {
+		image, err := serializeInto(&sc.img, out.Image)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(image) == 0 {
+			b.Fatal("empty image")
 		}
 	}
-	b.Run("pooled", func(b *testing.B) { run(b, true) })
-	b.Run("fresh", func(b *testing.B) { run(b, false) })
+	b.Run("pooled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sc := getReqScratch()
+			serialize(b, sc)
+			putReqScratch(sc)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			serialize(b, new(reqScratch))
+		}
+	})
 }
 
 // BenchmarkFrameCodecAlloc is the allocation benchmark for the wire codec:

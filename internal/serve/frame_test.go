@@ -290,25 +290,23 @@ func TestFrameV2RejectsHostileSections(t *testing.T) {
 
 // TestProtoInteropByteIdentity is the acceptance invariant: the same
 // workload returns byte-identical images through the client's single
-// requests and batch framing, with pooling on and off.
+// requests and batch framing, both on a server whose pools were warmed and
+// dirtied by a much larger program and on one that starts with drained
+// pools.
 func TestProtoInteropByteIdentity(t *testing.T) {
 	conf := core.DefaultConfig()
 	obj, prof, want := buildWorkload(t, 13, conf)
 
-	for _, pooling := range []struct {
-		name string
-		on   bool
-	}{{"pooled", true}, {"nopool", false}} {
-		t.Run(pooling.name, func(t *testing.T) {
-			SetPooling(pooling.on)
-			core.SetPooling(pooling.on)
-			defer func() {
-				SetPooling(true)
-				core.SetPooling(true)
-			}()
-
+	for _, pools := range []string{"pooled", "drained"} {
+		t.Run(pools, func(t *testing.T) {
+			if pools == "drained" {
+				drainPools()
+			}
 			_, addr, stop := startServer(t, Options{Workers: 2})
 			defer stop()
+			if pools == "pooled" {
+				pollutePools(t, addr)
+			}
 
 			cl, err := DialClient(addr)
 			if err != nil {
@@ -530,7 +528,7 @@ func TestNoImageBatch(t *testing.T) {
 }
 
 // TestFrameBufPool: the frame read buffers recycle with idempotent release,
-// and oversized or pooling-off buffers bypass the pool entirely.
+// and oversized buffers bypass the pool entirely.
 func TestFrameBufPool(t *testing.T) {
 	fb := getFrameBuf(100)
 	if !fb.pooled {
@@ -550,14 +548,6 @@ func TestFrameBufPool(t *testing.T) {
 		t.Fatalf("oversized buffer len = %d, want exact size", len(big.data))
 	}
 	big.release()
-
-	SetPooling(false)
-	defer SetPooling(true)
-	off := getFrameBuf(100)
-	if off.pooled {
-		t.Fatal("pooling-off buffer claims to be pooled")
-	}
-	off.release()
 }
 
 // FuzzFrame drives the server-side codec over arbitrary byte streams: no

@@ -16,17 +16,6 @@ import (
 	"sync/atomic"
 )
 
-// poolingOff disables the request-scratch pool when set. This is the serve
-// layer's own switch (cmd/squashd's -nopool flag flips it together with
-// core.SetPooling); responses are byte-identical either way.
-var poolingOff atomic.Bool
-
-// SetPooling enables (the default) or disables the request-scratch pool.
-func SetPooling(on bool) { poolingOff.Store(!on) }
-
-// PoolingEnabled reports whether the request-scratch pool is active.
-func PoolingEnabled() bool { return !poolingOff.Load() }
-
 // maxScratchBytes bounds the per-buffer capacity the pool retains; a
 // pathologically large request's buffers are dropped for the GC.
 const maxScratchBytes = 8 << 20
@@ -40,16 +29,10 @@ type reqScratch struct {
 var reqScratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
 
 func getReqScratch() *reqScratch {
-	if poolingOff.Load() {
-		return new(reqScratch)
-	}
 	return reqScratchPool.Get().(*reqScratch)
 }
 
 func putReqScratch(sc *reqScratch) {
-	if poolingOff.Load() {
-		return
-	}
 	if sc.img.Cap() > maxScratchBytes || sc.obj.Cap() > maxScratchBytes || sc.prof.Cap() > maxScratchBytes {
 		return
 	}
@@ -85,9 +68,9 @@ var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
 // getFrameBuf returns a buffer with at least n readable bytes. Frames
 // larger than the pool retention cap get an exact-size one-off allocation —
 // the "streaming" path for oversized payloads, which never pins pool
-// memory — as does everything when pooling is off.
+// memory.
 func getFrameBuf(n int) *frameBuf {
-	if poolingOff.Load() || n > maxScratchBytes {
+	if n > maxScratchBytes {
 		return &frameBuf{data: make([]byte, n)}
 	}
 	fb := frameBufPool.Get().(*frameBuf)
@@ -107,7 +90,7 @@ func (fb *frameBuf) release() {
 	if fb == nil || !fb.pooled || fb.released.Swap(true) {
 		return
 	}
-	if poolingOff.Load() || cap(fb.data) > maxScratchBytes {
+	if cap(fb.data) > maxScratchBytes {
 		return
 	}
 	frameBufPool.Put(fb)
@@ -141,14 +124,11 @@ func newFrameScratch() *frameScratch {
 var frameScratchPool = sync.Pool{New: func() any { return newFrameScratch() }}
 
 func getFrameScratch() *frameScratch {
-	if poolingOff.Load() {
-		return newFrameScratch()
-	}
 	return frameScratchPool.Get().(*frameScratch)
 }
 
 func putFrameScratch(sc *frameScratch) {
-	if sc == nil || poolingOff.Load() || sc.env.Cap() > maxScratchBytes {
+	if sc == nil || sc.env.Cap() > maxScratchBytes {
 		return
 	}
 	sc.scrub()

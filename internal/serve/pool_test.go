@@ -3,25 +3,52 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mediabench"
 )
 
-// TestServePooledWarmDeterminismInterleaved is the pooled-path determinism
-// guard: a warm daemon — pools enabled, result cache disabled so every
-// request runs the full pipeline through recycled buffers — is hammered by
-// concurrent clients interleaving requests of very different sizes, and
-// every returned image must equal the fresh one-shot squash of the same
-// inputs. Interleaving matters: a size-S request right after a size-XL one
-// reuses the XL request's grown buffers, which is exactly where a stale-
-// length or aliasing bug in the pools would surface. The CI race job runs
-// this under -race, covering concurrent pool access.
-func TestServePooledWarmDeterminismInterleaved(t *testing.T) {
-	core.SetPooling(true)
-	SetPooling(true)
+// drainPools empties every sync.Pool in the process: two GC cycles clear
+// the pools and their victim caches, so the next requests allocate fresh
+// buffers, as the code did before pooling.
+func drainPools() {
+	runtime.GC()
+	runtime.GC()
+}
 
+// pollutePools squashes a different, much larger program (the adpcm
+// MediaBench program) through the server at addr, leaving the serve and
+// core pools warm and holding buffers grown and dirtied past the size of
+// any test workload.
+func pollutePools(t *testing.T, addr string) {
+	t.Helper()
+	spec, _ := mediabench.SpecByName("adpcm")
+	obj, prof, _ := buildWorkloadSrc(t, spec.Generate(), spec.ProfilingInput(), core.DefaultConfig())
+	cl, err := DialClient(addr)
+	if err != nil {
+		t.Fatalf("DialClient: %v", err)
+	}
+	defer cl.Close()
+	resp, err := cl.Do(&Request{Op: OpSquash, Obj: obj, Profile: prof})
+	if err != nil || !resp.OK {
+		t.Fatalf("polluting squash: resp=%+v err=%v", resp, err)
+	}
+}
+
+// TestServePooledWarmDeterminismInterleaved is the pooled-path determinism
+// guard: a warm daemon — pools dirtied by a much larger program, result
+// cache disabled so every request runs the full pipeline through recycled
+// buffers — is hammered by concurrent clients interleaving requests of very
+// different sizes, and every returned image must equal the one-shot squash
+// of the same inputs with drained pools. Interleaving matters: a size-S
+// request right after a size-XL one reuses the XL request's grown buffers,
+// which is exactly where a stale-length or aliasing bug in the pools would
+// surface. The CI race job runs this under -race, covering concurrent pool
+// access.
+func TestServePooledWarmDeterminismInterleaved(t *testing.T) {
 	confA := core.DefaultConfig()
 	confB := core.DefaultConfig()
 	confB.Coder = core.CoderLZ
@@ -36,6 +63,7 @@ func TestServePooledWarmDeterminismInterleaved(t *testing.T) {
 	// the spread of buffer shapes a single pool sees.
 	for _, seed := range []int64{3, 7, 11, 19} {
 		for _, conf := range []core.Config{confA, confB} {
+			drainPools()
 			obj, prof, want := buildWorkload(t, seed, conf)
 			loads = append(loads, workload{obj, prof, want, conf})
 		}
@@ -43,6 +71,7 @@ func TestServePooledWarmDeterminismInterleaved(t *testing.T) {
 
 	s, addr, stop := startServer(t, Options{Workers: 4, CacheEntries: -1})
 	defer stop()
+	pollutePools(t, addr)
 
 	const clients = 6
 	const reqsPerClient = 10
@@ -76,7 +105,7 @@ func TestServePooledWarmDeterminismInterleaved(t *testing.T) {
 					return
 				}
 				if !bytes.Equal(resp.Image, w.want) {
-					errs <- fmt.Errorf("client %d req %d: pooled warm image diverged from one-shot squash (%d vs %d bytes)",
+					errs <- fmt.Errorf("client %d req %d: pooled warm image diverged from drained-pool one-shot squash (%d vs %d bytes)",
 						c, i, len(resp.Image), len(w.want))
 					return
 				}

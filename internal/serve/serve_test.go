@@ -24,7 +24,13 @@ import (
 // path (cmd/squash's core.Squash + Image.WriteTo) produces for conf.
 func buildWorkload(t *testing.T, seed int64, conf core.Config) (objBytes, profBytes, wantImage []byte) {
 	t.Helper()
-	src := testprog.Random(seed)
+	return buildWorkloadSrc(t, testprog.Random(seed), []byte("serve-mode determinism input"), conf)
+}
+
+// buildWorkloadSrc is buildWorkload for the assembly source src profiled on
+// input.
+func buildWorkloadSrc(t *testing.T, src string, input []byte, conf core.Config) (objBytes, profBytes, wantImage []byte) {
+	t.Helper()
 	obj, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
@@ -33,7 +39,7 @@ func buildWorkload(t *testing.T, seed int64, conf core.Config) (objBytes, profBy
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
-	m := vm.New(im, []byte("serve-mode determinism input"))
+	m := vm.New(im, input)
 	m.EnableProfile()
 	if err := m.Run(); err != nil {
 		t.Fatalf("profile run: %v", err)

@@ -2,6 +2,7 @@ package streamcomp
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/huffman"
@@ -29,11 +30,11 @@ func compressDecompress(t *testing.T, c *Compressor, seqs [][]isa.Inst, workers 
 }
 
 // TestPoolingOnOffByteIdentical is the coder-level half of the pooling
-// invariant: with pools enabled (warm, cycled repeatedly) and disabled, the
-// compressed blob, the region offsets, and the decoded instructions are
-// identical. Runs both the plain and MTF variants.
+// invariant: with drained pools (every writer and reader freshly allocated,
+// as before pooling) and with pools warmed and dirtied by a different,
+// larger corpus, the compressed blob, the region offsets, and the decoded
+// instructions are identical. Runs both the plain and MTF variants.
 func TestPoolingOnOffByteIdentical(t *testing.T) {
-	defer huffman.SetPooling(true)
 	seqs := [][]isa.Inst{
 		realisticSeq(1, 300),
 		realisticSeq(2, 7),
@@ -41,17 +42,19 @@ func TestPoolingOnOffByteIdentical(t *testing.T) {
 		{},
 		realisticSeq(4, 64),
 	}
+	polluter := [][]isa.Inst{realisticSeq(5, 4000), realisticSeq(6, 2500), realisticSeq(7, 900)}
 	for _, opts := range []Options{{}, {MTF: true}} {
 		c := Train(seqs, opts)
 
-		huffman.SetPooling(false)
+		runtime.GC() // two cycles empty every sync.Pool, victim cache included
+		runtime.GC()
 		wantBlob, wantOffs, wantDec := compressDecompress(t, c, seqs, 3)
 
-		huffman.SetPooling(true)
-		for cycle := 0; cycle < 3; cycle++ { // cycle 0 cold pools, later ones warm
+		compressDecompress(t, Train(polluter, opts), polluter, 3)
+		for cycle := 0; cycle < 3; cycle++ {
 			blob, offs, dec := compressDecompress(t, c, seqs, 3)
 			if !bytes.Equal(blob, wantBlob) {
-				t.Fatalf("MTF=%v cycle %d: pooled blob differs from pools-off blob", opts.MTF, cycle)
+				t.Fatalf("MTF=%v cycle %d: polluted-pool blob differs from drained-pool blob", opts.MTF, cycle)
 			}
 			for i := range offs {
 				if offs[i] != wantOffs[i] {
@@ -92,20 +95,21 @@ func TestSizeHintCoversTypicalRegions(t *testing.T) {
 	}
 }
 
+// freshWriter is the fresh variant's sink: storing the writer in a package
+// variable makes it escape to the heap, as a writer handed out before
+// pooling did, so escape analysis cannot under-count the fresh side.
+var freshWriter *huffman.BitWriter
+
 // BenchmarkRegionEncodeAlloc is the paired allocation benchmark for a region
 // encode: one op compresses a ~512-instruction region into a writer sized
 // from the trained estimate. "pooled" recycles the writer; "fresh" allocates
-// one per op (pools off), the pre-pool behaviour. CI gates the pooled
+// one per op, the pre-pool behaviour. CI gates the pooled
 // allocs/op ceiling and the fresh/pooled reduction via benchhist.
 func BenchmarkRegionEncodeAlloc(b *testing.B) {
 	seq := realisticSeq(99, 512)
 	c := Train([][]isa.Inst{seq}, Options{})
-	run := func(b *testing.B, pooled bool) {
-		b.Helper()
-		huffman.SetPooling(pooled)
-		defer huffman.SetPooling(true)
+	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w := huffman.GetWriter(c.sizeHint(len(seq)))
 			if err := c.Compress(w, seq); err != nil {
@@ -113,7 +117,16 @@ func BenchmarkRegionEncodeAlloc(b *testing.B) {
 			}
 			huffman.PutWriter(w)
 		}
-	}
-	b.Run("pooled", func(b *testing.B) { run(b, true) })
-	b.Run("fresh", func(b *testing.B) { run(b, false) })
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w := new(huffman.BitWriter)
+			w.Grow(c.sizeHint(len(seq)))
+			if err := c.Compress(w, seq); err != nil {
+				b.Fatal(err)
+			}
+			freshWriter = w
+		}
+	})
 }

@@ -6,8 +6,8 @@ package vm
 // pays nothing for it, and none of the counts feed back into simulated
 // state: cycles, instructions, profiles, and outputs are identical
 // whether anyone reads these or not. Unlike Instructions/Cycles the
-// split below may differ between fast-path and -nofastpath runs — that
-// is the point of measuring it.
+// split below may differ between fast-path and reference runs
+// (DisableFastPath) — that is the point of measuring it.
 type Counters struct {
 	// Predecodes counts decode-cache fills (µop cache misses). Entries
 	// installed by WritePredecoded are not fills: their µops were built

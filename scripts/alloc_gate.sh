@@ -2,9 +2,10 @@
 # alloc_gate.sh — run the pooled/fresh allocation benchmark pairs.
 #
 # Each pooled hot path ships a paired benchmark that measures the same work
-# with pools enabled and with pools bypassed the way the code allocated
-# before pooling (BenchmarkBitIOAlloc/{pooled,fresh}, BenchmarkRegionEncode-
-# Alloc, BenchmarkLZTokenDecodeAlloc, BenchmarkRequestScratch), plus
+# through the pools and with its objects constructed directly per op, the
+# way the code allocated before pooling (BenchmarkBitIOAlloc/{pooled,fresh},
+# BenchmarkRegionEncodeAlloc, BenchmarkLZTokenDecodeAlloc,
+# BenchmarkRequestScratch), plus
 # BenchmarkFrameCodecAlloc — the wire codec, which has no unpooled
 # variant and is gated on its allocs/op ceiling alone — and BenchmarkBuild,
 # the CFG lift, likewise ceiling-only. This script runs
