@@ -10,13 +10,8 @@
 // its floor; a regression exits nonzero *after* recording the entry, so the
 // history also documents the failure.
 //
-// With -load it ingests a cmd/squashload JSON report instead: the gated
-// service-level metrics (req/s, p50/p99 latency, cache hit rate, errors)
-// are appended to the same history file and checked against their floors
-// and ceilings — the load-smoke CI job's gate:
-//
-//	squashload -connect "$sock" -replay stream.jsonl -rate 2 -out report.json
-//	benchhist -load report.json -history BENCH_history.json -commit "$GITHUB_SHA"
+// With -allocs it ingests `go test -bench -benchmem` output from
+// scripts/alloc_gate.sh instead and enforces the allocation gates.
 package main
 
 import (
@@ -32,7 +27,6 @@ import (
 
 func main() {
 	in := flag.String("in", "-", "benchmark output file from `go test -bench` ('-' = stdin)")
-	loadIn := flag.String("load", "", "squashload JSON report to ingest instead of bench output")
 	allocsIn := flag.String("allocs", "", "`go test -bench -benchmem` output to ingest for the alloc/op gates")
 	history := flag.String("history", "BENCH_history.json", "history file to append to")
 	commit := flag.String("commit", os.Getenv("GITHUB_SHA"), "commit hash to record (default $GITHUB_SHA)")
@@ -43,10 +37,6 @@ func main() {
 		*commit = "unknown"
 	}
 
-	if *loadIn != "" {
-		ingestLoad(*loadIn, *history, *commit, *date, *noCheck)
-		return
-	}
 	if *allocsIn != "" {
 		ingestAllocs(*allocsIn, *history, *commit, *date, *noCheck)
 		return
@@ -83,45 +73,6 @@ func main() {
 	fmt.Printf("recorded %d ratios for %s in %s\n", len(entries), *commit, *history)
 	if !*noCheck {
 		if err := benchhist.Check(entries, pairs); err != nil {
-			fail(err)
-		}
-	}
-}
-
-// ingestLoad records a squashload report's gated metrics and enforces
-// their floors/ceilings. Like the pair path, the entries are appended
-// before checking, so the history documents the failing run too.
-func ingestLoad(path, history, commit, date string, noCheck bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail(err)
-	}
-	gates := benchhist.DefaultLoadGates()
-	entries, err := benchhist.LoadEntries(data, gates, commit, date)
-	if err != nil {
-		fail(err)
-	}
-	if err := benchhist.Append(history, entries); err != nil {
-		fail(err)
-	}
-	for _, g := range gates {
-		for _, e := range entries {
-			if e.Benchmark != g.Name {
-				continue
-			}
-			bounds := ""
-			if g.HasMin {
-				bounds += fmt.Sprintf("  (floor %.2f)", g.Min)
-			}
-			if g.HasMax {
-				bounds += fmt.Sprintf("  (ceiling %.2f)", g.Max)
-			}
-			fmt.Printf("%-16s %10.2f %-6s%s\n", e.Benchmark, e.Value, e.Unit, bounds)
-		}
-	}
-	fmt.Printf("recorded %d load metrics for %s in %s\n", len(entries), commit, history)
-	if !noCheck {
-		if err := benchhist.CheckLoad(entries, gates); err != nil {
 			fail(err)
 		}
 	}

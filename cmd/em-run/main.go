@@ -33,30 +33,47 @@ import (
 const pushMaxInput = 4 << 20
 
 func main() {
-	inFile := flag.String("in", "", "input byte stream file (default: stdin)")
-	profOut := flag.String("profile", "", "write a basic-block execution profile to this file")
-	profPush := flag.String("profile-push", "", "after the run, push the execution profile to a squashprofd collector at this address (warn-only on failure)")
-	stats := flag.Bool("stats", false, "print execution statistics to stderr")
-	statsJSON := flag.String("stats-json", "", "write execution statistics as JSON to this file (\"-\" for stderr; program output stays on stdout)")
-	limit := flag.Uint64("limit", 0, "instruction limit (0 = default)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: em-run [-in file] [-profile out] [-profile-push addr] [-stats] prog.{exe,o}")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is em-run with its arguments and standard streams passed in; it
+// returns the exit status: the program's own, 1 when em-run itself fails,
+// 2 on bad usage.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("em-run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	inFile := fs.String("in", "", "input byte stream file (default: stdin)")
+	profOut := fs.String("profile", "", "write a basic-block execution profile to this file")
+	profPush := fs.String("profile-push", "", "after the run, push the execution profile to a squashprofd collector at this address (warn-only on failure)")
+	stats := fs.Bool("stats", false, "print execution statistics to stderr")
+	statsJSON := fs.String("stats-json", "", "write execution statistics as JSON to this file (\"-\" for stderr; program output stays on stdout)")
+	limit := fs.Uint64("limit", 0, "instruction limit (0 = default)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: em-run [-in file] [-profile out] [-profile-push addr] [-stats] prog.{exe,o}")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "em-run:", err)
+		return 1
 	}
 
-	im, raw, err := loadBinary(flag.Arg(0))
+	im, raw, err := loadBinary(fs.Arg(0))
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	var input []byte
 	if *inFile != "" {
 		if input, err = os.ReadFile(*inFile); err != nil {
-			fail(err)
+			return fail(err)
 		}
-	} else if input, err = io.ReadAll(os.Stdin); err != nil {
-		fail(err)
+	} else if input, err = io.ReadAll(stdin); err != nil {
+		return fail(err)
 	}
 
 	m := vm.New(im, input)
@@ -68,51 +85,51 @@ func main() {
 	if len(im.Meta) > 0 {
 		meta, err := core.UnmarshalMeta(im.Meta)
 		if err != nil {
-			fail(fmt.Errorf("binary carries unreadable squash metadata: %w", err))
+			return fail(fmt.Errorf("binary carries unreadable squash metadata: %w", err))
 		}
 		if rt, err = core.NewRuntime(meta); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		rt.Install(m)
 	}
 	if err := m.Run(); err != nil {
-		fail(err)
+		return fail(err)
 	}
-	os.Stdout.Write(m.Output)
+	stdout.Write(m.Output)
 
 	if *profOut != "" {
 		f, err := os.Create(*profOut)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if _, err := profile.Counts(m.Profile).WriteTo(f); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fail(err)
+			return fail(err)
 		}
 	}
 	if *stats {
-		fmt.Fprintf(os.Stderr, "exit status %d, %d instructions, %d cycles\n",
+		fmt.Fprintf(stderr, "exit status %d, %d instructions, %d cycles\n",
 			m.Status, m.Instructions, m.Cycles)
 		if rt != nil {
-			fmt.Fprintf(os.Stderr, "decompressions %d, bits read %d, restore stubs created %d (max live %d)\n",
+			fmt.Fprintf(stderr, "decompressions %d, bits read %d, restore stubs created %d (max live %d)\n",
 				rt.Stats.Decompressions, rt.Stats.BitsRead, rt.Stats.CreateStubMisses, rt.Stats.MaxLiveStubs)
 		}
 	}
 	if *statsJSON != "" {
-		if err := writeStatsJSON(*statsJSON, m, rt); err != nil {
-			fail(err)
+		if err := writeStatsJSON(*statsJSON, stderr, m, rt); err != nil {
+			return fail(err)
 		}
 	}
 	if *profPush != "" {
 		// Fleet telemetry must never fail the workload: a dead collector
 		// costs a warning, not the run's exit status.
 		if err := pushProfile(*profPush, raw, input, m, rt); err != nil {
-			fmt.Fprintln(os.Stderr, "em-run: profile push failed:", err)
+			fmt.Fprintln(stderr, "em-run: profile push failed:", err)
 		}
 	}
-	os.Exit(int(m.Status))
+	return int(m.Status)
 }
 
 // pushProfile ships the run's execution profile to a squashprofd collector:
@@ -191,7 +208,7 @@ type profStats struct {
 // without pulling the experiments harness into the runner binary.
 var statsThetaSet = []float64{0, 0.00001, 0.00005, 0.0001, 0.001, 0.01, 1.0}
 
-func writeStatsJSON(path string, m *vm.Machine, rt *core.Runtime) error {
+func writeStatsJSON(path string, stderr io.Writer, m *vm.Machine, rt *core.Runtime) error {
 	st := runStats{
 		ExitStatus:   int(m.Status),
 		Instructions: m.Instructions,
@@ -211,24 +228,24 @@ func writeStatsJSON(path string, m *vm.Machine, rt *core.Runtime) error {
 			ColdMass:    profile.ColdMasses(c, statsThetaSet),
 		}
 	}
-	w := os.Stderr
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close() // error paths; the success path checks Close below
-		w = f
+	if path == "-" {
+		return encodeIndented(stderr, st)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(st); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	if w != os.Stderr {
-		return w.Close()
+	defer f.Close() // error paths; the success path checks Close below
+	if err := encodeIndented(f, st); err != nil {
+		return err
 	}
-	return nil
+	return f.Close()
+}
+
+func encodeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // loadBinary reads path as an image or relocatable object (linked on the
@@ -248,9 +265,4 @@ func loadBinary(path string) (*objfile.Image, []byte, error) {
 	}
 	im, err := objfile.Link("main", obj)
 	return im, data, err
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "em-run:", err)
-	os.Exit(1)
 }

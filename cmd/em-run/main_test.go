@@ -6,10 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/mediabench"
-	"repro/internal/objfile"
 	"repro/internal/vm"
 )
 
@@ -18,40 +15,9 @@ import (
 // the simulator, runtime and Huffman decode sections with a real run's
 // counts in them.
 func TestWriteStatsJSON(t *testing.T) {
-	spec, _ := mediabench.SpecByName("adpcm")
-	obj, err := asm.Assemble(spec.Generate())
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := objfile.Link("main", obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm := vm.New(im, spec.ProfilingInput())
-	pm.EnableProfile()
-	if err := pm.Run(); err != nil {
-		t.Fatal(err)
-	}
-	conf := core.DefaultConfig()
-	conf.Theta = 1.0
-	out, err := core.Squash(obj, pm.Profile, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	imgPath := filepath.Join(dir, "adpcm.sqz.exe")
-	f, err := os.Create(imgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := out.Image.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	sq, _, err := loadBinary(imgPath)
+	a := buildAdpcm(t, dir, 1.0)
+	sq, _, err := loadBinary(a.imgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +29,7 @@ func TestWriteStatsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := vm.New(sq, spec.TimingInput())
+	m := vm.New(sq, a.spec.TimingInput())
 	m.EnableProfile()
 	rt.Install(m)
 	if err := m.Run(); err != nil {
@@ -71,7 +37,7 @@ func TestWriteStatsJSON(t *testing.T) {
 	}
 
 	statsPath := filepath.Join(dir, "adpcm.stats.json")
-	if err := writeStatsJSON(statsPath, m, rt); err != nil {
+	if err := writeStatsJSON(statsPath, nil, m, rt); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(statsPath)

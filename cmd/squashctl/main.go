@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -30,55 +31,83 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: squashctl -connect ADDR (list | stats | drain BACKEND | undrain BACKEND | ping)")
 		os.Exit(2)
 	}
+	if err := run(*connect, *asJSON, flag.Args(), os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "squashctl:", err)
+		os.Exit(1)
+	}
+}
 
-	cl, err := serve.DialClient(*connect)
+// run sends one command (args[0], with its operand) to the router at addr
+// and prints the answer to w.
+func run(addr string, asJSON bool, args []string, w io.Writer) error {
+	cl, err := serve.DialClient(addr)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer cl.Close()
-
-	switch cmd := flag.Arg(0); cmd {
-	case "list":
-		resp := must(cl.Do(&serve.Request{Op: serve.OpCluster}))
-		if *asJSON {
-			printJSON(resp.Cluster)
-			return
+	do := func(req *serve.Request) (*serve.Response, error) {
+		resp, err := cl.Do(req)
+		if err == nil && !resp.OK {
+			err = fmt.Errorf("router at %s: %s", addr, resp.Err)
 		}
-		printCluster(resp.Cluster)
+		return resp, err
+	}
+
+	switch cmd := args[0]; cmd {
+	case "list":
+		resp, err := do(&serve.Request{Op: serve.OpCluster})
+		if err != nil {
+			return err
+		}
+		if asJSON {
+			return printJSON(w, resp.Cluster)
+		}
+		return printCluster(w, addr, resp.Cluster)
 
 	case "stats":
-		resp := must(cl.Do(&serve.Request{Op: serve.OpStats}))
-		printJSON(resp.Server)
+		resp, err := do(&serve.Request{Op: serve.OpStats})
+		if err != nil {
+			return err
+		}
+		return printJSON(w, resp.Server)
 
 	case "drain", "undrain":
-		if flag.NArg() != 2 {
-			fail(fmt.Errorf("%s needs a backend address argument", cmd))
+		if len(args) != 2 {
+			return fmt.Errorf("%s needs a backend address argument", cmd)
 		}
 		op := serve.OpDrain
 		if cmd == "undrain" {
 			op = serve.OpUndrain
 		}
-		resp := must(cl.Do(&serve.Request{Op: op, Backend: flag.Arg(1)}))
-		fmt.Printf("%sed %s\n", cmd, flag.Arg(1))
-		printCluster(resp.Cluster)
+		resp, err := do(&serve.Request{Op: op, Backend: args[1]})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%sed %s\n", cmd, args[1])
+		return printCluster(w, addr, resp.Cluster)
 
 	case "ping":
 		start := time.Now()
-		must(cl.Do(&serve.Request{Op: serve.OpPing}))
-		fmt.Printf("router at %s is up (%s)\n", *connect, time.Since(start).Round(time.Microsecond))
+		if _, err := do(&serve.Request{Op: serve.OpPing}); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "router at %s is up (%s)\n", addr, time.Since(start).Round(time.Microsecond))
+		return nil
 
 	default:
-		fail(fmt.Errorf("unknown command %q (want list, stats, drain, undrain, or ping)", cmd))
+		return fmt.Errorf("unknown command %q (want list, stats, drain, undrain, or ping)", cmd)
 	}
 }
 
 // printCluster renders the per-backend table: state, traffic, failure
-// streaks, probe age, and each backend's own result-cache hit rate.
-func printCluster(cs *serve.ClusterSnapshot) {
+// streaks, probe age, and each backend's own result-cache hit rate. A
+// response without a cluster snapshot came from something other than a
+// router at addr.
+func printCluster(w io.Writer, addr string, cs *serve.ClusterSnapshot) error {
 	if cs == nil {
-		fail(fmt.Errorf("response carried no cluster snapshot (is %q a squashrouter?)", "-connect"))
+		return fmt.Errorf("response carried no cluster snapshot (is %s a squashrouter?)", addr)
 	}
-	fmt.Printf("%-28s %-9s %9s %9s %7s %6s %10s %9s\n",
+	fmt.Fprintf(w, "%-28s %-9s %9s %9s %7s %6s %10s %9s\n",
 		"BACKEND", "STATE", "REQUESTS", "ERRORS", "INFLT", "FAILS", "CHECKED", "HITRATE")
 	for _, b := range cs.Backends {
 		checked := "never"
@@ -91,7 +120,7 @@ func printCluster(cs *serve.ClusterSnapshot) {
 				hitRate = fmt.Sprintf("%5.1f%%", 100*float64(s.SquashCacheHits)/float64(total))
 			}
 		}
-		fmt.Printf("%-28s %-9s %9d %9d %7d %6d %10s %9s\n",
+		fmt.Fprintf(w, "%-28s %-9s %9d %9d %7d %6d %10s %9s\n",
 			b.Addr, b.State, b.Requests, b.Errors, b.InFlight, b.ConsecFails, checked, hitRate)
 	}
 	if m := cs.Merged; m != nil {
@@ -100,30 +129,14 @@ func printCluster(cs *serve.ClusterSnapshot) {
 		if total > 0 {
 			rate = 100 * float64(m.SquashCacheHits) / float64(total)
 		}
-		fmt.Printf("merged: errors=%d timeouts=%d squash_cache=%d/%d (%.1f%% hit) prep_errors=%d\n",
+		fmt.Fprintf(w, "merged: errors=%d timeouts=%d squash_cache=%d/%d (%.1f%% hit) prep_errors=%d\n",
 			m.Errors, m.Timeouts, m.SquashCacheHits, total, rate, m.PrepErrors)
 	}
+	return nil
 }
 
-func printJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+func printJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fail(err)
-	}
-}
-
-func must(resp *serve.Response, err error) *serve.Response {
-	if err != nil {
-		fail(err)
-	}
-	if !resp.OK {
-		fail(fmt.Errorf("router: %s", resp.Err))
-	}
-	return resp
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "squashctl:", err)
-	os.Exit(1)
+	return enc.Encode(v)
 }

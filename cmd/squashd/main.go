@@ -23,23 +23,19 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/regions"
 	"repro/internal/serve"
+	"repro/internal/serve/daemon"
 )
 
 func main() {
@@ -88,13 +84,16 @@ func main() {
 	case *listen != "" && *connect != "":
 		fail(fmt.Errorf("-listen and -connect are mutually exclusive"))
 	case *listen != "":
-		runServer(*listen, serve.Options{
+		err := runServer(*listen, serve.Options{
 			Workers:      *srvWorkers,
 			Timeout:      *timeout,
 			CacheEntries: *cacheEntries,
 			CacheBytes:   *cacheBytes,
 			PrepCacheDir: *prepDir,
 		}, *metricsAddr, *traceOut, *record)
+		if err != nil {
+			fail(err)
+		}
 	case *connect != "":
 		conf := core.Config{
 			Theta:                   *theta,
@@ -127,7 +126,9 @@ func main() {
 	}
 }
 
-func runServer(addr string, opts serve.Options, metricsAddr, traceOut, recordPath string) {
+// runServer runs the daemon until SIGTERM has drained it. The trace, when
+// asked for, is written whether the daemon drained or failed.
+func runServer(addr string, opts serve.Options, metricsAddr, traceOut, recordPath string) error {
 	rec := &obs.Recorder{Metrics: obs.NewRegistry()}
 	if traceOut != "" {
 		rec.Trace = obs.NewTracer()
@@ -137,79 +138,16 @@ func runServer(addr string, opts serve.Options, metricsAddr, traceOut, recordPat
 	if recordPath != "" {
 		f, err := os.OpenFile(recordPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		opts.Record = serve.NewStreamRecorder(f)
 		fmt.Fprintf(os.Stderr, "squashd: recording request stream to %s\n", recordPath)
 	}
 
-	s := serve.NewServer(opts)
-	ln, err := serve.Listen(addr)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "squashd: listening on %s\n", addr)
-
-	var httpSrv *http.Server
-	if metricsAddr != "" {
-		httpSrv = &http.Server{Addr: metricsAddr, Handler: metricsMux(s)}
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "squashd: metrics server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "squashd: metrics and pprof on http://%s\n", metricsAddr)
-	}
-
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "squashd: %s, draining in-flight requests\n", got)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		shutdownErr := s.Shutdown(ctx)
-		if httpSrv != nil {
-			httpSrv.Shutdown(ctx)
-		}
-		writeTrace(rec, traceOut)
-		if shutdownErr != nil {
-			fmt.Fprintf(os.Stderr, "squashd: shutdown: %v\n", shutdownErr)
-			os.Exit(1)
-		}
-		<-serveDone
-	case err := <-serveDone:
-		writeTrace(rec, traceOut)
-		if err != nil && err != serve.ErrServerClosed {
-			fail(err)
-		}
-	}
-}
-
-// metricsMux exposes the daemon's registry in both export formats plus the
-// standard pprof handlers (explicitly wired: the mux is private, so the
-// net/http/pprof side effects on DefaultServeMux don't apply).
-func metricsMux(s *serve.Server) *http.ServeMux {
-	reg := s.Obs().Metrics
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	err := daemon.Run(serve.NewServer(opts), []string{addr}, metricsAddr)
+	writeTrace(rec, traceOut)
+	return err
 }
 
 // writeTrace dumps the accumulated spans as Chrome trace-event JSON and

@@ -2,18 +2,14 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -24,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/vm"
 )
 
@@ -122,26 +119,6 @@ func runImage(t *testing.T, raw, input []byte) []byte {
 	return m.Output
 }
 
-// captureStdout returns what f prints to standard output.
-func captureStdout(t *testing.T, f func()) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := make(chan []byte)
-	go func() {
-		data, _ := io.ReadAll(r)
-		read <- data
-	}()
-	stdout := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	f()
-	w.Close()
-	return string(<-read)
-}
-
 // checkTrace validates a Chrome trace-event JSON document: every complete
 // (ph=X) event has a non-negative ts and dur, only X and metadata (ph=M)
 // events occur, at least one span exists, and every wanted span is present.
@@ -213,31 +190,17 @@ func checkMetrics(t *testing.T, data []byte, want ...string) {
 // writes no file, the stats report the hits, SIGTERM drains the daemon, and
 // its trace holds the request and pipeline spans.
 func TestRunServerMatchesOneShot(t *testing.T) {
-	// Registered before the daemon's own handler, so SIGTERM can never
-	// take the default action and kill the test binary.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-
 	p := adpcm(t)
 	dir := t.TempDir()
-	objPath, profPath := filepath.Join(dir, "adpcm.o"), filepath.Join(dir, "adpcm.prof")
-	for path, data := range map[string][]byte{objPath: p.objBytes, profPath: p.profBytes} {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	objPath, profPath := writeInputs(t, p, dir)
 	addr := "unix:" + filepath.Join(dir, "squashd.sock")
 	tracePath := filepath.Join(dir, "squashd.trace.json")
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runServer(addr, serve.Options{Workers: 4, Timeout: 2 * time.Minute, CacheEntries: 64}, "", tracePath, "")
-	}()
-	waitReady(t, addr)
+	stop := servetest.Start(t, addr, func() error {
+		return runServer(addr, serve.Options{Workers: 4, Timeout: 2 * time.Minute, CacheEntries: 64}, "", tracePath, "")
+	})
 
 	squash := func(conf core.Config, out string, noImage bool) string {
-		return captureStdout(t, func() {
+		return servetest.CaptureStdout(t, func() {
 			runClient(addr, clientArgs{profIn: profPath, out: out, conf: conf, noImage: noImage, args: []string{objPath}})
 		})
 	}
@@ -279,7 +242,7 @@ func TestRunServerMatchesOneShot(t *testing.T) {
 	}
 
 	var snap serve.Snapshot
-	stats := captureStdout(t, func() { runClient(addr, clientArgs{stats: true}) })
+	stats := servetest.CaptureStdout(t, func() { runClient(addr, clientArgs{stats: true}) })
 	if err := json.Unmarshal([]byte(stats), &snap); err != nil {
 		t.Fatalf("stats output: %v", err)
 	}
@@ -287,7 +250,9 @@ func TestRunServerMatchesOneShot(t *testing.T) {
 		t.Fatalf("stats report no warm-cache hits: %s", stats)
 	}
 
-	terminate(t, done)
+	if err := stop(); err != nil {
+		t.Fatalf("daemon did not drain cleanly on SIGTERM: %v", err)
+	}
 	trace, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatalf("daemon wrote no trace: %v", err)
@@ -295,67 +260,30 @@ func TestRunServerMatchesOneShot(t *testing.T) {
 	checkTrace(t, trace, "squashd.request", "squash", "region.encode")
 }
 
-// waitReady pings the daemon until it answers.
-func waitReady(t *testing.T, addr string) {
+// writeInputs writes p's object and profile into dir, as the files a
+// squashd client reads, and returns their paths.
+func writeInputs(t *testing.T, p *program, dir string) (objPath, profPath string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cl, err := serve.DialClient(addr)
-		if err == nil {
-			resp, err := cl.Do(&serve.Request{Op: serve.OpPing})
-			cl.Close()
-			if err == nil && resp.OK {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon at %s never answered a ping: %v", addr, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// terminate sends SIGTERM until runServer has drained and returned. The
-// signal repeats because the daemon registers its handler just after it
-// starts serving, so a first signal can arrive before the handler exists.
-func terminate(t *testing.T, done <-chan struct{}) {
-	t.Helper()
-	deadline := time.After(30 * time.Second)
-	for {
-		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+	objPath, profPath = filepath.Join(dir, "adpcm.o"), filepath.Join(dir, "adpcm.prof")
+	for path, data := range map[string][]byte{objPath: p.objBytes, profPath: p.profBytes} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-done:
-			return
-		case <-deadline:
-			t.Fatal("daemon did not drain on SIGTERM")
-		case <-time.After(100 * time.Millisecond):
-		}
 	}
+	return objPath, profPath
 }
 
-// TestMetricsMux: after a squash request, the daemon's HTTP mux serves
-// Prometheus text on /metrics, the JSON snapshot on /metrics.json, and the
-// pprof index.
+// TestMetricsMux: after a squash request, the daemon's metrics listener
+// serves Prometheus text on /metrics, the JSON snapshot on /metrics.json,
+// and the pprof index, and SIGTERM drains the daemon with a nil return.
 func TestMetricsMux(t *testing.T) {
 	p := adpcm(t)
-	s := serve.NewServer(serve.Options{Workers: 2, Obs: &obs.Recorder{Metrics: obs.NewRegistry()}, Logf: t.Logf})
-	ln, err := serve.Listen("unix:" + filepath.Join(t.TempDir(), "squashd.sock"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		<-serveDone
-	}()
-	cl, err := serve.DialClient("unix:" + ln.Addr().String())
+	addr := "unix:" + filepath.Join(t.TempDir(), "squashd.sock")
+	metricsAddr := servetest.FreeTCPAddr(t)
+	stop := servetest.Start(t, addr, func() error {
+		return runServer(addr, serve.Options{Workers: 2, Logf: t.Logf}, metricsAddr, "", "")
+	})
+	cl, err := serve.DialClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,11 +293,9 @@ func TestMetricsMux(t *testing.T) {
 		t.Fatalf("squash: resp=%+v err=%v", resp, err)
 	}
 
-	hs := httptest.NewServer(metricsMux(s))
-	defer hs.Close()
 	get := func(path string) []byte {
 		t.Helper()
-		r, err := http.Get(hs.URL + path)
+		r, err := http.Get("http://" + metricsAddr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -389,6 +315,9 @@ func TestMetricsMux(t *testing.T) {
 	checkMetrics(t, get("/metrics.json"), "squashd_requests_total")
 	if !strings.Contains(string(get("/debug/pprof/")), "goroutine") {
 		t.Error("pprof index did not render")
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("daemon did not drain cleanly on SIGTERM: %v", err)
 	}
 }
 

@@ -14,8 +14,10 @@
 //	squashload -connect unix:/tmp/squashd.sock -bench adpcm -conns 8 -duration 10s
 //	squashload -connect unix:/tmp/squashd.sock -bench adpcm -batch 16 -requests 50
 //
-// The JSON report (-out) feeds `benchhist -load`, which appends its metrics
-// to BENCH_history.json and enforces the CI floors/ceilings.
+// The JSON report (-out) is serve.LoadReport. The load gate (req/s, p50/p99
+// latency, cache hit rate, zero errors) is a Go test, cmd/squashd's
+// TestRecordedReplayLoadGate, which replays a recorded stream through the
+// same serve.Replay this command calls.
 package main
 
 import (

@@ -21,22 +21,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/profilefeed"
 	"repro/internal/regions"
 	"repro/internal/serve"
+	"repro/internal/serve/daemon"
 )
 
 func main() {
@@ -91,7 +86,7 @@ func main() {
 		if *store == "" {
 			fail(fmt.Errorf("-listen requires -store"))
 		}
-		runServer(*listen, profilefeed.Options{
+		err := runServer(*listen, profilefeed.Options{
 			Dir:           *store,
 			SquashAddr:    *squashAddr,
 			Threshold:     *threshold,
@@ -101,6 +96,9 @@ func main() {
 			MaxInputBytes: *maxInput,
 			OutDir:        *outDir,
 		}, *metricsAddr)
+		if err != nil {
+			fail(err)
+		}
 	case *connect != "":
 		conf := core.Config{
 			Theta:                   *theta,
@@ -131,78 +129,14 @@ func main() {
 	}
 }
 
-func runServer(addr string, opts profilefeed.Options, metricsAddr string) {
-	opts.Obs = &obs.Recorder{Metrics: obs.NewRegistry()}
+// runServer runs the collector until SIGTERM has drained it.
+func runServer(addr string, opts profilefeed.Options, metricsAddr string) error {
 	col, err := profilefeed.NewCollector(opts)
 	if err != nil {
-		fail(err)
+		return err
 	}
-
-	s := serve.NewServer(serve.Options{
-		Handler: col.Handle,
-		Obs:     col.Obs(),
-	})
-	ln, err := serve.Listen(addr)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "squashprofd: listening on %s (store %s)\n", addr, opts.Dir)
-
-	var httpSrv *http.Server
-	if metricsAddr != "" {
-		httpSrv = &http.Server{Addr: metricsAddr, Handler: metricsMux(col.Obs())}
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "squashprofd: metrics server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "squashprofd: metrics and pprof on http://%s\n", metricsAddr)
-	}
-
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "squashprofd: %s, draining\n", got)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		shutdownErr := s.Shutdown(ctx)
-		if httpSrv != nil {
-			httpSrv.Shutdown(ctx)
-		}
-		if shutdownErr != nil {
-			fmt.Fprintf(os.Stderr, "squashprofd: shutdown: %v\n", shutdownErr)
-			os.Exit(1)
-		}
-		<-serveDone
-	case err := <-serveDone:
-		if err != nil && err != serve.ErrServerClosed {
-			fail(err)
-		}
-	}
-}
-
-// metricsMux mirrors squashd's: both export formats plus explicit pprof.
-func metricsMux(rec *obs.Recorder) *http.ServeMux {
-	reg := rec.Metrics
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	fmt.Fprintf(os.Stderr, "squashprofd: store %s\n", opts.Dir)
+	return daemon.Run(serve.NewServer(serve.Options{Handler: col.Handle, Obs: col.Obs()}), []string{addr}, metricsAddr)
 }
 
 type clientArgs struct {

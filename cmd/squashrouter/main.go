@@ -18,20 +18,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/serve/daemon"
 )
 
 func main() {
@@ -58,7 +53,7 @@ func main() {
 		}
 	}
 
-	r, err := cluster.New(cluster.Config{
+	err := run(*listen, *admin, cluster.Config{
 		Backends:       addrs,
 		CheckInterval:  *checkEvery,
 		CheckTimeout:   *checkTimeout,
@@ -66,9 +61,18 @@ func main() {
 		Retries:        *retries,
 		BackendTimeout: *backendTimeout,
 		MaxIdle:        *maxIdle,
-	})
+	}, *metricsAddr)
 	if err != nil {
 		fail(err)
+	}
+}
+
+// run fronts cfg's backends on listen (and on admin, when set) until
+// SIGTERM has drained the front.
+func run(listen, admin string, cfg cluster.Config, metricsAddr string) error {
+	r, err := cluster.New(cfg)
+	if err != nil {
+		return err
 	}
 	r.Start()
 	defer r.Stop()
@@ -76,73 +80,12 @@ func main() {
 	// The front is a stock serve.Server with the squash pipeline replaced
 	// by the router's Handle: listeners, the frame codec, request metrics,
 	// and graceful drain all come from the daemon machinery.
-	rec := &obs.Recorder{Metrics: obs.NewRegistry()}
-	s := serve.NewServer(serve.Options{Handler: r.Handle, Obs: rec})
-
-	serveDone := make(chan error, 2)
-	listeners := 1
-	ln, err := serve.Listen(*listen)
-	if err != nil {
-		fail(err)
+	addrs := []string{listen}
+	if admin != "" {
+		addrs = append(addrs, admin)
 	}
-	go func() { serveDone <- s.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "squashrouter: listening on %s, %d backends\n", *listen, len(addrs))
-	if *admin != "" {
-		aln, err := serve.Listen(*admin)
-		if err != nil {
-			fail(err)
-		}
-		listeners++
-		go func() { serveDone <- s.Serve(aln) }()
-		fmt.Fprintf(os.Stderr, "squashrouter: admin plane on %s\n", *admin)
-	}
-
-	var httpSrv *http.Server
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		reg := s.Obs().Metrics
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WritePrometheus(w)
-		})
-		mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			reg.WriteJSON(w)
-		})
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		httpSrv = &http.Server{Addr: *metricsAddr, Handler: mux}
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "squashrouter: metrics server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "squashrouter: metrics and pprof on http://%s\n", *metricsAddr)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "squashrouter: %s, draining in-flight requests\n", got)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		shutdownErr := s.Shutdown(ctx)
-		if httpSrv != nil {
-			httpSrv.Shutdown(ctx)
-		}
-		for i := 0; i < listeners; i++ {
-			<-serveDone
-		}
-		if shutdownErr != nil {
-			fmt.Fprintf(os.Stderr, "squashrouter: shutdown: %v\n", shutdownErr)
-			os.Exit(1)
-		}
-	case err := <-serveDone:
-		if err != nil && err != serve.ErrServerClosed {
-			fail(err)
-		}
-	}
+	fmt.Fprintf(os.Stderr, "squashrouter: %d backends\n", len(cfg.Backends))
+	return daemon.Run(serve.NewServer(serve.Options{Handler: r.Handle}), addrs, metricsAddr)
 }
 
 func fail(err error) {

@@ -61,10 +61,10 @@ func DefaultPairs() []Pair {
 }
 
 // Entry is one history record at one commit: either the ratio a fast/slow
-// benchmark pair achieved (Ratio set) or an absolute service-level metric
-// from a squashload report (Value and Unit set). Ratio is omitempty so
-// load entries don't carry a meaningless zero ratio; pair ratios are
-// always positive, so existing history files round-trip unchanged.
+// benchmark pair achieved (Ratio set) or an absolute metric such as an
+// allocation median (Value and Unit set). Ratio is omitempty so value
+// entries don't carry a meaningless zero ratio; pair ratios are always
+// positive, so existing history files round-trip unchanged.
 type Entry struct {
 	Commit    string  `json:"commit"`
 	Date      string  `json:"date"`

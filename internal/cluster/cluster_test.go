@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -13,6 +11,7 @@ import (
 	"repro/internal/objfile"
 	"repro/internal/profile"
 	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/testprog"
 	"repro/internal/vm"
 )
@@ -55,41 +54,16 @@ func buildWorkload(t *testing.T, seed int64, conf core.Config) (objBytes, profBy
 	return ob.Bytes(), pb.Bytes(), img.Bytes()
 }
 
-// startDaemon runs a squash daemon (or, with opts.Handler set, a router
-// front) on a Unix socket and returns its address plus a shutdown func.
-func startDaemon(t *testing.T, name string, opts serve.Options) (string, func()) {
-	t.Helper()
-	if opts.Logf == nil {
-		opts.Logf = t.Logf
-	}
-	s := serve.NewServer(opts)
-	addr := "unix:" + filepath.Join(t.TempDir(), name+".sock")
-	ln, err := serve.Listen(addr)
-	if err != nil {
-		t.Fatalf("listen %s: %v", addr, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(ln) }()
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown %s: %v", name, err)
-		}
-		<-done
-	}
-	return addr, stop
-}
-
 // startCluster runs n squashd backends plus a router in front, and
 // returns the router's client-facing address, the Router, and the
 // backends' individual stop funcs (so tests can kill one mid-stream).
-func startCluster(t *testing.T, n int, cfg Config) (addr string, r *Router, backendStops []func(), stop func()) {
+// Everything still running stops at the end of the test.
+func startCluster(t *testing.T, n int, cfg Config) (addr string, r *Router, backendStops []func()) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		a, s := startDaemon(t, fmt.Sprintf("backend%d", i), serve.Options{Workers: 2})
+		a, stop := servetest.Serve(t, serve.Options{Workers: 2})
 		cfg.Backends = append(cfg.Backends, a)
-		backendStops = append(backendStops, s)
+		backendStops = append(backendStops, stop)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
@@ -99,29 +73,9 @@ func startCluster(t *testing.T, n int, cfg Config) (addr string, r *Router, back
 		t.Fatalf("router: %v", err)
 	}
 	r.Start()
-	addr, frontStop := startDaemon(t, "router", serve.Options{Handler: r.Handle, Logf: t.Logf})
-	stopped := make([]bool, n)
-	stop = func() {
-		frontStop()
-		r.Stop()
-		for i, s := range backendStops {
-			if !stopped[i] {
-				s()
-			}
-		}
-	}
-	// Wrap each backend stop so the cluster-level stop skips ones a test
-	// already killed.
-	for i := range backendStops {
-		i, inner := i, backendStops[i]
-		backendStops[i] = func() {
-			if !stopped[i] {
-				stopped[i] = true
-				inner()
-			}
-		}
-	}
-	return addr, r, backendStops, stop
+	t.Cleanup(r.Stop)
+	addr, _ = servetest.Serve(t, serve.Options{Handler: r.Handle})
+	return addr, r, backendStops
 }
 
 // TestRendezvousStability: removing a backend moves only the keys it
@@ -210,8 +164,7 @@ func TestRouterByteIdentity(t *testing.T) {
 
 	// Rendezvous hashing is the router's placement.
 	t.Run("hash", func(t *testing.T) {
-		addr, _, _, stop := startCluster(t, 3, Config{})
-		defer stop()
+		addr, _, _ := startCluster(t, 3, Config{})
 		c, err := serve.DialClient(addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
@@ -321,12 +274,11 @@ func TestRouterFailover(t *testing.T) {
 	obj1, prof1, want1 := buildWorkload(t, 3, conf)
 	obj2, prof2, want2 := buildWorkload(t, 11, conf)
 
-	addr, r, backendStops, stop := startCluster(t, 3, Config{
+	addr, r, backendStops := startCluster(t, 3, Config{
 		CheckInterval: 50 * time.Millisecond,
 		CheckTimeout:  time.Second,
 		FailAfter:     2,
 	})
-	defer stop()
 
 	c, err := serve.DialClient(addr)
 	if err != nil {
@@ -398,8 +350,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	conf := core.DefaultConfig()
 	obj, prof, want := buildWorkload(t, 7, conf)
 
-	addr, r, _, stop := startCluster(t, 2, Config{})
-	defer stop()
+	addr, r, _ := startCluster(t, 2, Config{})
 
 	c, err := serve.DialClient(addr)
 	if err != nil {

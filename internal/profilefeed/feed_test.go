@@ -2,10 +2,10 @@ package profilefeed
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +16,7 @@ import (
 	"repro/internal/objfile"
 	"repro/internal/profile"
 	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/testprog"
 	"repro/internal/vm"
 )
@@ -384,10 +385,13 @@ func TestCollectorPersistence(t *testing.T) {
 	}
 }
 
-// TestStoreTornResquash simulates a crash inside a second re-squash: the
-// generation-2 current.emx is on disk but entry.json is still the one
-// written after the first re-squash. The reloaded store must never pair a
-// key with another image's bytes, so the torn entry is skipped.
+// TestStoreTornResquash simulates a crash inside a re-squash: the new
+// generation's files are on disk but entry.json is still the one written
+// before that re-squash. The reloaded store must never pair an entry with
+// another generation's bytes, so the torn entry is skipped. In the second
+// re-squash the stale current.emx gives it away; in the first, current.emx
+// is not read (the current key is still the registration key), and the
+// baseline count files' sums must.
 func TestStoreTornResquash(t *testing.T) {
 	// On adpcm at θ=0.01, re-squashing for a slice of the timing input and
 	// then for the registration input again yields three distinct image
@@ -397,49 +401,51 @@ func TestStoreTornResquash(t *testing.T) {
 	conf := core.DefaultConfig()
 	conf.Theta = 0.01
 	objBytes, profBytes, imageBytes := buildSquashedSrc(t, spec.Generate(), regInput, conf)
-	dir := t.TempDir()
-	clock := newFakeClock()
-	col := newTestCollector(t, Options{Dir: dir, Threshold: 10, Now: clock.Now})
-	key := register(t, col, objBytes, profBytes, imageBytes, regInput, conf)
+	inputs := [][]byte{spec.TimingInput()[:12500], regInput}
 
-	resquash := func(cur []byte, curKey string, input []byte) *serve.Response {
-		t.Helper()
-		clock.Advance(time.Second)
-		pushResp(t, col, curKey, fleetProfile(t, cur, input), input)
-		clock.Advance(time.Second)
-		resp := col.Handle(&serve.Request{Op: serve.OpProfileResquash, ImageKey: curKey, Force: true})
-		if !resp.OK {
-			t.Fatalf("forced re-squash: %s", resp.Err)
-		}
-		return resp
-	}
-	gen1 := resquash(imageBytes, key, spec.TimingInput()[:12500])
-	entryPath := filepath.Join(dir, key, entryFile)
-	gen1Entry, err := os.ReadFile(entryPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen2 := resquash(gen1.Image, gen1.Resquash.NewKey, regInput)
-	if gen2.Resquash.NewKey == gen1.Resquash.NewKey || gen1.Resquash.NewKey == key {
-		t.Fatalf("re-squashes did not produce three distinct generations: %.12s, %.12s, %.12s",
-			key, gen1.Resquash.NewKey, gen2.Resquash.NewKey)
-	}
-	if err := os.WriteFile(entryPath, gen1Entry, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		gens int
+	}{{"first re-squash", 1}, {"second re-squash", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			clock := newFakeClock()
+			col := newTestCollector(t, Options{Dir: dir, Threshold: 10, Now: clock.Now})
+			key := register(t, col, objBytes, profBytes, imageBytes, regInput, conf)
+			entryPath := filepath.Join(dir, key, entryFile)
 
-	var skipped []string
-	sts, err := loadStore(dir, func(format string, args ...any) { skipped = append(skipped, fmt.Sprintf(format, args...)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, st := range sts {
-		if imageKey(st.regImage) != st.Key || imageKey(st.curImage) != st.CurrentKey {
-			t.Errorf("entry %.12s pairs keys %.12s/%.12s with other images' bytes", k, st.Key, st.CurrentKey)
-		}
-	}
-	if _, ok := sts[key]; ok || len(skipped) != 1 {
-		t.Fatalf("torn entry loaded (skip notes: %q)", skipped)
+			cur, keys := imageBytes, []string{key}
+			var before []byte
+			for g := 0; g < tc.gens; g++ {
+				clock.Advance(time.Second)
+				pushResp(t, col, keys[g], fleetProfile(t, cur, inputs[g]), inputs[g])
+				var err error
+				if before, err = os.ReadFile(entryPath); err != nil {
+					t.Fatal(err)
+				}
+				clock.Advance(time.Second)
+				resp := col.Handle(&serve.Request{Op: serve.OpProfileResquash, ImageKey: keys[g], Force: true})
+				if !resp.OK {
+					t.Fatalf("forced re-squash: %s", resp.Err)
+				}
+				if slices.Contains(keys, resp.Resquash.NewKey) {
+					t.Fatalf("re-squash %d did not produce a new generation: %.12s", g+1, resp.Resquash.NewKey)
+				}
+				cur, keys = resp.Image, append(keys, resp.Resquash.NewKey)
+			}
+			if err := os.WriteFile(entryPath, before, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var skipped []string
+			sts, err := loadStore(dir, func(format string, args ...any) { skipped = append(skipped, fmt.Sprintf(format, args...)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := sts[key]; ok || len(skipped) != 1 {
+				t.Fatalf("torn entry loaded (skip notes: %q)", skipped)
+			}
+		})
 	}
 }
 
@@ -451,23 +457,8 @@ func TestCollectorOverServe(t *testing.T) {
 	objBytes, profBytes, imageBytes := buildSquashed(t, 71, steadyInput, conf)
 	col := newTestCollector(t, Options{Threshold: 10})
 
-	s := serve.NewServer(serve.Options{Handler: col.Handle, Logf: t.Logf, Obs: col.Obs()})
-	ln, err := serve.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		<-done
-	}()
-
-	cl, err := serve.DialClient(ln.Addr().String())
+	addr, _ := servetest.Serve(t, serve.Options{Handler: col.Handle, Obs: col.Obs()})
+	cl, err := serve.DialClient(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -52,6 +52,13 @@ type entryMeta struct {
 	LastPushUnix     int64                 `json:"last_push_unix,omitempty"`
 	LastResquashUnix int64                 `json:"last_resquash_unix,omitempty"`
 	LastReport       *serve.ResquashReport `json:"last_report,omitempty"`
+	// BaseProfSum and BaseCountsSum are the SHA-256 of baseprof.emp and
+	// basecounts.emp as last written ("" for an absent file). The count
+	// files carry no key, and a crash inside a re-squash can leave the next
+	// generation's baselines beside this entry.json; the sums tie each file
+	// to the generation that wrote them.
+	BaseProfSum   string `json:"baseprof_sha256"`
+	BaseCountsSum string `json:"basecounts_sha256"`
 }
 
 // imageState is one registered image's full in-memory state. The collector
@@ -114,33 +121,40 @@ func writeFileAtomic(path string, data []byte) error {
 	return os.Rename(name, path)
 }
 
-// writeCounts persists a count vector as an EMP1 file (atomic). A nil
-// vector removes the file.
-func writeCounts(path string, c profile.Counts) error {
+// writeCounts persists a count vector as an EMP1 file (atomic) and returns
+// the file's sum. A nil vector removes the file.
+func writeCounts(path string, c profile.Counts) (string, error) {
 	if c == nil {
 		err := os.Remove(path)
 		if os.IsNotExist(err) {
-			return nil
+			return "", nil
 		}
-		return err
+		return "", err
 	}
 	var buf bytes.Buffer
 	if _, err := c.WriteTo(&buf); err != nil {
-		return err
+		return "", err
 	}
-	return writeFileAtomic(path, buf.Bytes())
+	return fileSum(buf.Bytes()), writeFileAtomic(path, buf.Bytes())
 }
 
-// readCountsFile loads an EMP1 file; a missing file is a nil vector.
-func readCountsFile(path string) (profile.Counts, error) {
+// readCountsFile loads an EMP1 file and returns it with its sum; a missing
+// file is a nil vector.
+func readCountsFile(path string) (profile.Counts, string, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, "", nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return profile.ReadCounts(bytes.NewReader(data))
+	c, err := profile.ReadCounts(bytes.NewReader(data))
+	return c, fileSum(data), err
+}
+
+// fileSum is the SHA-256 hex of a count file's bytes.
+func fileSum(data []byte) string {
+	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
 // saveMeta persists entry.json.
@@ -187,10 +201,11 @@ func (st *imageState) saveAll(root string) error {
 	if err := st.saveCurrent(root); err != nil {
 		return err
 	}
-	if err := writeCounts(filepath.Join(dir, baseProfFile), st.baseObjProf); err != nil {
+	var err error
+	if st.BaseProfSum, err = writeCounts(filepath.Join(dir, baseProfFile), st.baseObjProf); err != nil {
 		return err
 	}
-	if err := writeCounts(filepath.Join(dir, baseCountFile), st.baseCounts); err != nil {
+	if st.BaseCountsSum, err = writeCounts(filepath.Join(dir, baseCountFile), st.baseCounts); err != nil {
 		return err
 	}
 	if err := st.saveWindow(root); err != nil {
@@ -212,7 +227,7 @@ func (st *imageState) saveCurrent(root string) error {
 // input, and the metadata counters.
 func (st *imageState) saveWindow(root string) error {
 	dir := st.dir(root)
-	if err := writeCounts(filepath.Join(dir, liveFile), st.live); err != nil {
+	if _, err := writeCounts(filepath.Join(dir, liveFile), st.live); err != nil {
 		return err
 	}
 	if st.lastInput != nil {
@@ -290,13 +305,23 @@ func loadEntry(dir string) (*imageState, error) {
 			return nil, fmt.Errorf("%s does not hash to current key %.12s", curImageFile, st.CurrentKey)
 		}
 	}
-	if st.baseObjProf, err = readCountsFile(filepath.Join(dir, baseProfFile)); err != nil {
-		return nil, err
+	for _, b := range []struct {
+		name string
+		dst  *profile.Counts
+		sum  string
+	}{
+		{baseProfFile, &st.baseObjProf, st.BaseProfSum},
+		{baseCountFile, &st.baseCounts, st.BaseCountsSum},
+	} {
+		var sum string
+		if *b.dst, sum, err = readCountsFile(filepath.Join(dir, b.name)); err != nil {
+			return nil, err
+		}
+		if sum != b.sum {
+			return nil, fmt.Errorf("%s does not match the sha256 %s records", b.name, entryFile)
+		}
 	}
-	if st.baseCounts, err = readCountsFile(filepath.Join(dir, baseCountFile)); err != nil {
-		return nil, err
-	}
-	if st.live, err = readCountsFile(filepath.Join(dir, liveFile)); err != nil {
+	if st.live, _, err = readCountsFile(filepath.Join(dir, liveFile)); err != nil {
 		return nil, err
 	}
 	// Inputs are optional (an image can be registered without one).

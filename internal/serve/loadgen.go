@@ -76,9 +76,8 @@ type LoadLatency struct {
 	Mean float64 `json:"mean"`
 }
 
-// LoadReport is the load generator's result. cmd/benchhist ingests the
-// JSON form and gates CI on its metrics (req/s floor, p99 ceiling, error
-// ceiling), so field names are part of the CI contract.
+// LoadReport is the load generator's result; cmd/squashload writes its
+// JSON form with -out.
 type LoadReport struct {
 	Mode        string      `json:"mode"` // "replay" or "synthetic"
 	Concurrency int         `json:"concurrency"`
