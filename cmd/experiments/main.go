@@ -74,46 +74,18 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
 	}
-	writeTelemetry(rec, *traceOut, *metricsOut)
+	if err := rec.WriteFiles(*traceOut, *metricsOut); err != nil {
+		fail(err)
+	}
+	if *traceOut != "" {
+		fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
+	}
 	if *memProfile != "" {
 		if err := obs.WriteHeapProfile(*memProfile); err != nil {
 			fail(err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "total time %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// writeTelemetry exports the run's spans (Chrome JSON plus a tree summary
-// on stderr) and the accumulated metrics. No-op with a nil recorder.
-func writeTelemetry(rec *obs.Recorder, traceOut, metricsOut string) {
-	if rec == nil {
-		return
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := rec.Trace.WriteChrome(f); err != nil {
-			fail(err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", traceOut)
-	}
-	if metricsOut != "" {
-		w := os.Stderr
-		if metricsOut != "-" {
-			f, err := os.Create(metricsOut)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rec.Metrics.WriteJSON(w); err != nil {
-			fail(err)
-		}
-	}
 }
 
 func fail(err error) {

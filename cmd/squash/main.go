@@ -20,25 +20,12 @@ import (
 	"repro/internal/objfile"
 	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/regions"
 )
 
 func main() {
 	profIn := flag.String("profile", "", "basic-block profile from em-run -profile (required)")
 	out := flag.String("o", "", "output image (default: input with .sqz.exe suffix)")
-	theta := flag.Float64("theta", 0.0, "cold-code threshold θ (fraction of dynamic instructions)")
-	k := flag.Int("K", 512, "runtime buffer bound in bytes")
-	gamma := flag.Float64("gamma", 0.66, "assumed compression factor for region selection")
-	noPack := flag.Bool("no-pack", false, "disable region packing")
-	loopAware := flag.Bool("loop-aware", false, "seed regions from natural loops (§9 extension)")
-	interpret := flag.Bool("interpret", false, "interpret compressed code in place instead of decompressing (§8 alternative)")
-	noBufferSafe := flag.Bool("no-buffersafe", false, "disable buffer-safe call analysis")
-	noUnswitch := flag.Bool("no-unswitch", false, "disable jump-table unswitching")
-	mtf := flag.Bool("mtf", false, "use the move-to-front stream coder variant")
-	coder := flag.String("coder", "stream", "region coder: stream (split-stream, §3) or lz (dictionary, §8)")
-	ctStubs := flag.Bool("compile-time-stubs", false, "materialize restore stubs statically (ablation)")
-	stubCap := flag.Int("stub-capacity", 16, "runtime restore-stub slots")
-	workers := flag.Int("workers", 0, "worker goroutines for the squash pipeline (0 = one per CPU, 1 = serial); output is byte-identical at any count")
+	conf := core.BindFlags(flag.CommandLine)
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the pipeline stages here")
 	metricsOut := flag.String("metrics", "", "write pipeline metrics as JSON here (\"-\" for stderr)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the squash run here")
@@ -68,24 +55,6 @@ func main() {
 		fail(err)
 	}
 
-	conf := core.Config{
-		Theta:                   *theta,
-		BufferSafe:              !*noBufferSafe,
-		Unswitch:                !*noUnswitch,
-		MTF:                     *mtf,
-		Coder:                   coderID(*coder),
-		Interpret:               *interpret,
-		CompileTimeRestoreStubs: *ctStubs,
-		StubCapacity:            *stubCap,
-		Workers:                 *workers,
-	}
-	conf.Regions.K = *k
-	conf.Regions.Gamma = *gamma
-	conf.Regions.Pack = !*noPack
-	if *loopAware {
-		conf.Regions.Strategy = regions.StrategyLoopAware
-	}
-
 	var rec *obs.Recorder
 	if *traceOut != "" || *metricsOut != "" {
 		rec = &obs.Recorder{Metrics: obs.NewRegistry()}
@@ -105,11 +74,16 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	res, err := core.SquashObs(obj, counts, conf, rec)
+	res, err := core.SquashObs(obj, counts, *conf, rec)
 	if err != nil {
 		fail(err)
 	}
-	writeTelemetry(rec, *traceOut, *metricsOut)
+	if err := rec.WriteFiles(*traceOut, *metricsOut); err != nil {
+		fail(err)
+	}
+	if *traceOut != "" {
+		fmt.Fprint(os.Stderr, rec.Trace.Summary())
+	}
 	if *memProfile != "" {
 		if err := obs.WriteHeapProfile(*memProfile); err != nil {
 			fail(err)
@@ -133,7 +107,7 @@ func main() {
 
 	st := res.Stats
 	fmt.Printf("%s: %d -> %d bytes (%.1f%% reduction), θ=%g K=%d\n",
-		name, st.InputBytes, st.SquashedBytes, 100*st.Reduction(), *theta, *k)
+		name, st.InputBytes, st.SquashedBytes, 100*st.Reduction(), conf.Theta, conf.Regions.K)
 	fmt.Printf("  cold %d / compressible %d / total %d instructions\n",
 		st.ColdInsts, st.CompressibleInsts, st.TotalInsts)
 	fmt.Printf("  %d regions, %d entry stubs, compression factor γ=%.3f\n",
@@ -160,57 +134,6 @@ func main() {
 			}
 			fmt.Printf("    %s\n", w)
 		}
-	}
-}
-
-// writeTelemetry exports the run's spans (Chrome JSON plus a tree summary
-// on stderr) and its metrics snapshot. No-op with a nil recorder.
-func writeTelemetry(rec *obs.Recorder, traceOut, metricsOut string) {
-	if rec == nil {
-		return
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := rec.Trace.WriteChrome(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprint(os.Stderr, rec.Trace.Summary())
-	}
-	if metricsOut != "" {
-		w := os.Stderr
-		if metricsOut != "-" {
-			f, err := os.Create(metricsOut)
-			if err != nil {
-				fail(err)
-			}
-			w = f
-		}
-		if err := rec.Metrics.WriteJSON(w); err != nil {
-			fail(err)
-		}
-		if w != os.Stderr {
-			if err := w.Close(); err != nil {
-				fail(err)
-			}
-		}
-	}
-}
-
-func coderID(name string) int {
-	switch name {
-	case "stream":
-		return core.CoderStream
-	case "lz":
-		return core.CoderLZ
-	default:
-		fail(fmt.Errorf("unknown coder %q (want stream or lz)", name))
-		return 0
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/race"
 	"repro/internal/serve"
 	"repro/internal/serve/servetest"
 )
@@ -95,7 +96,7 @@ func TestRecordedReplayLoadGate(t *testing.T) {
 		{"cache hit rate >= 0.2", rep.CacheHitRate >= 0.2, false},
 		{"0 errors", rep.Errors == 0, false},
 	} {
-		if g.speed && raceDetector {
+		if g.speed && race.Enabled {
 			t.Logf("load gate %s not checked under the race detector", g.name)
 			continue
 		}

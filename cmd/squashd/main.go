@@ -24,6 +24,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,7 +34,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/regions"
 	"repro/internal/serve"
 	"repro/internal/serve/daemon"
 )
@@ -65,19 +65,7 @@ func main() {
 	// Squash configuration, mirroring cmd/squash.
 	profIn := flag.String("profile", "", "basic-block profile from em-run -profile")
 	out := flag.String("o", "", "output image (default: input with .sqz.exe suffix)")
-	theta := flag.Float64("theta", 0.0, "cold-code threshold θ (fraction of dynamic instructions)")
-	k := flag.Int("K", 512, "runtime buffer bound in bytes")
-	gamma := flag.Float64("gamma", 0.66, "assumed compression factor for region selection")
-	noPack := flag.Bool("no-pack", false, "disable region packing")
-	loopAware := flag.Bool("loop-aware", false, "seed regions from natural loops (§9 extension)")
-	interpret := flag.Bool("interpret", false, "interpret compressed code in place instead of decompressing (§8 alternative)")
-	noBufferSafe := flag.Bool("no-buffersafe", false, "disable buffer-safe call analysis")
-	noUnswitch := flag.Bool("no-unswitch", false, "disable jump-table unswitching")
-	mtf := flag.Bool("mtf", false, "use the move-to-front stream coder variant")
-	coder := flag.String("coder", "stream", "region coder: stream (split-stream, §3) or lz (dictionary, §8)")
-	ctStubs := flag.Bool("compile-time-stubs", false, "materialize restore stubs statically (ablation)")
-	stubCap := flag.Int("stub-capacity", 16, "runtime restore-stub slots")
-	workers := flag.Int("workers", 0, "worker goroutines for one squash (0 = one per CPU); output is byte-identical at any count")
+	conf := core.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	switch {
@@ -95,28 +83,11 @@ func main() {
 			fail(err)
 		}
 	case *connect != "":
-		conf := core.Config{
-			Theta:                   *theta,
-			BufferSafe:              !*noBufferSafe,
-			Unswitch:                !*noUnswitch,
-			MTF:                     *mtf,
-			Coder:                   coderID(*coder),
-			Interpret:               *interpret,
-			CompileTimeRestoreStubs: *ctStubs,
-			StubCapacity:            *stubCap,
-			Workers:                 *workers,
-		}
-		conf.Regions.K = *k
-		conf.Regions.Gamma = *gamma
-		conf.Regions.Pack = !*noPack
-		if *loopAware {
-			conf.Regions.Strategy = regions.StrategyLoopAware
-		}
 		runClient(*connect, clientArgs{
 			stats: *stats, ping: *ping,
 			bench: *bench, scale: *scale,
 			batch: *batch, outDir: *outDir,
-			profIn: *profIn, out: *out, conf: conf,
+			profIn: *profIn, out: *out, conf: *conf,
 			noImage: *noImage, args: flag.Args(),
 		})
 	default:
@@ -146,27 +117,13 @@ func runServer(addr string, opts serve.Options, metricsAddr, traceOut, recordPat
 	}
 
 	err := daemon.Run(serve.NewServer(opts), []string{addr}, metricsAddr)
-	writeTrace(rec, traceOut)
+	if werr := rec.WriteFiles(traceOut, ""); werr != nil {
+		return errors.Join(err, fmt.Errorf("trace: %w", werr))
+	}
+	if traceOut != "" {
+		fmt.Fprintf(os.Stderr, "squashd: wrote trace to %s\n%s", traceOut, rec.Trace.Summary())
+	}
 	return err
-}
-
-// writeTrace dumps the accumulated spans as Chrome trace-event JSON and
-// prints the human-readable tree to stderr. No-op without -trace.
-func writeTrace(rec *obs.Recorder, path string) {
-	if path == "" || rec.Trace == nil {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "squashd: trace: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := rec.Trace.WriteChrome(f); err != nil {
-		fmt.Fprintf(os.Stderr, "squashd: trace: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "squashd: wrote trace to %s\n%s", path, rec.Trace.Summary())
 }
 
 type clientArgs struct {
@@ -324,18 +281,6 @@ func must(resp *serve.Response, err error) *serve.Response {
 		fail(fmt.Errorf("server: %s", resp.Err))
 	}
 	return resp
-}
-
-func coderID(name string) int {
-	switch name {
-	case "stream":
-		return core.CoderStream
-	case "lz":
-		return core.CoderLZ
-	default:
-		fail(fmt.Errorf("unknown coder %q (want stream or lz)", name))
-		return 0
-	}
 }
 
 func fail(err error) {

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/profilefeed"
-	"repro/internal/regions"
 	"repro/internal/serve"
 	"repro/internal/serve/daemon"
 )
@@ -62,21 +61,9 @@ func main() {
 	force := flag.Bool("force", false, "client: re-squash even below the drift threshold")
 	out := flag.String("o", "", "client: write the re-squashed image here")
 
-	// Squash configuration for -register, mirroring cmd/squash: the exact
+	// Squash configuration for -register, shared with cmd/squash: the exact
 	// config the image was squashed with, reused verbatim on re-squash.
-	theta := flag.Float64("theta", 0.0, "cold-code threshold θ used at squash time")
-	k := flag.Int("K", 512, "runtime buffer bound in bytes")
-	gamma := flag.Float64("gamma", 0.66, "assumed compression factor for region selection")
-	noPack := flag.Bool("no-pack", false, "disable region packing")
-	loopAware := flag.Bool("loop-aware", false, "seed regions from natural loops")
-	interpret := flag.Bool("interpret", false, "interpret compressed code in place")
-	noBufferSafe := flag.Bool("no-buffersafe", false, "disable buffer-safe call analysis")
-	noUnswitch := flag.Bool("no-unswitch", false, "disable jump-table unswitching")
-	mtf := flag.Bool("mtf", false, "move-to-front stream coder variant")
-	coder := flag.String("coder", "stream", "region coder: stream or lz")
-	ctStubs := flag.Bool("compile-time-stubs", false, "materialize restore stubs statically")
-	stubCap := flag.Int("stub-capacity", 16, "runtime restore-stub slots")
-	workers := flag.Int("workers", 0, "worker goroutines for one squash (0 = one per CPU)")
+	conf := core.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	switch {
@@ -100,27 +87,10 @@ func main() {
 			fail(err)
 		}
 	case *connect != "":
-		conf := core.Config{
-			Theta:                   *theta,
-			BufferSafe:              !*noBufferSafe,
-			Unswitch:                !*noUnswitch,
-			MTF:                     *mtf,
-			Coder:                   coderID(*coder),
-			Interpret:               *interpret,
-			CompileTimeRestoreStubs: *ctStubs,
-			StubCapacity:            *stubCap,
-			Workers:                 *workers,
-		}
-		conf.Regions.K = *k
-		conf.Regions.Gamma = *gamma
-		conf.Regions.Pack = !*noPack
-		if *loopAware {
-			conf.Regions.Strategy = regions.StrategyLoopAware
-		}
 		runClient(*connect, clientArgs{
 			ping: *ping, register: *register, objPath: *objPath, profPath: *profPath,
 			inputPath: *inputPath, status: *status, asJSON: *asJSON,
-			resquash: *resquash, force: *force, out: *out, conf: conf,
+			resquash: *resquash, force: *force, out: *out, conf: *conf,
 		})
 	default:
 		fmt.Fprintln(os.Stderr, "usage: squashprofd -listen ADDR -store DIR [server flags]")
@@ -245,18 +215,6 @@ func must(resp *serve.Response, err error) *serve.Response {
 		fail(fmt.Errorf("collector: %s", resp.Err))
 	}
 	return resp
-}
-
-func coderID(name string) int {
-	switch name {
-	case "stream":
-		return core.CoderStream
-	case "lz":
-		return core.CoderLZ
-	default:
-		fail(fmt.Errorf("unknown coder %q (want stream or lz)", name))
-		return 0
-	}
 }
 
 func fail(err error) {

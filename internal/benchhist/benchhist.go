@@ -1,19 +1,16 @@
-// Package benchhist turns `go test -bench` output into a per-commit history
-// of paired fast/slow speedup ratios. The fast-path engine's benchmarks run
-// both implementations in one process (BenchmarkVMStep/{fast,slow},
+// Package benchhist gates paired fast/slow speedup ratios in `go test
+// -bench` output. The fast-path engine's benchmarks run both
+// implementations in one process (BenchmarkVMStep/{fast,slow},
 // BenchmarkHuffmanDecode/{table,tree}, ...), so the within-process ratio is
 // robust to machine-load noise even on shared CI runners; this package
-// extracts those ratios, appends them to BENCH_history.json (one entry per
-// commit × benchmark), and fails when a ratio regresses past its floor —
-// replacing the one-shot snapshot + manual benchstat workflow.
+// extracts those ratios and fails when one regresses past its floor. The
+// ratios are a gate, not a trajectory: the raw bench output is the record.
 package benchhist
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,7 +19,7 @@ import (
 // Pair names one fast/slow benchmark pairing and the minimum acceptable
 // speedup (median slow ns/op over median fast ns/op).
 type Pair struct {
-	// Name identifies the pair in history entries and reports.
+	// Name identifies the pair in entries and reports.
 	Name string
 	// Fast and Slow are benchmark names as printed by `go test -bench`,
 	// without the -GOMAXPROCS suffix.
@@ -60,18 +57,10 @@ func DefaultPairs() []Pair {
 	}
 }
 
-// Entry is one history record at one commit: either the ratio a fast/slow
-// benchmark pair achieved (Ratio set) or an absolute metric such as an
-// allocation median (Value and Unit set). Ratio is omitempty so value
-// entries don't carry a meaningless zero ratio; pair ratios are always
-// positive, so existing history files round-trip unchanged.
+// Entry is the ratio one fast/slow benchmark pair achieved.
 type Entry struct {
-	Commit    string  `json:"commit"`
-	Date      string  `json:"date"`
-	Benchmark string  `json:"benchmark"`
-	Ratio     float64 `json:"ratio,omitempty"`
-	Value     float64 `json:"value,omitempty"`
-	Unit      string  `json:"unit,omitempty"`
+	Benchmark string
+	Ratio     float64
 }
 
 // ParseNsPerOp extracts ns/op samples from `go test -bench` text output.
@@ -88,13 +77,6 @@ type Entry struct {
 // cutting at the last dash per line, which used to merge
 // `BenchmarkFoo/size-128` at GOMAXPROCS=1 into `BenchmarkFoo/size`.
 func ParseNsPerOp(r io.Reader) (map[string][]float64, error) {
-	return ParseMetric(r, "ns/op")
-}
-
-// ParseMetric extracts samples of one benchmark metric (by its unit column:
-// "ns/op", "allocs/op", "B/op", ...) from `go test -bench` output, with the
-// same sub-benchmark and GOMAXPROCS-suffix handling as ParseNsPerOp.
-func ParseMetric(r io.Reader, unit string) (map[string][]float64, error) {
 	type sample struct {
 		name string
 		v    float64
@@ -114,12 +96,12 @@ func ParseMetric(r io.Reader, unit string) (map[string][]float64, error) {
 		var val float64
 		found := false
 		for i := 2; i+1 < len(fields); i += 2 {
-			if fields[i+1] != unit {
+			if fields[i+1] != "ns/op" {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchhist: bad %s %q for %s", unit, fields[i], name)
+				return nil, fmt.Errorf("benchhist: bad ns/op %q for %s", fields[i], name)
 			}
 			val = v
 			found = true
@@ -168,7 +150,7 @@ func median(v []float64) float64 {
 // Ratios computes each pair's speedup (median slow over median fast) from
 // parsed samples. Every pair must be present: a missing benchmark means the
 // bench run silently dropped a fast path, which is itself a regression.
-func Ratios(samples map[string][]float64, pairs []Pair, commit, date string) ([]Entry, error) {
+func Ratios(samples map[string][]float64, pairs []Pair) ([]Entry, error) {
 	var entries []Entry
 	for _, p := range pairs {
 		fast, ok := samples[p.Fast]
@@ -183,12 +165,7 @@ func Ratios(samples map[string][]float64, pairs []Pair, commit, date string) ([]
 		if mf <= 0 {
 			return nil, fmt.Errorf("benchhist: nonpositive ns/op for %s", p.Fast)
 		}
-		entries = append(entries, Entry{
-			Commit:    commit,
-			Date:      date,
-			Benchmark: p.Name,
-			Ratio:     median(slow) / mf,
-		})
+		entries = append(entries, Entry{Benchmark: p.Name, Ratio: median(slow) / mf})
 	}
 	return entries, nil
 }
@@ -209,46 +186,4 @@ func Check(entries []Entry, pairs []Pair) error {
 		return fmt.Errorf("benchhist: speedup regression:\n  %s", strings.Join(fails, "\n  "))
 	}
 	return nil
-}
-
-// Read loads a history file; a missing file is an empty history.
-func Read(path string) ([]Entry, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var entries []Entry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("benchhist: %s: %w", path, err)
-	}
-	return entries, nil
-}
-
-// Append adds entries to the history file, creating it if absent. Existing
-// entries for the same (commit, benchmark) pair are replaced, so a re-run CI
-// job overwrites its commit's ratios instead of doubling them.
-func Append(path string, entries []Entry) error {
-	history, err := Read(path)
-	if err != nil {
-		return err
-	}
-	replacing := map[[2]string]bool{}
-	for _, e := range entries {
-		replacing[[2]string{e.Commit, e.Benchmark}] = true
-	}
-	kept := history[:0]
-	for _, e := range history {
-		if !replacing[[2]string{e.Commit, e.Benchmark}] {
-			kept = append(kept, e)
-		}
-	}
-	history = append(kept, entries...)
-	data, err := json.MarshalIndent(history, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

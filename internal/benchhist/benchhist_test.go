@@ -1,7 +1,6 @@
 package benchhist
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -103,7 +102,7 @@ func TestRatiosAndCheck(t *testing.T) {
 		{Name: "vm-step", Fast: "BenchmarkVMStep/fast", Slow: "BenchmarkVMStep/slow", Min: 1.3},
 		{Name: "huffman-decode", Fast: "BenchmarkHuffmanDecode/table", Slow: "BenchmarkHuffmanDecode/tree", Min: 2.0},
 	}
-	entries, err := Ratios(samples, pairs, "abc123", "2026-08-05")
+	entries, err := Ratios(samples, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +113,8 @@ func TestRatiosAndCheck(t *testing.T) {
 	if r := entries[0].Ratio; r < 2.1 || r > 2.2 {
 		t.Fatalf("vm-step ratio %.3f", r)
 	}
-	if entries[0].Commit != "abc123" || entries[0].Date != "2026-08-05" || entries[0].Benchmark != "vm-step" {
-		t.Fatalf("entry metadata: %+v", entries[0])
+	if entries[0].Benchmark != "vm-step" {
+		t.Fatalf("entry name: %+v", entries[0])
 	}
 	if err := Check(entries, pairs); err != nil {
 		t.Fatalf("Check on healthy ratios: %v", err)
@@ -126,79 +125,8 @@ func TestRatiosAndCheck(t *testing.T) {
 	}
 
 	missing := append(pairs, Pair{Name: "ghost", Fast: "BenchmarkGhost/fast", Slow: "BenchmarkGhost/slow", Min: 1})
-	if _, err := Ratios(samples, missing, "c", "d"); err == nil {
+	if _, err := Ratios(samples, missing); err == nil {
 		t.Fatal("missing benchmark accepted")
-	}
-}
-
-func TestAppendRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_history.json")
-	if entries, err := Read(path); err != nil || entries != nil {
-		t.Fatalf("missing history: %v, %v", entries, err)
-	}
-	first := []Entry{{Commit: "aaa", Date: "2026-08-01", Benchmark: "vm-step", Ratio: 2.1}}
-	if err := Append(path, first); err != nil {
-		t.Fatal(err)
-	}
-	second := []Entry{
-		{Commit: "bbb", Date: "2026-08-05", Benchmark: "vm-step", Ratio: 2.2},
-		{Commit: "bbb", Date: "2026-08-05", Benchmark: "huffman-decode", Ratio: 4.4},
-	}
-	if err := Append(path, second); err != nil {
-		t.Fatal(err)
-	}
-	all, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("history has %d entries, want 3", len(all))
-	}
-	if all[0].Commit != "aaa" || all[2].Benchmark != "huffman-decode" {
-		t.Fatalf("history order wrong: %+v", all)
-	}
-}
-
-// TestAppendDedupsRerunCommit: a re-run CI job appending the same commit's
-// ratios again must replace the old entries, not double them; other commits
-// and other benchmarks of the same commit stay untouched.
-func TestAppendDedupsRerunCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_history.json")
-	if err := Append(path, []Entry{
-		{Commit: "aaa", Date: "2026-08-01", Benchmark: "vm-step", Ratio: 2.0},
-		{Commit: "bbb", Date: "2026-08-05", Benchmark: "vm-step", Ratio: 2.1},
-		{Commit: "bbb", Date: "2026-08-05", Benchmark: "huffman-decode", Ratio: 4.4},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Re-run of commit bbb's vm-step pair with a fresher ratio.
-	if err := Append(path, []Entry{
-		{Commit: "bbb", Date: "2026-08-05", Benchmark: "vm-step", Ratio: 2.3},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	all, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("re-run doubled the history: %d entries, want 3 (%+v)", len(all), all)
-	}
-	seen := 0
-	for _, e := range all {
-		if e.Commit == "bbb" && e.Benchmark == "vm-step" {
-			seen++
-			if e.Ratio != 2.3 {
-				t.Fatalf("stale ratio survived: %+v", e)
-			}
-		}
-	}
-	if seen != 1 {
-		t.Fatalf("%d (bbb, vm-step) entries, want 1", seen)
-	}
-	// Untouched pairs survive.
-	if all[0].Commit != "aaa" || all[0].Ratio != 2.0 {
-		t.Fatalf("unrelated entry disturbed: %+v", all[0])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -363,14 +364,48 @@ func FuzzBuild(f *testing.F) {
 	})
 }
 
-// BenchmarkBuild lifts the squeezed pgp object, the largest lift of the
-// squash benchmark's programs.
-func BenchmarkBuild(b *testing.B) {
+// pgpSqueezed is the squeezed pgp object, the largest lift of the squash
+// benchmark's programs.
+func pgpSqueezed(tb testing.TB) *objfile.Object {
+	tb.Helper()
 	spec, ok := mediabench.SpecByName("pgp")
 	if !ok {
-		b.Fatal("no pgp spec")
+		tb.Fatal("no pgp spec")
 	}
-	obj := squeezed(b, spec.Generate())
+	return squeezed(tb, spec.Generate())
+}
+
+// TestBuildAllocGate gates the CFG lift of the squeezed pgp object: one
+// backing array each for instructions, blocks and functions keeps it at
+// most 120 allocs per Build, whatever the instruction count (~21000 before
+// the flat lift). It counts runtime.MemStats.Mallocs over a fixed number of
+// calls rather than using testing.AllocsPerRun, which pins GOMAXPROCS to 1
+// and so would never run the parallel decode: the count reads 107 at
+// GOMAXPROCS 1 and 115-118 at 2 to 16, the decode workers' share.
+func TestBuildAllocGate(t *testing.T) {
+	const runs = 20
+	obj := pgpSqueezed(t)
+	if _, err := cfg.Build(obj, "main"); err != nil { // warm up, as AllocsPerRun does
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := cfg.Build(obj, "main"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("GOMAXPROCS %d: %d allocs/op", runtime.GOMAXPROCS(0), n)
+	if n > 120 {
+		t.Errorf("CFG lift of squeezed pgp: %d allocs/op, ceiling 120", n)
+	}
+}
+
+// BenchmarkBuild times the lift TestBuildAllocGate gates.
+func BenchmarkBuild(b *testing.B) {
+	obj := pgpSqueezed(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

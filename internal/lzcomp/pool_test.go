@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/huffman"
 	"repro/internal/isa"
+	"repro/internal/race"
 )
 
 // lzTestSeqs builds a mixed corpus: repetitive stretches (matches), a small
@@ -99,37 +100,41 @@ var (
 	freshScratch *decScratch
 )
 
-// BenchmarkLZTokenDecodeAlloc is the paired allocation benchmark for LZ token
-// decode: one op decompresses a full trained region (dictionary hits, matches
-// and raw escapes). "pooled" recycles the reader and the back-reference
-// window; "fresh" allocates both per op, the pre-pool behaviour.
-// CI gates the pooled allocs/op ceiling and the fresh/pooled reduction.
-func BenchmarkLZTokenDecodeAlloc(b *testing.B) {
+// TestLZTokenDecodeAllocGate gates LZ token decode: one op decompresses a
+// full trained region (dictionary hits, matches and raw escapes). Recycling
+// the reader and the back-reference window must keep it at most 1
+// alloc/op, and allocating both per op, the pre-pool behaviour, must cost
+// at least 5 times as much (0 vs 10 measured).
+func TestLZTokenDecodeAllocGate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
 	seqs := lzTestSeqs()
 	c := Train(seqs)
 	c.Prime()
 	var w huffman.BitWriter
 	if err := c.Compress(&w, seqs[1]); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	blob := w.Bytes()
 	emit := func(isa.Inst) error { return nil }
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Decompress(blob, 0, emit); err != nil {
-				b.Fatal(err)
-			}
+	pooled := testing.AllocsPerRun(200, func() {
+		if _, err := c.Decompress(blob, 0, emit); err != nil {
+			t.Fatal(err)
 		}
 	})
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, sc := huffman.NewBitReader(blob), new(decScratch)
-			if _, err := c.decompress(r, sc, 0, emit); err != nil {
-				b.Fatal(err)
-			}
-			freshReader, freshScratch = r, sc
+	fresh := testing.AllocsPerRun(200, func() {
+		r, sc := huffman.NewBitReader(blob), new(decScratch)
+		if _, err := c.decompress(r, sc, 0, emit); err != nil {
+			t.Fatal(err)
 		}
+		freshReader, freshScratch = r, sc
 	})
+	t.Logf("allocs/op: pooled %v, fresh %v", pooled, fresh)
+	if pooled > 1 {
+		t.Errorf("pooled LZ decode: %v allocs/op, ceiling 1", pooled)
+	}
+	if fresh < 5*pooled {
+		t.Errorf("fresh LZ decode: %v allocs/op, under 5x pooled %v: pooling stopped paying off", fresh, pooled)
+	}
 }

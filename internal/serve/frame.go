@@ -155,37 +155,17 @@ func (o *wireOp) UnmarshalJSON(b []byte) error {
 	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
 		return fmt.Errorf("op is not a JSON string")
 	}
-	switch s := b[1 : len(b)-1]; {
-	case string(s) == OpSquash:
-		*o = OpSquash
-	case string(s) == OpBench:
-		*o = OpBench
-	case string(s) == OpBatch:
-		*o = OpBatch
-	case string(s) == OpStats:
-		*o = OpStats
-	case string(s) == OpPing:
-		*o = OpPing
-	case string(s) == OpCluster:
-		*o = OpCluster
-	case string(s) == OpDrain:
-		*o = OpDrain
-	case string(s) == OpUndrain:
-		*o = OpUndrain
-	case string(s) == OpProfileRegister:
-		*o = OpProfileRegister
-	case string(s) == OpProfilePush:
-		*o = OpProfilePush
-	case string(s) == OpProfileStatus:
-		*o = OpProfileStatus
-	case string(s) == OpProfileResquash:
-		*o = OpProfileResquash
-	default:
-		// Unknown op: keep the raw spelling so the server's error message
-		// can echo it. (Escape sequences stay unprocessed; an op that needs
-		// them is by construction not one of ours.)
-		*o = wireOp(s)
+	s := b[1 : len(b)-1]
+	for _, op := range knownOps {
+		if string(s) == op {
+			*o = wireOp(op)
+			return nil
+		}
 	}
+	// Unknown op: keep the raw spelling so the server's error message can
+	// echo it. (Escape sequences stay unprocessed; an op that needs them is
+	// by construction not one of ours.)
+	*o = wireOp(s)
 	return nil
 }
 

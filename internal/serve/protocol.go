@@ -81,6 +81,14 @@ const (
 	OpProfileResquash = "profile-resquash"
 )
 
+// knownOps is the op vocabulary. Envelope decode interns these spellings,
+// and the request metrics count any other spelling under one label.
+var knownOps = [...]string{
+	OpSquash, OpBench, OpBatch, OpStats, OpPing,
+	OpCluster, OpDrain, OpUndrain,
+	OpProfileRegister, OpProfilePush, OpProfileStatus, OpProfileResquash,
+}
+
 // MaxBatchItems bounds one OpBatch frame's object count. The ceiling keeps
 // a single frame's response under MaxFrame for realistic image sizes and
 // bounds the per-frame fan-out inside the server.

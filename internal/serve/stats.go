@@ -1,145 +1,109 @@
 package serve
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// metrics aggregates the daemon's operational counters. All methods are
-// safe for concurrent use.
-//
-// The counters live twice on purpose: plain fields under the mutex feed
-// the OpStats wire snapshot (whose format predates the telemetry layer
-// and must stay stable), while the obs registry carries the same events
-// for the HTTP /metrics exports. Latency is registry-only: the windowed
-// obs histogram replays the old ring's nearest-rank percentiles exactly,
-// and reports zeros — never NaN — on an empty or one-sample window.
+// metrics aggregates the daemon's operational counters in the obs registry,
+// which backs the HTTP /metrics exports; snapshot reads the same
+// instruments back into the OpStats wire format. All methods are safe for
+// concurrent use. Latency comes from the windowed obs histogram, which
+// replays the old ring's nearest-rank percentiles exactly and reports
+// zeros, never NaN, on an empty or one-sample window.
 type metrics struct {
-	mu       sync.Mutex
-	started  time.Time
-	requests map[string]uint64
-	errors   uint64
-	timeouts uint64
-	panics   uint64
+	started time.Time
+	// requests holds one counter per known op plus opUnknown, all
+	// registered up front: an op spelling a client makes up is counted
+	// under opUnknown, so it cannot add a map key or a registry counter.
+	requests map[string]*obs.Counter
 
-	squashHits, squashMisses uint64
-	prepHits, prepMisses     uint64
-	prepErrors               uint64
-
-	batchFrames, batchObjects, batchShared uint64
-
-	inFlight int
-
-	reg        *obs.Registry
 	lat        *obs.Histogram // "squashd_request_ms", recent-window latency
-	inFlightG  *obs.Gauge
-	errorsC    *obs.Counter
-	timeoutsC  *obs.Counter
-	panicsC    *obs.Counter
-	resHitC    *obs.Counter
-	resMissC   *obs.Counter
-	prepHitC   *obs.Counter
-	prepMissC  *obs.Counter
-	prepErrC   *obs.Counter
+	inFlight   *obs.Gauge
+	errors     *obs.Counter
+	timeouts   *obs.Counter
+	panics     *obs.Counter
+	resHit     *obs.Counter
+	resMiss    *obs.Counter
+	prepHit    *obs.Counter
+	prepMiss   *obs.Counter
+	prepErr    *obs.Counter
 	resEntries *obs.Gauge
 	resBytes   *obs.Gauge
 
-	batchFramesC  *obs.Counter
-	batchObjectsC *obs.Counter
-	batchSharedC  *obs.Counter
+	batchFrames  *obs.Counter
+	batchObjects *obs.Counter
+	batchShared  *obs.Counter
 }
 
+// opUnknown labels every request whose op is not in knownOps.
+const opUnknown = "unknown"
+
 func newMetrics(reg *obs.Registry) *metrics {
-	return &metrics{
+	m := &metrics{
 		started:    time.Now(),
-		requests:   map[string]uint64{},
-		reg:        reg,
+		requests:   map[string]*obs.Counter{},
 		lat:        reg.Histogram("squashd_request_ms"),
-		inFlightG:  reg.Gauge("squashd_in_flight"),
-		errorsC:    reg.Counter("squashd_errors_total"),
-		timeoutsC:  reg.Counter("squashd_timeouts_total"),
-		panicsC:    reg.Counter("squashd_panics_total"),
-		resHitC:    reg.Counter("squashd_cache_hits_total", obs.L("cache", "result")),
-		resMissC:   reg.Counter("squashd_cache_misses_total", obs.L("cache", "result")),
-		prepHitC:   reg.Counter("squashd_cache_hits_total", obs.L("cache", "prep")),
-		prepMissC:  reg.Counter("squashd_cache_misses_total", obs.L("cache", "prep")),
-		prepErrC:   reg.Counter("squashd_prep_errors_total"),
+		inFlight:   reg.Gauge("squashd_in_flight"),
+		errors:     reg.Counter("squashd_errors_total"),
+		timeouts:   reg.Counter("squashd_timeouts_total"),
+		panics:     reg.Counter("squashd_panics_total"),
+		resHit:     reg.Counter("squashd_cache_hits_total", obs.L("cache", "result")),
+		resMiss:    reg.Counter("squashd_cache_misses_total", obs.L("cache", "result")),
+		prepHit:    reg.Counter("squashd_cache_hits_total", obs.L("cache", "prep")),
+		prepMiss:   reg.Counter("squashd_cache_misses_total", obs.L("cache", "prep")),
+		prepErr:    reg.Counter("squashd_prep_errors_total"),
 		resEntries: reg.Gauge("squashd_result_cache_entries"),
 		resBytes:   reg.Gauge("squashd_result_cache_bytes"),
 
-		batchFramesC:  reg.Counter("squashd_batch_frames_total"),
-		batchObjectsC: reg.Counter("squashd_batch_objects_total"),
-		batchSharedC:  reg.Counter("squashd_batch_shared_total"),
+		batchFrames:  reg.Counter("squashd_batch_frames_total"),
+		batchObjects: reg.Counter("squashd_batch_objects_total"),
+		batchShared:  reg.Counter("squashd_batch_shared_total"),
 	}
+	for _, op := range append(knownOps[:], opUnknown) {
+		m.requests[op] = reg.Counter("squashd_requests_total", obs.L("op", op))
+	}
+	return m
 }
 
 func (m *metrics) begin(op string) {
-	m.mu.Lock()
-	m.requests[op]++
-	m.inFlight++
-	m.mu.Unlock()
-	m.reg.Counter("squashd_requests_total", obs.L("op", op)).Inc()
-	m.inFlightG.Add(1)
+	c, ok := m.requests[op]
+	if !ok {
+		c = m.requests[opUnknown]
+	}
+	c.Inc()
+	m.inFlight.Add(1)
 }
 
 func (m *metrics) end(d time.Duration, failed, timedOut bool) {
-	m.mu.Lock()
-	m.inFlight--
+	m.inFlight.Add(-1)
 	if failed {
-		m.errors++
+		m.errors.Inc()
 	}
 	if timedOut {
-		m.timeouts++
-	}
-	m.mu.Unlock()
-	m.inFlightG.Add(-1)
-	if failed {
-		m.errorsC.Inc()
-	}
-	if timedOut {
-		m.timeoutsC.Inc()
+		m.timeouts.Inc()
 	}
 	m.lat.Observe(float64(d) / float64(time.Millisecond))
 }
 
 // panicked records a request whose processing panicked and was answered
 // with an error by the panic boundary.
-func (m *metrics) panicked() {
-	m.mu.Lock()
-	m.panics++
-	m.mu.Unlock()
-	m.panicsC.Inc()
-}
+func (m *metrics) panicked() { m.panics.Inc() }
 
 func (m *metrics) squashCache(hit bool) {
-	m.mu.Lock()
 	if hit {
-		m.squashHits++
+		m.resHit.Inc()
 	} else {
-		m.squashMisses++
-	}
-	m.mu.Unlock()
-	if hit {
-		m.resHitC.Inc()
-	} else {
-		m.resMissC.Inc()
+		m.resMiss.Inc()
 	}
 }
 
 func (m *metrics) prepCache(hit bool) {
-	m.mu.Lock()
 	if hit {
-		m.prepHits++
+		m.prepHit.Inc()
 	} else {
-		m.prepMisses++
-	}
-	m.mu.Unlock()
-	if hit {
-		m.prepHitC.Inc()
-	} else {
-		m.prepMissC.Inc()
+		m.prepMiss.Inc()
 	}
 }
 
@@ -147,24 +111,14 @@ func (m *metrics) prepCache(hit bool) {
 // already been counted as a prep-cache miss (errored requests must not
 // silently drop out of the hit-rate denominator); this counter separates
 // "prep ran and failed" from "prep ran cold".
-func (m *metrics) prepError() {
-	m.mu.Lock()
-	m.prepErrors++
-	m.mu.Unlock()
-	m.prepErrC.Inc()
-}
+func (m *metrics) prepError() { m.prepErr.Inc() }
 
 // batch records one OpBatch frame: how many objects it carried and how
 // many were within-batch duplicates served from a sibling's result.
 func (m *metrics) batch(objects, shared int) {
-	m.mu.Lock()
-	m.batchFrames++
-	m.batchObjects += uint64(objects)
-	m.batchShared += uint64(shared)
-	m.mu.Unlock()
-	m.batchFramesC.Inc()
-	m.batchObjectsC.Add(uint64(objects))
-	m.batchSharedC.Add(uint64(shared))
+	m.batchFrames.Inc()
+	m.batchObjects.Add(uint64(objects))
+	m.batchShared.Add(uint64(shared))
 }
 
 // Latency summarizes the recent-request latency distribution in
@@ -207,27 +161,28 @@ type Snapshot struct {
 }
 
 func (m *metrics) snapshot() *Snapshot {
-	m.mu.Lock()
 	s := &Snapshot{
 		UptimeSec:         time.Since(m.started).Seconds(),
 		Requests:          map[string]uint64{},
-		Errors:            m.errors,
-		Timeouts:          m.timeouts,
-		Panics:            m.panics,
-		InFlight:          m.inFlight,
-		SquashCacheHits:   m.squashHits,
-		SquashCacheMisses: m.squashMisses,
-		PrepCacheHits:     m.prepHits,
-		PrepCacheMisses:   m.prepMisses,
-		PrepErrors:        m.prepErrors,
-		BatchFrames:       m.batchFrames,
-		BatchObjects:      m.batchObjects,
-		BatchShared:       m.batchShared,
+		Errors:            m.errors.Value(),
+		Timeouts:          m.timeouts.Value(),
+		Panics:            m.panics.Value(),
+		InFlight:          int(m.inFlight.Value()),
+		SquashCacheHits:   m.resHit.Value(),
+		SquashCacheMisses: m.resMiss.Value(),
+		PrepCacheHits:     m.prepHit.Value(),
+		PrepCacheMisses:   m.prepMiss.Value(),
+		PrepErrors:        m.prepErr.Value(),
+		BatchFrames:       m.batchFrames.Value(),
+		BatchObjects:      m.batchObjects.Value(),
+		BatchShared:       m.batchShared.Value(),
 	}
-	for op, n := range m.requests {
-		s.Requests[op] = n
+	// Ops never requested stay out of the map, as they always have.
+	for op, c := range m.requests {
+		if n := c.Value(); n > 0 {
+			s.Requests[op] = n
+		}
 	}
-	m.mu.Unlock()
 
 	// Percentiles come from the obs histogram's window; an empty window
 	// yields an all-zero Latency, matching the pre-telemetry wire format.

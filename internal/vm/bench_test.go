@@ -47,7 +47,7 @@ func stepBenchMachine(b *testing.B) *Machine {
 // decode (or predecoded-cache hit), and execute of one instruction. The
 // fast and slow sub-benchmarks run the identical program in one process, so
 // their ratio is robust against machine-load noise in a way two separate
-// runs are not; BENCH_history.json records the per-commit ratio.
+// runs are not; cmd/benchhist gates the ratio in CI.
 func BenchmarkVMStep(b *testing.B) {
 	for _, mode := range []struct {
 		name    string

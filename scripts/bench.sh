@@ -12,13 +12,13 @@
 #   scripts/bench.sh > new.txt
 #   benchstat old.txt new.txt        # or: benchstat new.txt  (ratios only)
 #
-# CI runs COUNT=1 and pipes the output into cmd/benchhist, which appends the
-# per-commit pair ratios to BENCH_history.json and fails on a regression
-# past the pair's floor.
+# CI runs COUNT=1 and feeds the output to `cmd/benchhist -in`, which prints
+# each pair's ratio against its floor and fails on a regression past it. The
+# bench output itself, uploaded as an artifact, is the record.
 #
 # -benchmem is always on: the allocs/op and B/op columns ride along in the
-# same output (benchhist ignores them here; scripts/alloc_gate.sh runs the
-# dedicated pooled/fresh allocation pairs and gates on those columns).
+# same output (benchhist ignores them; the allocation gates are Go tests in
+# the packages they guard).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
