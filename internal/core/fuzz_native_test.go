@@ -77,12 +77,12 @@ func FuzzSquash(f *testing.F) {
 	})
 }
 
-// metaSeeds squashes a few random programs under the stream coder, the LZ
-// coder and interpret mode, and returns their serialized metadata.
-func metaSeeds(tb testing.TB) [][]byte {
-	var seeds [][]byte
+// seedOutputs squashes testprog.Random(1..3) at theta under the stream
+// coder, the LZ coder and interpret mode, one program per coder.
+func seedOutputs(tb testing.TB, theta float64) []*Output {
+	var outs []*Output
 	for i, conf := range []Config{DefaultConfig(), DefaultConfig(), DefaultConfig()} {
-		conf.Theta = 0.001
+		conf.Theta = theta
 		switch i {
 		case 1:
 			conf.Coder = CoderLZ
@@ -106,6 +106,15 @@ func metaSeeds(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		outs = append(outs, out)
+	}
+	return outs
+}
+
+// metaSeeds returns the serialized metadata of seedOutputs at theta 0.001.
+func metaSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	for _, out := range seedOutputs(tb, 0.001) {
 		b, err := out.Meta.MarshalBinary()
 		if err != nil {
 			tb.Fatal(err)
@@ -146,5 +155,60 @@ func FuzzUnmarshalMeta(f *testing.F) {
 			t.Fatal("metadata encoding is not stable")
 		}
 		NewRuntime(meta)
+	})
+}
+
+// farStubArea moves the restore-stub area 6 MiB past the decompressor:
+// inside VM memory and clear of the other areas, but out of a bsr's
+// 21-bit reach of every decompressor entry.
+func farStubArea(m *Meta) { m.StubAreaAddr = m.DecompAddr + 0x600000 }
+
+// withMeta serializes im with its metadata replaced by meta's encoding.
+func withMeta(tb testing.TB, im *objfile.Image, meta *Meta) []byte {
+	tb.Helper()
+	cp := *im
+	var err error
+	if cp.Meta, err = meta.MarshalBinary(); err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cp.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzRunImage runs image bytes the way em-run does: ReadImage,
+// UnmarshalMeta, NewRuntime, vm.New and Run, under a 200 000-instruction
+// limit. A hostile image must give an error at some step, never a panic
+// or a hang.
+func FuzzRunImage(f *testing.F) {
+	outs := seedOutputs(f, 1)
+	for _, out := range outs {
+		f.Add(withMeta(f, out.Image, out.Meta), []byte("fuzz seed input"))
+	}
+	far := *outs[0].Meta
+	farStubArea(&far)
+	f.Add(withMeta(f, outs[0].Image, &far), []byte("fuzz seed input"))
+	f.Fuzz(func(t *testing.T, data, input []byte) {
+		if len(input) > 256 {
+			input = input[:256]
+		}
+		im, err := objfile.ReadImage(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		meta, err := UnmarshalMeta(im.Meta)
+		if err != nil {
+			return
+		}
+		rt, err := NewRuntime(meta)
+		if err != nil {
+			return
+		}
+		m := vm.New(im, input)
+		m.MaxInstructions = 200_000
+		rt.Install(m)
+		m.Run()
 	})
 }

@@ -70,10 +70,12 @@ func (rt *Runtime) interpPC() uint32 {
 
 // decodeInterpRegion decodes one region through the stream decoder (the
 // reference bit-at-a-time decoder when the fast path is off) and builds its
-// offset index.
+// offset index. A region must fit the virtual buffer as it would the real
+// one, which also bounds a hostile stream that never ends.
 func (rt *Runtime) decodeInterpRegion(region int) (*interpRegion, error) {
 	ir := &interpRegion{}
 	pos := int32(1)
+	maxWords := int32(rt.meta.K / isa.WordSize)
 	_, err := rt.comp.Decompress(rt.meta.Blob, int(rt.meta.OffsetTable[region]), func(in isa.Inst) error {
 		ir.insts = append(ir.insts, in)
 		ir.offs = append(ir.offs, pos)
@@ -81,6 +83,9 @@ func (rt *Runtime) decodeInterpRegion(region int) (*interpRegion, error) {
 			pos += 2
 		} else {
 			pos++
+		}
+		if pos > maxWords {
+			return fmt.Errorf("region overflows the %d-word virtual buffer", maxWords)
 		}
 		return nil
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/objfile"
 	"repro/internal/vm"
 )
 
@@ -102,8 +103,14 @@ type RuntimeTelemetry struct {
 	MemoFills uint64 `json:"memo_fills"` // regions decoded and recorded into the memo
 }
 
-// NewRuntime builds the runtime for a squashed image's metadata.
+// NewRuntime builds the runtime for a squashed image's metadata. It
+// refuses metadata whose layout the runtime could not build (see
+// checkLayout), so hostile geometry is an error here, never a panic in
+// the assembler once the program runs.
 func NewRuntime(meta *Meta) (*Runtime, error) {
+	if err := meta.checkLayout(); err != nil {
+		return nil, err
+	}
 	comp, err := meta.Compressor()
 	if err != nil {
 		return nil, err
@@ -122,6 +129,65 @@ func NewRuntime(meta *Meta) (*Runtime, error) {
 		rt.imemo = make([]*interpRegion, len(meta.OffsetTable))
 	}
 	return rt, nil
+}
+
+// checkLayout verifies once what every stub and buffer fill relies on:
+// the decompressor, the restore-stub area and the runtime buffer are
+// word-aligned, lie inside VM memory and do not overlap, the bsr the
+// runtime assembles in any stub slot or buffer word reaches every
+// decompressor entry within the 21-bit branch displacement, and every
+// region's code starts inside the blob.
+func (m *Meta) checkLayout() error {
+	for i, off := range m.OffsetTable {
+		if uint64(off) > 8*uint64(len(m.Blob)) {
+			return fmt.Errorf("core: region %d starts at bit %d, past the %d-byte blob", i, off, len(m.Blob))
+		}
+	}
+	// Bound the counts first, so the byte sizes below cannot wrap.
+	if m.StubCapacity < 0 || m.StubCapacity > int(objfile.MemSize) || m.K < 0 || m.K > int(objfile.MemSize) {
+		return fmt.Errorf("core: implausible stub capacity %d or buffer size %d", m.StubCapacity, m.K)
+	}
+	stubBytes := uint64(m.StubCapacity) * StubSlotWords * isa.WordSize
+	areas := [...]struct {
+		name    string
+		base, n uint64 // base address and size in bytes
+		// lastBSR is the word offset from base of the last word that may
+		// hold a runtime-assembled bsr, or -1 if the runtime writes none:
+		// the last stub slot's first word, and the word just past the
+		// buffer, which a fill encodes before refusing to store it.
+		lastBSR int64
+	}{
+		{"decompressor", uint64(m.DecompAddr), DecompWords * isa.WordSize, -1},
+		{"restore-stub area", uint64(m.StubAreaAddr), stubBytes, int64(m.StubCapacity-1) * StubSlotWords},
+		{"runtime buffer", uint64(m.RtBufAddr), uint64(m.K), int64(m.K / isa.WordSize)},
+	}
+	entryLo := int64(m.DecompAddr / isa.WordSize)
+	entryHi := entryLo + NumEntryRegs - 1
+	for i, a := range areas {
+		if a.base%isa.WordSize != 0 {
+			return fmt.Errorf("core: %s at %#x is not word-aligned", a.name, a.base)
+		}
+		if a.base+a.n > uint64(objfile.MemSize) {
+			return fmt.Errorf("core: %s [%#x,+%#x) lies outside VM memory", a.name, a.base, a.n)
+		}
+		if a.n == 0 {
+			continue
+		}
+		for _, b := range areas[:i] {
+			if b.n > 0 && a.base < b.base+b.n && b.base < a.base+a.n {
+				return fmt.Errorf("core: %s at %#x overlaps the %s at %#x", a.name, a.base, b.name, b.base)
+			}
+		}
+		if a.lastBSR < 0 {
+			continue
+		}
+		// A bsr at word w reaches entry e with displacement e-(w+1).
+		first := int64(a.base / isa.WordSize)
+		if lo, hi := entryLo-(first+a.lastBSR+1), entryHi-(first+1); lo < -(1<<20) || hi >= 1<<20 {
+			return fmt.Errorf("core: %s at %#x is out of branch reach of the decompressor at %#x", a.name, a.base, m.DecompAddr)
+		}
+	}
+	return nil
 }
 
 // Range reports the intercepted address interval: the decompressor region

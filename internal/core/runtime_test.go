@@ -226,3 +226,66 @@ func TestRuntimeStatsConsistency(t *testing.T) {
 		t.Error("max live stubs not tracked")
 	}
 }
+
+// TestNewRuntimeRejectsBadLayout: metadata whose areas the runtime could
+// not build is refused by NewRuntime. A restore-stub area out of branch
+// reach of the decompressor used to pass NewRuntime and panic in
+// isa.Encode at the first restore stub.
+func TestNewRuntimeRejectsBadLayout(t *testing.T) {
+	out := seedOutputs(t, 1)[0]
+	if _, err := NewRuntime(out.Meta); err != nil {
+		t.Fatalf("unmodified metadata: %v", err)
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(*Meta)
+	}{
+		{"stub area out of reach", "branch reach", farStubArea},
+		{"buffer out of reach", "branch reach", func(m *Meta) { m.RtBufAddr = m.DecompAddr + 0x600000 }},
+		{"buffer past memory", "outside VM memory", func(m *Meta) { m.RtBufAddr = 0x800000 - 64 }},
+		{"decompressor past memory", "outside VM memory", func(m *Meta) { m.DecompAddr = 0xFFFFFFF0 }},
+		{"stub area over the buffer", "overlaps", func(m *Meta) { m.StubAreaAddr = m.RtBufAddr }},
+		{"buffer over the decompressor", "overlaps", func(m *Meta) { m.RtBufAddr = m.DecompAddr + 8 }},
+		{"unaligned stub area", "word-aligned", func(m *Meta) { m.StubAreaAddr += 2 }},
+		{"negative stub capacity", "implausible", func(m *Meta) { m.StubCapacity = -1 }},
+		{"huge buffer", "implausible", func(m *Meta) { m.K = 1 << 40 }},
+		{"region past the blob", "past the", func(m *Meta) { m.OffsetTable = []uint32{0xdf00} }},
+	} {
+		meta := *out.Meta
+		c.edit(&meta)
+		rt, err := NewRuntime(&meta)
+		if err == nil {
+			// Run it anyway, so a layout that slips through shows what it
+			// would do.
+			m := vm.New(out.Image, []byte("fuzz seed input"))
+			m.MaxInstructions = 200_000
+			rt.Install(m)
+			err = m.Run()
+			t.Fatalf("%s: NewRuntime accepted the layout (run: %v)", c.name, err)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want it to mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestInterpretRegionOverflowsBuffer: in interpret mode, as in the buffer
+// runtime, a region that does not fit the buffer is an error. Interpret
+// mode used to decode a region without bound, so a stream that never
+// reaches its end sentinel (the decoder reads zero bits past the blob)
+// grew the decoded region until memory ran out.
+func TestInterpretRegionOverflowsBuffer(t *testing.T) {
+	out := seedOutputs(t, 1)[2]
+	meta := *out.Meta
+	meta.K = 16
+	rt, err := NewRuntime(&meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := vm.New(out.Image, []byte("fuzz seed input"))
+	m.MaxInstructions = 200_000
+	rt.Install(m)
+	if err := m.Run(); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("run with a 16-byte buffer: %v, want an overflow error", err)
+	}
+}

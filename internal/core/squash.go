@@ -119,8 +119,6 @@ type Stats struct {
 	Unswitched          int
 	TableBytesReclaimed int
 
-	Excluded map[string]string
-
 	// LoopSplitWarnings lists loops whose blocks the partitioner placed in
 	// different regions (or half-compressed): if the timing input drives
 	// such a loop, every iteration decompresses a region — the pathology
@@ -243,7 +241,6 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 	stats.CompressibleInsts = res.CompressibleInsts
 	stats.TotalInsts = res.TotalInsts
 	stats.RegionCount = len(res.Regions)
-	stats.Excluded = res.Excluded
 	sp.SetArg("regions", len(res.Regions))
 	sp.SetArg("cold_insts", res.ColdInsts)
 	sp.End()

@@ -52,6 +52,10 @@ var streamNames = [...]string{
 	StreamPalFunc: "pal.func",
 }
 
+// Bits reports the width of the stream's values: every value Fields
+// produces for it is below 1<<Bits.
+func (k StreamKind) Bits() uint { return uint(streamBits[k]) }
+
 func (k StreamKind) String() string {
 	if int(k) < len(streamNames) {
 		return streamNames[k]
@@ -87,6 +91,18 @@ var fieldsByFormat = map[Format][]FieldRef{
 	},
 	FormatIllegal: nil,
 }
+
+// streamBits is each stream's value width: the opcode's 6 bits, and each
+// operand stream's width from fieldsByFormat.
+var streamBits = func() (bits [NumStreams]uint8) {
+	bits[StreamOpcode] = 6
+	for _, refs := range fieldsByFormat {
+		for _, r := range refs {
+			bits[r.Kind] = r.Bits
+		}
+	}
+	return bits
+}()
 
 // OperandFields reports the operand streams, in decode order, for an
 // instruction with the given primary opcode and (for the operate group)

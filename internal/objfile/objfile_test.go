@@ -184,6 +184,32 @@ func TestSerializationRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestReadImageRejectsOverrunningSections: text that would run into the
+// data segment, or data that would run past memory, is refused on read.
+// Such text used to load and then index past the simulator's memory.
+func TestReadImageRejectsOverrunningSections(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(im *Image)
+	}{
+		{"text", func(im *Image) { im.Text = make([]uint32, (DataBase-TextBase)/isa.WordSize+1) }},
+		{"data", func(im *Image) { im.Data = make([]byte, MemSize-DataBase+1) }},
+	} {
+		im, err := Link("main", sampleObject())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.edit(im)
+		var buf bytes.Buffer
+		if _, err := im.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadImage(&buf); err == nil || !strings.Contains(err.Error(), "overruns") {
+			t.Errorf("%s overrunning its segment: %v, want an overrun error", c.name, err)
+		}
+	}
+}
+
 func TestSerializationPropertyRandomObjects(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -147,6 +147,11 @@ func ReadImage(r io.Reader) (*Image, error) {
 	if int(n) > (len(data)-pos)/isa.WordSize {
 		return nil, fmt.Errorf("objfile: declared text size %d words exceeds file size", n)
 	}
+	// A loader places text at TextBase and data at DataBase, so sections
+	// that overrun their places are refused before anything loads them.
+	if uint64(n)*isa.WordSize > uint64(DataBase-TextBase) {
+		return nil, fmt.Errorf("objfile: text of %d words overruns the data segment", n)
+	}
 	im.Text = make([]uint32, n)
 	for i := range im.Text {
 		if im.Text[i], err = readU32(); err != nil {
@@ -158,6 +163,9 @@ func ReadImage(r io.Reader) (*Image, error) {
 	}
 	if int(n) > len(data)-pos {
 		return nil, fmt.Errorf("objfile: declared data size %d exceeds file size", n)
+	}
+	if uint64(n) > uint64(MemSize-DataBase) {
+		return nil, fmt.Errorf("objfile: data of %d bytes overruns memory", n)
 	}
 	im.Data = append([]byte(nil), data[pos:pos+int(n)]...)
 	pos += int(n)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/objfile"
 	"repro/internal/profile"
 	"repro/internal/race"
@@ -143,6 +144,79 @@ func TestFrameCodecAllocGate(t *testing.T) {
 		t.Logf("allocs/op: %v", n)
 	}
 }
+
+// hitResponseFrame returns the frame a daemon writes for a cached-hit
+// squash of adpcm at θ=5e-5, a squash that leaves 14 cold blocks
+// uncompressed (unprofitable to compress).
+func hitResponseFrame(tb testing.TB) []byte {
+	tb.Helper()
+	b, _, err := experiments.PrepareSpec("adpcm", 1, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	conf := core.DefaultConfig()
+	conf.Theta = 5e-5
+	out, err := core.Squash(b.SqObj, b.Profile, conf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := out.Image.WriteTo(&img); err != nil {
+		tb.Fatal(err)
+	}
+	stats, foot := out.Stats, out.Foot
+	resp := &Response{OK: true, Image: img.Bytes(), Stats: &stats, Foot: &foot, Cached: true}
+	var frame bytes.Buffer
+	bw := bufio.NewWriter(&frame)
+	sc := getFrameScratch()
+	defer putFrameScratch(sc)
+	if err := writeResponseFrame(bw, sc, resp); err != nil {
+		tb.Fatal(err)
+	}
+	bw.Flush()
+	return frame.Bytes()
+}
+
+// TestResponseDecodeAllocGate gates the client's side of a warm hit: read
+// one cached-hit response frame and decode it into a fresh Response, as
+// Client.Do does. What remains is the exact-size image copy the caller
+// owns, the decoded Stats and Footprint and the Response itself; the
+// ceiling keeps an unbounded per-function diagnostic from returning to
+// the hit envelope (core.Stats' label-to-reason map of excluded code cost
+// 52 allocs/op here; 4 measured without it).
+func TestResponseDecodeAllocGate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	frame := hitResponseFrame(t)
+	rd := bytes.NewReader(frame)
+	br := bufio.NewReaderSize(rd, frameIOSize)
+	sc := getFrameScratch()
+	defer putFrameScratch(sc)
+	n := testing.AllocsPerRun(200, func() {
+		rd.Reset(frame)
+		br.Reset(rd)
+		fb, env, pay, err := readFrameBody(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := &Response{}
+		err = decodeResponse(sc, env, pay, resp)
+		fb.release()
+		if err != nil || !resp.OK || len(resp.Image) == 0 || resp.Stats == nil {
+			t.Fatalf("decode: err=%v ok=%v image=%d", err, resp.OK, len(resp.Image))
+		}
+		responseSink = resp
+	})
+	t.Logf("allocs/op: %v", n)
+	if n > 6 {
+		t.Errorf("response decode: %v allocs/op, ceiling 6", n)
+	}
+}
+
+// responseSink keeps the gated decode's Response on the heap, as the one
+// Client.Do returns is.
+var responseSink *Response
 
 // BenchmarkFrameCodecAlloc times the exchange TestFrameCodecAllocGate
 // gates.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -550,7 +551,56 @@ func TestFrameBufPool(t *testing.T) {
 	big.release()
 }
 
-// FuzzFrame drives the server-side codec over arbitrary byte streams: no
+// oldHitFrame returns hit with an "Excluded" label-to-reason object
+// spliced into its stats, as a daemon from before core.Stats dropped the
+// field wrote it.
+func oldHitFrame(tb testing.TB, hit []byte) []byte {
+	tb.Helper()
+	envLen := binary.LittleEndian.Uint32(hit[4:8])
+	env := string(hit[frameHeaderLen : frameHeaderLen+envLen])
+	const key = `"stats":{`
+	i := strings.Index(env, key)
+	if i < 0 {
+		tb.Fatalf("hit envelope has no stats: %s", env)
+	}
+	i += len(key)
+	env = env[:i] + `"Excluded":{"adpcm_coder":"not profitable to compress","main":"calls setjmp"},` + env[i:]
+	return v2Frame(env, hit[frameHeaderLen+envLen:])
+}
+
+// TestDecodeResponseFromOlderDaemon: a hit envelope that still carries the
+// retired Stats.Excluded object decodes without error, to the same
+// response as the envelope without it.
+func TestDecodeResponseFromOlderDaemon(t *testing.T) {
+	hit := hitResponseFrame(t)
+	decode := func(frame []byte) *Response {
+		t.Helper()
+		sc := getFrameScratch()
+		defer putFrameScratch(sc)
+		fb, env, pay, err := readFrameBody(bufio.NewReader(bytes.NewReader(frame)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fb.release()
+		var resp Response
+		if err := decodeResponse(sc, env, pay, &resp); err != nil {
+			t.Fatalf("decodeResponse: %v", err)
+		}
+		return &resp
+	}
+	want, got := decode(hit), decode(oldHitFrame(t, hit))
+	if !bytes.Equal(got.Image, want.Image) {
+		t.Fatal("older daemon's hit decodes to a different image")
+	}
+	got.Image, want.Image = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("older daemon's hit decodes differently:\n got %+v %+v\nwant %+v %+v", got, got.Stats, want, want.Stats)
+	}
+}
+
+// FuzzFrame drives both readers of the codec over arbitrary byte streams:
+// the server's request reader and the client's response reader, since the
+// bytes a daemon or router backend answers with are outside input too. No
 // input may panic, and every malformed frame — v1-shaped input included —
 // must surface as a clean connection-level error, never a hang or an
 // aliased read.
@@ -578,25 +628,92 @@ func FuzzFrame(f *testing.F) {
 	f.Add(v2Frame(`not json`, nil))
 	f.Add(v2Frame(``, nil))
 
+	// Responses: a real cached hit, then hostile variants of its shape.
+	_, _, out := allocFixture(f)
+	var img bytes.Buffer
+	if _, err := out.Image.WriteTo(&img); err != nil {
+		f.Fatal(err)
+	}
+	stats, foot := out.Stats, out.Foot
+	v2buf.Reset()
+	if err := writeResponseFrame(bw, sc, &Response{OK: true, Image: img.Bytes(), Stats: &stats, Foot: &foot, Cached: true}); err != nil {
+		f.Fatal(err)
+	}
+	bw.Flush()
+	hit := bytes.Clone(v2buf.Bytes())
+	f.Add(hit)
+	f.Add(hit[:len(hit)-3])               // truncated trailer
+	f.Add(append(bytes.Clone(hit), 0, 1)) // trailing bytes after the frame
+	f.Add(oldHitFrame(f, hit))            // pre-change daemon's Stats.Excluded
+	f.Add(v2Frame(`{"ok":true,"results":[{"ok":true,"image":{"o":0,"n":2}},{"ok":true,"image":{"o":1,"n":1}}]}`, []byte("ab")))
+	f.Add(v2Frame(`{"ok":true,"image":{"o":1,"n":1},"results":[{"ok":true,"image":{"o":0,"n":1}}]}`, []byte("ab")))
+	f.Add(v2Frame(`{"ok":true,"image":{"o":0,"n":1}}`, []byte("ab"))) // trailing payload bytes
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		codec := newServerCodec(bytes.NewReader(data), io.Discard)
-		defer codec.close()
-		for i := 0; i < 64; i++ {
-			var req Request
-			err := codec.readRequest(&req)
-			if err != nil {
-				var pe *protoError
-				if errors.As(err, &pe) {
-					// The server's answer to a violation, before it closes.
-					codec.writeResponse(&Response{Err: pe.msg})
-				}
-				return
-			}
-			// Frames that parse get a response written, exercising the
-			// encode side, and their payload released as the server would
-			// after processing.
-			codec.writeResponse(&Response{OK: true})
-			req.releasePayload()
-		}
+		fuzzServerRead(data)
+		fuzzClientRead(t, data)
 	})
+}
+
+// fuzzServerRead reads request frames from data as a server connection
+// does, answering each.
+func fuzzServerRead(data []byte) {
+	codec := newServerCodec(bytes.NewReader(data), io.Discard)
+	defer codec.close()
+	for i := 0; i < 64; i++ {
+		var req Request
+		err := codec.readRequest(&req)
+		if err != nil {
+			var pe *protoError
+			if errors.As(err, &pe) {
+				// The server's answer to a violation, before it closes.
+				codec.writeResponse(&Response{Err: pe.msg})
+			}
+			return
+		}
+		// Frames that parse get a response written, exercising the
+		// encode side, and their payload released as the server would
+		// after processing.
+		codec.writeResponse(&Response{OK: true})
+		req.releasePayload()
+	}
+}
+
+// fuzzClientRead reads response frames from data as Client.Do does. A
+// decoded response must own its images: scribbling over the frame buffer
+// it came from leaves them unchanged.
+func fuzzClientRead(t *testing.T, data []byte) {
+	br := bufio.NewReaderSize(bytes.NewReader(data), frameIOSize)
+	sc := getFrameScratch()
+	defer putFrameScratch(sc)
+	for i := 0; i < 64; i++ {
+		fb, env, pay, err := readFrameBody(br)
+		if err != nil {
+			return
+		}
+		var resp Response
+		err = decodeResponse(sc, env, pay, &resp)
+		if err == nil {
+			imgs := [][]byte{resp.Image}
+			for _, r := range resp.Results {
+				imgs = append(imgs, r.Image)
+			}
+			want := make([][]byte, len(imgs))
+			for j, img := range imgs {
+				want[j] = bytes.Clone(img)
+			}
+			for j := range pay {
+				pay[j] ^= 0xFF
+			}
+			for j, img := range imgs {
+				if !bytes.Equal(img, want[j]) {
+					t.Fatal("decoded image aliases the frame buffer")
+				}
+			}
+		}
+		fb.release()
+		if err != nil {
+			return
+		}
+	}
 }

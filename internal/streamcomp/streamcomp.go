@@ -482,6 +482,10 @@ func (c *Compressor) UnmarshalBinary(data []byte) error {
 				return err
 			}
 			pos = p
+			// Each value takes at least one byte.
+			if n > len(data)-pos {
+				return fmt.Errorf("streamcomp: truncated alphabet for stream %d", i)
+			}
 			alpha := make([]uint32, n)
 			prev := uint64(0)
 			for k := 0; k < n; k++ {
@@ -509,6 +513,30 @@ func (c *Compressor) UnmarshalBinary(data []byte) error {
 	}
 	if pos != len(data) {
 		return fmt.Errorf("streamcomp: %d trailing bytes", len(data)-pos)
+	}
+	return c.checkValues()
+}
+
+// checkValues verifies that every value a decode can produce fits its
+// stream's field, so hostile tables are refused here rather than decoding
+// to an instruction the assembler or the simulator cannot represent. Under
+// MTF the codes carry alphabet indices, and the alphabets the values.
+func (c *Compressor) checkValues() error {
+	for k := isa.StreamKind(0); k < isa.NumStreams; k++ {
+		values := c.codes[k].D
+		if c.opts.MTF {
+			for _, idx := range values {
+				if int(idx) >= len(c.alphabets[k]) {
+					return fmt.Errorf("streamcomp: %v MTF index %d outside the alphabet of %d", k, idx, len(c.alphabets[k]))
+				}
+			}
+			values = c.alphabets[k]
+		}
+		for _, v := range values {
+			if uint64(v) >= 1<<k.Bits() {
+				return fmt.Errorf("streamcomp: %v value %d exceeds %d bits", k, v, k.Bits())
+			}
+		}
 	}
 	return nil
 }

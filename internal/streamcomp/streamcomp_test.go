@@ -284,3 +284,38 @@ func TestMTFCompressesRepetitiveStreamsBetter(t *testing.T) {
 		t.Fatalf("MTF %d bits much worse than plain %d", mb, pb)
 	}
 }
+
+// TestUnmarshalRejectsOutOfRangeValues: tables that would decode a field
+// value its instruction field cannot hold (a register above 31, an MTF
+// index past the alphabet) are refused when they load, so no decode can
+// hand the runtime an instruction it cannot assemble or execute.
+func TestUnmarshalRejectsOutOfRangeValues(t *testing.T) {
+	seqs := [][]isa.Inst{realisticSeq(1, 400)}
+	k := isa.StreamMemRA
+	for _, c := range []struct {
+		name string
+		mtf  bool
+		edit func(c *Compressor)
+	}{
+		{"register value", false, func(c *Compressor) { d := c.codes[k].D; d[len(d)-1] = 32 }},
+		{"alphabet value", true, func(c *Compressor) { a := c.alphabets[k]; a[len(a)-1] = 32 }},
+		{"MTF index", true, func(c *Compressor) { d := c.codes[k].D; d[len(d)-1] = uint32(len(c.alphabets[k])) }},
+	} {
+		tables, err := Train(seqs, Options{MTF: c.mtf}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hostile Compressor
+		if err := hostile.UnmarshalBinary(tables); err != nil {
+			t.Fatalf("%s: trained tables: %v", c.name, err)
+		}
+		c.edit(&hostile)
+		if tables, err = hostile.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		var got Compressor
+		if err := got.UnmarshalBinary(tables); err == nil {
+			t.Errorf("%s: out-of-range tables loaded", c.name)
+		}
+	}
+}
