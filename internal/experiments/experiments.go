@@ -68,35 +68,24 @@ type Suite struct {
 	Obs *obs.Recorder
 }
 
-// Load prepares the full suite at the given input scale (1.0 = full; the
-// quick test configuration uses ~0.05), using one worker per CPU.
-func Load(scale float64) (*Suite, error) { return LoadWorkers(scale, 0) }
-
-// LoadWorkers prepares the suite with benchmark preparation (generate,
-// assemble, squeeze, link, profile) fanned out across the given worker
-// count; the suite's experiment runs then reuse the same budget. Each
-// benchmark's preparation is self-contained, so the suite is identical at
-// any worker count.
-func LoadWorkers(scale float64, workers int) (*Suite, error) {
-	return LoadCached(scale, workers, "")
-}
-
-// LoadCached is LoadWorkers with an on-disk preparation cache: prepared
-// artifacts (the squeezed object and the profile) are stored in cacheDir
-// under a content key of the generated program and its profiling input, so
-// repeated loads of unchanged benchmarks skip generation, assembly,
-// squeezing, and the profiling run. An empty cacheDir uses only the
-// always-on in-memory layer. Cache hits are identical to recomputation by
+// LoadCachedObs prepares the full suite at the given input scale (1.0 =
+// full; the quick test configuration uses ~0.05). Benchmark preparation
+// (generate, assemble, squeeze, link, profile) fans out across the given
+// worker count (<= 0 means one per CPU), and the suite's experiment runs
+// reuse the same budget. Each benchmark's preparation is self-contained,
+// so the suite is identical at any worker count.
+//
+// Prepared artifacts (the squeezed object and the profile) are cached
+// under a content key of the generated program and its profiling input,
+// in memory always and in cacheDir when it is not empty, so repeated loads
+// of unchanged benchmarks skip generation, assembly, squeezing, and the
+// profiling run. Cache hits are identical to recomputation by
 // construction: both paths decode the same serialized payload.
-func LoadCached(scale float64, workers int, cacheDir string) (*Suite, error) {
-	return LoadCachedObs(scale, workers, cacheDir, nil)
-}
-
-// LoadCachedObs is LoadCached with a telemetry recorder attached: suite
-// preparation gets a span tree (one "prepare" fork per benchmark, with
-// assemble/cfg/squeeze/link/profile children on cache misses), and the
-// recorder is installed on the suite and every bench so subsequent squashes
-// report into it. A nil recorder is exactly LoadCached.
+//
+// With a telemetry recorder, suite preparation gets a span tree (one
+// "prepare" fork per benchmark, with assemble/cfg/squeeze/link/profile
+// children on cache misses), and the recorder is installed on the suite
+// and every bench so subsequent squashes report into it. rec may be nil.
 func LoadCachedObs(scale float64, workers int, cacheDir string, rec *obs.Recorder) (*Suite, error) {
 	specs := mediabench.Specs()
 	hits := make([]bool, len(specs))

@@ -12,9 +12,9 @@ var quickSuiteCache *Suite
 func quickSuite(t *testing.T) *Suite {
 	t.Helper()
 	if quickSuiteCache == nil {
-		s, err := Load(0.05)
+		s, err := LoadCachedObs(0.05, 0, "", nil)
 		if err != nil {
-			t.Fatalf("Load: %v", err)
+			t.Fatalf("LoadCachedObs: %v", err)
 		}
 		quickSuiteCache = s
 	}

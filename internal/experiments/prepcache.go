@@ -26,9 +26,9 @@ import (
 // the *same* prepared artifacts. This file caches those artifacts under a
 // content key (program source + profiling input), in two layers:
 //
-//   - an in-memory layer, always on, so repeated Load calls in one process
+//   - an in-memory layer, always on, so repeated suite loads in one process
 //     (tests, benchmarks, the matrix CLI) prepare each benchmark once;
-//   - an optional on-disk layer (LoadCached / experiments -cache), so
+//   - an optional on-disk layer (LoadCachedObs / experiments -cache), so
 //     repeated CLI runs skip preparation entirely when program and inputs
 //     are unchanged.
 //

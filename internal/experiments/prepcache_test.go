@@ -221,17 +221,17 @@ func TestPrepScaleClampsToOne(t *testing.T) {
 	}
 }
 
-// TestLoadCachedSuiteHits: a second LoadCached of the full suite is served
+// TestLoadCachedSuiteHits: a second LoadCachedObs of the full suite is served
 // entirely from cache and matches the first load bench-for-bench — the
 // property that lets matrix runs share preparation.
 func TestLoadCachedSuiteHits(t *testing.T) {
 	// The first load warms the in-memory layer for any benchmark an earlier
 	// test evicted; the reload must then hit on every benchmark.
-	first, err := LoadCached(0.05, 0, "")
+	first, err := LoadCachedObs(0.05, 0, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := LoadCached(0.05, 0, "")
+	again, err := LoadCachedObs(0.05, 0, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

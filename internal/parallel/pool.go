@@ -33,15 +33,10 @@ type Pool struct {
 	tasksDone   *obs.Counter
 }
 
-// NewPool starts a pool of the given size; size <= 0 means one worker per
-// CPU (GOMAXPROCS).
-func NewPool(size int) *Pool {
-	return NewPoolObs(size, nil)
-}
-
-// NewPoolObs starts a pool whose occupancy is published to reg: queue depth
-// (submitters blocked waiting for a worker), busy workers, a completed-task
-// counter, and the fixed worker count. reg may be nil, which is NewPool.
+// NewPoolObs starts a pool of the given size (<= 0 means one worker per CPU,
+// GOMAXPROCS) whose occupancy is published to reg: queue depth (submitters
+// blocked waiting for a worker), busy workers, a completed-task counter,
+// and the fixed worker count. reg may be nil.
 func NewPoolObs(size int, reg *obs.Registry) *Pool {
 	size = Workers(size)
 	p := &Pool{tasks: make(chan func()), done: make(chan struct{})}

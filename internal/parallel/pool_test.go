@@ -11,7 +11,7 @@ import (
 // TestPoolRunsEverythingSubmitted: every successful Submit runs exactly
 // once, across more tasks than workers.
 func TestPoolRunsEverythingSubmitted(t *testing.T) {
-	p := NewPool(3)
+	p := NewPoolObs(3, nil)
 	var ran atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
@@ -33,7 +33,7 @@ func TestPoolRunsEverythingSubmitted(t *testing.T) {
 // TestPoolBoundsConcurrency: no more than size tasks run at once.
 func TestPoolBoundsConcurrency(t *testing.T) {
 	const size = 2
-	p := NewPool(size)
+	p := NewPoolObs(size, nil)
 	defer p.Close()
 	var cur, peak atomic.Int64
 	var wg sync.WaitGroup
@@ -63,7 +63,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 // TestPoolSubmitHonorsContext: a saturated pool makes Submit block, and the
 // context cancels the wait.
 func TestPoolSubmitHonorsContext(t *testing.T) {
-	p := NewPool(1)
+	p := NewPoolObs(1, nil)
 	defer p.Close()
 	block := make(chan struct{})
 	if err := p.Submit(context.Background(), func() { <-block }); err != nil {
@@ -84,7 +84,7 @@ func TestPoolSubmitHonorsContext(t *testing.T) {
 // TestPoolCloseDrainsAndRejects: Close waits for accepted tasks and later
 // Submits fail with ErrPoolClosed.
 func TestPoolCloseDrainsAndRejects(t *testing.T) {
-	p := NewPool(2)
+	p := NewPoolObs(2, nil)
 	var finished atomic.Bool
 	if err := p.Submit(context.Background(), func() {
 		time.Sleep(20 * time.Millisecond)

@@ -7,22 +7,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// LoadOptions configures one load-generator run against a live daemon
-// (cmd/squashload is the CLI wrapper).
+// LoadOptions configures one replay of a recorded stream against a live
+// daemon (cmd/squashload is the CLI wrapper).
 type LoadOptions struct {
 	// Addr is the daemon address ("unix:/path" or "tcp:host:port").
 	Addr string
-	// Conns is the number of concurrent connections; <= 0 means 4. In
-	// replay mode they drain the arrival schedule; in synthetic mode each
-	// is one closed-loop client.
+	// Conns is the number of concurrent connections draining the arrival
+	// schedule; <= 0 means 4.
 	Conns int
 
-	// Rate multiplies the recorded arrival rate in replay mode: 1 replays
-	// in real time, 2 at twice the recorded rate; <= 0 means 1.
+	// Rate multiplies the recorded arrival rate: 1 replays in real time,
+	// 2 at twice the recorded rate; <= 0 means 1.
 	Rate float64
 	// FallbackObj/FallbackProfile replay recorded inline entries (which
 	// carry only a content hash) with this payload. FallbackBench does the
@@ -31,28 +29,6 @@ type LoadOptions struct {
 	FallbackObj     []byte
 	FallbackProfile []byte
 	FallbackBench   string
-
-	// Synthetic mode: either Bench (server-prepared, with Scale) or an
-	// inline Obj/Profile payload.
-	Bench        string
-	Scale        float64
-	Obj, Profile []byte
-	// BatchSize > 1 sends OpBatch frames of that many objects per request;
-	// otherwise each request carries one object.
-	BatchSize int
-	// Duration bounds a synthetic run (<= 0 means 5s) unless Requests > 0
-	// sets a fixed request budget instead.
-	Duration time.Duration
-	Requests int
-
-	// Config applies to every generated request; nil means the server
-	// default.
-	Config *core.Config
-
-	// NoImage sets the stats-only flag on every generated request, taking
-	// image payload transfer off the wire (recorded entries that already
-	// carry the flag keep it either way).
-	NoImage bool
 
 	// Logf receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
@@ -64,10 +40,10 @@ func (o *LoadOptions) logf(format string, args ...any) {
 	}
 }
 
-// LoadLatency is the measured latency distribution in milliseconds. In
-// replay mode latency is measured from each request's *scheduled* arrival,
-// so queueing delay when the daemon falls behind the offered rate shows up
-// in the tail instead of being coordinated-omission'd away.
+// LoadLatency is the measured latency distribution in milliseconds.
+// Latency is measured from each request's *scheduled* arrival, so queueing
+// delay when the daemon falls behind the offered rate shows up in the tail
+// instead of being coordinated-omission'd away.
 type LoadLatency struct {
 	P50  float64 `json:"p50"`
 	P90  float64 `json:"p90"`
@@ -79,7 +55,6 @@ type LoadLatency struct {
 // LoadReport is the load generator's result; cmd/squashload writes its
 // JSON form with -out.
 type LoadReport struct {
-	Mode        string      `json:"mode"` // "replay" or "synthetic"
 	Concurrency int         `json:"concurrency"`
 	Rate        float64     `json:"rate,omitempty"`
 	Requests    int         `json:"requests"`
@@ -109,9 +84,9 @@ type wireTotals struct {
 	in, out atomic.Int64
 }
 
-// loadJob is one scheduled request: tMs is its recorded arrival offset
-// (replay mode), due its resolved target send time (zero in closed-loop
-// mode), and objects its per-frame object count.
+// loadJob is one scheduled request: tMs is its recorded arrival offset,
+// due its resolved target send time, and objects its per-frame object
+// count.
 type loadJob struct {
 	req     *Request
 	tMs     float64
@@ -141,19 +116,18 @@ func Replay(opts LoadOptions, entries []RecordEntry) (*LoadReport, error) {
 	// merged or hand-edited stream must still replay in time order.
 	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].tMs < jobs[b].tMs })
 
-	rate := opts.Rate
-	if rate <= 0 {
-		rate = 1
+	if opts.Conns <= 0 {
+		opts.Conns = 4
+	}
+	if opts.Rate <= 0 {
+		opts.Rate = 1
 	}
 	opts.logf("replaying %d of %d recorded requests at %.2fx over %d conns (%d skipped)",
-		len(jobs), len(entries), rate, max(opts.Conns, 1), skipped)
-	rep, err := opts.run("replay", jobs, func(start time.Time, i int) time.Time {
-		return start.Add(time.Duration(jobs[i].tMs / rate * float64(time.Millisecond)))
-	})
+		len(jobs), len(entries), opts.Rate, opts.Conns, skipped)
+	rep, err := opts.run(jobs)
 	if err != nil {
 		return nil, err
 	}
-	rep.Rate = rate
 	rep.Skipped = skipped
 	return rep, nil
 }
@@ -169,19 +143,18 @@ func (o *LoadOptions) replayRequest(e *RecordEntry) (*Request, int, bool) {
 		}
 		return BatchItem{}, false
 	}
-	noImage := e.NoImage || o.NoImage
 	switch e.Op {
 	case OpBench:
-		return &Request{Op: OpBench, Bench: e.Bench, Scale: e.Scale, Config: e.Config, NoImage: noImage}, 1, true
+		return &Request{Op: OpBench, Bench: e.Bench, Scale: e.Scale, Config: e.Config, NoImage: e.NoImage}, 1, true
 	case OpSquash:
 		it, ok := inline()
 		if !ok {
 			return nil, 0, false
 		}
 		if it.Bench != "" {
-			return &Request{Op: OpBench, Bench: it.Bench, Scale: it.Scale, Config: e.Config, NoImage: noImage}, 1, true
+			return &Request{Op: OpBench, Bench: it.Bench, Scale: it.Scale, Config: e.Config, NoImage: e.NoImage}, 1, true
 		}
-		return &Request{Op: OpSquash, Obj: it.Obj, Profile: it.Profile, Config: e.Config, NoImage: noImage}, 1, true
+		return &Request{Op: OpSquash, Obj: it.Obj, Profile: it.Profile, Config: e.Config, NoImage: e.NoImage}, 1, true
 	case OpBatch:
 		items := make([]BatchItem, 0, len(e.Items))
 		for _, ri := range e.Items {
@@ -197,84 +170,40 @@ func (o *LoadOptions) replayRequest(e *RecordEntry) (*Request, int, bool) {
 		if len(items) == 0 {
 			return nil, 0, false
 		}
-		return &Request{Op: OpBatch, Items: items, NoImage: noImage}, len(items), true
+		return &Request{Op: OpBatch, Items: items, NoImage: e.NoImage}, len(items), true
 	}
 	return nil, 0, false
 }
 
-// Synthetic runs a closed-loop load: Conns clients each send the same
-// request back-to-back until the duration elapses or the request budget is
-// spent. This measures capacity (the saturation req/s the daemon sustains)
-// where replay measures behavior at a fixed offered rate.
-func Synthetic(opts LoadOptions) (*LoadReport, error) {
-	if opts.Bench == "" && len(opts.Obj) == 0 {
-		return nil, fmt.Errorf("serve: synthetic load needs a bench name or an inline payload")
-	}
-	req := opts.syntheticRequest()
-	objects := 1
-	if req.Op == OpBatch {
-		objects = len(req.Items)
-	}
-
-	budget := opts.Requests
-	duration := opts.Duration
-	if budget <= 0 && duration <= 0 {
-		duration = 5 * time.Second
-	}
-	opts.logf("synthetic closed loop: op=%s objects/frame=%d budget=%d duration=%s",
-		req.Op, objects, budget, duration)
-	return opts.runClosed(req, objects, budget, duration)
-}
-
-func (o *LoadOptions) syntheticRequest() *Request {
-	item := BatchItem{Bench: o.Bench, Scale: o.Scale, Obj: o.Obj, Profile: o.Profile, Config: o.Config}
-	if o.BatchSize > 1 {
-		items := make([]BatchItem, o.BatchSize)
-		for i := range items {
-			items[i] = item
-		}
-		return &Request{Op: OpBatch, Items: items, NoImage: o.NoImage}
-	}
-	if item.Bench != "" {
-		return &Request{Op: OpBench, Bench: item.Bench, Scale: item.Scale, Config: item.Config, NoImage: o.NoImage}
-	}
-	return &Request{Op: OpSquash, Obj: item.Obj, Profile: item.Profile, Config: item.Config, NoImage: o.NoImage}
-}
-
-// run drives an open-loop schedule: dueAt(start, i) gives job i's send
-// time. A feeder goroutine releases jobs on schedule into a buffered
-// channel (so a slow daemon backs up the queue, not the schedule) and
-// Conns workers drain it.
-func (o *LoadOptions) run(mode string, jobs []loadJob, dueAt func(start time.Time, i int) time.Time) (*LoadReport, error) {
-	conns := o.Conns
-	if conns <= 0 {
-		conns = 4
-	}
+// run drives the open-loop schedule: each job is due at its recorded
+// offset divided by Rate. A feeder goroutine releases jobs on schedule into a
+// buffered channel (so a slow daemon backs up the queue, not the schedule)
+// and Conns workers drain it. The latency window holds one sample per job,
+// so the quantiles cover the whole run, not only its tail.
+func (o *LoadOptions) run(jobs []loadJob) (*LoadReport, error) {
 	before, err := fetchStats(o.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load target %s: %w", o.Addr, err)
 	}
 
-	hist := obs.NewHistogram(1 << 16)
+	hist := obs.NewHistogram(len(jobs))
 	var errors atomic.Int64
 	var wire wireTotals
 	ch := make(chan loadJob, len(jobs))
 	start := time.Now()
 	go func() {
-		for i := range jobs {
-			due := dueAt(start, i)
-			if d := time.Until(due); d > 0 {
+		for _, j := range jobs {
+			j.due = start.Add(time.Duration(j.tMs / o.Rate * float64(time.Millisecond)))
+			if d := time.Until(j.due); d > 0 {
 				time.Sleep(d)
 			}
-			j := jobs[i]
-			j.due = due
 			ch <- j
 		}
 		close(ch)
 	}()
 
 	var wg sync.WaitGroup
-	for w := 0; w < conns; w++ {
+	for w := 0; w < o.Conns; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -289,66 +218,37 @@ func (o *LoadOptions) run(mode string, jobs []loadJob, dueAt func(start time.Tim
 		return nil, fmt.Errorf("serve: load target %s: %w", o.Addr, err)
 	}
 
-	requests, objects := 0, 0
+	objects := 0
 	for _, j := range jobs {
-		requests++
 		objects += j.objects
 	}
-	return o.report(mode, conns, requests, objects, int(errors.Load()), wall, hist, before, after, &wire), nil
-}
-
-// runClosed drives the closed-loop synthetic mode.
-func (o *LoadOptions) runClosed(req *Request, objectsPer, budget int, duration time.Duration) (*LoadReport, error) {
-	conns := o.Conns
-	if conns <= 0 {
-		conns = 4
+	qs := hist.Quantiles(0.50, 0.90, 0.99, 1.0)
+	mean := 0.0
+	if n := hist.Count(); n > 0 {
+		mean = hist.Sum() / float64(n)
 	}
-	before, err := fetchStats(o.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: load target %s: %w", o.Addr, err)
+	rep := &LoadReport{
+		Concurrency: o.Conns,
+		Rate:        o.Rate,
+		Requests:    len(jobs),
+		Objects:     objects,
+		Errors:      int(errors.Load()),
+		DurationSec: wall.Seconds(),
+		Latency:     LoadLatency{P50: qs[0], P90: qs[1], P99: qs[2], Max: qs[3], Mean: mean},
+		BytesIn:     wire.in.Load(),
+		BytesOut:    wire.out.Load(),
 	}
-
-	hist := obs.NewHistogram(1 << 16)
-	var errors, sent atomic.Int64
-	var wire wireTotals
-	var deadline time.Time
-	start := time.Now()
-	if budget <= 0 {
-		deadline = start.Add(duration)
+	if s := wall.Seconds(); s > 0 {
+		rep.ReqPerSec = float64(rep.Requests) / s
+		rep.ObjPerSec = float64(objects) / s
+		rep.BytesInPerSec = float64(rep.BytesIn) / s
+		rep.BytesOutPerSec = float64(rep.BytesOut) / s
 	}
-
-	ch := make(chan loadJob)
-	go func() {
-		defer close(ch)
-		for {
-			if budget > 0 {
-				if sent.Add(1) > int64(budget) {
-					return
-				}
-			} else if !time.Now().Before(deadline) {
-				return
-			}
-			ch <- loadJob{req: req, objects: objectsPer}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o.worker(ch, hist, &errors, &wire)
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	after, err := fetchStats(o.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: load target %s: %w", o.Addr, err)
-	}
-	requests := int(hist.Count()) + int(errors.Load())
-	return o.report("synthetic", conns, requests, requests*objectsPer, int(errors.Load()), wall, hist, before, after, &wire), nil
+	rep.CacheHitRate = hitRateDelta(before.SquashCacheHits, after.SquashCacheHits,
+		before.SquashCacheMisses, after.SquashCacheMisses)
+	rep.PrepHitRate = hitRateDelta(before.PrepCacheHits, after.PrepCacheHits,
+		before.PrepCacheMisses, after.PrepCacheMisses)
+	return rep, nil
 }
 
 // worker drains jobs over one client connection, redialing once per
@@ -376,10 +276,6 @@ func (o *LoadOptions) worker(ch <-chan loadJob, hist *obs.Histogram, errCount *a
 			}
 			cl = c
 		}
-		from := j.due
-		if from.IsZero() {
-			from = time.Now()
-		}
 		resp, err := cl.Do(j.req)
 		if err != nil {
 			closeClient()
@@ -403,38 +299,8 @@ func (o *LoadOptions) worker(ch <-chan loadJob, hist *obs.Histogram, errCount *a
 				continue
 			}
 		}
-		hist.Observe(float64(time.Since(from)) / float64(time.Millisecond))
+		hist.Observe(float64(time.Since(j.due)) / float64(time.Millisecond))
 	}
-}
-
-func (o *LoadOptions) report(mode string, conns, requests, objects, errCount int, wall time.Duration, hist *obs.Histogram, before, after *Snapshot, wire *wireTotals) *LoadReport {
-	qs := hist.Quantiles(0.50, 0.90, 0.99, 1.0)
-	mean := 0.0
-	if n := hist.Count(); n > 0 {
-		mean = hist.Sum() / float64(n)
-	}
-	rep := &LoadReport{
-		Mode:        mode,
-		Concurrency: conns,
-		Requests:    requests,
-		Objects:     objects,
-		Errors:      errCount,
-		DurationSec: wall.Seconds(),
-		Latency:     LoadLatency{P50: qs[0], P90: qs[1], P99: qs[2], Max: qs[3], Mean: mean},
-	}
-	rep.BytesIn = wire.in.Load()
-	rep.BytesOut = wire.out.Load()
-	if s := wall.Seconds(); s > 0 {
-		rep.ReqPerSec = float64(requests) / s
-		rep.ObjPerSec = float64(objects) / s
-		rep.BytesInPerSec = float64(rep.BytesIn) / s
-		rep.BytesOutPerSec = float64(rep.BytesOut) / s
-	}
-	rep.CacheHitRate = hitRateDelta(before.SquashCacheHits, after.SquashCacheHits,
-		before.SquashCacheMisses, after.SquashCacheMisses)
-	rep.PrepHitRate = hitRateDelta(before.PrepCacheHits, after.PrepCacheHits,
-		before.PrepCacheMisses, after.PrepCacheMisses)
-	return rep
 }
 
 // hitRateDelta is hits over lookups across the run window; 0 when the run

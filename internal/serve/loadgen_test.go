@@ -2,93 +2,25 @@ package serve
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/race"
 )
-
-// TestSyntheticClosedLoop: a budgeted closed-loop run completes exactly
-// its budget, measures latency, and sees the warm cache absorb repeats.
-func TestSyntheticClosedLoop(t *testing.T) {
-	conf := core.DefaultConfig()
-	obj, prof, _ := buildWorkload(t, 3, conf)
-
-	_, addr, stop := startServer(t, Options{Workers: 4})
-	defer stop()
-
-	rep, err := Synthetic(LoadOptions{
-		Addr:     addr,
-		Conns:    3,
-		Obj:      obj,
-		Profile:  prof,
-		Requests: 20,
-	})
-	if err != nil {
-		t.Fatalf("synthetic: %v", err)
-	}
-	if rep.Mode != "synthetic" || rep.Concurrency != 3 {
-		t.Errorf("report header wrong: %+v", rep)
-	}
-	if rep.Requests != 20 || rep.Objects != 20 {
-		t.Errorf("requests/objects = %d/%d, want 20/20", rep.Requests, rep.Objects)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("errors = %d", rep.Errors)
-	}
-	if rep.ReqPerSec <= 0 || rep.DurationSec <= 0 {
-		t.Errorf("throughput not measured: %+v", rep)
-	}
-	if rep.Latency.Max <= 0 || rep.Latency.P50 > rep.Latency.P99 {
-		t.Errorf("latency distribution inconsistent: %+v", rep.Latency)
-	}
-	// 20 requests for one content key: everything after the first
-	// computation hits the warm cache.
-	if rep.CacheHitRate < 0.5 {
-		t.Errorf("cache hit rate %.2f; warm state not reused under load", rep.CacheHitRate)
-	}
-}
-
-// TestSyntheticBatchMode: BatchSize > 1 sends batch frames and counts
-// objects accordingly.
-func TestSyntheticBatchMode(t *testing.T) {
-	conf := core.DefaultConfig()
-	obj, prof, _ := buildWorkload(t, 5, conf)
-
-	s, addr, stop := startServer(t, Options{Workers: 4})
-	defer stop()
-
-	rep, err := Synthetic(LoadOptions{
-		Addr:      addr,
-		Conns:     2,
-		Obj:       obj,
-		Profile:   prof,
-		BatchSize: 4,
-		Requests:  5,
-	})
-	if err != nil {
-		t.Fatalf("synthetic batch: %v", err)
-	}
-	if rep.Requests != 5 || rep.Objects != 20 {
-		t.Errorf("requests/objects = %d/%d, want 5/20", rep.Requests, rep.Objects)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("errors = %d", rep.Errors)
-	}
-	if snap := s.StatsSnapshot(); snap.BatchFrames != 5 || snap.BatchObjects != 20 {
-		t.Errorf("server saw %d frames / %d objects, want 5/20", snap.BatchFrames, snap.BatchObjects)
-	}
-}
 
 // TestReplayRoundTrip: requests recorded from a live server replay against
 // it, inline entries resolving through the fallback payload, and the
-// report accounts for every entry.
+// report accounts for every entry: its header, throughput, latency
+// distribution and cache rate, and the replayed batch entry reaches the
+// server as one batch frame of two objects.
 func TestReplayRoundTrip(t *testing.T) {
 	conf := core.DefaultConfig()
 	obj, prof, _ := buildWorkload(t, 7, conf)
 
 	var rec syncBuffer
-	_, addr, stop := startServer(t, Options{Workers: 2, Record: NewStreamRecorder(&rec)})
+	s, addr, stop := startServer(t, Options{Workers: 2, Record: NewStreamRecorder(&rec)})
 	defer stop()
 	cl, err := DialClient(addr)
 	if err != nil {
@@ -116,6 +48,7 @@ func TestReplayRoundTrip(t *testing.T) {
 		t.Fatalf("entries = %d, want 4", len(entries))
 	}
 
+	before := s.StatsSnapshot()
 	rep, err := Replay(LoadOptions{
 		Addr:            addr,
 		Conns:           2,
@@ -126,7 +59,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if rep.Mode != "replay" || rep.Rate != 100 {
+	if rep.Concurrency != 2 || rep.Rate != 100 {
 		t.Errorf("report header wrong: %+v", rep)
 	}
 	if rep.Requests != 4 || rep.Objects != 5 || rep.Skipped != 0 {
@@ -135,9 +68,95 @@ func TestReplayRoundTrip(t *testing.T) {
 	if rep.Errors != 0 {
 		t.Errorf("errors = %d", rep.Errors)
 	}
+	if rep.ReqPerSec <= 0 || rep.DurationSec <= 0 {
+		t.Errorf("throughput not measured: %+v", rep)
+	}
+	if rep.Latency.Max <= 0 || rep.Latency.P50 > rep.Latency.P99 {
+		t.Errorf("latency distribution inconsistent: %+v", rep.Latency)
+	}
 	// Everything replayed was already computed during seeding.
 	if rep.CacheHitRate != 1 {
 		t.Errorf("cache hit rate %.2f on a fully warm replay", rep.CacheHitRate)
+	}
+	after := s.StatsSnapshot()
+	if frames, objs := after.BatchFrames-before.BatchFrames, after.BatchObjects-before.BatchObjects; frames != 1 || objs != 2 {
+		t.Errorf("server saw %d batch frames / %d objects from the replay, want 1/2", frames, objs)
+	}
+}
+
+// TestReplayRequest: each recorded entry shape turns back into the request
+// it stood for. Inline entries take the fallback bench at scale 1, batch
+// items carry the entry's config, a recorded stats-only flag survives, and
+// an op the recorder never writes is skipped.
+func TestReplayRequest(t *testing.T) {
+	conf := core.DefaultConfig()
+	conf.Theta = 0.01
+	o := &LoadOptions{FallbackBench: "adpcm"}
+
+	req, objects, ok := o.replayRequest(&RecordEntry{Op: OpSquash, Key: "deadbeef", Config: &conf, NoImage: true})
+	if !ok || objects != 1 {
+		t.Fatalf("inline squash entry: ok=%v objects=%d", ok, objects)
+	}
+	if req.Op != OpBench || req.Bench != "adpcm" || req.Scale != 1 || req.Config != &conf || !req.NoImage {
+		t.Errorf("inline squash entry replays as %+v, want bench adpcm at scale 1 with the entry's config, stats-only", req)
+	}
+
+	req, objects, ok = o.replayRequest(&RecordEntry{Op: OpBatch, Config: &conf, Items: []RecordItem{
+		{Key: "deadbeef"}, {Bench: "gsm", Scale: 0.5},
+	}})
+	if !ok || objects != 2 || req.Op != OpBatch || len(req.Items) != 2 || req.NoImage {
+		t.Fatalf("batch entry: ok=%v objects=%d req=%+v", ok, objects, req)
+	}
+	for i, want := range []BatchItem{{Bench: "adpcm", Scale: 1}, {Bench: "gsm", Scale: 0.5}} {
+		it := req.Items[i]
+		if it.Bench != want.Bench || it.Scale != want.Scale || it.Config != &conf {
+			t.Errorf("batch item %d replays as %+v, want %s at scale %g with the entry's config", i, it, want.Bench, want.Scale)
+		}
+	}
+
+	if req, _, ok := o.replayRequest(&RecordEntry{Op: OpBench, Bench: "gsm", Scale: 2, NoImage: true}); !ok || !req.NoImage || req.Bench != "gsm" || req.Scale != 2 {
+		t.Errorf("bench entry: ok=%v req=%+v", ok, req)
+	}
+	if _, _, ok := o.replayRequest(&RecordEntry{Op: OpStats}); ok {
+		t.Error("an op the recorder never writes was replayed")
+	}
+}
+
+// TestReplayLatencyCoversWholeRun: the latency window holds every answer of
+// a replay, so a slow first answer still sets Max after more than 65 536
+// fast ones. A fixed 1<<16 ring reported the tail only.
+func TestReplayLatencyCoversWholeRun(t *testing.T) {
+	if race.Enabled {
+		t.Skip("73 536 requests take ~10 s under the race detector")
+	}
+	var slowed atomic.Bool
+	_, addr, stop := startServer(t, Options{
+		Logf: func(string, ...any) {},
+		Handler: func(req *Request) *Response {
+			if req.Op == OpStats {
+				return &Response{OK: true, Server: &Snapshot{}}
+			}
+			if slowed.CompareAndSwap(false, true) {
+				time.Sleep(20 * time.Millisecond)
+			}
+			return &Response{OK: true}
+		},
+	})
+	defer stop()
+
+	entries := make([]RecordEntry, 1<<16+8000)
+	for i := range entries {
+		entries[i] = RecordEntry{TMs: float64(i) * 0.03, Op: OpBench, Bench: "adpcm"}
+	}
+	rep, err := Replay(LoadOptions{Addr: addr}, entries)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if rep.Errors != 0 || rep.Requests != len(entries) {
+		t.Fatalf("errors/requests = %d/%d, want 0/%d", rep.Errors, rep.Requests, len(entries))
+	}
+	if rep.Latency.Max < 20 {
+		t.Errorf("max latency %.2f ms misses the 20 ms first answer: %+v", rep.Latency.Max, rep.Latency)
 	}
 }
 
