@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/objfile"
+	"repro/internal/race"
 	"repro/internal/testprog"
 	"repro/internal/vm"
 )
@@ -189,5 +190,39 @@ func TestMemoizedReplayMatchesFreshDecode(t *testing.T) {
 	}
 	if got, want := m.Cycles-firstCycles, firstCycles; got != want {
 		t.Fatalf("memoized replay charged %d cycles, fresh decode charged %d", got, want)
+	}
+}
+
+// TestMemoReplayAllocGate gates the refill that thrashing code repeats:
+// once a region is memoized and its tag's dispatch jump built, a refill
+// allocates nothing.
+func TestMemoReplayAllocGate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector adds its own allocations")
+	}
+	obj, _, counts := prepare(t, testProgram, profInput)
+	conf := DefaultConfig()
+	conf.Regions.K = 96
+	out, err := Squash(obj, counts, conf)
+	if err != nil {
+		t.Fatalf("Squash: %v", err)
+	}
+	rt, err := NewRuntime(out.Meta)
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	m := vm.New(out.Image, nil)
+	rt.Install(m)
+	tag := uint32(0)<<16 | 1 // region 0, first entry offset
+	if err := rt.decompressAndJump(m, tag); err != nil {
+		t.Fatalf("fresh decompress: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := rt.decompressAndJump(m, tag); err != nil {
+			t.Fatalf("memoized decompress: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memo replay: %v allocs/op, want 0", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
@@ -14,12 +15,17 @@ import (
 
 // FuzzSquash is the native fuzz entry for `go test -fuzz=FuzzSquash`: the
 // fuzzer picks a program seed, a config word, and a run input, and the
-// target checks that the squashed binary reproduces the baseline behaviour.
+// target checks that the squashed binary reproduces the baseline behaviour
+// and that its fast-path run is identical to a reference run
+// (assertModesIdentical).
 // The CI fuzz-smoke job runs it for a short fixed budget.
 func FuzzSquash(f *testing.F) {
 	f.Add(int64(0), uint16(0), []byte(""))
 	f.Add(int64(3), uint16(0x5a5a), []byte("squash me 123"))
 	f.Add(int64(17), uint16(0xffff), []byte{0, 1, 2, 3, 250, 251, 252, 253})
+	// θ=1 with 64-byte buffers: 141 refills, most of them memo replays, so
+	// the seed corpus alone runs the fast refill path against the reference.
+	f.Add(int64(7), uint16(0x0003), []byte("0123456789abcdefghij"))
 	f.Fuzz(func(t *testing.T, seed int64, confBits uint16, input []byte) {
 		if len(input) > 256 {
 			input = input[:256]
@@ -74,6 +80,10 @@ func FuzzSquash(f *testing.F) {
 		if string(base.Output) != string(sq.Output) || base.Status != sq.Status {
 			t.Fatalf("seed %d conf %+v: behaviour diverged", seed, conf)
 		}
+		// The rest of the contract: the reference runtime and interpreter
+		// reach the same simulated state, counters and runtime stats.
+		ref, refRT := runSquashedMode(t, out, input, false)
+		assertModesIdentical(t, fmt.Sprintf("seed %d conf %+v", seed, conf), sq, ref, rt, refRT)
 	})
 }
 

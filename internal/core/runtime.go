@@ -38,6 +38,11 @@ type Runtime struct {
 	// real decode, and a replay stores the same words, through
 	// vm.WritePredecoded instead of WriteWord.
 	memo []*regionImage
+	// jumps holds, per tag offset, the predecoded dispatch jump that a
+	// fast-path refill stores at buffer word 0 (built on first use, grown
+	// to the largest offset seen), so the jump is neither invalidated nor
+	// predecoded again on each refill.
+	jumps []*vm.Predecoded
 	// noFastPath selects the reference paths (no memo, tree-walk decode);
 	// only tests set it, as the oracle the fast paths are checked against.
 	noFastPath bool
@@ -61,9 +66,9 @@ type Runtime struct {
 }
 
 // regionImage is one region's memoized decompression: the buffer words it
-// emits (indices 1..len; word 0 is the per-tag dispatch branch, written
-// fresh on every entry) with their predecoded µops, and the compressed bits
-// its decode consumed.
+// emits (indices 1..len; word 0 is the per-tag dispatch branch, stored
+// on every entry by writeJump) with their predecoded µops, and the
+// compressed bits its decode consumed.
 type regionImage struct {
 	code *vm.Predecoded
 	bits int
@@ -359,12 +364,11 @@ func (rt *Runtime) decompressAndJump(m *vm.Machine, tag uint32) error {
 	}
 
 	// Dispatch jump from buffer word 0 to the target offset.
-	if err := m.WriteWord(base, isa.Encode(isa.Br(isa.OpBR, isa.RegZero, int32(offset-1)))); err != nil {
+	if err := rt.writeJump(m, base, offset); err != nil {
 		return err
 	}
 
-	pos := 1
-	var bits int
+	var pos, bits int // buffer words filled, including word 0; bits consumed
 	if img := rt.memo[region]; img != nil && !rt.noFastPath {
 		rt.Telem.MemoHits++
 		// Replay the memoized emission. The words are offset-independent
@@ -374,61 +378,11 @@ func (rt *Runtime) decompressAndJump(m *vm.Machine, tag uint32) error {
 		if err := m.WritePredecoded(base+isa.WordSize, img.code); err != nil {
 			return err
 		}
-		pos += img.code.Len()
-		bits = img.bits
+		pos, bits = 1+img.code.Len(), img.bits
 	} else {
-		decompWord := int32(rt.meta.DecompAddr) / isa.WordSize
-		bufWord := int32(base) / isa.WordSize
-		emit := func(w uint32) error {
-			if pos >= maxWords {
-				return fmt.Errorf("core: region %d overflows the runtime buffer", region)
-			}
-			if err := m.WriteWord(base+uint32(pos*isa.WordSize), w); err != nil {
-				return err
-			}
-			pos++
-			return nil
-		}
-		n, err := rt.comp.Decompress(rt.meta.Blob, int(rt.meta.OffsetTable[region]), func(in isa.Inst) error {
-			switch in.Op {
-			case isa.OpBSRX:
-				// Expanded direct call: bsr reg -> CreateStub entry, then the
-				// branch to the callee with the displacement stored in the
-				// compressed stream (relative to the word after the branch).
-				csDisp := decompWord + int32(in.RA) - (bufWord + int32(pos) + 1)
-				if err := emit(isa.Encode(isa.Br(isa.OpBSR, in.RA, csDisp))); err != nil {
-					return err
-				}
-				return emit(isa.Encode(isa.Br(isa.OpBR, isa.RegZero, in.Disp)))
-			case isa.OpJSRX:
-				// Expanded indirect call: bsr reg -> CreateStub entry, then a
-				// non-linking jump through the original target register.
-				csDisp := decompWord + int32(in.RA) - (bufWord + int32(pos) + 1)
-				if err := emit(isa.Encode(isa.Br(isa.OpBSR, in.RA, csDisp))); err != nil {
-					return err
-				}
-				return emit(isa.Encode(isa.Jump(isa.JmpJMP, isa.RegZero, in.RB, 0)))
-			default:
-				return emit(isa.Encode(in))
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("core: decompressing region %d: %w", region, err)
-		}
-		bits = n
-		if !rt.noFastPath {
-			// Record the emission for replay: read the words back out of the
-			// buffer so the memo holds exactly what a decode produces.
-			words := make([]uint32, pos-1)
-			for i := range words {
-				w, err := m.ReadWord(base + uint32((i+1)*isa.WordSize))
-				if err != nil {
-					return err
-				}
-				words[i] = w
-			}
-			rt.memo[region] = &regionImage{code: vm.Predecode(words), bits: bits}
-			rt.Telem.MemoFills++
+		var err error
+		if pos, bits, err = rt.decodeRegion(m, region); err != nil {
+			return err
 		}
 	}
 	m.ICacheFlush(base, base+uint32(pos*isa.WordSize))
@@ -447,6 +401,89 @@ func (rt *Runtime) decompressAndJump(m *vm.Machine, tag uint32) error {
 	rt.curRegion = region
 	m.PC = base
 	return nil
+}
+
+// decodeRegion decompresses region into the runtime buffer after word 0,
+// storing each word with WriteWord, and on the fast path records the
+// emission in the memo. It returns the buffer words filled, including word
+// 0, and the compressed bits consumed. It is separate from
+// decompressAndJump so that the position its emit closure captures is
+// heap-allocated only for a decode, not on every memo replay.
+func (rt *Runtime) decodeRegion(m *vm.Machine, region int) (pos, bits int, err error) {
+	base := rt.meta.RtBufAddr
+	maxWords := rt.meta.K / isa.WordSize
+	decompWord := int32(rt.meta.DecompAddr) / isa.WordSize
+	bufWord := int32(base) / isa.WordSize
+	pos = 1
+	emit := func(w uint32) error {
+		if pos >= maxWords {
+			return fmt.Errorf("core: region %d overflows the runtime buffer", region)
+		}
+		if err := m.WriteWord(base+uint32(pos*isa.WordSize), w); err != nil {
+			return err
+		}
+		pos++
+		return nil
+	}
+	bits, err = rt.comp.Decompress(rt.meta.Blob, int(rt.meta.OffsetTable[region]), func(in isa.Inst) error {
+		switch in.Op {
+		case isa.OpBSRX:
+			// Expanded direct call: bsr reg -> CreateStub entry, then the
+			// branch to the callee with the displacement stored in the
+			// compressed stream (relative to the word after the branch).
+			csDisp := decompWord + int32(in.RA) - (bufWord + int32(pos) + 1)
+			if err := emit(isa.Encode(isa.Br(isa.OpBSR, in.RA, csDisp))); err != nil {
+				return err
+			}
+			return emit(isa.Encode(isa.Br(isa.OpBR, isa.RegZero, in.Disp)))
+		case isa.OpJSRX:
+			// Expanded indirect call: bsr reg -> CreateStub entry, then a
+			// non-linking jump through the original target register.
+			csDisp := decompWord + int32(in.RA) - (bufWord + int32(pos) + 1)
+			if err := emit(isa.Encode(isa.Br(isa.OpBSR, in.RA, csDisp))); err != nil {
+				return err
+			}
+			return emit(isa.Encode(isa.Jump(isa.JmpJMP, isa.RegZero, in.RB, 0)))
+		default:
+			return emit(isa.Encode(in))
+		}
+	})
+	if err != nil {
+		return 0, 0, fmt.Errorf("core: decompressing region %d: %w", region, err)
+	}
+	if !rt.noFastPath {
+		// Record the emission for replay: read the words back out of the
+		// buffer so the memo holds exactly what a decode produces.
+		words := make([]uint32, pos-1)
+		for i := range words {
+			w, err := m.ReadWord(base + uint32((i+1)*isa.WordSize))
+			if err != nil {
+				return 0, 0, err
+			}
+			words[i] = w
+		}
+		rt.memo[region] = &regionImage{code: vm.Predecode(words), bits: bits}
+		rt.Telem.MemoFills++
+	}
+	return pos, bits, nil
+}
+
+// writeJump stores the dispatch jump to offset at buffer word 0. The fast
+// path stores the offset's predecoded jump, built the first time the offset
+// is dispatched to; memory and every simulated counter end up as after the
+// reference path's WriteWord of the same word.
+func (rt *Runtime) writeJump(m *vm.Machine, base uint32, offset int) error {
+	w := isa.Encode(isa.Br(isa.OpBR, isa.RegZero, int32(offset-1)))
+	if rt.noFastPath {
+		return m.WriteWord(base, w)
+	}
+	if offset >= len(rt.jumps) {
+		rt.jumps = append(rt.jumps, make([]*vm.Predecoded, offset+1-len(rt.jumps))...)
+	}
+	if rt.jumps[offset] == nil {
+		rt.jumps[offset] = vm.Predecode([]uint32{w})
+	}
+	return m.WritePredecoded(base, rt.jumps[offset])
 }
 
 // Install attaches the runtime to a machine.

@@ -1,14 +1,14 @@
 package vm
 
-// Predecoded fast path. The decode cache stores a flat µop per text word —
-// an operation kind plus resolved register numbers and a pre-folded
+// Predecoded fast path. The decode cache stores a flat 8-byte µop per text
+// word — an operation kind plus resolved register numbers and a pre-folded
 // immediate — so executing a cached instruction is one dense switch on the
 // kind, and dispatch runs whole blocks of them in one loop (see dispatch).
 // Predecode happens at most once per cache fill; the invalidation points
-// (WriteWord, STB, InvalidateRange) drop the µop together with the decoded
-// instruction, so self-modifying code is re-predecoded, while
-// WritePredecoded installs words together with µops built ahead of time
-// (the decompressor's memoized buffer refills).
+// (WriteWord, STB, InvalidateRange) drop the µop, so self-modifying code is
+// re-predecoded, while WritePredecoded installs words together with µops
+// built ahead of time (the decompressor's memoized buffer refills and its
+// dispatch jumps).
 //
 // The µop encoding folds the OpLit/OpReg distinction away: a literal operand
 // is represented as rb = RegZero (hardwired zero) plus the literal in imm, so
@@ -16,11 +16,14 @@ package vm
 // LDAH folds its <<16 into imm the same way, merging with LDA.
 //
 // Everything rare or faulting — system calls via uSys aside — keeps the
-// uSlow kind and delegates to ExecInst, which preserves the exact trap
-// messages and cycle charges of the reference interpreter. The fast path is
-// cycle-for-cycle identical to stepSlow; TestFastPathEquivalence checks that
-// over randomized programs, and Machine.DisableFastPath forces the reference
-// path at runtime.
+// uSlow kind, which re-decodes its word from memory and delegates to exec,
+// preserving the exact trap messages and cycle charges of the reference
+// interpreter. The reference path itself (stepSlow) never reads the µop
+// cache: it decodes each fetched word through a memo that hits only on an
+// equal word (see decodeMemo). The fast path is cycle-for-cycle identical
+// to stepSlow; TestFastPathEquivalence checks that over randomized
+// programs, and Machine.DisableFastPath forces the reference path at
+// runtime.
 
 import (
 	"fmt"
@@ -140,7 +143,6 @@ func aluKind(op, fn uint32) uint8 {
 // predecode fills c with the µop form of in; the non-uInvalid kind it
 // assigns is what marks the entry live.
 func predecode(c *cachedInst, in isa.Inst) {
-	c.inst = in
 	c.kind = uSlow
 	c.ra, c.rb, c.rc = uint8(in.RA), uint8(in.RB), uint8(in.RC)
 	c.imm = 0
@@ -181,7 +183,7 @@ func predecode(c *cachedInst, in isa.Inst) {
 			c.kind = uBGT
 		case isa.OpBGE:
 			c.kind = uBGE
-			// OpBSRX stays uSlow: it must trap via ExecInst.
+			// OpBSRX stays uSlow: it must trap via exec.
 		}
 		c.imm = in.Disp * isa.WordSize
 	case isa.FormatOpReg:
@@ -199,11 +201,12 @@ func predecode(c *cachedInst, in isa.Inst) {
 	}
 }
 
-// Predecoded is a run of instruction words together with their µop forms,
-// built once by Predecode and stored any number of times by
-// WritePredecoded. The decompression runtime keeps one per memoized region,
-// so a buffer refill copies words and µops instead of invalidating every
-// word and predecoding it again when it runs.
+// Predecoded is a run of instruction words together with their 8-byte µop
+// forms, built once by Predecode and stored any number of times by
+// WritePredecoded. The decompression runtime keeps one per memoized region
+// and one per dispatch-jump offset, so a buffer refill copies 12 bytes per
+// word instead of invalidating every word and predecoding it again when it
+// runs.
 type Predecoded struct {
 	bytes []byte // the words, little-endian, as they sit in memory
 	ops   []cachedInst
@@ -264,7 +267,7 @@ func (m *Machine) Step() error {
 // Any other PC starts the block loop, which keeps pc and the decode cache in
 // locals, charges profiling and the icache model, and executes cached µops
 // through one dense switch. It writes m.PC back only before something can
-// observe it: a trap, ExecInst for a uSlow µop, a system call, and its own
+// observe it: a trap, exec for a uSlow µop, a system call, and its own
 // exit. It exits once limit is reached or the next PC is in the hook's
 // range, outside text or unaligned, so the caller's next dispatch takes the
 // matching path above. The µop kind is re-read for every instruction, so a
@@ -319,7 +322,10 @@ func (m *Machine) dispatch(limit uint64) error {
 		case uSlow:
 			m.Telem.SlowDispatches++
 			m.PC = pc
-			nx, err := m.exec(&c.inst, pc)
+			// The entry is live, so memory still holds the word it was
+			// predecoded from (see cachedInst).
+			in := isa.Decode(getWord(m.Mem, pc))
+			nx, err := m.exec(&in, pc)
 			if err != nil {
 				return err
 			}

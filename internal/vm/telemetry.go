@@ -9,12 +9,12 @@ package vm
 // split below may differ between fast-path and reference runs
 // (DisableFastPath) — that is the point of measuring it.
 type Counters struct {
-	// Predecodes counts decode-cache fills (µop cache misses). Entries
-	// installed by WritePredecoded are not fills: their µops were built
-	// ahead of time.
+	// Predecodes counts decode-cache fills (µop cache misses), which only
+	// the fast path makes. Entries installed by WritePredecoded are not
+	// fills: their µops were built ahead of time.
 	Predecodes uint64 `json:"predecodes"`
 	// SlowDispatches counts fast-path steps that hit a uSlow µop and
-	// routed through the reference ExecInst.
+	// routed through the reference exec.
 	SlowDispatches uint64 `json:"slow_dispatches"`
 	// SlowSteps counts steps taken entirely on the reference path
 	// (DisableFastPath, unaligned PCs, execution outside text).

@@ -93,7 +93,7 @@ type Machine struct {
 	SPTrace    []int32
 
 	// DisableFastPath forces every step through the reference decode and
-	// dispatch path (stepSlow/ExecInst). Simulated state — registers,
+	// dispatch path (stepSlow/exec). Simulated state — registers,
 	// memory, cycles, instruction counts, traps — is identical either way;
 	// the flag exists so tests and the CI guard can assert that.
 	DisableFastPath bool
@@ -104,6 +104,10 @@ type Machine struct {
 
 	// Decode cache over the text segment, invalidated on stores.
 	icache []cachedInst
+
+	// Reference-path decode memo (see fetch), allocated by the first
+	// reference step; fast-path runs never touch it.
+	decoded *decodeMemo
 
 	// Cached Hook.Range() as [hookLo, hookLo+hookSpan) so the dispatch loop
 	// tests it with one unsigned compare and no interface call; recomputed
@@ -116,15 +120,33 @@ type Machine struct {
 	jmp *jmpState
 }
 
-// cachedInst is one decode-cache entry: the decoded instruction plus its
-// predecoded µop form (see fastpath.go). Both are filled together by
-// predecode and dropped together by the invalidation points; kind doubles
-// as the valid flag (uInvalid marks an empty or invalidated entry).
+// cachedInst is one decode-cache entry: exactly the 8 bytes of predecoded
+// µop that the block loop reads (see fastpath.go). It keeps no decoded
+// isa.Inst: a uSlow entry re-decodes its word from memory, which is exact
+// because every store path (WriteWord, stw/stb into text, InvalidateRange,
+// WritePredecoded) invalidates or replaces the entry, so a live entry always
+// sits over the word it was predecoded from. kind doubles as the valid flag
+// (uInvalid marks an empty or invalidated entry).
 type cachedInst struct {
-	kind       uint8 // µop kind (uSlow routes through ExecInst)
+	kind       uint8 // µop kind (uSlow routes through exec)
 	ra, rb, rc uint8
 	imm        int32 // folded immediate: disp, disp<<16, lit, or disp*4
-	inst       isa.Inst
+}
+
+// decodeMemoBits sizes the reference path's decode memo: 1<<decodeMemoBits
+// direct-mapped entries, indexed by word address, so code within any
+// 16 KiB span maps to distinct entries.
+const decodeMemoBits = 12
+
+// decodeMemo is the reference path's decode memo (see fetch): each entry
+// holds a word and its decoded form, and a lookup hits only when the entry's
+// word equals the word fetched. isa.Decode is a pure function of the word,
+// so an entry never goes stale: a store changes which word fetch compares,
+// not what a word decodes to, and the memo needs no invalidation. A zeroed
+// entry is a valid one, since word 0 decodes to the zero isa.Inst.
+type decodeMemo [1 << decodeMemoBits]struct {
+	word uint32
+	in   isa.Inst
 }
 
 type jmpState struct {
@@ -220,24 +242,26 @@ func putWord(mem []byte, a uint32, v uint32) {
 	binary.LittleEndian.PutUint32(mem[a:], v)
 }
 
-// fetch decodes the instruction at pc, consulting the decode cache.
-func (m *Machine) fetch(pc uint32) (isa.Inst, error) {
+// fetch decodes the instruction at pc for the reference path. It reads the
+// word from memory on every call and decodes it through the word-checked
+// memo (the result is valid until the next fetch), so it never consults or
+// fills the µop cache.
+func (m *Machine) fetch(pc uint32) (*isa.Inst, error) {
 	if pc%isa.WordSize != 0 {
-		return isa.Inst{}, &TrapError{pc, "unaligned instruction fetch"}
-	}
-	idx := int(pc-objfile.TextBase) / isa.WordSize
-	if idx >= 0 && idx < len(m.icache) && m.icache[idx].kind != uInvalid {
-		return m.icache[idx].inst, nil
+		return nil, &TrapError{pc, "unaligned instruction fetch"}
 	}
 	if pc > uint32(len(m.Mem))-4 { // avoids uint32 wrap for fetches at the top of the address space
-		return isa.Inst{}, &TrapError{pc, "instruction fetch out of bounds"}
+		return nil, &TrapError{pc, "instruction fetch out of bounds"}
 	}
-	in := isa.Decode(getWord(m.Mem, pc))
-	if idx >= 0 && idx < len(m.icache) {
-		predecode(&m.icache[idx], in)
-		m.Telem.Predecodes++
+	if m.decoded == nil {
+		m.decoded = new(decodeMemo)
 	}
-	return in, nil
+	w := getWord(m.Mem, pc)
+	e := &m.decoded[pc/isa.WordSize%(1<<decodeMemoBits)]
+	if e.word != w {
+		e.word, e.in = w, isa.Decode(w)
+	}
+	return &e.in, nil
 }
 
 // Run executes until HALT, a trap, or the instruction limit. Each dispatch
@@ -261,8 +285,8 @@ func (m *Machine) Run() error {
 	return nil
 }
 
-// stepSlow is the reference step: fetch (decode cache aside), cache model,
-// profile, ExecInst. It preserves the pre-fast-path semantics exactly and
+// stepSlow is the reference step: fetch (µop cache aside), cache model,
+// profile, exec. It preserves the pre-fast-path semantics exactly and
 // handles every case the fast path does not.
 func (m *Machine) stepSlow(pc uint32) error {
 	m.Telem.SlowSteps++
@@ -276,7 +300,8 @@ func (m *Machine) stepSlow(pc uint32) error {
 			m.Profile[idx]++
 		}
 	}
-	next, err := m.ExecInst(in, pc)
+	m.Instructions++
+	next, err := m.exec(in, pc)
 	if err != nil {
 		return err
 	}
@@ -286,16 +311,16 @@ func (m *Machine) stepSlow(pc uint32) error {
 
 // ExecInst executes one decoded instruction as if it were located at pc,
 // updating registers, memory, cycle counts, and halt state, and returns the
-// address of the next instruction. It is the semantic core of Step, and is
-// also used by the interpret-in-place runtime (which executes compressed
+// address of the next instruction. It runs the same exec as the reference
+// step, for the interpret-in-place runtime (which executes compressed
 // instructions at virtual addresses without materializing them in memory).
 func (m *Machine) ExecInst(in isa.Inst, pc uint32) (uint32, error) {
 	m.Instructions++
 	return m.exec(&in, pc)
 }
 
-// exec is ExecInst without the instruction-count bump; the fast path counts
-// before dispatching and routes its uSlow case here.
+// exec is ExecInst without the instruction-count bump; stepSlow and the
+// fast path's uSlow case count before they call it.
 func (m *Machine) exec(in *isa.Inst, pc uint32) (uint32, error) {
 	next := pc + isa.WordSize
 
