@@ -46,12 +46,11 @@ func assertModesIdentical(t *testing.T, label string, fastM, slowM *vm.Machine, 
 	if fastM.Reg != slowM.Reg {
 		t.Fatalf("%s: registers differ:\n  fast %v\n  slow %v", label, fastM.Reg, slowM.Reg)
 	}
-	if !bytes.Equal(fastM.Mem, slowM.Mem) {
-		i := 0
-		for i < len(fastM.Mem) && i < len(slowM.Mem) && fastM.Mem[i] == slowM.Mem[i] {
-			i++
-		}
+	if i := vm.FirstMemDiff(fastM, slowM); i >= 0 {
 		t.Fatalf("%s: memory differs from %#x", label, i)
+	}
+	if !vm.ZeroPageIntact() {
+		t.Fatalf("%s: the shared zero page was written", label)
 	}
 	if string(fastM.Output) != string(slowM.Output) {
 		t.Fatalf("%s: output differs:\n  fast %q\n  slow %q", label, fastM.Output, slowM.Output)

@@ -191,7 +191,7 @@ func withMeta(tb testing.TB, im *objfile.Image, meta *Meta) []byte {
 // FuzzRunImage runs image bytes the way em-run does: ReadImage,
 // UnmarshalMeta, NewRuntime, vm.New and Run, under a 200 000-instruction
 // limit. A hostile image must give an error at some step, never a panic
-// or a hang.
+// or a hang, and must leave the VM's shared zero page all zero.
 func FuzzRunImage(f *testing.F) {
 	outs := seedOutputs(f, 1)
 	for _, out := range outs {
@@ -220,5 +220,8 @@ func FuzzRunImage(f *testing.F) {
 		m.MaxInstructions = 200_000
 		rt.Install(m)
 		m.Run()
+		if !vm.ZeroPageIntact() {
+			t.Fatal("the shared zero page was written")
+		}
 	})
 }

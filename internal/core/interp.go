@@ -233,22 +233,8 @@ func (rt *Runtime) interpEnter(m *vm.Machine) error {
 		// A callee returned directly into a restore stub slot: emulate the
 		// stub without executing its materialized words.
 		idx := int(pc-rt.meta.StubAreaAddr) / (StubSlotWords * isa.WordSize)
-		if idx < 0 || idx >= len(rt.slots) || !rt.slots[idx].live {
-			return fmt.Errorf("core: return through dead restore stub at %#x", pc)
-		}
-		slot := &rt.slots[idx]
-		tag := slot.tag
-		if rt.Trace != nil {
-			rt.Trace(fmt.Sprintf("restore slot=%d region=%d resume=%d count=%d", idx, tag>>16, tag&0xFFFF, slot.count))
-		}
-		slot.count--
-		rt.Stats.RestoreReturns++
-		m.Cycles += m.Cost.RestoreDispatch
-		if slot.count == 0 {
-			slot.live = false
-			delete(rt.byTag, tag)
-			rt.Stats.LiveStubs--
-		} else if err := m.WriteWord(rt.slotAddr(idx)+8, uint32(slot.count)); err != nil {
+		tag, err := rt.releaseStub(m, idx, pc)
+		if err != nil {
 			return err
 		}
 		return rt.startInterp(m, int(tag>>16), int(tag&0xFFFF))

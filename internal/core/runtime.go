@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/objfile"
@@ -48,7 +49,14 @@ type Runtime struct {
 	noFastPath bool
 
 	slots []stubSlot
-	byTag map[uint32]int // live stub tag -> slot index
+	// free has bit i set while slot i is free; a new stub takes the lowest
+	// free slot (first fit), so stub addresses follow allocation order.
+	free []uint64
+	// byTag maps a tag to the slot its stub last occupied. Entries outlive
+	// their stubs, so a stub's life costs no map insert or delete: an
+	// entry names the tag's live stub only while that slot is live with
+	// the same tag (see allocStub).
+	byTag map[uint32]int
 
 	// Interpret-in-place state (§8 alternative; see interp.go). imemo
 	// caches each region's decoded instruction list the first time it is
@@ -126,7 +134,11 @@ func NewRuntime(meta *Meta) (*Runtime, error) {
 		curRegion: -1,
 		memo:      make([]*regionImage, len(meta.OffsetTable)),
 		slots:     make([]stubSlot, meta.StubCapacity),
+		free:      make([]uint64, (meta.StubCapacity+63)/64),
 		byTag:     map[uint32]int{},
+	}
+	for i := range rt.slots {
+		rt.free[i/64] |= 1 << (i % 64)
 	}
 	if meta.Interpret {
 		// Regions decode lazily on first entry (see enterInterpRegion); the
@@ -273,24 +285,22 @@ func (rt *Runtime) createStub(m *vm.Machine, reg, transferAddr uint32) error {
 // maintaining the usage count (in memory, so the paper's 8-bytes-per-stub
 // cost is real), and returns the slot's address.
 func (rt *Runtime) allocStub(m *vm.Machine, tag uint32, reg uint32) (uint32, error) {
-	idx, live := rt.byTag[tag]
-	if live {
+	last, seen := rt.byTag[tag]
+	idx := last
+	if seen && rt.slots[idx].live && rt.slots[idx].tag == tag {
 		rt.slots[idx].count++
 		rt.Stats.CreateStubHits++
 		m.Cycles += m.Cost.CreateStubHit
 	} else {
-		idx = -1
-		for i := range rt.slots {
-			if !rt.slots[i].live {
-				idx = i
-				break
-			}
-		}
+		idx = rt.lowestFreeSlot()
 		if idx < 0 {
 			return 0, fmt.Errorf("core: restore-stub area exhausted (%d slots)", rt.meta.StubCapacity)
 		}
+		rt.free[idx/64] &^= 1 << (idx % 64)
 		rt.slots[idx] = stubSlot{live: true, tag: tag, count: 1, reg: reg}
-		rt.byTag[tag] = idx
+		if !seen || last != idx {
+			rt.byTag[tag] = idx
+		}
 		rt.Stats.CreateStubMisses++
 		rt.Stats.LiveStubs++
 		if rt.Stats.LiveStubs > rt.Stats.MaxLiveStubs {
@@ -315,6 +325,17 @@ func (rt *Runtime) allocStub(m *vm.Machine, tag uint32, reg uint32) (uint32, err
 	return rt.slotAddr(idx), nil
 }
 
+// lowestFreeSlot returns the index of the lowest free slot, or -1 when
+// every slot is live.
+func (rt *Runtime) lowestFreeSlot() int {
+	for w, b := range rt.free {
+		if b != 0 {
+			return w*64 + bits.TrailingZeros64(b)
+		}
+	}
+	return -1
+}
+
 func (rt *Runtime) slotAddr(idx int) uint32 {
 	return rt.meta.StubAreaAddr + uint32(idx*StubSlotWords*isa.WordSize)
 }
@@ -324,25 +345,35 @@ func (rt *Runtime) slotAddr(idx int) uint32 {
 // instruction after the original call.
 func (rt *Runtime) restoreReturn(m *vm.Machine, tagAddr uint32) error {
 	idx := int(tagAddr-rt.meta.StubAreaAddr-isa.WordSize) / (StubSlotWords * isa.WordSize)
+	tag, err := rt.releaseStub(m, idx, tagAddr)
+	if err != nil {
+		return err
+	}
+	return rt.decompressAndJump(m, tag)
+}
+
+// releaseStub accounts for one return through the stub in slot idx, which
+// the address at lies in, and returns the stub's tag. The last use frees
+// the slot; any other rewrites the stub's count word.
+func (rt *Runtime) releaseStub(m *vm.Machine, idx int, at uint32) (uint32, error) {
 	if idx < 0 || idx >= len(rt.slots) || !rt.slots[idx].live {
-		return fmt.Errorf("core: return through dead restore stub at %#x", tagAddr)
+		return 0, fmt.Errorf("core: return through dead restore stub at %#x", at)
 	}
 	slot := &rt.slots[idx]
-	tag := slot.tag
 	if rt.Trace != nil {
-		rt.Trace(fmt.Sprintf("restore slot=%d region=%d resume=%d count=%d", idx, tag>>16, tag&0xFFFF, slot.count))
+		rt.Trace(fmt.Sprintf("restore slot=%d region=%d resume=%d count=%d", idx, slot.tag>>16, slot.tag&0xFFFF, slot.count))
 	}
 	slot.count--
 	rt.Stats.RestoreReturns++
 	m.Cycles += m.Cost.RestoreDispatch
 	if slot.count == 0 {
 		slot.live = false
-		delete(rt.byTag, tag)
+		rt.free[idx/64] |= 1 << (idx % 64)
 		rt.Stats.LiveStubs--
 	} else if err := m.WriteWord(rt.slotAddr(idx)+8, uint32(slot.count)); err != nil {
-		return err
+		return 0, err
 	}
-	return rt.decompressAndJump(m, tag)
+	return slot.tag, nil
 }
 
 // decompressAndJump fills the runtime buffer with the region named by the

@@ -289,3 +289,63 @@ func TestInterpretRegionOverflowsBuffer(t *testing.T) {
 		t.Errorf("run with a 16-byte buffer: %v, want an overflow error", err)
 	}
 }
+
+// TestStubSlotFirstFit pins restore-stub slot order, which fixes stub
+// addresses, memory and cycles: a new stub takes the lowest free slot.
+// Three live stubs fill slots 0–2, and a return through the middle one
+// frees slot 1 for the next miss. Then slots 2 and 1 are freed in that
+// order, and the next miss must again take slot 1: not slot 2, the one
+// freed last, nor slot 3, the one after the last taken.
+func TestStubSlotFirstFit(t *testing.T) {
+	out := squashTestProgram(t, nil)
+	rt, err := NewRuntime(out.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := vm.New(out.Image, nil)
+	rt.Install(m)
+	// Tags name region 0 at distinct resume offsets; a stub returns there.
+	alloc := func(resume uint32) int {
+		t.Helper()
+		a, err := rt.allocStub(m, resume, isa.RegRA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(a-rt.meta.StubAreaAddr) / (StubSlotWords * isa.WordSize)
+	}
+	ret := func(slot int) {
+		t.Helper()
+		if err := rt.restoreReturn(m, rt.slotAddr(slot)+isa.WordSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range 3 {
+		if got := alloc(uint32(k + 1)); got != k {
+			t.Fatalf("stub %d took slot %d, want %d", k, got, k)
+		}
+	}
+	if got := alloc(2); got != 1 {
+		t.Fatalf("a live tag's stub was not reused: slot %d, want 1", got)
+	}
+	ret(1)
+	ret(1)
+	if got := alloc(4); got != 1 {
+		t.Fatalf("after a return through slot 1, the next miss took slot %d, want 1", got)
+	}
+	ret(2)
+	ret(1)
+	if got := alloc(5); got != 1 {
+		t.Fatalf("with slots 1 and 2 free, the next miss took slot %d, want 1", got)
+	}
+	if got := alloc(3); got != 2 {
+		t.Fatalf("a tag whose stub was freed took slot %d, want 2", got)
+	}
+	// Tag 4's last slot now holds tag 5's stub, which must not be reused.
+	if got := alloc(4); got != 3 {
+		t.Fatalf("a tag whose old slot holds another stub took slot %d, want 3", got)
+	}
+	want := RuntimeStats{CreateStubHits: 1, CreateStubMisses: 7, RestoreReturns: 4, MaxLiveStubs: 4, LiveStubs: 4, Decompressions: 4, InstsEmitted: rt.Stats.InstsEmitted, BitsRead: rt.Stats.BitsRead}
+	if rt.Stats != want {
+		t.Fatalf("stats %+v, want %+v", rt.Stats, want)
+	}
+}

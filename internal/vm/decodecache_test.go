@@ -3,14 +3,12 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/objfile"
-	"repro/internal/race"
 )
 
 // wordDirective is the assembler line that places in's encoding in text.
@@ -155,33 +153,5 @@ func TestReferenceMemoSeesNewWord(t *testing.T) {
 func TestDecodeCacheEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(cachedInst{}); got != 8 {
 		t.Fatalf("cachedInst is %d bytes, want 8", got)
-	}
-}
-
-// TestVMNewAllocGate gates the bytes New allocates for a 61 440-word image
-// (pgp's squeezed text is 60 011 words): the memory image plus one 8-byte
-// decode-cache entry per word, with 4 KiB slack for the Machine itself.
-// 61 440 entries fill whole 8 KiB heap pages, so the slack is not spent on
-// rounding the cache's allocation up to a page.
-func TestVMNewAllocGate(t *testing.T) {
-	if race.Enabled {
-		t.Skip("the race detector adds its own allocations")
-	}
-	const n = 61_440
-	im := &objfile.Image{Text: make([]uint32, n), Entry: objfile.TextBase}
-	ceiling := uint64(objfile.MemSize) + 8*n + 4096
-	var sink *Machine
-	least := ^uint64(0)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		sink = New(im, nil)
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	runtime.KeepAlive(sink)
-	t.Logf("New(%d words): %d bytes, ceiling %d", n, least, ceiling)
-	if least > ceiling {
-		t.Errorf("New(%d words) allocated %d bytes, ceiling %d (MemSize + 8 B/word + 4 KiB)", n, least, ceiling)
 	}
 }

@@ -208,15 +208,14 @@ func predecode(c *cachedInst, in isa.Inst) {
 // word instead of invalidating every word and predecoding it again when it
 // runs.
 type Predecoded struct {
-	bytes []byte // the words, little-endian, as they sit in memory
+	words []uint32
 	ops   []cachedInst
 }
 
 // Predecode builds the Predecoded form of words.
 func Predecode(words []uint32) *Predecoded {
-	p := &Predecoded{bytes: make([]byte, len(words)*isa.WordSize), ops: make([]cachedInst, len(words))}
+	p := &Predecoded{words: append([]uint32(nil), words...), ops: make([]cachedInst, len(words))}
 	for k, w := range words {
-		putWord(p.bytes, uint32(k*isa.WordSize), w)
 		predecode(&p.ops[k], isa.Decode(w))
 	}
 	return p
@@ -235,11 +234,11 @@ func (p *Predecoded) Len() int { return len(p.ops) }
 func (m *Machine) WritePredecoded(addr uint32, p *Predecoded) error {
 	n := len(p.ops)
 	fit := 0
-	if addr%isa.WordSize == 0 && addr < uint32(len(m.Mem)) {
-		fit = min(n, (len(m.Mem)-int(addr))/isa.WordSize)
+	if addr%isa.WordSize == 0 && addr < objfile.MemSize {
+		fit = min(n, int(objfile.MemSize-addr)/isa.WordSize)
 	}
 	if fit > 0 {
-		copy(m.Mem[addr:], p.bytes[:fit*isa.WordSize])
+		m.storeWords(addr, p.words[:fit])
 		// Copy the µops of the words that land in text.
 		first := (int(addr) - int(objfile.TextBase)) / isa.WordSize
 		lo, hi := max(0, -first), min(fit, len(m.icache)-first)
@@ -249,7 +248,7 @@ func (m *Machine) WritePredecoded(addr uint32, p *Predecoded) error {
 	}
 	if fit < n {
 		// The reference trap: WriteWord faults on this word before storing it.
-		return m.WriteWord(addr+uint32(fit*isa.WordSize), getWord(p.bytes, uint32(fit*isa.WordSize)))
+		return m.WriteWord(addr+uint32(fit*isa.WordSize), p.words[fit])
 	}
 	return nil
 }
@@ -302,7 +301,7 @@ func (m *Machine) dispatch(limit uint64) error {
 	for {
 		c := &ic[i]
 		if c.kind == uInvalid {
-			predecode(c, isa.Decode(getWord(m.Mem, pc)))
+			predecode(c, isa.Decode(m.loadWord(pc)))
 			m.Telem.Predecodes++
 		}
 		if counted {
@@ -324,7 +323,7 @@ func (m *Machine) dispatch(limit uint64) error {
 			m.PC = pc
 			// The entry is live, so memory still holds the word it was
 			// predecoded from (see cachedInst).
-			in := isa.Decode(getWord(m.Mem, pc))
+			in := isa.Decode(m.loadWord(pc))
 			nx, err := m.exec(&in, pc)
 			if err != nil {
 				return err
@@ -351,22 +350,22 @@ func (m *Machine) dispatch(limit uint64) error {
 			m.Cycles += CostOp
 		case uLDW:
 			addr := uint32(m.Reg[rb] + c.imm)
-			if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
+			if addr%isa.WordSize != 0 || addr > objfile.MemSize-4 {
 				m.PC = pc
 				_, err := m.ReadWord(addr) // reference trap message
 				return err
 			}
 			if ra != regZero {
-				m.Reg[ra] = int32(getWord(m.Mem, addr))
+				m.Reg[ra] = int32(m.loadWord(addr))
 			}
 			m.Cycles += CostMem
 		case uSTW:
 			addr := uint32(m.Reg[rb] + c.imm)
-			if addr%isa.WordSize != 0 || addr > uint32(len(m.Mem))-4 {
+			if addr%isa.WordSize != 0 || addr > objfile.MemSize-4 {
 				m.PC = pc
 				return m.WriteWord(addr, uint32(m.Reg[ra]))
 			}
-			putWord(m.Mem, addr, uint32(m.Reg[ra]))
+			m.storeWord(addr, uint32(m.Reg[ra]))
 			if idx := int(addr-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(ic) {
 				ic[idx].kind = uInvalid
 				m.Telem.InvalidatedWords++
@@ -374,21 +373,21 @@ func (m *Machine) dispatch(limit uint64) error {
 			m.Cycles += CostMem
 		case uLDB:
 			addr := uint32(m.Reg[rb] + c.imm)
-			if addr >= uint32(len(m.Mem)) {
+			if addr >= objfile.MemSize {
 				m.PC = pc
 				return &TrapError{pc, fmt.Sprintf("byte read out of bounds at %#x", addr)}
 			}
 			if ra != regZero {
-				m.Reg[ra] = int32(m.Mem[addr])
+				m.Reg[ra] = int32(m.loadByte(addr))
 			}
 			m.Cycles += CostMem
 		case uSTB:
 			addr := uint32(m.Reg[rb] + c.imm)
-			if addr >= uint32(len(m.Mem)) {
+			if addr >= objfile.MemSize {
 				m.PC = pc
 				return &TrapError{pc, fmt.Sprintf("byte write out of bounds at %#x", addr)}
 			}
-			m.Mem[addr] = byte(m.Reg[ra])
+			m.storeByte(addr, byte(m.Reg[ra]))
 			if idx := int(addr&^3-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(ic) {
 				ic[idx].kind = uInvalid
 				m.Telem.InvalidatedWords++

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -67,8 +66,12 @@ func runPairDrive(t *testing.T, label string, im *objfile.Image, input []byte, d
 	if string(fast.Output) != string(slow.Output) {
 		t.Fatalf("%s: output diverges: %q (fast) vs %q (slow)", label, fast.Output, slow.Output)
 	}
-	if i := firstDiff(fast.Mem, slow.Mem); i >= 0 {
-		t.Fatalf("%s: memory diverges at %#x: %#x (fast) vs %#x (slow)", label, i, fast.Mem[i], slow.Mem[i])
+	if i := FirstMemDiff(fast, slow); i >= 0 {
+		a := uint32(i)
+		t.Fatalf("%s: memory diverges at %#x: %#x (fast) vs %#x (slow)", label, a, fast.loadByte(a), slow.loadByte(a))
+	}
+	if !ZeroPageIntact() {
+		t.Fatalf("%s: the shared zero page was written", label)
 	}
 	if !slices.Equal(fast.Profile, slow.Profile) {
 		t.Fatalf("%s: profiles diverge", label)
@@ -83,22 +86,7 @@ func runPairDrive(t *testing.T, label string, im *objfile.Image, input []byte, d
 	return fast, ferr
 }
 
-// firstDiff returns the first index where a and b differ, or -1.
-func firstDiff(a, b []byte) int {
-	if len(a) != len(b) {
-		return min(len(a), len(b))
-	}
-	if bytes.Equal(a, b) {
-		return -1
-	}
-	i := 0
-	for a[i] == b[i] {
-		i++
-	}
-	return i
-}
-
-func assembleImage(t *testing.T, src string) *objfile.Image {
+func assembleImage(t testing.TB, src string) *objfile.Image {
 	t.Helper()
 	obj, err := asm.Assemble(src)
 	if err != nil {

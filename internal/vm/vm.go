@@ -4,6 +4,12 @@
 // execution profiles, and charges a deterministic cycle cost per operation
 // so that relative execution times can be compared across program versions.
 //
+// A machine's MemSize memory is a table of 64 KiB pages (see mem.go). Pages
+// nothing has stored to share one all-zero page that no store reaches, and
+// the first store to a page gives it private storage, so a machine holds
+// only the pages its image and its run touch. Loads and stores see one
+// flat, zero-initialized memory either way.
+//
 // The decompression runtime of the squashed binaries is installed as a Hook:
 // when control reaches the reserved decompressor region, the hook runs
 // instead of the (deliberately unexecutable) placeholder words there. The
@@ -13,7 +19,6 @@
 package vm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -44,9 +49,14 @@ func (e *TrapError) Error() string {
 // instruction budget, which indicates a runaway loop in a test program.
 var ErrInstructionLimit = errors.New("vm: instruction limit exceeded")
 
-// Machine is one EM32 execution context.
+// Machine is one EM32 execution context. Its memory is reached only
+// through ReadWord, WriteWord, WritePredecoded and the program's own loads
+// and stores; FirstMemDiff compares two machines' memories.
 type Machine struct {
-	Mem []byte
+	// pages maps each 64 KiB page of memory to its storage: zeroPage until
+	// the first store to the page, a private page after (see mem.go).
+	pages [numPages]*page
+
 	Reg [isa.NumRegs]int32
 	PC  uint32
 
@@ -159,21 +169,24 @@ type jmpState struct {
 const DefaultMaxInstructions = 2_000_000_000
 
 // New creates a machine loaded with the image: text and data copied into a
-// fresh MemSize memory, SP initialized to StackTop, PC at the entry point.
+// fresh, zeroed MemSize memory, SP initialized to StackTop, PC at the entry
+// point. Only the pages text and data land on get storage; text or data
+// running past MemSize is cut off there.
 func New(im *objfile.Image, input []byte) *Machine {
+	text := im.Text[:min(len(im.Text), int(objfile.MemSize-objfile.TextBase)/isa.WordSize)]
 	m := &Machine{
-		Mem:       make([]byte, objfile.MemSize),
 		Input:     input,
 		PC:        im.Entry,
-		textWords: len(im.Text),
+		textWords: len(text),
 		Cost:      DefaultCostModel(),
 	}
-	for i, w := range im.Text {
-		putWord(m.Mem, objfile.TextBase+uint32(i*isa.WordSize), w)
+	for i := range m.pages {
+		m.pages[i] = &zeroPage
 	}
-	copy(m.Mem[objfile.DataBase:], im.Data)
+	m.storeWords(objfile.TextBase, text)
+	m.storeBytes(objfile.DataBase, im.Data[:min(len(im.Data), int(objfile.MemSize-objfile.DataBase))])
 	m.Reg[isa.RegSP] = int32(objfile.StackTop)
-	m.icache = make([]cachedInst, len(im.Text))
+	m.icache = make([]cachedInst, len(text))
 	return m
 }
 
@@ -211,10 +224,10 @@ func (m *Machine) ReadWord(addr uint32) (uint32, error) {
 	if addr%isa.WordSize != 0 {
 		return 0, &TrapError{m.PC, fmt.Sprintf("unaligned word read at %#x", addr)}
 	}
-	if addr > uint32(len(m.Mem))-4 { // subtraction cannot wrap; checks addr+4 without overflow
+	if addr > objfile.MemSize-4 { // checks addr+4 without overflow
 		return 0, &TrapError{m.PC, fmt.Sprintf("word read out of bounds at %#x", addr)}
 	}
-	return getWord(m.Mem, addr), nil
+	return m.loadWord(addr), nil
 }
 
 // WriteWord stores the aligned 32-bit word at addr, invalidating any cached
@@ -223,23 +236,15 @@ func (m *Machine) WriteWord(addr uint32, v uint32) error {
 	if addr%isa.WordSize != 0 {
 		return &TrapError{m.PC, fmt.Sprintf("unaligned word write at %#x", addr)}
 	}
-	if addr > uint32(len(m.Mem))-4 { // see ReadWord: avoids uint32 wrap at the top of the address space
+	if addr > objfile.MemSize-4 { // see ReadWord: avoids uint32 wrap at the top of the address space
 		return &TrapError{m.PC, fmt.Sprintf("word write out of bounds at %#x", addr)}
 	}
-	putWord(m.Mem, addr, v)
+	m.storeWord(addr, v)
 	if idx := int(addr-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
 		m.icache[idx].kind = uInvalid
 		m.Telem.InvalidatedWords++
 	}
 	return nil
-}
-
-func getWord(mem []byte, a uint32) uint32 {
-	return binary.LittleEndian.Uint32(mem[a:])
-}
-
-func putWord(mem []byte, a uint32, v uint32) {
-	binary.LittleEndian.PutUint32(mem[a:], v)
 }
 
 // fetch decodes the instruction at pc for the reference path. It reads the
@@ -250,13 +255,13 @@ func (m *Machine) fetch(pc uint32) (*isa.Inst, error) {
 	if pc%isa.WordSize != 0 {
 		return nil, &TrapError{pc, "unaligned instruction fetch"}
 	}
-	if pc > uint32(len(m.Mem))-4 { // avoids uint32 wrap for fetches at the top of the address space
+	if pc > objfile.MemSize-4 { // avoids uint32 wrap for fetches at the top of the address space
 		return nil, &TrapError{pc, "instruction fetch out of bounds"}
 	}
 	if m.decoded == nil {
 		m.decoded = new(decodeMemo)
 	}
-	w := getWord(m.Mem, pc)
+	w := m.loadWord(pc)
 	e := &m.decoded[pc/isa.WordSize%(1<<decodeMemoBits)]
 	if e.word != w {
 		e.word, e.in = w, isa.Decode(w)
@@ -356,16 +361,16 @@ func (m *Machine) exec(in *isa.Inst, pc uint32) (uint32, error) {
 			}
 			m.Cycles += CostMem
 		case isa.OpLDB:
-			if addr >= uint32(len(m.Mem)) {
+			if addr >= objfile.MemSize {
 				return 0, &TrapError{pc, fmt.Sprintf("byte read out of bounds at %#x", addr)}
 			}
-			m.setReg(in.RA, int32(m.Mem[addr]))
+			m.setReg(in.RA, int32(m.loadByte(addr)))
 			m.Cycles += CostMem
 		case isa.OpSTB:
-			if addr >= uint32(len(m.Mem)) {
+			if addr >= objfile.MemSize {
 				return 0, &TrapError{pc, fmt.Sprintf("byte write out of bounds at %#x", addr)}
 			}
-			m.Mem[addr] = byte(m.Reg[in.RA])
+			m.storeByte(addr, byte(m.Reg[in.RA]))
 			if idx := int(addr&^3-objfile.TextBase) / isa.WordSize; idx >= 0 && idx < len(m.icache) {
 				m.icache[idx].kind = uInvalid
 				m.Telem.InvalidatedWords++
