@@ -13,18 +13,21 @@
 package buffersafe
 
 import (
+	"sync"
+
 	"repro/internal/cfg"
 	"repro/internal/parallel"
 )
 
-// Result maps function names to buffer-safety.
+// Result holds the buffer safety of every function, by its index in the
+// analyzed program's Funcs.
 type Result struct {
-	Safe map[string]bool
+	Safe []bool
 }
 
-// IsSafe reports whether the named function is buffer-safe; unknown names
-// are unsafe.
-func (r *Result) IsSafe(fn string) bool { return r.Safe[fn] }
+// IsSafe reports whether function fn (an index into Funcs) is
+// buffer-safe.
+func (r *Result) IsSafe(fn int32) bool { return r.Safe[fn] }
 
 // SafeCount reports how many functions are buffer-safe.
 func (r *Result) SafeCount() int {
@@ -37,87 +40,92 @@ func (r *Result) SafeCount() int {
 	return n
 }
 
-// funcScan is the per-function slice of the call graph, computed
-// independently per function and merged in function order.
-type funcScan struct {
-	callees            map[string]bool
-	hasUnknownIndirect bool
-	ownsCompressed     bool
-}
-
-// AnalyzeWorkers computes buffer safety for every function. compressed maps
-// block labels chosen for compression; addressTaken marks functions whose
-// address escapes (they may be called from anywhere, including compressed
-// code, but that does not make them unsafe by itself — only being unable to
-// enumerate *their* callees does). The per-function call-graph scan fans
-// out over the given worker count (<= 0 means one per CPU). Each function's
-// scan touches only that function's blocks, and the merged graph is a set
-// union, so the result is identical at any worker count.
-func AnalyzeWorkers(p *cfg.Program, compressed map[string]bool, workers int) *Result {
-	owner := map[string]string{} // block label -> function name
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			owner[b.Label] = f.Name
-		}
-	}
-
-	// Call graph and "branches into" edges, function-level.
-	scans, _ := parallel.Map(len(p.Funcs), workers, func(fi int) (funcScan, error) {
-		f := p.Funcs[fi]
-		s := funcScan{callees: map[string]bool{}}
-		for _, b := range f.Blocks {
-			for _, c := range b.Calls() {
-				if c.Callee == "" {
-					s.hasUnknownIndirect = true
-					continue
+// AnalyzeWorkers computes buffer safety for every function of the numbered
+// program x. compressed holds, by block number, the blocks chosen for
+// compression. An address-taken function may be called from anywhere,
+// including compressed code, but that does not make it unsafe by itself —
+// only being unable to enumerate *its* callees does. The call-graph scan
+// fans out over contiguous function ranges on the given worker count (<= 0
+// means one per CPU); each range writes only its own functions' seeds, and
+// propagation is a reachability closure, which no edge order changes, so
+// the result is identical at any worker count.
+func AnalyzeWorkers(x *cfg.Index, compressed []bool, workers int) *Result {
+	nf := len(x.Prog.Funcs)
+	unsafe := make([]bool, nf)
+	// Function-level call and "branches into" edges, as (caller, callee)
+	// pairs.
+	var (
+		mu    sync.Mutex
+		edges [][2]int32
+	)
+	_ = parallel.ForEachChunk(nf, workers, 64, func(lo, hi int) error {
+		var local [][2]int32
+		for f := int32(lo); f < int32(hi); f++ {
+			for i := x.FuncStart[f]; i < x.FuncStart[f+1]; i++ {
+				callees := x.Callees(i)
+				for k, c := range x.Calls(i) {
+					switch {
+					case c.Callee == "":
+						unsafe[f] = true // unknown indirect call
+					case callees[k] != cfg.NoBlock:
+						local = append(local, [2]int32{f, x.Fn[callees[k]]})
+					}
 				}
-				s.callees[owner[c.Callee]] = true
-			}
-			succs, known := b.Succs()
-			if !known {
-				s.hasUnknownIndirect = true
-			}
-			for _, succ := range succs {
-				if o := owner[succ]; o != f.Name {
-					// Inter-function branch (possible after rewriting).
-					s.callees[o] = true
+				if x.Unresolved[i] {
+					unsafe[f] = true
+				}
+				for _, s := range x.Succs(i) {
+					if g := x.Fn[s]; g != f {
+						// Inter-function branch (possible after rewriting).
+						local = append(local, [2]int32{f, g})
+					}
+				}
+				if compressed[i] {
+					unsafe[f] = true
 				}
 			}
-			if compressed[b.Label] {
-				s.ownsCompressed = true
-			}
 		}
-		return s, nil
+		mu.Lock()
+		edges = append(edges, local...)
+		mu.Unlock()
+		return nil
 	})
-	callees := map[string]map[string]bool{} // caller fn -> callee fns
-	unsafe := map[string]bool{}
-	for fi, f := range p.Funcs {
-		callees[f.Name] = scans[fi].callees
-		if scans[fi].hasUnknownIndirect || scans[fi].ownsCompressed {
-			unsafe[f.Name] = true
-		}
-	}
 
 	// Propagate: a function that can reach an unsafe function is unsafe.
-	for changed := true; changed; {
-		changed = false
-		for _, f := range p.Funcs {
-			if unsafe[f.Name] {
-				continue
-			}
-			for callee := range callees[f.Name] {
-				if unsafe[callee] {
-					unsafe[f.Name] = true
-					changed = true
-					break
-				}
+	// Walk the reversed edges from every unsafe function.
+	start := make([]int32, nf+1)
+	for _, e := range edges {
+		start[e[1]+1]++
+	}
+	for g := 0; g < nf; g++ {
+		start[g+1] += start[g]
+	}
+	callers := make([]int32, len(edges))
+	next := append([]int32(nil), start[:nf]...)
+	for _, e := range edges {
+		callers[next[e[1]]] = e[0]
+		next[e[1]]++
+	}
+	var work []int32
+	for f, u := range unsafe {
+		if u {
+			work = append(work, int32(f))
+		}
+	}
+	for len(work) > 0 {
+		g := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, f := range callers[start[g]:start[g+1]] {
+			if !unsafe[f] {
+				unsafe[f] = true
+				work = append(work, f)
 			}
 		}
 	}
 
-	res := &Result{Safe: map[string]bool{}}
-	for _, f := range p.Funcs {
-		res.Safe[f.Name] = !unsafe[f.Name]
+	res := &Result{Safe: make([]bool, nf)}
+	for f, u := range unsafe {
+		res.Safe[f] = !u
 	}
 	return res
 }
@@ -127,23 +135,15 @@ func AnalyzeWorkers(p *cfg.Program, compressed map[string]bool, workers int) *Re
 // unchanged. This is the statistic the paper summarizes as the fraction of
 // buffer-safe callees among compressible regions' calls (≈12.5% on average
 // for its benchmark suite).
-func CallSiteStats(p *cfg.Program, compressed map[string]bool, r *Result) (safeCalls, totalCalls int) {
-	owner := map[string]string{}
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			owner[b.Label] = f.Name
+func CallSiteStats(x *cfg.Index, compressed []bool, r *Result) (safeCalls, totalCalls int) {
+	for i, c := range compressed {
+		if !c {
+			continue
 		}
-	}
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			if !compressed[b.Label] {
-				continue
-			}
-			for _, c := range b.Calls() {
-				totalCalls++
-				if c.Callee != "" && r.IsSafe(owner[c.Callee]) {
-					safeCalls++
-				}
+		for _, callee := range x.Callees(int32(i)) {
+			totalCalls++
+			if callee != cfg.NoBlock && r.Safe[x.Fn[callee]] {
+				safeCalls++
 			}
 		}
 	}

@@ -140,8 +140,11 @@ func (p *Program) NumBlocks() int {
 // The second result is false when the block ends in an indirect jump whose
 // targets could not be resolved (no jump table found), meaning the true
 // successor set is unknown.
-func (b *Block) Succs() ([]string, bool) {
-	var out []string
+func (b *Block) Succs() ([]string, bool) { return b.appendSuccs(nil) }
+
+// appendSuccs is Succs appending to dst.
+func (b *Block) appendSuccs(dst []string) ([]string, bool) {
+	out := dst
 	known := true
 	if n := len(b.Insts); n > 0 {
 		last := &b.Insts[n-1]
@@ -179,8 +182,11 @@ type CallSite struct {
 
 // Calls reports the call sites in b: every bsr, and every jsr. A jsr
 // immediately preceded by `la pv, f` within the block is resolved to f.
-func (b *Block) Calls() []CallSite {
-	var out []CallSite
+func (b *Block) Calls() []CallSite { return b.appendCalls(nil) }
+
+// appendCalls is Calls appending to dst.
+func (b *Block) appendCalls(dst []CallSite) []CallSite {
+	out := dst
 	for i := range b.Insts {
 		in := &b.Insts[i]
 		if in.Raw {

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
+	"repro/internal/buffersafe"
 	"repro/internal/cfg"
 	"repro/internal/isa"
 	"repro/internal/lzcomp"
@@ -35,10 +38,10 @@ func stubLabel(block string) string { return "stub$" + block }
 type encoder struct {
 	conf       Config
 	prog       *cfg.Program
+	x          *cfg.Index
 	res        *regions.Result
-	preds      *regions.Preds
-	compressed map[string]bool
-	safeCallee func(string) bool
+	compressed []bool // by block number
+	safe       *buffersafe.Result
 
 	// rec/span carry the telemetry context from SquashObs; both may be
 	// nil, and every use below is nil-safe.
@@ -46,19 +49,21 @@ type encoder struct {
 	span *obs.Span
 
 	layouts []*regionLayout // indexed by region ID
-	rs      []rsStub        // compile-time restore stubs (ablation mode)
+	// blockOff holds the buffer word offset of every compressed block, by
+	// block number; each region's layout fills its own blocks' slots.
+	blockOff []int
+	rs       []rsStub // compile-time restore stubs (ablation mode)
 }
 
 // regionLayout fixes where every region instruction lands in the runtime
 // buffer (word offsets; offset 0 is the dispatch jump the decompressor
 // writes).
 type regionLayout struct {
-	blockOff map[string]int
+	blockOff []int    // buffer word offset of each block, in layout order
 	instOff  [][]int  // [block index][inst index] -> buffer word offset
 	inserted [][2]int // (block index, buffer offset) of knit branches
-	insTgt   []string // target label per inserted branch
 	words    int
-	order    []string // block labels in layout order (consistency check)
+	order    []int32 // block numbers in layout order (consistency check)
 	// boundaries counts the offsets the interpret-in-place runtime can be
 	// entered at (block starts and post-call resume points); its index
 	// charges four bytes per boundary.
@@ -87,55 +92,61 @@ type callInfo struct {
 	intra bool
 }
 
-// classifyCalls maps instruction index to call treatment for one block.
-func (e *encoder) classifyCalls(r *regions.Region, b *cfg.Block) map[int]callInfo {
-	out := map[int]callInfo{}
-	for _, c := range b.Calls() {
-		info := callInfo{site: c}
-		callee := c.Callee
-		switch {
-		case callee == "":
-			// Excluded from regions by partitioning; cannot happen.
-			panic(fmt.Sprintf("core: unresolved indirect call in region block %s", b.Label))
-		case e.safeCallee(callee):
-			// Left unchanged (§6.1). Safe callees are never compressed.
-		default:
-			info.expand = true
-			if id, in := e.res.InRegion[callee]; in && id == r.ID && !c.Indirect {
-				info.intra = true
-			}
+// classifyCall classifies call site k of block i in region r.
+func (e *encoder) classifyCall(r *regions.Region, i int32, k int) callInfo {
+	info := callInfo{site: e.x.Calls(i)[k]}
+	callee := e.x.Callees(i)[k]
+	switch {
+	case info.site.Callee == "":
+		// Excluded from regions by partitioning; cannot happen.
+		panic(fmt.Sprintf("core: unresolved indirect call in region block %s", e.x.Blocks[i].Label))
+	case callee != cfg.NoBlock && e.safe.IsSafe(e.x.Fn[callee]):
+		// Left unchanged (§6.1). Safe callees are never compressed.
+	default:
+		info.expand = true
+		if callee != cfg.NoBlock && e.res.RegionOf[callee] == int32(r.ID) && !info.site.Indirect {
+			info.intra = true
 		}
-		out[c.InstIdx] = info
 	}
-	return out
+	return info
 }
 
 // layoutRegion computes buffer offsets for region r.
 func (e *encoder) layoutRegion(r *regions.Region) *regionLayout {
-	lay := &regionLayout{blockOff: map[string]int{}, instOff: make([][]int, len(r.Blocks))}
+	lay := &regionLayout{
+		blockOff: make([]int, len(r.Blocks)),
+		instOff:  make([][]int, len(r.Blocks)),
+		order:    append([]int32(nil), r.Members...),
+	}
 	pos := 1
 	for bi, b := range r.Blocks {
-		lay.order = append(lay.order, b.Label)
-		lay.blockOff[b.Label] = pos
+		i := r.Members[bi]
+		lay.blockOff[bi] = pos
+		e.blockOff[i] = pos
 		lay.boundaries++
-		calls := e.classifyCalls(r, b)
+		calls := e.x.Calls(i)
+		k := 0 // next call site
 		lay.instOff[bi] = make([]int, len(b.Insts))
 		for j := range b.Insts {
 			lay.instOff[bi][j] = pos
-			if info, ok := calls[j]; ok && info.expand && !e.conf.CompileTimeRestoreStubs {
+			expand := false
+			if k < len(calls) && calls[k].InstIdx == j {
+				expand = e.classifyCall(r, i, k).expand
+				k++
+			}
+			if expand && !e.conf.CompileTimeRestoreStubs {
 				pos += 2
 				lay.boundaries++ // resume point after the call
 			} else {
 				pos++
 			}
 		}
-		next := ""
+		next := cfg.NoBlock
 		if bi+1 < len(r.Blocks) {
-			next = r.Blocks[bi+1].Label
+			next = r.Members[bi+1]
 		}
-		if b.FallsTo != "" && b.FallsTo != next {
+		if f := e.x.FallsTo[i]; f != cfg.NoBlock && f != next {
 			lay.inserted = append(lay.inserted, [2]int{bi, pos})
-			lay.insTgt = append(lay.insTgt, b.FallsTo)
 			pos++
 		}
 	}
@@ -146,10 +157,19 @@ func (e *encoder) layoutRegion(r *regions.Region) *regionLayout {
 // retarget maps a label to its post-rewrite equivalent: compressed blocks
 // are reachable only through their entry stubs.
 func (e *encoder) retarget(label string) string {
-	if e.compressed[label] {
+	if i := e.x.Num(label); i != cfg.NoBlock && e.compressed[i] {
 		return stubLabel(label)
 	}
 	return label
+}
+
+// intraOff reports the buffer offset of label's block when that block lies
+// in region r.
+func (e *encoder) intraOff(r *regions.Region, label string) (int, bool) {
+	if i := e.x.Num(label); i != cfg.NoBlock && e.res.RegionOf[i] == int32(r.ID) {
+		return e.blockOff[i], true
+	}
+	return 0, false
 }
 
 // run executes the layout, transform, encode, and accounting phases.
@@ -159,6 +179,7 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 	// slot, indexed by region ID, so the merged result is order-free.
 	sp := e.span.Child("layout")
 	e.layouts = make([]*regionLayout, len(e.res.Regions))
+	e.blockOff = make([]int, len(e.x.Blocks))
 	if err := parallel.ForEach(len(e.res.Regions), e.conf.Workers, func(i int) error {
 		r := e.res.Regions[i]
 		lay := e.layoutRegion(r)
@@ -324,7 +345,7 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 		stats.CompressionRatio = float64(len(blob)+len(tables)) / float64(n*isa.WordSize)
 	}
 
-	layouts := make([]map[string]int, len(e.layouts))
+	layouts := make([][]int, len(e.layouts))
 	for i, lay := range e.layouts {
 		layouts[i] = lay.blockOff
 	}
@@ -372,10 +393,10 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 	}
 
 	// Surviving functions.
-	for _, f := range e.prog.Funcs {
+	for fi, f := range e.prog.Funcs {
 		var kept []*cfg.Block
-		for _, b := range f.Blocks {
-			if e.compressed[b.Label] {
+		for bi, b := range f.Blocks {
+			if e.compressed[int(e.x.FuncStart[fi])+bi] {
 				continue
 			}
 			nb := &cfg.Block{
@@ -412,46 +433,41 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 	// In compile-time-restore-stub mode, static stubs call compressed
 	// callees by symbol, so every such callee needs an entry stub even if
 	// all its callers share its region.
-	extraEntries := map[int]map[string]bool{}
+	extraEntries := map[int][]int32{}
 	if e.conf.CompileTimeRestoreStubs {
 		for _, r := range e.res.Regions {
-			for _, b := range r.Blocks {
-				for _, info := range e.classifyCalls(r, b) {
-					callee := info.site.Callee
-					if info.expand && !info.site.Indirect && e.compressed[callee] {
-						id := e.res.InRegion[callee]
-						if extraEntries[id] == nil {
-							extraEntries[id] = map[string]bool{}
+			for _, i := range r.Members {
+				for k := range e.x.Calls(i) {
+					info := e.classifyCall(r, i, k)
+					callee := e.x.Callees(i)[k]
+					if info.expand && !info.site.Indirect && callee != cfg.NoBlock && e.compressed[callee] {
+						id := int(e.res.RegionOf[callee])
+						if !slices.Contains(extraEntries[id], callee) {
+							extraEntries[id] = append(extraEntries[id], callee)
 						}
-						extraEntries[id][callee] = true
 					}
 				}
 			}
 		}
 	}
 	for _, r := range e.res.Regions {
-		entries := e.res.Entries(e.preds, r)
-		for extra := range extraEntries[r.ID] {
-			found := false
-			for _, en := range entries {
-				if en == extra {
-					found = true
-				}
-			}
-			if !found {
+		entries := e.res.Entries(e.x, r)
+		for _, extra := range extraEntries[r.ID] {
+			if !slices.Contains(entries, extra) {
 				entries = append(entries, extra)
 			}
 		}
-		sort.Strings(entries)
-		lay := e.layouts[r.ID]
+		slices.SortFunc(entries, func(a, b int32) int {
+			return strings.Compare(e.x.Blocks[a].Label, e.x.Blocks[b].Label)
+		})
 		for _, entry := range entries {
-			off := lay.blockOff[entry]
+			off := e.blockOff[entry]
 			if off >= 1<<16 || r.ID >= 1<<16 {
 				return nil, 0, 0, 0, fmt.Errorf("tag overflow: region %d offset %d", r.ID, off)
 			}
 			tag := uint32(r.ID)<<16 | uint32(off)
 			sb := &cfg.Block{
-				Label: stubLabel(entry),
+				Label: stubLabel(e.x.Blocks[entry].Label),
 				Insts: []cfg.Inst{
 					{Inst: isa.Br(isa.OpBSR, isa.RegAT, 0), Kind: cfg.TargetBranch,
 						Target: symDecomp, Addend: int32(isa.RegAT * isa.WordSize)},
@@ -470,17 +486,13 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 		for _, r := range e.res.Regions {
 			lay := e.layouts[r.ID]
 			for bi, b := range r.Blocks {
-				calls := e.classifyCalls(r, b)
-				idxs := make([]int, 0, len(calls))
-				for j := range calls {
-					idxs = append(idxs, j)
-				}
-				sort.Ints(idxs)
-				for _, j := range idxs {
-					info := calls[j]
+				i := r.Members[bi]
+				for k := range e.x.Calls(i) {
+					info := e.classifyCall(r, i, k)
 					if !info.expand {
 						continue
 					}
+					j := info.site.InstIdx
 					in := b.Insts[j]
 					stub := rsStub{
 						label:  fmt.Sprintf("rs$%d", len(e.rs)),
@@ -580,17 +592,24 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []is
 	seq := dst[:0]
 	var insIdx int
 	for bi, b := range r.Blocks {
-		if lay.order[bi] != b.Label {
+		i := r.Members[bi]
+		if lay.order[bi] != i {
 			return nil, fmt.Errorf("region %d block order changed since layout: index %d is %s, was %s",
-				r.ID, bi, b.Label, lay.order[bi])
+				r.ID, bi, b.Label, e.x.Blocks[lay.order[bi]].Label)
 		}
-		calls := e.classifyCalls(r, b)
+		calls := e.x.Calls(i)
+		k := 0 // next call site
 		for j, in := range b.Insts {
 			pos := lay.instOff[bi][j]
 			if in.Raw {
 				return nil, fmt.Errorf("raw word inside region block %s", b.Label)
 			}
-			info, isCall := calls[j]
+			var info callInfo
+			isCall := k < len(calls) && calls[k].InstIdx == j
+			if isCall {
+				info = e.classifyCall(r, i, k)
+				k++
+			}
 			// The layout and this pass must agree on which calls expand:
 			// a disagreement would shift every later buffer offset.
 			width := 1
@@ -612,7 +631,8 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []is
 				case info.expand && info.intra && !e.conf.CompileTimeRestoreStubs:
 					// Expanded call whose transfer branches within the
 					// buffer: bsr CreateStub; br <buffer offset>.
-					seq = append(seq, isa.Br(isa.OpBSRX, in.RA, int32(lay.blockOff[callee]-(pos+2))))
+					off, _ := e.intraOff(r, callee)
+					seq = append(seq, isa.Br(isa.OpBSRX, in.RA, int32(off-(pos+2))))
 				case info.expand && e.conf.CompileTimeRestoreStubs:
 					lbl, err := rsIndex(r.ID, pos+1)
 					if err != nil {
@@ -656,7 +676,7 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []is
 				}
 			case in.Kind == cfg.TargetBranch:
 				t := in.Target
-				if off, intra := lay.blockOff[t]; intra {
+				if off, intra := e.intraOff(r, t); intra {
 					seq = append(seq, isa.Br(in.Op, in.RA, int32(off-(pos+1))))
 				} else {
 					tw, err := wordAddr(e.retarget(t))
@@ -685,8 +705,8 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []is
 		// Knit branch inserted after this block by the layout.
 		if insIdx < len(lay.inserted) && lay.inserted[insIdx][0] == bi {
 			pos := lay.inserted[insIdx][1]
-			t := lay.insTgt[insIdx]
-			if off, intra := lay.blockOff[t]; intra {
+			t := b.FallsTo
+			if off, intra := e.intraOff(r, t); intra {
 				seq = append(seq, isa.Br(isa.OpBR, isa.RegZero, int32(off-(pos+1))))
 			} else {
 				tw, err := wordAddr(e.retarget(t))

@@ -140,9 +140,9 @@ type Output struct {
 	Meta  *Meta
 	Foot  Footprint
 	Stats Stats
-	// RegionLayouts describes, per region, the buffer word offset of every
-	// block (diagnostics and experiment reporting).
-	RegionLayouts []map[string]int
+	// RegionLayouts holds, per region, the buffer word offset of every
+	// block in layout order (diagnostics and experiment reporting).
+	RegionLayouts [][]int
 }
 
 // checkTagBounds rejects configurations whose runtime tags cannot be packed.
@@ -218,19 +218,22 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 	stats := Stats{InputBytes: len(obj.Text) * isa.WordSize}
 
 	sp = root.Child("region.select")
-	cold := profile.IdentifyCold(p, conf.Theta)
 	if conf.Unswitch {
-		ust, err := unswitch.Run(p, func(b *cfg.Block) bool { return cold.Cold[b.Label] })
+		// Unswitching only rewrites the blocks it accepts and never asks
+		// about the ladder blocks it adds, so the threshold over the
+		// original blocks classifies everything it sees.
+		ust, err := unswitch.Run(p, profile.ColdThreshold(p, conf.Theta).IsCold)
 		if err != nil {
 			return nil, fmt.Errorf("squash: %w", err)
 		}
 		stats.Unswitched = ust.Unswitched
 		stats.TableBytesReclaimed = ust.TableBytesReclaimed
-		cold = profile.IdentifyCold(p, conf.Theta)
 	}
-
+	// Number the final program's blocks once; every later analysis reads
+	// slices indexed by block number.
+	x := cfg.NewIndex(p, conf.Workers)
 	conf.Regions.Workers = conf.Workers
-	res, preds, err := regions.Partition(p, cold.Cold, conf.Regions)
+	res, err := regions.PartitionIndex(x, profile.ColdBlocks(x, conf.Theta), conf.Regions)
 	if err != nil {
 		return nil, fmt.Errorf("squash: %w", err)
 	}
@@ -245,16 +248,9 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 	sp.SetArg("cold_insts", res.ColdInsts)
 	sp.End()
 
-	compressed := make(map[string]bool, len(res.InRegion))
-	for l := range res.InRegion {
-		compressed[l] = true
-	}
-
-	owner := make(map[string]string, p.NumBlocks()) // block label -> owning function
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			owner[b.Label] = f.Name
-		}
+	compressed := make([]bool, len(x.Blocks))
+	for i, id := range res.RegionOf {
+		compressed[i] = id >= 0
 	}
 
 	if conf.Interpret {
@@ -263,43 +259,38 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 		conf.BufferSafe = false
 	}
 	sp = root.Child("buffersafe")
-	var bs *buffersafe.Result
+	bs := &buffersafe.Result{Safe: make([]bool, len(p.Funcs))} // nothing is safe
 	if conf.BufferSafe {
-		bs = buffersafe.AnalyzeWorkers(p, compressed, conf.Workers)
-		safe, total := buffersafe.CallSiteStats(p, compressed, bs)
-		stats.BufferSafeCalls, stats.CallsInRegions = safe, total
-	} else {
-		bs = &buffersafe.Result{Safe: map[string]bool{}}
-		_, total := buffersafe.CallSiteStats(p, compressed, bs)
-		stats.CallsInRegions = total
+		bs = buffersafe.AnalyzeWorkers(x, compressed, conf.Workers)
 	}
+	stats.BufferSafeCalls, stats.CallsInRegions = buffersafe.CallSiteStats(x, compressed, bs)
 	sp.End()
-	safeCallee := func(label string) bool { return bs.IsSafe(owner[label]) }
 
 	// §7 diagnostic: warn when a loop's back edge crosses a region
 	// boundary (or leaves compressed code entirely), since repeated
 	// decompression per iteration follows if the loop ever runs hot.
-	for _, e := range p.BackEdges() {
-		fromR, fromIn := res.InRegion[e.From]
-		toR, toIn := res.InRegion[e.To]
+	for _, e := range x.BackEdges() {
+		fromR, toR := res.RegionOf[e.From], res.RegionOf[e.To]
+		fromIn, toIn := fromR >= 0, toR >= 0
+		from, to := x.Blocks[e.From].Label, x.Blocks[e.To].Label
 		switch {
 		case fromIn && toIn && fromR != toR:
 			stats.LoopSplitWarnings = append(stats.LoopSplitWarnings,
-				fmt.Sprintf("loop %s->%s split across regions %d and %d", e.From, e.To, fromR, toR))
+				fmt.Sprintf("loop %s->%s split across regions %d and %d", from, to, fromR, toR))
 		case fromIn != toIn:
 			stats.LoopSplitWarnings = append(stats.LoopSplitWarnings,
 				fmt.Sprintf("loop %s->%s half compressed (latch in region: %v, header in region: %v)",
-					e.From, e.To, fromIn, toIn))
+					from, to, fromIn, toIn))
 		}
 	}
 
 	enc := &encoder{
 		conf:       conf,
 		prog:       p,
+		x:          x,
 		res:        res,
-		preds:      preds,
 		compressed: compressed,
-		safeCallee: safeCallee,
+		safe:       bs,
 		rec:        rec,
 		span:       root,
 	}

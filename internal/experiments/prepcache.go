@@ -65,21 +65,28 @@ func resetPrepCache() {
 // source and the profiling input, plus the spec name and scaled input sizes
 // (TimeBytes rides along in Bench.Spec even though preparation ignores it).
 func prepKey(spec mediabench.Spec) [32]byte {
+	return prepKeyOf(spec, spec.Generate(), spec.ProfilingInput())
+}
+
+// prepKeyOf is prepKey over the spec's already generated source and
+// profiling input.
+func prepKeyOf(spec mediabench.Spec, src string, in []byte) [32]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "emprep%d\x00%s\x00%d\x00%d\x00", prepCacheFormat, spec.Name, spec.ProfBytes, spec.TimeBytes)
-	io.WriteString(h, spec.Generate())
+	io.WriteString(h, src)
 	h.Write([]byte{0})
-	h.Write(spec.ProfilingInput())
+	h.Write(in)
 	var k [32]byte
 	copy(k[:], h.Sum(nil))
 	return k
 }
 
-// buildPayload runs the full preparation pipeline and serializes the
-// result, with one child span per stage under sp (which may be nil).
-func buildPayload(spec mediabench.Spec, sp *obs.Span) (*prepPayload, error) {
+// buildPayload runs the full preparation pipeline on the spec's generated
+// source and profiling input and serializes the result, with one child
+// span per stage under sp (which may be nil).
+func buildPayload(src string, in []byte, sp *obs.Span) (*prepPayload, error) {
 	st := sp.Child("assemble")
-	obj, err := asm.Assemble(spec.Generate())
+	obj, err := asm.Assemble(src)
 	st.End()
 	if err != nil {
 		return nil, err
@@ -107,7 +114,7 @@ func buildPayload(spec mediabench.Spec, sp *obs.Span) (*prepPayload, error) {
 		return nil, err
 	}
 	st = sp.Child("profile")
-	m := vm.New(im, spec.ProfilingInput())
+	m := vm.New(im, in)
 	m.EnableProfile()
 	err = m.Run()
 	st.End()
@@ -186,7 +193,10 @@ func prepareCachedObs(spec mediabench.Spec, scale float64, dir string, sp *obs.S
 		spec.ProfBytes = scaleSize(spec.ProfBytes, scale)
 		spec.TimeBytes = scaleSize(spec.TimeBytes, scale)
 	}
-	key := prepKey(spec)
+	// Generating the source is the costliest part of a cache lookup, so a
+	// miss builds from the same source and input the key hashed.
+	src, in := spec.Generate(), spec.ProfilingInput()
+	key := prepKeyOf(spec, src, in)
 	if v, ok := prepMem.Load(key); ok {
 		b, err := benchFromPayload(spec, v.(*prepPayload))
 		return b, true, err
@@ -200,7 +210,7 @@ func prepareCachedObs(spec mediabench.Spec, scale float64, dir string, sp *obs.S
 		// Unreadable or corrupt entries fall through to a recompute, which
 		// rewrites the file.
 	}
-	p, err := buildPayload(spec, sp)
+	p, err := buildPayload(src, in, sp)
 	if err != nil {
 		return nil, false, err
 	}

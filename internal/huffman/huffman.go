@@ -94,9 +94,6 @@ func (h *nodeHeap) Pop() any     { old := *h; n := old[len(old)-1]; *h = old[:le
 // whose encoder rejects every value. A single-value map yields a one-bit
 // code, as in the paper's formulation (there is no zero-length codeword).
 func Build(freq map[uint32]uint64) *Code {
-	if len(freq) == 0 {
-		return &Code{N: []int{0}}
-	}
 	values := make([]uint32, 0, len(freq))
 	for v, f := range freq {
 		if f > 0 {
@@ -104,6 +101,18 @@ func Build(freq map[uint32]uint64) *Code {
 		}
 	}
 	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
+	freqs := make([]uint64, len(values))
+	for i, v := range values {
+		freqs[i] = freq[v]
+	}
+	return BuildSorted(values, freqs)
+}
+
+// BuildSorted is Build over a frequency table already in value order:
+// values ascend strictly and freqs[i], nonzero, is the frequency of
+// values[i]. A one-value code keeps values as its table, so the caller
+// must not reuse it.
+func BuildSorted(values []uint32, freqs []uint64) *Code {
 	if len(values) == 0 {
 		return &Code{N: []int{0}}
 	}
@@ -112,8 +121,8 @@ func Build(freq map[uint32]uint64) *Code {
 	}
 
 	h := make(nodeHeap, 0, len(values))
-	for _, v := range values {
-		h = append(h, &node{freq: freq[v], value: v})
+	for i, v := range values {
+		h = append(h, &node{freq: freqs[i], value: v})
 	}
 	heap.Init(&h)
 	for h.Len() > 1 {

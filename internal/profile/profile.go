@@ -6,10 +6,11 @@
 package profile
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/cfg"
 )
@@ -70,7 +71,7 @@ func ReadCounts(r io.Reader) (Counts, error) {
 
 // ColdSet is the result of cold-code identification.
 type ColdSet struct {
-	// Cold maps block labels identified as cold.
+	// Cold maps block labels identified as cold (IdentifyCold only).
 	Cold map[string]bool
 	// MaxFreq is the largest execution frequency N admitted as cold.
 	MaxFreq uint64
@@ -99,55 +100,88 @@ func (s *ColdSet) ColdFraction() float64 {
 //	Any block with freq(b) ≤ N is cold.
 //
 // θ = 0 admits only never-executed code; θ = 1 admits everything. The
-// program must have had AttachProfile called on it.
+// program must have had AttachProfile called on it. IdentifyCold is
+// ColdThreshold plus the label-keyed Cold view.
 func IdentifyCold(p *cfg.Program, theta float64) *ColdSet {
+	s := ColdThreshold(p, theta)
+	s.Cold = make(map[string]bool)
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			if s.IsCold(b) {
+				s.Cold[b.Label] = true
+			}
+		}
+	}
+	return s
+}
+
+// ColdThreshold is IdentifyCold without the Cold map: it fixes MaxFreq and
+// the counts, and IsCold classifies each block.
+func ColdThreshold(p *cfg.Program, theta float64) *ColdSet {
+	var blocks []*cfg.Block
+	for _, f := range p.Funcs {
+		blocks = append(blocks, f.Blocks...)
+	}
+	return threshold(blocks, theta)
+}
+
+// ColdBlocks is IdentifyCold over a numbered program: the cold bit of each
+// block number.
+func ColdBlocks(x *cfg.Index, theta float64) []bool {
+	s := threshold(x.Blocks, theta)
+	cold := make([]bool, len(x.Blocks))
+	for i, b := range x.Blocks {
+		cold[i] = s.IsCold(b)
+	}
+	return cold
+}
+
+// IsCold reports whether b is cold: whether its frequency is at most
+// MaxFreq.
+func (s *ColdSet) IsCold(b *cfg.Block) bool { return b.Freq <= s.MaxFreq }
+
+// threshold computes the §5 cut over blocks: frequency classes are walked
+// in ascending order and admitted only in full (all blocks of equal
+// frequency in or out together).
+func threshold(blocks []*cfg.Block, theta float64) *ColdSet {
 	if theta < 0 {
 		theta = 0
 	}
 	if theta > 1 {
 		theta = 1
 	}
-	var blocks []*cfg.Block
-	for _, f := range p.Funcs {
-		blocks = append(blocks, f.Blocks...)
+	type class struct{ freq, weight uint64 }
+	byFreq := make([]class, len(blocks))
+	s := &ColdSet{}
+	for i, b := range blocks {
+		byFreq[i] = class{b.Freq, b.Weight}
+		s.TotalWeight += b.Weight
+		s.TotalInsts += len(b.Insts)
 	}
-	sort.SliceStable(blocks, func(i, j int) bool { return blocks[i].Freq < blocks[j].Freq })
+	slices.SortFunc(byFreq, func(a, b class) int { return cmp.Compare(a.freq, b.freq) })
 
-	tot := p.TotalWeight()
-	budget := uint64(float64(tot) * theta)
+	budget := uint64(float64(s.TotalWeight) * theta)
 	if theta >= 1 {
-		budget = tot
+		budget = s.TotalWeight
 	}
-
-	s := &ColdSet{Cold: make(map[string]bool), TotalWeight: tot}
-	var cum uint64
-	var maxFreq uint64
-	// Walk frequency classes in ascending order; a class is admitted only
-	// in full (all blocks of equal frequency in or out together).
 	i := 0
-	for i < len(blocks) {
+	for i < len(byFreq) {
 		j := i
 		var classWeight uint64
-		for j < len(blocks) && blocks[j].Freq == blocks[i].Freq {
-			classWeight += blocks[j].Weight
+		for j < len(byFreq) && byFreq[j].freq == byFreq[i].freq {
+			classWeight += byFreq[j].weight
 			j++
 		}
-		if cum+classWeight > budget {
+		if s.ColdWeight+classWeight > budget {
 			break
 		}
-		cum += classWeight
-		maxFreq = blocks[i].Freq
+		s.ColdWeight += classWeight
+		s.MaxFreq = byFreq[i].freq
 		i = j
 	}
-	s.MaxFreq = maxFreq
-	s.ColdWeight = cum
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			s.TotalInsts += len(b.Insts)
-			if b.Freq <= maxFreq {
-				s.Cold[b.Label] = true
-				s.ColdInsts += len(b.Insts)
-			}
+	for _, b := range blocks {
+		if s.IsCold(b) {
+			s.ColdInsts += len(b.Insts)
 		}
 	}
 	return s

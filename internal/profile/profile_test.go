@@ -2,8 +2,10 @@ package profile
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +175,95 @@ func TestReadCountsRejectsGarbage(t *testing.T) {
 		if _, err := ReadCounts(bytes.NewReader(b)); err == nil {
 			t.Errorf("accepted %q", b)
 		}
+	}
+}
+
+// refIdentifyCold is the original label-keyed IdentifyCold, kept as the
+// test oracle for the shared threshold and for ColdBlocks: a stable sort
+// of the blocks by frequency, then the class walk.
+func refIdentifyCold(p *cfg.Program, theta float64) *ColdSet {
+	theta = min(max(theta, 0), 1)
+	var blocks []*cfg.Block
+	for _, f := range p.Funcs {
+		blocks = append(blocks, f.Blocks...)
+	}
+	sort.SliceStable(blocks, func(i, j int) bool { return blocks[i].Freq < blocks[j].Freq })
+	tot := p.TotalWeight()
+	budget := uint64(float64(tot) * theta)
+	if theta >= 1 {
+		budget = tot
+	}
+	s := &ColdSet{Cold: make(map[string]bool), TotalWeight: tot}
+	var cum, maxFreq uint64
+	for i := 0; i < len(blocks); {
+		j := i
+		var classWeight uint64
+		for j < len(blocks) && blocks[j].Freq == blocks[i].Freq {
+			classWeight += blocks[j].Weight
+			j++
+		}
+		if cum+classWeight > budget {
+			break
+		}
+		cum += classWeight
+		maxFreq = blocks[i].Freq
+		i = j
+	}
+	s.MaxFreq, s.ColdWeight = maxFreq, cum
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			s.TotalInsts += len(b.Insts)
+			if b.Freq <= maxFreq {
+				s.Cold[b.Label] = true
+				s.ColdInsts += len(b.Insts)
+			}
+		}
+	}
+	return s
+}
+
+// TestColdBlocksMatchesReference: on random programs with many equal
+// frequencies, IdentifyCold, ColdThreshold and ColdBlocks agree with the
+// label-keyed reference at every θ.
+func TestColdBlocksMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		p := &cfg.Program{Entry: "f0"}
+		for fi := 0; fi < 1+r.Intn(6); fi++ {
+			fn := &cfg.Func{Name: fmt.Sprintf("f%d", fi)}
+			for bi := 0; bi < 1+r.Intn(8); bi++ {
+				freq, size := uint64(r.Intn(12)), 1+r.Intn(30)
+				fn.Blocks = append(fn.Blocks, &cfg.Block{
+					Label:  fmt.Sprintf("f%d$%d", fi, bi),
+					Insts:  make([]cfg.Inst, size),
+					Freq:   freq,
+					Weight: freq * uint64(size),
+				})
+			}
+			fn.Blocks[0].Label = fn.Name
+			p.Funcs = append(p.Funcs, fn)
+		}
+		x := cfg.NewIndex(p, 1)
+		for _, th := range []float64{-1, 0, 0.01, 0.05, 0.2, 0.5, 0.9, 1, 2} {
+			want := refIdentifyCold(p, th)
+			if got := IdentifyCold(p, th); !reflect.DeepEqual(got, want) {
+				t.Logf("θ=%v: IdentifyCold %+v, want %+v", th, got, want)
+				return false
+			}
+			want.Cold = nil
+			if got := ColdThreshold(p, th); !reflect.DeepEqual(got, want) {
+				t.Logf("θ=%v: ColdThreshold %+v, want %+v", th, got, want)
+				return false
+			}
+			for i, cold := range ColdBlocks(x, th) {
+				if cold != (x.Blocks[i].Freq <= want.MaxFreq) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -41,36 +41,57 @@ func randomCold(p *cfg.Program, rng *rand.Rand) map[string]bool {
 	return cold
 }
 
-// sameResult reports the first difference between two partitions.
-func sameResult(got, want *Result) error {
+// inRegion is the label-keyed view of res.RegionOf.
+func inRegion(res *Result, x *cfg.Index, label string) (int, bool) {
+	if i := x.Num(label); i >= 0 && res.RegionOf[i] >= 0 {
+		return int(res.RegionOf[i]), true
+	}
+	return 0, false
+}
+
+// excluded is the label-keyed view of res.Excluded: the reason text, or ""
+// for a block that is not excluded.
+func excluded(res *Result, x *cfg.Index, label string) string {
+	if i := x.Num(label); i >= 0 {
+		return res.Excluded[i].String()
+	}
+	return ""
+}
+
+// sameResult reports the first difference between a partition and the
+// reference's: regions and their blocks, every block's region and
+// exclusion reason, the counts, and every region's entry set.
+func sameResult(x *cfg.Index, got *Result, want *refResult, wantPreds *refPreds) error {
 	if len(got.Regions) != len(want.Regions) {
 		return fmt.Errorf("%d regions, want %d", len(got.Regions), len(want.Regions))
 	}
 	for i, r := range got.Regions {
 		w := want.Regions[i]
-		if r.ID != w.ID || len(r.Blocks) != len(w.Blocks) {
-			return fmt.Errorf("region %d: ID %d with %d blocks, want ID %d with %d", i, r.ID, len(r.Blocks), w.ID, len(w.Blocks))
+		if r.ID != w.ID || len(r.Blocks) != len(w.Blocks) || len(r.Members) != len(r.Blocks) {
+			return fmt.Errorf("region %d: ID %d with %d blocks and %d members, want ID %d with %d",
+				i, r.ID, len(r.Blocks), len(r.Members), w.ID, len(w.Blocks))
 		}
 		for j, b := range r.Blocks {
-			if b != w.Blocks[j] {
-				return fmt.Errorf("region %d block %d: %s, want %s", i, j, b.Label, w.Blocks[j].Label)
+			if b != w.Blocks[j] || x.Blocks[r.Members[j]] != b {
+				return fmt.Errorf("region %d block %d: %s (member %d), want %s", i, j, b.Label, r.Members[j], w.Blocks[j].Label)
 			}
 		}
-	}
-	if len(got.InRegion) != len(want.InRegion) {
-		return fmt.Errorf("InRegion has %d labels, want %d", len(got.InRegion), len(want.InRegion))
-	}
-	for l, id := range want.InRegion {
-		if g, ok := got.InRegion[l]; !ok || g != id {
-			return fmt.Errorf("InRegion[%s] = %d (%v), want %d", l, g, ok, id)
+		entries := []string{}
+		for _, e := range got.Entries(x, r) {
+			entries = append(entries, x.Blocks[e].Label)
+		}
+		if wantEntries := append([]string{}, want.refEntries(wantPreds, w)...); !reflect.DeepEqual(entries, wantEntries) {
+			return fmt.Errorf("region %d: entries %v, want %v", i, entries, wantEntries)
 		}
 	}
-	if len(got.Excluded) != len(want.Excluded) {
-		return fmt.Errorf("Excluded has %d labels, want %d", len(got.Excluded), len(want.Excluded))
-	}
-	for l, why := range want.Excluded {
-		if got.Excluded[l] != why {
-			return fmt.Errorf("Excluded[%s] = %q, want %q", l, got.Excluded[l], why)
+	for i, b := range x.Blocks {
+		id, in := inRegion(got, x, b.Label)
+		wid, win := want.InRegion[b.Label]
+		if in != win || id != wid {
+			return fmt.Errorf("block %s in region %d (%v), want %d (%v)", b.Label, id, in, wid, win)
+		}
+		if why := got.Excluded[i].String(); why != want.Excluded[b.Label] {
+			return fmt.Errorf("block %s excluded for %q, want %q", b.Label, why, want.Excluded[b.Label])
 		}
 	}
 	if got.ColdInsts != want.ColdInsts || got.CompressibleInsts != want.CompressibleInsts || got.TotalInsts != want.TotalInsts {
@@ -80,8 +101,9 @@ func sameResult(got, want *Result) error {
 	return nil
 }
 
-// TestPartitionMatchesReference: the incremental Partition gives the same
-// Result and Preds as the reference implementation on every benchmark, under a seeded
+// TestPartitionMatchesReference: the dense, incremental Partition gives the
+// same regions, memberships, exclusions, counts and entry sets as the
+// label-keyed reference implementation on every benchmark, under a seeded
 // random cold set per benchmark, across the Figure 3 buffer sweep, both
 // strategies, and packing on and off.
 func TestPartitionMatchesReference(t *testing.T) {
@@ -101,15 +123,12 @@ func TestPartitionMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: reference: %v", name, err)
 						}
-						got, gotPreds, err := Partition(p, cold, conf)
+						got, x, err := Partition(p, cold, conf)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						if err := sameResult(got, want); err != nil {
+						if err := sameResult(x, got, want, wantPreds); err != nil {
 							t.Errorf("%s: %v", name, err)
-						}
-						if !reflect.DeepEqual(gotPreds, wantPreds) {
-							t.Errorf("%s: Preds differ from the reference", name)
 						}
 					}
 				}
@@ -172,15 +191,15 @@ func TestPackingPrefersKnittedFallthrough(t *testing.T) {
 	}
 	conf := DefaultConfig()
 	conf.Strategy = StrategyLoopAware
-	res, _, err := Partition(p, cold, conf)
+	res, x, err := Partition(p, cold, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := refPartition(p, cold, conf)
+	want, wantPreds, err := refPartition(p, cold, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameResult(res, want); err != nil {
+	if err := sameResult(x, res, want, wantPreds); err != nil {
 		t.Fatal(err)
 	}
 	var order []string

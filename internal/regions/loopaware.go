@@ -1,7 +1,9 @@
 package regions
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/cfg"
 )
@@ -25,81 +27,76 @@ const (
 )
 
 // naturalLoop returns the blocks of the natural loop of back edge
-// latch→header: the header plus every block that reaches the latch without
-// passing through the header (computed by reverse reachability).
-func naturalLoop(preds *Preds, inFunc map[string]*cfg.Block, latch, header string) []string {
-	loop := map[string]bool{header: true}
-	var stack []string
-	if !loop[latch] {
-		loop[latch] = true
+// latch→header, sorted by label: the header plus every block of its
+// function that reaches the latch without passing through the header
+// (computed by reverse reachability).
+func (bx *blockIndex) naturalLoop(latch, header int32) []int32 {
+	bx.stamp++
+	fn := bx.Fn[header]
+	bx.seen[header] = bx.stamp
+	loop := []int32{header}
+	var stack []int32
+	if bx.seen[latch] != bx.stamp {
+		bx.seen[latch] = bx.stamp
+		loop = append(loop, latch)
 		stack = append(stack, latch)
 	}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for p := range preds.FlowPreds[b] {
-			if inFunc[p] == nil || loop[p] {
+		for _, p := range bx.Preds(b) {
+			if bx.Fn[p] != fn || bx.seen[p] == bx.stamp {
 				continue
 			}
-			loop[p] = true
+			bx.seen[p] = bx.stamp
+			loop = append(loop, p)
 			stack = append(stack, p)
 		}
 	}
-	out := make([]string, 0, len(loop))
-	for l := range loop {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
+	slices.SortFunc(loop, func(a, b int32) int {
+		return strings.Compare(bx.Blocks[a].Label, bx.Blocks[b].Label)
+	})
+	return loop
 }
 
 // seedLoopRegions forms one region per compressible natural loop that fits
 // the buffer, before the generic DFS runs. Loops are processed smallest
 // first so inner loops get their own regions when an outer loop is too big.
 // It returns the regions created and marks their blocks assigned.
-func seedLoopRegions(p *cfg.Program, preds *Preds, candidates map[string]*cfg.Block,
-	assigned map[string]bool, res *Result, maxWords int, gamma float64) []*Region {
-
+func (bx *blockIndex) seedLoopRegions(cand, assigned []bool, res *Result, maxWords int, gamma float64) []*Region {
 	type loopInfo struct {
-		blocks []string
+		blocks []int32
 		insts  int
 	}
 	var loops []loopInfo
-	for _, f := range p.Funcs {
-		inFunc := map[string]*cfg.Block{}
-		for _, b := range f.Blocks {
-			inFunc[b.Label] = b
+	for _, e := range bx.BackEdges() {
+		blocks := bx.naturalLoop(e.From, e.To)
+		ok := true
+		insts := 0
+		for _, i := range blocks {
+			if !cand[i] || assigned[i] {
+				ok = false
+				break
+			}
+			insts += len(bx.Blocks[i].Insts)
 		}
-		sub := &cfg.Program{Funcs: []*cfg.Func{f}}
-		for _, e := range sub.BackEdges() {
-			blocks := naturalLoop(preds, inFunc, e.From, e.To)
-			ok := true
-			insts := 0
-			for _, l := range blocks {
-				if candidates[l] == nil || assigned[l] {
-					ok = false
-					break
-				}
-				insts += len(candidates[l].Insts)
-			}
-			if ok {
-				loops = append(loops, loopInfo{blocks, insts})
-			}
+		if ok {
+			loops = append(loops, loopInfo{blocks, insts})
 		}
 	}
 	sort.Slice(loops, func(i, j int) bool {
 		if loops[i].insts != loops[j].insts {
 			return loops[i].insts < loops[j].insts
 		}
-		return loops[i].blocks[0] < loops[j].blocks[0]
+		return bx.Blocks[loops[i].blocks[0]].Label < bx.Blocks[loops[j].blocks[0]].Label
 	})
 
 	var out []*Region
 	for _, li := range loops {
 		// Skip loops whose blocks were claimed by a smaller loop region.
 		ok := true
-		for _, l := range li.blocks {
-			if assigned[l] {
+		for _, i := range li.blocks {
+			if assigned[i] {
 				ok = false
 				break
 			}
@@ -107,24 +104,23 @@ func seedLoopRegions(p *cfg.Program, preds *Preds, candidates map[string]*cfg.Bl
 		if !ok {
 			continue
 		}
-		r := &Region{ID: len(res.Regions) + len(out)}
-		for _, l := range li.blocks {
-			r.Blocks = append(r.Blocks, candidates[l])
-		}
-		if BufferWords(r, nil) > maxWords {
+		if bx.bufferWords(li.blocks) > maxWords {
 			continue // too big even alone; the DFS will carve it up
 		}
-		for _, b := range r.Blocks {
-			res.InRegion[b.Label] = r.ID
+		id := int32(len(res.Regions) + len(out))
+		for _, i := range li.blocks {
+			res.RegionOf[i] = id
 		}
-		if !profitable(res, preds, r, gamma) {
-			for _, b := range r.Blocks {
-				delete(res.InRegion, b.Label)
+		if !res.profitable(bx.Index, li.blocks, id, gamma) {
+			for _, i := range li.blocks {
+				res.RegionOf[i] = noRegion
 			}
 			continue
 		}
-		for _, b := range r.Blocks {
-			assigned[b.Label] = true
+		r := &Region{ID: int(id), Members: li.blocks, Blocks: make([]*cfg.Block, len(li.blocks))}
+		for k, i := range li.blocks {
+			assigned[i] = true
+			r.Blocks[k] = bx.Blocks[i]
 		}
 		out = append(out, r)
 	}

@@ -3,6 +3,8 @@ package regions
 import (
 	"container/heap"
 	"sort"
+
+	"repro/internal/cfg"
 )
 
 // restoreStubSavingWords is what merging saves per call between the two
@@ -52,11 +54,10 @@ type packer struct {
 	x        *blockIndex
 	maxWords int
 	regions  []*Region
-	members  [][]int32 // block indices of each region, in layout order
-	words    []int     // BufferWords of each region
-	version  []int     // bumped each time a region grows
+	words    []int // BufferWords of each region
+	version  []int // bumped each time a region grows
 	links    []map[int32]link
-	regionOf []int32 // region of each block, or noBlock
+	regionOf []int32 // the result's RegionOf, kept current across merges
 	queue    pairQueue
 }
 
@@ -79,22 +80,13 @@ func packRegions(res *Result, x *blockIndex, maxWords int) {
 		x:        x,
 		maxWords: maxWords,
 		regions:  res.Regions,
-		members:  make([][]int32, n),
 		words:    make([]int, n),
 		version:  make([]int, n),
 		links:    make([]map[int32]link, n),
-		regionOf: make([]int32, len(x.blocks)),
-	}
-	for i := range pk.regionOf {
-		pk.regionOf[i] = noBlock
+		regionOf: res.RegionOf,
 	}
 	for id, r := range res.Regions {
-		for _, b := range r.Blocks {
-			i := x.of[b.Label]
-			pk.members[id] = append(pk.members[id], i)
-			pk.regionOf[i] = int32(id)
-		}
-		pk.words[id] = x.bufferWords(pk.members[id])
+		pk.words[id] = x.bufferWords(r.Members)
 	}
 	pk.mergeRelated()
 	pk.firstFitDecreasing()
@@ -106,8 +98,8 @@ func packRegions(res *Result, x *blockIndex, maxWords int) {
 			continue
 		}
 		r.ID = len(out)
-		for _, b := range r.Blocks {
-			res.InRegion[b.Label] = r.ID
+		for _, i := range r.Members {
+			res.RegionOf[i] = int32(r.ID)
 		}
 		out = append(out, r)
 	}
@@ -175,38 +167,43 @@ func (pk *packer) relink(r int32) {
 		pk.links[r] = m
 	}
 	clear(m)
-	for _, i := range pk.members[r] {
-		in := &pk.x.info[i]
-		for _, s := range in.succs {
-			if g := pk.regionOf[s]; g != noBlock && g != r {
+	for _, i := range pk.regions[r].Members {
+		for _, s := range pk.x.Succs(i) {
+			if g := pk.regionOf[s]; g != noRegion && g != r {
 				m[g] = m[g] // related, whether or not a term accrues
 			}
 		}
-		for _, c := range in.callees {
-			if g := pk.regionOf[c]; g != noBlock && g != r {
+		for _, c := range pk.x.Callees(i) {
+			if c == cfg.NoBlock {
+				continue
+			}
+			if g := pk.regionOf[c]; g != noRegion && g != r {
 				l := m[g]
 				l.calls++
 				m[g] = l
 			}
 		}
 		// Block i stops being an entry in a merge with region sole when
-		// all its outside predecessors lie in sole.
-		sole, shared := noBlock, in.pinned
-		for _, p := range in.preds {
-			switch g := pk.regionOf[p]; {
-			case g == r:
-			case g == noBlock:
-				shared = true
-			default:
-				m[g] = m[g]
-				if sole == noBlock {
-					sole = g
-				} else if sole != g {
+		// all its outside predecessors (flow predecessors and callers) lie
+		// in sole.
+		sole, shared := noRegion, pk.x.pinned[i]
+		for _, preds := range [2][]int32{pk.x.Preds(i), pk.x.Callers(i)} {
+			for _, p := range preds {
+				switch g := pk.regionOf[p]; {
+				case g == r:
+				case g == noRegion:
 					shared = true
+				default:
+					m[g] = m[g]
+					if sole == noRegion {
+						sole = g
+					} else if sole != g {
+						shared = true
+					}
 				}
 			}
 		}
-		if sole != noBlock && !shared {
+		if sole != noRegion && !shared {
 			l := m[sole]
 			l.freed++
 			m[sole] = l
@@ -216,8 +213,8 @@ func (pk *packer) relink(r int32) {
 
 // knits reports whether a's last block falls through to b's first.
 func (pk *packer) knits(a, b int32) bool {
-	ma, mb := pk.members[a], pk.members[b]
-	return pk.x.info[ma[len(ma)-1]].fallsTo == mb[0]
+	ma, mb := pk.regions[a].Members, pk.regions[b].Members
+	return pk.x.FallsTo[ma[len(ma)-1]] == mb[0]
 }
 
 // mergedWords is BufferWords of a's blocks followed by b's: one leading
@@ -234,11 +231,11 @@ func (pk *packer) mergedWords(a, b int32) int {
 func (pk *packer) merge(a, b int32) {
 	pk.words[a] = pk.mergedWords(a, b)
 	pk.regions[a].Blocks = append(pk.regions[a].Blocks, pk.regions[b].Blocks...)
-	pk.members[a] = append(pk.members[a], pk.members[b]...)
-	for _, i := range pk.members[b] {
+	pk.regions[a].Members = append(pk.regions[a].Members, pk.regions[b].Members...)
+	for _, i := range pk.regions[b].Members {
 		pk.regionOf[i] = a
 	}
-	pk.regions[b], pk.members[b], pk.links[b] = nil, nil, nil
+	pk.regions[b], pk.links[b] = nil, nil
 	pk.version[a]++
 }
 

@@ -46,17 +46,20 @@ func TestPartitionPropertiesOnRealProgram(t *testing.T) {
 		conf.K = []int{128, 256, 512, 2048}[rng.Intn(4)]
 		conf.Pack = rng.Intn(2) == 0
 
-		res, preds, err := Partition(p, cold, conf)
+		res, x, err := Partition(p, cold, conf)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		maxWords := conf.K / isa.WordSize
 		seen := map[string]int{}
 		for _, r := range res.Regions {
-			if w := BufferWords(r, nil); w > maxWords {
+			if w := BufferWords(x, r, nil); w > maxWords {
 				t.Fatalf("trial %d: region %d needs %d words > %d", trial, r.ID, w, maxWords)
 			}
-			for _, b := range r.Blocks {
+			for k, b := range r.Blocks {
+				if x.Blocks[r.Members[k]] != b {
+					t.Fatalf("trial %d: region %d member %d is not block %s", trial, r.ID, k, b.Label)
+				}
 				if prev, dup := seen[b.Label]; dup {
 					t.Fatalf("trial %d: block %s in regions %d and %d", trial, b.Label, prev, r.ID)
 				}
@@ -64,14 +67,14 @@ func TestPartitionPropertiesOnRealProgram(t *testing.T) {
 				if !cold[b.Label] {
 					t.Fatalf("trial %d: warm block %s compressed", trial, b.Label)
 				}
-				if res.InRegion[b.Label] != r.ID {
-					t.Fatalf("trial %d: InRegion inconsistent for %s", trial, b.Label)
+				if id, _ := inRegion(res, x, b.Label); id != r.ID {
+					t.Fatalf("trial %d: RegionOf inconsistent for %s", trial, b.Label)
 				}
 			}
 		}
-		for label, id := range res.InRegion {
-			if seen[label] != id {
-				t.Fatalf("trial %d: InRegion lists %s in %d but region slices disagree", trial, label, id)
+		for i, id := range res.RegionOf {
+			if label := x.Blocks[i].Label; id >= 0 && seen[label] != int(id) {
+				t.Fatalf("trial %d: RegionOf lists %s in %d but region slices disagree", trial, label, id)
 			}
 		}
 		// CompressibleInsts equals the instructions inside regions.
@@ -82,7 +85,6 @@ func TestPartitionPropertiesOnRealProgram(t *testing.T) {
 		if sum != res.CompressibleInsts {
 			t.Fatalf("trial %d: CompressibleInsts %d != %d", trial, res.CompressibleInsts, sum)
 		}
-		_ = preds
 	}
 }
 
@@ -173,12 +175,12 @@ cl_mid: xor  t2, 9, t2
 	conf := DefaultConfig()
 	conf.Strategy = StrategyLoopAware
 	conf.Pack = false
-	res, _, err := Partition(p, cold, conf)
+	res, x, err := Partition(p, cold, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, okH := res.InRegion["cl_hdr"]
-	mid, okM := res.InRegion["cl_mid"]
+	hdr, okH := inRegion(res, x, "cl_hdr")
+	mid, okM := inRegion(res, x, "cl_mid")
 	if !okH || !okM || hdr != mid {
 		t.Fatalf("loop split: cl_hdr in %d (%v), cl_mid in %d (%v)", hdr, okH, mid, okM)
 	}

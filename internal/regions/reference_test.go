@@ -9,23 +9,275 @@ import (
 	"repro/internal/parallel"
 )
 
-// This file keeps the original, non-incremental region formation as the
-// test oracle for Partition: refDfsTree re-measures the whole tree after
-// every accepted block, and refPackRegions rebuilds, sorts and re-scores
-// every related pair after every merge; refBuildPreds scans every block for
-// the predecessor index on its own. Partition must produce a Result and
-// Preds identical to refPartition's.
+// This file keeps the original, label-keyed, non-incremental region
+// formation as the test oracle for Partition: refPreds indexes
+// predecessors in nested label maps, refDfsTree re-measures the whole tree
+// after every accepted block, and refPackRegions rebuilds, sorts and
+// re-scores every related pair after every merge; membership and exclusion
+// live in maps keyed by label. Partition must produce the same regions,
+// memberships, exclusions, counts and entry sets as refPartition.
 
-// refPartition is Partition built on refDfsTree and refPackRegions.
-func refPartition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Preds, error) {
+// refResult is the label-keyed outcome of refPartition.
+type refResult struct {
+	Regions []*Region
+	// InRegion maps block label to region ID, or absent if uncompressed.
+	InRegion map[string]int
+	// Excluded maps cold-but-uncompressible block labels to the reason.
+	Excluded          map[string]string
+	ColdInsts         int
+	CompressibleInsts int
+	TotalInsts        int
+}
+
+// refPreds is the program-wide label-keyed predecessor index.
+type refPreds struct {
+	// FlowPreds[b] = blocks with a branch or fallthrough edge to b.
+	FlowPreds map[string]map[string]bool
+	// CallPreds[entry] = blocks containing a call to the block entry.
+	CallPreds map[string]map[string]bool
+	// AddressTaken marks labels whose address escapes into data or into a
+	// register (la): control may arrive from anywhere.
+	AddressTaken map[string]bool
+	ProgramEntry string
+}
+
+// refEntries reports the labels of region r's entry blocks.
+func (res *refResult) refEntries(p *refPreds, r *Region) []string {
+	memberOf := func(label string) (int, bool) {
+		id, ok := res.InRegion[label]
+		return id, ok
+	}
+	return refEntriesOf(p, r, memberOf)
+}
+
+// refEntriesOf is refEntries with an explicit membership function, so the
+// packing pass can evaluate hypothetical merges without mutating the result.
+func refEntriesOf(p *refPreds, r *Region, memberOf func(string) (int, bool)) []string {
+	var out []string
+	for _, b := range r.Blocks {
+		if refIsEntry(p, r, b, memberOf) {
+			out = append(out, b.Label)
+		}
+	}
+	return out
+}
+
+func refIsEntry(p *refPreds, r *Region, b *cfg.Block, memberOf func(string) (int, bool)) bool {
+	if p.AddressTaken[b.Label] || p.ProgramEntry == b.Label {
+		return true
+	}
+	external := func(pred string) bool {
+		id, in := memberOf(pred)
+		return !in || id != r.ID
+	}
+	for pred := range p.FlowPreds[b.Label] {
+		if external(pred) {
+			return true
+		}
+	}
+	for caller := range p.CallPreds[b.Label] {
+		if external(caller) {
+			return true
+		}
+	}
+	return false
+}
+
+// refBufferWords is BufferWords over labels: safeCallee reports callee
+// labels proven buffer-safe; nil gives the conservative bound.
+func refBufferWords(r *Region, safeCallee func(string) bool) int {
+	words := 1 // leading jump to the entry offset
+	for i, b := range r.Blocks {
+		words += len(b.Insts)
+		if b.FallsTo != "" {
+			next := ""
+			if i+1 < len(r.Blocks) {
+				next = r.Blocks[i+1].Label
+			}
+			if b.FallsTo != next {
+				words++ // explicit branch inserted by the region layout
+			}
+		}
+		for _, c := range b.Calls() {
+			if safeCallee != nil && c.Callee != "" && safeCallee(c.Callee) {
+				continue
+			}
+			words++
+		}
+	}
+	return words
+}
+
+// refCompressible classifies which cold blocks may be compressed at all,
+// and records exclusion reasons for the rest.
+func refCompressible(p *cfg.Program, cold map[string]bool, workers int) (map[string]*cfg.Block, map[string]string) {
+	type verdict struct {
+		block  *cfg.Block
+		reason string // empty when compressible
+	}
+	scans, _ := parallel.Map(len(p.Funcs), workers, func(fi int) ([]verdict, error) {
+		f := p.Funcs[fi]
+		setjmp := f.CallsSetjmp()
+		poisoned := false
+		for _, b := range f.Blocks {
+			if _, known := b.Succs(); !known {
+				poisoned = true
+			}
+		}
+		var out []verdict
+		for _, b := range f.Blocks {
+			if !cold[b.Label] {
+				continue
+			}
+			v := verdict{block: b}
+			switch {
+			case setjmp:
+				v.reason = "function calls setjmp"
+			case poisoned:
+				v.reason = "function contains unresolved indirect jump"
+			case hasRaw(b):
+				v.reason = "block contains data words"
+			case endsInTableJump(b):
+				v.reason = "block ends in jump-table dispatch (not unswitched)"
+			case hasIndirectUnknownCall(b.Calls()):
+				v.reason = "block contains indirect call with unknown target"
+			}
+			out = append(out, v)
+		}
+		return out, nil
+	})
+	ok := map[string]*cfg.Block{}
+	excluded := map[string]string{}
+	for _, scan := range scans {
+		for _, v := range scan {
+			if v.reason == "" {
+				ok[v.block.Label] = v.block
+			} else {
+				excluded[v.block.Label] = v.reason
+			}
+		}
+	}
+	return ok, excluded
+}
+
+// refProfitable is the paper's profitability test over labels.
+func refProfitable(res *refResult, preds *refPreds, r *Region, gamma float64) bool {
+	e := EntryStubWords * len(res.refEntries(preds, r))
+	return float64(e) < (1-gamma)*float64(r.NumInsts())
+}
+
+// refNaturalLoop returns the labels of the natural loop of back edge
+// latch→header, sorted.
+func refNaturalLoop(preds *refPreds, inFunc map[string]*cfg.Block, latch, header string) []string {
+	loop := map[string]bool{header: true}
+	var stack []string
+	if !loop[latch] {
+		loop[latch] = true
+		stack = append(stack, latch)
+	}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for p := range preds.FlowPreds[b] {
+			if inFunc[p] == nil || loop[p] {
+				continue
+			}
+			loop[p] = true
+			stack = append(stack, p)
+		}
+	}
+	out := make([]string, 0, len(loop))
+	for l := range loop {
+		out = append(out, l)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// refSeedLoopRegions forms one region per compressible natural loop that
+// fits the buffer, smallest first. The back edges come from cfg.Index,
+// whose search the cfg package checks against its own label-keyed oracle.
+func refSeedLoopRegions(p *cfg.Program, preds *refPreds, candidates map[string]*cfg.Block,
+	assigned map[string]bool, res *refResult, maxWords int, gamma float64) []*Region {
+
+	type loopInfo struct {
+		blocks []string
+		insts  int
+	}
+	x := cfg.NewIndex(p, 1)
+	var loops []loopInfo
+	for _, e := range x.BackEdges() {
+		inFunc := map[string]*cfg.Block{}
+		for _, b := range p.Funcs[x.Fn[e.From]].Blocks {
+			inFunc[b.Label] = b
+		}
+		blocks := refNaturalLoop(preds, inFunc, x.Blocks[e.From].Label, x.Blocks[e.To].Label)
+		ok := true
+		insts := 0
+		for _, l := range blocks {
+			if candidates[l] == nil || assigned[l] {
+				ok = false
+				break
+			}
+			insts += len(candidates[l].Insts)
+		}
+		if ok {
+			loops = append(loops, loopInfo{blocks, insts})
+		}
+	}
+	sort.Slice(loops, func(i, j int) bool {
+		if loops[i].insts != loops[j].insts {
+			return loops[i].insts < loops[j].insts
+		}
+		return loops[i].blocks[0] < loops[j].blocks[0]
+	})
+
+	var out []*Region
+	for _, li := range loops {
+		ok := true
+		for _, l := range li.blocks {
+			if assigned[l] {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		r := &Region{ID: len(res.Regions) + len(out)}
+		for _, l := range li.blocks {
+			r.Blocks = append(r.Blocks, candidates[l])
+		}
+		if refBufferWords(r, nil) > maxWords {
+			continue
+		}
+		for _, b := range r.Blocks {
+			res.InRegion[b.Label] = r.ID
+		}
+		if !refProfitable(res, preds, r, gamma) {
+			for _, b := range r.Blocks {
+				delete(res.InRegion, b.Label)
+			}
+			continue
+		}
+		for _, b := range r.Blocks {
+			assigned[b.Label] = true
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// refPartition is Partition built on the label-keyed passes below.
+func refPartition(p *cfg.Program, cold map[string]bool, conf Config) (*refResult, *refPreds, error) {
 	if conf.K <= 0 || conf.Gamma <= 0 || conf.Gamma >= 1 {
 		return nil, nil, fmt.Errorf("regions: invalid config K=%d gamma=%v", conf.K, conf.Gamma)
 	}
 	maxWords := conf.K / isa.WordSize
 	preds := refBuildPreds(p, conf.Workers)
-	candidates, excluded := compressible(p, cold, conf.Workers)
+	candidates, excluded := refCompressible(p, cold, conf.Workers)
 
-	res := &Result{
+	res := &refResult{
 		InRegion: map[string]int{},
 		Excluded: excluded,
 	}
@@ -42,7 +294,7 @@ func refPartition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *
 	noRetry := map[string]bool{}
 	if conf.Strategy == StrategyLoopAware {
 		res.Regions = append(res.Regions,
-			seedLoopRegions(p, preds, candidates, assigned, res, maxWords, conf.Gamma)...)
+			refSeedLoopRegions(p, preds, candidates, assigned, res, maxWords, conf.Gamma)...)
 	}
 	for _, f := range p.Funcs {
 		for _, root := range f.Blocks {
@@ -57,7 +309,7 @@ func refPartition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *
 			for _, b := range tree {
 				res.InRegion[b.Label] = r.ID
 			}
-			if profitable(res, preds, r, conf.Gamma) {
+			if refProfitable(res, preds, r, conf.Gamma) {
 				for _, b := range tree {
 					assigned[b.Label] = true
 				}
@@ -86,7 +338,7 @@ func refPartition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *
 		res.CompressibleInsts += r.NumInsts()
 	}
 	for _, r := range res.Regions {
-		if w := BufferWords(r, nil); w > maxWords {
+		if w := refBufferWords(r, nil); w > maxWords {
 			return nil, nil, fmt.Errorf("regions: region %d needs %d words, bound is %d", r.ID, w, maxWords)
 		}
 	}
@@ -111,7 +363,7 @@ func refDfsTree(f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, 
 		// Tentatively accept and check the exact buffer bound.
 		seen[b.Label] = true
 		tree = append(tree, b)
-		if BufferWords(&Region{Blocks: tree}, nil) > maxWords {
+		if refBufferWords(&Region{Blocks: tree}, nil) > maxWords {
 			tree = tree[:len(tree)-1]
 			delete(seen, b.Label)
 			return
@@ -140,7 +392,7 @@ func refDfsTree(f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, 
 // saving), followed by first-fit-decreasing packing of the remainder, which
 // realizes the table-word savings the paper attributes to packing small
 // fragmented regions together.
-func refPackRegions(res *Result, preds *Preds, maxWords int) {
+func refPackRegions(res *refResult, preds *refPreds, maxWords int) {
 	const restoreStubSavingWords = 3 // stub code words plus the buffer word
 
 	live := map[int]*Region{}
@@ -149,7 +401,7 @@ func refPackRegions(res *Result, preds *Preds, maxWords int) {
 	}
 
 	mergedBufferWords := func(a, b *Region) int {
-		return BufferWords(&Region{Blocks: append(append([]*cfg.Block{}, a.Blocks...), b.Blocks...)}, nil)
+		return refBufferWords(&Region{Blocks: append(append([]*cfg.Block{}, a.Blocks...), b.Blocks...)}, nil)
 	}
 
 	savings := func(a, b *Region) int {
@@ -166,8 +418,8 @@ func refPackRegions(res *Result, preds *Preds, maxWords int) {
 			id, ok := res.InRegion[label]
 			return id, ok
 		}
-		before := len(EntriesOf(preds, a, member)) + len(EntriesOf(preds, b, member))
-		after := len(EntriesOf(preds, merged, memberMerged))
+		before := len(refEntriesOf(preds, a, member)) + len(refEntriesOf(preds, b, member))
+		after := len(refEntriesOf(preds, merged, memberMerged))
 		s += EntryStubWords * (before - after)
 		// Calls between the two regions become intra-region.
 		for _, pair := range [2][2]*Region{{a, b}, {b, a}} {
@@ -270,8 +522,8 @@ func refPackRegions(res *Result, preds *Preds, maxWords int) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		wi := BufferWords(live[ids[i]], nil)
-		wj := BufferWords(live[ids[j]], nil)
+		wi := refBufferWords(live[ids[i]], nil)
+		wj := refBufferWords(live[ids[j]], nil)
 		if wi != wj {
 			return wi > wj
 		}
@@ -325,8 +577,8 @@ type refPredEdges struct {
 
 // refBuildPreds indexes the program's predecessors with the per-function
 // edge scan fanned out over the given worker count.
-func refBuildPreds(p *cfg.Program, workers int) *Preds {
-	pr := &Preds{
+func refBuildPreds(p *cfg.Program, workers int) *refPreds {
+	pr := &refPreds{
 		FlowPreds:    map[string]map[string]bool{},
 		CallPreds:    map[string]map[string]bool{},
 		AddressTaken: map[string]bool{},

@@ -54,6 +54,8 @@ const EntryStubWords = 2
 type Region struct {
 	ID     int
 	Blocks []*cfg.Block // layout order
+	// Members holds the block numbers of Blocks, in the same order.
+	Members []int32
 }
 
 // NumInsts reports the region's size in instructions.
@@ -65,76 +67,79 @@ func (r *Region) NumInsts() int {
 	return n
 }
 
-// Result is the outcome of partitioning.
+// Exclusion says why a cold block stays uncompressed.
+type Exclusion uint8
+
+// The exclusion reasons: §2.2 setjmp, §4 unknown control flow, §6.2
+// unresolved jump tables, and the §4 profitability test.
+const (
+	NotExcluded Exclusion = iota // hot, or compressed
+	ExclSetjmp
+	ExclUnresolvedJump
+	ExclDataWords
+	ExclTableJump
+	ExclUnknownCall
+	ExclUnprofitable
+)
+
+var exclusionText = [...]string{
+	NotExcluded:        "",
+	ExclSetjmp:         "function calls setjmp",
+	ExclUnresolvedJump: "function contains unresolved indirect jump",
+	ExclDataWords:      "block contains data words",
+	ExclTableJump:      "block ends in jump-table dispatch (not unswitched)",
+	ExclUnknownCall:    "block contains indirect call with unknown target",
+	ExclUnprofitable:   "not profitable to compress",
+}
+
+func (e Exclusion) String() string { return exclusionText[e] }
+
+// Result is the outcome of partitioning. Its per-block fields are indexed
+// by the block numbers of the cfg.Index it was computed over.
 type Result struct {
 	Regions []*Region
-	// InRegion maps block label to region ID, or absent if uncompressed.
-	InRegion map[string]int
-	// Excluded maps cold-but-uncompressible block labels to the reason.
-	Excluded map[string]string
+	// RegionOf holds the ID of each block's region, or -1 when the block
+	// stays uncompressed.
+	RegionOf []int32
+	// Excluded holds why each cold block left out of every region stays
+	// uncompressed; it is NotExcluded for every other block.
+	Excluded []Exclusion
 	// ColdInsts and CompressibleInsts support the Figure 4 reproduction.
 	ColdInsts         int
 	CompressibleInsts int
 	TotalInsts        int
 }
 
-// Entries reports the labels of region r's entry blocks: blocks reachable
-// from outside the region (branch/fallthrough predecessors outside r, call
-// targets, address-taken blocks, or the program entry). These each require
-// an entry stub.
-func (res *Result) Entries(p *Preds, r *Region) []string {
-	memberOf := func(label string) (int, bool) {
-		id, ok := res.InRegion[label]
-		return id, ok
-	}
-	return EntriesOf(p, r, memberOf)
-}
-
-// EntriesOf is Entries with an explicit membership function, so the packing
-// pass can evaluate hypothetical merges without mutating the result.
-func EntriesOf(p *Preds, r *Region, memberOf func(string) (int, bool)) []string {
-	var out []string
-	for _, b := range r.Blocks {
-		if isEntry(p, r, b, memberOf) {
-			out = append(out, b.Label)
+// Entries reports the block numbers, in layout order, of region r's entry
+// blocks: blocks reachable from outside the region (branch/fallthrough
+// predecessors outside r, callers outside r, address-taken blocks, or the
+// program entry). These each require an entry stub.
+func (res *Result) Entries(x *cfg.Index, r *Region) []int32 {
+	var out []int32
+	for _, i := range r.Members {
+		if res.isEntry(x, i, int32(r.ID)) {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
-func isEntry(p *Preds, r *Region, b *cfg.Block, memberOf func(string) (int, bool)) bool {
-	if p.AddressTaken[b.Label] || p.ProgramEntry == b.Label {
+// isEntry reports whether block i of region id is one of its entries.
+func (res *Result) isEntry(x *cfg.Index, i, id int32) bool {
+	if x.AddrTaken[i] || i == x.Entry {
 		return true
 	}
-	external := func(pred string) bool {
-		id, in := memberOf(pred)
-		return !in || id != r.ID
-	}
-	for pred := range p.FlowPreds[b.Label] {
-		if external(pred) {
+	for _, p := range x.Preds(i) {
+		if res.RegionOf[p] != id {
 			return true
 		}
 	}
-	for caller := range p.CallPreds[b.Label] {
-		if external(caller) {
+	for _, c := range x.Callers(i) {
+		if res.RegionOf[c] != id {
 			return true
 		}
 	}
 	return false
-}
-
-// Preds is the program-wide predecessor index used for entry-point and
-// packing computations.
-type Preds struct {
-	// FlowPreds[b] = blocks with a branch or fallthrough edge to b.
-	FlowPreds map[string]map[string]bool
-	// CallPreds[entry] = blocks containing a call to the function whose
-	// entry block is entry.
-	CallPreds map[string]map[string]bool
-	// AddressTaken marks labels whose address escapes into data or into a
-	// register (la): control may arrive from anywhere.
-	AddressTaken map[string]bool
-	ProgramEntry string
 }
 
 // BufferWords reports the exact number of runtime-buffer words region r
@@ -142,26 +147,24 @@ type Preds struct {
 // themselves, one branch per fallthrough edge broken by the layout or
 // leaving the region, and one extra word per call expanded into the
 // CreateStub sequence (c_i in the paper's cost model). safeCallee reports
-// callees proven buffer-safe (§6.1), whose calls are not expanded; pass nil
-// for the conservative bound.
-func BufferWords(r *Region, safeCallee func(string) bool) int {
+// callees, by block number, proven buffer-safe (§6.1), whose calls are not
+// expanded; pass nil for the conservative bound.
+func BufferWords(x *cfg.Index, r *Region, safeCallee func(int32) bool) int {
 	words := 1 // leading jump to the entry offset
-	for i, b := range r.Blocks {
-		words += len(b.Insts)
-		if b.FallsTo != "" {
-			next := ""
-			if i+1 < len(r.Blocks) {
-				next = r.Blocks[i+1].Label
-			}
-			if b.FallsTo != next {
-				words++ // explicit branch inserted by the region layout
-			}
+	for k, i := range r.Members {
+		words += len(x.Blocks[i].Insts)
+		next := cfg.NoBlock
+		if k+1 < len(r.Members) {
+			next = r.Members[k+1]
+		}
+		if f := x.FallsTo[i]; f != cfg.NoBlock && f != next {
+			words++ // explicit branch inserted by the region layout
 		}
 		// Every call from the buffer to a non-buffer-safe callee expands
 		// into the CreateStub pair — including calls to targets in the
 		// same region, whose bodies may still branch to other regions.
-		for _, c := range b.Calls() {
-			if safeCallee != nil && c.Callee != "" && safeCallee(c.Callee) {
+		for _, c := range x.Callees(i) {
+			if safeCallee != nil && c >= 0 && safeCallee(c) {
 				continue
 			}
 			words++
@@ -170,59 +173,46 @@ func BufferWords(r *Region, safeCallee func(string) bool) int {
 	return words
 }
 
-// compressible classifies which cold blocks may be compressed at all, and
-// records exclusion reasons for the rest (paper: §2.2 setjmp, §4 unknown
-// control flow, §6.2 unresolved jump tables).
-func compressible(p *cfg.Program, cold map[string]bool, workers int) (map[string]*cfg.Block, map[string]string) {
-	type verdict struct {
-		block  *cfg.Block
-		reason string // empty when compressible
-	}
-	scans, _ := parallel.Map(len(p.Funcs), workers, func(fi int) ([]verdict, error) {
-		f := p.Funcs[fi]
-		setjmp := f.CallsSetjmp()
+// compressible classifies which cold blocks may be compressed at all: it
+// returns the candidates and the exclusion reasons for the rest (paper:
+// §2.2 setjmp, §4 unknown control flow, §6.2 unresolved jump tables). The
+// scan fans out per function; each function fills only its own blocks'
+// slots.
+func compressible(x *cfg.Index, cold []bool, workers int) ([]bool, []Exclusion) {
+	cand := make([]bool, len(x.Blocks))
+	why := make([]Exclusion, len(x.Blocks))
+	_ = parallel.ForEach(len(x.Prog.Funcs), workers, func(fi int) error {
+		lo, hi := x.FuncStart[fi], x.FuncStart[fi+1]
+		setjmp := x.Prog.Funcs[fi].CallsSetjmp()
 		// An unresolved indirect jump poisons the whole function: any block
 		// could be its target.
 		poisoned := false
-		for _, b := range f.Blocks {
-			if _, known := b.Succs(); !known {
-				poisoned = true
-			}
+		for i := lo; i < hi; i++ {
+			poisoned = poisoned || x.Unresolved[i]
 		}
-		var out []verdict
-		for _, b := range f.Blocks {
-			if !cold[b.Label] {
+		for i := lo; i < hi; i++ {
+			if !cold[i] {
 				continue
 			}
-			v := verdict{block: b}
+			b := x.Blocks[i]
 			switch {
 			case setjmp:
-				v.reason = "function calls setjmp"
+				why[i] = ExclSetjmp
 			case poisoned:
-				v.reason = "function contains unresolved indirect jump"
+				why[i] = ExclUnresolvedJump
 			case hasRaw(b):
-				v.reason = "block contains data words"
+				why[i] = ExclDataWords
 			case endsInTableJump(b):
-				v.reason = "block ends in jump-table dispatch (not unswitched)"
-			case hasIndirectUnknownCall(b):
-				v.reason = "block contains indirect call with unknown target"
+				why[i] = ExclTableJump
+			case hasIndirectUnknownCall(x.Calls(i)):
+				why[i] = ExclUnknownCall
+			default:
+				cand[i] = true
 			}
-			out = append(out, v)
 		}
-		return out, nil
+		return nil
 	})
-	ok := map[string]*cfg.Block{}
-	excluded := map[string]string{}
-	for _, scan := range scans {
-		for _, v := range scan {
-			if v.reason == "" {
-				ok[v.block.Label] = v.block
-			} else {
-				excluded[v.block.Label] = v.reason
-			}
-		}
-	}
-	return ok, excluded
+	return cand, why
 }
 
 func hasRaw(b *cfg.Block) bool {
@@ -242,8 +232,8 @@ func endsInTableJump(b *cfg.Block) bool {
 	return !last.Raw && last.Format == isa.FormatJump && last.JFunc == isa.JmpJMP
 }
 
-func hasIndirectUnknownCall(b *cfg.Block) bool {
-	for _, c := range b.Calls() {
+func hasIndirectUnknownCall(calls []cfg.CallSite) bool {
+	for _, c := range calls {
 		if c.Indirect && c.Callee == "" {
 			return true
 		}
@@ -251,72 +241,99 @@ func hasIndirectUnknownCall(b *cfg.Block) bool {
 	return false
 }
 
-// Partition forms compressible regions from the cold blocks of a profiled
-// program.
-func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Preds, error) {
+// Partition numbers p's blocks and forms compressible regions from its
+// cold blocks, given by label. It returns the result and the block index
+// the result's block numbers refer to.
+func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *cfg.Index, error) {
+	x := cfg.NewIndex(p, conf.Workers)
+	bits := make([]bool, len(x.Blocks))
+	for i, b := range x.Blocks {
+		bits[i] = cold[b.Label]
+	}
+	res, err := PartitionIndex(x, bits, conf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, x, nil
+}
+
+// PartitionIndex forms compressible regions from the cold blocks of a
+// numbered, profiled program; cold holds the cold bit of each block number.
+func PartitionIndex(x *cfg.Index, cold []bool, conf Config) (*Result, error) {
 	if conf.K <= 0 || conf.Gamma <= 0 || conf.Gamma >= 1 {
-		return nil, nil, fmt.Errorf("regions: invalid config K=%d gamma=%v", conf.K, conf.Gamma)
+		return nil, fmt.Errorf("regions: invalid config K=%d gamma=%v", conf.K, conf.Gamma)
 	}
 	maxWords := conf.K / isa.WordSize
-	x, preds := newBlockIndex(p, conf.Workers)
-	candidates, excluded := compressible(p, cold, conf.Workers)
+	bx := newBlockIndex(x)
+	cand, excluded := compressible(x, cold, conf.Workers)
 
-	res := &Result{
-		InRegion: map[string]int{},
-		Excluded: excluded,
-	}
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			res.TotalInsts += len(b.Insts)
-			if cold[b.Label] {
-				res.ColdInsts += len(b.Insts)
-			}
+	n := len(x.Blocks)
+	res := &Result{RegionOf: make([]int32, n), Excluded: excluded}
+	for i, b := range x.Blocks {
+		res.RegionOf[i] = noRegion
+		res.TotalInsts += len(b.Insts)
+		if cold[i] {
+			res.ColdInsts += len(b.Insts)
 		}
 	}
 
 	// Initial regions: optionally seed from natural loops (loop-aware
 	// strategy), then bounded DFS per function in block layout order.
-	assigned := map[string]bool{}
-	noRetry := map[string]bool{}
+	assigned := make([]bool, n)
 	if conf.Strategy == StrategyLoopAware {
 		res.Regions = append(res.Regions,
-			seedLoopRegions(p, preds, candidates, assigned, res, maxWords, conf.Gamma)...)
+			bx.seedLoopRegions(cand, assigned, res, maxWords, conf.Gamma)...)
 	}
-	for i, root := range x.blocks {
-		if assigned[root.Label] || noRetry[root.Label] || candidates[root.Label] == nil {
+	// The regions' member and block lists are carved from two arenas sized
+	// for every candidate; a merge that appends to a list moves it out.
+	nCand := 0
+	for _, ok := range cand {
+		if ok {
+			nCand++
+		}
+	}
+	memberArena := make([]int32, 0, nCand)
+	blockArena := make([]*cfg.Block, 0, nCand)
+	var tree []int32
+	for root := int32(0); root < int32(n); root++ {
+		if assigned[root] || !cand[root] {
 			continue
 		}
-		tree := x.dfsTree(int32(i), candidates, assigned, maxWords)
+		tree = bx.dfsTree(root, cand, assigned, maxWords, tree[:0])
 		if len(tree) == 0 {
 			continue
 		}
-		r := &Region{ID: len(res.Regions), Blocks: tree}
-		for _, b := range tree {
-			res.InRegion[b.Label] = r.ID
+		id := int32(len(res.Regions))
+		for _, i := range tree {
+			res.RegionOf[i] = id
 		}
-		if profitable(res, preds, r, conf.Gamma) {
-			for _, b := range tree {
-				assigned[b.Label] = true
+		if !res.profitable(x, tree, id, conf.Gamma) {
+			for _, i := range tree {
+				res.RegionOf[i] = noRegion
 			}
-			res.Regions = append(res.Regions, r)
-		} else {
-			for _, b := range tree {
-				delete(res.InRegion, b.Label)
-			}
-			noRetry[root.Label] = true
+			continue
 		}
+		m0 := len(memberArena)
+		for _, i := range tree {
+			assigned[i] = true
+			memberArena = append(memberArena, i)
+			blockArena = append(blockArena, x.Blocks[i])
+		}
+		res.Regions = append(res.Regions, &Region{
+			ID:      int(id),
+			Members: memberArena[m0:len(memberArena):len(memberArena)],
+			Blocks:  blockArena[m0:len(blockArena):len(blockArena)],
+		})
 	}
 
 	if conf.Pack {
-		packRegions(res, x, maxWords)
+		packRegions(res, bx, maxWords)
 	}
 
-	// Final bookkeeping: exclusion reasons for cold blocks left out.
-	for label := range candidates {
-		if _, in := res.InRegion[label]; !in {
-			if _, already := res.Excluded[label]; !already {
-				res.Excluded[label] = "not profitable to compress"
-			}
+	// Final bookkeeping: exclusion reasons for candidates left out.
+	for i, ok := range cand {
+		if ok && res.RegionOf[i] == noRegion {
+			res.Excluded[i] = ExclUnprofitable
 		}
 	}
 	for _, r := range res.Regions {
@@ -324,19 +341,24 @@ func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *Pre
 	}
 	// Sanity: every region respects the buffer bound.
 	for _, r := range res.Regions {
-		if w := BufferWords(r, nil); w > maxWords {
-			return nil, nil, fmt.Errorf("regions: region %d needs %d words, bound is %d", r.ID, w, maxWords)
+		if w := bx.bufferWords(r.Members); w > maxWords {
+			return nil, fmt.Errorf("regions: region %d needs %d words, bound is %d", r.ID, w, maxWords)
 		}
 	}
-	return res, preds, nil
+	return res, nil
 }
 
 // profitable implements the paper's test: a region of I instructions saves
 // (1-γ)·I instructions when compressed and costs E instructions of entry
-// stubs; compress only when E < (1-γ)·I.
-func profitable(res *Result, preds *Preds, r *Region, gamma float64) bool {
-	entries := res.Entries(preds, r)
-	e := EntryStubWords * len(entries)
-	i := r.NumInsts()
-	return float64(e) < (1-gamma)*float64(i)
+// stubs; compress only when E < (1-γ)·I. The region's blocks, members, must
+// already be recorded in RegionOf under id.
+func (res *Result) profitable(x *cfg.Index, members []int32, id int32, gamma float64) bool {
+	entries, insts := 0, 0
+	for _, i := range members {
+		if res.isEntry(x, i, id) {
+			entries++
+		}
+		insts += len(x.Blocks[i].Insts)
+	}
+	return float64(EntryStubWords*entries) < (1-gamma)*float64(insts)
 }

@@ -79,7 +79,7 @@ func buildCold(t *testing.T, src string) (*cfg.Program, map[string]bool) {
 
 func TestPartitionBasics(t *testing.T) {
 	p, cold := buildCold(t, coldProgram)
-	res, preds, err := Partition(p, cold, DefaultConfig())
+	res, x, err := Partition(p, cold, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,18 +94,18 @@ func TestPartitionBasics(t *testing.T) {
 				t.Errorf("region %d contains non-cold block %s", r.ID, b.Label)
 			}
 		}
-		if w := BufferWords(r, nil); w > maxWords {
+		if w := BufferWords(x, r, nil); w > maxWords {
 			t.Errorf("region %d: %d words > bound %d", r.ID, w, maxWords)
 		}
-		if len(res.Entries(preds, r)) == 0 {
+		if len(res.Entries(x, r)) == 0 {
 			t.Errorf("region %d has no entries", r.ID)
 		}
 	}
-	// InRegion is consistent.
+	// RegionOf is consistent.
 	for _, r := range res.Regions {
 		for _, b := range r.Blocks {
-			if res.InRegion[b.Label] != r.ID {
-				t.Errorf("InRegion[%s] = %d, want %d", b.Label, res.InRegion[b.Label], r.ID)
+			if id, _ := inRegion(res, x, b.Label); id != r.ID {
+				t.Errorf("RegionOf[%s] = %d, want %d", b.Label, id, r.ID)
 			}
 		}
 	}
@@ -115,12 +115,12 @@ func TestPartitionRespectsSmallK(t *testing.T) {
 	p, cold := buildCold(t, coldProgram)
 	conf := DefaultConfig()
 	conf.K = 32 // 8 words
-	res, _, err := Partition(p, cold, conf)
+	res, x, err := Partition(p, cold, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range res.Regions {
-		if w := BufferWords(r, nil); w > 8 {
+		if w := BufferWords(x, r, nil); w > 8 {
 			t.Errorf("region %d: %d words > 8", r.ID, w)
 		}
 	}
@@ -168,7 +168,7 @@ out:    ldw  ra, 0(sp)
 			cold[b.Label] = true
 		}
 	}
-	res, _, err := Partition(p, cold, DefaultConfig())
+	res, x, err := Partition(p, cold, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ out:    ldw  ra, 0(sp)
 			}
 		}
 	}
-	if reason, ok := res.Excluded["main"]; !ok || !strings.Contains(reason, "setjmp") {
+	if reason := excluded(res, x, "main"); !strings.Contains(reason, "setjmp") {
 		t.Errorf("main exclusion reason = %q", reason)
 	}
 }
@@ -207,14 +207,14 @@ func TestProfitabilityRejectsTinyFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := map[string]bool{"tiny": true}
-	res, _, err := Partition(p, cold, DefaultConfig())
+	res, x, err := Partition(p, cold, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Regions) != 0 {
 		t.Fatalf("tiny fragment was compressed: %d regions", len(res.Regions))
 	}
-	if reason := res.Excluded["tiny"]; !strings.Contains(reason, "profitable") {
+	if reason := excluded(res, x, "tiny"); !strings.Contains(reason, "profitable") {
 		t.Errorf("exclusion reason = %q", reason)
 	}
 }
@@ -269,17 +269,16 @@ func TestBufferWordsCountsExpansions(t *testing.T) {
 	p, cold := buildCold(t, coldProgram)
 	conf := DefaultConfig()
 	conf.Pack = false // keep coldf and coldg in separate regions
-	res, _, err := Partition(p, cold, conf)
+	res, x, err := Partition(p, cold, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = cold
 	// Find a region containing coldf (which calls coldg).
 	for _, r := range res.Regions {
 		for _, b := range r.Blocks {
 			if b.Label == "coldf" {
-				withExp := BufferWords(r, nil)
-				allSafe := BufferWords(r, func(string) bool { return true })
+				withExp := BufferWords(x, r, nil)
+				allSafe := BufferWords(x, r, func(int32) bool { return true })
 				if withExp <= allSafe {
 					t.Errorf("expansion accounting missing: %d <= %d", withExp, allSafe)
 				}

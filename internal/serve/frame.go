@@ -40,6 +40,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"time"
 
 	"repro/internal/core"
 )
@@ -591,6 +593,13 @@ type serverCodec struct {
 	br *bufio.Reader
 	bw *bufio.Writer
 	sc *frameScratch
+
+	// conn, when set with a positive frameTimeout, bounds the read of each
+	// frame from its first byte on: a client that stalls mid-frame loses
+	// the connection instead of holding it and its frame buffer forever.
+	// The wait for a frame's first byte has no deadline.
+	conn         net.Conn
+	frameTimeout time.Duration
 }
 
 func newServerCodec(r io.Reader, w io.Writer) *serverCodec {
@@ -608,6 +617,15 @@ func (c *serverCodec) close() {
 
 // readRequest reads and decodes one frame.
 func (c *serverCodec) readRequest(req *Request) error {
+	if c.conn != nil && c.frameTimeout > 0 {
+		if _, err := c.br.Peek(1); err != nil {
+			return err
+		}
+		if err := c.conn.SetReadDeadline(time.Now().Add(c.frameTimeout)); err != nil {
+			return err
+		}
+		defer c.conn.SetReadDeadline(time.Time{})
+	}
 	fb, env, pay, err := readFrameBody(c.br)
 	if err != nil {
 		return err

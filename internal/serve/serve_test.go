@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -520,5 +521,55 @@ func TestListenReplacesStaleSocket(t *testing.T) {
 	// A second daemon must refuse the live socket.
 	if _, err := Listen("unix:" + path); err == nil {
 		t.Fatal("second listener took over a live socket")
+	}
+}
+
+// TestServeHalfFrameStall: a client that sends a frame header and part of
+// its body, then stalls, has its connection closed once Timeout passes
+// from the frame's first byte, while a connection idle between frames
+// keeps being served.
+func TestServeHalfFrameStall(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	_, addr, stop := startServer(t, Options{Workers: 1, Timeout: timeout})
+	defer stop()
+
+	idle := dialRaw(t, addr)
+	stall := dialRaw(t, addr)
+	var frame bytes.Buffer
+	bw := bufio.NewWriter(&frame)
+	if err := writeRequestFrame(bw, stall.sc, &Request{Op: OpSquash, Obj: make([]byte, 8192), Profile: make([]byte, 8192)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	half := frame.Bytes()[:frame.Len()/2]
+	if len(half) <= frameHeaderLen {
+		t.Fatalf("frame of %d bytes leaves no partial body", frame.Len())
+	}
+	start := time.Now()
+	if _, err := stall.Write(half); err != nil {
+		t.Fatal(err)
+	}
+	stall.SetReadDeadline(time.Now().Add(time.Second))
+	_, err := stall.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server still held the stalled connection after %v", time.Since(start))
+	}
+	if err != io.EOF {
+		t.Fatalf("read on the stalled connection: %v, want EOF", err)
+	}
+	if d := time.Since(start); d < timeout {
+		t.Fatalf("connection closed after %v, before the %v timeout", d, timeout)
+	}
+
+	// The other connection sat idle for longer than the timeout without
+	// sending a byte; its next request is still answered.
+	if err := idle.send(&Request{Op: OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := idle.recv(&resp); err != nil || !resp.OK {
+		t.Fatalf("ping on the idle connection: %v %+v", err, resp)
 	}
 }

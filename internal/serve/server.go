@@ -33,7 +33,10 @@ type Options struct {
 	// Timeout bounds one request's total time in the server, queueing
 	// included; 0 disables. On expiry the client gets an error response;
 	// an already-running squash finishes in the background (the pipeline
-	// is not cancellable mid-flight) and still warms the cache.
+	// is not cancellable mid-flight) and still warms the cache. It also
+	// bounds the read of each request frame once its first byte has
+	// arrived: a client that stalls mid-frame has its connection closed.
+	// A connection idle between frames has no deadline.
 	Timeout time.Duration
 	// CacheEntries bounds the warm squash-result cache; 0 means the
 	// default (64), negative disables caching.
@@ -207,6 +210,7 @@ func (s *Server) handleConn(cs *connState) {
 	defer s.removeConn(cs)
 	setNoDelay(cs.c)
 	codec := newServerCodec(cs.c, cs.c)
+	codec.conn, codec.frameTimeout = cs.c, s.opts.Timeout
 	defer codec.close()
 	for {
 		var req Request

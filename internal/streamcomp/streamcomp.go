@@ -84,24 +84,20 @@ var sentinelInst = isa.Inst{Op: isa.OpIllegal, Format: isa.FormatIllegal}
 func Train(seqs [][]isa.Inst, opts Options) *Compressor {
 	c := &Compressor{opts: opts}
 	if opts.MTF {
-		// Alphabet collection fans out too; the union is a set, so merge
-		// order cannot affect the sorted result.
+		// Alphabet collection fans out too: a stream's alphabet is every
+		// value counted at least once, which no merge order changes.
 		seen := countChunks(seqs, opts.Workers, func(f *streamCounts, seq []isa.Inst) {
 			var fv [8]isa.FieldValue
 			for i := 0; i <= len(seq); i++ {
 				for _, x := range isa.AppendFields(fv[:0], instOrSentinel(seq, i)) {
-					f[x.Kind][x.Value] = 1
+					f.add(x.Kind, x.Value)
 				}
 			}
 		})
-		for i := range seen {
-			vals := make([]uint32, 0, len(seen[i]))
-			for v := range seen[i] {
-				vals = append(vals, v)
-			}
-			sortU32(vals)
-			c.alphabets[i] = vals
+		for k := range c.alphabets {
+			c.alphabets[k], _ = seen.sorted(isa.StreamKind(k))
 		}
+		putStreamCounts(seen)
 	}
 
 	// Frequency counting is per sequence (each sequence restarts its MTF
@@ -116,36 +112,120 @@ func Train(seqs [][]isa.Inst, opts Options) *Compressor {
 				if mtf != nil {
 					v = mtf[x.Kind].encode(v)
 				}
-				f[x.Kind][v]++
+				f.add(x.Kind, v)
 			}
 		}
 	})
 	var totalBits, totalInsts uint64
-	for i := range c.codes {
-		c.codes[i] = huffman.Build(freqs[i])
-		c.codes[i].Prime()
-		for v, n := range freqs[i] {
-			totalBits += n * uint64(c.codes[i].CodeLen(v))
+	for k := range c.codes {
+		values, counts := freqs.sorted(isa.StreamKind(k))
+		c.codes[k] = huffman.BuildSorted(values, counts)
+		c.codes[k].Prime()
+		for i, v := range values {
+			totalBits += counts[i] * uint64(c.codes[k].CodeLen(v))
+		}
+		if k == int(isa.StreamOpcode) {
+			for _, n := range counts {
+				totalInsts += n // every instruction (and sentinel) has an opcode
+			}
 		}
 	}
-	for _, n := range freqs[isa.StreamOpcode] {
-		totalInsts += n // every instruction (and sentinel) has an opcode
-	}
+	putStreamCounts(freqs)
 	if totalInsts > 0 {
 		c.estBitsPerInst = int((totalBits + totalInsts - 1) / totalInsts)
 	}
 	return c
 }
 
-// streamCounts holds one value→count map per operand stream.
-type streamCounts [isa.NumStreams]map[uint32]uint64
+// denseBits is the widest stream counted in a flat array: the 16-bit
+// displacement and hint streams take 64 Ki counters each; only the 21-bit
+// branch displacements and 26-bit PAL codes are counted in maps.
+const denseBits = 16
 
-func newStreamCounts() *streamCounts {
-	var f streamCounts
-	for k := range f {
-		f[k] = make(map[uint32]uint64)
+// streamCounts holds one value→count table per operand stream: a flat
+// array indexed by value for streams of at most denseBits bits, a map for
+// the wider ones. A count stays below 2^32 because no image holds that many
+// instructions.
+type streamCounts struct {
+	dense  [isa.NumStreams][]uint32
+	sparse [isa.NumStreams]map[uint32]uint64
+}
+
+// countsPool recycles streamCounts: the flat arrays come to about half a
+// MiB, too much to allocate and zero for every squash.
+var countsPool = sync.Pool{New: func() any {
+	f := new(streamCounts)
+	for k := range f.dense {
+		if bits := isa.StreamKind(k).Bits(); bits <= denseBits {
+			f.dense[k] = make([]uint32, 1<<bits)
+		} else {
+			f.sparse[k] = make(map[uint32]uint64)
+		}
 	}
-	return &f
+	return f
+}}
+
+func getStreamCounts() *streamCounts { return countsPool.Get().(*streamCounts) }
+
+// putStreamCounts zeroes f and returns it to the pool.
+func putStreamCounts(f *streamCounts) {
+	for k := range f.dense {
+		clear(f.dense[k])
+		clear(f.sparse[k])
+	}
+	countsPool.Put(f)
+}
+
+// add counts one occurrence of value v in stream k.
+func (f *streamCounts) add(k isa.StreamKind, v uint32) {
+	if d := f.dense[k]; d != nil {
+		d[v]++
+	} else {
+		f.sparse[k][v]++
+	}
+}
+
+// merge adds o's counts into f.
+func (f *streamCounts) merge(o *streamCounts) {
+	for k := range f.dense {
+		for v, n := range o.dense[k] {
+			f.dense[k][v] += n
+		}
+		for v, n := range o.sparse[k] {
+			f.sparse[k][v] += n
+		}
+	}
+}
+
+// sorted lists the values of stream k that occurred, ascending, with
+// their counts.
+func (f *streamCounts) sorted(k isa.StreamKind) ([]uint32, []uint64) {
+	if d := f.dense[k]; d != nil {
+		n := 0
+		for _, c := range d {
+			if c > 0 {
+				n++
+			}
+		}
+		values, counts := make([]uint32, 0, n), make([]uint64, 0, n)
+		for v, c := range d {
+			if c > 0 {
+				values = append(values, uint32(v))
+				counts = append(counts, uint64(c))
+			}
+		}
+		return values, counts
+	}
+	values := make([]uint32, 0, len(f.sparse[k]))
+	for v := range f.sparse[k] {
+		values = append(values, v)
+	}
+	sortU32(values)
+	counts := make([]uint64, len(values))
+	for i, v := range values {
+		counts[i] = f.sparse[k][v]
+	}
+	return values, counts
 }
 
 // instOrSentinel returns seq[i], or the region sentinel at i == len(seq).
@@ -157,16 +237,16 @@ func instOrSentinel(seq []isa.Inst, i int) isa.Inst {
 }
 
 // countChunks runs count over every sequence, split into one contiguous
-// chunk of sequences per worker. Each chunk counts into its own maps and
-// the chunks' maps are then summed, so the result is the same at any
-// worker count.
+// chunk of sequences per worker. Each chunk counts into its own pooled
+// tables and the chunks' tables are then summed, so the result is the same
+// at any worker count. The caller returns the result to the pool.
 func countChunks(seqs [][]isa.Inst, workers int, count func(f *streamCounts, seq []isa.Inst)) *streamCounts {
 	var (
 		mu    sync.Mutex
 		parts []*streamCounts
 	)
 	_ = parallel.ForEachChunk(len(seqs), workers, 1, func(lo, hi int) error {
-		f := newStreamCounts()
+		f := getStreamCounts()
 		for _, seq := range seqs[lo:hi] {
 			count(f, seq)
 		}
@@ -176,15 +256,12 @@ func countChunks(seqs [][]isa.Inst, workers int, count func(f *streamCounts, seq
 		return nil
 	})
 	if len(parts) == 0 {
-		return newStreamCounts()
+		return getStreamCounts()
 	}
 	out := parts[0]
 	for _, p := range parts[1:] {
-		for k := range p {
-			for v, n := range p[k] {
-				out[k][v] += n
-			}
-		}
+		out.merge(p)
+		putStreamCounts(p)
 	}
 	return out
 }
