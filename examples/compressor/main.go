@@ -64,13 +64,17 @@ func main() {
 		log.Fatal(err)
 	}
 	blob := w.Bytes()
+	tables, err := comp.MarshalBinary()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%d instructions = %d raw bytes\n", len(seq), 4*len(seq))
 	fmt.Printf("compressed: %d bits (%.1f bits/instruction, γ = %.3f)\n",
 		w.Len(), float64(w.Len())/float64(len(seq)),
 		float64(w.Len())/float64(32*len(seq)))
 	fmt.Printf("code tables: %d bytes (N[] and D[] arrays for all %d streams)\n\n",
-		comp.TableBytes(), isa.NumStreams)
+		len(tables), isa.NumStreams)
 
 	// Per-field-type stream population, as in the paper's splitting scheme.
 	counts := map[isa.StreamKind]map[uint32]bool{}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buffersafe"
 	"repro/internal/cfg"
+	"repro/internal/huffman"
 	"repro/internal/isa"
 	"repro/internal/lzcomp"
 	"repro/internal/objfile"
@@ -16,13 +17,6 @@ import (
 	"repro/internal/regions"
 	"repro/internal/streamcomp"
 )
-
-// regionEncoder is what Phase 3 needs from a trained region coder; both
-// streamcomp and lzcomp compressors satisfy it.
-type regionEncoder interface {
-	CompressAll(seqs [][]isa.Inst, workers int) (blob []byte, offsets []uint32, err error)
-	MarshalBinary() ([]byte, error)
-}
 
 // Reserved symbol names introduced by the rewriter.
 const (
@@ -240,7 +234,7 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 	}
 	sp.End()
 	sp = e.span.Child("coder.train")
-	var comp regionEncoder
+	var comp RegionCoder
 	switch e.conf.Coder {
 	case CoderStream:
 		comp = streamcomp.Train(seqs, streamcomp.Options{MTF: e.conf.MTF, Workers: e.conf.Workers})
@@ -251,13 +245,7 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 	}
 	sp.End()
 	sp = e.span.Child("region.encode", "regions", len(seqs))
-	switch c := comp.(type) {
-	case *streamcomp.Compressor:
-		c.Span = sp
-	case *lzcomp.Compressor:
-		c.Span = sp
-	}
-	blob, offsets, err := comp.CompressAll(seqs, e.conf.Workers)
+	blob, offsets, err := encodeRegions(comp, seqs, e.conf.Workers, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -354,11 +342,50 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 	return &Output{Image: im, Meta: meta, Foot: foot, Stats: *stats, RegionLayouts: layouts}, nil
 }
 
+// encodeRegions compresses every region with comp and lays the parts out
+// into one blob in region order, exactly as sequential Compress calls into
+// one writer would; offsets[i] is the bit at which region i starts (the
+// paper's function offset table). Regions encode concurrently into pooled
+// private writers, because a region's bits do not depend on where it lands
+// in the blob, so the blob is byte-identical at any worker count. Each
+// region gets its own span forked from sp, on its own track.
+func encodeRegions(comp RegionCoder, seqs [][]isa.Inst, workers int, sp *obs.Span) (blob []byte, offsets []uint32, err error) {
+	parts, err := parallel.Map(len(seqs), workers, func(i int) (*huffman.BitWriter, error) {
+		rsp := sp.Fork("region.encode", "region", i, "insts", len(seqs[i]))
+		w := huffman.GetWriter(comp.SizeHint(len(seqs[i])))
+		if err := comp.Compress(w, seqs[i]); err != nil {
+			rsp.End()
+			huffman.PutWriter(w)
+			return nil, fmt.Errorf("region %d: %w", i, err)
+		}
+		rsp.SetArg("bits", w.Len())
+		rsp.End()
+		return w, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var out huffman.BitWriter
+	total := 0
+	for _, part := range parts {
+		total += (part.Len() + 7) / 8
+	}
+	out.Grow(total + 1)
+	offsets = make([]uint32, len(seqs))
+	for i, part := range parts {
+		offsets[i] = uint32(out.Len())
+		out.Append(part)
+		parts[i] = nil
+		huffman.PutWriter(part) // copied into out, and Bytes was never called on it, so its buffer recycles
+	}
+	return out.Bytes(), offsets, nil
+}
+
 // publishMetrics records the per-stream compression breakdown — the
 // numbers behind the paper's Table 3 — into the recorder's registry.
 // The per-stream bit accounting re-walks every sequence, so the whole
 // body is gated on telemetry being enabled.
-func (e *encoder) publishMetrics(comp regionEncoder, seqs [][]isa.Inst, blob, tables []byte) {
+func (e *encoder) publishMetrics(comp RegionCoder, seqs [][]isa.Inst, blob, tables []byte) {
 	if e.rec == nil || e.rec.Metrics == nil {
 		return
 	}

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/huffman"
 	"repro/internal/isa"
+	"repro/internal/lzcomp"
 	"repro/internal/objfile"
 	"repro/internal/regions"
+	"repro/internal/streamcomp"
 )
 
 // TestLayoutMatchesBufferWords: the encoder's exact layout and the
@@ -183,4 +188,71 @@ func TestConfigInteractions(t *testing.T) {
 
 func linkObj(obj *objfile.Object) (*objfile.Image, error) {
 	return objfile.Link("main", obj)
+}
+
+// legalInsts returns n random instructions with the illegal ones (which no
+// region holds) left out.
+func legalInsts(seed int64, n int) []isa.Inst {
+	return slices.DeleteFunc(isa.RandInsts(seed, n), func(in isa.Inst) bool {
+		return in.Format == isa.FormatIllegal
+	})
+}
+
+// TestRegionEncodeMatchesSequential: encodeRegions lays the regions out
+// exactly as sequential Compress calls into one writer would, blob and
+// offsets alike, under both coders and MTF, at any worker count, with the
+// writer pool drained and with it dirtied by a larger corpus.
+func TestRegionEncodeMatchesSequential(t *testing.T) {
+	var seqs [][]isa.Inst
+	for seed := int64(0); seed < 8; seed++ {
+		seqs = append(seqs, legalInsts(seed, 60*int(seed))) // region 0 is empty
+	}
+	polluter := [][]isa.Inst{legalInsts(100, 3000), legalInsts(101, 2000), legalInsts(102, 900)}
+	for _, coder := range []struct {
+		name  string
+		train func([][]isa.Inst) RegionCoder
+	}{
+		{"stream", func(s [][]isa.Inst) RegionCoder { return streamcomp.Train(s, streamcomp.Options{}) }},
+		{"stream+mtf", func(s [][]isa.Inst) RegionCoder { return streamcomp.Train(s, streamcomp.Options{MTF: true}) }},
+		{"lz", func(s [][]isa.Inst) RegionCoder { return lzcomp.Train(s) }},
+	} {
+		comp, dirty := coder.train(seqs), coder.train(polluter)
+		var ref huffman.BitWriter
+		refOff := make([]uint32, len(seqs))
+		for i, seq := range seqs {
+			refOff[i] = uint32(ref.Len())
+			if err := comp.Compress(&ref, seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := ref.Bytes()
+		for _, workers := range []int{1, 2, 8} {
+			for _, pools := range []string{"drained", "dirtied"} {
+				if pools == "drained" {
+					drainPools()
+				} else if _, _, err := encodeRegions(dirty, polluter, workers, nil); err != nil {
+					t.Fatal(err)
+				}
+				blob, offsets, err := encodeRegions(comp, seqs, workers, nil)
+				if err != nil {
+					t.Fatalf("%s workers=%d %s: %v", coder.name, workers, pools, err)
+				}
+				if !bytes.Equal(blob, want) || !slices.Equal(offsets, refOff) {
+					t.Fatalf("%s workers=%d %s pools: blob or offsets differ from sequential Compress", coder.name, workers, pools)
+				}
+			}
+		}
+	}
+
+	// A region the coder refuses fails the encode, naming the lowest such
+	// region at any worker count.
+	bad := slices.Clone(seqs)
+	bad[5] = append(slices.Clone(seqs[5]), isa.Inst{Op: isa.OpIllegal, Format: isa.FormatIllegal})
+	bad[6] = bad[5]
+	comp := streamcomp.Train(seqs, streamcomp.Options{})
+	for _, workers := range []int{1, 8} {
+		if _, _, err := encodeRegions(comp, bad, workers, nil); err == nil || !strings.HasPrefix(err.Error(), "region 5:") {
+			t.Errorf("workers=%d: error %v, want one for region 5", workers, err)
+		}
+	}
 }

@@ -87,17 +87,20 @@ func FuzzSquash(f *testing.F) {
 	})
 }
 
-// seedOutputs squashes testprog.Random(1..3) at theta under the stream
-// coder, the LZ coder and interpret mode, one program per coder.
+// seedOutputs squashes testprog.Random(1..4) at theta under the stream
+// coder, the LZ coder, interpret mode and the stream coder with MTF, one
+// program per configuration.
 func seedOutputs(tb testing.TB, theta float64) []*Output {
 	var outs []*Output
-	for i, conf := range []Config{DefaultConfig(), DefaultConfig(), DefaultConfig()} {
+	for i, conf := range []Config{DefaultConfig(), DefaultConfig(), DefaultConfig(), DefaultConfig()} {
 		conf.Theta = theta
 		switch i {
 		case 1:
 			conf.Coder = CoderLZ
 		case 2:
 			conf.Interpret = true
+		case 3:
+			conf.MTF = true
 		}
 		obj, err := asm.Assemble(testprog.Random(int64(i + 1)))
 		if err != nil {
@@ -148,6 +151,18 @@ func FuzzUnmarshalMeta(f *testing.F) {
 	hostile := bytes.Clone(seeds[0])
 	binary.LittleEndian.PutUint32(hostile[12:], 0xFFFFFFFF)
 	f.Add(hostile)
+	// Reserved bits: flag bit 1 of the metadata, and a split-stream table
+	// blob whose flag byte is 7.
+	reserved := bytes.Clone(seeds[0])
+	reserved[metaFlagsOffset] |= 2
+	f.Add(reserved)
+	badTables := bytes.Clone(seeds[0])
+	m, err := UnmarshalMeta(badTables)
+	if err != nil {
+		f.Fatal(err)
+	}
+	badTables[len(badTables)-len(m.Tables)] = 7
+	f.Add(badTables)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, err := UnmarshalMeta(data)
 		if err != nil {

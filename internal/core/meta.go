@@ -47,13 +47,19 @@ const (
 	CoderLZ = 1
 )
 
-// RegionCoder is what the runtime needs from a region decompressor: decode
-// one region's instructions from the blob, and switch between the
-// table-driven and reference bit-at-a-time Huffman decoders. Both coders
-// satisfy it; both guarantee the two decoders consume identical bits.
-// DecodeStats exposes the coder's decode-path telemetry (host-side only,
-// never part of the simulated state).
+// RegionCoder is the one contract both region coders (streamcomp's §3
+// split-stream coder and lzcomp's dictionary coder) meet. The squasher
+// trains one, compresses each region into its own writer (presized by
+// SizeHint; a trained coder is safe for concurrent Compress) and stores
+// MarshalBinary's tables; core lays the regions out into the blob. The
+// runtime decodes one region at a time and can switch between the
+// table-driven and reference bit-at-a-time Huffman decoders, which consume
+// identical bits. DecodeStats exposes the coder's decode-path telemetry
+// (host-side only, never part of the simulated state).
 type RegionCoder interface {
+	Compress(w *huffman.BitWriter, seq []isa.Inst) error
+	SizeHint(nInsts int) int
+	MarshalBinary() ([]byte, error)
 	Decompress(blob []byte, bitOff int, emit func(isa.Inst) error) (int, error)
 	SetSlowDecode(v bool)
 	DecodeStats() huffman.DecodeStats
@@ -74,7 +80,8 @@ type Meta struct {
 	Interpret bool
 	// Coder identifies the region coder that produced Blob/Tables
 	// (CoderStream or CoderLZ). It shares the Interpret flags word in the
-	// serialized form: bit 0 is the interpret flag, bits 8+ the coder.
+	// serialized form: bit 0 is the interpret flag, bits 8+ the coder, and
+	// the reserved bits 1-7 must be zero.
 	Coder int
 
 	// OffsetTable maps region index to the bit offset of its compressed
@@ -179,6 +186,9 @@ func UnmarshalMeta(data []byte) (*Meta, error) {
 	flags, err := u32()
 	if err != nil {
 		return nil, err
+	}
+	if flags&0xFE != 0 {
+		return nil, fmt.Errorf("core: reserved metadata flag bits %#x set", flags&0xFE)
 	}
 	m.Interpret = flags&1 == 1
 	m.Coder = int(flags >> 8)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -144,6 +145,35 @@ func TestRuntimeEnterBodyTraps(t *testing.T) {
 	m.PC = lo + NumEntryRegs*4 + 8
 	if err := m.Step(); err == nil || !strings.Contains(err.Error(), "body") {
 		t.Fatalf("body entry gave %v", err)
+	}
+}
+
+// metaFlagsOffset is the byte offset of the flags word in serialized
+// metadata: the magic and five u32 fields precede it.
+const metaFlagsOffset = 24
+
+// TestMetaRejectsReservedBits: bits 1-7 of the metadata flags word and
+// split-stream table flag bytes other than 0 (plain) and 1 (MTF) are
+// reserved; metadata that sets either must not load.
+func TestMetaRejectsReservedBits(t *testing.T) {
+	out := squashTestProgram(t, nil)
+	enc, err := out.Meta.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit := 1; bit < 8; bit++ {
+		bad := bytes.Clone(enc)
+		bad[metaFlagsOffset] |= 1 << bit
+		if _, err := UnmarshalMeta(bad); err == nil {
+			t.Errorf("metadata flag bit %d accepted", bit)
+		}
+	}
+	for _, flag := range []byte{2, 7, 0xFF} {
+		meta := *out.Meta
+		meta.Tables = append([]byte{flag}, out.Meta.Tables[1:]...)
+		if _, err := NewRuntime(&meta); err == nil {
+			t.Errorf("table flag byte %#x accepted", flag)
+		}
 	}
 }
 

@@ -1,53 +1,10 @@
 package core
 
-import (
-	"repro/internal/huffman"
-	"repro/internal/obs"
-	"repro/internal/vm"
-)
+import "repro/internal/huffman"
 
 // DecodeStats reports the region coder's decode-path counters (table hits,
 // wide peeks, reference tree walks). Host-side telemetry only; the values
 // differ with the fast paths on or off while the decoded bits do not.
 func (rt *Runtime) DecodeStats() huffman.DecodeStats {
 	return rt.comp.DecodeStats()
-}
-
-// PublishRunTelemetry folds one simulated run's counters into the metrics
-// registry under the vm_*, rt_*, and huffman_* names. Either argument may
-// be nil (as may reg), in which case the corresponding metrics are skipped.
-// Publishing is read-only with respect to the machine and runtime, so it
-// never perturbs the simulated observables.
-func PublishRunTelemetry(reg *obs.Registry, m *vm.Machine, rt *Runtime) {
-	if reg == nil {
-		return
-	}
-	if m != nil {
-		reg.Counter("vm_instructions_total").Add(m.Instructions)
-		reg.Counter("vm_cycles_total").Add(m.Cycles)
-		reg.Counter("vm_fastpath_steps_total").Add(m.FastSteps())
-		reg.Counter("vm_fastpath_misses_total").Add(m.Telem.Predecodes)
-		reg.Counter("vm_slow_dispatches_total").Add(m.Telem.SlowDispatches)
-		reg.Counter("vm_slow_steps_total").Add(m.Telem.SlowSteps)
-		reg.Counter("vm_icache_invalidated_words_total").Add(m.Telem.InvalidatedWords)
-		if m.ICache != nil {
-			reg.Counter("vm_icache_hits_total").Add(m.ICache.Hits)
-			reg.Counter("vm_icache_misses_total").Add(m.ICache.Misses)
-		}
-	}
-	if rt != nil {
-		reg.Counter("rt_buffer_fills_total").Add(rt.Stats.Decompressions)
-		reg.Counter("rt_buffer_evictions_total").Add(rt.Stats.Evictions)
-		reg.Counter("rt_bits_read_total").Add(rt.Stats.BitsRead)
-		reg.Counter("rt_insts_emitted_total").Add(rt.Stats.InstsEmitted)
-		reg.Counter("rt_restore_stub_returns_total").Add(rt.Stats.RestoreReturns)
-		reg.Counter("rt_stub_create_hits_total").Add(rt.Stats.CreateStubHits)
-		reg.Counter("rt_stub_create_misses_total").Add(rt.Stats.CreateStubMisses)
-		reg.Counter("rt_memo_hits_total").Add(rt.Telem.MemoHits)
-		reg.Counter("rt_memo_fills_total").Add(rt.Telem.MemoFills)
-		ds := rt.DecodeStats()
-		reg.Counter("huffman_table_hits_total").Add(ds.TableHits)
-		reg.Counter("huffman_wide_peeks_total").Add(ds.WidePeeks)
-		reg.Counter("huffman_tree_decodes_total").Add(ds.TreeDecodes)
-	}
 }

@@ -106,11 +106,10 @@ func TestSquashSpansAndMetricsRecorded(t *testing.T) {
 	rec := obs.New()
 	conf := DefaultConfig()
 	conf.Workers = 2
-	// θ=1 compresses everything compressible, so the run below exercises
-	// the runtime decompressor and its rt_* counters.
+	// θ=1 compresses everything compressible, so every region stage has
+	// work to record.
 	conf.Theta = 1.0
-	out, err := SquashObs(obj, pm.Profile, conf, rec)
-	if err != nil {
+	if _, err := SquashObs(obj, pm.Profile, conf, rec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,34 +130,4 @@ func TestSquashSpansAndMetricsRecorded(t *testing.T) {
 			t.Errorf("metric %s missing or zero after a squash", name)
 		}
 	}
-
-	// A run of the squashed image feeds the vm_*/rt_* families.
-	rt, err := NewRuntime(out.Meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := vm.New(out.Image, []byte("spans spans spans"))
-	rt.Install(m)
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	PublishRunTelemetry(rec.Metrics, m, rt)
-	snap = rec.Metrics.Snapshot()
-	have = map[string]uint64{}
-	for _, c := range snap.Counters {
-		have[c.Name] += c.Value
-	}
-	for _, name := range []string{"vm_instructions_total", "vm_cycles_total", "rt_buffer_fills_total", "rt_bits_read_total"} {
-		if have[name] == 0 {
-			t.Errorf("metric %s missing or zero after a squashed run", name)
-		}
-	}
-	// Publishing must not touch the machine or runtime.
-	before := m.Instructions
-	PublishRunTelemetry(rec.Metrics, m, rt)
-	if m.Instructions != before {
-		t.Fatal("PublishRunTelemetry perturbed the machine")
-	}
-	// Nil registry is a no-op, not a panic.
-	PublishRunTelemetry(nil, m, rt)
 }

@@ -57,12 +57,6 @@ var sysMnemonics = map[uint32]string{
 	SysIMB:    "sys imb",
 }
 
-// MnemonicTables exposes the assembler-facing name tables so that the
-// assembler and disassembler cannot drift apart.
-func MnemonicTables() (mem, branch map[uint32]string, operate map[[2]uint32]string) {
-	return memMnemonics, branchMnemonics, operateMnemonics
-}
-
 // String renders the instruction in the assembler's input syntax. Branch
 // displacements are shown as relative word counts (".+n"/".-n") since the
 // instruction does not know its own address; see Disasm for absolute form.

@@ -218,9 +218,6 @@ func FormatOf(op uint32) Format {
 	}
 }
 
-// IsBranchOp reports whether op is a Branch-format opcode.
-func IsBranchOp(op uint32) bool { return FormatOf(op) == FormatBranch }
-
 // IsCondBranchOp reports whether op is a conditional branch.
 func IsCondBranchOp(op uint32) bool { return op >= OpBEQ && op <= OpBGE }
 

@@ -109,7 +109,6 @@ func BenchmarkLZDecode(b *testing.B) {
 			b.Run(corpus.name+"/"+mode.name, func(b *testing.B) {
 				c.SetSlowDecode(mode.slow)
 				defer c.SetSlowDecode(false)
-				c.Prime()
 				b.SetBytes(int64(4 * len(seq)))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

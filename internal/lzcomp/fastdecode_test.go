@@ -104,10 +104,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		}
 	}
 	c := Train([][]isa.Inst{seq, seq[:17]})
-	blob, offsets, err := c.CompressAll([][]isa.Inst{seq, seq[:17]}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob, offsets := compressSeqs(t, c, [][]isa.Inst{seq, seq[:17]})
 	tables, err := c.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -142,46 +139,6 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if err := new(Compressor).UnmarshalBinary(append(append([]byte{}, tables...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
-	}
-}
-
-// TestCompressAllMatchesSequential: CompressAll must produce exactly the
-// blob and offsets that sequential Compress calls against one writer would,
-// at any worker count.
-func TestCompressAllMatchesSequential(t *testing.T) {
-	var seqs [][]isa.Inst
-	for seed := int64(0); seed < 6; seed++ {
-		insts := isa.RandInsts(seed, 60)
-		var seq []isa.Inst
-		for _, in := range insts {
-			if in.Format != isa.FormatIllegal {
-				seq = append(seq, in)
-			}
-		}
-		seqs = append(seqs, seq)
-	}
-	c := Train(seqs)
-	var ref huffman.BitWriter
-	refOff := make([]uint32, len(seqs))
-	for i, s := range seqs {
-		refOff[i] = uint32(ref.Len())
-		if err := c.Compress(&ref, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 4, 8} {
-		blob, offsets, err := c.CompressAll(seqs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(blob, ref.Bytes()) {
-			t.Fatalf("workers=%d: blob differs from sequential", workers)
-		}
-		for i := range offsets {
-			if offsets[i] != refOff[i] {
-				t.Fatalf("workers=%d: offset %d is %d, want %d", workers, i, offsets[i], refOff[i])
-			}
-		}
 	}
 }
 

@@ -28,8 +28,6 @@ import (
 
 	"repro/internal/huffman"
 	"repro/internal/isa"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // Token kinds in the kind stream.
@@ -61,8 +59,8 @@ type Compressor struct {
 
 	// dictInsts caches the decoded form of every dictionary word, so the
 	// fast path emits dictionary hits (and match copies of them) without
-	// re-running isa.Decode — half the decode profile otherwise. Built
-	// lazily on first fast Decompress, or eagerly by Prime.
+	// re-running isa.Decode — half the decode profile otherwise. Built by
+	// Train, or lazily on the first fast Decompress of deserialized tables.
 	dictInsts []isa.Inst
 
 	// slowDecode routes every codeword decode through the reference
@@ -73,14 +71,9 @@ type Compressor struct {
 	// read the same either way.
 	slowDecode bool
 
-	// Span, when set, is the parent under which CompressAll forks one
-	// telemetry span per region (same hook as streamcomp). Nil records
-	// nothing; the emitted bits are identical either way.
-	Span *obs.Span
-
 	// estBitsPerWord is the expected coded size of one instruction word,
 	// rounded up, computed by Train from the token statistics the codes were
-	// built from. It sizes the pooled per-region writers (see sizeHint); zero
+	// built from. It sizes the pooled per-region writers (see SizeHint); zero
 	// means untrained or deserialized, which falls back to a conservative
 	// default.
 	estBitsPerWord int
@@ -93,18 +86,6 @@ func (c *Compressor) SetSlowDecode(v bool) { c.slowDecode = v }
 // codes lists the four token codes in serialization order.
 func (c *Compressor) codes() [4]*huffman.Code {
 	return [4]*huffman.Code{c.kindCode, c.dictCode, c.distCode, c.lenCode}
-}
-
-// Prime eagerly builds the encoder maps and decode tables of all four codes;
-// required before sharing the compressor across goroutines, since both are
-// otherwise built lazily on first use.
-func (c *Compressor) Prime() {
-	for _, code := range c.codes() {
-		code.Prime()
-	}
-	if c.dictInsts == nil {
-		c.primeDictInsts()
-	}
 }
 
 // primeDictInsts decodes every dictionary word once.
@@ -189,7 +170,9 @@ func (c *Compressor) appendTokens(dst []token, words []uint32) []token {
 	return out
 }
 
-// Train builds the dictionary and Huffman codes over all regions.
+// Train builds the dictionary and Huffman codes over all regions. The
+// returned compressor has its codes and dictionary decode primed, so
+// concurrent Compress calls share it safely.
 func Train(seqs [][]isa.Inst) *Compressor {
 	c := &Compressor{dictIdx: map[uint32]int{}}
 
@@ -270,13 +253,17 @@ func Train(seqs [][]isa.Inst) *Compressor {
 	if totalWords > 0 {
 		c.estBitsPerWord = int((totalBits + totalWords - 1) / totalWords)
 	}
+	for _, code := range c.codes() {
+		code.Prime() // lazy encoder init would race across goroutines
+	}
+	c.primeDictInsts()
 	return c
 }
 
-// sizeHint estimates the byte capacity a region of nWords instruction words
+// SizeHint estimates the byte capacity a region of nWords instruction words
 // needs, from the trained expected bits per word plus slack for the end
 // token, padding, and estimate error.
-func (c *Compressor) sizeHint(nWords int) int {
+func (c *Compressor) SizeHint(nWords int) int {
 	est := c.estBitsPerWord
 	if est <= 0 {
 		est = 24 // conservative default when untrained
@@ -315,55 +302,6 @@ func (c *Compressor) Compress(w *huffman.BitWriter, seq []isa.Inst) error {
 		}
 	}
 	return nil
-}
-
-// CompressAll compresses every sequence and concatenates the per-sequence
-// bit streams in input order, exactly as sequential Compress calls against
-// one shared writer would. offsets[i] is the starting bit position of
-// sequence i in the returned blob. Sequences are encoded concurrently into
-// private writers (each region's bits are independent of its position in
-// the blob), so the result is byte-identical at any worker count.
-func (c *Compressor) CompressAll(seqs [][]isa.Inst, workers int) (blob []byte, offsets []uint32, err error) {
-	c.Prime() // lazy encoder init would race across goroutines
-	parts, err := parallel.Map(len(seqs), workers, func(i int) (*huffman.BitWriter, error) {
-		sp := c.Span.Fork("region.encode", "region", i, "insts", len(seqs[i]))
-		w := huffman.GetWriter(c.sizeHint(len(seqs[i])))
-		if err := c.Compress(w, seqs[i]); err != nil {
-			sp.End()
-			huffman.PutWriter(w)
-			return nil, fmt.Errorf("region %d: %w", i, err)
-		}
-		sp.SetArg("bits", w.Len())
-		sp.End()
-		return w, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var out huffman.BitWriter
-	total := 0
-	for _, part := range parts {
-		total += (part.Len() + 7) / 8
-	}
-	out.Grow(total + 1)
-	offsets = make([]uint32, len(seqs))
-	for i, part := range parts {
-		offsets[i] = uint32(out.Len())
-		out.Append(part)
-		parts[i] = nil
-		huffman.PutWriter(part) // Bytes was never called on part, so its buffer recycles
-	}
-	return out.Bytes(), offsets, nil
-}
-
-// CompressedBits reports the coded size of seq, including the terminator.
-func (c *Compressor) CompressedBits(seq []isa.Inst) (int, error) {
-	w := huffman.GetWriter(c.sizeHint(len(seq)))
-	defer huffman.PutWriter(w)
-	if err := c.Compress(w, seq); err != nil {
-		return 0, err
-	}
-	return w.Len(), nil
 }
 
 // Decompress decodes one region starting at bit offset bitOff, invoking
@@ -462,60 +400,29 @@ func (c *Compressor) DecodeStats() huffman.DecodeStats {
 	return total
 }
 
-// TableBytes reports the serialized size of the dictionary and codes — the
-// data the decompressor must carry.
-func (c *Compressor) TableBytes() int {
-	b, err := c.MarshalBinary()
-	if err != nil {
-		return 0
-	}
-	return len(b)
-}
-
-func append24(out []byte, n int) []byte {
-	return append(out, byte(n), byte(n>>8), byte(n>>16))
-}
-
-func read24(data []byte, pos int) (int, int, error) {
-	if pos+3 > len(data) {
-		return 0, 0, fmt.Errorf("lzcomp: truncated length at byte %d", pos)
-	}
-	return int(data[pos]) | int(data[pos+1])<<8 | int(data[pos+2])<<16, pos + 3, nil
-}
-
-// MarshalBinary serializes the dictionary and the four token codes: a u24
-// dictionary length, the dictionary words little-endian, then each code as a
-// u24-length-prefixed huffman.Code blob in codes() order.
+// MarshalBinary serializes the dictionary and the four token codes: the
+// dictionary length, the dictionary words little-endian, then the codes in
+// codes() order framed by huffman.AppendCodes.
 func (c *Compressor) MarshalBinary() ([]byte, error) {
-	var out []byte
-	out = append24(out, len(c.dict))
-	for _, w := range c.dict {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], w)
-		out = append(out, b[:]...)
+	out, err := huffman.AppendLen24(nil, len(c.dict))
+	if err != nil {
+		return nil, fmt.Errorf("lzcomp: %w", err)
 	}
-	for _, code := range c.codes() {
-		blob, err := code.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		if len(blob) > 0xFFFFFF {
-			return nil, fmt.Errorf("lzcomp: code table too large")
-		}
-		out = append24(out, len(blob))
-		out = append(out, blob...)
+	for _, w := range c.dict {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	codes := c.codes()
+	if out, err = huffman.AppendCodes(out, codes[:]...); err != nil {
+		return nil, fmt.Errorf("lzcomp: %w", err)
 	}
 	return out, nil
 }
 
 // UnmarshalBinary deserializes tables written by MarshalBinary.
 func (c *Compressor) UnmarshalBinary(data []byte) error {
-	n, pos, err := read24(data, 0)
+	n, pos, err := huffman.ReadLen24(data, 0, 4)
 	if err != nil {
-		return err
-	}
-	if pos+4*n > len(data) {
-		return fmt.Errorf("lzcomp: truncated dictionary of %d words", n)
+		return fmt.Errorf("lzcomp: dictionary: %w", err)
 	}
 	c.dict = make([]uint32, n)
 	c.dictIdx = make(map[uint32]int, n)
@@ -525,22 +432,11 @@ func (c *Compressor) UnmarshalBinary(data []byte) error {
 		c.dictIdx[c.dict[i]] = i
 		pos += 4
 	}
-	codes := [4]**huffman.Code{&c.kindCode, &c.dictCode, &c.distCode, &c.lenCode}
-	for i, slot := range codes {
-		n, p, err := read24(data, pos)
-		if err != nil {
-			return err
-		}
-		pos = p
-		if pos+n > len(data) {
-			return fmt.Errorf("lzcomp: truncated table body for code %d", i)
-		}
-		*slot = &huffman.Code{}
-		if err := (*slot).UnmarshalBinary(data[pos : pos+n]); err != nil {
-			return fmt.Errorf("lzcomp: code %d: %w", i, err)
-		}
-		pos += n
+	codes, pos, err := huffman.ReadCodes(data, pos, len(c.codes()))
+	if err != nil {
+		return fmt.Errorf("lzcomp: %w", err)
 	}
+	c.kindCode, c.dictCode, c.distCode, c.lenCode = codes[0], codes[1], codes[2], codes[3]
 	if pos != len(data) {
 		return fmt.Errorf("lzcomp: %d trailing bytes", len(data)-pos)
 	}

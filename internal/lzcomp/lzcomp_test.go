@@ -12,6 +12,44 @@ import (
 	"repro/internal/streamcomp"
 )
 
+// compressSeqs compresses every region in turn into one writer and returns
+// the blob with each region's starting bit.
+func compressSeqs(tb testing.TB, c *Compressor, seqs [][]isa.Inst) ([]byte, []uint32) {
+	tb.Helper()
+	var w huffman.BitWriter
+	offsets := make([]uint32, len(seqs))
+	for i, s := range seqs {
+		offsets[i] = uint32(w.Len())
+		if err := c.Compress(&w, s); err != nil {
+			tb.Fatalf("Compress region %d: %v", i, err)
+		}
+	}
+	return w.Bytes(), offsets
+}
+
+// codedBits is the coded size of seq in bits, terminator included, under
+// either region coder.
+func codedBits(tb testing.TB, c interface {
+	Compress(*huffman.BitWriter, []isa.Inst) error
+}, seq []isa.Inst) int {
+	tb.Helper()
+	var w huffman.BitWriter
+	if err := c.Compress(&w, seq); err != nil {
+		tb.Fatal(err)
+	}
+	return w.Len()
+}
+
+// tableBytes is the serialized size of a coder's tables.
+func tableBytes(tb testing.TB, c interface{ MarshalBinary() ([]byte, error) }) int {
+	tb.Helper()
+	b, err := c.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return len(b)
+}
+
 func roundTrip(t *testing.T, seqs [][]isa.Inst) *Compressor {
 	t.Helper()
 	c := Train(seqs)
@@ -55,10 +93,7 @@ func TestRoundTripRepetitive(t *testing.T) {
 		)
 	}
 	c := roundTrip(t, [][]isa.Inst{seq, seq[:10]})
-	bits, err := c.CompressedBits(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bits := codedBits(t, c, seq)
 	if perInst := float64(bits) / float64(len(seq)); perInst > 6 {
 		t.Errorf("repetitive code coded at %.1f bits/inst; matches not working", perInst)
 	}
@@ -128,21 +163,15 @@ func TestComparisonWithSplitStream(t *testing.T) {
 	seqs := [][]isa.Inst{seq}
 
 	lz := Train(seqs)
-	lzBits, err := lz.CompressedBits(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ss := streamcomp.Train(seqs, streamcomp.Options{})
-	ssBits, err := ss.CompressedBits(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lzTotal := lzBits/8 + lz.TableBytes()
-	ssTotal := ssBits/8 + ss.TableBytes()
+	lzBits, lzTables := codedBits(t, lz, seq), tableBytes(t, lz)
+	ssBits, ssTables := codedBits(t, ss, seq), tableBytes(t, ss)
+	lzTotal := lzBits/8 + lzTables
+	ssTotal := ssBits/8 + ssTables
 	t.Logf("split-stream: %d bits + %d table bytes = %d B (γ=%.3f)",
-		ssBits, ss.TableBytes(), ssTotal, float64(ssTotal)/float64(4*len(seq)))
+		ssBits, ssTables, ssTotal, float64(ssTotal)/float64(4*len(seq)))
 	t.Logf("lz dictionary: %d bits + %d table bytes = %d B (γ=%.3f)",
-		lzBits, lz.TableBytes(), lzTotal, float64(lzTotal)/float64(4*len(seq)))
+		lzBits, lzTables, lzTotal, float64(lzTotal)/float64(4*len(seq)))
 	if ssTotal >= 4*len(seq) || lzTotal >= 4*len(seq) {
 		t.Error("a coder failed to compress at all")
 	}

@@ -32,19 +32,17 @@ func lzTestSeqs() [][]isa.Inst {
 	return [][]isa.Inst{rep, mixed, {}, base}
 }
 
-// TestPoolingOnOffByteIdentical: with drained pools (fresh writers, readers
-// and scratch, as before pooling) and with pools warmed and dirtied by a
-// different, larger corpus, CompressAll emits the identical blob and offsets
-// and Decompress yields the identical instructions.
+// TestPoolingOnOffByteIdentical: with drained pools (fresh readers and
+// scratch, as before pooling) and with pools warmed and dirtied by a
+// different, larger corpus, Compress emits the identical blob and offsets
+// and Decompress yields the identical instructions. The pooled per-region
+// writers are core's, and TestRegionEncodeMatchesSequential covers them.
 func TestPoolingOnOffByteIdentical(t *testing.T) {
 	seqs := lzTestSeqs()
 	c := Train(seqs)
 
 	cycle := func(c *Compressor, seqs [][]isa.Inst) ([]byte, []uint32, [][]isa.Inst) {
-		blob, offsets, err := c.CompressAll(seqs, 2)
-		if err != nil {
-			t.Fatalf("CompressAll: %v", err)
-		}
+		blob, offsets := compressSeqs(t, c, seqs)
 		dec := make([][]isa.Inst, len(seqs))
 		for i := range seqs {
 			if _, err := c.Decompress(blob, int(offsets[i]), func(in isa.Inst) error {
@@ -111,7 +109,6 @@ func TestLZTokenDecodeAllocGate(t *testing.T) {
 	}
 	seqs := lzTestSeqs()
 	c := Train(seqs)
-	c.Prime()
 	var w huffman.BitWriter
 	if err := c.Compress(&w, seqs[1]); err != nil {
 		t.Fatal(err)

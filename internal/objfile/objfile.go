@@ -123,9 +123,6 @@ type Image struct {
 	Meta    []byte
 }
 
-// TextSize reports the text section size in bytes.
-func (im *Image) TextSize() int { return len(im.Text) * isa.WordSize }
-
 // SymAddr reports the absolute address of a symbol, or an error if the
 // symbol is not defined.
 func (im *Image) SymAddr(name string) (uint32, error) {

@@ -10,14 +10,20 @@ import (
 	"repro/internal/race"
 )
 
-// compressDecompress runs the full CompressAll + per-region Decompress cycle
-// and returns the blob, offsets, and decoded instructions.
-func compressDecompress(t *testing.T, c *Compressor, seqs [][]isa.Inst, workers int) ([]byte, []uint32, [][]isa.Inst) {
+// compressDecompress compresses every region in turn into one writer, then
+// decodes each region through Decompress's pooled reader, and returns the
+// blob, offsets, and decoded instructions.
+func compressDecompress(t *testing.T, c *Compressor, seqs [][]isa.Inst) ([]byte, []uint32, [][]isa.Inst) {
 	t.Helper()
-	blob, offsets, err := c.CompressAll(seqs, workers)
-	if err != nil {
-		t.Fatalf("CompressAll: %v", err)
+	var w huffman.BitWriter
+	offsets := make([]uint32, len(seqs))
+	for i, seq := range seqs {
+		offsets[i] = uint32(w.Len())
+		if err := c.Compress(&w, seq); err != nil {
+			t.Fatalf("Compress region %d: %v", i, err)
+		}
 	}
+	blob := w.Bytes()
 	decoded := make([][]isa.Inst, len(seqs))
 	for i := range seqs {
 		if _, err := c.Decompress(blob, int(offsets[i]), func(in isa.Inst) error {
@@ -31,10 +37,12 @@ func compressDecompress(t *testing.T, c *Compressor, seqs [][]isa.Inst, workers 
 }
 
 // TestPoolingOnOffByteIdentical is the coder-level half of the pooling
-// invariant: with drained pools (every writer and reader freshly allocated,
-// as before pooling) and with pools warmed and dirtied by a different,
-// larger corpus, the compressed blob, the region offsets, and the decoded
-// instructions are identical. Runs both the plain and MTF variants.
+// invariant: with drained pools (every reader and count table freshly
+// allocated, as before pooling) and with pools warmed and dirtied by a
+// different, larger corpus, the compressed blob, the region offsets, and
+// the decoded instructions are identical. Runs both the plain and MTF
+// variants. The pooled per-region writers are core's, and
+// TestRegionEncodeMatchesSequential covers them.
 func TestPoolingOnOffByteIdentical(t *testing.T) {
 	seqs := [][]isa.Inst{
 		realisticSeq(1, 300),
@@ -49,11 +57,11 @@ func TestPoolingOnOffByteIdentical(t *testing.T) {
 
 		runtime.GC() // two cycles empty every sync.Pool, victim cache included
 		runtime.GC()
-		wantBlob, wantOffs, wantDec := compressDecompress(t, c, seqs, 3)
+		wantBlob, wantOffs, wantDec := compressDecompress(t, c, seqs)
 
-		compressDecompress(t, Train(polluter, opts), polluter, 3)
+		compressDecompress(t, Train(polluter, opts), polluter)
 		for cycle := 0; cycle < 3; cycle++ {
-			blob, offs, dec := compressDecompress(t, c, seqs, 3)
+			blob, offs, dec := compressDecompress(t, c, seqs)
 			if !bytes.Equal(blob, wantBlob) {
 				t.Fatalf("MTF=%v cycle %d: polluted-pool blob differs from drained-pool blob", opts.MTF, cycle)
 			}
@@ -86,12 +94,9 @@ func TestSizeHintCoversTypicalRegions(t *testing.T) {
 		t.Fatal("Train left estBitsPerInst unset")
 	}
 	for i, seq := range seqs {
-		bits, err := c.CompressedBits(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.sizeHint(len(seq)); got < (bits+7)/8 {
-			t.Errorf("region %d: sizeHint(%d) = %d bytes < actual %d", i, len(seq), got, (bits+7)/8)
+		bits := codedBits(t, c, seq)
+		if got := c.SizeHint(len(seq)); got < (bits+7)/8 {
+			t.Errorf("region %d: SizeHint(%d) = %d bytes < actual %d", i, len(seq), got, (bits+7)/8)
 		}
 	}
 }
@@ -113,7 +118,7 @@ func TestRegionEncodeAllocGate(t *testing.T) {
 	seq := realisticSeq(99, 512)
 	c := Train([][]isa.Inst{seq}, Options{})
 	pooled := testing.AllocsPerRun(200, func() {
-		w := huffman.GetWriter(c.sizeHint(len(seq)))
+		w := huffman.GetWriter(c.SizeHint(len(seq)))
 		if err := c.Compress(w, seq); err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +126,7 @@ func TestRegionEncodeAllocGate(t *testing.T) {
 	})
 	fresh := testing.AllocsPerRun(200, func() {
 		w := new(huffman.BitWriter)
-		w.Grow(c.sizeHint(len(seq)))
+		w.Grow(c.SizeHint(len(seq)))
 		if err := c.Compress(w, seq); err != nil {
 			t.Fatal(err)
 		}

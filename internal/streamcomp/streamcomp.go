@@ -16,13 +16,13 @@
 package streamcomp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/huffman"
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -64,11 +64,6 @@ type Compressor struct {
 	// one. Both consume identical bits; the switch exists so the runtime's
 	// fast-path-disabled mode can demonstrate that end to end.
 	slowDecode bool
-
-	// Span, when set, is the parent under which CompressAll forks one
-	// telemetry span per region. Nil (the default) records nothing; the
-	// emitted bits are identical either way.
-	Span *obs.Span
 }
 
 // SetSlowDecode selects the reference Huffman decoder for all subsequent
@@ -80,7 +75,9 @@ var sentinelInst = isa.Inst{Op: isa.OpIllegal, Format: isa.FormatIllegal}
 
 // Train builds the per-stream codes from the field-value frequencies of all
 // instruction sequences that will be compressed (the first pass of the
-// paper's two-pass process). A sentinel per sequence is included.
+// paper's two-pass process). A sentinel per sequence is included. The
+// returned compressor has its codes primed, so concurrent Compress calls
+// share it safely.
 func Train(seqs [][]isa.Inst, opts Options) *Compressor {
 	c := &Compressor{opts: opts}
 	if opts.MTF {
@@ -266,10 +263,10 @@ func countChunks(seqs [][]isa.Inst, workers int, count func(f *streamCounts, seq
 	return out
 }
 
-// sizeHint estimates the byte capacity a region of nInsts instructions needs,
+// SizeHint estimates the byte capacity a region of nInsts instructions needs,
 // from the trained expected bits per instruction (plus the sentinel and a
 // small slack for padding and estimate error).
-func (c *Compressor) sizeHint(nInsts int) int {
+func (c *Compressor) SizeHint(nInsts int) int {
 	est := c.estBitsPerInst
 	if est <= 0 {
 		est = 24 // conservative default when untrained
@@ -326,58 +323,6 @@ func (c *Compressor) encodeInst(w *huffman.BitWriter, in isa.Inst, mtf []*mtfSta
 		}
 	}
 	return nil
-}
-
-// CompressAll compresses every sequence and concatenates the per-sequence
-// bit streams in input order, exactly as sequential Compress calls against
-// one shared writer would. offsets[i] is the starting bit position of
-// sequence i in the returned blob. Sequences are encoded concurrently into
-// private writers (each region's bits are independent of its position in
-// the blob), so the result is byte-identical at any worker count.
-func (c *Compressor) CompressAll(seqs [][]isa.Inst, workers int) (blob []byte, offsets []uint32, err error) {
-	for _, code := range c.codes {
-		code.Prime() // lazy encoder init would race across goroutines
-	}
-	parts, err := parallel.Map(len(seqs), workers, func(i int) (*huffman.BitWriter, error) {
-		sp := c.Span.Fork("region.encode", "region", i, "insts", len(seqs[i]))
-		w := huffman.GetWriter(c.sizeHint(len(seqs[i])))
-		if err := c.Compress(w, seqs[i]); err != nil {
-			sp.End()
-			huffman.PutWriter(w)
-			return nil, fmt.Errorf("region %d: %w", i, err)
-		}
-		sp.SetArg("bits", w.Len())
-		sp.End()
-		return w, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var out huffman.BitWriter
-	total := 0
-	for _, part := range parts {
-		total += (part.Len() + 7) / 8
-	}
-	out.Grow(total + 1)
-	offsets = make([]uint32, len(seqs))
-	for i, part := range parts {
-		offsets[i] = uint32(out.Len())
-		out.Append(part)
-		parts[i] = nil
-		huffman.PutWriter(part) // Bytes was never called on part, so its buffer recycles
-	}
-	return out.Bytes(), offsets, nil
-}
-
-// CompressedBits reports the exact coded size in bits of seq including its
-// sentinel, without emitting anything.
-func (c *Compressor) CompressedBits(seq []isa.Inst) (int, error) {
-	w := huffman.GetWriter(c.sizeHint(len(seq)))
-	defer huffman.PutWriter(w)
-	if err := c.Compress(w, seq); err != nil {
-		return 0, err
-	}
-	return w.Len(), nil
 }
 
 // Decompress reads one region's merged codeword sequence starting at bit
@@ -468,53 +413,28 @@ func (c *Compressor) decodeField(r *huffman.BitReader, mtf []*mtfState, k isa.St
 	return v, nil
 }
 
-// TableBytes reports the serialized size of all fifteen code tables — the
-// "code representation and value list for each stream" stored with the
-// compressed program (§3) — plus, under MTF, the per-stream alphabets.
-func (c *Compressor) TableBytes() int {
-	b, err := c.MarshalBinary()
-	if err != nil {
-		return 0
-	}
-	return len(b)
-}
-
-func append24(out []byte, n int) []byte {
-	return append(out, byte(n), byte(n>>8), byte(n>>16))
-}
-
-func read24(data []byte, pos int) (int, int, error) {
-	if pos+3 > len(data) {
-		return 0, 0, fmt.Errorf("streamcomp: truncated length at byte %d", pos)
-	}
-	return int(data[pos]) | int(data[pos+1])<<8 | int(data[pos+2])<<16, pos + 3, nil
-}
-
-// MarshalBinary serializes the code tables (and MTF alphabets, if any).
+// MarshalBinary serializes the "code representation and value list for
+// each stream" stored with the compressed program (§3): a flag byte (1
+// under MTF, else 0), the fifteen codes framed by huffman.AppendCodes,
+// then under MTF each alphabet as a length and its ascending values as
+// uvarint deltas.
 func (c *Compressor) MarshalBinary() ([]byte, error) {
-	var out []byte
+	out := []byte{0}
 	if c.opts.MTF {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+		out[0] = 1
 	}
-	for _, code := range c.codes {
-		blob, err := code.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		if len(blob) > 0xFFFFFF {
-			return nil, fmt.Errorf("streamcomp: code table too large")
-		}
-		out = append24(out, len(blob))
-		out = append(out, blob...)
+	out, err := huffman.AppendCodes(out, c.codes[:]...)
+	if err != nil {
+		return nil, fmt.Errorf("streamcomp: %w", err)
 	}
 	if c.opts.MTF {
 		for _, alpha := range c.alphabets {
-			out = append24(out, len(alpha))
+			if out, err = huffman.AppendLen24(out, len(alpha)); err != nil {
+				return nil, fmt.Errorf("streamcomp: %w", err)
+			}
 			prev := uint32(0)
 			for _, v := range alpha {
-				out = appendUvarint(out, uint64(v-prev)) // ascending deltas
+				out = binary.AppendUvarint(out, uint64(v-prev)) // ascending deltas
 				prev = v
 			}
 		}
@@ -522,64 +442,36 @@ func (c *Compressor) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-func appendUvarint(out []byte, v uint64) []byte {
-	for v >= 0x80 {
-		out = append(out, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(out, byte(v))
-}
-
 // UnmarshalBinary deserializes tables written by MarshalBinary.
 func (c *Compressor) UnmarshalBinary(data []byte) error {
 	if len(data) < 1 {
 		return fmt.Errorf("streamcomp: empty table blob")
 	}
-	c.opts.MTF = data[0] == 1
-	pos := 1
-	for i := range c.codes {
-		n, p, err := read24(data, pos)
-		if err != nil {
-			return err
-		}
-		pos = p
-		if pos+n > len(data) {
-			return fmt.Errorf("streamcomp: truncated table body for stream %d", i)
-		}
-		c.codes[i] = &huffman.Code{}
-		if err := c.codes[i].UnmarshalBinary(data[pos : pos+n]); err != nil {
-			return fmt.Errorf("streamcomp: stream %d: %w", i, err)
-		}
-		pos += n
+	if data[0] > 1 {
+		return fmt.Errorf("streamcomp: unknown table flags %#x", data[0])
 	}
+	c.opts.MTF = data[0] == 1
+	codes, pos, err := huffman.ReadCodes(data, 1, len(c.codes))
+	if err != nil {
+		return fmt.Errorf("streamcomp: %w", err)
+	}
+	copy(c.codes[:], codes)
 	if c.opts.MTF {
 		for i := range c.alphabets {
-			n, p, err := read24(data, pos)
+			// Each value takes at least one byte.
+			n, p, err := huffman.ReadLen24(data, pos, 1)
 			if err != nil {
-				return err
+				return fmt.Errorf("streamcomp: alphabet %d: %w", i, err)
 			}
 			pos = p
-			// Each value takes at least one byte.
-			if n > len(data)-pos {
-				return fmt.Errorf("streamcomp: truncated alphabet for stream %d", i)
-			}
 			alpha := make([]uint32, n)
 			prev := uint64(0)
-			for k := 0; k < n; k++ {
-				var v uint64
-				var shift uint
-				for {
-					if pos >= len(data) {
-						return fmt.Errorf("streamcomp: truncated alphabet for stream %d", i)
-					}
-					b := data[pos]
-					pos++
-					v |= uint64(b&0x7F) << shift
-					if b < 0x80 {
-						break
-					}
-					shift += 7
+			for k := range alpha {
+				v, m := binary.Uvarint(data[pos:])
+				if m <= 0 {
+					return fmt.Errorf("streamcomp: truncated alphabet for stream %d", i)
 				}
+				pos += m
 				prev += v
 				alpha[k] = uint32(prev)
 			}

@@ -39,6 +39,17 @@ func realisticSeq(seed int64, n int) []isa.Inst {
 	return out
 }
 
+// codedBits compresses seq into a fresh writer and returns its coded size
+// in bits, sentinel included.
+func codedBits(tb testing.TB, c *Compressor, seq []isa.Inst) int {
+	tb.Helper()
+	var w huffman.BitWriter
+	if err := c.Compress(&w, seq); err != nil {
+		tb.Fatal(err)
+	}
+	return w.Len()
+}
+
 func roundTrip(t *testing.T, opts Options, seqs [][]isa.Inst) {
 	t.Helper()
 	c := Train(seqs, opts)
@@ -167,33 +178,12 @@ func TestCompressionBeatsRawEncoding(t *testing.T) {
 	// margin for this small synthetic sample but require real compression.
 	seqs := [][]isa.Inst{realisticSeq(11, 2000)}
 	c := Train(seqs, Options{})
-	bits, err := c.CompressedBits(seqs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	bits := codedBits(t, c, seqs[0])
 	perInst := float64(bits) / float64(len(seqs[0]))
 	if perInst >= 28 {
 		t.Fatalf("%.1f bits/instruction; expected meaningful compression below 28", perInst)
 	}
 	t.Logf("%.1f bits per instruction (raw: 32)", perInst)
-}
-
-func TestCompressedBitsMatchesCompress(t *testing.T) {
-	seqs := [][]isa.Inst{realisticSeq(13, 300), realisticSeq(14, 30)}
-	c := Train(seqs, Options{})
-	for _, s := range seqs {
-		want, err := c.CompressedBits(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w huffman.BitWriter
-		if err := c.Compress(&w, s); err != nil {
-			t.Fatal(err)
-		}
-		if w.Len() != want {
-			t.Fatalf("CompressedBits = %d, Compress wrote %d", want, w.Len())
-		}
-	}
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
@@ -228,9 +218,6 @@ func TestSerializeRoundTrip(t *testing.T) {
 			if got[i] != seqs[0][i] {
 				t.Fatalf("inst %d differs after serialize round trip", i)
 			}
-		}
-		if c.TableBytes() != len(blob) {
-			t.Fatalf("TableBytes = %d, blob = %d", c.TableBytes(), len(blob))
 		}
 	}
 }
@@ -270,14 +257,7 @@ func TestMTFCompressesRepetitiveStreamsBetter(t *testing.T) {
 	}
 	plain := Train([][]isa.Inst{seq}, Options{})
 	mtf := Train([][]isa.Inst{seq}, Options{MTF: true})
-	pb, err := plain.CompressedBits(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := mtf.CompressedBits(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pb, mb := codedBits(t, plain, seq), codedBits(t, mtf, seq)
 	t.Logf("plain %d bits, MTF %d bits", pb, mb)
 	// MTF should not be dramatically worse on recency-heavy data.
 	if float64(mb) > 1.3*float64(pb) {
@@ -316,6 +296,32 @@ func TestUnmarshalRejectsOutOfRangeValues(t *testing.T) {
 		var got Compressor
 		if err := got.UnmarshalBinary(tables); err == nil {
 			t.Errorf("%s: out-of-range tables loaded", c.name)
+		}
+	}
+}
+
+// TestUnmarshalRejectsBadFraming: the flag byte is 0 or 1 and nothing
+// else, and every truncation or extension of a table blob is refused.
+func TestUnmarshalRejectsBadFraming(t *testing.T) {
+	seqs := [][]isa.Inst{realisticSeq(3, 200)}
+	for _, opts := range []Options{{}, {MTF: true}} {
+		tables, err := Train(seqs, opts).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, flag := range []byte{2, 7, 0x80, 0xFF} {
+			bad := append([]byte{flag}, tables[1:]...)
+			if err := new(Compressor).UnmarshalBinary(bad); err == nil {
+				t.Errorf("MTF=%v: flag byte %#x accepted", opts.MTF, flag)
+			}
+		}
+		for n := 0; n < len(tables); n++ {
+			if err := new(Compressor).UnmarshalBinary(tables[:n]); err == nil {
+				t.Fatalf("MTF=%v: truncated tables (%d of %d bytes) accepted", opts.MTF, n, len(tables))
+			}
+		}
+		if err := new(Compressor).UnmarshalBinary(append(tables, 0)); err == nil {
+			t.Errorf("MTF=%v: trailing byte accepted", opts.MTF)
 		}
 	}
 }

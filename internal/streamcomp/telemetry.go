@@ -35,7 +35,7 @@ func (c *Compressor) StreamStats() []StreamStat {
 // StreamBits re-walks the field split of every sequence (sentinels
 // included) and totals the coded bits each stream contributes. The sum
 // over streams equals the blob's bit length; the per-stream split is
-// what CompressAll's merged output obscures. Costs one extra pass, so
+// what the merged blob obscures. Costs one extra pass, so
 // callers only invoke it when telemetry is on.
 func (c *Compressor) StreamBits(seqs [][]isa.Inst) [isa.NumStreams]uint64 {
 	var bits [isa.NumStreams]uint64
