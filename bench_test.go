@@ -311,13 +311,13 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 // BenchmarkStreamCompress measures split-stream compression throughput.
 func BenchmarkStreamCompress(b *testing.B) {
 	seq := isa.RandInsts(42, 4096)
-	var clean []isa.Inst
+	var clean []uint32
 	for _, in := range seq {
 		if in.Format != isa.FormatIllegal {
-			clean = append(clean, in)
+			clean = append(clean, isa.Encode(in))
 		}
 	}
-	comp := streamcomp.Train([][]isa.Inst{clean}, streamcomp.Options{})
+	comp := streamcomp.Train([][]uint32{clean}, streamcomp.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var w huffman.BitWriter
@@ -332,13 +332,13 @@ func BenchmarkStreamCompress(b *testing.B) {
 // reconstruction rate — the quantity the runtime cost model charges for.
 func BenchmarkStreamDecompress(b *testing.B) {
 	seq := isa.RandInsts(43, 4096)
-	var clean []isa.Inst
+	var clean []uint32
 	for _, in := range seq {
 		if in.Format != isa.FormatIllegal {
-			clean = append(clean, in)
+			clean = append(clean, isa.Encode(in))
 		}
 	}
-	comp := streamcomp.Train([][]isa.Inst{clean}, streamcomp.Options{})
+	comp := streamcomp.Train([][]uint32{clean}, streamcomp.Options{})
 	var w huffman.BitWriter
 	if err := comp.Compress(&w, clean); err != nil {
 		b.Fatal(err)
@@ -347,7 +347,7 @@ func BenchmarkStreamDecompress(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		if _, err := comp.Decompress(blob, 0, func(isa.Inst) error { n++; return nil }); err != nil {
+		if _, err := comp.DecompressWords(blob, 0, func(uint32) error { n++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 		if n != len(clean) {

@@ -53,12 +53,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq := make([]isa.Inst, len(im.Text))
-	for i, w := range im.Text {
-		seq[i] = isa.Decode(w)
-	}
+	seq := im.Text // the coder splits instruction words into its streams
 
-	comp := streamcomp.Train([][]isa.Inst{seq}, streamcomp.Options{})
+	comp := streamcomp.Train([][]uint32{seq}, streamcomp.Options{})
 	var w huffman.BitWriter
 	if err := comp.Compress(&w, seq); err != nil {
 		log.Fatal(err)
@@ -79,8 +76,8 @@ func main() {
 	// Per-field-type stream population, as in the paper's splitting scheme.
 	counts := map[isa.StreamKind]map[uint32]bool{}
 	totals := map[isa.StreamKind]int{}
-	for _, in := range seq {
-		for _, fv := range isa.Fields(in) {
+	for _, word := range seq {
+		for _, fv := range isa.Fields(isa.Decode(word)) {
 			if counts[fv.Kind] == nil {
 				counts[fv.Kind] = map[uint32]bool{}
 			}
@@ -97,9 +94,9 @@ func main() {
 	}
 
 	// Round trip.
-	var back []isa.Inst
-	bits, err := comp.Decompress(blob, 0, func(in isa.Inst) error {
-		back = append(back, in)
+	var back []uint32
+	bits, err := comp.DecompressWords(blob, 0, func(word uint32) error {
+		back = append(back, word)
 		return nil
 	})
 	if err != nil {

@@ -24,7 +24,16 @@ import (
 // All instructions are decoded into one backing array. Each block's Insts is
 // a capped window of it (all[lo:hi:hi]), so a transform that appends to a
 // block reallocates that block instead of overwriting its neighbour.
+//
+// Build decodes with one goroutine per CPU; BuildWorkers bounds them.
 func Build(obj *objfile.Object, entry string) (*Program, error) {
+	return BuildWorkers(obj, entry, 0)
+}
+
+// BuildWorkers is Build with the decode fanned out over at most workers
+// goroutines; <= 0 means one per CPU, 1 a serial lift. The program is the
+// same at every worker count.
+func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, error) {
 	nWords := len(obj.Text)
 
 	// Text symbols in word order; the stable sort keeps object order among
@@ -122,7 +131,7 @@ func Build(obj *objfile.Object, entry string) (*Program, error) {
 		leader[syms[i].w] = true
 	}
 	all := make([]Inst, nWords)
-	err := parallel.ForEachChunk(nWords, 0, 16384, func(lo, hi int) error {
+	err := parallel.ForEachChunk(nWords, workers, 16384, func(lo, hi int) error {
 		for w := lo; w < hi; w++ {
 			in := isa.Decode(obj.Text[w])
 			ci := &all[w]

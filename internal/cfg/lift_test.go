@@ -291,6 +291,26 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBuildWorkersMatchesReference: the lift of squeezed pgp, whose text
+// spans several 16 Ki-word decode chunks, is the reference program at
+// every decode worker count, serial (1) included.
+func TestBuildWorkersMatchesReference(t *testing.T) {
+	obj := pgpSqueezed(t)
+	want, err := cfg.RefBuild(obj, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		got, err := cfg.BuildWorkers(obj, "main", workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameProgram(got, want); err != nil {
+			t.Errorf("workers=%d: %v", workers, err)
+		}
+	}
+}
+
 // TestBuildBlocksDoNotAlias: blocks and functions share backing arrays
 // after Build, so growing one must reallocate it rather than overwrite the
 // next block's instructions or the next function's blocks.

@@ -349,7 +349,7 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 // private writers, because a region's bits do not depend on where it lands
 // in the blob, so the blob is byte-identical at any worker count. Each
 // region gets its own span forked from sp, on its own track.
-func encodeRegions(comp RegionCoder, seqs [][]isa.Inst, workers int, sp *obs.Span) (blob []byte, offsets []uint32, err error) {
+func encodeRegions(comp RegionCoder, seqs [][]uint32, workers int, sp *obs.Span) (blob []byte, offsets []uint32, err error) {
 	parts, err := parallel.Map(len(seqs), workers, func(i int) (*huffman.BitWriter, error) {
 		rsp := sp.Fork("region.encode", "region", i, "insts", len(seqs[i]))
 		w := huffman.GetWriter(comp.SizeHint(len(seqs[i])))
@@ -385,7 +385,7 @@ func encodeRegions(comp RegionCoder, seqs [][]isa.Inst, workers int, sp *obs.Spa
 // numbers behind the paper's Table 3 — into the recorder's registry.
 // The per-stream bit accounting re-walks every sequence, so the whole
 // body is gated on telemetry being enabled.
-func (e *encoder) publishMetrics(comp RegionCoder, seqs [][]isa.Inst, blob, tables []byte) {
+func (e *encoder) publishMetrics(comp RegionCoder, seqs [][]uint32, blob, tables []byte) {
 	if e.rec == nil || e.rec.Metrics == nil {
 		return
 	}
@@ -584,14 +584,14 @@ func sortRS(rs []rsStub) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].label < rs[j].label })
 }
 
-// buildSeq produces the final instruction sequence for region r: all
+// buildSeq produces the final instruction word sequence for region r: all
 // displacement fields resolved against the fixed buffer layout and the
 // linked image's symbol addresses, calls rewritten per their
 // classification (intra-region, buffer-safe, expanded, or routed through a
 // compile-time restore stub). The sequence appends into dst, which the
 // caller sizes to the exact length implied by the layout (see scratch.go);
 // an undersized dst still produces a correct sequence, it just reallocates.
-func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []isa.Inst) ([]isa.Inst, error) {
+func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []uint32) ([]uint32, error) {
 	lay := e.layouts[r.ID]
 	bufWordBase := int(addrOf[symRtBuf]) / isa.WordSize
 	wordAddr := func(label string) (int, error) {
@@ -651,6 +651,7 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []is
 				return nil, fmt.Errorf("region %d block %s inst %d: layout width %d, encode width %d (callee %q expand=%v intra=%v)",
 					r.ID, b.Label, j, layWidth, width, info.site.Callee, info.expand, info.intra)
 			}
+			var out isa.Inst
 			switch {
 			case isCall && !info.site.Indirect: // direct bsr
 				callee := in.Target
@@ -659,7 +660,7 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []is
 					// Expanded call whose transfer branches within the
 					// buffer: bsr CreateStub; br <buffer offset>.
 					off, _ := e.intraOff(r, callee)
-					seq = append(seq, isa.Br(isa.OpBSRX, in.RA, int32(off-(pos+2))))
+					out = isa.Br(isa.OpBSRX, in.RA, int32(off-(pos+2)))
 				case info.expand && e.conf.CompileTimeRestoreStubs:
 					lbl, err := rsIndex(r.ID, pos+1)
 					if err != nil {
@@ -669,19 +670,19 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []is
 					if err != nil {
 						return nil, err
 					}
-					seq = append(seq, isa.Br(isa.OpBR, isa.RegZero, extDisp(tw, pos, 1)))
+					out = isa.Br(isa.OpBR, isa.RegZero, extDisp(tw, pos, 1))
 				case info.expand:
 					tw, err := wordAddr(e.retarget(callee))
 					if err != nil {
 						return nil, err
 					}
-					seq = append(seq, isa.Br(isa.OpBSRX, in.RA, extDisp(tw, pos, 2)))
+					out = isa.Br(isa.OpBSRX, in.RA, extDisp(tw, pos, 2))
 				default: // buffer-safe
 					tw, err := wordAddr(e.retarget(callee))
 					if err != nil {
 						return nil, err
 					}
-					seq = append(seq, isa.Br(isa.OpBSR, in.RA, extDisp(tw, pos, 1)))
+					out = isa.Br(isa.OpBSR, in.RA, extDisp(tw, pos, 1))
 				}
 			case isCall && info.site.Indirect: // jsr
 				switch {
@@ -694,23 +695,23 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []is
 					if err != nil {
 						return nil, err
 					}
-					seq = append(seq, isa.Br(isa.OpBR, isa.RegZero, extDisp(tw, pos, 1)))
+					out = isa.Br(isa.OpBR, isa.RegZero, extDisp(tw, pos, 1))
 				case info.expand:
-					seq = append(seq, isa.Inst{Op: isa.OpJSRX, Format: isa.FormatJump,
-						RA: in.RA, RB: in.RB, JFunc: isa.JmpJSR})
+					out = isa.Inst{Op: isa.OpJSRX, Format: isa.FormatJump,
+						RA: in.RA, RB: in.RB, JFunc: isa.JmpJSR}
 				default: // intra-region or buffer-safe: register-based, unchanged
-					seq = append(seq, in.Inst)
+					out = in.Inst
 				}
 			case in.Kind == cfg.TargetBranch:
 				t := in.Target
 				if off, intra := e.intraOff(r, t); intra {
-					seq = append(seq, isa.Br(in.Op, in.RA, int32(off-(pos+1))))
+					out = isa.Br(in.Op, in.RA, int32(off-(pos+1)))
 				} else {
 					tw, err := wordAddr(e.retarget(t))
 					if err != nil {
 						return nil, err
 					}
-					seq = append(seq, isa.Br(in.Op, in.RA, extDisp(tw, pos, 1)))
+					out = isa.Br(in.Op, in.RA, extDisp(tw, pos, 1))
 				}
 			case in.Kind == cfg.TargetHi16 || in.Kind == cfg.TargetLo16:
 				a, err := e.laAddr(r, lay, addrOf, in.Target)
@@ -721,31 +722,52 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []is
 				lo := int64(int16(a & 0xFFFF))
 				hi := int32(int16((a - lo) >> 16))
 				if in.Kind == cfg.TargetHi16 {
-					seq = append(seq, isa.Mem(in.Op, in.RA, in.RB, hi))
+					out = isa.Mem(in.Op, in.RA, in.RB, hi)
 				} else {
-					seq = append(seq, isa.Mem(in.Op, in.RA, in.RB, int32(lo)))
+					out = isa.Mem(in.Op, in.RA, in.RB, int32(lo))
 				}
 			default:
-				seq = append(seq, in.Inst)
+				out = in.Inst
 			}
+			w, err := regionWord(out)
+			if err != nil {
+				return nil, fmt.Errorf("region %d block %s inst %d: %w", r.ID, b.Label, j, err)
+			}
+			seq = append(seq, w)
 		}
 		// Knit branch inserted after this block by the layout.
 		if insIdx < len(lay.inserted) && lay.inserted[insIdx][0] == bi {
 			pos := lay.inserted[insIdx][1]
 			t := b.FallsTo
+			var out isa.Inst
 			if off, intra := e.intraOff(r, t); intra {
-				seq = append(seq, isa.Br(isa.OpBR, isa.RegZero, int32(off-(pos+1))))
+				out = isa.Br(isa.OpBR, isa.RegZero, int32(off-(pos+1)))
 			} else {
 				tw, err := wordAddr(e.retarget(t))
 				if err != nil {
 					return nil, err
 				}
-				seq = append(seq, isa.Br(isa.OpBR, isa.RegZero, extDisp(tw, pos, 1)))
+				out = isa.Br(isa.OpBR, isa.RegZero, extDisp(tw, pos, 1))
 			}
+			w, err := regionWord(out)
+			if err != nil {
+				return nil, fmt.Errorf("region %d knit branch after block %s: %w", r.ID, b.Label, err)
+			}
+			seq = append(seq, w)
 			insIdx++
 		}
 	}
 	return seq, nil
+}
+
+// regionWord encodes one region instruction. A resolved branch
+// displacement that leaves the 21-bit field is an error rather than
+// isa.Encode's panic; every other field is in range by construction.
+func regionWord(in isa.Inst) (uint32, error) {
+	if in.Format == isa.FormatBranch && (in.Disp < -(1<<20) || in.Disp >= 1<<20) {
+		return 0, fmt.Errorf("branch displacement %d exceeds 21 bits", in.Disp)
+	}
+	return isa.Encode(in), nil
 }
 
 // laAddr resolves the address an la pair inside region r must materialize:

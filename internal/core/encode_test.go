@@ -190,12 +190,16 @@ func linkObj(obj *objfile.Object) (*objfile.Image, error) {
 	return objfile.Link("main", obj)
 }
 
-// legalInsts returns n random instructions with the illegal ones (which no
-// region holds) left out.
-func legalInsts(seed int64, n int) []isa.Inst {
-	return slices.DeleteFunc(isa.RandInsts(seed, n), func(in isa.Inst) bool {
-		return in.Format == isa.FormatIllegal
-	})
+// legalWords returns the words of n random instructions with the illegal
+// ones (which no region holds) left out.
+func legalWords(seed int64, n int) []uint32 {
+	var out []uint32
+	for _, in := range isa.RandInsts(seed, n) {
+		if in.Format != isa.FormatIllegal {
+			out = append(out, isa.Encode(in))
+		}
+	}
+	return out
 }
 
 // TestRegionEncodeMatchesSequential: encodeRegions lays the regions out
@@ -203,18 +207,18 @@ func legalInsts(seed int64, n int) []isa.Inst {
 // offsets alike, under both coders and MTF, at any worker count, with the
 // writer pool drained and with it dirtied by a larger corpus.
 func TestRegionEncodeMatchesSequential(t *testing.T) {
-	var seqs [][]isa.Inst
+	var seqs [][]uint32
 	for seed := int64(0); seed < 8; seed++ {
-		seqs = append(seqs, legalInsts(seed, 60*int(seed))) // region 0 is empty
+		seqs = append(seqs, legalWords(seed, 60*int(seed))) // region 0 is empty
 	}
-	polluter := [][]isa.Inst{legalInsts(100, 3000), legalInsts(101, 2000), legalInsts(102, 900)}
+	polluter := [][]uint32{legalWords(100, 3000), legalWords(101, 2000), legalWords(102, 900)}
 	for _, coder := range []struct {
 		name  string
-		train func([][]isa.Inst) RegionCoder
+		train func([][]uint32) RegionCoder
 	}{
-		{"stream", func(s [][]isa.Inst) RegionCoder { return streamcomp.Train(s, streamcomp.Options{}) }},
-		{"stream+mtf", func(s [][]isa.Inst) RegionCoder { return streamcomp.Train(s, streamcomp.Options{MTF: true}) }},
-		{"lz", func(s [][]isa.Inst) RegionCoder { return lzcomp.Train(s) }},
+		{"stream", func(s [][]uint32) RegionCoder { return streamcomp.Train(s, streamcomp.Options{}) }},
+		{"stream+mtf", func(s [][]uint32) RegionCoder { return streamcomp.Train(s, streamcomp.Options{MTF: true}) }},
+		{"lz", func(s [][]uint32) RegionCoder { return lzcomp.Train(s) }},
 	} {
 		comp, dirty := coder.train(seqs), coder.train(polluter)
 		var ref huffman.BitWriter
@@ -247,7 +251,7 @@ func TestRegionEncodeMatchesSequential(t *testing.T) {
 	// A region the coder refuses fails the encode, naming the lowest such
 	// region at any worker count.
 	bad := slices.Clone(seqs)
-	bad[5] = append(slices.Clone(seqs[5]), isa.Inst{Op: isa.OpIllegal, Format: isa.FormatIllegal})
+	bad[5] = append(slices.Clone(seqs[5]), isa.Sentinel)
 	bad[6] = bad[5]
 	comp := streamcomp.Train(seqs, streamcomp.Options{})
 	for _, workers := range []int{1, 8} {

@@ -76,7 +76,8 @@ func (rt *Runtime) decodeInterpRegion(region int) (*interpRegion, error) {
 	ir := &interpRegion{}
 	pos := int32(1)
 	maxWords := int32(rt.meta.K / isa.WordSize)
-	_, err := rt.comp.Decompress(rt.meta.Blob, int(rt.meta.OffsetTable[region]), func(in isa.Inst) error {
+	_, err := rt.comp.DecompressWords(rt.meta.Blob, int(rt.meta.OffsetTable[region]), func(w uint32) error {
+		in := isa.Decode(w)
 		ir.insts = append(ir.insts, in)
 		ir.offs = append(ir.offs, pos)
 		if in.Op == isa.OpBSRX || in.Op == isa.OpJSRX {

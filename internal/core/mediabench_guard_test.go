@@ -39,8 +39,10 @@ func squashToBytes(t *testing.T, obj *objfile.Object, counts profile.Counts, con
 
 // drainPools empties every sync.Pool in the process: two GC cycles clear
 // the pools and their victim caches, so the next squash or run allocates
-// fresh buffers, as the code did before pooling.
+// fresh buffers, as the code did before pooling. It also drops the spare
+// sequence scratch, which collections do not clear.
 func drainPools() {
+	spareScratch.Store(nil)
 	runtime.GC()
 	runtime.GC()
 }

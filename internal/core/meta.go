@@ -48,18 +48,23 @@ const (
 )
 
 // RegionCoder is the one contract both region coders (streamcomp's §3
-// split-stream coder and lzcomp's dictionary coder) meet. The squasher
-// trains one, compresses each region into its own writer (presized by
-// SizeHint; a trained coder is safe for concurrent Compress) and stores
-// MarshalBinary's tables; core lays the regions out into the blob. The
-// runtime decodes one region at a time and can switch between the
-// table-driven and reference bit-at-a-time Huffman decoders, which consume
-// identical bits. DecodeStats exposes the coder's decode-path telemetry
-// (host-side only, never part of the simulated state).
+// split-stream coder and lzcomp's dictionary coder) meet, over 32-bit
+// instruction words. The squasher trains one, compresses each region's
+// words into its own writer (presized by SizeHint; a trained coder is safe
+// for concurrent Compress, which refuses words that are not canonical,
+// isa.Canonical) and stores MarshalBinary's tables; core lays the regions
+// out into the blob. The runtime decodes one region at a time with
+// DecompressWords, whose words are all canonical, and can switch between
+// the table-driven and reference bit-at-a-time Huffman decoders, which
+// consume identical bits. Decompress is DecompressWords through isa.Decode,
+// for callers that want instructions. DecodeStats exposes the coder's
+// decode-path telemetry (host-side only, never part of the simulated
+// state).
 type RegionCoder interface {
-	Compress(w *huffman.BitWriter, seq []isa.Inst) error
+	Compress(w *huffman.BitWriter, seq []uint32) error
 	SizeHint(nInsts int) int
 	MarshalBinary() ([]byte, error)
+	DecompressWords(blob []byte, bitOff int, emit func(uint32) error) (int, error)
 	Decompress(blob []byte, bitOff int, emit func(isa.Inst) error) (int, error)
 	SetSlowDecode(v bool)
 	DecodeStats() huffman.DecodeStats

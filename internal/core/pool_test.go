@@ -2,8 +2,11 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
-	"repro/internal/isa"
+	"repro/internal/objfile"
+	"repro/internal/profile"
+	"repro/internal/race"
 	"repro/internal/testprog"
 )
 
@@ -84,8 +87,50 @@ func TestEncodeScratchPartition(t *testing.T) {
 	}
 }
 
-// vmInstMarker builds a distinguishable instruction per region index.
-func vmInstMarker(i int) (in isa.Inst) {
-	in.Op = uint32(i + 1)
-	return in
+// vmInstMarker builds a distinguishable word per region index.
+func vmInstMarker(i int) uint32 { return uint32(i + 1) }
+
+// TestSeqArenaReuseGate gates the pooled sequence arena (scratch.go) in the
+// pattern that used to defeat it: one serial caller squashing the four
+// perfbench programs at θ ∈ {0, 5e-5, 1e-3} in rotation, with collections
+// running between squashes. After one warm-up rotation, every squash of
+// two more rotations must find the same arena again: neither dropped by a
+// collection nor reallocated for a larger program.
+func TestSeqArenaReuseGate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	type input struct {
+		obj    *objfile.Object
+		counts profile.Counts
+	}
+	var inputs []input
+	for _, name := range []string{"adpcm", "gsm", "pgp", "mpeg2dec"} {
+		_, obj, counts := prepareMediabench(t, name)
+		inputs = append(inputs, input{obj, counts})
+	}
+	arena := func() (*uint32, int) {
+		sc := getEncodeScratch()
+		defer putEncodeScratch(sc)
+		return unsafe.SliceData(sc.arena), cap(sc.arena)
+	}
+	var first *uint32
+	for rotation := 0; rotation < 3; rotation++ {
+		for i, in := range inputs {
+			for _, theta := range []float64{0, 5e-5, 1e-3} {
+				conf := DefaultConfig()
+				conf.Theta = theta
+				if _, err := Squash(in.obj, in.counts, conf); err != nil {
+					t.Fatal(err)
+				}
+				p, n := arena()
+				switch {
+				case rotation == 0:
+					first = p
+				case p != first:
+					t.Fatalf("rotation %d, program %d, θ=%g: the arena (cap %d) is not the one the warm-up left", rotation, i, theta, n)
+				}
+			}
+		}
+	}
 }

@@ -456,27 +456,31 @@ func (rt *Runtime) decodeRegion(m *vm.Machine, region int) (pos, bits int, err e
 		pos++
 		return nil
 	}
-	bits, err = rt.comp.Decompress(rt.meta.Blob, int(rt.meta.OffsetTable[region]), func(in isa.Inst) error {
-		switch in.Op {
+	bits, err = rt.comp.DecompressWords(rt.meta.Blob, int(rt.meta.OffsetTable[region]), func(w uint32) error {
+		switch w >> 26 {
 		case isa.OpBSRX:
-			// Expanded direct call: bsr reg -> CreateStub entry, then the
+			// Expanded direct call: bsr ra -> CreateStub entry, then the
 			// branch to the callee with the displacement stored in the
-			// compressed stream (relative to the word after the branch).
-			csDisp := decompWord + int32(in.RA) - (bufWord + int32(pos) + 1)
-			if err := emit(isa.Encode(isa.Br(isa.OpBSR, in.RA, csDisp))); err != nil {
+			// compressed word (relative to the word after the branch).
+			ra := w >> 21 & 31
+			csDisp := decompWord + int32(ra) - (bufWord + int32(pos) + 1)
+			if err := emit(isa.Encode(isa.Br(isa.OpBSR, ra, csDisp))); err != nil {
 				return err
 			}
-			return emit(isa.Encode(isa.Br(isa.OpBR, isa.RegZero, in.Disp)))
+			return emit(isa.OpBR<<26 | isa.RegZero<<21 | w&0x1FFFFF)
 		case isa.OpJSRX:
-			// Expanded indirect call: bsr reg -> CreateStub entry, then a
-			// non-linking jump through the original target register.
-			csDisp := decompWord + int32(in.RA) - (bufWord + int32(pos) + 1)
-			if err := emit(isa.Encode(isa.Br(isa.OpBSR, in.RA, csDisp))); err != nil {
+			// Expanded indirect call: bsr ra -> CreateStub entry, then a
+			// non-linking jump through the original target register rb.
+			ra := w >> 21 & 31
+			csDisp := decompWord + int32(ra) - (bufWord + int32(pos) + 1)
+			if err := emit(isa.Encode(isa.Br(isa.OpBSR, ra, csDisp))); err != nil {
 				return err
 			}
-			return emit(isa.Encode(isa.Jump(isa.JmpJMP, isa.RegZero, in.RB, 0)))
+			return emit(isa.Encode(isa.Jump(isa.JmpJMP, isa.RegZero, w>>16&31, 0)))
 		default:
-			return emit(isa.Encode(in))
+			// The coder emits only canonical words (RegionCoder), so the
+			// buffer receives the word as decoded.
+			return emit(w)
 		}
 	})
 	if err != nil {

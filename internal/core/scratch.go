@@ -4,10 +4,19 @@
 // The sequence lengths are known exactly once the layouts exist (every block
 // instruction encodes to exactly one sequence entry, plus one entry per knit
 // branch the layout inserted), so instead of growing one slice per region the
-// encoder carves disjoint, exact-capacity subslices out of a single arena.
-// The arena and its slice headers recycle through a sync.Pool, making the
-// warm squashd request O(1) allocations for sequence building regardless of
-// region count.
+// encoder carves disjoint, exact-capacity subslices out of a single arena of
+// instruction words. The arena and its slice headers recycle, making the
+// warm squash O(1) allocations for sequence building regardless of region
+// count.
+//
+// A sync.Pool alone did not keep the arena: a squash allocates several
+// megabytes, so one or more garbage collections run between one squash's
+// put and the next one's get, and two of them empty the pool. Squashing the
+// perfbench programs in rotation made a fresh scratch on two squashes in
+// three, sized exactly for its program and so reallocated again for the
+// next, larger one. So one scratch is held outside the pool (spare), where
+// collections cannot drop it; once it has served the largest program it is
+// never regrown. Concurrent squashes beyond the first share the pool.
 //
 // Nothing reachable from Output aliases the arena: the sequences are
 // consumed by coder training, compression, and metrics inside run() and the
@@ -16,20 +25,25 @@ package core
 
 import (
 	"sync"
-
-	"repro/internal/isa"
+	"sync/atomic"
 )
 
 // encodeScratch is one request's sequence-building working set.
 type encodeScratch struct {
-	arena  []isa.Inst   // backing storage for every region's sequence
-	seqs   [][]isa.Inst // per-region subslice headers, indexed by region ID
-	counts []int        // per-region sequence lengths, indexed by region ID
+	arena  []uint32   // backing storage for every region's word sequence
+	seqs   [][]uint32 // per-region subslice headers, indexed by region ID
+	counts []int      // per-region sequence lengths, indexed by region ID
 }
 
-var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
+var (
+	encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
+	spareScratch      atomic.Pointer[encodeScratch]
+)
 
 func getEncodeScratch() *encodeScratch {
+	if sc := spareScratch.Swap(nil); sc != nil {
+		return sc
+	}
 	return encodeScratchPool.Get().(*encodeScratch)
 }
 
@@ -39,24 +53,26 @@ func putEncodeScratch(sc *encodeScratch) {
 	for i := range sc.seqs {
 		sc.seqs[i] = nil
 	}
-	encodeScratchPool.Put(sc)
+	if !spareScratch.CompareAndSwap(nil, sc) {
+		encodeScratchPool.Put(sc)
+	}
 }
 
 // partition sizes the arena for total instructions across n regions and
 // returns per-region sequence storage: seqs[id] is an empty slice whose
 // capacity is exactly counts[id], and the subslices are disjoint, so
 // parallel region builds append into private memory with no reallocation.
-func (sc *encodeScratch) partition(counts []int) [][]isa.Inst {
+func (sc *encodeScratch) partition(counts []int) [][]uint32 {
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
 	if cap(sc.arena) < total {
-		sc.arena = make([]isa.Inst, 0, total)
+		sc.arena = make([]uint32, 0, total)
 	}
 	arena := sc.arena[:total]
 	if cap(sc.seqs) < len(counts) {
-		sc.seqs = make([][]isa.Inst, len(counts))
+		sc.seqs = make([][]uint32, len(counts))
 	}
 	seqs := sc.seqs[:len(counts)]
 	off := 0

@@ -190,7 +190,7 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 	defer root.End()
 
 	sp := root.Child("cfg.decode")
-	p, err := cfg.Build(obj, "main")
+	p, err := cfg.BuildWorkers(obj, "main", conf.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("squash: %w", err)
 	}

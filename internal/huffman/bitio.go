@@ -10,6 +10,11 @@ import "encoding/binary"
 
 // BitWriter accumulates a most-significant-bit-first bit stream.
 //
+// Pending bits collect in a 64-bit accumulator and leave it 32 at a time,
+// so a field costs a shift and an OR, and the byte buffer grows by one
+// four-byte append per 32 bits written. The stream is identical to one
+// WriteBit call per bit (see the reference writer in encode_equiv_test.go).
+//
 // Ownership: Bytes hands the caller a slice aliasing the internal buffer.
 // From that point the writer no longer owns the storage; Reset detaches from
 // it (the next write grows a fresh buffer), so a recycled writer can never
@@ -17,9 +22,9 @@ import "encoding/binary"
 // pool.go relies on exactly this contract.
 type BitWriter struct {
 	buf  []byte
-	bits uint8 // valid bits in cur
-	cur  byte
-	n    int // total bits written
+	acc  uint64 // pending bits, left-aligned: bit 63 is the oldest
+	nacc uint   // pending bits in acc, always below 32 between calls
+	n    int    // total bits written
 	// leaked records that Bytes exposed buf to a caller; Reset must then
 	// abandon the storage instead of truncating it for reuse.
 	leaked bool
@@ -35,7 +40,7 @@ func (w *BitWriter) Reset() {
 	} else {
 		w.buf = w.buf[:0]
 	}
-	w.cur, w.bits, w.n = 0, 0, 0
+	w.acc, w.nacc, w.n = 0, 0, 0
 }
 
 // Grow ensures capacity for at least n more whole bytes of output, so a
@@ -51,57 +56,77 @@ func (w *BitWriter) Grow(n int) {
 	w.leaked = false
 }
 
-// WriteBits appends the low width bits of v, most significant first. Each
-// step tops the pending byte up with the next bits of v and flushes it when
-// full, so a field costs at most one step per output byte it touches; the
-// stream is identical to width WriteBit calls.
+// WriteBits appends the low width bits of v, most significant first; bits
+// of v above width are ignored. The stream is identical to width WriteBit
+// calls.
 func (w *BitWriter) WriteBits(v uint64, width uint) {
+	if width > 32 {
+		w.writeWide(v, width)
+		return
+	}
+	w.write32(v, width)
+}
+
+// writeWide is WriteBits for fields wider than 32 bits, out of line so the
+// common path inlines.
+func (w *BitWriter) writeWide(v uint64, width uint) {
 	for ; width > 64; width-- {
 		w.WriteBit(0) // v has no bits above 64
 	}
+	w.write32(v>>32, width-32)
+	w.write32(v, 32)
+}
+
+// write32 appends the low width ≤ 32 bits of v. With fewer than 32 bits
+// pending the field always fits the accumulator; a full upper half is
+// flushed as one big-endian word. Width 0 writes nothing: Go's shift by 64
+// yields 0.
+func (w *BitWriter) write32(v uint64, width uint) {
 	w.n += int(width)
-	for width > 0 {
-		free := 8 - uint(w.bits)
-		if width < free {
-			w.cur = w.cur<<width | byte(v)&(0xFF>>(8-width))
-			w.bits += uint8(width)
-			return
-		}
-		width -= free
-		w.buf = append(w.buf, w.cur<<free|byte(v>>width)&(0xFF>>(8-free)))
-		w.cur, w.bits = 0, 0
+	w.acc |= v << (64 - width) >> w.nacc
+	w.nacc += width
+	if w.nacc >= 32 {
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(w.acc>>32))
+		w.acc <<= 32
+		w.nacc -= 32
 	}
 }
 
 // WriteBit appends a single bit.
-func (w *BitWriter) WriteBit(b uint8) {
-	w.cur = w.cur<<1 | b&1
-	w.bits++
-	w.n++
-	if w.bits == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.bits = 0, 0
-	}
-}
+func (w *BitWriter) WriteBit(b uint8) { w.write32(uint64(b), 1) }
 
 // Len reports the number of bits written so far.
 func (w *BitWriter) Len() int { return w.n }
+
+// flushBytes moves the whole bytes pending in the accumulator to buf,
+// leaving fewer than eight bits pending.
+func (w *BitWriter) flushBytes() {
+	for ; w.nacc >= 8; w.nacc -= 8 {
+		w.buf = append(w.buf, byte(w.acc>>56))
+		w.acc <<= 8
+	}
+}
 
 // Append replays every bit written to src onto w, producing exactly the
 // stream the same WriteBit calls would have. It lets independent sections
 // be encoded concurrently into private writers and then concatenated into
 // one bit stream; when w is byte-aligned the bulk of src is copied whole.
 func (w *BitWriter) Append(src *BitWriter) {
-	if w.bits == 0 {
-		w.buf = append(w.buf, src.buf...)
-		w.n += 8 * len(src.buf)
+	w.flushBytes()
+	body := src.buf
+	if w.nacc == 0 {
+		w.buf = append(w.buf, body...)
+		w.n += 8 * len(body)
 	} else {
-		for _, b := range src.buf {
-			w.WriteBits(uint64(b), 8)
+		for ; len(body) >= 4; body = body[4:] {
+			w.write32(uint64(binary.BigEndian.Uint32(body)), 32)
+		}
+		for _, b := range body {
+			w.write32(uint64(b), 8)
 		}
 	}
-	if src.bits > 0 {
-		w.WriteBits(uint64(src.cur), uint(src.bits))
+	if src.nacc > 0 {
+		w.write32(src.acc>>(64-src.nacc), src.nacc)
 	}
 }
 
@@ -111,9 +136,10 @@ func (w *BitWriter) Append(src *BitWriter) {
 // eight, so callers should treat Bytes as terminal.
 func (w *BitWriter) Bytes() []byte {
 	w.leaked = true
+	w.flushBytes()
 	out := w.buf
-	if w.bits > 0 {
-		out = append(out, w.cur<<(8-w.bits))
+	if w.nacc > 0 {
+		out = append(out, byte(w.acc>>56))
 	}
 	return out
 }

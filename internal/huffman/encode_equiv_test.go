@@ -120,9 +120,8 @@ func checkEncoder(t *testing.T, name string, c *Code) {
 	t.Helper()
 	ref := refCodewords(c)
 	for _, v := range c.D {
-		cw, ok := c.lookup(v)
-		if !ok || cw != ref[v] {
-			t.Fatalf("%s: value %d: codeword %+v (present %v), reference %+v", name, v, cw, ok, ref[v])
+		if cw := c.lookup(v); cw != ref[v] {
+			t.Fatalf("%s: value %d: codeword %+v, reference %+v", name, v, cw, ref[v])
 		}
 		if got := c.CodeLen(v); got != int(ref[v].len) {
 			t.Fatalf("%s: CodeLen(%d) = %d, reference %d", name, v, got, ref[v].len)
@@ -140,15 +139,15 @@ func checkEncoder(t *testing.T, name string, c *Code) {
 }
 
 // TestDenseEncoderMatchesMap: codes whose values all lie below denseLimit
-// take the dense table, wider ones the map, and both give the reference
-// codeword for every coded value.
+// take the dense table, wider ones the open-addressed table, and both give
+// the reference codeword (a plain map) for every coded value.
 func TestDenseEncoderMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(64)
 		dense := Build(randomFreqs(rng, n, denseLimit))
 		dense.Prime()
-		if dense.dense == nil || dense.enc != nil {
+		if dense.dense == nil || dense.wide != nil {
 			t.Fatalf("trial %d: %d values below %d did not select the dense table", trial, n, denseLimit)
 		}
 		checkEncoder(t, fmt.Sprintf("dense trial %d", trial), dense)
@@ -157,8 +156,8 @@ func TestDenseEncoderMatchesMap(t *testing.T) {
 		freq[1<<20] = 1 // at least one value past the cutoff
 		wide := Build(freq)
 		wide.Prime()
-		if wide.enc == nil || wide.dense != nil {
-			t.Fatalf("trial %d: a value of 1<<20 did not select the map", trial)
+		if wide.wide == nil || wide.dense != nil {
+			t.Fatalf("trial %d: a value of 1<<20 did not select the open-addressed table", trial)
 		}
 		checkEncoder(t, fmt.Sprintf("wide trial %d", trial), wide)
 	}
@@ -191,15 +190,16 @@ func TestEncodeAbsentValues(t *testing.T) {
 }
 
 // TestEncoderRebuiltAfterUnmarshal: decoding new tables into a code whose
-// encoder is already built replaces the encoder, in both directions
-// between the dense table and the map.
+// encoder is already built drops that encoder, so no value of the old code
+// encodes, and Prime builds the new code's, in both directions between the
+// dense table and the open-addressed one.
 func TestEncoderRebuiltAfterUnmarshal(t *testing.T) {
 	dense := Build(map[uint32]uint64{1: 7, 2: 3, 9: 1, 40: 12})
 	wide := Build(map[uint32]uint64{2: 5, 7: 5, 300: 1, 70000: 9})
 	for _, tc := range []struct {
 		name     string
 		from, to *Code
-	}{{"dense to map", dense, wide}, {"map to dense", wide, dense}} {
+	}{{"dense to wide", dense, wide}, {"wide to dense", wide, dense}} {
 		blob, err := tc.to.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -209,6 +209,12 @@ func TestEncoderRebuiltAfterUnmarshal(t *testing.T) {
 		if err := c.UnmarshalBinary(blob); err != nil {
 			t.Fatal(err)
 		}
+		for _, v := range tc.from.D {
+			if err := c.Encode(new(BitWriter), v); err == nil {
+				t.Errorf("%s: value %d encodes through the dropped encoder", tc.name, v)
+			}
+		}
+		c.Prime()
 		checkEncoder(t, tc.name, c)
 		for _, v := range tc.from.D {
 			if _, ok := refCodewords(tc.to)[v]; ok {

@@ -14,6 +14,7 @@ func ExampleCode_Decode() {
 		N: []int{0, 0, 3, 1, 0, 4},
 		D: []uint32{10, 20, 30, 40, 50, 60, 70, 80},
 	}
+	code.Prime() // a code assembled by hand builds its encoder here
 	var w huffman.BitWriter
 	for _, v := range []uint32{40, 10, 80} {
 		if err := code.Encode(&w, v); err != nil {

@@ -1,9 +1,9 @@
 package huffman
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -14,7 +14,9 @@ const MaxCodeLen = 58
 
 // Code is a canonical Huffman code for a set of uint32 values. It carries
 // exactly the two arrays the paper's decoder needs: the length histogram N
-// and the value array D ordered by codeword.
+// and the value array D ordered by codeword. Build and BuildSorted return a
+// code ready to encode; a Code assembled by hand from N and D, or read by
+// UnmarshalBinary, encodes only after Prime.
 type Code struct {
 	// N[i] is the number of codewords of length i; N[0] is unused and zero.
 	N []int
@@ -23,12 +25,14 @@ type Code struct {
 	// order, making the code deterministic).
 	D []uint32
 
-	// dense and enc map a value to its codeword; one of them is derived
-	// from N and D on demand. dense, indexed by value, serves codes whose
-	// values all lie below denseLimit (opcode, register, func and literal
-	// streams); enc serves the wide ones (displacements, hints).
-	dense []codeword
-	enc   map[uint32]codeword
+	// dense and wide map a value to its codeword; one of them is built
+	// from N and D with the code. dense, indexed by value, serves codes
+	// whose values all lie below denseLimit (opcode, register, func and
+	// literal streams); wide, an open-addressed table, serves the wide ones
+	// (displacements, hints, PAL codes).
+	dense     []codeword
+	wide      []wideSlot
+	wideShift uint8 // 32 - log2(len(wide))
 	// dec is the first-K-bits decode table (decode.go), derived on demand.
 	dec *decTable
 
@@ -67,27 +71,17 @@ type codeword struct {
 // 256 covers every 5- and 8-bit operand stream in a 4 KiB table.
 const denseLimit = 256
 
-// node is a Huffman tree node used only during construction.
-type node struct {
-	freq        uint64
-	value       uint32
-	left, right *node
+// wideSlot is one entry of the open-addressed table that serves codes with
+// values at or above denseLimit; cw.len 0 marks an empty slot.
+type wideSlot struct {
+	cw  codeword
+	val uint32
 }
 
-type nodeHeap []*node
-
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	// Tie-break on value for deterministic trees. Internal nodes carry the
-	// minimum value of their subtree.
-	return h[i].value < h[j].value
-}
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(*node)) }
-func (h *nodeHeap) Pop() any     { old := *h; n := old[len(old)-1]; *h = old[:len(old)-1]; return n }
+// wideIndex is the home slot of v in a table of 1<<(32-shift) slots: the
+// top bits of a Fibonacci hash, which spreads the clustered displacement
+// and hint values of real streams.
+func wideIndex(v uint32, shift uint8) uint32 { return v * 0x9E3779B1 >> shift }
 
 // Build constructs a canonical Huffman code from a value-frequency map.
 // Values with zero frequency are ignored. An empty map yields an empty code
@@ -112,78 +106,149 @@ func Build(freq map[uint32]uint64) *Code {
 // values ascend strictly and freqs[i], nonzero, is the frequency of
 // values[i]. A one-value code keeps values as its table, so the caller
 // must not reuse it.
+//
+// The Huffman tree lives in one array: leaves 0..n-1 in value order, then
+// each merged node in creation order, so a parent always follows its
+// children and the root is last. A heap of node indices repeatedly merges
+// the two least nodes by (frequency, smallest value in the subtree). Live
+// subtrees are disjoint, so no two live nodes share a smallest value, the
+// order is total, and the merges (hence the codeword lengths) are the ones
+// any heap yields. The canonical code then needs only the leaf depths:
+// values keep their ascending order within each length.
 func BuildSorted(values []uint32, freqs []uint64) *Code {
-	if len(values) == 0 {
+	n := len(values)
+	if n == 0 {
 		return &Code{N: []int{0}}
 	}
-	if len(values) == 1 {
-		return &Code{N: []int{0, 1}, D: values}
+	if n == 1 {
+		c := &Code{N: []int{0, 1}, D: values}
+		c.buildEncoder()
+		return c
 	}
 
-	h := make(nodeHeap, 0, len(values))
+	nodes := make([]treeNode, n, 2*n-1)
+	h := make(nodeHeap, n)
 	for i, v := range values {
-		h = append(h, &node{freq: freqs[i], value: v})
+		nodes[i] = treeNode{freq: freqs[i], value: v}
+		h[i] = int32(i)
 	}
-	heap.Init(&h)
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*node)
-		b := heap.Pop(&h).(*node)
-		m := a.value
-		if b.value < m {
-			m = b.value
-		}
-		heap.Push(&h, &node{freq: a.freq + b.freq, value: m, left: a, right: b})
+	h.init(nodes)
+	for len(h) > 1 {
+		a := h.pop(nodes)
+		b := h.pop(nodes)
+		m := int32(len(nodes))
+		nodes[a].up, nodes[b].up = m, m
+		nodes = append(nodes, treeNode{
+			freq:  nodes[a].freq + nodes[b].freq,
+			value: min(nodes[a].value, nodes[b].value),
+		})
+		h.push(nodes, m)
 	}
-	root := h[0]
 
-	// Collect depth of every leaf; the canonical code keeps only lengths.
-	type leafDepth struct {
-		value uint32
-		depth int
-	}
-	var leaves []leafDepth
-	var walk func(n *node, d int)
-	walk = func(n *node, d int) {
-		if n.left == nil {
-			if d == 0 {
-				d = 1 // single-leaf tree cannot occur here, but be safe
+	// Depths top-down: a parent's index exceeds its children's, so walking
+	// down from the root finds each parent's depth already stored in its up
+	// field, which then holds the node's own depth.
+	root := len(nodes) - 1
+	nodes[root].up = 0
+	var count [MaxCodeLen + 2]int
+	maxLen := 0
+	for i := root - 1; i >= 0; i-- {
+		d := nodes[nodes[i].up].up + 1
+		nodes[i].up = d
+		if i < n {
+			if int(d) > MaxCodeLen {
+				// Unreachable for the stream sizes this system compresses
+				// (depth k requires total frequency ≥ Fib(k)), but guard
+				// anyway.
+				panic(fmt.Sprintf("huffman: codeword length %d exceeds MaxCodeLen", d))
 			}
-			leaves = append(leaves, leafDepth{n.value, d})
+			count[d]++
+			maxLen = max(maxLen, int(d))
+		}
+	}
+
+	// Canonical order, by length then by value: a counting sort over the
+	// lengths that visits the leaves in value order.
+	c := &Code{N: make([]int, maxLen+1), D: make([]uint32, n)}
+	next := 0
+	for l := 1; l <= maxLen; l++ {
+		c.N[l] = count[l]
+		count[l], next = next, next+count[l]
+	}
+	for i := range values {
+		d := nodes[i].up
+		c.D[count[d]] = values[i]
+		count[d]++
+	}
+	c.buildEncoder()
+	return c
+}
+
+// treeNode is one Huffman tree node during construction: a leaf (a value)
+// or a merged subtree. value is the smallest value in the subtree; up is
+// the parent's index until the depth pass stores the node's depth there.
+type treeNode struct {
+	freq  uint64
+	value uint32
+	up    int32
+}
+
+// nodeHeap is a binary min-heap of tree-node indices ordered by
+// (freq, value).
+type nodeHeap []int32
+
+func less(nodes []treeNode, a, b int32) bool {
+	if nodes[a].freq != nodes[b].freq {
+		return nodes[a].freq < nodes[b].freq
+	}
+	return nodes[a].value < nodes[b].value
+}
+
+func (h nodeHeap) init(nodes []treeNode) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(nodes, i)
+	}
+}
+
+func (h nodeHeap) down(nodes []treeNode, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
 			return
 		}
-		walk(n.left, d+1)
-		walk(n.right, d+1)
-	}
-	walk(root, 0)
-
-	maxLen := 0
-	for _, l := range leaves {
-		if l.depth > maxLen {
-			maxLen = l.depth
+		m := l
+		if r := l + 1; r < len(h) && less(nodes, h[r], h[l]) {
+			m = r
 		}
-	}
-	if maxLen > MaxCodeLen {
-		// Unreachable for the stream sizes this system compresses (depth k
-		// requires total frequency ≥ Fib(k)), but guard anyway.
-		panic(fmt.Sprintf("huffman: codeword length %d exceeds MaxCodeLen", maxLen))
-	}
-
-	c := &Code{N: make([]int, maxLen+1)}
-	for _, l := range leaves {
-		c.N[l.depth]++
-	}
-	// Canonical order: by length, then by value.
-	sort.Slice(leaves, func(i, j int) bool {
-		if leaves[i].depth != leaves[j].depth {
-			return leaves[i].depth < leaves[j].depth
+		if !less(nodes, h[m], h[i]) {
+			return
 		}
-		return leaves[i].value < leaves[j].value
-	})
-	c.D = make([]uint32, len(leaves))
-	for i, l := range leaves {
-		c.D[i] = l.value
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
-	return c
+}
+
+func (h *nodeHeap) pop(nodes []treeNode) int32 {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	*h = s[:last]
+	h.down(nodes, 0)
+	return top
+}
+
+func (h *nodeHeap) push(nodes []treeNode, x int32) {
+	*h = append(*h, x)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !less(nodes, s[i], s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
 }
 
 // NumValues reports how many distinct values the code encodes.
@@ -194,16 +259,21 @@ func (c *Code) MaxLen() int { return len(c.N) - 1 }
 
 // buildEncoder materializes the value→codeword table from N and D,
 // assigning the canonical codewords b_i, b_i+1, ... of each length i where
-// b_1 = 0 and b_i = 2(b_{i-1} + N[i-1]).
+// b_1 = 0 and b_i = 2(b_{i-1} + N[i-1]). Codes whose values all lie below
+// denseLimit get a table indexed by value; wider ones an open-addressed
+// table of at least twice as many slots as values, probed linearly.
 func (c *Code) buildEncoder() {
 	var maxV uint32
 	for _, v := range c.D {
 		maxV = max(maxV, v)
 	}
+	c.dense, c.wide = nil, nil
 	if maxV < denseLimit {
 		c.dense = make([]codeword, maxV+1)
 	} else {
-		c.enc = make(map[uint32]codeword, len(c.D))
+		k := bits.Len(uint(2*len(c.D) - 1))
+		c.wide = make([]wideSlot, 1<<k)
+		c.wideShift = uint8(32 - k)
 	}
 	var b uint64
 	j := 0
@@ -211,41 +281,62 @@ func (c *Code) buildEncoder() {
 		if i > 1 {
 			b = 2 * (b + uint64(c.N[i-1]))
 		}
-		for k := 0; k < c.N[i]; k++ {
+		for k := 0; k < c.N[i] && j < len(c.D); k++ {
 			cw := codeword{bits: b + uint64(k), len: uint8(i)}
 			if c.dense != nil {
 				c.dense[c.D[j]] = cw
 			} else {
-				c.enc[c.D[j]] = cw
+				c.insertWide(c.D[j], cw)
 			}
 			j++
 		}
 	}
 }
 
-// lookup returns v's codeword, building the encoder on first use.
-func (c *Code) lookup(v uint32) (codeword, bool) {
-	if c.dense == nil && c.enc == nil {
-		c.buildEncoder()
-	}
-	if c.dense != nil {
-		if uint64(v) >= uint64(len(c.dense)) {
-			return codeword{}, false
+// insertWide stores v's codeword in the open-addressed table. A value that
+// repeats in D (possible only in corrupt tables) keeps its last codeword,
+// as the dense table does.
+func (c *Code) insertWide(v uint32, cw codeword) {
+	mask := uint32(len(c.wide) - 1)
+	for i := wideIndex(v, c.wideShift); ; i = (i + 1) & mask {
+		s := &c.wide[i]
+		if s.cw.len == 0 || s.val == v {
+			*s = wideSlot{cw: cw, val: v}
+			return
 		}
-		cw := c.dense[v]
-		return cw, cw.len != 0
 	}
-	cw, ok := c.enc[v]
-	return cw, ok
 }
 
-// Prime materializes the encoder table and the decode table eagerly.
-// Encode, CodeLen, and Decode build them lazily on first use, which is a
-// data race if a shared Code is first used from concurrent encoders or
-// decoders; callers that fan coding out across goroutines must Prime each
-// code beforehand.
+// lookup returns v's codeword; length 0 means v is not in the code.
+func (c *Code) lookup(v uint32) codeword {
+	if c.wide != nil {
+		return c.lookupWide(v)
+	}
+	if uint64(v) < uint64(len(c.dense)) {
+		return c.dense[v]
+	}
+	return codeword{}
+}
+
+// lookupWide probes the open-addressed table for v.
+func (c *Code) lookupWide(v uint32) codeword {
+	mask := uint32(len(c.wide) - 1)
+	for i := wideIndex(v, c.wideShift); ; i = (i + 1) & mask {
+		s := &c.wide[i]
+		if s.cw.len == 0 || s.val == v {
+			return s.cw
+		}
+	}
+}
+
+// Prime materializes the decode table eagerly, and the encoder of a code
+// that has none (Build and BuildSorted build it; a Code assembled by hand
+// or read by UnmarshalBinary does not have it). Decode builds its table
+// lazily on first use, which is a data race if a shared Code is first used
+// from concurrent decoders; callers that fan decoding out across
+// goroutines must Prime each code beforehand.
 func (c *Code) Prime() {
-	if c.dense == nil && c.enc == nil {
+	if c.dense == nil && c.wide == nil {
 		c.buildEncoder()
 	}
 	if c.dec == nil {
@@ -257,18 +348,27 @@ func (c *Code) Prime() {
 // the code, which indicates the frequency pass and the encode pass saw
 // different data.
 func (c *Code) Encode(w *BitWriter, v uint32) error {
-	cw, ok := c.lookup(v)
-	if !ok {
-		return fmt.Errorf("huffman: value %d not present in code", v)
+	cw := c.lookup(v)
+	if cw.len == 0 {
+		return absent(v)
 	}
-	w.WriteBits(cw.bits, uint(cw.len))
+	if cw.len <= 32 {
+		w.write32(cw.bits, uint(cw.len)) // WriteBits' common case, inlined
+	} else {
+		w.writeWide(cw.bits, uint(cw.len))
+	}
 	return nil
 }
 
+// absent is Encode's error for a value outside the code, kept out of line
+// so the encode path stays small.
+//
+//go:noinline
+func absent(v uint32) error { return fmt.Errorf("huffman: value %d not present in code", v) }
+
 // CodeLen reports the codeword length in bits for v, or 0 if absent.
 func (c *Code) CodeLen(v uint32) int {
-	cw, _ := c.lookup(v)
-	return int(cw.len)
+	return int(c.lookup(v).len)
 }
 
 // ErrBadCode reports a codeword that exceeds every valid length, meaning the

@@ -97,7 +97,10 @@ func (c *Code) UnmarshalBinary(data []byte) error {
 	if pos != len(data) {
 		return fmt.Errorf("huffman: %d trailing bytes after code table", len(data)-pos)
 	}
-	c.dense, c.enc = nil, nil
+	// Tables read back serve a decoder, which never encodes: the encoder is
+	// left unbuilt (Prime builds it), so loading an image costs no encode
+	// tables, and a hostile table blob cannot make them large.
+	c.dense, c.wide = nil, nil
 	c.dec = nil
 	return nil
 }

@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -121,28 +123,6 @@ func TestFifteenStreams(t *testing.T) {
 	}
 }
 
-func TestOperandFieldsMatchFields(t *testing.T) {
-	for _, in := range RandInsts(11, 500) {
-		if in.Format == FormatIllegal {
-			continue
-		}
-		lit := in.Format == FormatOpLit
-		refs := OperandFields(in.Op, lit)
-		fv := Fields(in)[1:]
-		if len(refs) != len(fv) {
-			t.Fatalf("OperandFields(%#x, %v) has %d entries, Fields has %d", in.Op, lit, len(refs), len(fv))
-		}
-		for i := range refs {
-			if refs[i].Kind != fv[i].Kind {
-				t.Fatalf("field %d of %v: OperandFields says %v, Fields says %v", i, in, refs[i].Kind, fv[i].Kind)
-			}
-			if fv[i].Value >= 1<<refs[i].Bits {
-				t.Fatalf("field %d of %v: value %d exceeds declared width %d bits", i, in, fv[i].Value, refs[i].Bits)
-			}
-		}
-	}
-}
-
 func TestIsNop(t *testing.T) {
 	if !IsNop(Nop()) {
 		t.Error("canonical nop not recognized")
@@ -188,5 +168,67 @@ func TestDisasmStable(t *testing.T) {
 	// Absolute form.
 	if got := Disasm(Br(OpBSR, 26, 3), 0x1000); got != "bsr r26, 0x1010" {
 		t.Errorf("Disasm absolute = %q", got)
+	}
+}
+
+// TestWordSplitMatchesFields is the oracle for the word layouts the region
+// coders split and join words with. For every opcode (the virtual BSRX and
+// JSRX included) and random operand bits: Canonical(w) agrees with
+// Encode(Decode(w)) == w; a canonical word's layout split equals
+// AppendFields(Decode(w)) pair for pair and ORs back to w; a non-canonical
+// one has bits outside its layout's Cover. The layout a decoder picks from
+// the opcode alone starts with the same fields as the word's own.
+func TestWordSplitMatchesFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	seen := map[uint32]int{}
+	check := func(w uint32) {
+		t.Helper()
+		canon := Encode(Decode(w)) == w
+		if Canonical(w) != canon {
+			t.Fatalf("%#08x: Canonical %v, Encode(Decode(w)) == w %v", w, Canonical(w), canon)
+		}
+		lay := LayoutOf(w)
+		if !canon {
+			if w&^lay.Cover == 0 {
+				t.Fatalf("%#08x: not canonical, yet its layout covers it", w)
+			}
+			return
+		}
+		seen[w>>26]++
+		split := []FieldValue{{StreamOpcode, w >> 26}}
+		join := w >> 26 << 26
+		for _, r := range lay.Fields {
+			v := w >> r.Shift & (1<<r.Bits - 1)
+			split = append(split, FieldValue{r.Kind, v})
+			join |= v << r.Shift
+		}
+		if want := AppendFields(nil, Decode(w)); !reflect.DeepEqual(split, want) {
+			t.Fatalf("%#08x: layout split %v, AppendFields(Decode(w)) %v", w, split, want)
+		}
+		if w != Sentinel && join != w {
+			t.Fatalf("%#08x: fields join back to %#08x", w, join)
+		}
+		byOp := LayoutOf(w >> 26 << 26).Fields
+		if n := min(len(byOp), 2); !reflect.DeepEqual(byOp[:n], lay.Fields[:n]) {
+			t.Fatalf("%#08x: opcode-only layout starts %v, word layout %v", w, byOp[:n], lay.Fields[:n])
+		}
+		if FormatOf(w>>26) != FormatOpReg && !reflect.DeepEqual(byOp, lay.Fields) {
+			t.Fatalf("%#08x: opcode-only layout %v, word layout %v", w, byOp, lay.Fields)
+		}
+	}
+	check(Sentinel)
+	for op := uint32(0); op < 64; op++ {
+		for i := 0; i < 2000; i++ {
+			low := rng.Uint32() & (1<<26 - 1)
+			if i&1 == 0 {
+				low &^= 7 << 13 // sbz clear: operate-register words canonical
+			}
+			check(op<<26 | low)
+		}
+	}
+	for _, op := range []uint32{OpBSRX, OpJSRX, OpPal, OpLDW, OpBR, OpIntA, OpJump} {
+		if seen[op] == 0 {
+			t.Errorf("no canonical word with opcode %#x was checked", op)
+		}
 	}
 }

@@ -64,32 +64,92 @@ func (k StreamKind) String() string {
 }
 
 // FieldRef names one operand field of an instruction: which stream it
-// belongs to and how wide it is in the raw encoding.
+// belongs to, how wide it is, and where it sits in the word. Every stream
+// value is one contiguous bit field, w>>Shift & (1<<Bits - 1): the operate
+// formats' op.func value is bits 12:5, the literal flag followed by func.
 type FieldRef struct {
-	Kind StreamKind
-	Bits uint8
+	Kind  StreamKind
+	Bits  uint8
+	Shift uint8
 }
 
 // fieldsByFormat lists, per format, the operand streams that follow the
 // opcode, in decode order. The opcode itself always comes from StreamOpcode.
-var fieldsByFormat = map[Format][]FieldRef{
-	FormatPal: {{StreamPalFunc, 26}},
-	FormatMem: {{StreamMemRA, 5}, {StreamMemRB, 5}, {StreamMemDisp, 16}},
+var fieldsByFormat = [...][]FieldRef{
+	FormatPal: {{StreamPalFunc, 26, 0}},
+	FormatMem: {{StreamMemRA, 5, 21}, {StreamMemRB, 5, 16}, {StreamMemDisp, 16, 0}},
 	FormatBranch: {
-		{StreamBrRA, 5}, {StreamBrDisp, 21},
+		{StreamBrRA, 5, 21}, {StreamBrDisp, 21, 0},
 	},
 	// op.func precedes op.rb/op.lit: its high bit is the literal flag, which
 	// a sequential decoder needs before it can pick the next stream.
 	FormatOpReg: {
-		{StreamOpRA, 5}, {StreamOpFunc, 8}, {StreamOpRB, 5}, {StreamOpRC, 5},
+		{StreamOpRA, 5, 21}, {StreamOpFunc, 8, 5}, {StreamOpRB, 5, 16}, {StreamOpRC, 5, 0},
 	},
 	FormatOpLit: {
-		{StreamOpRA, 5}, {StreamOpFunc, 8}, {StreamOpLit, 8}, {StreamOpRC, 5},
+		{StreamOpRA, 5, 21}, {StreamOpFunc, 8, 5}, {StreamOpLit, 8, 13}, {StreamOpRC, 5, 0},
 	},
 	FormatJump: {
-		{StreamJmpRA, 5}, {StreamJmpRB, 5}, {StreamJmpHint, 16},
+		{StreamJmpRA, 5, 21}, {StreamJmpRB, 5, 16}, {StreamJmpHint, 16, 0},
 	},
 	FormatIllegal: nil,
+}
+
+// WordLayout is one format's split of an instruction word into stream
+// values: the operand fields in decode order (the opcode, bits 31:26,
+// always comes first), and Cover, the bits the opcode and those fields
+// carry. A word w of the format is canonical — its fields carry all of it,
+// so joining them gives w back — exactly when w&^Cover == 0. The one
+// non-canonical legal-format word shape is an OpReg word with sbz[15:13]
+// set; the illegal format's layout covers nothing, so no illegal-format
+// word passes the check.
+type WordLayout struct {
+	Fields []FieldRef
+	Cover  uint32
+}
+
+// layouts holds each format's WordLayout, built from fieldsByFormat.
+var layouts = func() (l [FormatIllegal + 1]WordLayout) {
+	for f := FormatPal; f < FormatIllegal; f++ {
+		cover := uint32(0x3F) << 26
+		for _, r := range fieldsByFormat[f] {
+			cover |= (1<<r.Bits - 1) << r.Shift
+		}
+		l[f] = WordLayout{Fields: fieldsByFormat[f], Cover: cover}
+	}
+	return l
+}()
+
+// wordLayouts maps a word's opcode and literal flag, w>>26<<1 | w>>12&1,
+// to its format's layout: Decode's format choice as one table load.
+var wordLayouts = func() (t [128]*WordLayout) {
+	for i := range t {
+		f := FormatOf(uint32(i) >> 1)
+		if f == FormatOpReg && i&1 == 1 {
+			f = FormatOpLit
+		}
+		t[i] = &layouts[f]
+	}
+	return t
+}()
+
+// LayoutOf returns the layout of w's format, which w's opcode and, for the
+// operate group, its literal flag select. A decoder that knows only the
+// opcode op gets the format's layout from LayoutOf(op<<26) — the lookup
+// the paper's decompressor performs after each opcode: "the decoded opcode
+// ... specif[ies] the appropriate Huffman codes to use for the remaining
+// fields" (§3). For the operate group that is OpReg's layout, whose first
+// two fields (op.ra, op.func) OpLit shares; op.func's high bit then picks
+// OpLit's.
+func LayoutOf(w uint32) *WordLayout {
+	return wordLayouts[w>>25&^1|w>>12&1]
+}
+
+// Canonical reports whether w is the encoding of its own decoding,
+// Encode(Decode(w)) == w: a legal-format word its fields cover, or the
+// sentinel.
+func Canonical(w uint32) bool {
+	return w&^LayoutOf(w).Cover == 0 || w == Sentinel
 }
 
 // streamBits is each stream's value width: the opcode's 6 bits, and each
@@ -103,19 +163,6 @@ var streamBits = func() (bits [NumStreams]uint8) {
 	}
 	return bits
 }()
-
-// OperandFields reports the operand streams, in decode order, for an
-// instruction with the given primary opcode and (for the operate group)
-// literal flag. This is the lookup the decompressor performs after decoding
-// each opcode: "the decoded opcode ... specif[ies] the appropriate Huffman
-// codes to use for the remaining fields" (paper, §3).
-func OperandFields(op uint32, litFlag bool) []FieldRef {
-	f := FormatOf(op)
-	if f == FormatOpReg && litFlag {
-		f = FormatOpLit
-	}
-	return fieldsByFormat[f]
-}
 
 // Fields decomposes a decoded instruction into (stream, value) pairs, with
 // the opcode first. The values round-trip: FromFields(Fields(in)) == in.

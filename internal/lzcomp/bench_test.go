@@ -85,20 +85,16 @@ func BenchmarkLZDecode(b *testing.B) {
 	}
 	for _, corpus := range corpora {
 		seq := corpus.seq
-		c := Train([][]isa.Inst{seq})
+		c := Train(wordSeqs([][]isa.Inst{seq}))
 		if corpus.name == "dictheavy" {
-			words := make([]uint32, len(seq))
-			for i, in := range seq {
-				words[i] = isa.Encode(in)
-			}
-			for _, tok := range c.tokenize(words) {
+			for _, tok := range c.tokenize(wordsOf(seq)) {
 				if tok.kind == kindMatch || tok.kind == kindRaw {
 					b.Fatalf("dictheavy corpus produced a kind-%d token; ratio no longer isolates codeword decode", tok.kind)
 				}
 			}
 		}
 		var w huffman.BitWriter
-		if err := c.Compress(&w, seq); err != nil {
+		if err := c.Compress(&w, wordsOf(seq)); err != nil {
 			b.Fatal(err)
 		}
 		blob := w.Bytes()
@@ -113,7 +109,7 @@ func BenchmarkLZDecode(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					n := 0
-					if _, err := c.Decompress(blob, 0, func(isa.Inst) error {
+					if _, err := c.DecompressWords(blob, 0, func(uint32) error {
 						n++
 						return nil
 					}); err != nil {

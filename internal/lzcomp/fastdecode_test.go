@@ -40,9 +40,9 @@ func TestFastSlowDecodeEquivalence(t *testing.T) {
 				seq = append(seq, in)
 			}
 		}
-		c := Train([][]isa.Inst{seq})
+		c := Train(wordSeqs([][]isa.Inst{seq}))
 		var w huffman.BitWriter
-		if err := c.Compress(&w, seq); err != nil {
+		if err := c.Compress(&w, wordsOf(seq)); err != nil {
 			return false
 		}
 		fast, fb := decodeAll(t, c, w.Bytes(), 0, false)
@@ -73,9 +73,9 @@ func TestSingleSymbolCodes(t *testing.T) {
 	for i := range seq {
 		seq[i] = word
 	}
-	c := Train([][]isa.Inst{seq})
+	c := Train(wordSeqs([][]isa.Inst{seq}))
 	var w huffman.BitWriter
-	if err := c.Compress(&w, seq); err != nil {
+	if err := c.Compress(&w, wordsOf(seq)); err != nil {
 		t.Fatal(err)
 	}
 	fast, fb := decodeAll(t, c, w.Bytes(), 0, false)
@@ -103,7 +103,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 			seq = append(seq, in)
 		}
 	}
-	c := Train([][]isa.Inst{seq, seq[:17]})
+	c := Train(wordSeqs([][]isa.Inst{seq, seq[:17]}))
 	blob, offsets := compressSeqs(t, c, [][]isa.Inst{seq, seq[:17]})
 	tables, err := c.MarshalBinary()
 	if err != nil {
@@ -143,16 +143,16 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 // FuzzLZDecompress feeds arbitrary bytes to both decoders: they must never
-// panic, must consume identical bits, and must agree on error/success and
-// on every emitted instruction. Emission is capped because a truncated
+// panic, must consume identical bits, must agree on error/success and on
+// every emitted word, and every word emitted must be canonical. Emission is capped because a truncated
 // stream reads past the end as zero bits, which can decode as an unbounded
 // run of valid tokens.
 func FuzzLZDecompress(f *testing.F) {
 	word := isa.OpR(isa.OpIntA, isa.RegT0, isa.RegT0+1, isa.FnADD, isa.RegT0+2)
 	seq := []isa.Inst{word, isa.Mem(isa.OpLDW, isa.RegT0, isa.RegSP, 4), word, word}
-	c := Train([][]isa.Inst{seq})
+	c := Train(wordSeqs([][]isa.Inst{seq}))
 	var w huffman.BitWriter
-	if err := c.Compress(&w, seq); err != nil {
+	if err := c.Compress(&w, wordsOf(seq)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(w.Bytes(), 0)
@@ -165,11 +165,14 @@ func FuzzLZDecompress(f *testing.F) {
 		run := func(slow bool) (words []uint32, bits int, err error) {
 			c.SetSlowDecode(slow)
 			defer c.SetSlowDecode(false)
-			bits, err = c.Decompress(blob, off, func(in isa.Inst) error {
+			bits, err = c.DecompressWords(blob, off, func(w uint32) error {
 				if len(words) >= cap {
 					return fmt.Errorf("emit cap")
 				}
-				words = append(words, isa.Encode(in))
+				if !isa.Canonical(w) {
+					t.Fatalf("emitted non-canonical word %#08x", w)
+				}
+				words = append(words, w)
 				return nil
 			})
 			return

@@ -57,12 +57,6 @@ type Compressor struct {
 	distCode *huffman.Code
 	lenCode  *huffman.Code
 
-	// dictInsts caches the decoded form of every dictionary word, so the
-	// fast path emits dictionary hits (and match copies of them) without
-	// re-running isa.Decode — half the decode profile otherwise. Built by
-	// Train, or lazily on the first fast Decompress of deserialized tables.
-	dictInsts []isa.Inst
-
 	// slowDecode routes every codeword decode through the reference
 	// bit-at-a-time decoder (huffman.Code.DecodeTree) instead of the
 	// table-driven one, the same switch streamcomp exposes: both consume
@@ -88,15 +82,6 @@ func (c *Compressor) codes() [4]*huffman.Code {
 	return [4]*huffman.Code{c.kindCode, c.dictCode, c.distCode, c.lenCode}
 }
 
-// primeDictInsts decodes every dictionary word once.
-func (c *Compressor) primeDictInsts() {
-	insts := make([]isa.Inst, len(c.dict))
-	for i, w := range c.dict {
-		insts[i] = isa.Decode(w)
-	}
-	c.dictInsts = insts
-}
-
 // decodeSym reads one codeword of code, honoring the slow-decode switch.
 func (c *Compressor) decodeSym(code *huffman.Code, r *huffman.BitReader) (uint32, error) {
 	if c.slowDecode {
@@ -113,11 +98,10 @@ type token struct {
 	dist, len int
 }
 
-// encScratch is the per-Compress working set — the region's word image and
-// token list — recycled through encPool so a warm encode allocates neither.
+// encScratch is the per-Compress token list, recycled through encPool so a
+// warm encode does not allocate it.
 type encScratch struct {
-	words []uint32
-	toks  []token
+	toks []token
 }
 
 // decScratch is the per-Decompress back-reference window, recycled likewise.
@@ -170,22 +154,18 @@ func (c *Compressor) appendTokens(dst []token, words []uint32) []token {
 	return out
 }
 
-// Train builds the dictionary and Huffman codes over all regions. The
-// returned compressor has its codes and dictionary decode primed, so
-// concurrent Compress calls share it safely.
-func Train(seqs [][]isa.Inst) *Compressor {
+// Train builds the dictionary and Huffman codes over all regions' words.
+// Concurrent Compress calls share the returned compressor safely, since
+// huffman.Build returns codes with their encoders already built.
+func Train(regions [][]uint32) *Compressor {
 	c := &Compressor{dictIdx: map[uint32]int{}}
 
 	// Pass 1a: global word frequencies for the dictionary.
 	wordFreq := map[uint32]uint64{}
-	var regions [][]uint32
-	for _, seq := range seqs {
-		words := make([]uint32, len(seq))
-		for i, in := range seq {
-			words[i] = isa.Encode(in)
-			wordFreq[words[i]]++
+	for _, words := range regions {
+		for _, w := range words {
+			wordFreq[w]++
 		}
-		regions = append(regions, words)
 	}
 	type wf struct {
 		w uint32
@@ -253,10 +233,6 @@ func Train(seqs [][]isa.Inst) *Compressor {
 	if totalWords > 0 {
 		c.estBitsPerWord = int((totalBits + totalWords - 1) / totalWords)
 	}
-	for _, code := range c.codes() {
-		code.Prime() // lazy encoder init would race across goroutines
-	}
-	c.primeDictInsts()
 	return c
 }
 
@@ -271,16 +247,18 @@ func (c *Compressor) SizeHint(nWords int) int {
 	return (nWords+1)*est/8 + 16
 }
 
-// Compress appends the coded region to w.
-func (c *Compressor) Compress(w *huffman.BitWriter, seq []isa.Inst) error {
+// Compress appends the coded region to w. A non-canonical word (see
+// isa.Canonical) is refused: the decoder would refuse its raw token.
+func (c *Compressor) Compress(w *huffman.BitWriter, seq []uint32) error {
+	for _, word := range seq {
+		if !isa.Canonical(word) {
+			return fmt.Errorf("lzcomp: word %#08x is not a canonical instruction", word)
+		}
+	}
 	sc := encPool.Get().(*encScratch)
 	defer encPool.Put(sc)
-	words := sc.words[:0]
-	for _, in := range seq {
-		words = append(words, isa.Encode(in))
-	}
-	toks := c.appendTokens(sc.toks[:0], words)
-	sc.words, sc.toks = words, toks // retain grown capacity across recycles
+	toks := c.appendTokens(sc.toks[:0], seq)
+	sc.toks = toks // retain grown capacity across recycles
 	for _, t := range toks {
 		if err := c.kindCode.Encode(w, uint32(t.kind)); err != nil {
 			return fmt.Errorf("lzcomp: kind: %w", err)
@@ -304,15 +282,18 @@ func (c *Compressor) Compress(w *huffman.BitWriter, seq []isa.Inst) error {
 	return nil
 }
 
-// Decompress decodes one region starting at bit offset bitOff, invoking
-// emit per instruction, and returns the bits consumed.
-//
-// Besides the Huffman decoder, the two modes differ in how dictionary hits
-// materialize instructions: the fast path emits the struct cached by
-// primeDictInsts, the reference path re-runs isa.Decode per emit, exactly
-// as a from-scratch decoder would. isa.Decode is a pure function, so both
-// modes emit identical instructions.
+// Decompress is DecompressWords for callers that want decoded
+// instructions.
 func (c *Compressor) Decompress(blob []byte, bitOff int, emit func(isa.Inst) error) (int, error) {
+	return c.DecompressWords(blob, bitOff, func(w uint32) error { return emit(isa.Decode(w)) })
+}
+
+// DecompressWords decodes one region starting at bit offset bitOff,
+// invoking emit per instruction word, and returns the bits consumed. Every
+// word it emits is canonical (isa.Canonical): a raw token carrying any
+// other word is an error, UnmarshalBinary refuses such dictionary words,
+// and a match copies words already emitted.
+func (c *Compressor) DecompressWords(blob []byte, bitOff int, emit func(uint32) error) (int, error) {
 	r := huffman.GetReader(blob)
 	defer huffman.PutReader(r)
 	sc := decPool.Get().(*decScratch)
@@ -320,14 +301,10 @@ func (c *Compressor) Decompress(blob []byte, bitOff int, emit func(isa.Inst) err
 	return c.decompress(r, sc, bitOff, emit)
 }
 
-// decompress is Decompress's body over a caller-supplied reader (positioned
-// anywhere in the region's blob) and back-reference window.
-func (c *Compressor) decompress(r *huffman.BitReader, sc *decScratch, bitOff int, emit func(isa.Inst) error) (int, error) {
+// decompress is DecompressWords's body over a caller-supplied reader
+// (positioned anywhere in the region's blob) and back-reference window.
+func (c *Compressor) decompress(r *huffman.BitReader, sc *decScratch, bitOff int, emit func(uint32) error) (int, error) {
 	r.Seek(bitOff)
-	fast := !c.slowDecode
-	if fast && c.dictInsts == nil {
-		c.primeDictInsts()
-	}
 	// Appending through sc.words (rather than a local captured by a push
 	// closure) keeps the window's grown capacity across recycles and the
 	// loop allocation-free.
@@ -337,6 +314,7 @@ func (c *Compressor) decompress(r *huffman.BitReader, sc *decScratch, bitOff int
 		if err != nil {
 			return r.BitsRead() - bitOff, err
 		}
+		var w uint32
 		switch kind {
 		case kindEnd:
 			return r.BitsRead() - bitOff, nil
@@ -348,20 +326,11 @@ func (c *Compressor) decompress(r *huffman.BitReader, sc *decScratch, bitOff int
 			if int(idx) >= len(c.dict) {
 				return r.BitsRead() - bitOff, fmt.Errorf("lzcomp: dictionary index %d out of range", idx)
 			}
-			sc.words = append(sc.words, c.dict[idx])
-			if fast {
-				err = emit(c.dictInsts[idx])
-			} else {
-				err = emit(isa.Decode(c.dict[idx]))
-			}
-			if err != nil {
-				return r.BitsRead() - bitOff, err
-			}
+			w = c.dict[idx]
 		case kindRaw:
-			w := uint32(r.ReadBits(32))
-			sc.words = append(sc.words, w)
-			if err := emit(isa.Decode(w)); err != nil {
-				return r.BitsRead() - bitOff, err
+			w = uint32(r.ReadBits(32))
+			if !isa.Canonical(w) {
+				return r.BitsRead() - bitOff, fmt.Errorf("lzcomp: raw word %#08x is not a canonical instruction", w)
 			}
 		case kindMatch:
 			dist, err := c.decodeSym(c.distCode, r)
@@ -379,12 +348,17 @@ func (c *Compressor) decompress(r *huffman.BitReader, sc *decScratch, bitOff int
 			for k := 0; k < int(length); k++ {
 				w := sc.words[start+k]
 				sc.words = append(sc.words, w)
-				if err := emit(isa.Decode(w)); err != nil {
+				if err := emit(w); err != nil {
 					return r.BitsRead() - bitOff, err
 				}
 			}
+			continue
 		default:
 			return r.BitsRead() - bitOff, fmt.Errorf("lzcomp: unknown token kind %d", kind)
+		}
+		sc.words = append(sc.words, w)
+		if err := emit(w); err != nil {
+			return r.BitsRead() - bitOff, err
 		}
 	}
 }
@@ -426,10 +400,13 @@ func (c *Compressor) UnmarshalBinary(data []byte) error {
 	}
 	c.dict = make([]uint32, n)
 	c.dictIdx = make(map[uint32]int, n)
-	c.dictInsts = nil
 	for i := range c.dict {
-		c.dict[i] = binary.LittleEndian.Uint32(data[pos:])
-		c.dictIdx[c.dict[i]] = i
+		w := binary.LittleEndian.Uint32(data[pos:])
+		if !isa.Canonical(w) {
+			return fmt.Errorf("lzcomp: dictionary word %#08x is not a canonical instruction", w)
+		}
+		c.dict[i] = w
+		c.dictIdx[w] = i
 		pos += 4
 	}
 	codes, pos, err := huffman.ReadCodes(data, pos, len(c.codes()))

@@ -14,13 +14,31 @@ import (
 
 // compressSeqs compresses every region in turn into one writer and returns
 // the blob with each region's starting bit.
+// wordsOf encodes an instruction sequence into the words the coder takes.
+func wordsOf(seq []isa.Inst) []uint32 {
+	out := make([]uint32, len(seq))
+	for i, in := range seq {
+		out[i] = isa.Encode(in)
+	}
+	return out
+}
+
+// wordSeqs is wordsOf over every sequence.
+func wordSeqs(seqs [][]isa.Inst) [][]uint32 {
+	out := make([][]uint32, len(seqs))
+	for i, seq := range seqs {
+		out[i] = wordsOf(seq)
+	}
+	return out
+}
+
 func compressSeqs(tb testing.TB, c *Compressor, seqs [][]isa.Inst) ([]byte, []uint32) {
 	tb.Helper()
 	var w huffman.BitWriter
 	offsets := make([]uint32, len(seqs))
 	for i, s := range seqs {
 		offsets[i] = uint32(w.Len())
-		if err := c.Compress(&w, s); err != nil {
+		if err := c.Compress(&w, wordsOf(s)); err != nil {
 			tb.Fatalf("Compress region %d: %v", i, err)
 		}
 	}
@@ -30,11 +48,11 @@ func compressSeqs(tb testing.TB, c *Compressor, seqs [][]isa.Inst) ([]byte, []ui
 // codedBits is the coded size of seq in bits, terminator included, under
 // either region coder.
 func codedBits(tb testing.TB, c interface {
-	Compress(*huffman.BitWriter, []isa.Inst) error
+	Compress(*huffman.BitWriter, []uint32) error
 }, seq []isa.Inst) int {
 	tb.Helper()
 	var w huffman.BitWriter
-	if err := c.Compress(&w, seq); err != nil {
+	if err := c.Compress(&w, wordsOf(seq)); err != nil {
 		tb.Fatal(err)
 	}
 	return w.Len()
@@ -52,12 +70,12 @@ func tableBytes(tb testing.TB, c interface{ MarshalBinary() ([]byte, error) }) i
 
 func roundTrip(t *testing.T, seqs [][]isa.Inst) *Compressor {
 	t.Helper()
-	c := Train(seqs)
+	c := Train(wordSeqs(seqs))
 	var w huffman.BitWriter
 	offsets := make([]int, len(seqs))
 	for i, s := range seqs {
 		offsets[i] = w.Len()
-		if err := c.Compress(&w, s); err != nil {
+		if err := c.Compress(&w, wordsOf(s)); err != nil {
 			t.Fatalf("Compress region %d: %v", i, err)
 		}
 	}
@@ -108,9 +126,9 @@ func TestRoundTripRandomProperty(t *testing.T) {
 				seq = append(seq, in)
 			}
 		}
-		c := Train([][]isa.Inst{seq})
+		c := Train(wordSeqs([][]isa.Inst{seq}))
 		var w huffman.BitWriter
-		if err := c.Compress(&w, seq); err != nil {
+		if err := c.Compress(&w, wordsOf(seq)); err != nil {
 			return false
 		}
 		var got []isa.Inst
@@ -162,8 +180,8 @@ func TestComparisonWithSplitStream(t *testing.T) {
 	}
 	seqs := [][]isa.Inst{seq}
 
-	lz := Train(seqs)
-	ss := streamcomp.Train(seqs, streamcomp.Options{})
+	lz := Train(wordSeqs(seqs))
+	ss := streamcomp.Train(wordSeqs(seqs), streamcomp.Options{})
 	lzBits, lzTables := codedBits(t, lz, seq), tableBytes(t, lz)
 	ssBits, ssTables := codedBits(t, ss, seq), tableBytes(t, ss)
 	lzTotal := lzBits/8 + lzTables
@@ -184,9 +202,9 @@ func TestDecompressRejectsCorruption(t *testing.T) {
 			seq = append(seq, in)
 		}
 	}
-	c := Train([][]isa.Inst{seq})
+	c := Train(wordSeqs([][]isa.Inst{seq}))
 	var w huffman.BitWriter
-	if err := c.Compress(&w, seq); err != nil {
+	if err := c.Compress(&w, wordsOf(seq)); err != nil {
 		t.Fatal(err)
 	}
 	blob := w.Bytes()
@@ -201,5 +219,53 @@ func TestDecompressRejectsCorruption(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+// TestNonCanonicalWordsRefused: a word that is not the encoding of its own
+// decoding (an operate word with sbz[15:13] set, an illegal opcode) never
+// reaches a caller of DecompressWords, which writes words straight into
+// the runtime buffer. The decoder refuses such a word in a raw token,
+// UnmarshalBinary refuses it in the dictionary, and Compress refuses it
+// in a region.
+func TestNonCanonicalWordsRefused(t *testing.T) {
+	good := isa.Encode(isa.OpR(isa.OpIntA, isa.RegT0, isa.RegT0+1, isa.FnADD, isa.RegT0+2))
+	seq := []uint32{good, good, good, isa.Encode(isa.Mem(isa.OpLDW, isa.RegT0, isa.RegSP, 4)), good}
+	c := Train([][]uint32{seq})
+	for _, bad := range []uint32{good | 1<<13, good | 7<<13, 0x01 << 26, 0x3F<<26 | 5} {
+		if isa.Canonical(bad) {
+			t.Fatalf("%#08x: test word is canonical", bad)
+		}
+		var w huffman.BitWriter
+		if err := c.Compress(&w, []uint32{good, bad}); err == nil {
+			t.Errorf("%#08x: Compress accepted a non-canonical word", bad)
+		}
+
+		w = huffman.BitWriter{}
+		for _, k := range []uint32{kindRaw, kindEnd} {
+			if err := c.kindCode.Encode(&w, k); err != nil {
+				t.Fatal(err)
+			}
+			if k == kindRaw {
+				w.WriteBits(uint64(bad), 32)
+			}
+		}
+		var got []uint32
+		_, err := c.DecompressWords(w.Bytes(), 0, func(x uint32) error {
+			got = append(got, x)
+			return nil
+		})
+		if err == nil || len(got) != 0 {
+			t.Errorf("%#08x: raw token decoded to %#x, err %v", bad, got, err)
+		}
+
+		d := Compressor{dict: []uint32{bad}, kindCode: c.kindCode, dictCode: c.dictCode, distCode: c.distCode, lenCode: c.lenCode}
+		tables, err := d.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := new(Compressor).UnmarshalBinary(tables); err == nil {
+			t.Errorf("%#08x: dictionary word loaded", bad)
+		}
 	}
 }

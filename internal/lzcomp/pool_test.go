@@ -39,7 +39,7 @@ func lzTestSeqs() [][]isa.Inst {
 // writers are core's, and TestRegionEncodeMatchesSequential covers them.
 func TestPoolingOnOffByteIdentical(t *testing.T) {
 	seqs := lzTestSeqs()
-	c := Train(seqs)
+	c := Train(wordSeqs(seqs))
 
 	cycle := func(c *Compressor, seqs [][]isa.Inst) ([]byte, []uint32, [][]isa.Inst) {
 		blob, offsets := compressSeqs(t, c, seqs)
@@ -66,7 +66,7 @@ func TestPoolingOnOffByteIdentical(t *testing.T) {
 		polluter = append(polluter, append(append([]isa.Inst(nil), seq...), seq...))
 	}
 	polluter = append(polluter, polluter[1])
-	cycle(Train(polluter), polluter)
+	cycle(Train(wordSeqs(polluter)), polluter)
 	for n := 0; n < 3; n++ {
 		blob, offs, dec := cycle(c, seqs)
 		if !bytes.Equal(blob, wantBlob) {
@@ -108,15 +108,15 @@ func TestLZTokenDecodeAllocGate(t *testing.T) {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	seqs := lzTestSeqs()
-	c := Train(seqs)
+	c := Train(wordSeqs(seqs))
 	var w huffman.BitWriter
-	if err := c.Compress(&w, seqs[1]); err != nil {
+	if err := c.Compress(&w, wordsOf(seqs[1])); err != nil {
 		t.Fatal(err)
 	}
 	blob := w.Bytes()
-	emit := func(isa.Inst) error { return nil }
+	emit := func(uint32) error { return nil }
 	pooled := testing.AllocsPerRun(200, func() {
-		if _, err := c.Decompress(blob, 0, emit); err != nil {
+		if _, err := c.DecompressWords(blob, 0, emit); err != nil {
 			t.Fatal(err)
 		}
 	})

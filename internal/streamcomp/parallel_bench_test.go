@@ -10,14 +10,14 @@ import (
 	"repro/internal/parallel"
 )
 
-// regionSeq builds a K-byte region's worth of valid instructions.
-func regionSeq(kBytes int) []isa.Inst {
+// regionSeq builds a K-byte region's worth of valid instruction words.
+func regionSeq(kBytes int) []uint32 {
 	want := kBytes / isa.WordSize
-	var seq []isa.Inst
+	var seq []uint32
 	for seed := int64(0); len(seq) < want; seed++ {
 		for _, in := range isa.RandInsts(seed, 2*want) {
 			if in.Format != isa.FormatIllegal {
-				seq = append(seq, in)
+				seq = append(seq, isa.Encode(in))
 				if len(seq) == want {
 					break
 				}
@@ -29,9 +29,9 @@ func regionSeq(kBytes int) []isa.Inst {
 
 // encodeRange encodes seq's codewords (no sentinel) into w — the inner loop
 // of Compress, reused by the chunked prototype below.
-func encodeRange(c *Compressor, w *huffman.BitWriter, seq []isa.Inst) error {
-	for _, in := range seq {
-		for _, fv := range isa.Fields(in) {
+func encodeRange(c *Compressor, w *huffman.BitWriter, seq []uint32) error {
+	for _, word := range seq {
+		for _, fv := range isa.Fields(isa.Decode(word)) {
 			if err := c.codes[fv.Kind].Encode(w, fv.Value); err != nil {
 				return err
 			}
@@ -46,7 +46,7 @@ func encodeRange(c *Compressor, w *huffman.BitWriter, seq []isa.Inst) error {
 // are static, so chunk bits are position-independent; MTF would forbid
 // this). The merge is a serial unaligned bit append, so the achievable
 // speedup is bounded by the encode/merge cost ratio.
-func chunkedCompress(c *Compressor, seq []isa.Inst, chunks int) (*huffman.BitWriter, error) {
+func chunkedCompress(c *Compressor, seq []uint32, chunks int) (*huffman.BitWriter, error) {
 	per := (len(seq) + chunks - 1) / chunks
 	parts, err := parallel.Map(chunks, chunks, func(i int) (*huffman.BitWriter, error) {
 		lo := i * per
@@ -67,7 +67,7 @@ func chunkedCompress(c *Compressor, seq []isa.Inst, chunks int) (*huffman.BitWri
 	for _, p := range parts {
 		out.Append(p)
 	}
-	if err := encodeRange(c, &out, []isa.Inst{sentinelInst}); err != nil {
+	if err := encodeRange(c, &out, []uint32{isa.Sentinel}); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -81,7 +81,7 @@ func chunkedCompress(c *Compressor, seq []isa.Inst, chunks int) (*huffman.BitWri
 func BenchmarkPerStreamEncode(b *testing.B) {
 	for _, kBytes := range []int{512, 2048, 8192} {
 		seq := regionSeq(kBytes)
-		c := Train([][]isa.Inst{seq}, Options{})
+		c := Train([][]uint32{seq}, Options{})
 		for _, code := range c.codes {
 			code.Prime()
 		}

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/huffman"
-	"repro/internal/isa"
 	"repro/internal/race"
 )
 
 // compressDecompress compresses every region in turn into one writer, then
 // decodes each region through Decompress's pooled reader, and returns the
 // blob, offsets, and decoded instructions.
-func compressDecompress(t *testing.T, c *Compressor, seqs [][]isa.Inst) ([]byte, []uint32, [][]isa.Inst) {
+func compressDecompress(t *testing.T, c *Compressor, seqs [][]uint32) ([]byte, []uint32, [][]uint32) {
 	t.Helper()
 	var w huffman.BitWriter
 	offsets := make([]uint32, len(seqs))
@@ -24,10 +23,10 @@ func compressDecompress(t *testing.T, c *Compressor, seqs [][]isa.Inst) ([]byte,
 		}
 	}
 	blob := w.Bytes()
-	decoded := make([][]isa.Inst, len(seqs))
+	decoded := make([][]uint32, len(seqs))
 	for i := range seqs {
-		if _, err := c.Decompress(blob, int(offsets[i]), func(in isa.Inst) error {
-			decoded[i] = append(decoded[i], in)
+		if _, err := c.DecompressWords(blob, int(offsets[i]), func(w uint32) error {
+			decoded[i] = append(decoded[i], w)
 			return nil
 		}); err != nil {
 			t.Fatalf("Decompress region %d: %v", i, err)
@@ -44,14 +43,14 @@ func compressDecompress(t *testing.T, c *Compressor, seqs [][]isa.Inst) ([]byte,
 // variants. The pooled per-region writers are core's, and
 // TestRegionEncodeMatchesSequential covers them.
 func TestPoolingOnOffByteIdentical(t *testing.T) {
-	seqs := [][]isa.Inst{
+	seqs := [][]uint32{
 		realisticSeq(1, 300),
 		realisticSeq(2, 7),
 		realisticSeq(3, 1200),
 		{},
 		realisticSeq(4, 64),
 	}
-	polluter := [][]isa.Inst{realisticSeq(5, 4000), realisticSeq(6, 2500), realisticSeq(7, 900)}
+	polluter := [][]uint32{realisticSeq(5, 4000), realisticSeq(6, 2500), realisticSeq(7, 900)}
 	for _, opts := range []Options{{}, {MTF: true}} {
 		c := Train(seqs, opts)
 
@@ -88,7 +87,7 @@ func TestPoolingOnOffByteIdentical(t *testing.T) {
 // enough that a pooled writer sized by it encodes a typical region without
 // growing, which is what makes the warm encode path allocation-free.
 func TestSizeHintCoversTypicalRegions(t *testing.T) {
-	seqs := [][]isa.Inst{realisticSeq(10, 600), realisticSeq(11, 600)}
+	seqs := [][]uint32{realisticSeq(10, 600), realisticSeq(11, 600)}
 	c := Train(seqs, Options{})
 	if c.estBitsPerInst <= 0 {
 		t.Fatal("Train left estBitsPerInst unset")
@@ -116,7 +115,7 @@ func TestRegionEncodeAllocGate(t *testing.T) {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	seq := realisticSeq(99, 512)
-	c := Train([][]isa.Inst{seq}, Options{})
+	c := Train([][]uint32{seq}, Options{})
 	pooled := testing.AllocsPerRun(200, func() {
 		w := huffman.GetWriter(c.SizeHint(len(seq)))
 		if err := c.Compress(w, seq); err != nil {

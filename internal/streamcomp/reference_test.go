@@ -10,9 +10,13 @@ import (
 	"repro/internal/parallel"
 )
 
+// sentinelInst is the region terminator as isa.Fields splits it.
+var sentinelInst = isa.Inst{Op: isa.OpIllegal, Format: isa.FormatIllegal}
+
 // refTrain is the original Train, kept as the test oracle for the chunked
-// one: it counts every sequence into fifteen fresh maps of its own and
-// splits fields with isa.Fields. Train must build the same codes, MTF
+// word one: it takes decoded instructions, counts every sequence into
+// fifteen fresh maps of its own and splits fields with isa.Fields. Train
+// over the same instructions' words must build the same codes, MTF
 // alphabets and size estimate at any worker count.
 func refTrain(seqs [][]isa.Inst, opts Options) *Compressor {
 	c := &Compressor{opts: opts}
@@ -117,10 +121,12 @@ func refTrain(seqs [][]isa.Inst, opts Options) *Compressor {
 func TestTrainMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 7, 9, 64} {
 		seqs := make([][]isa.Inst, n)
+		wseqs := make([][]uint32, n)
 		for i := range seqs {
 			for _, in := range isa.RandInsts(int64(n*100+i), i%23*5) {
 				if in.Format != isa.FormatIllegal {
 					seqs[i] = append(seqs[i], in)
+					wseqs[i] = append(wseqs[i], isa.Encode(in))
 				}
 			}
 		}
@@ -132,7 +138,7 @@ func TestTrainMatchesReference(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 3, 4, 8} {
 				name := fmt.Sprintf("seqs=%d/mtf=%v/workers=%d", n, mtf, workers)
-				got := Train(seqs, Options{MTF: mtf, Workers: workers})
+				got := Train(wseqs, Options{MTF: mtf, Workers: workers})
 				gotTables, err := got.MarshalBinary()
 				if err != nil {
 					t.Fatal(err)

@@ -6,8 +6,12 @@
 // always decoded first — fully determines which streams supply the
 // remaining fields of the instruction.
 //
-// Every compressed region ends with a sentinel (an illegal instruction)
-// that tells the decompressor to stop (§2.1).
+// The coder works on 32-bit instruction words: isa.LayoutOf gives each
+// format's fields as (stream, shift, width) bit fields, so splitting a word
+// into stream values and joining decoded values back into a word are
+// shifts and masks, with no decoded instruction in between. Every
+// compressed region ends with a sentinel (an illegal opcode) that tells
+// the decompressor to stop (§2.1).
 //
 // An optional move-to-front transform can be applied per stream before
 // Huffman coding; the paper notes it buys slightly better compression for
@@ -70,27 +74,19 @@ type Compressor struct {
 // Decompress calls (true) or the table-driven one (false, the default).
 func (c *Compressor) SetSlowDecode(v bool) { c.slowDecode = v }
 
-// sentinelInst is the region terminator as seen by the field splitter.
-var sentinelInst = isa.Inst{Op: isa.OpIllegal, Format: isa.FormatIllegal}
-
 // Train builds the per-stream codes from the field-value frequencies of all
-// instruction sequences that will be compressed (the first pass of the
-// paper's two-pass process). A sentinel per sequence is included. The
-// returned compressor has its codes primed, so concurrent Compress calls
-// share it safely.
-func Train(seqs [][]isa.Inst, opts Options) *Compressor {
+// word sequences that will be compressed (the first pass of the paper's
+// two-pass process). A sentinel per sequence is included. Concurrent
+// Compress calls share the returned compressor safely, since
+// huffman.BuildSorted returns codes with their encoders already built; only
+// the decode tables wait for a first decode. Train does not check the
+// words; Compress refuses non-canonical ones.
+func Train(seqs [][]uint32, opts Options) *Compressor {
 	c := &Compressor{opts: opts}
 	if opts.MTF {
 		// Alphabet collection fans out too: a stream's alphabet is every
 		// value counted at least once, which no merge order changes.
-		seen := countChunks(seqs, opts.Workers, func(f *streamCounts, seq []isa.Inst) {
-			var fv [8]isa.FieldValue
-			for i := 0; i <= len(seq); i++ {
-				for _, x := range isa.AppendFields(fv[:0], instOrSentinel(seq, i)) {
-					f.add(x.Kind, x.Value)
-				}
-			}
-		})
+		seen := countChunks(seqs, opts.Workers, countFields)
 		for k := range c.alphabets {
 			c.alphabets[k], _ = seen.sorted(isa.StreamKind(k))
 		}
@@ -100,24 +96,24 @@ func Train(seqs [][]isa.Inst, opts Options) *Compressor {
 	// Frequency counting is per sequence (each sequence restarts its MTF
 	// state), so it fans out; the merged counts are sums, identical at any
 	// worker count.
-	freqs := countChunks(seqs, opts.Workers, func(f *streamCounts, seq []isa.Inst) {
-		mtf := c.newMTF()
-		var fv [8]isa.FieldValue
-		for i := 0; i <= len(seq); i++ {
-			for _, x := range isa.AppendFields(fv[:0], instOrSentinel(seq, i)) {
-				v := x.Value
-				if mtf != nil {
-					v = mtf[x.Kind].encode(v)
+	count := countFields
+	if opts.MTF {
+		count = func(f *streamCounts, seq []uint32) {
+			mtf := c.newMTF()
+			for _, w := range seq {
+				f.add(isa.StreamOpcode, mtf[isa.StreamOpcode].encode(w>>26))
+				for _, r := range isa.LayoutOf(w).Fields {
+					f.add(r.Kind, mtf[r.Kind].encode(w>>r.Shift&(1<<r.Bits-1)))
 				}
-				f.add(x.Kind, v)
 			}
+			f.add(isa.StreamOpcode, mtf[isa.StreamOpcode].encode(isa.OpIllegal))
 		}
-	})
+	}
+	freqs := countChunks(seqs, opts.Workers, count)
 	var totalBits, totalInsts uint64
 	for k := range c.codes {
 		values, counts := freqs.sorted(isa.StreamKind(k))
 		c.codes[k] = huffman.BuildSorted(values, counts)
-		c.codes[k].Prime()
 		for i, v := range values {
 			totalBits += counts[i] * uint64(c.codes[k].CodeLen(v))
 		}
@@ -132,6 +128,18 @@ func Train(seqs [][]isa.Inst, opts Options) *Compressor {
 		c.estBitsPerInst = int((totalBits + totalInsts - 1) / totalInsts)
 	}
 	return c
+}
+
+// countFields counts every field value of seq's words, and the region's
+// sentinel opcode, into f.
+func countFields(f *streamCounts, seq []uint32) {
+	for _, w := range seq {
+		f.dense[isa.StreamOpcode][w>>26]++
+		for _, r := range isa.LayoutOf(w).Fields {
+			f.add(r.Kind, w>>r.Shift&(1<<r.Bits-1))
+		}
+	}
+	f.dense[isa.StreamOpcode][isa.OpIllegal]++
 }
 
 // denseBits is the widest stream counted in a flat array: the 16-bit
@@ -225,19 +233,11 @@ func (f *streamCounts) sorted(k isa.StreamKind) ([]uint32, []uint64) {
 	return values, counts
 }
 
-// instOrSentinel returns seq[i], or the region sentinel at i == len(seq).
-func instOrSentinel(seq []isa.Inst, i int) isa.Inst {
-	if i == len(seq) {
-		return sentinelInst
-	}
-	return seq[i]
-}
-
 // countChunks runs count over every sequence, split into one contiguous
 // chunk of sequences per worker. Each chunk counts into its own pooled
 // tables and the chunks' tables are then summed, so the result is the same
 // at any worker count. The caller returns the result to the pool.
-func countChunks(seqs [][]isa.Inst, workers int, count func(f *streamCounts, seq []isa.Inst)) *streamCounts {
+func countChunks(seqs [][]uint32, workers int, count func(f *streamCounts, seq []uint32)) *streamCounts {
 	var (
 		mu    sync.Mutex
 		parts []*streamCounts
@@ -293,51 +293,69 @@ func (c *Compressor) newMTF() []*mtfState {
 
 // Compress appends the merged codeword sequence for seq (plus the sentinel)
 // to w. MTF state starts fresh for each sequence so regions decompress
-// independently.
-func (c *Compressor) Compress(w *huffman.BitWriter, seq []isa.Inst) error {
+// independently. A word its format's fields do not cover (an illegal
+// opcode, the sentinel, an operate word with sbz bits set) is refused:
+// the decoder could not give it back.
+func (c *Compressor) Compress(w *huffman.BitWriter, seq []uint32) error {
 	mtf := c.newMTF()
-	// One stack-resident scratch serves every field split in the region; the
-	// encode loop allocates nothing per instruction.
-	var fvbuf [8]isa.FieldValue
-	for _, in := range seq {
-		if in.Format == isa.FormatIllegal {
-			return fmt.Errorf("streamcomp: illegal instruction inside region")
+	codes := &c.codes
+	// Each field is one call, to its code's Encode: a helper that also
+	// took the MTF step made it two calls and pgp's regions ~15% slower.
+	for _, word := range seq {
+		lay := isa.LayoutOf(word)
+		if word&^lay.Cover != 0 {
+			return fmt.Errorf("streamcomp: word %#08x is not a canonical region instruction", word)
 		}
-		if err := c.encodeInst(w, in, mtf, fvbuf[:0]); err != nil {
-			return err
+		op := word >> 26
+		if mtf != nil {
+			op = mtf[isa.StreamOpcode].encode(op)
+		}
+		if err := codes[isa.StreamOpcode].Encode(w, op); err != nil {
+			return fieldError(isa.StreamOpcode, err)
+		}
+		for _, r := range lay.Fields {
+			v := word >> r.Shift & (1<<r.Bits - 1)
+			if mtf != nil {
+				v = mtf[r.Kind].encode(v)
+			}
+			if err := codes[r.Kind].Encode(w, v); err != nil {
+				return fieldError(r.Kind, err)
+			}
 		}
 	}
-	return c.encodeInst(w, sentinelInst, mtf, fvbuf[:0])
-}
-
-// encodeInst emits one instruction's codewords into w, splitting its fields
-// into caller-provided scratch.
-func (c *Compressor) encodeInst(w *huffman.BitWriter, in isa.Inst, mtf []*mtfState, scratch []isa.FieldValue) error {
-	for _, fv := range isa.AppendFields(scratch, in) {
-		v := fv.Value
-		if mtf != nil {
-			v = mtf[fv.Kind].encode(v)
-		}
-		if err := c.codes[fv.Kind].Encode(w, v); err != nil {
-			return fmt.Errorf("streamcomp: %v stream: %w", fv.Kind, err)
-		}
+	op := isa.OpIllegal
+	if mtf != nil {
+		op = mtf[isa.StreamOpcode].encode(op)
+	}
+	if err := codes[isa.StreamOpcode].Encode(w, op); err != nil {
+		return fieldError(isa.StreamOpcode, err)
 	}
 	return nil
 }
 
-// Decompress reads one region's merged codeword sequence starting at bit
-// offset bitOff of blob, invoking emit for each instruction until the
-// sentinel. It returns the number of compressed bits consumed (sentinel
-// included), which the simulator's cost model charges for.
+// fieldError names the stream whose code refused a value.
+func fieldError(k isa.StreamKind, err error) error {
+	return fmt.Errorf("streamcomp: %v stream: %w", k, err)
+}
+
+// Decompress is DecompressWords for callers that want decoded
+// instructions.
 func (c *Compressor) Decompress(blob []byte, bitOff int, emit func(isa.Inst) error) (bitsRead int, err error) {
+	return c.DecompressWords(blob, bitOff, func(w uint32) error { return emit(isa.Decode(w)) })
+}
+
+// DecompressWords reads one region's merged codeword sequence starting at
+// bit offset bitOff of blob, joining each instruction's fields into its
+// word and invoking emit for it until the sentinel. Every word it emits is
+// canonical: the opcode must name a legal format, and UnmarshalBinary (or
+// Train) bounded every value to its field's width. It returns the number
+// of compressed bits consumed (sentinel included), which the simulator's
+// cost model charges for.
+func (c *Compressor) DecompressWords(blob []byte, bitOff int, emit func(uint32) error) (bitsRead int, err error) {
 	r := huffman.GetReader(blob)
 	defer huffman.PutReader(r)
 	r.Seek(bitOff)
 	mtf := c.newMTF()
-	// One stack-resident scratch holds each instruction's fields; FromFields
-	// does not retain it, so the decode loop allocates nothing per
-	// instruction.
-	var fvbuf [8]isa.FieldValue
 	for {
 		op, err := c.decodeField(r, mtf, isa.StreamOpcode)
 		if err != nil {
@@ -346,49 +364,28 @@ func (c *Compressor) Decompress(blob []byte, bitOff int, emit func(isa.Inst) err
 		if op == isa.OpIllegal {
 			return r.BitsRead() - bitOff, nil // sentinel
 		}
-		fv := append(fvbuf[:0], isa.FieldValue{Kind: isa.StreamOpcode, Value: op})
-		// The opcode selects the remaining streams; for the operate group
-		// the op.func stream (decoded before op.rb/op.lit) carries the
-		// literal flag in its high bit.
-		switch isa.FormatOf(op) {
-		case isa.FormatOpReg:
-			ra, err := c.decodeField(r, mtf, isa.StreamOpRA)
-			if err != nil {
-				return r.BitsRead() - bitOff, err
-			}
-			fn, err := c.decodeField(r, mtf, isa.StreamOpFunc)
-			if err != nil {
-				return r.BitsRead() - bitOff, err
-			}
-			bKind := isa.StreamOpRB
-			if fn>>7&1 == 1 {
-				bKind = isa.StreamOpLit
-			}
-			bv, err := c.decodeField(r, mtf, bKind)
-			if err != nil {
-				return r.BitsRead() - bitOff, err
-			}
-			rc, err := c.decodeField(r, mtf, isa.StreamOpRC)
-			if err != nil {
-				return r.BitsRead() - bitOff, err
-			}
-			fv = append(fv,
-				isa.FieldValue{Kind: isa.StreamOpRA, Value: ra},
-				isa.FieldValue{Kind: isa.StreamOpFunc, Value: fn},
-				isa.FieldValue{Kind: bKind, Value: bv},
-				isa.FieldValue{Kind: isa.StreamOpRC, Value: rc})
-		case isa.FormatIllegal:
+		w := op << 26
+		lay := isa.LayoutOf(w)
+		if lay.Cover == 0 {
 			return r.BitsRead() - bitOff, fmt.Errorf("streamcomp: undecodable opcode %#x", op)
-		default:
-			for _, ref := range isa.OperandFields(op, false) {
-				v, err := c.decodeField(r, mtf, ref.Kind)
-				if err != nil {
-					return r.BitsRead() - bitOff, err
-				}
-				fv = append(fv, isa.FieldValue{Kind: ref.Kind, Value: v})
+		}
+		// The opcode selects the remaining streams; for the operate group
+		// the op.func value (decoded before op.rb/op.lit) carries the
+		// literal flag in its high bit, which switches to the OpLit
+		// layout, whose first two fields are the same.
+		fields := lay.Fields
+		for i := 0; i < len(fields); i++ {
+			f := fields[i]
+			v, err := c.decodeField(r, mtf, f.Kind)
+			if err != nil {
+				return r.BitsRead() - bitOff, err
+			}
+			w |= v << f.Shift
+			if f.Kind == isa.StreamOpFunc {
+				fields = isa.LayoutOf(w).Fields
 			}
 		}
-		if err := emit(isa.FromFields(fv)); err != nil {
+		if err := emit(w); err != nil {
 			return r.BitsRead() - bitOff, err
 		}
 	}
@@ -405,7 +402,7 @@ func (c *Compressor) decodeField(r *huffman.BitReader, mtf []*mtfState, k isa.St
 		v, err = c.codes[k].Decode(r)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("streamcomp: %v stream: %w", k, err)
+		return 0, fieldError(k, err)
 	}
 	if mtf != nil {
 		v = mtf[k].decode(v)

@@ -9,9 +9,18 @@ import (
 	"repro/internal/isa"
 )
 
-// realisticSeq builds an instruction sequence with the skewed field
+// words encodes instructions into the words the coder takes.
+func words(insts ...isa.Inst) []uint32 {
+	out := make([]uint32, len(insts))
+	for i, in := range insts {
+		out[i] = isa.Encode(in)
+	}
+	return out
+}
+
+// realisticSeq builds an instruction word sequence with the skewed field
 // distributions of real code (stack ops, small displacements, common regs).
-func realisticSeq(seed int64, n int) []isa.Inst {
+func realisticSeq(seed int64, n int) []uint32 {
 	r := rand.New(rand.NewSource(seed))
 	out := make([]isa.Inst, 0, n)
 	regs := []uint32{isa.RegV0, isa.RegT0, isa.RegT0 + 1, isa.RegA0, isa.RegA1, isa.RegSP, isa.RegS0}
@@ -36,12 +45,12 @@ func realisticSeq(seed int64, n int) []isa.Inst {
 			out = append(out, isa.Jump(isa.JmpRET, isa.RegZero, isa.RegRA, 0))
 		}
 	}
-	return out
+	return words(out...)
 }
 
 // codedBits compresses seq into a fresh writer and returns its coded size
 // in bits, sentinel included.
-func codedBits(tb testing.TB, c *Compressor, seq []isa.Inst) int {
+func codedBits(tb testing.TB, c *Compressor, seq []uint32) int {
 	tb.Helper()
 	var w huffman.BitWriter
 	if err := c.Compress(&w, seq); err != nil {
@@ -50,7 +59,7 @@ func codedBits(tb testing.TB, c *Compressor, seq []isa.Inst) int {
 	return w.Len()
 }
 
-func roundTrip(t *testing.T, opts Options, seqs [][]isa.Inst) {
+func roundTrip(t *testing.T, opts Options, seqs [][]uint32) {
 	t.Helper()
 	c := Train(seqs, opts)
 	var w huffman.BitWriter
@@ -63,9 +72,9 @@ func roundTrip(t *testing.T, opts Options, seqs [][]isa.Inst) {
 	}
 	blob := w.Bytes()
 	for i, seq := range seqs {
-		var got []isa.Inst
-		bits, err := c.Decompress(blob, offsets[i], func(in isa.Inst) error {
-			got = append(got, in)
+		var got []uint32
+		bits, err := c.DecompressWords(blob, offsets[i], func(w uint32) error {
+			got = append(got, w)
 			return nil
 		})
 		if err != nil {
@@ -86,7 +95,7 @@ func roundTrip(t *testing.T, opts Options, seqs [][]isa.Inst) {
 }
 
 func TestRoundTripRealistic(t *testing.T) {
-	seqs := [][]isa.Inst{
+	seqs := [][]uint32{
 		realisticSeq(1, 40),
 		realisticSeq(2, 7),
 		realisticSeq(3, 128),
@@ -96,7 +105,7 @@ func TestRoundTripRealistic(t *testing.T) {
 }
 
 func TestRoundTripMTF(t *testing.T) {
-	seqs := [][]isa.Inst{
+	seqs := [][]uint32{
 		realisticSeq(5, 60),
 		realisticSeq(6, 13),
 		realisticSeq(7, 99),
@@ -109,13 +118,13 @@ func TestRoundTripRandomProperty(t *testing.T) {
 		insts := isa.RandInsts(seed, 50)
 		// Drop illegal-format instructions (sentinels may not appear
 		// inside a region).
-		var seq []isa.Inst
+		var seq []uint32
 		for _, in := range insts {
 			if in.Format != isa.FormatIllegal {
-				seq = append(seq, in)
+				seq = append(seq, isa.Encode(in))
 			}
 		}
-		seqs := [][]isa.Inst{seq, seq[:len(seq)/2]}
+		seqs := [][]uint32{seq, seq[:len(seq)/2]}
 		c := Train(seqs, Options{})
 		var w huffman.BitWriter
 		var offsets []int
@@ -127,9 +136,9 @@ func TestRoundTripRandomProperty(t *testing.T) {
 		}
 		blob := w.Bytes()
 		for i, s := range seqs {
-			var got []isa.Inst
-			if _, err := c.Decompress(blob, offsets[i], func(in isa.Inst) error {
-				got = append(got, in)
+			var got []uint32
+			if _, err := c.DecompressWords(blob, offsets[i], func(w uint32) error {
+				got = append(got, w)
 				return nil
 			}); err != nil {
 				return false
@@ -151,32 +160,51 @@ func TestRoundTripRandomProperty(t *testing.T) {
 }
 
 func TestVirtualOpcodesRoundTrip(t *testing.T) {
-	seq := []isa.Inst{
+	seq := words(
 		isa.Br(isa.OpBSRX, isa.RegRA, 1234),
-		{Op: isa.OpJSRX, Format: isa.FormatJump, RA: isa.RegRA, RB: isa.RegPV},
+		isa.Inst{Op: isa.OpJSRX, Format: isa.FormatJump, RA: isa.RegRA, RB: isa.RegPV},
 		isa.Br(isa.OpBSR, isa.RegRA, -7),
-	}
-	roundTrip(t, Options{}, [][]isa.Inst{seq})
+	)
+	roundTrip(t, Options{}, [][]uint32{seq})
 }
 
 func TestCompressRejectsSentinelInRegion(t *testing.T) {
-	c := Train([][]isa.Inst{{isa.Nop()}}, Options{})
+	c := Train([][]uint32{words(isa.Nop())}, Options{})
 	var w huffman.BitWriter
-	err := c.Compress(&w, []isa.Inst{{Format: isa.FormatIllegal, Op: isa.OpIllegal}})
+	err := c.Compress(&w, []uint32{isa.Sentinel})
 	if err == nil {
 		t.Fatal("expected error for sentinel inside region")
 	}
 }
 
+// TestCompressRejectsNonCanonicalWords: Compress refuses a word its
+// format's fields do not cover, which the decoder could not give back: an
+// operate-register word with sbz[15:13] set, illegal opcodes.
+func TestCompressRejectsNonCanonicalWords(t *testing.T) {
+	seq := realisticSeq(8, 200)
+	c := Train([][]uint32{seq}, Options{})
+	add := isa.Encode(isa.OpR(isa.OpIntA, isa.RegT0, isa.RegT0+1, isa.FnADD, isa.RegT0+2))
+	for _, bad := range []uint32{add | 1<<13, add | 7<<13, 0x01 << 26, 0x3E<<26 | 0x1234} {
+		if isa.Canonical(bad) {
+			t.Fatalf("%#08x: test word is canonical", bad)
+		}
+		var w huffman.BitWriter
+		err := c.Compress(&w, []uint32{seq[0], bad, seq[1]})
+		if err == nil {
+			t.Errorf("%#08x: Compress accepted a non-canonical word", bad)
+		}
+	}
+}
+
 func TestEmptyRegion(t *testing.T) {
-	roundTrip(t, Options{}, [][]isa.Inst{{}})
+	roundTrip(t, Options{}, [][]uint32{{}})
 }
 
 func TestCompressionBeatsRawEncoding(t *testing.T) {
 	// Realistic code must compress well below 32 bits/instruction; the
 	// paper reports ≈66% of original size, i.e. ≈21 bits. Allow a generous
 	// margin for this small synthetic sample but require real compression.
-	seqs := [][]isa.Inst{realisticSeq(11, 2000)}
+	seqs := [][]uint32{realisticSeq(11, 2000)}
 	c := Train(seqs, Options{})
 	bits := codedBits(t, c, seqs[0])
 	perInst := float64(bits) / float64(len(seqs[0]))
@@ -188,7 +216,7 @@ func TestCompressionBeatsRawEncoding(t *testing.T) {
 
 func TestSerializeRoundTrip(t *testing.T) {
 	for _, opts := range []Options{{}, {MTF: true}} {
-		seqs := [][]isa.Inst{realisticSeq(21, 120), realisticSeq(22, 60)}
+		seqs := [][]uint32{realisticSeq(21, 120), realisticSeq(22, 60)}
 		c := Train(seqs, opts)
 		blob, err := c.MarshalBinary()
 		if err != nil {
@@ -204,9 +232,9 @@ func TestSerializeRoundTrip(t *testing.T) {
 		if err := c.Compress(&w, seqs[0]); err != nil {
 			t.Fatal(err)
 		}
-		var got []isa.Inst
-		if _, err := back.Decompress(w.Bytes(), 0, func(in isa.Inst) error {
-			got = append(got, in)
+		var got []uint32
+		if _, err := back.DecompressWords(w.Bytes(), 0, func(w uint32) error {
+			got = append(got, w)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -223,7 +251,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 func TestDecompressDetectsCorruption(t *testing.T) {
-	seqs := [][]isa.Inst{realisticSeq(31, 100)}
+	seqs := [][]uint32{realisticSeq(31, 100)}
 	c := Train(seqs, Options{})
 	var w huffman.BitWriter
 	if err := c.Compress(&w, seqs[0]); err != nil {
@@ -235,7 +263,7 @@ func TestDecompressDetectsCorruption(t *testing.T) {
 		corrupted := append([]byte(nil), blob...)
 		corrupted[i] ^= 0xA5
 		n := 0
-		_, err := c.Decompress(corrupted, 0, func(isa.Inst) error {
+		_, err := c.DecompressWords(corrupted, 0, func(uint32) error {
 			n++
 			if n > 10*len(seqs[0]) {
 				t.Fatal("decoder ran away on corrupted input")
@@ -249,14 +277,14 @@ func TestDecompressDetectsCorruption(t *testing.T) {
 func TestMTFCompressesRepetitiveStreamsBetter(t *testing.T) {
 	// A sequence cycling through a few distinct displacement values with
 	// strong recency should favor MTF.
-	var seq []isa.Inst
+	var seq []uint32
 	disps := []int32{0, 4, 8, 1000, 2000, 3000, 4000, 5000, 6000, 7000}
 	for i := 0; i < 600; i++ {
 		d := disps[(i/20)%len(disps)]
-		seq = append(seq, isa.Mem(isa.OpLDW, isa.RegT0, isa.RegSP, d))
+		seq = append(seq, isa.Encode(isa.Mem(isa.OpLDW, isa.RegT0, isa.RegSP, d)))
 	}
-	plain := Train([][]isa.Inst{seq}, Options{})
-	mtf := Train([][]isa.Inst{seq}, Options{MTF: true})
+	plain := Train([][]uint32{seq}, Options{})
+	mtf := Train([][]uint32{seq}, Options{MTF: true})
 	pb, mb := codedBits(t, plain, seq), codedBits(t, mtf, seq)
 	t.Logf("plain %d bits, MTF %d bits", pb, mb)
 	// MTF should not be dramatically worse on recency-heavy data.
@@ -270,7 +298,7 @@ func TestMTFCompressesRepetitiveStreamsBetter(t *testing.T) {
 // index past the alphabet) are refused when they load, so no decode can
 // hand the runtime an instruction it cannot assemble or execute.
 func TestUnmarshalRejectsOutOfRangeValues(t *testing.T) {
-	seqs := [][]isa.Inst{realisticSeq(1, 400)}
+	seqs := [][]uint32{realisticSeq(1, 400)}
 	k := isa.StreamMemRA
 	for _, c := range []struct {
 		name string
@@ -303,7 +331,7 @@ func TestUnmarshalRejectsOutOfRangeValues(t *testing.T) {
 // TestUnmarshalRejectsBadFraming: the flag byte is 0 or 1 and nothing
 // else, and every truncation or extension of a table blob is refused.
 func TestUnmarshalRejectsBadFraming(t *testing.T) {
-	seqs := [][]isa.Inst{realisticSeq(3, 200)}
+	seqs := [][]uint32{realisticSeq(3, 200)}
 	for _, opts := range []Options{{}, {MTF: true}} {
 		tables, err := Train(seqs, opts).MarshalBinary()
 		if err != nil {
@@ -322,6 +350,29 @@ func TestUnmarshalRejectsBadFraming(t *testing.T) {
 		}
 		if err := new(Compressor).UnmarshalBinary(append(tables, 0)); err == nil {
 			t.Errorf("MTF=%v: trailing byte accepted", opts.MTF)
+		}
+	}
+}
+
+// TestStreamBitsSumToBlob: the per-stream bit totals StreamBits reports
+// add up to the bits Compress writes for the same sequences, sentinels
+// included, with and without MTF.
+func TestStreamBitsSumToBlob(t *testing.T) {
+	seqs := [][]uint32{realisticSeq(61, 500), {}, realisticSeq(62, 90)}
+	for _, opts := range []Options{{}, {MTF: true}} {
+		c := Train(seqs, opts)
+		var w huffman.BitWriter
+		for _, seq := range seqs {
+			if err := c.Compress(&w, seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sum uint64
+		for _, b := range c.StreamBits(seqs) {
+			sum += b
+		}
+		if sum != uint64(w.Len()) {
+			t.Errorf("MTF=%v: stream bits sum to %d, Compress wrote %d", opts.MTF, sum, w.Len())
 		}
 	}
 }

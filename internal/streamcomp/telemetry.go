@@ -37,20 +37,23 @@ func (c *Compressor) StreamStats() []StreamStat {
 // over streams equals the blob's bit length; the per-stream split is
 // what the merged blob obscures. Costs one extra pass, so
 // callers only invoke it when telemetry is on.
-func (c *Compressor) StreamBits(seqs [][]isa.Inst) [isa.NumStreams]uint64 {
+func (c *Compressor) StreamBits(seqs [][]uint32) [isa.NumStreams]uint64 {
 	var bits [isa.NumStreams]uint64
-	var fvbuf [8]isa.FieldValue
 	for _, seq := range seqs {
 		mtf := c.newMTF()
-		for i := 0; i <= len(seq); i++ {
-			for _, fv := range isa.AppendFields(fvbuf[:0], instOrSentinel(seq, i)) {
-				v := fv.Value
-				if mtf != nil {
-					v = mtf[fv.Kind].encode(v)
-				}
-				bits[fv.Kind] += uint64(c.codes[fv.Kind].CodeLen(v))
+		count := func(k isa.StreamKind, v uint32) {
+			if mtf != nil {
+				v = mtf[k].encode(v)
+			}
+			bits[k] += uint64(c.codes[k].CodeLen(v))
+		}
+		for _, w := range seq {
+			count(isa.StreamOpcode, w>>26)
+			for _, r := range isa.LayoutOf(w).Fields {
+				count(r.Kind, w>>r.Shift&(1<<r.Bits-1))
 			}
 		}
+		count(isa.StreamOpcode, isa.OpIllegal)
 	}
 	return bits
 }

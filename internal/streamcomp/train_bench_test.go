@@ -7,14 +7,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/huffman"
-	"repro/internal/isa"
+	"repro/internal/race"
 	"repro/internal/streamcomp"
 )
 
 // pgpRegions returns the region sequences core.Squash compresses for pgp at
 // θ = 5e-5, recovered by decompressing the squashed image, together with
 // the blob they encode to.
-func pgpRegions(tb testing.TB) ([][]isa.Inst, []byte) {
+func pgpRegions(tb testing.TB) ([][]uint32, []byte) {
 	tb.Helper()
 	bench, _, err := experiments.PrepareSpec("pgp", 1, "")
 	if err != nil {
@@ -31,10 +31,10 @@ func pgpRegions(tb testing.TB) ([][]isa.Inst, []byte) {
 	if err := comp.UnmarshalBinary(out.Meta.Tables); err != nil {
 		tb.Fatal(err)
 	}
-	seqs := make([][]isa.Inst, len(out.Meta.OffsetTable))
+	seqs := make([][]uint32, len(out.Meta.OffsetTable))
 	for i, off := range out.Meta.OffsetTable {
-		if _, err := comp.Decompress(out.Meta.Blob, int(off), func(in isa.Inst) error {
-			seqs[i] = append(seqs[i], in)
+		if _, err := comp.DecompressWords(out.Meta.Blob, int(off), func(w uint32) error {
+			seqs[i] = append(seqs[i], w)
 			return nil
 		}); err != nil {
 			tb.Fatal(err)
@@ -68,5 +68,25 @@ func BenchmarkTrainEncode(b *testing.B) {
 			b.Fatal("re-encoded regions differ from the squashed image's blob")
 		}
 		huffman.PutWriter(w)
+	}
+}
+
+// TestTrainAllocGate gates the first pass of the coder on pgp's regions at
+// θ = 5e-5, serial: the pooled count tables, the index-heap Huffman builder
+// (one node array per code instead of one node per value) and decode
+// tables left to the first decode keep Train under 200 allocations (116
+// measured; 3 654 when BuildSorted allocated one tree node per value and
+// per merge and Train built every decode table).
+func TestTrainAllocGate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	seqs, _ := pgpRegions(t)
+	allocs := testing.AllocsPerRun(10, func() {
+		streamcomp.Train(seqs, streamcomp.Options{Workers: 1})
+	})
+	t.Logf("Train on pgp: %v allocs/op", allocs)
+	if allocs > 200 {
+		t.Errorf("Train on pgp: %v allocs/op, ceiling 200", allocs)
 	}
 }
