@@ -197,14 +197,14 @@ func refAnalyze(p *cfg.Program, compressed map[string]bool) *refResult {
 	for _, f := range p.Funcs {
 		cs := map[string]bool{}
 		for _, b := range f.Blocks {
-			for _, c := range b.Calls() {
+			for _, c := range p.Calls(b) {
 				if c.Callee == "" {
 					unsafe[f.Name] = true
 					continue
 				}
 				cs[owner[c.Callee]] = true
 			}
-			succs, known := b.Succs()
+			succs, known := p.Succs(b)
 			if !known {
 				unsafe[f.Name] = true
 			}
@@ -254,7 +254,7 @@ func refCallSiteStats(p *cfg.Program, compressed map[string]bool, r *refResult) 
 			if !compressed[b.Label] {
 				continue
 			}
-			for _, c := range b.Calls() {
+			for _, c := range p.Calls(b) {
 				totalCalls++
 				if c.Callee != "" && r.IsSafe(owner[c.Callee]) {
 					safeCalls++

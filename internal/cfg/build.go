@@ -21,9 +21,12 @@ import (
 // indirect jmp is resolved if its block loads the address of a data symbol
 // whose contents are consecutive word relocations to text symbols.
 //
-// All instructions are decoded into one backing array. Each block's Insts is
-// a capped window of it (all[lo:hi:hi]), so a transform that appends to a
-// block reallocates that block instead of overwriting its neighbour.
+// All instructions are lifted into one backing array of 8-byte records,
+// each the canonical word plus an index into the program's side table of
+// symbolic references (Program.Refs), which only relocated instructions
+// use. Each block's Insts is a capped window of the array (all[lo:hi:hi]),
+// so a transform that appends to a block reallocates that block instead of
+// overwriting its neighbour.
 //
 // Build decodes with one goroutine per CPU; BuildWorkers bounds them.
 func Build(obj *objfile.Object, entry string) (*Program, error) {
@@ -73,10 +76,12 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 		return nil, fmt.Errorf("cfg: text does not begin with a function symbol")
 	}
 
-	// Text relocations by word: relocAt[w] is 1 + the index in obj.Relocs,
-	// 0 for none. Offsets come from outside, so words past the end of text
-	// go to a side set that still rejects duplicates.
-	relocAt := make([]int32, nWords)
+	// Text relocations go into the side table in object order, and each
+	// relocated word's record gets its kind and table index now; the
+	// decode below fills in the words. Offsets come from outside, so words
+	// past the end of text go to a side set that still rejects duplicates.
+	all := make([]Inst, nWords)
+	refs := make([]Ref, 0, len(obj.Relocs))
 	var beyond map[int]bool
 	for ri := range obj.Relocs {
 		r := &obj.Relocs[ri]
@@ -89,8 +94,24 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 		w := int(r.Offset / isa.WordSize)
 		var dup bool
 		if w < nWords {
-			dup = relocAt[w] != 0
-			relocAt[w] = int32(ri + 1)
+			dup = all[w].ref != 0
+			var kind TargetKind
+			switch r.Kind {
+			case objfile.RelBrDisp21:
+				kind = TargetBranch
+			case objfile.RelHi16:
+				kind = TargetHi16
+			case objfile.RelLo16:
+				kind = TargetLo16
+			case objfile.RelWord32:
+				return nil, fmt.Errorf("cfg: word32 relocation in text at word %d unsupported", w)
+			default:
+				return nil, fmt.Errorf("cfg: unknown relocation kind %d at word %d", r.Kind, w)
+			}
+			if !dup {
+				refs = append(refs, Ref{Sym: r.Sym, Addend: r.Addend})
+				all[w].ref = uint32(len(refs)-1)<<kindBits | uint32(kind)
+			}
 		} else {
 			if beyond == nil {
 				beyond = make(map[int]bool)
@@ -123,42 +144,32 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 	}
 
 	// Leaders: function starts, every text symbol, instructions following
-	// block-ending instructions. Decoding and relocation attachment are per
-	// word, so large texts are split into chunks across CPUs; each chunk
-	// writes its own range of all and leader[lo+1:hi+1].
+	// block-ending instructions. Each instruction keeps its canonical word
+	// (the fields of its format; an OpReg word's should-be-zero bits are
+	// dropped, as isa.Encode(isa.Decode(w)) would), and an illegal word
+	// becomes a raw entry. The work is per word, so large texts are split
+	// into chunks across CPUs; each chunk writes its own range of all and
+	// leader[lo+1:hi+1].
 	leader := make([]bool, nWords+1)
 	for i := range syms {
 		leader[syms[i].w] = true
 	}
-	all := make([]Inst, nWords)
 	err := parallel.ForEachChunk(nWords, workers, 16384, func(lo, hi int) error {
 		for w := lo; w < hi; w++ {
-			in := isa.Decode(obj.Text[w])
+			word := obj.Text[w]
+			lay := isa.LayoutOf(word)
 			ci := &all[w]
-			if in.Format == isa.FormatIllegal {
-				*ci = RawWord(obj.Text[w])
+			if lay.Format == isa.FormatIllegal {
+				if ci.ref != 0 {
+					return fmt.Errorf("cfg: relocation on illegal word %d", w)
+				}
+				*ci = RawWord(word)
 			} else {
-				ci.Inst = in
+				ci.Word = word & lay.Cover
 			}
-			if endsBlock(in) {
+			if endsBlock(word) {
 				leader[w+1] = true
 			}
-			if relocAt[w] == 0 {
-				continue
-			}
-			r := &obj.Relocs[relocAt[w]-1]
-			switch r.Kind {
-			case objfile.RelBrDisp21:
-				ci.Kind = TargetBranch
-			case objfile.RelHi16:
-				ci.Kind = TargetHi16
-			case objfile.RelLo16:
-				ci.Kind = TargetLo16
-			case objfile.RelWord32:
-				return fmt.Errorf("cfg: word32 relocation in text at word %d unsupported", w)
-			}
-			ci.Target = r.Sym
-			ci.Addend = r.Addend
 		}
 		return nil
 	})
@@ -183,6 +194,7 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 		Data:        append([]byte(nil), obj.Data...),
 		Entry:       entry,
 		DataSymbols: filterSymbols(obj.Symbols, objfile.SecData),
+		Refs:        refs,
 	}
 	funcArr := make([]Func, len(funcs))
 	blockArr := make([]Block, nBlocks)
@@ -244,10 +256,8 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 		}
 		return sym // data symbol
 	}
-	for i := range all {
-		if all[i].Kind != TargetNone {
-			all[i].Target = canon(all[i].Target)
-		}
+	for i := range p.Refs {
+		p.Refs[i].Sym = canon(p.Refs[i].Sym)
 	}
 	for _, f := range p.Funcs {
 		for bi, b := range f.Blocks {
@@ -294,14 +304,15 @@ func filterSymbols(syms []objfile.Symbol, sec objfile.Section) []objfile.Symbol 
 // endsBlock reports whether control cannot fall to the next instruction or
 // the instruction is a control transfer that defines a block boundary.
 // Conditional branches end blocks (two successors) but can fall through.
-func endsBlock(in isa.Inst) bool {
-	switch in.Format {
+func endsBlock(w uint32) bool {
+	switch isa.FormatOfWord(w) {
 	case isa.FormatBranch:
-		return in.Op != isa.OpBSR // calls continue the block
+		return w>>26 != isa.OpBSR // calls continue the block
 	case isa.FormatJump:
-		return in.JFunc != isa.JmpJSR
+		return w>>14&3 != isa.JmpJSR
 	case isa.FormatPal:
-		return in.Func == isa.SysHALT || in.Func == isa.SysLNGJMP
+		fn := w & 0x03FFFFFF
+		return fn == isa.SysHALT || fn == isa.SysLNGJMP
 	case isa.FormatIllegal:
 		return true
 	}
@@ -314,19 +325,19 @@ func fallsThrough(b *Block) bool {
 	if len(b.Insts) == 0 {
 		return true
 	}
-	last := &b.Insts[len(b.Insts)-1]
-	if last.Raw {
+	last := b.Insts[len(b.Insts)-1]
+	if last.Raw() {
 		return false
 	}
-	switch last.Format {
+	switch last.Format() {
 	case isa.FormatBranch:
 		// Unconditional br never falls through; bsr and conditional
 		// branches do.
-		return last.Op != isa.OpBR
+		return last.Op() != isa.OpBR
 	case isa.FormatJump:
-		return last.JFunc == isa.JmpJSR
+		return last.JFunc() == isa.JmpJSR
 	case isa.FormatPal:
-		return last.Func != isa.SysHALT && last.Func != isa.SysLNGJMP
+		return last.Func() != isa.SysHALT && last.Func() != isa.SysLNGJMP
 	}
 	return true
 }
@@ -359,18 +370,19 @@ func resolveJumpTables(p *Program) error {
 			if len(b.Insts) == 0 {
 				continue
 			}
-			last := &b.Insts[len(b.Insts)-1]
-			if last.Raw || last.Format != isa.FormatJump || last.JFunc != isa.JmpJMP {
+			last := b.Insts[len(b.Insts)-1]
+			if last.Raw() || last.Format() != isa.FormatJump || last.JFunc() != isa.JmpJMP {
 				continue
 			}
 			// Find the nearest preceding la pair whose data symbol holds a
 			// table of code addresses.
 			for i := len(b.Insts) - 2; i >= 0; i-- {
-				in := &b.Insts[i]
-				if in.Kind != TargetLo16 {
+				in := b.Insts[i]
+				if in.Kind() != TargetLo16 {
 					continue
 				}
-				base, ok := symOffset[in.Target]
+				sym := p.Target(in)
+				base, ok := symOffset[sym]
 				if !ok {
 					continue
 				}
@@ -388,7 +400,7 @@ func resolveJumpTables(p *Program) error {
 					targets = append(targets, r.Sym)
 				}
 				if len(targets) > 0 {
-					b.JT = &JumpTable{Sym: in.Target, Targets: targets}
+					b.JT = &JumpTable{Sym: sym, Targets: targets}
 				}
 				break
 			}

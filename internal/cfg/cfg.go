@@ -12,7 +12,8 @@ import (
 	"repro/internal/objfile"
 )
 
-// TargetKind says how an instruction references a symbol.
+// TargetKind says how an instruction references a symbol, or that the
+// entry is a literal word rather than an instruction.
 type TargetKind uint8
 
 const (
@@ -23,22 +24,125 @@ const (
 	// TargetHi16 / TargetLo16: address-materialization halves (la pairs).
 	TargetHi16
 	TargetLo16
+	// TargetRaw: a literal text word (a stub tag or a reserved word), not
+	// an instruction; it references nothing, and nothing falls through it.
+	TargetRaw
 )
 
-// Inst is one instruction plus its symbolic reference, if any. Raw entries
-// carry a literal word (used for stub tag words and reserved regions).
-type Inst struct {
-	isa.Inst
-	Kind   TargetKind
-	Target string // symbol name for Kind != TargetNone
-	Addend int32  // added to the symbol address (branch targets into tables)
+// kindBits is the width of the kind in Inst's reference word.
+const kindBits = 3
 
-	Raw    bool // emit RawVal verbatim instead of encoding Inst
-	RawVal uint32
+// Inst is one entry of a block: a 32-bit word and a reference word, 8
+// bytes with no pointers. The reference word holds the Kind in its low
+// three bits and, for a symbolic kind (TargetBranch, TargetHi16,
+// TargetLo16), the index in the program's Refs of the symbol and addend
+// above them. An instruction's Word is canonical — isa.Encode of its
+// decoding — and a relocated field holds whatever the object held, which
+// the linker or the squash encoder overwrites. A TargetRaw entry's Word is
+// the literal word.
+//
+// The field accessors (Op, RA, Disp, …) shift and mask the word and give
+// what isa.Decode would; on a raw entry they describe the literal word, so
+// callers test Raw first. A transform that makes a new instruction builds
+// an isa.Inst and stores isa.Encode of it.
+type Inst struct {
+	Word uint32
+	ref  uint32
+}
+
+// Ref is a symbolic reference: the symbol and the addend the relocated
+// field resolves to.
+type Ref struct {
+	Sym    string
+	Addend int32
 }
 
 // RawWord builds a literal text word (not a real instruction).
-func RawWord(v uint32) Inst { return Inst{Raw: true, RawVal: v} }
+func RawWord(v uint32) Inst { return Inst{Word: v, ref: uint32(TargetRaw)} }
+
+// Kind reports how the entry references a symbol, or TargetRaw.
+func (in Inst) Kind() TargetKind { return TargetKind(in.ref & (1<<kindBits - 1)) }
+
+// Raw reports whether the entry is a literal word rather than an
+// instruction.
+func (in Inst) Raw() bool { return in.Kind() == TargetRaw }
+
+// refIndex is the entry's index in Program.Refs; meaningful only for a
+// symbolic kind.
+func (in Inst) refIndex() uint32 { return in.ref >> kindBits }
+
+// Format is the word's encoding format.
+func (in Inst) Format() isa.Format { return isa.FormatOfWord(in.Word) }
+
+// Op is the primary opcode.
+func (in Inst) Op() uint32 { return in.Word >> 26 }
+
+// RA is register field a, or 0 in the Pal and illegal formats.
+func (in Inst) RA() uint32 {
+	switch in.Format() {
+	case isa.FormatPal, isa.FormatIllegal:
+		return 0
+	}
+	return in.Word >> 21 & 31
+}
+
+// RB is register field b of the Mem, OpReg and Jump formats, else 0.
+func (in Inst) RB() uint32 {
+	switch in.Format() {
+	case isa.FormatMem, isa.FormatOpReg, isa.FormatJump:
+		return in.Word >> 16 & 31
+	}
+	return 0
+}
+
+// RC is the operate formats' destination register, else 0.
+func (in Inst) RC() uint32 {
+	switch in.Format() {
+	case isa.FormatOpReg, isa.FormatOpLit:
+		return in.Word & 31
+	}
+	return 0
+}
+
+// Disp is the sign-extended displacement of the Mem (bytes) and Branch
+// (words) formats, else 0.
+func (in Inst) Disp() int32 {
+	switch in.Format() {
+	case isa.FormatMem:
+		return int32(int16(in.Word))
+	case isa.FormatBranch:
+		return int32(in.Word<<11) >> 11
+	}
+	return 0
+}
+
+// Lit is the OpLit format's 8-bit literal, else 0.
+func (in Inst) Lit() uint32 {
+	if in.Format() == isa.FormatOpLit {
+		return in.Word >> 13 & 0xFF
+	}
+	return 0
+}
+
+// Func is the operate formats' 7-bit function code or the Pal format's
+// 26-bit one, else 0.
+func (in Inst) Func() uint32 {
+	switch in.Format() {
+	case isa.FormatPal:
+		return in.Word & 0x03FFFFFF
+	case isa.FormatOpReg, isa.FormatOpLit:
+		return in.Word >> 5 & 0x7F
+	}
+	return 0
+}
+
+// JFunc is the Jump format's subcode, else 0.
+func (in Inst) JFunc() uint32 {
+	if in.Format() == isa.FormatJump {
+		return in.Word >> 14 & 3
+	}
+	return 0
+}
 
 // JumpTable describes a resolved indirect jump through a table of code
 // addresses in the data section.
@@ -92,7 +196,36 @@ type Program struct {
 	DataSymbols []objfile.Symbol
 	DataRelocs  []objfile.Reloc
 	Entry       string
+	// Refs is the side table of the instructions' symbolic references,
+	// indexed by Inst's reference word. Only relocated instructions have
+	// an entry; instructions copied within the program share theirs, and
+	// an entry outlives the instructions a transform deletes, so a pass
+	// that renames a symbol everywhere may walk Refs instead of every
+	// instruction.
+	Refs []Ref
 }
+
+// Refer makes an instruction with word w that references sym+addend in
+// the given symbolic kind, adding the reference to p.Refs.
+func (p *Program) Refer(w uint32, kind TargetKind, sym string, addend int32) Inst {
+	if kind == TargetNone || kind == TargetRaw {
+		panic(fmt.Sprintf("cfg: Refer with non-symbolic kind %d", kind))
+	}
+	p.Refs = append(p.Refs, Ref{Sym: sym, Addend: addend})
+	return Inst{Word: w, ref: uint32(len(p.Refs)-1)<<kindBits | uint32(kind)}
+}
+
+// RefOf returns in's symbolic reference, or the zero Ref when in has none.
+func (p *Program) RefOf(in Inst) Ref {
+	switch in.Kind() {
+	case TargetNone, TargetRaw:
+		return Ref{}
+	}
+	return p.Refs[in.refIndex()]
+}
+
+// Target returns the symbol in references, or "" when it has none.
+func (p *Program) Target(in Inst) string { return p.RefOf(in).Sym }
 
 // FuncByName returns the named function, or nil.
 func (p *Program) FuncByName(name string) *Func {
@@ -140,23 +273,23 @@ func (p *Program) NumBlocks() int {
 // The second result is false when the block ends in an indirect jump whose
 // targets could not be resolved (no jump table found), meaning the true
 // successor set is unknown.
-func (b *Block) Succs() ([]string, bool) { return b.appendSuccs(nil) }
+func (p *Program) Succs(b *Block) ([]string, bool) { return p.appendSuccs(nil, b) }
 
 // appendSuccs is Succs appending to dst.
-func (b *Block) appendSuccs(dst []string) ([]string, bool) {
+func (p *Program) appendSuccs(dst []string, b *Block) ([]string, bool) {
 	out := dst
 	known := true
 	if n := len(b.Insts); n > 0 {
-		last := &b.Insts[n-1]
+		last := b.Insts[n-1]
 		switch {
-		case last.Raw:
+		case last.Raw():
 			// Raw words (sentinels, tags) never fall through.
-		case last.Format == isa.FormatBranch:
-			if last.Kind == TargetBranch && last.Op != isa.OpBSR {
-				out = append(out, last.Target)
+		case last.Format() == isa.FormatBranch:
+			if last.Kind() == TargetBranch && last.Op() != isa.OpBSR {
+				out = append(out, p.Target(last))
 			}
-		case last.Format == isa.FormatJump:
-			if last.JFunc == isa.JmpJMP {
+		case last.Format() == isa.FormatJump:
+			if last.JFunc() == isa.JmpJMP {
 				if b.JT != nil {
 					out = append(out, b.JT.Targets...)
 				} else {
@@ -182,39 +315,41 @@ type CallSite struct {
 
 // Calls reports the call sites in b: every bsr, and every jsr. A jsr
 // immediately preceded by `la pv, f` within the block is resolved to f.
-func (b *Block) Calls() []CallSite { return b.appendCalls(nil) }
+func (p *Program) Calls(b *Block) []CallSite { return p.appendCalls(nil, b) }
 
 // appendCalls is Calls appending to dst.
-func (b *Block) appendCalls(dst []CallSite) []CallSite {
+func (p *Program) appendCalls(dst []CallSite, b *Block) []CallSite {
 	out := dst
-	for i := range b.Insts {
-		in := &b.Insts[i]
-		if in.Raw {
+	for i, in := range b.Insts {
+		if in.Raw() {
 			continue
 		}
-		switch {
-		case in.Format == isa.FormatBranch && in.Op == isa.OpBSR:
-			out = append(out, CallSite{InstIdx: i, Callee: in.Target})
-		case in.Format == isa.FormatJump && in.JFunc == isa.JmpJSR:
-			cs := CallSite{InstIdx: i, Indirect: true}
-			if sym, ok := b.laTargetBefore(i, in.RB); ok {
-				cs.Callee = sym
+		switch in.Format() {
+		case isa.FormatBranch:
+			if in.Op() == isa.OpBSR {
+				out = append(out, CallSite{InstIdx: i, Callee: p.Target(in)})
 			}
-			out = append(out, cs)
+		case isa.FormatJump:
+			if in.JFunc() == isa.JmpJSR {
+				cs := CallSite{InstIdx: i, Indirect: true}
+				if sym, ok := p.laTargetBefore(b, i, in.RB()); ok {
+					cs.Callee = sym
+				}
+				out = append(out, cs)
+			}
 		}
 	}
 	return out
 }
 
-// laTargetBefore scans backwards from instruction idx for the la pair that
-// most recently loaded register reg, returning its symbol.
-func (b *Block) laTargetBefore(idx int, reg uint32) (string, bool) {
+// laTargetBefore scans b backwards from instruction idx for the la pair
+// that most recently loaded register reg, returning its symbol.
+func (p *Program) laTargetBefore(b *Block, idx int, reg uint32) (string, bool) {
 	for i := idx - 1; i > 0; i-- {
-		lo := &b.Insts[i]
-		hi := &b.Insts[i-1]
-		if lo.Kind == TargetLo16 && lo.RA == reg &&
-			hi.Kind == TargetHi16 && hi.RA == reg && hi.Target == lo.Target {
-			return lo.Target, true
+		lo, hi := b.Insts[i], b.Insts[i-1]
+		if lo.Kind() == TargetLo16 && lo.RA() == reg &&
+			hi.Kind() == TargetHi16 && hi.RA() == reg && p.Target(hi) == p.Target(lo) {
+			return p.Target(lo), true
 		}
 		// A later write to reg invalidates earlier definitions.
 		if WritesReg(lo, reg) {
@@ -228,8 +363,8 @@ func (b *Block) laTargetBefore(idx int, reg uint32) (string, bool) {
 // call; such functions are never compressed (paper, §2.2).
 func (f *Func) CallsSetjmp() bool {
 	for _, b := range f.Blocks {
-		for i := range b.Insts {
-			if in := &b.Insts[i]; !in.Raw && in.Format == isa.FormatPal && in.Func == isa.SysSETJMP {
+		for _, in := range b.Insts {
+			if !in.Raw() && in.Format() == isa.FormatPal && in.Func() == isa.SysSETJMP {
 				return true
 			}
 		}
@@ -261,13 +396,13 @@ func (p *Program) Validate() error {
 	}
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
-			for i := range b.Insts {
-				in := &b.Insts[i]
-				if in.Kind == TargetNone {
+			for _, in := range b.Insts {
+				switch in.Kind() {
+				case TargetNone, TargetRaw:
 					continue
 				}
-				if !labels[in.Target] && !dataSyms[in.Target] {
-					return fmt.Errorf("cfg: block %s references undefined symbol %q", b.Label, in.Target)
+				if sym := p.Target(in); !labels[sym] && !dataSyms[sym] {
+					return fmt.Errorf("cfg: block %s references undefined symbol %q", b.Label, sym)
 				}
 			}
 			if b.FallsTo != "" && !labels[b.FallsTo] {

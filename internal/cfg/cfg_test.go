@@ -99,7 +99,7 @@ func TestBuildStructure(t *testing.T) {
 	}
 
 	// case2 contains a call to helper.
-	calls := labels["case2"].Calls()
+	calls := p.Calls(labels["case2"])
 	if len(calls) != 1 || calls[0].Callee != "helper" || calls[0].Indirect {
 		t.Fatalf("case2 calls = %+v", calls)
 	}
@@ -121,7 +121,7 @@ func TestSuccs(t *testing.T) {
 	for _, b := range main.Blocks {
 		byLabel[b.Label] = b
 	}
-	succs, known := byLabel["case0"].Succs()
+	succs, known := p.Succs(byLabel["case0"])
 	if !known || len(succs) != 1 || succs[0] != "out" {
 		t.Errorf("case0 succs = %v (known=%v)", succs, known)
 	}
@@ -131,7 +131,7 @@ func TestSuccs(t *testing.T) {
 			jtBlock = b
 		}
 	}
-	succs, known = jtBlock.Succs()
+	succs, known = p.Succs(jtBlock)
 	if !known || len(succs) != 3 {
 		t.Errorf("jump block succs = %v (known=%v)", succs, known)
 	}
@@ -287,7 +287,7 @@ func TestIndirectCallResolution(t *testing.T) {
         .func helper
         ret
 `)
-	calls := p.FuncByName("main").Blocks[0].Calls()
+	calls := p.Calls(p.FuncByName("main").Blocks[0])
 	if len(calls) != 1 || !calls[0].Indirect || calls[0].Callee != "helper" {
 		t.Fatalf("calls = %+v", calls)
 	}
@@ -300,8 +300,8 @@ func TestValidateCatchesBadTarget(t *testing.T) {
         clr a0
         sys halt
 `)
-	p.Funcs[0].Blocks[0].Insts[0].Kind = TargetBranch
-	p.Funcs[0].Blocks[0].Insts[0].Target = "nowhere"
+	in := &p.Funcs[0].Blocks[0].Insts[0]
+	*in = p.Refer(in.Word, TargetBranch, "nowhere", 0)
 	if err := p.Validate(); err == nil {
 		t.Fatal("Validate accepted undefined target")
 	}

@@ -41,16 +41,16 @@ type Index struct {
 	// register (la): control may arrive from anywhere.
 	AddrTaken []bool
 	// Unresolved marks blocks ending in an indirect jump whose targets are
-	// unknown (Block.Succs reports them as not known).
+	// unknown (Program.Succs reports them as not known).
 	Unresolved []bool
 	// Entry is the number of the program's entry block, or NoBlock.
 	Entry int32
 
 	num    map[string]int32
-	succ   adjacency // Succs that are blocks, in Succs order, repeats kept
+	succ   adjacency // Program.Succs that are blocks, in order, repeats kept
 	pred   adjacency // flow predecessors: succ transposed
 	caller adjacency // one entry per call site whose callee is the block
-	// calls holds every block's call sites (Block.Calls) and callee the
+	// calls holds every block's call sites (Program.Calls) and callee the
 	// block number of each site's callee, or NoBlock; block i's sites are
 	// calls[callStart[i]:callStart[i+1]].
 	callStart []int32
@@ -152,7 +152,7 @@ func (x *Index) scan(lo, hi int) *indexChunk {
 	for i := lo; i < hi; i++ {
 		b := x.Blocks[i]
 		var known bool
-		labels, known = b.appendSuccs(labels[:0])
+		labels, known = x.Prog.appendSuccs(labels[:0], b)
 		x.Unresolved[i] = !known
 		ns := len(c.succs)
 		for _, l := range labels {
@@ -162,7 +162,7 @@ func (x *Index) scan(lo, hi int) *indexChunk {
 		}
 		x.succ.start[i+1] = int32(len(c.succs) - ns)
 		nc := len(c.calls)
-		c.calls = b.appendCalls(c.calls)
+		c.calls = x.Prog.appendCalls(c.calls, b)
 		for _, cs := range c.calls[nc:] {
 			t := NoBlock
 			if cs.Callee != "" {
@@ -178,11 +178,11 @@ func (x *Index) scan(lo, hi int) *indexChunk {
 				x.FallsTo[i] = t
 			}
 		}
-		for k := range b.Insts {
+		for _, in := range b.Insts {
 			// A la of a code label takes its address (indirect call or
 			// computed branch target).
-			if in := &b.Insts[k]; in.Kind == TargetLo16 {
-				if t := x.Num(in.Target); t >= 0 {
+			if in.Kind() == TargetLo16 {
+				if t := x.Num(x.Prog.Target(in)); t >= 0 {
 					c.taken = append(c.taken, t)
 				}
 			}
@@ -224,7 +224,7 @@ func (x *Index) Num(label string) int32 {
 	return NoBlock
 }
 
-// Succs returns block i's successors that are blocks, in Block.Succs order
+// Succs returns block i's successors that are blocks, in Program.Succs order
 // (a successor reached two ways appears twice).
 func (x *Index) Succs(i int32) []int32 { return x.succ.of(i) }
 
@@ -236,7 +236,7 @@ func (x *Index) Preds(i int32) []int32 { return x.pred.of(i) }
 // site.
 func (x *Index) Callers(i int32) []int32 { return x.caller.of(i) }
 
-// Calls returns block i's call sites, as Block.Calls reports them.
+// Calls returns block i's call sites, as Program.Calls reports them.
 func (x *Index) Calls(i int32) []CallSite {
 	return x.calls[x.callStart[i]:x.callStart[i+1]]
 }

@@ -12,7 +12,7 @@ import (
 
 // refBackEdges is the original label-keyed back-edge search, kept as the
 // test oracle for Index.BackEdges: an iterative depth-first search per
-// function over Block.Succs, with a per-function label map for membership
+// function over Program.Succs, with a per-function label map for membership
 // and colours.
 func refBackEdges(p *cfg.Program) [][2]string {
 	var out [][2]string
@@ -35,7 +35,7 @@ func refBackEdges(p *cfg.Program) [][2]string {
 		var stack []frame
 		pushBlock := func(label string) {
 			b := inFunc[label]
-			succs, _ := b.Succs()
+			succs, _ := p.Succs(b)
 			var intra []string
 			for _, s := range succs {
 				if inFunc[s] != nil {
@@ -116,7 +116,7 @@ func checkIndex(p *cfg.Program, x *cfg.Index) error {
 		if x.Blocks[i] != b || x.Num(b.Label) != int32(i) || x.Fn[i] != owner[b.Label] {
 			return fmt.Errorf("block %d: %s numbered %d in function %d", i, b.Label, x.Num(b.Label), x.Fn[i])
 		}
-		succs, known := b.Succs()
+		succs, known := p.Succs(b)
 		var want []int32
 		for _, s := range succs {
 			if t := num(s); t >= 0 {
@@ -130,7 +130,7 @@ func checkIndex(p *cfg.Program, x *cfg.Index) error {
 		if x.Unresolved[i] != !known {
 			return fmt.Errorf("%s: Unresolved %v, want %v", b.Label, x.Unresolved[i], !known)
 		}
-		calls := b.Calls()
+		calls := p.Calls(b)
 		if got := x.Calls(int32(i)); len(got)+len(calls) > 0 && !reflect.DeepEqual(got, calls) {
 			return fmt.Errorf("%s: Calls %v, want %v", b.Label, got, calls)
 		}
@@ -155,9 +155,9 @@ func checkIndex(p *cfg.Program, x *cfg.Index) error {
 		if x.FallsTo[i] != fall {
 			return fmt.Errorf("%s: FallsTo %d, want %d", b.Label, x.FallsTo[i], fall)
 		}
-		for k := range b.Insts {
-			if in := &b.Insts[k]; in.Kind == cfg.TargetLo16 {
-				taken[in.Target] = true
+		for _, in := range b.Insts {
+			if in.Kind() == cfg.TargetLo16 {
+				taken[p.Target(in)] = true
 			}
 		}
 	}

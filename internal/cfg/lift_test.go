@@ -106,7 +106,7 @@ func sameProgram(got, want *cfg.Program) error {
 				what = fmt.Sprintf("SrcWordOff %d, want %d", gb.SrcWordOff, wb.SrcWordOff)
 			case gb.FallsTo != wb.FallsTo:
 				what = fmt.Sprintf("FallsTo %q, want %q", gb.FallsTo, wb.FallsTo)
-			case !slices.Equal(gb.Insts, wb.Insts):
+			case !sameInsts(got, gb.Insts, want, wb.Insts):
 				what = "instructions differ"
 			case !reflect.DeepEqual(gb.JT, wb.JT):
 				what = fmt.Sprintf("JT %+v, want %+v", gb.JT, wb.JT)
@@ -127,6 +127,22 @@ func sameProgram(got, want *cfg.Program) error {
 		return fmt.Errorf("entry %q, want %q", got.Entry, want.Entry)
 	}
 	return nil
+}
+
+// sameInsts reports whether two instruction lists hold the same words,
+// kinds and resolved references; the programs' side tables may number the
+// references differently.
+func sameInsts(gp *cfg.Program, got []cfg.Inst, wp *cfg.Program, want []cfg.Inst) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Word != w.Word || g.Kind() != w.Kind() || gp.RefOf(g) != wp.RefOf(w) {
+			return false
+		}
+	}
+	return true
 }
 
 func cloneObject(o *objfile.Object) *objfile.Object {
@@ -323,7 +339,7 @@ func TestBuildBlocksDoNotAlias(t *testing.T) {
 	for _, f := range p.Funcs {
 		blocks = append(blocks, f.Blocks...)
 	}
-	nop := cfg.Inst{Inst: isa.OpL(isa.OpIntA, isa.RegZero, 0, isa.FnADD, isa.RegZero)}
+	nop := cfg.Inst{Word: isa.Encode(isa.OpL(isa.OpIntA, isa.RegZero, 0, isa.FnADD, isa.RegZero))}
 	for i, b := range blocks[:len(blocks)-1] {
 		next := blocks[i+1]
 		before := slices.Clone(next.Insts)
@@ -361,8 +377,9 @@ func fuzzSeeds(tb testing.TB) map[string]*objfile.Object {
 }
 
 // FuzzBuild feeds EMO1 bytes through ReadObject and Build: a malformed
-// object must give an error, never a panic, and Build must fail exactly
-// where the reference lift fails.
+// object must give an error, never a panic, Build must fail exactly where
+// the reference lift fails, and where both succeed they must give the same
+// program.
 func FuzzBuild(f *testing.F) {
 	for _, obj := range fuzzSeeds(f) {
 		var buf bytes.Buffer
@@ -376,10 +393,15 @@ func FuzzBuild(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, err = cfg.Build(obj, "main")
-		_, refErr := cfg.RefBuild(obj, "main")
+		got, err := cfg.Build(obj, "main")
+		want, refErr := cfg.RefBuild(obj, "main")
 		if (err != nil) != (refErr != nil) {
 			t.Fatalf("Build error %v, reference error %v", err, refErr)
+		}
+		if err == nil {
+			if err := sameProgram(got, want); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

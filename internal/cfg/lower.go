@@ -47,19 +47,18 @@ func Lower(p *Program) (*objfile.Object, error) {
 				Name: b.Label, Section: objfile.SecText, Offset: here(), Kind: kind,
 			})
 			for _, in := range b.Insts {
-				if in.Raw {
-					obj.Text = append(obj.Text, in.RawVal)
-					continue
-				}
-				switch in.Kind {
+				// Words are copied as they are; the linker patches the
+				// displacement or immediate bits of relocated ones.
+				r := p.RefOf(in)
+				switch in.Kind() {
 				case TargetBranch:
-					emitReloc(objfile.RelBrDisp21, in.Target, in.Addend)
+					emitReloc(objfile.RelBrDisp21, r.Sym, r.Addend)
 				case TargetHi16:
-					emitReloc(objfile.RelHi16, in.Target, in.Addend)
+					emitReloc(objfile.RelHi16, r.Sym, r.Addend)
 				case TargetLo16:
-					emitReloc(objfile.RelLo16, in.Target, in.Addend)
+					emitReloc(objfile.RelLo16, r.Sym, r.Addend)
 				}
-				obj.Text = append(obj.Text, isa.Encode(in.Inst))
+				obj.Text = append(obj.Text, in.Word)
 			}
 			if b.FallsTo != "" {
 				next := ""

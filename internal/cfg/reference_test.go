@@ -11,9 +11,9 @@ import (
 
 // This file keeps the original lift as the test oracle for Build: it indexes
 // text symbols and relocations in maps keyed by word offset, decodes into a
-// separate isa.Inst array, and appends each block's instructions one at a
-// time. Build must lift every object to the same Program, and must fail
-// exactly where refBuild fails.
+// separate isa.Inst array, re-encodes each instruction with isa.Encode, and
+// appends each block's instructions one at a time. Build must lift every
+// object to the same Program, and must fail exactly where refBuild fails.
 
 // refBuild lifts a relocatable object into a Program. The entry argument names
 // the entry function (usually "main").
@@ -94,7 +94,7 @@ func refBuild(obj *objfile.Object, entry string) (*Program, error) {
 		leader[w] = true
 	}
 	for i, in := range insts {
-		if endsBlock(in) && i+1 <= nWords {
+		if refEndsBlock(in) && i+1 <= nWords {
 			leader[i+1] = true
 		}
 	}
@@ -155,26 +155,31 @@ func refBuild(obj *objfile.Object, entry string) (*Program, error) {
 				cur = &Block{Label: label, SrcWordOff: w}
 				f.Blocks = append(f.Blocks, cur)
 			}
-			ci := Inst{Inst: insts[w]}
+			ci := Inst{Word: isa.Encode(insts[w])}
 			if insts[w].Format == isa.FormatIllegal {
 				ci = RawWord(obj.Text[w])
 			}
 			if r, ok := textRelocAt[w]; ok {
+				var kind TargetKind
 				switch r.Kind {
 				case objfile.RelBrDisp21:
-					ci.Kind = TargetBranch
+					kind = TargetBranch
 				case objfile.RelHi16:
-					ci.Kind = TargetHi16
+					kind = TargetHi16
 				case objfile.RelLo16:
-					ci.Kind = TargetLo16
+					kind = TargetLo16
 				case objfile.RelWord32:
 					return nil, fmt.Errorf("cfg: word32 relocation in text at word %d unsupported", w)
+				default:
+					return nil, fmt.Errorf("cfg: unknown relocation kind %d at word %d", r.Kind, w)
 				}
-				ci.Target = r.Sym
-				ci.Addend = r.Addend
+				if ci.Raw() {
+					return nil, fmt.Errorf("cfg: relocation on illegal word %d", w)
+				}
+				ci = p.Refer(ci.Word, kind, r.Sym, r.Addend)
 			}
 			cur.Insts = append(cur.Insts, ci)
-			if endsBlock(insts[w]) {
+			if refEndsBlock(insts[w]) {
 				cur = nil
 			}
 		}
@@ -194,9 +199,11 @@ func refBuild(obj *objfile.Object, entry string) (*Program, error) {
 	}
 	for _, f := range p.Funcs {
 		for bi, b := range f.Blocks {
-			for i := range b.Insts {
-				if b.Insts[i].Kind != TargetNone {
-					b.Insts[i].Target = canon(b.Insts[i].Target)
+			for _, in := range b.Insts {
+				switch in.Kind() {
+				case TargetBranch, TargetHi16, TargetLo16:
+					r := &p.Refs[in.refIndex()]
+					r.Sym = canon(r.Sym)
 				}
 			}
 			if fallsThrough(b) {
@@ -226,6 +233,23 @@ func refBuild(obj *objfile.Object, entry string) (*Program, error) {
 		return nil, fmt.Errorf("cfg: lifted program invalid: %w", err)
 	}
 	return p, nil
+}
+
+// refEndsBlock is the oracle's block-end test on a decoded instruction:
+// control cannot fall to the next instruction, or the instruction is a
+// control transfer that defines a block boundary.
+func refEndsBlock(in isa.Inst) bool {
+	switch in.Format {
+	case isa.FormatBranch:
+		return in.Op != isa.OpBSR // calls continue the block
+	case isa.FormatJump:
+		return in.JFunc != isa.JmpJSR
+	case isa.FormatPal:
+		return in.Func == isa.SysHALT || in.Func == isa.SysLNGJMP
+	case isa.FormatIllegal:
+		return true
+	}
+	return false
 }
 
 // RefBuild exposes refBuild to the external test package, which compares it

@@ -67,8 +67,7 @@ type regionLayout struct {
 type rsStub struct {
 	label  string
 	region int
-	resume int      // buffer word offset to return to
-	call   cfg.Inst // the original call instruction
+	resume int // buffer word offset to return to
 	isJSR  bool
 }
 
@@ -413,6 +412,12 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 		Data:        append([]byte(nil), e.prog.Data...),
 		DataSymbols: append([]objfile.Symbol(nil), e.prog.DataSymbols...),
 		Entry:       e.retarget(e.prog.Entry),
+		Refs:        slices.Clone(e.prog.Refs),
+	}
+	// Surviving instructions keep their reference indices, so retargeting
+	// the copied side table retargets every one of them.
+	for i := range out.Refs {
+		out.Refs[i].Sym = e.retarget(out.Refs[i].Sym)
 	}
 	for _, r := range e.prog.DataRelocs {
 		r.Sym = e.retarget(r.Sym)
@@ -426,19 +431,16 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 			if e.compressed[int(e.x.FuncStart[fi])+bi] {
 				continue
 			}
+			// The block shares b's instructions: nothing past here edits
+			// them, and their references resolve through out.Refs.
 			nb := &cfg.Block{
 				Label:      b.Label,
-				Insts:      append([]cfg.Inst(nil), b.Insts...),
+				Insts:      b.Insts,
 				FallsTo:    b.FallsTo,
 				JT:         b.JT,
 				SrcWordOff: b.SrcWordOff,
 				Freq:       b.Freq,
 				Weight:     b.Weight,
-			}
-			for i := range nb.Insts {
-				if nb.Insts[i].Kind != cfg.TargetNone {
-					nb.Insts[i].Target = e.retarget(nb.Insts[i].Target)
-				}
 			}
 			if nb.FallsTo != "" {
 				nb.FallsTo = e.retarget(nb.FallsTo)
@@ -496,8 +498,8 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 			sb := &cfg.Block{
 				Label: stubLabel(e.x.Blocks[entry].Label),
 				Insts: []cfg.Inst{
-					{Inst: isa.Br(isa.OpBSR, isa.RegAT, 0), Kind: cfg.TargetBranch,
-						Target: symDecomp, Addend: int32(isa.RegAT * isa.WordSize)},
+					out.Refer(isa.Encode(isa.Br(isa.OpBSR, isa.RegAT, 0)), cfg.TargetBranch,
+						symDecomp, int32(isa.RegAT*isa.WordSize)),
 					cfg.RawWord(tag),
 				},
 			}
@@ -525,25 +527,21 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 						label:  fmt.Sprintf("rs$%d", len(e.rs)),
 						region: r.ID,
 						resume: lay.instOff[bi][j] + 1,
-						call:   in,
 						isJSR:  info.site.Indirect,
 					}
 					e.rs = append(e.rs, stub)
 					tag := uint32(r.ID)<<16 | uint32(stub.resume)
-					ra := in.RA
-					var callInst cfg.Inst
-					if stub.isJSR {
-						callInst = cfg.Inst{Inst: in.Inst}
-					} else {
-						callInst = cfg.Inst{Inst: isa.Br(isa.OpBSR, ra, 0), Kind: cfg.TargetBranch,
-							Target: e.retarget(in.Target)}
+					ra := in.RA()
+					bsr := isa.Encode(isa.Br(isa.OpBSR, ra, 0))
+					callInst := cfg.Inst{Word: in.Word}
+					if !stub.isJSR {
+						callInst = out.Refer(bsr, cfg.TargetBranch, e.retarget(e.prog.Target(in)), 0)
 					}
 					sb := &cfg.Block{
 						Label: stub.label,
 						Insts: []cfg.Inst{
 							callInst,
-							{Inst: isa.Br(isa.OpBSR, ra, 0), Kind: cfg.TargetBranch,
-								Target: symDecomp, Addend: int32(ra * isa.WordSize)},
+							out.Refer(bsr, cfg.TargetBranch, symDecomp, int32(ra*isa.WordSize)),
 							cfg.RawWord(tag),
 						},
 					}
@@ -606,15 +604,6 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 	extDisp := func(targetWord, pos, skip int) int32 {
 		return int32(targetWord - (bufWordBase + pos + skip))
 	}
-	// rsIndex finds the compile-time stub for a call site.
-	rsIndex := func(region, resume int) (string, error) {
-		for _, s := range e.rs {
-			if s.region == region && s.resume == resume {
-				return s.label, nil
-			}
-		}
-		return "", fmt.Errorf("no compile-time restore stub for region %d resume %d", region, resume)
-	}
 
 	seq := dst[:0]
 	var insIdx int
@@ -628,7 +617,7 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 		k := 0 // next call site
 		for j, in := range b.Insts {
 			pos := lay.instOff[bi][j]
-			if in.Raw {
+			if in.Raw() {
 				return nil, fmt.Errorf("raw word inside region block %s", b.Label)
 			}
 			var info callInfo
@@ -651,87 +640,86 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 				return nil, fmt.Errorf("region %d block %s inst %d: layout width %d, encode width %d (callee %q expand=%v intra=%v)",
 					r.ID, b.Label, j, layWidth, width, info.site.Callee, info.expand, info.intra)
 			}
-			var out isa.Inst
+			// Words are copied; a resolved reference patches only the
+			// displacement or immediate bits, as the linker would.
+			w := in.Word
+			var disp int32 // the branch displacement, when w is a branch
+			branch := false
 			switch {
 			case isCall && !info.site.Indirect: // direct bsr
-				callee := in.Target
+				callee := info.site.Callee
+				op, ra := isa.OpBSR, in.RA()
 				switch {
 				case info.expand && info.intra && !e.conf.CompileTimeRestoreStubs:
 					// Expanded call whose transfer branches within the
 					// buffer: bsr CreateStub; br <buffer offset>.
 					off, _ := e.intraOff(r, callee)
-					out = isa.Br(isa.OpBSRX, in.RA, int32(off-(pos+2)))
+					op, disp = isa.OpBSRX, int32(off-(pos+2))
 				case info.expand && e.conf.CompileTimeRestoreStubs:
-					lbl, err := rsIndex(r.ID, pos+1)
+					tw, err := e.rsWord(r.ID, pos+1, wordAddr)
 					if err != nil {
 						return nil, err
 					}
-					tw, err := wordAddr(lbl)
-					if err != nil {
-						return nil, err
-					}
-					out = isa.Br(isa.OpBR, isa.RegZero, extDisp(tw, pos, 1))
+					op, ra, disp = isa.OpBR, isa.RegZero, extDisp(tw, pos, 1)
 				case info.expand:
 					tw, err := wordAddr(e.retarget(callee))
 					if err != nil {
 						return nil, err
 					}
-					out = isa.Br(isa.OpBSRX, in.RA, extDisp(tw, pos, 2))
+					op, disp = isa.OpBSRX, extDisp(tw, pos, 2)
 				default: // buffer-safe
 					tw, err := wordAddr(e.retarget(callee))
 					if err != nil {
 						return nil, err
 					}
-					out = isa.Br(isa.OpBSR, in.RA, extDisp(tw, pos, 1))
+					disp = extDisp(tw, pos, 1)
 				}
+				w, branch = op<<26|ra<<21, true
 			case isCall && info.site.Indirect: // jsr
 				switch {
 				case info.expand && e.conf.CompileTimeRestoreStubs:
-					lbl, err := rsIndex(r.ID, pos+1)
+					tw, err := e.rsWord(r.ID, pos+1, wordAddr)
 					if err != nil {
 						return nil, err
 					}
-					tw, err := wordAddr(lbl)
-					if err != nil {
-						return nil, err
-					}
-					out = isa.Br(isa.OpBR, isa.RegZero, extDisp(tw, pos, 1))
+					w, disp, branch = isa.OpBR<<26|isa.RegZero<<21, extDisp(tw, pos, 1), true
 				case info.expand:
-					out = isa.Inst{Op: isa.OpJSRX, Format: isa.FormatJump,
-						RA: in.RA, RB: in.RB, JFunc: isa.JmpJSR}
-				default: // intra-region or buffer-safe: register-based, unchanged
-					out = in.Inst
+					// jsrx keeps the jsr's registers and drops its hint.
+					w = isa.OpJSRX<<26 | w&(0x3FF<<16) | isa.JmpJSR<<14
 				}
-			case in.Kind == cfg.TargetBranch:
-				t := in.Target
+				// Otherwise intra-region or buffer-safe: register-based,
+				// unchanged.
+			case in.Kind() == cfg.TargetBranch:
+				t := e.prog.Target(in)
 				if off, intra := e.intraOff(r, t); intra {
-					out = isa.Br(in.Op, in.RA, int32(off-(pos+1)))
+					disp = int32(off - (pos + 1))
 				} else {
 					tw, err := wordAddr(e.retarget(t))
 					if err != nil {
 						return nil, err
 					}
-					out = isa.Br(in.Op, in.RA, extDisp(tw, pos, 1))
+					disp = extDisp(tw, pos, 1)
 				}
-			case in.Kind == cfg.TargetHi16 || in.Kind == cfg.TargetLo16:
-				a, err := e.laAddr(r, lay, addrOf, in.Target)
+				branch = true
+			case in.Kind() == cfg.TargetHi16 || in.Kind() == cfg.TargetLo16:
+				ref := e.prog.RefOf(in)
+				a, err := e.laAddr(r, lay, addrOf, ref.Sym)
 				if err != nil {
 					return nil, err
 				}
-				a += int64(in.Addend)
+				a += int64(ref.Addend)
 				lo := int64(int16(a & 0xFFFF))
-				hi := int32(int16((a - lo) >> 16))
-				if in.Kind == cfg.TargetHi16 {
-					out = isa.Mem(in.Op, in.RA, in.RB, hi)
-				} else {
-					out = isa.Mem(in.Op, in.RA, in.RB, int32(lo))
+				imm := uint32(uint16(lo))
+				if in.Kind() == cfg.TargetHi16 {
+					imm = uint32(uint16((a - lo) >> 16))
 				}
-			default:
-				out = in.Inst
+				w = w&^0xFFFF | imm
 			}
-			w, err := regionWord(out)
-			if err != nil {
-				return nil, fmt.Errorf("region %d block %s inst %d: %w", r.ID, b.Label, j, err)
+			if branch {
+				var err error
+				if w, err = patchBranch(w, disp); err != nil {
+					return nil, fmt.Errorf("region %d block %s inst %d: %w", r.ID, b.Label, j, err)
+				}
 			}
 			seq = append(seq, w)
 		}
@@ -739,17 +727,17 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 		if insIdx < len(lay.inserted) && lay.inserted[insIdx][0] == bi {
 			pos := lay.inserted[insIdx][1]
 			t := b.FallsTo
-			var out isa.Inst
+			var disp int32
 			if off, intra := e.intraOff(r, t); intra {
-				out = isa.Br(isa.OpBR, isa.RegZero, int32(off-(pos+1)))
+				disp = int32(off - (pos + 1))
 			} else {
 				tw, err := wordAddr(e.retarget(t))
 				if err != nil {
 					return nil, err
 				}
-				out = isa.Br(isa.OpBR, isa.RegZero, extDisp(tw, pos, 1))
+				disp = extDisp(tw, pos, 1)
 			}
-			w, err := regionWord(out)
+			w, err := patchBranch(isa.OpBR<<26|isa.RegZero<<21, disp)
 			if err != nil {
 				return nil, fmt.Errorf("region %d knit branch after block %s: %w", r.ID, b.Label, err)
 			}
@@ -760,14 +748,25 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 	return seq, nil
 }
 
-// regionWord encodes one region instruction. A resolved branch
-// displacement that leaves the 21-bit field is an error rather than
-// isa.Encode's panic; every other field is in range by construction.
-func regionWord(in isa.Inst) (uint32, error) {
-	if in.Format == isa.FormatBranch && (in.Disp < -(1<<20) || in.Disp >= 1<<20) {
-		return 0, fmt.Errorf("branch displacement %d exceeds 21 bits", in.Disp)
+// rsWord returns the text word address of the compile-time restore stub
+// for the call site of region that resumes at buffer offset resume.
+func (e *encoder) rsWord(region, resume int, wordAddr func(string) (int, error)) (int, error) {
+	for _, s := range e.rs {
+		if s.region == region && s.resume == resume {
+			return wordAddr(s.label)
+		}
 	}
-	return isa.Encode(in), nil
+	return 0, fmt.Errorf("no compile-time restore stub for region %d resume %d", region, resume)
+}
+
+// patchBranch sets branch word w's 21-bit displacement field to disp. A
+// resolved displacement that leaves the field is an error rather than a
+// silent truncation.
+func patchBranch(w uint32, disp int32) (uint32, error) {
+	if disp < -(1<<20) || disp >= 1<<20 {
+		return 0, fmt.Errorf("branch displacement %d exceeds 21 bits", disp)
+	}
+	return w&^0x1FFFFF | uint32(disp)&0x1FFFFF, nil
 }
 
 // laAddr resolves the address an la pair inside region r must materialize:

@@ -199,12 +199,11 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 	}
 	if err := parallel.ForEach(len(p.Funcs), conf.Workers, func(fi int) error {
 		for _, b := range p.Funcs[fi].Blocks {
-			for i := range b.Insts {
-				in := &b.Insts[i]
+			for _, in := range b.Insts {
 				// System calls are exempt: setjmp/longjmp capture the whole
 				// register file, including AT, but nothing observes AT's
 				// value, so stub clobbers remain invisible.
-				if !in.Raw && in.Format != isa.FormatPal && cfg.TouchesReg(in, isa.RegAT) {
+				if in.Format() != isa.FormatPal && cfg.TouchesReg(in, isa.RegAT) {
 					return fmt.Errorf("squash: block %s uses reserved register AT (r28)", b.Label)
 				}
 			}

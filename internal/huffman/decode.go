@@ -16,13 +16,19 @@ package huffman
 // wide-peek path.
 const DecodeTableBits = 11
 
-// decEntry resolves one K-bit prefix: the decoded value and its codeword
-// length. len == 0 marks a prefix that no codeword of length ≤ K matches
-// (either a longer codeword or, for corrupt tables, no codeword at all).
-type decEntry struct {
-	sym uint32
-	len uint8
-}
+// decEntry resolves one K-bit prefix in four bytes: the decoded value
+// above decLenBits bits of codeword length, sym<<decLenBits | len. A zero
+// length marks a prefix that no codeword of length ≤ K matches (either a
+// longer codeword or, for corrupt tables, no codeword at all), or one
+// whose value is too wide to pack; those decode through the wide path or
+// DecodeTree.
+type decEntry uint32
+
+// decLenBits holds codeword lengths up to DecodeTableBits.
+const decLenBits = 4
+
+// maxEntrySym bounds the values an entry can hold.
+const maxEntrySym = 1<<(32-decLenBits) - 1
 
 type decTable struct {
 	// entries is indexed by the next DecodeTableBits bits of the stream.
@@ -91,7 +97,9 @@ func (c *Code) buildDecoder() {
 				lo := (b + uint64(n)) << uint(DecodeTableBits-i)
 				hi := lo + 1<<uint(DecodeTableBits-i)
 				for e := lo; e < hi; e++ {
-					t.entries[e] = decEntry{sym: c.D[j], len: uint8(i)}
+					if v := c.D[j]; v <= maxEntrySym {
+						t.entries[e] = decEntry(v<<decLenBits | uint32(i))
+					}
 				}
 			}
 			j++
@@ -118,12 +126,12 @@ func (c *Code) Decode(r *BitReader) (uint32, error) {
 		r.refill()
 	}
 	e := t.entries[r.bitbuf>>(64-DecodeTableBits)]
-	if e.len != 0 {
-		r.bitbuf <<= e.len
-		r.nbits -= uint(e.len)
-		r.pos += int(e.len)
+	if n := uint(e & (1<<decLenBits - 1)); n != 0 {
+		r.bitbuf <<= n
+		r.nbits -= n
+		r.pos += int(n)
 		c.Stats.TableHits++
-		return e.sym, nil
+		return uint32(e >> decLenBits), nil
 	}
 	if t.maxLen > 57 || len(c.D) == 0 {
 		// MaxCodeLen allows lengths one beyond the peek window; such codes

@@ -3,6 +3,7 @@ package huffman
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // decodeBoth runs the table-driven decoder and the paper's tree decoder over
@@ -111,6 +112,34 @@ func TestDecodeEquivTwoValues(t *testing.T) {
 		}
 	}
 	decodeBoth(t, c, encodeStream(t, c, vals), len(vals))
+}
+
+// TestDecodeEquivWideValues: values too wide for a packed table entry
+// (maxEntrySym and above) on short codewords decode through the fallback
+// paths to the same values and bit counts as the tree decoder, next to
+// narrow values that the table resolves.
+func TestDecodeEquivWideValues(t *testing.T) {
+	freq := map[uint32]uint64{maxEntrySym: 40, maxEntrySym + 1: 30, 0xFFFFFFFF: 20, 7: 10, 1 << 26: 5}
+	c := Build(freq)
+	rng := rand.New(rand.NewSource(11))
+	keys := []uint32{maxEntrySym, maxEntrySym + 1, 0xFFFFFFFF, 7, 1 << 26}
+	vals := make([]uint32, 1000)
+	for i := range vals {
+		vals[i] = keys[rng.Intn(len(keys))]
+	}
+	decodeBoth(t, c, encodeStream(t, c, vals), len(vals))
+	if c.Stats.TableHits == 0 {
+		t.Error("no value decoded through the table")
+	}
+}
+
+// TestDecodeEntrySize pins the decode-table entry at four bytes: every code
+// holds 1<<DecodeTableBits of them, and the hot lookup reads one per
+// codeword.
+func TestDecodeEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(decEntry(0)); got != 4 {
+		t.Fatalf("decEntry is %d bytes, want 4", got)
+	}
 }
 
 // TestDecodeEquivGarbageStreams feeds random bytes (not a valid encoding of

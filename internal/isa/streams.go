@@ -104,6 +104,7 @@ var fieldsByFormat = [...][]FieldRef{
 // set; the illegal format's layout covers nothing, so no illegal-format
 // word passes the check.
 type WordLayout struct {
+	Format Format
 	Fields []FieldRef
 	Cover  uint32
 }
@@ -115,8 +116,9 @@ var layouts = func() (l [FormatIllegal + 1]WordLayout) {
 		for _, r := range fieldsByFormat[f] {
 			cover |= (1<<r.Bits - 1) << r.Shift
 		}
-		l[f] = WordLayout{Fields: fieldsByFormat[f], Cover: cover}
+		l[f] = WordLayout{Format: f, Fields: fieldsByFormat[f], Cover: cover}
 	}
+	l[FormatIllegal].Format = FormatIllegal
 	return l
 }()
 
@@ -144,6 +146,9 @@ var wordLayouts = func() (t [128]*WordLayout) {
 func LayoutOf(w uint32) *WordLayout {
 	return wordLayouts[w>>25&^1|w>>12&1]
 }
+
+// FormatOfWord reports the format Decode gives w.
+func FormatOfWord(w uint32) Format { return LayoutOf(w).Format }
 
 // Canonical reports whether w is the encoding of its own decoding,
 // Encode(Decode(w)) == w: a legal-format word its fields cover, or the

@@ -39,7 +39,7 @@ func TestNoReadBeforeDefOfTemporaries(t *testing.T) {
 			}
 			preds := map[string][]string{}
 			for _, b := range f.Blocks {
-				succs, known := b.Succs()
+				succs, known := p.Succs(b)
 				if !known {
 					// Unresolved jump: give up on this function (its
 					// blocks are excluded from compression anyway).
@@ -64,11 +64,11 @@ func TestNoReadBeforeDefOfTemporaries(t *testing.T) {
 			transfer := func(b *cfg.Block, in bits) bits {
 				d := in
 				for _, ins := range b.Insts {
-					if ins.Raw {
+					if ins.Raw() {
 						continue
 					}
 					for r := uint32(0); r < nTemps; r++ {
-						if cfg.WritesReg(&ins, isa.RegT0+r) {
+						if cfg.WritesReg(ins, isa.RegT0+r) {
 							d |= 1 << r
 						}
 					}
@@ -108,17 +108,17 @@ func TestNoReadBeforeDefOfTemporaries(t *testing.T) {
 			for _, b := range f.Blocks {
 				d := in[b.Label]
 				for _, ins := range b.Insts {
-					if ins.Raw {
+					if ins.Raw() {
 						continue
 					}
 					for r := uint32(0); r < nTemps; r++ {
-						if cfg.ReadsReg(&ins, isa.RegT0+r) && d&(1<<r) == 0 {
+						if cfg.ReadsReg(ins, isa.RegT0+r) && d&(1<<r) == 0 {
 							t.Errorf("%s: %s block %s reads t%d before any definition reaches it: %v",
-								spec.Name, f.Name, b.Label, r, ins.Inst)
+								spec.Name, f.Name, b.Label, r, isa.Decode(ins.Word))
 						}
 					}
 					for r := uint32(0); r < nTemps; r++ {
-						if cfg.WritesReg(&ins, isa.RegT0+r) {
+						if cfg.WritesReg(ins, isa.RegT0+r) {
 							d |= 1 << r
 						}
 					}

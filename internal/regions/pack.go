@@ -14,8 +14,9 @@ const restoreStubSavingWords = 3
 // link is one region's view of a related region (one joined to it by a
 // control-flow edge or a call): the savings terms owed to its own blocks.
 type link struct {
-	freed int // blocks whose outside predecessors all lie in the other region
-	calls int // call sites whose callee lies in the other region
+	other int32 // the related region
+	freed int32 // blocks whose outside predecessors all lie in other
+	calls int32 // call sites whose callee lies in other
 }
 
 // pairScore is a candidate merge of regions x < y with its savings, valid
@@ -56,7 +57,11 @@ type packer struct {
 	regions  []*Region
 	words    []int // BufferWords of each region
 	version  []int // bumped each time a region grows
-	links    []map[int32]link
+	// links holds each region's related regions, in the order its blocks'
+	// edges first reach them. slot is relink's scratch: by region, the
+	// index in the list being built of that region's link, or -1.
+	links    [][]link
+	slot     []int32
 	regionOf []int32 // the result's RegionOf, kept current across merges
 	queue    pairQueue
 }
@@ -82,8 +87,12 @@ func packRegions(res *Result, x *blockIndex, maxWords int) {
 		regions:  res.Regions,
 		words:    make([]int, n),
 		version:  make([]int, n),
-		links:    make([]map[int32]link, n),
+		links:    make([][]link, n),
+		slot:     make([]int32, n),
 		regionOf: res.RegionOf,
+	}
+	for i := range pk.slot {
+		pk.slot[i] = -1
 	}
 	for id, r := range res.Regions {
 		pk.words[id] = x.bufferWords(r.Members)
@@ -113,13 +122,21 @@ func packRegions(res *Result, x *blockIndex, maxWords int) {
 // moves only b's blocks, so the scores of pairs that involve neither a nor
 // b stay as they were; only a's pairs are scored again.
 func (pk *packer) mergeRelated() {
+	// Every region's first list goes into one shared array; a list that
+	// outgrows its window after a merge moves out of it.
+	start := make([]int, len(pk.regions)+1)
+	var all []link
 	for id := range pk.regions {
-		pk.relink(int32(id))
+		all = pk.appendLinks(all, int32(id))
+		start[id+1] = len(all)
+	}
+	for id := range pk.regions {
+		pk.links[id] = all[start[id]:start[id+1]:start[id+1]]
 	}
 	for id, ls := range pk.links {
-		for other := range ls {
-			if other > int32(id) {
-				pk.offer(int32(id), other)
+		for _, l := range ls {
+			if l.other > int32(id) {
+				pk.offer(int32(id), l.other)
 			}
 		}
 	}
@@ -131,12 +148,12 @@ func (pk *packer) mergeRelated() {
 		}
 		a := c.x
 		pk.merge(a, c.y)
-		pk.relink(a)
-		for other := range pk.links[a] {
-			pk.relink(other)
+		pk.links[a] = pk.appendLinks(pk.links[a][:0], a)
+		for _, l := range pk.links[a] {
+			pk.links[l.other] = pk.appendLinks(pk.links[l.other][:0], l.other)
 		}
-		for other := range pk.links[a] {
-			pk.offer(min(a, other), max(a, other))
+		for _, l := range pk.links[a] {
+			pk.offer(min(a, l.other), max(a, l.other))
 		}
 	}
 }
@@ -147,10 +164,10 @@ func (pk *packer) offer(x, y int32) {
 	if pk.mergedWords(x, y) > pk.maxWords {
 		return
 	}
-	xy, yx := pk.links[x][y], pk.links[y][x]
+	xy, yx := linkTo(pk.links[x], y), linkTo(pk.links[y], x)
 	s := 1 + // one fewer function-offset-table entry
-		EntryStubWords*(xy.freed+yx.freed) +
-		restoreStubSavingWords*(xy.calls+yx.calls)
+		EntryStubWords*int(xy.freed+yx.freed) +
+		restoreStubSavingWords*int(xy.calls+yx.calls)
 	if pk.knits(x, y) {
 		s++ // the inserted fallthrough branch goes away
 	}
@@ -159,18 +176,32 @@ func (pk *packer) offer(x, y int32) {
 	}
 }
 
-// relink recomputes region r's links from its blocks' edges.
-func (pk *packer) relink(r int32) {
-	m := pk.links[r]
-	if m == nil {
-		m = map[int32]link{}
-		pk.links[r] = m
+// linkTo returns the link to region other in ls, or the zero link.
+func linkTo(ls []link, other int32) link {
+	for _, l := range ls {
+		if l.other == other {
+			return l
+		}
 	}
-	clear(m)
+	return link{}
+}
+
+// appendLinks appends region r's links, recomputed from its blocks' edges,
+// to dst. pk.slot finds a related region's link while r's list is built,
+// and is cleared again through the list itself.
+func (pk *packer) appendLinks(dst []link, r int32) []link {
+	lo := len(dst)
+	at := func(g int32) *link {
+		if pk.slot[g] < 0 {
+			pk.slot[g] = int32(len(dst))
+			dst = append(dst, link{other: g})
+		}
+		return &dst[pk.slot[g]]
+	}
 	for _, i := range pk.regions[r].Members {
 		for _, s := range pk.x.Succs(i) {
 			if g := pk.regionOf[s]; g != noRegion && g != r {
-				m[g] = m[g] // related, whether or not a term accrues
+				at(g) // related, whether or not a term accrues
 			}
 		}
 		for _, c := range pk.x.Callees(i) {
@@ -178,9 +209,7 @@ func (pk *packer) relink(r int32) {
 				continue
 			}
 			if g := pk.regionOf[c]; g != noRegion && g != r {
-				l := m[g]
-				l.calls++
-				m[g] = l
+				at(g).calls++
 			}
 		}
 		// Block i stops being an entry in a merge with region sole when
@@ -194,7 +223,7 @@ func (pk *packer) relink(r int32) {
 				case g == noRegion:
 					shared = true
 				default:
-					m[g] = m[g]
+					at(g)
 					if sole == noRegion {
 						sole = g
 					} else if sole != g {
@@ -204,11 +233,13 @@ func (pk *packer) relink(r int32) {
 			}
 		}
 		if sole != noRegion && !shared {
-			l := m[sole]
-			l.freed++
-			m[sole] = l
+			at(sole).freed++
 		}
 	}
+	for _, l := range dst[lo:] {
+		pk.slot[l.other] = -1
+	}
+	return dst
 }
 
 // knits reports whether a's last block falls through to b's first.

@@ -85,7 +85,7 @@ func refIsEntry(p *refPreds, r *Region, b *cfg.Block, memberOf func(string) (int
 
 // refBufferWords is BufferWords over labels: safeCallee reports callee
 // labels proven buffer-safe; nil gives the conservative bound.
-func refBufferWords(r *Region, safeCallee func(string) bool) int {
+func refBufferWords(p *cfg.Program, r *Region, safeCallee func(string) bool) int {
 	words := 1 // leading jump to the entry offset
 	for i, b := range r.Blocks {
 		words += len(b.Insts)
@@ -98,7 +98,7 @@ func refBufferWords(r *Region, safeCallee func(string) bool) int {
 				words++ // explicit branch inserted by the region layout
 			}
 		}
-		for _, c := range b.Calls() {
+		for _, c := range p.Calls(b) {
 			if safeCallee != nil && c.Callee != "" && safeCallee(c.Callee) {
 				continue
 			}
@@ -120,7 +120,7 @@ func refCompressible(p *cfg.Program, cold map[string]bool, workers int) (map[str
 		setjmp := f.CallsSetjmp()
 		poisoned := false
 		for _, b := range f.Blocks {
-			if _, known := b.Succs(); !known {
+			if _, known := p.Succs(b); !known {
 				poisoned = true
 			}
 		}
@@ -139,7 +139,7 @@ func refCompressible(p *cfg.Program, cold map[string]bool, workers int) (map[str
 				v.reason = "block contains data words"
 			case endsInTableJump(b):
 				v.reason = "block ends in jump-table dispatch (not unswitched)"
-			case hasIndirectUnknownCall(b.Calls()):
+			case hasIndirectUnknownCall(p.Calls(b)):
 				v.reason = "block contains indirect call with unknown target"
 			}
 			out = append(out, v)
@@ -248,7 +248,7 @@ func refSeedLoopRegions(p *cfg.Program, preds *refPreds, candidates map[string]*
 		for _, l := range li.blocks {
 			r.Blocks = append(r.Blocks, candidates[l])
 		}
-		if refBufferWords(r, nil) > maxWords {
+		if refBufferWords(p, r, nil) > maxWords {
 			continue
 		}
 		for _, b := range r.Blocks {
@@ -301,7 +301,7 @@ func refPartition(p *cfg.Program, cold map[string]bool, conf Config) (*refResult
 			if assigned[root.Label] || noRetry[root.Label] || candidates[root.Label] == nil {
 				continue
 			}
-			tree := refDfsTree(f, root, candidates, assigned, maxWords)
+			tree := refDfsTree(p, f, root, candidates, assigned, maxWords)
 			if len(tree) == 0 {
 				continue
 			}
@@ -324,7 +324,7 @@ func refPartition(p *cfg.Program, cold map[string]bool, conf Config) (*refResult
 	}
 
 	if conf.Pack {
-		refPackRegions(res, preds, maxWords)
+		refPackRegions(p, res, preds, maxWords)
 	}
 
 	for label := range candidates {
@@ -338,7 +338,7 @@ func refPartition(p *cfg.Program, cold map[string]bool, conf Config) (*refResult
 		res.CompressibleInsts += r.NumInsts()
 	}
 	for _, r := range res.Regions {
-		if w := refBufferWords(r, nil); w > maxWords {
+		if w := refBufferWords(p, r, nil); w > maxWords {
 			return nil, nil, fmt.Errorf("regions: region %d needs %d words, bound is %d", r.ID, w, maxWords)
 		}
 	}
@@ -348,7 +348,7 @@ func refPartition(p *cfg.Program, cold map[string]bool, conf Config) (*refResult
 // refDfsTree grows a region from root by depth-first search over successor
 // edges, restricted to compressible, unassigned blocks of the same
 // function, keeping the exact buffer requirement within maxWords.
-func refDfsTree(f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, assigned map[string]bool, maxWords int) []*cfg.Block {
+func refDfsTree(p *cfg.Program, f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, assigned map[string]bool, maxWords int) []*cfg.Block {
 	inFunc := map[string]*cfg.Block{}
 	for _, b := range f.Blocks {
 		inFunc[b.Label] = b
@@ -363,12 +363,12 @@ func refDfsTree(f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, 
 		// Tentatively accept and check the exact buffer bound.
 		seen[b.Label] = true
 		tree = append(tree, b)
-		if refBufferWords(&Region{Blocks: tree}, nil) > maxWords {
+		if refBufferWords(p, &Region{Blocks: tree}, nil) > maxWords {
 			tree = tree[:len(tree)-1]
 			delete(seen, b.Label)
 			return
 		}
-		succs, _ := b.Succs()
+		succs, _ := p.Succs(b)
 		for _, s := range succs {
 			if nb := inFunc[s]; nb != nil {
 				visit(nb)
@@ -392,7 +392,7 @@ func refDfsTree(f *cfg.Func, root *cfg.Block, candidates map[string]*cfg.Block, 
 // saving), followed by first-fit-decreasing packing of the remainder, which
 // realizes the table-word savings the paper attributes to packing small
 // fragmented regions together.
-func refPackRegions(res *refResult, preds *refPreds, maxWords int) {
+func refPackRegions(p *cfg.Program, res *refResult, preds *refPreds, maxWords int) {
 	const restoreStubSavingWords = 3 // stub code words plus the buffer word
 
 	live := map[int]*Region{}
@@ -401,7 +401,7 @@ func refPackRegions(res *refResult, preds *refPreds, maxWords int) {
 	}
 
 	mergedBufferWords := func(a, b *Region) int {
-		return refBufferWords(&Region{Blocks: append(append([]*cfg.Block{}, a.Blocks...), b.Blocks...)}, nil)
+		return refBufferWords(p, &Region{Blocks: append(append([]*cfg.Block{}, a.Blocks...), b.Blocks...)}, nil)
 	}
 
 	savings := func(a, b *Region) int {
@@ -424,7 +424,7 @@ func refPackRegions(res *refResult, preds *refPreds, maxWords int) {
 		// Calls between the two regions become intra-region.
 		for _, pair := range [2][2]*Region{{a, b}, {b, a}} {
 			for _, blk := range pair[0].Blocks {
-				for _, c := range blk.Calls() {
+				for _, c := range p.Calls(blk) {
 					if c.Callee == "" {
 						continue
 					}
@@ -458,13 +458,13 @@ func refPackRegions(res *refResult, preds *refPreds, maxWords int) {
 		}
 		for _, r := range live {
 			for _, blk := range r.Blocks {
-				succs, _ := blk.Succs()
+				succs, _ := p.Succs(blk)
 				for _, s := range succs {
 					if id, in := res.InRegion[s]; in {
 						addPair(r.ID, id)
 					}
 				}
-				for _, c := range blk.Calls() {
+				for _, c := range p.Calls(blk) {
 					if c.Callee == "" {
 						continue
 					}
@@ -522,8 +522,8 @@ func refPackRegions(res *refResult, preds *refPreds, maxWords int) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		wi := refBufferWords(live[ids[i]], nil)
-		wj := refBufferWords(live[ids[j]], nil)
+		wi := refBufferWords(p, live[ids[i]], nil)
+		wj := refBufferWords(p, live[ids[j]], nil)
 		if wi != wj {
 			return wi > wj
 		}
@@ -599,21 +599,21 @@ func refBuildPreds(p *cfg.Program, workers int) *refPreds {
 	scans, _ := parallel.Map(len(p.Funcs), workers, func(fi int) (refPredEdges, error) {
 		var e refPredEdges
 		for _, b := range p.Funcs[fi].Blocks {
-			succs, _ := b.Succs()
+			succs, _ := p.Succs(b)
 			for _, s := range succs {
 				e.flow = append(e.flow, [2]string{s, b.Label})
 			}
-			for _, c := range b.Calls() {
+			for _, c := range p.Calls(b) {
 				if c.Callee != "" && labels[c.Callee] {
 					e.call = append(e.call, [2]string{c.Callee, b.Label})
 				}
 			}
 			for i := range b.Insts {
-				in := &b.Insts[i]
+				in := b.Insts[i]
 				// A la of a code label takes its address (indirect call or
 				// computed branch target).
-				if in.Kind == cfg.TargetLo16 && labels[in.Target] {
-					e.addrTaken = append(e.addrTaken, in.Target)
+				if in.Kind() == cfg.TargetLo16 && labels[p.Target(in)] {
+					e.addrTaken = append(e.addrTaken, p.Target(in))
 				}
 			}
 		}

@@ -216,8 +216,8 @@ func compressible(x *cfg.Index, cold []bool, workers int) ([]bool, []Exclusion) 
 }
 
 func hasRaw(b *cfg.Block) bool {
-	for i := range b.Insts {
-		if b.Insts[i].Raw {
+	for _, in := range b.Insts {
+		if in.Raw() {
 			return true
 		}
 	}
@@ -228,8 +228,8 @@ func endsInTableJump(b *cfg.Block) bool {
 	if len(b.Insts) == 0 {
 		return false
 	}
-	last := &b.Insts[len(b.Insts)-1]
-	return !last.Raw && last.Format == isa.FormatJump && last.JFunc == isa.JmpJMP
+	last := b.Insts[len(b.Insts)-1]
+	return !last.Raw() && last.Format() == isa.FormatJump && last.JFunc() == isa.JmpJMP
 }
 
 func hasIndirectUnknownCall(calls []cfg.CallSite) bool {

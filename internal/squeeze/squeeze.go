@@ -135,7 +135,7 @@ func removeUnreachable(p *cfg.Program, st *Stats) {
 		label := work[len(work)-1]
 		work = work[:len(work)-1]
 		b := blocks[label]
-		succs, known := b.Succs()
+		succs, known := p.Succs(b)
 		if !known {
 			// Unknown indirect jump: conservatively keep every block of
 			// the owning function reachable.
@@ -146,23 +146,24 @@ func removeUnreachable(p *cfg.Program, st *Stats) {
 		for _, s := range succs {
 			push(s)
 		}
-		for _, c := range b.Calls() {
+		for _, c := range p.Calls(b) {
 			if c.Callee != "" {
 				push(c.Callee)
 			}
 		}
 		for _, in := range b.Insts {
-			if in.Kind == cfg.TargetLo16 || in.Kind == cfg.TargetHi16 {
-				if _, isCode := blocks[in.Target]; isCode {
-					push(in.Target)
-				} else if off, isData := dataSymAt[in.Target]; isData {
+			switch in.Kind() {
+			case cfg.TargetLo16, cfg.TargetHi16:
+				sym := p.Target(in)
+				if _, isCode := blocks[sym]; isCode {
+					push(sym)
+				} else if off, isData := dataSymAt[sym]; isData {
 					for _, lbl := range codeRefsByRegion[off] {
 						push(lbl)
 					}
 				}
-			}
-			if in.Kind == cfg.TargetBranch {
-				push(in.Target)
+			case cfg.TargetBranch:
+				push(p.Target(in))
 			}
 		}
 	}
@@ -197,22 +198,24 @@ func removeNops(p *cfg.Program, st *Stats) {
 		for _, b := range f.Blocks {
 			kept := b.Insts[:0]
 			for i, in := range b.Insts {
-				switch {
-				case in.Raw:
-				case in.Kind == cfg.TargetBranch:
+				switch in.Kind() {
+				case cfg.TargetRaw:
+				case cfg.TargetBranch:
 					// Displacements are symbolic (encoded as zero) in the
 					// IR, so isa.IsNop cannot be consulted here. A
 					// conditional branch whose target is the block's own
 					// fallthrough is inert — but only in terminal position.
-					if isa.IsCondBranchOp(in.Op) && i == len(b.Insts)-1 && in.Target == b.FallsTo {
+					if isa.IsCondBranchOp(in.Op()) && i == len(b.Insts)-1 && p.Target(in) == b.FallsTo {
 						st.NopsRemoved++
 						continue
 					}
-				case in.Kind != cfg.TargetNone:
+				case cfg.TargetHi16, cfg.TargetLo16:
 					// la halves write a register; never nops.
-				case isa.IsNop(in.Inst):
-					st.NopsRemoved++
-					continue
+				default:
+					if isa.IsNop(isa.Decode(in.Word)) {
+						st.NopsRemoved++
+						continue
+					}
 				}
 				kept = append(kept, in)
 			}
@@ -223,14 +226,15 @@ func removeNops(p *cfg.Program, st *Stats) {
 
 // runKey builds a structural fingerprint for an instruction run: encoded
 // words plus symbolic targets.
-func runKey(insts []cfg.Inst) string {
+func runKey(p *cfg.Program, insts []cfg.Inst) string {
 	var sb strings.Builder
 	for _, in := range insts {
-		if in.Raw {
-			fmt.Fprintf(&sb, "raw:%x;", in.RawVal)
+		if in.Raw() {
+			fmt.Fprintf(&sb, "raw:%x;", in.Word)
 			continue
 		}
-		fmt.Fprintf(&sb, "%x:%d:%s:%d;", isa.Encode(in.Inst), in.Kind, in.Target, in.Addend)
+		r := p.RefOf(in)
+		fmt.Fprintf(&sb, "%x:%d:%s:%d;", in.Word, in.Kind(), r.Sym, r.Addend)
 	}
 	return sb.String()
 }
@@ -238,11 +242,11 @@ func runKey(insts []cfg.Inst) string {
 // pureForAbstraction reports whether the instruction may be moved into an
 // abstracted function: straight-line, no control transfer, no system call,
 // and no use of the return-address register.
-func pureForAbstraction(in *cfg.Inst) bool {
-	if in.Raw {
+func pureForAbstraction(in cfg.Inst) bool {
+	if in.Raw() {
 		return false
 	}
-	switch in.Format {
+	switch in.Format() {
 	case isa.FormatBranch, isa.FormatJump, isa.FormatPal, isa.FormatIllegal:
 		return false
 	}
@@ -262,8 +266,8 @@ type runRef struct {
 // treated as live (the successor may read RA, e.g. a leaf return).
 func raDeadAfter(b *cfg.Block, end int) bool {
 	for i := end; i < len(b.Insts); i++ {
-		in := &b.Insts[i]
-		if in.Raw {
+		in := b.Insts[i]
+		if in.Raw() {
 			return false
 		}
 		if cfg.ReadsReg(in, isa.RegRA) {
@@ -287,16 +291,16 @@ func abstractRepeats(p *cfg.Program, st *Stats) {
 		for _, b := range f.Blocks {
 			i := 0
 			for i < len(b.Insts) {
-				if !pureForAbstraction(&b.Insts[i]) {
+				if !pureForAbstraction(b.Insts[i]) {
 					i++
 					continue
 				}
 				j := i
-				for j < len(b.Insts) && pureForAbstraction(&b.Insts[j]) {
+				for j < len(b.Insts) && pureForAbstraction(b.Insts[j]) {
 					j++
 				}
 				if j-i >= MinRunLen && raDeadAfter(b, j) {
-					key := runKey(b.Insts[i:j])
+					key := runKey(p, b.Insts[i:j])
 					if len(occurrences[key]) == 0 {
 						keyOrder = append(keyOrder, key)
 					}
@@ -330,7 +334,7 @@ func abstractRepeats(p *cfg.Program, st *Stats) {
 		n++
 		body := make([]cfg.Inst, runLen+1)
 		copy(body, occ[0].block.Insts[occ[0].start:occ[0].start+runLen])
-		body[runLen] = cfg.Inst{Inst: isa.Jump(isa.JmpRET, isa.RegZero, isa.RegRA, 0)}
+		body[runLen] = cfg.Inst{Word: isa.Encode(isa.Jump(isa.JmpRET, isa.RegZero, isa.RegRA, 0))}
 		nb := &cfg.Block{Label: name, Insts: body}
 		p.Funcs = append(p.Funcs, &cfg.Func{Name: name, Blocks: []*cfg.Block{nb}})
 		for _, o := range occ {
@@ -343,11 +347,7 @@ func abstractRepeats(p *cfg.Program, st *Stats) {
 	for b, es := range edits {
 		sort.Slice(es, func(i, j int) bool { return es[i].start > es[j].start })
 		for _, e := range es {
-			call := cfg.Inst{
-				Inst:   isa.Br(isa.OpBSR, isa.RegRA, 0),
-				Kind:   cfg.TargetBranch,
-				Target: e.callee,
-			}
+			call := p.Refer(isa.Encode(isa.Br(isa.OpBSR, isa.RegRA, 0)), cfg.TargetBranch, e.callee, 0)
 			rest := append([]cfg.Inst{call}, b.Insts[e.start+e.n:]...)
 			b.Insts = append(b.Insts[:e.start], rest...)
 		}

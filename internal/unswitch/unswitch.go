@@ -47,7 +47,7 @@ func Run(p *cfg.Program, shouldUnswitch func(*cfg.Block) bool) (*Stats, error) {
 				}
 				continue
 			}
-			m, ok := matchDispatch(b)
+			m, ok := matchDispatch(p, b)
 			if !ok {
 				st.Skipped++
 				continue
@@ -83,39 +83,40 @@ type dispatch struct {
 }
 
 // matchDispatch matches the six-instruction dispatch idiom at the end of b.
-func matchDispatch(b *cfg.Block) (dispatch, bool) {
+func matchDispatch(p *cfg.Program, b *cfg.Block) (dispatch, bool) {
 	n := len(b.Insts)
 	if n < 6 {
 		return dispatch{}, false
 	}
 	i := b.Insts[n-6:]
 	sll, hi, lo, add, ldw, jmp := i[0], i[1], i[2], i[3], i[4], i[5]
-	if jmp.Raw || jmp.Format != isa.FormatJump || jmp.JFunc != isa.JmpJMP {
+	if jmp.Raw() || jmp.Format() != isa.FormatJump || jmp.JFunc() != isa.JmpJMP {
 		return dispatch{}, false
 	}
-	x := jmp.RB
-	if ldw.Op != isa.OpLDW || ldw.RA != x || ldw.Disp != 0 {
+	x := jmp.RB()
+	if ldw.Op() != isa.OpLDW || ldw.RA() != x || ldw.Disp() != 0 {
 		return dispatch{}, false
 	}
-	b2 := ldw.RB
-	if add.Op != isa.OpIntA || add.Format != isa.FormatOpReg || add.Func != isa.FnADD || add.RC != b2 {
+	b2 := ldw.RB()
+	if add.Op() != isa.OpIntA || add.Format() != isa.FormatOpReg || add.Func() != isa.FnADD || add.RC() != b2 {
 		return dispatch{}, false
 	}
-	if lo.Kind != cfg.TargetLo16 || hi.Kind != cfg.TargetHi16 || hi.Target != lo.Target {
+	tableSym := p.Target(lo)
+	if lo.Kind() != cfg.TargetLo16 || hi.Kind() != cfg.TargetHi16 || p.Target(hi) != tableSym {
 		return dispatch{}, false
 	}
-	base := lo.RA
+	base := lo.RA()
 	var t uint32
 	switch {
-	case add.RA == base:
-		t = add.RB
-	case add.RB == base:
-		t = add.RA
+	case add.RA() == base:
+		t = add.RB()
+	case add.RB() == base:
+		t = add.RA()
 	default:
 		return dispatch{}, false
 	}
-	if sll.Op != isa.OpIntS || sll.Func != isa.FnSLL || sll.Format != isa.FormatOpLit ||
-		sll.Lit != 2 || sll.RC != t {
+	if sll.Op() != isa.OpIntS || sll.Func() != isa.FnSLL || sll.Format() != isa.FormatOpLit ||
+		sll.Lit() != 2 || sll.RC() != t {
 		return dispatch{}, false
 	}
 	if len(b.JT.Targets) > 256 {
@@ -123,9 +124,9 @@ func matchDispatch(b *cfg.Block) (dispatch, bool) {
 	}
 	return dispatch{
 		start:    n - 6,
-		indexReg: sll.RA,
+		indexReg: sll.RA(),
 		scratch:  t,
-		tableSym: lo.Target,
+		tableSym: tableSym,
 	}, true
 }
 
@@ -137,17 +138,18 @@ func buildLadder(p *cfg.Program, f *cfg.Func, b *cfg.Block, m dispatch) []*cfg.B
 	b.Insts = b.Insts[:m.start]
 	b.JT = nil
 
+	br := func(op, ra uint32, target string) cfg.Inst {
+		return p.Refer(isa.Encode(isa.Br(op, ra, 0)), cfg.TargetBranch, target, 0)
+	}
 	cmpBr := func(caseIdx int, target string) []cfg.Inst {
 		return []cfg.Inst{
-			{Inst: isa.OpL(isa.OpIntA, m.indexReg, uint32(caseIdx), isa.FnCMPEQ, m.scratch)},
-			{Inst: isa.Br(isa.OpBNE, m.scratch, 0), Kind: cfg.TargetBranch, Target: target},
+			{Word: isa.Encode(isa.OpL(isa.OpIntA, m.indexReg, uint32(caseIdx), isa.FnCMPEQ, m.scratch))},
+			br(isa.OpBNE, m.scratch, target),
 		}
 	}
 
 	if len(targets) == 1 {
-		b.Insts = append(b.Insts, cfg.Inst{
-			Inst: isa.Br(isa.OpBR, isa.RegZero, 0), Kind: cfg.TargetBranch, Target: targets[0],
-		})
+		b.Insts = append(b.Insts, br(isa.OpBR, isa.RegZero, targets[0]))
 		b.FallsTo = ""
 		recount(b, freq)
 		return nil
@@ -166,10 +168,8 @@ func buildLadder(p *cfg.Program, f *cfg.Func, b *cfg.Block, m dispatch) []*cfg.B
 	}
 	final := &cfg.Block{
 		Label: fmt.Sprintf("%s$usw%d", b.Label, len(targets)-1),
-		Insts: []cfg.Inst{{
-			Inst: isa.Br(isa.OpBR, isa.RegZero, 0), Kind: cfg.TargetBranch, Target: targets[len(targets)-1],
-		}},
-		Freq: freq,
+		Insts: []cfg.Inst{br(isa.OpBR, isa.RegZero, targets[len(targets)-1])},
+		Freq:  freq,
 	}
 	ladder = append(ladder, final)
 	b.FallsTo = ladder[0].Label
@@ -198,13 +198,14 @@ func referencedSymbols(p *cfg.Program, syms []string) map[string]bool {
 	}
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
-			for i := range b.Insts {
-				in := &b.Insts[i]
-				if in.Kind == cfg.TargetNone {
+			for _, in := range b.Insts {
+				switch in.Kind() {
+				case cfg.TargetNone, cfg.TargetRaw:
 					continue
 				}
-				if _, ok := live[in.Target]; ok {
-					live[in.Target] = true
+				sym := p.Target(in)
+				if _, ok := live[sym]; ok {
+					live[sym] = true
 				}
 			}
 		}
