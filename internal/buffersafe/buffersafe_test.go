@@ -133,7 +133,10 @@ func TestCallSiteStats(t *testing.T) {
         ret
 `
 	p := build(t, src)
-	x := cfg.NewIndex(p, 1)
+	x, err := cfg.NewIndex(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	compressed := dense(x, map[string]bool{"coldcaller": true, "unsafecold": true})
 	safe, total := CallSiteStats(x, compressed, AnalyzeWorkers(x, compressed, 1))
 	if total != 2 || safe != 1 {
@@ -153,7 +156,10 @@ func dense(x *cfg.Index, labels map[string]bool) []bool {
 // analyze runs AnalyzeWorkers on p with the labelled blocks compressed and
 // returns its label-keyed view.
 func analyze(p *cfg.Program, compressed map[string]bool, workers int) *refResult {
-	x := cfg.NewIndex(p, workers)
+	x, err := cfg.NewIndex(p, workers)
+	if err != nil {
+		panic(err) // every program the tests analyze is valid
+	}
 	r := AnalyzeWorkers(x, dense(x, compressed), workers)
 	out := &refResult{Safe: map[string]bool{}}
 	for fi, f := range p.Funcs {
@@ -296,7 +302,10 @@ func TestBufferSafeMatchesReference(t *testing.T) {
 				want := refAnalyze(p, compressed)
 				wantSafe, wantTotal := refCallSiteStats(p, compressed, want)
 				for _, w := range []int{1, 2, 8} {
-					x := cfg.NewIndex(p, w)
+					x, err := cfg.NewIndex(p, w)
+					if err != nil {
+						t.Fatal(err)
+					}
 					bits := dense(x, compressed)
 					got := AnalyzeWorkers(x, bits, w)
 					for fi, f := range p.Funcs {

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -36,14 +37,21 @@ func Build(obj *objfile.Object, entry string) (*Program, error) {
 // BuildWorkers is Build with the decode fanned out over at most workers
 // goroutines; <= 0 means one per CPU, 1 a serial lift. The program is the
 // same at every worker count.
+//
+// The lift checks what Program.Validate checks of the program it makes as
+// it makes it, so it never runs Validate: every label is unique (a
+// synthetic one included), and every reference and the entry name a label
+// or a data symbol. Names resolve through one table over obj.Symbols, so
+// each symbol name is hashed once to build it and once per reference.
 func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, error) {
 	nWords := len(obj.Text)
+	st := newSymtab(obj.Symbols)
 
 	// Text symbols in word order; the stable sort keeps object order among
 	// the symbols of one word, which decides the canonical label.
 	type textSym struct {
 		w    int
-		name string
+		sym  int32 // index in obj.Symbols
 		kind objfile.SymKind
 	}
 	syms := make([]textSym, 0, len(obj.Symbols))
@@ -59,7 +67,7 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 		if w >= nWords {
 			return nil, fmt.Errorf("cfg: text symbol beyond section end at word %d", w)
 		}
-		syms = append(syms, textSym{w, s.Name, s.Kind})
+		syms = append(syms, textSym{w, int32(i), s.Kind})
 	}
 	slices.SortStableFunc(syms, func(a, b textSym) int { return a.w - b.w })
 	var funcs []int // indices into syms of the function symbols, in word order
@@ -68,7 +76,7 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 			continue
 		}
 		if n := len(funcs); n > 0 && syms[funcs[n-1]].w == syms[i].w {
-			return nil, fmt.Errorf("cfg: two functions at word %d (%s)", syms[i].w, syms[i].name)
+			return nil, fmt.Errorf("cfg: two functions at word %d (%s)", syms[i].w, st.syms[syms[i].sym].Name)
 		}
 		funcs = append(funcs, i)
 	}
@@ -80,8 +88,11 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 	// relocated word's record gets its kind and table index now; the
 	// decode below fills in the words. Offsets come from outside, so words
 	// past the end of text go to a side set that still rejects duplicates.
+	// Each relocation's symbol is looked up once, here: refSym holds the
+	// definition each table entry's name resolved to.
 	all := make([]Inst, nWords)
 	refs := make([]Ref, 0, len(obj.Relocs))
+	refSym := make([]int32, 0, len(obj.Relocs))
 	var beyond map[int]bool
 	for ri := range obj.Relocs {
 		r := &obj.Relocs[ri]
@@ -92,6 +103,18 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 			return nil, fmt.Errorf("cfg: misaligned text relocation at %#x", r.Offset)
 		}
 		w := int(r.Offset / isa.WordSize)
+		j := st.lookup(r.Sym)
+		// Reject branch relocs with nonzero addends into code (never
+		// produced by the assembler) or with data targets, wherever they
+		// point.
+		if r.Kind == objfile.RelBrDisp21 {
+			if r.Addend != 0 {
+				return nil, fmt.Errorf("cfg: branch relocation with addend at word %d", w)
+			}
+			if j >= 0 && st.syms[j].Section != objfile.SecText {
+				return nil, fmt.Errorf("cfg: branch at word %d targets data symbol %q", w, r.Sym)
+			}
+		}
 		var dup bool
 		if w < nWords {
 			dup = all[w].ref != 0
@@ -110,6 +133,7 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 			}
 			if !dup {
 				refs = append(refs, Ref{Sym: r.Sym, Addend: r.Addend})
+				refSym = append(refSym, j)
 				all[w].ref = uint32(len(refs)-1)<<kindBits | uint32(kind)
 			}
 		} else {
@@ -121,25 +145,6 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 		}
 		if dup {
 			return nil, fmt.Errorf("cfg: two relocations for word %d", w)
-		}
-	}
-	// Reject branch relocs with nonzero addends into code (never produced
-	// by the assembler) or with data targets, wherever they point.
-	symSection := make(map[string]objfile.Section, len(obj.Symbols))
-	for i := range obj.Symbols {
-		symSection[obj.Symbols[i].Name] = obj.Symbols[i].Section
-	}
-	for ri := range obj.Relocs {
-		r := &obj.Relocs[ri]
-		if r.Section != objfile.SecText || r.Kind != objfile.RelBrDisp21 {
-			continue
-		}
-		w := int(r.Offset / isa.WordSize)
-		if r.Addend != 0 {
-			return nil, fmt.Errorf("cfg: branch relocation with addend at word %d", w)
-		}
-		if symSection[r.Sym] != objfile.SecText {
-			return nil, fmt.Errorf("cfg: branch at word %d targets data symbol %q", w, r.Sym)
 		}
 	}
 
@@ -183,12 +188,10 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 		}
 	}
 
-	// Canonical label per leader word: prefer the function symbol, then the
-	// first label symbol, else a synthetic name. alias maps every text
-	// symbol to its canonical label.
-	alias := make(map[string]string, len(syms))
-
-	// Build functions and blocks, each kind in one backing array.
+	// Build functions and blocks, each kind in one backing array. The
+	// canonical label of a leader word is its function symbol, else its
+	// first label symbol, else a synthetic name; every text symbol records
+	// the block it starts.
 	p := &Program{
 		Funcs:       make([]*Func, len(funcs)),
 		Data:        append([]byte(nil), obj.Data...),
@@ -199,6 +202,7 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 	funcArr := make([]Func, len(funcs))
 	blockArr := make([]Block, nBlocks)
 	blockPtrs := make([]*Block, nBlocks)
+	st.blocks = blockArr
 	nb, si := 0, 0
 	for fi, fsym := range funcs {
 		fw := syms[fsym].w
@@ -207,7 +211,7 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 			endW = syms[funcs[fi+1]].w
 		}
 		f := &funcArr[fi]
-		f.Name = syms[fsym].name
+		f.Name = st.syms[syms[fsym].sym].Name
 		first := nb
 		for w := fw; w < endW; w++ {
 			if !leader[w] {
@@ -220,18 +224,19 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 			label := ""
 			for _, ts := range syms[lo:si] {
 				if ts.kind == objfile.SymFunc {
-					label = ts.name
+					label = st.syms[ts.sym].Name
 					break
 				}
 				if label == "" {
-					label = ts.name
+					label = st.syms[ts.sym].Name
 				}
 			}
 			if label == "" {
 				label = f.Name + "$L" + strconv.Itoa(w-fw)
+				st.synth = append(st.synth, int32(nb))
 			}
 			for _, ts := range syms[lo:si] {
-				alias[ts.name] = label
+				st.block[ts.sym] = int32(nb)
 			}
 			blockArr[nb] = Block{Label: label, SrcWordOff: w}
 			blockPtrs[nb] = &blockArr[nb]
@@ -247,17 +252,19 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 		f.Blocks = blockPtrs[first:nb:nb]
 		p.Funcs[fi] = f
 	}
+	if err := st.checkLabels(); err != nil {
+		return nil, fmt.Errorf("cfg: lifted program invalid: %w", err)
+	}
 
 	// Canonicalize all symbol references, set fallthroughs, and resolve
-	// jump tables.
-	canon := func(sym string) string {
-		if c, ok := alias[sym]; ok {
-			return c
+	// jump tables. A reference to a text symbol names the block its symbol
+	// starts; any other must name a data symbol or a synthetic label.
+	for k := range p.Refs {
+		if b := st.alias(refSym[k]); b >= 0 {
+			p.Refs[k].Sym = blockArr[b].Label
+		} else if st.defs(refSym[k]).data < 0 && st.synthetic(p.Refs[k].Sym) < 0 {
+			return nil, fmt.Errorf("cfg: lifted program invalid: reference to undefined symbol %q", p.Refs[k].Sym)
 		}
-		return sym // data symbol
-	}
-	for i := range p.Refs {
-		p.Refs[i].Sym = canon(p.Refs[i].Sym)
 	}
 	for _, f := range p.Funcs {
 		for bi, b := range f.Blocks {
@@ -271,25 +278,30 @@ func BuildWorkers(obj *objfile.Object, entry string, workers int) (*Program, err
 		}
 	}
 	p.DataRelocs = make([]objfile.Reloc, len(obj.Relocs))
+	relocBlock := make([]int32, len(obj.Relocs))
 	n := 0
 	for _, r := range obj.Relocs {
 		if r.Section == objfile.SecData {
-			r.Sym = canon(r.Sym)
-			p.DataRelocs[n] = r
+			b := st.alias(st.lookup(r.Sym))
+			if b >= 0 {
+				r.Sym = blockArr[b].Label
+			}
+			p.DataRelocs[n], relocBlock[n] = r, b
 			n++
 		}
 	}
 	p.DataRelocs = p.DataRelocs[:n]
+	st.resolveJumpTables(p, relocBlock[:n])
 
-	if err := resolveJumpTables(p); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("cfg: lifted program invalid: %w", err)
+	if entry != "" && st.labelBlock(st.lookup(entry), entry) < 0 {
+		return nil, fmt.Errorf("cfg: lifted program invalid: entry %q not defined", entry)
 	}
 	return p, nil
 }
 
+// filterSymbols lists the symbols of section sec by offset; the stable sort
+// keeps object order among symbols at one offset, so the list, and the
+// symbol table Lower writes from it, does not depend on the sort algorithm.
 func filterSymbols(syms []objfile.Symbol, sec objfile.Section) []objfile.Symbol {
 	var out []objfile.Symbol
 	for _, s := range syms {
@@ -297,8 +309,181 @@ func filterSymbols(syms []objfile.Symbol, sec objfile.Section) []objfile.Symbol 
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Offset < out[j].Offset })
+	slices.SortStableFunc(out, func(a, b objfile.Symbol) int { return cmp.Compare(a.Offset, b.Offset) })
 	return out
+}
+
+// symtab resolves names against an object's symbols during the lift.
+type symtab struct {
+	syms []objfile.Symbol
+	// last maps each name to its last definition in object order. prev
+	// chains each definition to the previous one of its name (-1 for the
+	// first), and multi holds, by last definition, what all of a name's
+	// definitions say; both are nil when every name is defined once, as in
+	// any object objfile.Link accepts.
+	last  map[string]int32
+	prev  []int32
+	multi []nameDefs
+	// block holds the block each text symbol starts, and blocks the
+	// lifted blocks; synth lists the blocks given a synthetic label, and
+	// synthNum indexes them by label once a lookup needs it.
+	block    []int32
+	blocks   []Block
+	synth    []int32
+	synthNum map[string]int32
+}
+
+// nameDefs is what a name's definitions say about it: the text definition
+// latest in word order (object order breaking ties), the block the name
+// labels, and the data definition with the highest offset, each -1 if none.
+type nameDefs struct{ text, label, data int32 }
+
+var noDefs = nameDefs{-1, -1, -1}
+
+func newSymtab(syms []objfile.Symbol) *symtab {
+	st := &symtab{
+		syms:  syms,
+		last:  make(map[string]int32, len(syms)),
+		block: make([]int32, len(syms)),
+	}
+	for i := range syms {
+		st.last[syms[i].Name] = int32(i)
+	}
+	if len(st.last) < len(syms) {
+		// Some name is defined twice, which no object that links does.
+		seen := make(map[string]int32, len(st.last))
+		st.prev = make([]int32, len(syms))
+		for i := range syms {
+			j, ok := seen[syms[i].Name]
+			if !ok {
+				j = -1
+			}
+			st.prev[i] = j
+			seen[syms[i].Name] = int32(i)
+		}
+	}
+	return st
+}
+
+// lookup returns the last definition of name, or -1.
+func (st *symtab) lookup(name string) int32 {
+	if j, ok := st.last[name]; ok {
+		return j
+	}
+	return -1
+}
+
+// add adds definition j to d, which holds only definitions after j in
+// object order; it reports false when j labels a block other than the one
+// d's name labels already.
+func (st *symtab) add(d nameDefs, j int32) (nameDefs, bool) {
+	s := &st.syms[j]
+	switch s.Section {
+	case objfile.SecText:
+		// Of equal offsets, the later definition, added first, wins.
+		if d.text < 0 || s.Offset > st.syms[d.text].Offset {
+			d.text = j
+		}
+		if b := st.block[j]; st.blocks[b].Label == s.Name {
+			if d.label >= 0 && d.label != b {
+				return d, false
+			}
+			d.label = b
+		}
+	case objfile.SecData:
+		if d.data < 0 || s.Offset > st.syms[d.data].Offset {
+			d.data = j
+		}
+	}
+	return d, true
+}
+
+// defs returns what the name whose last definition is j (or -1) is.
+func (st *symtab) defs(j int32) nameDefs {
+	switch {
+	case j < 0:
+		return noDefs
+	case st.multi != nil:
+		return st.multi[j]
+	}
+	d, _ := st.add(noDefs, j)
+	return d
+}
+
+// alias returns the block whose label a reference to the name whose last
+// definition is j becomes: the block its latest text definition starts,
+// or -1 when no text symbol has the name.
+func (st *symtab) alias(j int32) int32 {
+	if t := st.defs(j).text; t >= 0 {
+		return st.block[t]
+	}
+	return -1
+}
+
+// labelBlock returns the block labelled name, or -1; j is name's last
+// definition, or -1.
+func (st *symtab) labelBlock(j int32, name string) int32 {
+	if b := st.defs(j).label; b >= 0 {
+		return b
+	}
+	return st.synthetic(name)
+}
+
+// synthetic returns the block with synthetic label name, or -1. Only a
+// reference to a name that no symbol defines gets here, so the index is
+// made on first use.
+func (st *symtab) synthetic(name string) int32 {
+	if len(st.synth) == 0 {
+		return -1
+	}
+	if st.synthNum == nil {
+		st.synthNum = make(map[string]int32, len(st.synth))
+		for _, b := range st.synth {
+			st.synthNum[st.blocks[b].Label] = b
+		}
+	}
+	if b, ok := st.synthNum[name]; ok {
+		return b
+	}
+	return -1
+}
+
+// checkLabels rejects two blocks with one label: a name defined by two text
+// symbols that each label their block, or a synthetic label that also
+// labels a symbol's block. Two synthetic labels never collide, since their
+// functions' names differ. It also sums up, once, the definitions of each
+// name defined more than once, walking each name's chain from its last
+// definition, so no lookup walks a chain: an object that repeats a name
+// cannot make the lift quadratic.
+func (st *symtab) checkLabels() error {
+	if st.prev != nil {
+		later := make([]bool, len(st.syms)) // a later definition has the name
+		for _, j := range st.prev {
+			if j >= 0 {
+				later[j] = true
+			}
+		}
+		st.multi = make([]nameDefs, len(st.syms))
+		for i := range st.syms {
+			if later[i] {
+				continue
+			}
+			d := noDefs
+			for j := int32(i); j >= 0; j = st.prev[j] {
+				var ok bool
+				if d, ok = st.add(d, j); !ok {
+					return fmt.Errorf("cfg: duplicate label %s", st.syms[j].Name)
+				}
+			}
+			st.multi[i] = d
+		}
+	}
+	for _, b := range st.synth {
+		if l := st.blocks[b].Label; st.defs(st.lookup(l)).label >= 0 {
+			return fmt.Errorf("cfg: duplicate label %s", l)
+		}
+	}
+	return nil
 }
 
 // endsBlock reports whether control cannot fall to the next instruction or
@@ -343,28 +528,12 @@ func fallsThrough(b *Block) bool {
 }
 
 // resolveJumpTables attaches a JumpTable to each block ending in an
-// indirect jmp, when the table can be identified from relocations.
-func resolveJumpTables(p *Program) error {
-	// Index data relocations by offset and data symbols by name.
-	relocAt := make(map[uint32]objfile.Reloc)
-	for _, r := range p.DataRelocs {
-		relocAt[r.Offset] = r
-	}
-	symOffset := make(map[string]uint32)
-	offsets := make([]uint32, 0, len(p.DataSymbols))
-	for _, s := range p.DataSymbols {
-		symOffset[s.Name] = s.Offset
-		offsets = append(offsets, s.Offset)
-	}
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
-
-	labels := make(map[string]bool, p.NumBlocks())
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			labels[b.Label] = true
-		}
-	}
-
+// indirect jmp, when the table can be identified from relocations: its
+// data symbol's words, up to the next data symbol, are relocations to
+// block labels. relocBlock holds, for each of p.DataRelocs, the block its
+// symbol's text definition starts, or -1.
+func (st *symtab) resolveJumpTables(p *Program, relocBlock []int32) {
+	var byOff []int32 // p.DataRelocs by offset, object order breaking ties
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			if len(b.Insts) == 0 {
@@ -382,22 +551,37 @@ func resolveJumpTables(p *Program) error {
 					continue
 				}
 				sym := p.Target(in)
-				base, ok := symOffset[sym]
-				if !ok {
+				d := st.defs(st.lookup(sym)).data
+				if d < 0 {
 					continue
 				}
+				base := st.syms[d].Offset
 				end := uint32(len(p.Data))
-				idx := sort.Search(len(offsets), func(k int) bool { return offsets[k] > base })
-				if idx < len(offsets) {
-					end = offsets[idx]
+				ds := p.DataSymbols
+				if k := sort.Search(len(ds), func(k int) bool { return ds[k].Offset > base }); k < len(ds) {
+					end = ds[k].Offset
+				}
+				if byOff == nil {
+					byOff = make([]int32, len(p.DataRelocs))
+					for k := range byOff {
+						byOff[k] = int32(k)
+					}
+					slices.SortStableFunc(byOff, func(a, b int32) int {
+						return cmp.Compare(p.DataRelocs[a].Offset, p.DataRelocs[b].Offset)
+					})
 				}
 				var targets []string
 				for off := base; off+4 <= end; off += 4 {
-					r, ok := relocAt[off]
-					if !ok || !labels[r.Sym] {
+					// The last relocation at off, as the linker applies it.
+					k := sort.Search(len(byOff), func(k int) bool { return p.DataRelocs[byOff[k]].Offset > off }) - 1
+					if k < 0 || p.DataRelocs[byOff[k]].Offset != off {
 						break
 					}
-					targets = append(targets, r.Sym)
+					r := byOff[k]
+					if relocBlock[r] < 0 && st.synthetic(p.DataRelocs[r].Sym) < 0 {
+						break
+					}
+					targets = append(targets, p.DataRelocs[r].Sym)
 				}
 				if len(targets) > 0 {
 					b.JT = &JumpTable{Sym: sym, Targets: targets}
@@ -406,7 +590,6 @@ func resolveJumpTables(p *Program) error {
 			}
 		}
 	}
-	return nil
 }
 
 // AttachProfile sets Freq and Weight on every block from per-word execution

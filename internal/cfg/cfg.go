@@ -279,26 +279,14 @@ func (p *Program) Succs(b *Block) ([]string, bool) { return p.appendSuccs(nil, b
 func (p *Program) appendSuccs(dst []string, b *Block) ([]string, bool) {
 	out := dst
 	known := true
-	if n := len(b.Insts); n > 0 {
-		last := b.Insts[n-1]
-		switch {
-		case last.Raw():
-			// Raw words (sentinels, tags) never fall through.
-		case last.Format() == isa.FormatBranch:
-			if last.Kind() == TargetBranch && last.Op() != isa.OpBSR {
-				out = append(out, p.Target(last))
-			}
-		case last.Format() == isa.FormatJump:
-			if last.JFunc() == isa.JmpJMP {
-				if b.JT != nil {
-					out = append(out, b.JT.Targets...)
-				} else {
-					known = false
-				}
-			}
-			// ret and jsr add no intra-procedural successors here (a jsr
-			// mid-block would not terminate the block anyway).
-		}
+	br, jmp := exits(b)
+	switch {
+	case br.Kind() == TargetBranch:
+		out = append(out, p.Target(br))
+	case jmp && b.JT != nil:
+		out = append(out, b.JT.Targets...)
+	case jmp:
+		known = false
 	}
 	if b.FallsTo != "" {
 		out = append(out, b.FallsTo)
@@ -306,11 +294,36 @@ func (p *Program) appendSuccs(dst []string, b *Block) ([]string, bool) {
 	return out, known
 }
 
+// exits reports how b's last instruction leaves b other than by falling
+// through: br is that instruction when it is a branch other than a call
+// (its reference, if any, names the successor), else the zero Inst, and
+// jmp reports an indirect jmp. A jsr or ret adds no intra-procedural
+// successor, and a raw word (a sentinel or tag) never falls through.
+func exits(b *Block) (br Inst, jmp bool) {
+	if len(b.Insts) == 0 {
+		return Inst{}, false
+	}
+	last := b.Insts[len(b.Insts)-1]
+	switch {
+	case last.Raw():
+	case last.Format() == isa.FormatBranch:
+		if last.Op() != isa.OpBSR {
+			return last, false
+		}
+	case last.Format() == isa.FormatJump:
+		return Inst{}, last.JFunc() == isa.JmpJMP
+	}
+	return Inst{}, false
+}
+
 // CallSite is a function call within a block.
 type CallSite struct {
 	InstIdx  int
 	Callee   string // callee symbol; empty for unresolved indirect calls
 	Indirect bool
+	// ref is 1 + the index in Program.Refs of the reference naming the
+	// callee (the bsr's, or the lda of the la before a jsr), or 0.
+	ref uint32
 }
 
 // Calls reports the call sites in b: every bsr, and every jsr. A jsr
@@ -327,13 +340,17 @@ func (p *Program) appendCalls(dst []CallSite, b *Block) []CallSite {
 		switch in.Format() {
 		case isa.FormatBranch:
 			if in.Op() == isa.OpBSR {
-				out = append(out, CallSite{InstIdx: i, Callee: p.Target(in)})
+				cs := CallSite{InstIdx: i}
+				if in.Kind() == TargetBranch {
+					cs.Callee, cs.ref = p.Target(in), in.refIndex()+1
+				}
+				out = append(out, cs)
 			}
 		case isa.FormatJump:
 			if in.JFunc() == isa.JmpJSR {
 				cs := CallSite{InstIdx: i, Indirect: true}
-				if sym, ok := p.laTargetBefore(b, i, in.RB()); ok {
-					cs.Callee = sym
+				if lo, ok := p.laBefore(b, i, in.RB()); ok {
+					cs.Callee, cs.ref = p.Target(lo), lo.refIndex()+1
 				}
 				out = append(out, cs)
 			}
@@ -342,21 +359,21 @@ func (p *Program) appendCalls(dst []CallSite, b *Block) []CallSite {
 	return out
 }
 
-// laTargetBefore scans b backwards from instruction idx for the la pair
-// that most recently loaded register reg, returning its symbol.
-func (p *Program) laTargetBefore(b *Block, idx int, reg uint32) (string, bool) {
+// laBefore scans b backwards from instruction idx for the la pair that
+// most recently loaded register reg, returning its lda.
+func (p *Program) laBefore(b *Block, idx int, reg uint32) (Inst, bool) {
 	for i := idx - 1; i > 0; i-- {
 		lo, hi := b.Insts[i], b.Insts[i-1]
 		if lo.Kind() == TargetLo16 && lo.RA() == reg &&
 			hi.Kind() == TargetHi16 && hi.RA() == reg && p.Target(hi) == p.Target(lo) {
-			return p.Target(lo), true
+			return lo, true
 		}
 		// A later write to reg invalidates earlier definitions.
 		if WritesReg(lo, reg) {
-			return "", false
+			return Inst{}, false
 		}
 	}
-	return "", false
+	return Inst{}, false
 }
 
 // CallsSetjmp reports whether any block of f performs the setjmp system
@@ -373,7 +390,8 @@ func (f *Func) CallsSetjmp() bool {
 }
 
 // Validate checks structural invariants: unique labels, entry block naming,
-// resolvable branch targets and fallthroughs.
+// resolvable branch targets and fallthroughs. Build and NewIndex check the
+// same of the programs they lift and index, so squash never runs it.
 func (p *Program) Validate() error {
 	labels := make(map[string]bool, p.NumBlocks())
 	for _, f := range p.Funcs {

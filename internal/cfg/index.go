@@ -1,26 +1,22 @@
 package cfg
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/parallel"
 )
 
-// Block numbers that name no block.
-const (
-	// NoBlock stands for no block: an absent fallthrough, or a callee that
-	// is not a block of the program.
-	NoBlock int32 = -1
-	// NotABlock is a fallthrough to a label that names no block (only an
-	// invalid program has one); it matches no layout successor.
-	NotABlock int32 = -2
-)
+// NoBlock stands for no block: an absent fallthrough, or a reference or
+// callee that is not a block of the program.
+const NoBlock int32 = -1
 
 // Index numbers a program's blocks densely, in function and layout order,
 // and records once the per-block facts the squash analyses ask for: the
 // owning function, successors, flow predecessors, callers, call sites and
-// the address-taken bit. The analyses then read slices indexed by block
+// the address-taken bit. It resolves every symbolic reference once, too, so
+// the analyses and the encoder read slices indexed by block or reference
 // number instead of hashing labels or re-walking instructions. An Index
 // describes the program as it was when built; rewriting the program's
 // blocks invalidates it.
@@ -34,8 +30,8 @@ type Index struct {
 	// FuncStart holds the first block number of each function and, last,
 	// len(Blocks): function f owns blocks FuncStart[f] to FuncStart[f+1]-1.
 	FuncStart []int32
-	// FallsTo holds each block's fallthrough successor: a block number,
-	// NoBlock when the block does not fall through, or NotABlock.
+	// FallsTo holds each block's fallthrough successor: a block number, or
+	// NoBlock when the block does not fall through.
 	FallsTo []int32
 	// AddrTaken marks blocks whose address escapes into data or into a
 	// register (la): control may arrive from anywhere.
@@ -45,7 +41,19 @@ type Index struct {
 	Unresolved []bool
 	// Entry is the number of the program's entry block, or NoBlock.
 	Entry int32
+	// RefTo holds, for each entry of Prog.Refs, the number of the block its
+	// symbol labels, or NoBlock.
+	RefTo []int32
+	// RelocTo holds, for each of Prog.DataRelocs, the number of the block
+	// its symbol labels, or NoBlock.
+	RelocTo []int32
 
+	// refData holds, for each entry of Prog.Refs, the index in
+	// Prog.DataSymbols of the data symbol it names, or -1. An entry no
+	// instruction uses may name neither a block nor a data symbol.
+	refData []int32
+	// num maps each block label to its number and each other data symbol
+	// name to -1-k, for its index k in Prog.DataSymbols.
 	num    map[string]int32
 	succ   adjacency // Program.Succs that are blocks, in order, repeats kept
 	pred   adjacency // flow predecessors: succ transposed
@@ -68,20 +76,27 @@ type adjacency struct {
 func (a *adjacency) of(i int32) []int32 { return a.to[a.start[i]:a.start[i+1]] }
 
 // indexChunk is one worker's share of the per-block scan: the flat lists of
-// the blocks from lo on, in block order.
+// the blocks from lo on, in block order, and the first defect met.
 type indexChunk struct {
 	lo     int32
 	succs  []int32
 	calls  []CallSite
 	callee []int32
 	taken  []int32 // code labels an la takes the address of
+	err    error
 }
 
 // NewIndex numbers p's blocks and scans each once. The scan fans out over
 // contiguous block ranges on the given worker count (<= 0 means one per
 // CPU); every range fills only its own blocks' slots and the ranges are
 // joined in block order, so the index is identical at any worker count.
-func NewIndex(p *Program, workers int) *Index {
+//
+// NewIndex checks what Program.Validate does, and fails where it fails:
+// every function's first block is labelled with its name, labels are
+// unique, and every reference an instruction makes, every fallthrough and
+// the entry resolve. Each label and data symbol name is hashed once, into
+// the index's one map, and each reference once, to resolve it.
+func NewIndex(p *Program, workers int) (*Index, error) {
 	n := p.NumBlocks()
 	x := &Index{
 		Prog:       p,
@@ -91,19 +106,45 @@ func NewIndex(p *Program, workers int) *Index {
 		FallsTo:    make([]int32, n),
 		AddrTaken:  make([]bool, n),
 		Unresolved: make([]bool, n),
-		num:        make(map[string]int32, n),
+		RefTo:      make([]int32, len(p.Refs)),
+		refData:    make([]int32, len(p.Refs)),
+		RelocTo:    make([]int32, len(p.DataRelocs)),
+		num:        make(map[string]int32, n+len(p.DataSymbols)),
 		succ:       adjacency{start: make([]int32, n+1)},
 		callStart:  make([]int32, n+1),
 	}
 	for fi, f := range p.Funcs {
+		if len(f.Blocks) == 0 {
+			return nil, fmt.Errorf("cfg: function %s has no blocks", f.Name)
+		}
+		if f.Blocks[0].Label != f.Name {
+			return nil, fmt.Errorf("cfg: function %s entry block labelled %s", f.Name, f.Blocks[0].Label)
+		}
 		x.FuncStart[fi] = int32(len(x.Blocks))
 		for _, b := range f.Blocks {
-			x.Fn[len(x.Blocks)] = int32(fi)
-			x.num[b.Label] = int32(len(x.Blocks))
+			i := int32(len(x.Blocks))
+			x.Fn[i] = int32(fi)
+			m := len(x.num)
+			if x.num[b.Label] = i; len(x.num) == m {
+				return nil, fmt.Errorf("cfg: duplicate label %s", b.Label)
+			}
 			x.Blocks = append(x.Blocks, b)
 		}
 	}
 	x.FuncStart[len(p.Funcs)] = int32(n)
+	for k := range p.DataSymbols {
+		if name := p.DataSymbols[k].Name; x.Num(name) == NoBlock {
+			x.num[name] = -1 - int32(k)
+		}
+	}
+	for k := range p.Refs {
+		x.RefTo[k], x.refData[k] = NoBlock, -1
+		if v, ok := x.num[p.Refs[k].Sym]; ok && v >= 0 {
+			x.RefTo[k] = v
+		} else if ok {
+			x.refData[k] = -1 - v
+		}
+	}
 
 	var (
 		mu     sync.Mutex
@@ -118,6 +159,9 @@ func NewIndex(p *Program, workers int) *Index {
 	})
 	sort.Slice(chunks, func(i, j int) bool { return chunks[i].lo < chunks[j].lo })
 	for ci, c := range chunks {
+		if c.err != nil {
+			return nil, c.err
+		}
 		if ci == 0 {
 			x.succ.to, x.calls, x.callee = c.succs, c.calls, c.callee
 		} else {
@@ -133,58 +177,82 @@ func NewIndex(p *Program, workers int) *Index {
 		x.succ.start[i+1] += x.succ.start[i]
 		x.callStart[i+1] += x.callStart[i]
 	}
-	for _, r := range p.DataRelocs {
-		if t := x.Num(r.Sym); t >= 0 {
+	for k := range p.DataRelocs {
+		t := x.Num(p.DataRelocs[k].Sym)
+		x.RelocTo[k] = t
+		if t >= 0 {
 			x.AddrTaken[t] = true
 		}
 	}
 	x.Entry = x.Num(p.Entry)
+	if p.Entry != "" && x.Entry == NoBlock {
+		return nil, fmt.Errorf("cfg: entry %q not defined", p.Entry)
+	}
 	x.pred = transpose(n, x.succ)
 	x.caller = transpose(n, adjacency{start: x.callStart, to: x.callee})
-	return x
+	return x, nil
 }
 
 // scan records blocks lo to hi-1: their successor and call-site counts go
-// into the blocks' own slots, their lists into the returned chunk.
+// into the blocks' own slots, their lists into the returned chunk. Targets
+// come from RefTo; only jump-table targets and a fallthrough to a block
+// other than the next are looked up by label.
 func (x *Index) scan(lo, hi int) *indexChunk {
 	c := &indexChunk{lo: int32(lo)}
-	var labels []string
 	for i := lo; i < hi; i++ {
 		b := x.Blocks[i]
-		var known bool
-		labels, known = x.Prog.appendSuccs(labels[:0], b)
-		x.Unresolved[i] = !known
 		ns := len(c.succs)
-		for _, l := range labels {
-			if t := x.Num(l); t >= 0 {
+		switch br, jmp := exits(b); {
+		case br.Kind() == TargetBranch:
+			if t := x.RefTo[br.refIndex()]; t >= 0 {
 				c.succs = append(c.succs, t)
 			}
+		case jmp && b.JT != nil:
+			for _, l := range b.JT.Targets {
+				if t := x.Num(l); t >= 0 {
+					c.succs = append(c.succs, t)
+				}
+			}
+		case jmp:
+			x.Unresolved[i] = true
+		}
+		x.FallsTo[i] = NoBlock
+		if b.FallsTo != "" {
+			t := int32(i + 1)
+			if t == int32(len(x.Blocks)) || x.Blocks[t].Label != b.FallsTo {
+				if t = x.Num(b.FallsTo); t == NoBlock {
+					c.err = fmt.Errorf("cfg: block %s falls through to undefined label %q", b.Label, b.FallsTo)
+					return c
+				}
+			}
+			x.FallsTo[i] = t
+			c.succs = append(c.succs, t)
 		}
 		x.succ.start[i+1] = int32(len(c.succs) - ns)
 		nc := len(c.calls)
 		c.calls = x.Prog.appendCalls(c.calls, b)
 		for _, cs := range c.calls[nc:] {
 			t := NoBlock
-			if cs.Callee != "" {
-				t = x.Num(cs.Callee)
+			if cs.ref > 0 {
+				t = x.RefTo[cs.ref-1]
 			}
 			c.callee = append(c.callee, t)
 		}
 		x.callStart[i+1] = int32(len(c.calls) - nc)
-		x.FallsTo[i] = NoBlock
-		if b.FallsTo != "" {
-			x.FallsTo[i] = NotABlock
-			if t := x.Num(b.FallsTo); t >= 0 {
-				x.FallsTo[i] = t
-			}
-		}
 		for _, in := range b.Insts {
+			switch in.Kind() {
+			case TargetNone, TargetRaw:
+				continue
+			}
+			k := in.refIndex()
+			if x.RefTo[k] == NoBlock && x.refData[k] < 0 {
+				c.err = fmt.Errorf("cfg: block %s references undefined symbol %q", b.Label, x.Prog.Refs[k].Sym)
+				return c
+			}
 			// A la of a code label takes its address (indirect call or
 			// computed branch target).
-			if in.Kind() == TargetLo16 {
-				if t := x.Num(x.Prog.Target(in)); t >= 0 {
-					c.taken = append(c.taken, t)
-				}
+			if in.Kind() == TargetLo16 && x.RefTo[k] >= 0 {
+				c.taken = append(c.taken, x.RefTo[k])
 			}
 		}
 	}
@@ -218,10 +286,29 @@ func transpose(n int, a adjacency) adjacency {
 
 // Num returns the number of the block with the given label, or NoBlock.
 func (x *Index) Num(label string) int32 {
-	if i, ok := x.num[label]; ok {
+	if i, ok := x.num[label]; ok && i >= 0 {
 		return i
 	}
 	return NoBlock
+}
+
+// Target returns the number of the block in references, or NoBlock.
+func (x *Index) Target(in Inst) int32 {
+	switch in.Kind() {
+	case TargetNone, TargetRaw:
+		return NoBlock
+	}
+	return x.RefTo[in.refIndex()]
+}
+
+// DataTarget returns the index in Prog.DataSymbols of the data symbol in
+// references, or -1.
+func (x *Index) DataTarget(in Inst) int32 {
+	switch in.Kind() {
+	case TargetNone, TargetRaw:
+		return -1
+	}
+	return x.refData[in.refIndex()]
 }
 
 // Succs returns block i's successors that are blocks, in Program.Succs order

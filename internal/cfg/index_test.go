@@ -73,7 +73,10 @@ func refBackEdges(p *cfg.Program) [][2]string {
 
 // backEdges lists the index's back edges by label.
 func backEdges(p *cfg.Program) [][2]string {
-	x := cfg.NewIndex(p, 1)
+	x, err := cfg.NewIndex(p, 1)
+	if err != nil {
+		panic(err) // every program the tests build is valid
+	}
 	var out [][2]string
 	for _, e := range x.BackEdges() {
 		out = append(out, [2]string{x.Blocks[e.From].Label, x.Blocks[e.To].Label})
@@ -148,9 +151,7 @@ func checkIndex(p *cfg.Program, x *cfg.Index) error {
 		}
 		fall := cfg.NoBlock
 		if b.FallsTo != "" {
-			if fall = num(b.FallsTo); fall < 0 {
-				fall = cfg.NotABlock
-			}
+			fall = num(b.FallsTo)
 		}
 		if x.FallsTo[i] != fall {
 			return fmt.Errorf("%s: FallsTo %d, want %d", b.Label, x.FallsTo[i], fall)
@@ -189,7 +190,11 @@ func TestIndexMatchesBlocks(t *testing.T) {
 			src := spec.Generate()
 			for _, p := range []*cfg.Program{mustBuild(t, assemble(t, src)), mustBuild(t, squeezed(t, src))} {
 				for _, w := range []int{1, 2, 8} {
-					if err := checkIndex(p, cfg.NewIndex(p, w)); err != nil {
+					x, err := cfg.NewIndex(p, w)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", w, err)
+					}
+					if err := checkIndex(p, x); err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
 					}
 				}
@@ -263,5 +268,62 @@ b:      clr  a0
 `))
 	if edges := backEdges(p); len(edges) != 0 {
 		t.Fatalf("acyclic CFG has back edges: %v", edges)
+	}
+}
+
+// TestNewIndexRejectsInvalidPrograms: on programs broken by hand after the
+// lift, NewIndex fails exactly where Program.Validate fails, at any worker
+// count. A dead reference to nothing, which unswitching leaves when it
+// reclaims a table, is no defect.
+func TestNewIndexRejectsInvalidPrograms(t *testing.T) {
+	cases := []struct {
+		name    string
+		wantErr bool
+		breakIt func(p *cfg.Program)
+	}{
+		{"valid", false, func(*cfg.Program) {}},
+		{"duplicate label", true, func(p *cfg.Program) {
+			bs := p.Funcs[0].Blocks
+			bs[2].Label = bs[1].Label
+		}},
+		{"dangling reference", true, func(p *cfg.Program) {
+			for _, b := range p.Funcs[0].Blocks {
+				for i, in := range b.Insts {
+					if in.Kind() == cfg.TargetBranch {
+						b.Insts[i] = p.Refer(in.Word, in.Kind(), "nowhere", 0)
+						return
+					}
+				}
+			}
+		}},
+		{"dangling fallthrough", true, func(p *cfg.Program) {
+			for _, b := range p.Funcs[0].Blocks {
+				if b.FallsTo != "" {
+					b.FallsTo = "nowhere"
+					return
+				}
+			}
+		}},
+		{"undefined entry", true, func(p *cfg.Program) { p.Entry = "nowhere" }},
+		{"entry block misnamed", true, func(p *cfg.Program) { p.Funcs[1].Name = "elsewhere" }},
+		{"function without blocks", true, func(p *cfg.Program) {
+			p.Funcs = append(p.Funcs, &cfg.Func{Name: "empty"})
+		}},
+		{"dead reference to nothing", false, func(p *cfg.Program) {
+			p.Refs = append(p.Refs, cfg.Ref{Sym: "nowhere"})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, w := range []int{1, 4} {
+				p := mustBuild(t, assemble(t, liftProgram))
+				tc.breakIt(p)
+				_, err := cfg.NewIndex(p, w)
+				verr := p.Validate()
+				if (err != nil) != tc.wantErr || (verr != nil) != tc.wantErr {
+					t.Fatalf("workers=%d: NewIndex error %v, Validate error %v, want error: %v", w, err, verr, tc.wantErr)
+				}
+			}
+		})
 	}
 }

@@ -2,18 +2,25 @@ package cfg_test
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mediabench"
 	"repro/internal/objfile"
+	"repro/internal/profile"
 	"repro/internal/squeeze"
 	"repro/internal/testprog"
 )
@@ -254,12 +261,85 @@ var malformedCases = []struct {
 		o.Text[2] = 0xFFFFFFFF
 	}},
 	{"control falls off the last function", true, func(tb testing.TB, o *objfile.Object) {
-		o.Text = append(o.Text, isa.Encode(isa.OpL(isa.OpIntA, isa.RegZero, 0, isa.FnADD, isa.RegZero)))
+		o.Text = append(o.Text, nop)
 	}},
 	{"data relocation past end of data", false, func(tb testing.TB, o *objfile.Object) {
 		o.Relocs = append(o.Relocs, objfile.Reloc{Section: objfile.SecData, Offset: 0xFFFFFFFC,
 			Kind: objfile.RelWord32, Sym: "case0"})
 	}},
+	// The defects Program.Validate reports, made in the object, which the
+	// lift finds without running Validate (validateDefects names them), and
+	// repeated names that make no two blocks share a label.
+	{"two text symbols named alike", true, func(tb testing.TB, o *objfile.Object) {
+		w := syntheticBlock(tb, o).SrcWordOff
+		o.Symbols = append(o.Symbols, textLabel("case0", w))
+	}},
+	{"symbol named like a synthetic label", true, func(tb testing.TB, o *objfile.Object) {
+		b := syntheticBlock(tb, o)
+		o.Symbols = append(o.Symbols, textLabel(b.Label, b.SrcWordOff+1))
+	}},
+	{"la of an undefined symbol", true, func(tb testing.TB, o *objfile.Object) {
+		for i := range o.Relocs {
+			if r := &o.Relocs[i]; r.Section == objfile.SecText && r.Sym == "table" {
+				r.Sym = "nowhere"
+			}
+		}
+	}},
+	{"undefined entry", true, func(tb testing.TB, o *objfile.Object) {
+		o.Symbols[symbolIndex(tb, o, "main")].Name = "start"
+	}},
+	{"control falls off a function", true, func(tb testing.TB, o *objfile.Object) {
+		o.Text[o.Symbols[symbolIndex(tb, o, "helper")].Offset/isa.WordSize-1] = nop
+	}},
+	{"second name for a label", false, func(tb testing.TB, o *objfile.Object) {
+		w := o.Symbols[symbolIndex(tb, o, "case1")].Offset / isa.WordSize
+		o.Symbols = append(o.Symbols, textLabel("case0", int(w)))
+	}},
+	{"synthetic label's name on a later label's word", false, func(tb testing.TB, o *objfile.Object) {
+		b := syntheticBlock(tb, o)
+		w := o.Symbols[symbolIndex(tb, o, "out")].Offset / isa.WordSize
+		o.Symbols = append(o.Symbols, textLabel(b.Label, int(w)))
+	}},
+	{"data symbol named like a label", false, func(tb testing.TB, o *objfile.Object) {
+		o.Symbols = append(o.Symbols, objfile.Symbol{Name: "case1", Section: objfile.SecData})
+	}},
+}
+
+// validateDefects names the FuzzBuild corpus file of each malformed case
+// whose defect Program.Validate reports.
+var validateDefects = map[string]string{
+	"two text symbols named alike":        "duplicate-label",
+	"symbol named like a synthetic label": "synthetic-label-collision",
+	"branch to an undefined symbol":       "undefined-branch",
+	"la of an undefined symbol":           "undefined-la",
+	"undefined entry":                     "undefined-entry",
+	"control falls off a function":        "falls-off-function",
+}
+
+var nop = isa.Encode(isa.OpL(isa.OpIntA, isa.RegZero, 0, isa.FnADD, isa.RegZero))
+
+// textLabel is a label symbol at text word w.
+func textLabel(name string, w int) objfile.Symbol {
+	return objfile.Symbol{Name: name, Section: objfile.SecText, Offset: uint32(w * isa.WordSize), Kind: objfile.SymLabel}
+}
+
+// syntheticBlock returns the first block of o's lift that has a synthetic
+// label and more than one instruction.
+func syntheticBlock(tb testing.TB, o *objfile.Object) *cfg.Block {
+	tb.Helper()
+	p, err := cfg.Build(o, "main")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			if strings.HasPrefix(b.Label, f.Name+"$L") && len(b.Insts) > 1 {
+				return b
+			}
+		}
+	}
+	tb.Fatal("no synthetic block")
+	return nil
 }
 
 // TestBuildMatchesReference: Build lifts every MediaBench spec, squeezed
@@ -305,6 +385,139 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+var updateSeeds = flag.Bool("update-fuzz-seeds", false,
+	"rewrite the FuzzBuild corpus files of the objects with a defect Program.Validate reports")
+
+// TestRejectedObjectsFailSquash: a squash of every malformed object the lift
+// rejects returns an error rather than panicking, and each object with a
+// defect Program.Validate reports is a committed FuzzBuild seed.
+func TestRejectedObjectsFailSquash(t *testing.T) {
+	base := assemble(t, liftProgram)
+	seeds := 0
+	for _, tc := range malformedCases {
+		if !tc.wantErr {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			o := cloneObject(base)
+			tc.mutate(t, o)
+			if _, err := core.Squash(o, make(profile.Counts, len(o.Text)), core.DefaultConfig()); err == nil {
+				t.Fatal("squash accepted the object")
+			}
+			name, ok := validateDefects[tc.name]
+			if !ok {
+				return
+			}
+			seeds++
+			var buf bytes.Buffer
+			if _, err := o.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", buf.Bytes())
+			path := filepath.Join("testdata", "fuzz", "FuzzBuild", name)
+			if *updateSeeds {
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != want {
+				t.Fatalf("%s does not hold the object (%v); regenerate it with -update-fuzz-seeds", path, err)
+			}
+		})
+	}
+	if seeds != len(validateDefects) {
+		t.Errorf("%d of %d Validate defects are rejected cases", seeds, len(validateDefects))
+	}
+}
+
+// TestDataSymbolOrderStable: data symbols sharing an offset keep object
+// order in the lifted program. More than 12 of them, because sort.Slice
+// sorts up to 12 elements by insertion sort, which is stable.
+func TestDataSymbolOrderStable(t *testing.T) {
+	o := assemble(t, liftProgram)
+	// 24 symbols at four offsets, the offsets interleaved in object order.
+	for i := 5; i >= 0; i-- {
+		for off := 12; off >= 0; off -= 4 {
+			o.Symbols = append(o.Symbols, objfile.Symbol{Name: fmt.Sprintf("d%d_%d", off, i),
+				Section: objfile.SecData, Offset: uint32(off), Kind: objfile.SymObject})
+		}
+	}
+	var want []string
+	for off := 0; off < 16; off += 4 {
+		for i := 5; i >= 0; i-- {
+			want = append(want, fmt.Sprintf("d%d_%d", off, i))
+		}
+	}
+	p, err := cfg.Build(o, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range p.DataSymbols {
+		if strings.HasPrefix(s.Name, "d") {
+			got = append(got, s.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("data symbols in order %v, want %v", got, want)
+	}
+}
+
+// TestBuildMatchesReferenceOnRepeatedNames: objects whose symbols repeat
+// names across words and sections, take synthetic labels' names, or are
+// referenced by a name nothing defines, which exercise the lift's name
+// chains, lift as the reference lifts them, or fail where it fails.
+func TestBuildMatchesReferenceOnRepeatedNames(t *testing.T) {
+	base := assemble(t, liftProgram)
+	p, err := cfg.Build(base, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			names = append(names, b.Label)
+		}
+	}
+	for _, s := range base.Symbols {
+		names = append(names, s.Name)
+	}
+	names = append(names, "nowhere")
+	r := rand.New(rand.NewSource(1))
+	rejected := 0
+	for iter := 0; iter < 3000; iter++ {
+		o := cloneObject(base)
+		for k := 1 + r.Intn(3); k > 0; k-- {
+			name := names[r.Intn(len(names))]
+			switch r.Intn(4) {
+			case 0: // a new text label
+				o.Symbols = append(o.Symbols, textLabel(name, r.Intn(len(o.Text))))
+			case 1: // a new data symbol
+				o.Symbols = append(o.Symbols, objfile.Symbol{Name: name, Section: objfile.SecData,
+					Offset: uint32(r.Intn(len(o.Data)/4) * 4), Kind: objfile.SymObject})
+			case 2: // a symbol renamed
+				o.Symbols[r.Intn(len(o.Symbols))].Name = name
+			case 3: // a relocation retargeted
+				o.Relocs[r.Intn(len(o.Relocs))].Sym = name
+			}
+		}
+		want, refErr := cfg.RefBuild(o, "main")
+		got, err := cfg.Build(o, "main")
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("iteration %d: Build error %v, reference error %v", iter, err, refErr)
+		}
+		if err != nil {
+			rejected++
+			continue
+		}
+		if err := sameProgram(got, want); err != nil {
+			t.Fatalf("iteration %d: %v", iter, err)
+		}
+	}
+	t.Logf("%d of 3000 objects rejected", rejected)
 }
 
 // TestBuildWorkersMatchesReference: the lift of squeezed pgp, whose text
@@ -418,12 +631,13 @@ func pgpSqueezed(tb testing.TB) *objfile.Object {
 }
 
 // TestBuildAllocGate gates the CFG lift of the squeezed pgp object: one
-// backing array each for instructions, blocks and functions keeps it at
-// most 120 allocs per Build, whatever the instruction count (~21000 before
-// the flat lift). It counts runtime.MemStats.Mallocs over a fixed number of
-// calls rather than using testing.AllocsPerRun, which pins GOMAXPROCS to 1
-// and so would never run the parallel decode: the count reads 107 at
-// GOMAXPROCS 1 and 115-118 at 2 to 16, the decode workers' share.
+// backing array each for instructions, blocks and functions, and one name
+// table for its symbols, keep it at most 86 allocs per Build, whatever the
+// instruction count (~21000 before the flat lift). It counts
+// runtime.MemStats.Mallocs over a fixed number of calls rather than using
+// testing.AllocsPerRun, which pins GOMAXPROCS to 1 and so would never run
+// the parallel decode: the count reads 67 at GOMAXPROCS 1 and 75-78 at 2 to
+// 16, the decode workers' share.
 func TestBuildAllocGate(t *testing.T) {
 	const runs = 20
 	obj := pgpSqueezed(t)
@@ -440,8 +654,8 @@ func TestBuildAllocGate(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	n := (after.Mallocs - before.Mallocs) / runs
 	t.Logf("GOMAXPROCS %d: %d allocs/op", runtime.GOMAXPROCS(0), n)
-	if n > 120 {
-		t.Errorf("CFG lift of squeezed pgp: %d allocs/op, ceiling 120", n)
+	if n > 86 {
+		t.Errorf("CFG lift of squeezed pgp: %d allocs/op, ceiling 86", n)
 	}
 }
 

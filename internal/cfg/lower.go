@@ -16,10 +16,13 @@ import (
 // The returned object carries full symbol and relocation information, so
 // the result can be lifted again by Build; Lower∘Build is semantics-
 // preserving and Build∘Lower is the identity on canonical programs.
+//
+// Lower does not validate p. The object's symbols are p's data symbols, in
+// order, then one per block in function and layout order, so a duplicate
+// label becomes a symbol defined twice, and a reference or fallthrough to
+// an undefined label a relocation against an undefined symbol: objfile.Link
+// rejects both, and an undefined entry.
 func Lower(p *Program) (*objfile.Object, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	obj := &objfile.Object{
 		Data: append([]byte(nil), p.Data...),
 	}

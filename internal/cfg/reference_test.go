@@ -226,13 +226,81 @@ func refBuild(obj *objfile.Object, entry string) (*Program, error) {
 	}
 	p.DataRelocs = p.DataRelocs[:n]
 
-	if err := resolveJumpTables(p); err != nil {
+	if err := refResolveJumpTables(p); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("cfg: lifted program invalid: %w", err)
 	}
 	return p, nil
+}
+
+// refResolveJumpTables is the oracle's jump-table discovery, indexing
+// relocations and symbols in maps. It attaches a JumpTable to each block ending in an
+// indirect jmp, when the table can be identified from relocations.
+func refResolveJumpTables(p *Program) error {
+	// Index data relocations by offset and data symbols by name.
+	relocAt := make(map[uint32]objfile.Reloc)
+	for _, r := range p.DataRelocs {
+		relocAt[r.Offset] = r
+	}
+	symOffset := make(map[string]uint32)
+	offsets := make([]uint32, 0, len(p.DataSymbols))
+	for _, s := range p.DataSymbols {
+		symOffset[s.Name] = s.Offset
+		offsets = append(offsets, s.Offset)
+	}
+	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+
+	labels := make(map[string]bool, p.NumBlocks())
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			labels[b.Label] = true
+		}
+	}
+
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			if len(b.Insts) == 0 {
+				continue
+			}
+			last := b.Insts[len(b.Insts)-1]
+			if last.Raw() || last.Format() != isa.FormatJump || last.JFunc() != isa.JmpJMP {
+				continue
+			}
+			// Find the nearest preceding la pair whose data symbol holds a
+			// table of code addresses.
+			for i := len(b.Insts) - 2; i >= 0; i-- {
+				in := b.Insts[i]
+				if in.Kind() != TargetLo16 {
+					continue
+				}
+				sym := p.Target(in)
+				base, ok := symOffset[sym]
+				if !ok {
+					continue
+				}
+				end := uint32(len(p.Data))
+				idx := sort.Search(len(offsets), func(k int) bool { return offsets[k] > base })
+				if idx < len(offsets) {
+					end = offsets[idx]
+				}
+				var targets []string
+				for off := base; off+4 <= end; off += 4 {
+					r, ok := relocAt[off]
+					if !ok || !labels[r.Sym] {
+						break
+					}
+					targets = append(targets, r.Sym)
+				}
+				if len(targets) > 0 {
+					b.JT = &JumpTable{Sym: sym, Targets: targets}
+				}
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // refEndsBlock is the oracle's block-end test on a decoded instruction:

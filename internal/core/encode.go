@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/buffersafe"
@@ -25,8 +24,18 @@ const (
 	symRtBuf    = "__rtbuf"
 )
 
-// stubLabel names the entry stub for a compressed block.
-func stubLabel(block string) string { return "stub$" + block }
+// stubPrefix begins an entry stub's label; the compressed block's label
+// follows it.
+const stubPrefix = "stub$"
+
+// Address slots past the block numbers in encoder.addr: the reserved
+// areas, then the compile-time restore stubs in creation order.
+const (
+	slotDecomp = iota
+	slotStubArea
+	slotRtBuf
+	slotRS0
+)
 
 // encoder carries the state of the layout/encode phase of Squash.
 type encoder struct {
@@ -47,6 +56,23 @@ type encoder struct {
 	// block number; each region's layout fills its own blocks' slots.
 	blockOff []int
 	rs       []rsStub // compile-time restore stubs (ablation mode)
+
+	// stubs holds the label of each entry stub, and stubOf, by block
+	// number, 1 + the index in stubs of the block's stub, or 0: each label
+	// is made once, when the entries are known.
+	stubs  []string
+	stubOf []int32
+	// place holds, for each block of the output program in layout order
+	// (the order of Lower's text symbols), the slot of addr its linked
+	// address fills: the block number of a surviving block or of the
+	// compressed block an entry stub stands for, or len(x.Blocks) plus a
+	// slot constant. addr is read by slot once the image is linked; the
+	// slot of a compressed block without an entry stub stays 0.
+	place []int32
+	addr  []uint32
+	// dataSyms is the linked image's data symbols, in Program.DataSymbols
+	// order.
+	dataSyms []objfile.Symbol
 }
 
 // regionLayout fixes where every region instruction lands in the runtime
@@ -71,8 +97,12 @@ type rsStub struct {
 	isJSR  bool
 }
 
+// slot returns the slot of addr for a reserved area or restore stub.
+func (e *encoder) slot(k int) int32 { return int32(len(e.x.Blocks) + k) }
+
 type callInfo struct {
-	site cfg.CallSite
+	site   cfg.CallSite
+	callee int32 // the callee's block number, or cfg.NoBlock
 	// expand: the call needs the CreateStub treatment at runtime. Every
 	// call out of the runtime buffer expands unless the callee is proven
 	// buffer-safe (§6.1): even a callee in the same region may branch to
@@ -87,8 +117,8 @@ type callInfo struct {
 
 // classifyCall classifies call site k of block i in region r.
 func (e *encoder) classifyCall(r *regions.Region, i int32, k int) callInfo {
-	info := callInfo{site: e.x.Calls(i)[k]}
 	callee := e.x.Callees(i)[k]
+	info := callInfo{site: e.x.Calls(i)[k], callee: callee}
 	switch {
 	case info.site.Callee == "":
 		// Excluded from regions by partitioning; cannot happen.
@@ -147,19 +177,20 @@ func (e *encoder) layoutRegion(r *regions.Region) *regionLayout {
 	return lay
 }
 
-// retarget maps a label to its post-rewrite equivalent: compressed blocks
-// are reachable only through their entry stubs.
-func (e *encoder) retarget(label string) string {
-	if i := e.x.Num(label); i != cfg.NoBlock && e.compressed[i] {
-		return stubLabel(label)
+// retarget returns the label block i is reached by after the rewrite: a
+// compressed entry is reachable only through its entry stub. A compressed
+// block that is no entry keeps its label, which the output does not
+// define, so a surviving reference to it fails to link.
+func (e *encoder) retarget(i int32) string {
+	if s := e.stubOf[i]; s > 0 {
+		return e.stubs[s-1]
 	}
-	return label
+	return e.x.Blocks[i].Label
 }
 
-// intraOff reports the buffer offset of label's block when that block lies
-// in region r.
-func (e *encoder) intraOff(r *regions.Region, label string) (int, bool) {
-	if i := e.x.Num(label); i != cfg.NoBlock && e.res.RegionOf[i] == int32(r.ID) {
+// intraOff reports the buffer offset of block i when it lies in region r.
+func (e *encoder) intraOff(r *regions.Region, i int32) (int, bool) {
+	if i >= 0 && e.res.RegionOf[i] == int32(r.ID) {
 		return e.blockOff[i], true
 	}
 	return 0, false
@@ -201,11 +232,19 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp.End()
-	addrOf := map[string]uint32{}
-	for _, s := range im.Symbols {
-		addrOf[s.Name] = s.Addr()
+	// The linked symbols are Lower's: the data symbols, then one per
+	// output block in layout order, so each block's address lands in its
+	// slot by position.
+	nd := len(out.DataSymbols)
+	if len(im.Symbols) != nd+len(e.place) {
+		return nil, fmt.Errorf("linked %d symbols for %d data symbols and %d blocks", len(im.Symbols), nd, len(e.place))
 	}
+	e.dataSyms = im.Symbols[:nd]
+	e.addr = make([]uint32, int(e.slot(slotRS0))+len(e.rs))
+	for j, s := range im.Symbols[nd:] {
+		e.addr[e.place[j]] = s.Addr()
+	}
+	sp.End()
 
 	// Phase 3: build final instruction sequences per region and compress.
 	// Sequence building reads only the fixed layouts and symbol table, so
@@ -222,7 +261,7 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 	seqs := scratch.partition(scratch.seqCounts(e))
 	if err := parallel.ForEach(len(e.res.Regions), e.conf.Workers, func(i int) error {
 		r := e.res.Regions[i]
-		seq, err := e.buildSeq(r, addrOf, seqs[r.ID])
+		seq, err := e.buildSeq(r, seqs[r.ID])
 		if err != nil {
 			return err
 		}
@@ -274,10 +313,10 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 	im.Data = append(im.Data, tables...)
 
 	meta := &Meta{
-		DecompAddr:   addrOf[symDecomp],
-		StubAreaAddr: addrOf[symStubArea],
+		DecompAddr:   e.addr[e.slot(slotDecomp)],
+		StubAreaAddr: e.addr[e.slot(slotStubArea)],
 		StubCapacity: e.conf.StubCapacity,
-		RtBufAddr:    addrOf[symRtBuf],
+		RtBufAddr:    e.addr[e.slot(slotRtBuf)],
 		K:            e.conf.Regions.K,
 		Interpret:    e.conf.Interpret,
 		Coder:        e.conf.Coder,
@@ -406,29 +445,84 @@ func (e *encoder) publishMetrics(comp RegionCoder, seqs [][]uint32, blob, tables
 // buildOutput assembles the rewritten program: surviving code with
 // references retargeted to stubs, the stubs themselves, and the reserved
 // decompressor/stub-area/buffer regions. It reports the word sizes of the
-// stub groups for accounting.
+// stub groups for accounting, and records each output block's address
+// slot in e.place.
 func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stubAreaWords int, err error) {
+	// Entry stubs: two words each — a call to the decompressor through the
+	// AT entry point, then the tag word <region index, buffer offset>.
+	// In compile-time-restore-stub mode, static stubs call compressed
+	// callees by symbol, so every such callee needs an entry stub even if
+	// all its callers share its region. The entries are found first, so
+	// that each stub's label is made once and every reference below is
+	// retargeted by block number.
+	extraEntries := map[int][]int32{}
+	if e.conf.CompileTimeRestoreStubs {
+		for _, r := range e.res.Regions {
+			for _, i := range r.Members {
+				for k := range e.x.Calls(i) {
+					info := e.classifyCall(r, i, k)
+					callee := info.callee
+					if info.expand && !info.site.Indirect && callee != cfg.NoBlock && e.compressed[callee] {
+						id := int(e.res.RegionOf[callee])
+						if !slices.Contains(extraEntries[id], callee) {
+							extraEntries[id] = append(extraEntries[id], callee)
+						}
+					}
+				}
+			}
+		}
+	}
+	entries := make([][]int32, len(e.res.Regions))
+	e.stubOf = make([]int32, len(e.x.Blocks))
+	// Surviving blocks and entry stubs stand for distinct blocks, so only
+	// the reserved areas and restore stubs can exceed one slot per block.
+	e.place = make([]int32, 0, int(e.slot(slotRS0)))
+	for _, r := range e.res.Regions {
+		ents := e.res.Entries(e.x, r)
+		for _, extra := range extraEntries[r.ID] {
+			if !slices.Contains(ents, extra) {
+				ents = append(ents, extra)
+			}
+		}
+		slices.SortFunc(ents, func(a, b int32) int {
+			return strings.Compare(e.x.Blocks[a].Label, e.x.Blocks[b].Label)
+		})
+		for _, entry := range ents {
+			e.stubs = append(e.stubs, stubPrefix+e.x.Blocks[entry].Label)
+			e.stubOf[entry] = int32(len(e.stubs))
+		}
+		entries[r.ID] = ents
+	}
+
 	out = &cfg.Program{
 		Data:        append([]byte(nil), e.prog.Data...),
 		DataSymbols: append([]objfile.Symbol(nil), e.prog.DataSymbols...),
-		Entry:       e.retarget(e.prog.Entry),
+		Entry:       e.prog.Entry,
 		Refs:        slices.Clone(e.prog.Refs),
+		DataRelocs:  slices.Clone(e.prog.DataRelocs),
+	}
+	if e.x.Entry != cfg.NoBlock {
+		out.Entry = e.retarget(e.x.Entry)
 	}
 	// Surviving instructions keep their reference indices, so retargeting
 	// the copied side table retargets every one of them.
-	for i := range out.Refs {
-		out.Refs[i].Sym = e.retarget(out.Refs[i].Sym)
+	for k, t := range e.x.RefTo {
+		if t >= 0 && e.stubOf[t] > 0 {
+			out.Refs[k].Sym = e.retarget(t)
+		}
 	}
-	for _, r := range e.prog.DataRelocs {
-		r.Sym = e.retarget(r.Sym)
-		out.DataRelocs = append(out.DataRelocs, r)
+	for k, t := range e.x.RelocTo {
+		if t >= 0 {
+			out.DataRelocs[k].Sym = e.retarget(t)
+		}
 	}
 
 	// Surviving functions.
 	for fi, f := range e.prog.Funcs {
 		var kept []*cfg.Block
 		for bi, b := range f.Blocks {
-			if e.compressed[int(e.x.FuncStart[fi])+bi] {
+			i := e.x.FuncStart[fi] + int32(bi)
+			if e.compressed[i] {
 				continue
 			}
 			// The block shares b's instructions: nothing past here edits
@@ -436,16 +530,16 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 			nb := &cfg.Block{
 				Label:      b.Label,
 				Insts:      b.Insts,
-				FallsTo:    b.FallsTo,
 				JT:         b.JT,
 				SrcWordOff: b.SrcWordOff,
 				Freq:       b.Freq,
 				Weight:     b.Weight,
 			}
-			if nb.FallsTo != "" {
-				nb.FallsTo = e.retarget(nb.FallsTo)
+			if t := e.x.FallsTo[i]; t != cfg.NoBlock {
+				nb.FallsTo = e.retarget(t)
 			}
 			kept = append(kept, nb)
+			e.place = append(e.place, i)
 		}
 		if len(kept) == 0 {
 			continue
@@ -457,46 +551,15 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 		out.Funcs = append(out.Funcs, &cfg.Func{Name: name, Blocks: kept})
 	}
 
-	// Entry stubs: two words each — a call to the decompressor through the
-	// AT entry point, then the tag word <region index, buffer offset>.
-	// In compile-time-restore-stub mode, static stubs call compressed
-	// callees by symbol, so every such callee needs an entry stub even if
-	// all its callers share its region.
-	extraEntries := map[int][]int32{}
-	if e.conf.CompileTimeRestoreStubs {
-		for _, r := range e.res.Regions {
-			for _, i := range r.Members {
-				for k := range e.x.Calls(i) {
-					info := e.classifyCall(r, i, k)
-					callee := e.x.Callees(i)[k]
-					if info.expand && !info.site.Indirect && callee != cfg.NoBlock && e.compressed[callee] {
-						id := int(e.res.RegionOf[callee])
-						if !slices.Contains(extraEntries[id], callee) {
-							extraEntries[id] = append(extraEntries[id], callee)
-						}
-					}
-				}
-			}
-		}
-	}
 	for _, r := range e.res.Regions {
-		entries := e.res.Entries(e.x, r)
-		for _, extra := range extraEntries[r.ID] {
-			if !slices.Contains(entries, extra) {
-				entries = append(entries, extra)
-			}
-		}
-		slices.SortFunc(entries, func(a, b int32) int {
-			return strings.Compare(e.x.Blocks[a].Label, e.x.Blocks[b].Label)
-		})
-		for _, entry := range entries {
+		for _, entry := range entries[r.ID] {
 			off := e.blockOff[entry]
 			if off >= 1<<16 || r.ID >= 1<<16 {
 				return nil, 0, 0, 0, fmt.Errorf("tag overflow: region %d offset %d", r.ID, off)
 			}
 			tag := uint32(r.ID)<<16 | uint32(off)
 			sb := &cfg.Block{
-				Label: stubLabel(e.x.Blocks[entry].Label),
+				Label: e.retarget(entry),
 				Insts: []cfg.Inst{
 					out.Refer(isa.Encode(isa.Br(isa.OpBSR, isa.RegAT, 0)), cfg.TargetBranch,
 						symDecomp, int32(isa.RegAT*isa.WordSize)),
@@ -504,6 +567,7 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 				},
 			}
 			out.Funcs = append(out.Funcs, &cfg.Func{Name: sb.Label, Blocks: []*cfg.Block{sb}})
+			e.place = append(e.place, entry)
 			entryStubWords += regions.EntryStubWords
 		}
 	}
@@ -529,13 +593,18 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 						resume: lay.instOff[bi][j] + 1,
 						isJSR:  info.site.Indirect,
 					}
+					e.place = append(e.place, e.slot(slotRS0+len(e.rs)))
 					e.rs = append(e.rs, stub)
 					tag := uint32(r.ID)<<16 | uint32(stub.resume)
 					ra := in.RA()
 					bsr := isa.Encode(isa.Br(isa.OpBSR, ra, 0))
 					callInst := cfg.Inst{Word: in.Word}
 					if !stub.isJSR {
-						callInst = out.Refer(bsr, cfg.TargetBranch, e.retarget(e.prog.Target(in)), 0)
+						target := e.prog.Target(in)
+						if info.callee != cfg.NoBlock {
+							target = e.retarget(info.callee)
+						}
+						callInst = out.Refer(bsr, cfg.TargetBranch, target, 0)
 					}
 					sb := &cfg.Block{
 						Label: stub.label,
@@ -550,54 +619,44 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 				}
 			}
 		}
-		sortRS(e.rs)
 	}
 
 	// Reserved regions, filled with trapping sentinels: the decompressor
 	// (entered only through the interception hook), the restore-stub area
 	// (rewritten at run time), and the runtime buffer.
-	reserved := func(name string, words int) {
+	reserved := func(name string, words, slot int) {
 		insts := make([]cfg.Inst, words)
 		for i := range insts {
 			insts[i] = cfg.RawWord(isa.Sentinel)
 		}
 		blk := &cfg.Block{Label: name, Insts: insts}
 		out.Funcs = append(out.Funcs, &cfg.Func{Name: name, Blocks: []*cfg.Block{blk}})
+		e.place = append(e.place, e.slot(slot))
 	}
 	stubAreaWords = e.conf.StubCapacity * StubSlotWords
 	if e.conf.CompileTimeRestoreStubs {
 		stubAreaWords = 0
 	}
-	reserved(symDecomp, DecompWords)
-	if stubAreaWords > 0 {
-		reserved(symStubArea, stubAreaWords)
-	} else {
-		reserved(symStubArea, 0)
-	}
-	reserved(symRtBuf, e.conf.Regions.K/isa.WordSize)
+	reserved(symDecomp, DecompWords, slotDecomp)
+	reserved(symStubArea, stubAreaWords, slotStubArea)
+	reserved(symRtBuf, e.conf.Regions.K/isa.WordSize, slotRtBuf)
 	return out, entryStubWords, rsWords, stubAreaWords, nil
-}
-
-func sortRS(rs []rsStub) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].label < rs[j].label })
 }
 
 // buildSeq produces the final instruction word sequence for region r: all
 // displacement fields resolved against the fixed buffer layout and the
-// linked image's symbol addresses, calls rewritten per their
+// linked addresses in e.addr, calls rewritten per their
 // classification (intra-region, buffer-safe, expanded, or routed through a
 // compile-time restore stub). The sequence appends into dst, which the
 // caller sizes to the exact length implied by the layout (see scratch.go);
 // an undersized dst still produces a correct sequence, it just reallocates.
-func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []uint32) ([]uint32, error) {
+func (e *encoder) buildSeq(r *regions.Region, dst []uint32) ([]uint32, error) {
 	lay := e.layouts[r.ID]
-	bufWordBase := int(addrOf[symRtBuf]) / isa.WordSize
-	wordAddr := func(label string) (int, error) {
-		a, ok := addrOf[label]
-		if !ok {
-			return 0, fmt.Errorf("region %d references unknown symbol %q", r.ID, label)
-		}
-		return int(a) / isa.WordSize, nil
+	bufWordBase := int(e.addr[e.slot(slotRtBuf)]) / isa.WordSize
+	// wordAddr: the text word of block t's post-rewrite equivalent.
+	wordAddr := func(t int32) (int, error) {
+		a, err := e.blockAddr(r, t)
+		return int(a) / isa.WordSize, err
 	}
 	// extDisp: displacement from buffer position pos (skip words into the
 	// instruction group) to an absolute text word.
@@ -647,7 +706,7 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 			branch := false
 			switch {
 			case isCall && !info.site.Indirect: // direct bsr
-				callee := info.site.Callee
+				callee := info.callee
 				op, ra := isa.OpBSR, in.RA()
 				switch {
 				case info.expand && info.intra && !e.conf.CompileTimeRestoreStubs:
@@ -656,19 +715,19 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 					off, _ := e.intraOff(r, callee)
 					op, disp = isa.OpBSRX, int32(off-(pos+2))
 				case info.expand && e.conf.CompileTimeRestoreStubs:
-					tw, err := e.rsWord(r.ID, pos+1, wordAddr)
+					tw, err := e.rsWord(r.ID, pos+1)
 					if err != nil {
 						return nil, err
 					}
 					op, ra, disp = isa.OpBR, isa.RegZero, extDisp(tw, pos, 1)
 				case info.expand:
-					tw, err := wordAddr(e.retarget(callee))
+					tw, err := wordAddr(callee)
 					if err != nil {
 						return nil, err
 					}
 					op, disp = isa.OpBSRX, extDisp(tw, pos, 2)
 				default: // buffer-safe
-					tw, err := wordAddr(e.retarget(callee))
+					tw, err := wordAddr(callee)
 					if err != nil {
 						return nil, err
 					}
@@ -678,7 +737,7 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 			case isCall && info.site.Indirect: // jsr
 				switch {
 				case info.expand && e.conf.CompileTimeRestoreStubs:
-					tw, err := e.rsWord(r.ID, pos+1, wordAddr)
+					tw, err := e.rsWord(r.ID, pos+1)
 					if err != nil {
 						return nil, err
 					}
@@ -690,11 +749,11 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 				// Otherwise intra-region or buffer-safe: register-based,
 				// unchanged.
 			case in.Kind() == cfg.TargetBranch:
-				t := e.prog.Target(in)
+				t := e.x.Target(in)
 				if off, intra := e.intraOff(r, t); intra {
 					disp = int32(off - (pos + 1))
 				} else {
-					tw, err := wordAddr(e.retarget(t))
+					tw, err := wordAddr(t)
 					if err != nil {
 						return nil, err
 					}
@@ -702,12 +761,11 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 				}
 				branch = true
 			case in.Kind() == cfg.TargetHi16 || in.Kind() == cfg.TargetLo16:
-				ref := e.prog.RefOf(in)
-				a, err := e.laAddr(r, lay, addrOf, ref.Sym)
+				a, err := e.laAddr(r, in)
 				if err != nil {
 					return nil, err
 				}
-				a += int64(ref.Addend)
+				a += int64(e.prog.RefOf(in).Addend)
 				lo := int64(int16(a & 0xFFFF))
 				imm := uint32(uint16(lo))
 				if in.Kind() == cfg.TargetHi16 {
@@ -726,12 +784,12 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 		// Knit branch inserted after this block by the layout.
 		if insIdx < len(lay.inserted) && lay.inserted[insIdx][0] == bi {
 			pos := lay.inserted[insIdx][1]
-			t := b.FallsTo
+			t := e.x.FallsTo[i]
 			var disp int32
 			if off, intra := e.intraOff(r, t); intra {
 				disp = int32(off - (pos + 1))
 			} else {
-				tw, err := wordAddr(e.retarget(t))
+				tw, err := wordAddr(t)
 				if err != nil {
 					return nil, err
 				}
@@ -750,13 +808,26 @@ func (e *encoder) buildSeq(r *regions.Region, addrOf map[string]uint32, dst []ui
 
 // rsWord returns the text word address of the compile-time restore stub
 // for the call site of region that resumes at buffer offset resume.
-func (e *encoder) rsWord(region, resume int, wordAddr func(string) (int, error)) (int, error) {
-	for _, s := range e.rs {
+func (e *encoder) rsWord(region, resume int) (int, error) {
+	for k, s := range e.rs {
 		if s.region == region && s.resume == resume {
-			return wordAddr(s.label)
+			return int(e.addr[e.slot(slotRS0+k)]) / isa.WordSize, nil
 		}
 	}
 	return 0, fmt.Errorf("no compile-time restore stub for region %d resume %d", region, resume)
+}
+
+// blockAddr returns the linked address of block t's post-rewrite
+// equivalent, for a reference from region r: the block itself, or its
+// entry stub when it is compressed.
+func (e *encoder) blockAddr(r *regions.Region, t int32) (uint32, error) {
+	if t == cfg.NoBlock {
+		return 0, fmt.Errorf("region %d branches to a symbol that is not a block", r.ID)
+	}
+	if e.addr[t] == 0 {
+		return 0, fmt.Errorf("region %d references %s, which has no address", r.ID, e.retarget(t))
+	}
+	return e.addr[t], nil
 }
 
 // patchBranch sets branch word w's 21-bit displacement field to disp. A
@@ -769,16 +840,19 @@ func patchBranch(w uint32, disp int32) (uint32, error) {
 	return w&^0x1FFFFF | uint32(disp)&0x1FFFFF, nil
 }
 
-// laAddr resolves the address an la pair inside region r must materialize:
-// data symbols resolve normally; compressed labels resolve to their entry
-// stub; surviving code labels resolve directly.
-func (e *encoder) laAddr(r *regions.Region, lay *regionLayout, addrOf map[string]uint32, target string) (int64, error) {
+// laAddr resolves the address the la instruction in inside region r must
+// materialize: data symbols resolve normally; compressed labels resolve to
+// their entry stub; surviving code labels resolve directly.
+func (e *encoder) laAddr(r *regions.Region, in cfg.Inst) (int64, error) {
 	// Taken addresses of compressed labels always resolve to the entry
 	// stub, never to a buffer address: the pointer may be used after the
 	// buffer has been overwritten by another region.
-	a, ok := addrOf[e.retarget(target)]
-	if !ok {
-		return 0, fmt.Errorf("la of unknown symbol %q in region %d", target, r.ID)
+	if t := e.x.Target(in); t != cfg.NoBlock {
+		a, err := e.blockAddr(r, t)
+		return int64(a), err
 	}
-	return int64(a), nil
+	if d := e.x.DataTarget(in); d >= 0 {
+		return int64(e.dataSyms[d].Addr()), nil
+	}
+	return 0, fmt.Errorf("la of unknown symbol %q in region %d", e.prog.Target(in), r.ID)
 }

@@ -229,8 +229,12 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 		stats.TableBytesReclaimed = ust.TableBytesReclaimed
 	}
 	// Number the final program's blocks once; every later analysis reads
-	// slices indexed by block number.
-	x := cfg.NewIndex(p, conf.Workers)
+	// slices indexed by block number. Indexing validates the program, so
+	// unswitching's rewrite is checked here.
+	x, err := cfg.NewIndex(p, conf.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("squash: %w", err)
+	}
 	conf.Regions.Workers = conf.Workers
 	res, err := regions.PartitionIndex(x, profile.ColdBlocks(x, conf.Theta), conf.Regions)
 	if err != nil {

@@ -243,7 +243,11 @@ func TestColdBlocksMatchesReference(t *testing.T) {
 			fn.Blocks[0].Label = fn.Name
 			p.Funcs = append(p.Funcs, fn)
 		}
-		x := cfg.NewIndex(p, 1)
+		x, err := cfg.NewIndex(p, 1)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
 		for _, th := range []float64{-1, 0, 0.01, 0.05, 0.2, 0.5, 0.9, 1, 2} {
 			want := refIdentifyCold(p, th)
 			if got := IdentifyCold(p, th); !reflect.DeepEqual(got, want) {

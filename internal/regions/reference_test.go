@@ -204,7 +204,10 @@ func refSeedLoopRegions(p *cfg.Program, preds *refPreds, candidates map[string]*
 		blocks []string
 		insts  int
 	}
-	x := cfg.NewIndex(p, 1)
+	x, err := cfg.NewIndex(p, 1)
+	if err != nil {
+		panic(err) // Partition indexed p first, and failed on the same error
+	}
 	var loops []loopInfo
 	for _, e := range x.BackEdges() {
 		inFunc := map[string]*cfg.Block{}

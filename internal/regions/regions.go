@@ -245,7 +245,10 @@ func hasIndirectUnknownCall(calls []cfg.CallSite) bool {
 // cold blocks, given by label. It returns the result and the block index
 // the result's block numbers refer to.
 func Partition(p *cfg.Program, cold map[string]bool, conf Config) (*Result, *cfg.Index, error) {
-	x := cfg.NewIndex(p, conf.Workers)
+	x, err := cfg.NewIndex(p, conf.Workers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("regions: %w", err)
+	}
 	bits := make([]bool, len(x.Blocks))
 	for i, b := range x.Blocks {
 		bits[i] = cold[b.Label]

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/huffman"
+	"repro/internal/isa"
 	"repro/internal/race"
 )
 
@@ -137,5 +138,47 @@ func TestRegionEncodeAllocGate(t *testing.T) {
 	}
 	if fresh < 2*pooled {
 		t.Errorf("fresh region encode: %v allocs/op, under 2x pooled %v: pooling stopped paying off", fresh, pooled)
+	}
+}
+
+// TestCountTablesSurviveGC: training the squash programs in rotation, with
+// collections between the trainings (as a squash's own allocations cause),
+// reuses one count table instead of allocating and zeroing half a MiB per
+// training, and every training hands the table back clean.
+func TestCountTablesSurviveGC(t *testing.T) {
+	corpora := [][][]uint32{
+		{realisticSeq(1, 3000), realisticSeq(2, 700)},
+		{realisticSeq(3, 400)},
+		{realisticSeq(4, 1500), realisticSeq(5, 20), realisticSeq(6, 900)},
+	}
+	Train(corpora[0], Options{Workers: 1}) // warm-up
+	want := getStreamCounts()
+	putStreamCounts(want)
+	for round := 0; round < 6; round++ {
+		runtime.GC() // two cycles empty every sync.Pool, victim cache included
+		runtime.GC()
+		Train(corpora[round%len(corpora)], Options{Workers: 1, MTF: round%2 == 1})
+		runtime.GC()
+		runtime.GC()
+		got := getStreamCounts()
+		putStreamCounts(got)
+		if got != want {
+			t.Fatalf("round %d: training allocated a new count table", round)
+		}
+		for k := range got.dense {
+			for v, c := range got.dense[k] {
+				if c != 0 {
+					t.Fatalf("round %d: stream %v value %d left at count %d", round, isa.StreamKind(k), v, c)
+				}
+			}
+			for _, w := range got.seen[k] {
+				if w != 0 {
+					t.Fatalf("round %d: stream %v left values marked", round, isa.StreamKind(k))
+				}
+			}
+			if len(got.sparse[k]) != 0 {
+				t.Fatalf("round %d: stream %v left %d sparse counts", round, isa.StreamKind(k), len(got.sparse[k]))
+			}
+		}
 	}
 }

@@ -22,8 +22,10 @@ package streamcomp
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/huffman"
 	"repro/internal/isa"
@@ -134,12 +136,12 @@ func Train(seqs [][]uint32, opts Options) *Compressor {
 // sentinel opcode, into f.
 func countFields(f *streamCounts, seq []uint32) {
 	for _, w := range seq {
-		f.dense[isa.StreamOpcode][w>>26]++
+		f.add(isa.StreamOpcode, w>>26)
 		for _, r := range isa.LayoutOf(w).Fields {
 			f.add(r.Kind, w>>r.Shift&(1<<r.Bits-1))
 		}
 	}
-	f.dense[isa.StreamOpcode][isa.OpIllegal]++
+	f.add(isa.StreamOpcode, isa.OpIllegal)
 }
 
 // denseBits is the widest stream counted in a flat array: the 16-bit
@@ -151,40 +153,74 @@ const denseBits = 16
 // array indexed by value for streams of at most denseBits bits, a map for
 // the wider ones. A count stays below 2^32 because no image holds that many
 // instructions.
+//
+// seen marks, one bit per value, the values a flat array has counted since
+// it was last cleared, so listing, merging and clearing the tables visit
+// the values a training corpus touched rather than all 64 Ki slots of the
+// displacement and hint streams.
 type streamCounts struct {
 	dense  [isa.NumStreams][]uint32
+	seen   [isa.NumStreams][]uint64
 	sparse [isa.NumStreams]map[uint32]uint64
 }
 
-// countsPool recycles streamCounts: the flat arrays come to about half a
-// MiB, too much to allocate and zero for every squash.
-var countsPool = sync.Pool{New: func() any {
-	f := new(streamCounts)
-	for k := range f.dense {
-		if bits := isa.StreamKind(k).Bits(); bits <= denseBits {
-			f.dense[k] = make([]uint32, 1<<bits)
-		} else {
-			f.sparse[k] = make(map[uint32]uint64)
+// The flat arrays come to about half a MiB, too much to allocate and zero
+// for every squash, so count tables recycle. A collection empties
+// countsPool, and one runs between most squashes, so one table is kept
+// outside it (spareCounts), where a collection cannot drop it, as
+// core.spareScratch keeps the sequence arena; concurrent trainings beyond
+// the first share the pool.
+var (
+	countsPool = sync.Pool{New: func() any {
+		f := new(streamCounts)
+		for k := range f.dense {
+			if width := isa.StreamKind(k).Bits(); width <= denseBits {
+				f.dense[k] = make([]uint32, 1<<width)
+				f.seen[k] = make([]uint64, (1<<width+63)/64)
+			} else {
+				f.sparse[k] = make(map[uint32]uint64)
+			}
 		}
+		return f
+	}}
+	spareCounts atomic.Pointer[streamCounts]
+)
+
+func getStreamCounts() *streamCounts {
+	if f := spareCounts.Swap(nil); f != nil {
+		return f
 	}
-	return f
-}}
+	return countsPool.Get().(*streamCounts)
+}
 
-func getStreamCounts() *streamCounts { return countsPool.Get().(*streamCounts) }
-
-// putStreamCounts zeroes f and returns it to the pool.
+// putStreamCounts zeroes the values f counted and recycles it.
 func putStreamCounts(f *streamCounts) {
 	for k := range f.dense {
-		clear(f.dense[k])
+		if d := f.dense[k]; d != nil {
+			forSeen(f.seen[k], func(v uint32) { d[v] = 0 })
+			clear(f.seen[k])
+		}
 		clear(f.sparse[k])
 	}
-	countsPool.Put(f)
+	if !spareCounts.CompareAndSwap(nil, f) {
+		countsPool.Put(f)
+	}
+}
+
+// forSeen calls fn on every value marked in seen, ascending.
+func forSeen(seen []uint64, fn func(v uint32)) {
+	for i, w := range seen {
+		for ; w != 0; w &= w - 1 {
+			fn(uint32(i*64 + bits.TrailingZeros64(w)))
+		}
+	}
 }
 
 // add counts one occurrence of value v in stream k.
 func (f *streamCounts) add(k isa.StreamKind, v uint32) {
 	if d := f.dense[k]; d != nil {
 		d[v]++
+		f.seen[k][v>>6] |= 1 << (v & 63)
 	} else {
 		f.sparse[k][v]++
 	}
@@ -193,8 +229,11 @@ func (f *streamCounts) add(k isa.StreamKind, v uint32) {
 // merge adds o's counts into f.
 func (f *streamCounts) merge(o *streamCounts) {
 	for k := range f.dense {
-		for v, n := range o.dense[k] {
-			f.dense[k][v] += n
+		if d, od := f.dense[k], o.dense[k]; d != nil {
+			forSeen(o.seen[k], func(v uint32) { d[v] += od[v] })
+			for i, w := range o.seen[k] {
+				f.seen[k][i] |= w
+			}
 		}
 		for v, n := range o.sparse[k] {
 			f.sparse[k][v] += n
@@ -207,18 +246,14 @@ func (f *streamCounts) merge(o *streamCounts) {
 func (f *streamCounts) sorted(k isa.StreamKind) ([]uint32, []uint64) {
 	if d := f.dense[k]; d != nil {
 		n := 0
-		for _, c := range d {
-			if c > 0 {
-				n++
-			}
+		for _, w := range f.seen[k] {
+			n += bits.OnesCount64(w)
 		}
 		values, counts := make([]uint32, 0, n), make([]uint64, 0, n)
-		for v, c := range d {
-			if c > 0 {
-				values = append(values, uint32(v))
-				counts = append(counts, uint64(c))
-			}
-		}
+		forSeen(f.seen[k], func(v uint32) {
+			values = append(values, v)
+			counts = append(counts, uint64(d[v]))
+		})
 		return values, counts
 	}
 	values := make([]uint32, 0, len(f.sparse[k]))

@@ -35,6 +35,9 @@ type Stats struct {
 // The six instructions are replaced by a ladder of compare-and-branch
 // blocks on rI. Tables no longer referenced are removed from the data
 // section (the paper: "the space for the jump table can be reclaimed").
+//
+// Run does not validate the program it leaves: cfg.NewIndex, which every
+// analysis of it builds first, does. The error result is always nil.
 func Run(p *cfg.Program, shouldUnswitch func(*cfg.Block) bool) (*Stats, error) {
 	st := &Stats{}
 	var reclaim []string // table symbols whose dispatch was removed
@@ -68,9 +71,6 @@ func Run(p *cfg.Program, shouldUnswitch func(*cfg.Block) bool) (*Stats, error) {
 				st.TableBytesReclaimed += n
 			}
 		}
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("unswitch: output invalid: %w", err)
 	}
 	return st, nil
 }

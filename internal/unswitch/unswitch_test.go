@@ -67,15 +67,26 @@ func build(t *testing.T, src string) *cfg.Program {
 	return p
 }
 
+// run unswitches p and checks that the rewritten program is valid, which
+// Run leaves to the cfg.NewIndex of whoever consumes it.
+func run(t *testing.T, p *cfg.Program, shouldUnswitch func(*cfg.Block) bool) *Stats {
+	t.Helper()
+	st, err := Run(p, shouldUnswitch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("unswitched program invalid: %v", err)
+	}
+	return st
+}
+
 func TestUnswitchPreservesBehaviour(t *testing.T) {
 	input := "0123x32109"
 	want := runSrcProgram(t, build(t, switchSrc), input)
 
 	p := build(t, switchSrc)
-	st, err := Run(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := run(t, p, nil)
 	if st.Unswitched != 1 {
 		t.Fatalf("Unswitched = %d, want 1", st.Unswitched)
 	}
@@ -91,10 +102,7 @@ func TestUnswitchPreservesBehaviour(t *testing.T) {
 func TestUnswitchRemovesJumpAndTable(t *testing.T) {
 	p := build(t, switchSrc)
 	dataBefore := len(p.Data)
-	st, err := Run(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := run(t, p, nil)
 	if st.TableBytesReclaimed != 16 {
 		t.Errorf("TableBytesReclaimed = %d, want 16", st.TableBytesReclaimed)
 	}
@@ -136,10 +144,7 @@ func TestUnswitchRemovesJumpAndTable(t *testing.T) {
 
 func TestUnswitchRespectsPredicate(t *testing.T) {
 	p := build(t, switchSrc)
-	st, err := Run(p, func(b *cfg.Block) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := run(t, p, func(b *cfg.Block) bool { return false })
 	if st.Unswitched != 0 || st.Skipped != 1 {
 		t.Fatalf("stats = %+v, want skip", st)
 	}
@@ -153,9 +158,7 @@ func TestUnswitchDataAccessStillWorks(t *testing.T) {
 	p := build(t, src)
 	// Patch main to read "after" and print its low byte at exit... easier:
 	// verify via a separate program exercising data after unswitch.
-	if _, err := Run(p, nil); err != nil {
-		t.Fatal(err)
-	}
+	run(t, p, nil)
 	src2 := `
         .text
         .func main
@@ -185,9 +188,7 @@ marker: .word 77            ; 'M'
 `
 	p2 := build(t, src2)
 	want := runSrcProgram(t, build(t, src2), "1")
-	if _, err := Run(p2, nil); err != nil {
-		t.Fatal(err)
-	}
+	run(t, p2, nil)
 	got := runSrcProgram(t, p2, "1")
 	if got != want || got != "1M" {
 		t.Fatalf("data access broken after table reclaim: %q vs %q", got, want)
@@ -213,10 +214,7 @@ only:   li   a0, 89
 table:  .word only
 `
 	p := build(t, src)
-	st, err := Run(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := run(t, p, nil)
 	if st.Unswitched != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -268,10 +266,7 @@ func TestSharedTableKept(t *testing.T) {
 	p := build(t, sharedTableSrc)
 	want := runSrcProgram(t, p, input)
 	dataLen := len(p.Data)
-	st, err := Run(p, func(b *cfg.Block) bool { return b.Label == "disp1" })
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := run(t, p, func(b *cfg.Block) bool { return b.Label == "disp1" })
 	if st.Unswitched != 1 || st.Skipped != 1 || st.TableBytesReclaimed != 0 {
 		t.Fatalf("stats = %+v, want one unswitched, one skipped, nothing reclaimed", st)
 	}
