@@ -117,6 +117,8 @@ type assembler struct {
 	section objfile.Section
 	line    int
 	errs    []error
+	// defined holds the line that defined each symbol.
+	defined map[string]int
 }
 
 func (a *assembler) errorf(format string, args ...any) {
@@ -125,7 +127,7 @@ func (a *assembler) errorf(format string, args ...any) {
 
 // Assemble translates EM32 assembly source into a relocatable object.
 func Assemble(src string) (*objfile.Object, error) {
-	a := &assembler{obj: &objfile.Object{}, section: objfile.SecText}
+	a := &assembler{obj: &objfile.Object{}, section: objfile.SecText, defined: map[string]int{}}
 	for i, raw := range strings.Split(src, "\n") {
 		a.line = i + 1
 		a.doLine(raw)
@@ -151,6 +153,11 @@ func (a *assembler) here() uint32 {
 }
 
 func (a *assembler) defineSymbol(name string, kind objfile.SymKind) {
+	if line, ok := a.defined[name]; ok {
+		a.errorf("symbol %s already defined on line %d", name, line)
+		return
+	}
+	a.defined[name] = a.line
 	a.obj.Symbols = append(a.obj.Symbols, objfile.Symbol{
 		Name: name, Section: a.section, Offset: a.here(), Kind: kind,
 	})

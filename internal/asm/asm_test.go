@@ -248,3 +248,25 @@ func TestJumpForms(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsDuplicateLabels: a symbol defined twice, as two labels, a
+// label and a .func, or in text and data, is an error that names the
+// line of the second definition and the line of the first.
+func TestRejectsDuplicateLabels(t *testing.T) {
+	for _, c := range []struct {
+		name, src, want string
+	}{
+		{"two labels", ".text\nx: nop\nx: nop\n", "line 3: symbol x already defined on line 2"},
+		{"two labels on one line", ".text\nx: x: nop\n", "line 2: symbol x already defined on line 2"},
+		{"func and label", ".text\n.func f\nnop\nf: nop\n", "line 4: symbol f already defined on line 2"},
+		{"text and data", ".text\ntbl: nop\n.data\ntbl: .word 1\n", "line 4: symbol tbl already defined on line 2"},
+	} {
+		_, err := Assemble(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Assemble error %v, want %q", c.name, err, c.want)
+		}
+	}
+	if _, err := Assemble(".text\nx: nop\ny: nop\n"); err != nil {
+		t.Errorf("distinct labels: %v", err)
+	}
+}

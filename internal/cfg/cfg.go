@@ -332,31 +332,48 @@ func (p *Program) Calls(b *Block) []CallSite { return p.appendCalls(nil, b) }
 
 // appendCalls is Calls appending to dst.
 func (p *Program) appendCalls(dst []CallSite, b *Block) []CallSite {
-	out := dst
 	for i, in := range b.Insts {
-		if in.Raw() {
-			continue
-		}
-		switch in.Format() {
-		case isa.FormatBranch:
-			if in.Op() == isa.OpBSR {
-				cs := CallSite{InstIdx: i}
-				if in.Kind() == TargetBranch {
-					cs.Callee, cs.ref = p.Target(in), in.refIndex()+1
-				}
-				out = append(out, cs)
-			}
-		case isa.FormatJump:
-			if in.JFunc() == isa.JmpJSR {
-				cs := CallSite{InstIdx: i, Indirect: true}
-				if lo, ok := p.laBefore(b, i, in.RB()); ok {
-					cs.Callee, cs.ref = p.Target(lo), lo.refIndex()+1
-				}
-				out = append(out, cs)
+		if mayCall(in) {
+			if cs, ok := p.callAt(b, i, in); ok {
+				dst = append(dst, cs)
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// mayCall is callAt's inline prefilter: only a bsr or a jump-format word
+// can be a call.
+func mayCall(in Inst) bool {
+	op := in.Op()
+	return op == isa.OpBSR || op == isa.OpJump || op == isa.OpJSRX
+}
+
+// callAt reports the call site that in, instruction i of b, makes, if it
+// is a bsr or a jsr.
+func (p *Program) callAt(b *Block, i int, in Inst) (CallSite, bool) {
+	if in.Raw() {
+		return CallSite{}, false
+	}
+	switch in.Format() {
+	case isa.FormatBranch:
+		if in.Op() == isa.OpBSR {
+			cs := CallSite{InstIdx: i}
+			if in.Kind() == TargetBranch {
+				cs.Callee, cs.ref = p.Target(in), in.refIndex()+1
+			}
+			return cs, true
+		}
+	case isa.FormatJump:
+		if in.JFunc() == isa.JmpJSR {
+			cs := CallSite{InstIdx: i, Indirect: true}
+			if lo, ok := p.laBefore(b, i, in.RB()); ok {
+				cs.Callee, cs.ref = p.Target(lo), lo.refIndex()+1
+			}
+			return cs, true
+		}
+	}
+	return CallSite{}, false
 }
 
 // laBefore scans b backwards from instruction idx for the la pair that

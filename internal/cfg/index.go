@@ -230,16 +230,18 @@ func (x *Index) scan(lo, hi int) *indexChunk {
 		}
 		x.succ.start[i+1] = int32(len(c.succs) - ns)
 		nc := len(c.calls)
-		c.calls = x.Prog.appendCalls(c.calls, b)
-		for _, cs := range c.calls[nc:] {
-			t := NoBlock
-			if cs.ref > 0 {
-				t = x.RefTo[cs.ref-1]
+		// One walk records the call sites and checks the references.
+		for j, in := range b.Insts {
+			if mayCall(in) {
+				if cs, ok := x.Prog.callAt(b, j, in); ok {
+					t := NoBlock
+					if cs.ref > 0 {
+						t = x.RefTo[cs.ref-1]
+					}
+					c.calls = append(c.calls, cs)
+					c.callee = append(c.callee, t)
+				}
 			}
-			c.callee = append(c.callee, t)
-		}
-		x.callStart[i+1] = int32(len(c.calls) - nc)
-		for _, in := range b.Insts {
 			switch in.Kind() {
 			case TargetNone, TargetRaw:
 				continue
@@ -255,6 +257,7 @@ func (x *Index) scan(lo, hi int) *indexChunk {
 				c.taken = append(c.taken, x.RefTo[k])
 			}
 		}
+		x.callStart[i+1] = int32(len(c.calls) - nc)
 	}
 	return c
 }

@@ -174,6 +174,31 @@ func Squash(obj *objfile.Object, counts profile.Counts, conf Config) (*Output, e
 	return SquashObs(obj, counts, conf, nil)
 }
 
+// checkAT refuses a program that reads or writes AT (r28), which the entry
+// stubs clobber, naming the first such block in function order. System
+// calls are exempt: setjmp/longjmp capture the whole register file,
+// including AT, but nothing observes AT's value, so stub clobbers remain
+// invisible.
+func checkAT(p *cfg.Program, workers int) error {
+	const atFields = isa.RegAT<<21 | isa.RegAT<<16 | isa.RegAT
+	return parallel.ForEach(len(p.Funcs), workers, func(fi int) error {
+		for _, b := range p.Funcs[fi].Blocks {
+			for _, in := range b.Insts {
+				// Outside a system call only a word with a register field
+				// holding AT can touch AT, so almost every word is answered
+				// from its bits, before the format lookup; x has a zero
+				// field where the word's holds AT.
+				x := in.Word ^ atFields
+				if (x&(31<<21) == 0 || x&(31<<16) == 0 || x&31 == 0) &&
+					in.Format() != isa.FormatPal && cfg.TouchesReg(in, isa.RegAT) {
+					return fmt.Errorf("squash: block %s uses reserved register AT (r28)", b.Label)
+				}
+			}
+		}
+		return nil
+	})
+}
+
 // SquashObs is Squash with telemetry: pipeline stages record spans on
 // rec's tracer and the run's totals land in rec's metrics registry. A
 // nil rec degrades to plain Squash. The recorder deliberately lives
@@ -197,19 +222,7 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 	if err := p.AttachProfile(counts); err != nil {
 		return nil, fmt.Errorf("squash: %w", err)
 	}
-	if err := parallel.ForEach(len(p.Funcs), conf.Workers, func(fi int) error {
-		for _, b := range p.Funcs[fi].Blocks {
-			for _, in := range b.Insts {
-				// System calls are exempt: setjmp/longjmp capture the whole
-				// register file, including AT, but nothing observes AT's
-				// value, so stub clobbers remain invisible.
-				if in.Format() != isa.FormatPal && cfg.TouchesReg(in, isa.RegAT) {
-					return fmt.Errorf("squash: block %s uses reserved register AT (r28)", b.Label)
-				}
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := checkAT(p, conf.Workers); err != nil {
 		return nil, err
 	}
 	sp.End()

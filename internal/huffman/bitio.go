@@ -24,7 +24,6 @@ type BitWriter struct {
 	buf  []byte
 	acc  uint64 // pending bits, left-aligned: bit 63 is the oldest
 	nacc uint   // pending bits in acc, always below 32 between calls
-	n    int    // total bits written
 	// leaked records that Bytes exposed buf to a caller; Reset must then
 	// abandon the storage instead of truncating it for reuse.
 	leaked bool
@@ -40,7 +39,7 @@ func (w *BitWriter) Reset() {
 	} else {
 		w.buf = w.buf[:0]
 	}
-	w.acc, w.nacc, w.n = 0, 0, 0
+	w.acc, w.nacc = 0, 0
 }
 
 // Grow ensures capacity for at least n more whole bytes of output, so a
@@ -67,6 +66,18 @@ func (w *BitWriter) WriteBits(v uint64, width uint) {
 	w.write32(v, width)
 }
 
+// Put appends cw, a codeword of at most 32 bits, and reports true. For
+// the absent codeword, or one longer than 32 bits, it writes nothing and
+// reports false, so the caller's cold path can name the value or write the
+// long codeword with Code.Encode. It inlines.
+func (w *BitWriter) Put(cw Codeword) bool {
+	if cw.len-1 >= 32 {
+		return false
+	}
+	w.write32(cw.bits, uint(cw.len))
+	return true
+}
+
 // writeWide is WriteBits for fields wider than 32 bits, out of line so the
 // common path inlines.
 func (w *BitWriter) writeWide(v uint64, width uint) {
@@ -82,7 +93,6 @@ func (w *BitWriter) writeWide(v uint64, width uint) {
 // flushed as one big-endian word. Width 0 writes nothing: Go's shift by 64
 // yields 0.
 func (w *BitWriter) write32(v uint64, width uint) {
-	w.n += int(width)
 	w.acc |= v << (64 - width) >> w.nacc
 	w.nacc += width
 	if w.nacc >= 32 {
@@ -95,8 +105,9 @@ func (w *BitWriter) write32(v uint64, width uint) {
 // WriteBit appends a single bit.
 func (w *BitWriter) WriteBit(b uint8) { w.write32(uint64(b), 1) }
 
-// Len reports the number of bits written so far.
-func (w *BitWriter) Len() int { return w.n }
+// Len reports the number of bits written so far: buf holds whole bytes,
+// and acc the rest.
+func (w *BitWriter) Len() int { return 8*len(w.buf) + int(w.nacc) }
 
 // flushBytes moves the whole bytes pending in the accumulator to buf,
 // leaving fewer than eight bits pending.
@@ -116,7 +127,6 @@ func (w *BitWriter) Append(src *BitWriter) {
 	body := src.buf
 	if w.nacc == 0 {
 		w.buf = append(w.buf, body...)
-		w.n += 8 * len(body)
 	} else {
 		for ; len(body) >= 4; body = body[4:] {
 			w.write32(uint64(binary.BigEndian.Uint32(body)), 32)

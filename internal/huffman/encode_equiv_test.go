@@ -89,8 +89,8 @@ func TestWriteBitsMatchesReference(t *testing.T) {
 
 // refCodewords is the canonical codeword assignment as a plain map, the
 // encoder every code used before the dense table.
-func refCodewords(c *Code) map[uint32]codeword {
-	enc := make(map[uint32]codeword, len(c.D))
+func refCodewords(c *Code) map[uint32]Codeword {
+	enc := make(map[uint32]Codeword, len(c.D))
 	var b uint64
 	j := 0
 	for i := 1; i <= c.MaxLen(); i++ {
@@ -98,7 +98,7 @@ func refCodewords(c *Code) map[uint32]codeword {
 			b = 2 * (b + uint64(c.N[i-1]))
 		}
 		for k := 0; k < c.N[i]; k++ {
-			enc[c.D[j]] = codeword{bits: b + uint64(k), len: uint8(i)}
+			enc[c.D[j]] = Codeword{bits: b + uint64(k), len: uint8(i)}
 			j++
 		}
 	}
@@ -120,7 +120,7 @@ func checkEncoder(t *testing.T, name string, c *Code) {
 	t.Helper()
 	ref := refCodewords(c)
 	for _, v := range c.D {
-		if cw := c.lookup(v); cw != ref[v] {
+		if cw := c.Lookup(v); cw != ref[v] {
 			t.Fatalf("%s: value %d: codeword %+v, reference %+v", name, v, cw, ref[v])
 		}
 		if got := c.CodeLen(v); got != int(ref[v].len) {
@@ -135,6 +135,43 @@ func checkEncoder(t *testing.T, name string, c *Code) {
 		if !bytes.Equal(w.Bytes(), rw.bytes()) {
 			t.Fatalf("%s: Encode(%d) bits differ from the reference codeword", name, v)
 		}
+
+		// Put writes a codeword of at most 32 bits as Encode does and
+		// leaves a longer one to its caller; Dense serves dense codes.
+		var pw BitWriter
+		if ok := pw.Put(c.Lookup(v)); ok != (ref[v].len <= 32) {
+			t.Fatalf("%s: Put(Lookup(%d)) = %v for a %d-bit codeword", name, v, ok, ref[v].len)
+		} else if ok && !bytes.Equal(pw.Bytes(), rw.bytes()) {
+			t.Fatalf("%s: Put(Lookup(%d)) bits differ from the reference codeword", name, v)
+		} else if !ok && pw.Len() != 0 {
+			t.Fatalf("%s: Put of a %d-bit codeword wrote %d bits", name, ref[v].len, pw.Len())
+		}
+		want := ref[v]
+		if c.wide != nil {
+			want = Codeword{}
+		}
+		if cw := c.Dense(v); cw != want {
+			t.Fatalf("%s: Dense(%d) = %+v, want %+v", name, v, cw, want)
+		}
+	}
+}
+
+// TestPutLongCodewords: in a code with codewords past 32 bits (Fibonacci
+// frequencies make a 45-level tree), Put refuses exactly the long ones,
+// from the dense and from the open-addressed table.
+func TestPutLongCodewords(t *testing.T) {
+	for _, base := range []uint32{0, 1 << 20} {
+		freq := map[uint32]uint64{}
+		a, b := uint64(1), uint64(1)
+		for i := uint32(0); i < 46; i++ {
+			freq[base+i] = a
+			a, b = b, a+b
+		}
+		c := Build(freq)
+		if c.MaxLen() <= 32 {
+			t.Fatalf("base %d: longest codeword %d bits, want more than 32", base, c.MaxLen())
+		}
+		checkEncoder(t, fmt.Sprintf("fibonacci base %d", base), c)
 	}
 }
 
@@ -184,6 +221,9 @@ func TestEncodeAbsentValues(t *testing.T) {
 			}
 			if w.Len() != 0 || c.CodeLen(v) != 0 {
 				t.Errorf("absent value %d wrote %d bits, CodeLen %d", v, w.Len(), c.CodeLen(v))
+			}
+			if w.Put(c.Lookup(v)) || w.Put(c.Dense(v)) || w.Len() != 0 {
+				t.Errorf("Put of absent value %d reported true or wrote %d bits", v, w.Len())
 			}
 		}
 	}

@@ -30,7 +30,7 @@ type Code struct {
 	// whose values all lie below denseLimit (opcode, register, func and
 	// literal streams); wide, an open-addressed table, serves the wide ones
 	// (displacements, hints, PAL codes).
-	dense     []codeword
+	dense     []Codeword
 	wide      []wideSlot
 	wideShift uint8 // 32 - log2(len(wide))
 	// dec is the first-K-bits decode table (decode.go), derived on demand.
@@ -61,8 +61,9 @@ func (s DecodeStats) AddTo(total *DecodeStats) {
 	total.TreeDecodes += s.TreeDecodes
 }
 
-// codeword is one value's code; len 0 marks a value absent from dense.
-type codeword struct {
+// Codeword is one value's code, as Dense and Lookup return it for
+// BitWriter.Put; length 0 marks a value absent from the code.
+type Codeword struct {
 	bits uint64
 	len  uint8
 }
@@ -74,7 +75,7 @@ const denseLimit = 256
 // wideSlot is one entry of the open-addressed table that serves codes with
 // values at or above denseLimit; cw.len 0 marks an empty slot.
 type wideSlot struct {
-	cw  codeword
+	cw  Codeword
 	val uint32
 }
 
@@ -269,7 +270,7 @@ func (c *Code) buildEncoder() {
 	}
 	c.dense, c.wide = nil, nil
 	if maxV < denseLimit {
-		c.dense = make([]codeword, maxV+1)
+		c.dense = make([]Codeword, maxV+1)
 	} else {
 		k := bits.Len(uint(2*len(c.D) - 1))
 		c.wide = make([]wideSlot, 1<<k)
@@ -282,7 +283,7 @@ func (c *Code) buildEncoder() {
 			b = 2 * (b + uint64(c.N[i-1]))
 		}
 		for k := 0; k < c.N[i] && j < len(c.D); k++ {
-			cw := codeword{bits: b + uint64(k), len: uint8(i)}
+			cw := Codeword{bits: b + uint64(k), len: uint8(i)}
 			if c.dense != nil {
 				c.dense[c.D[j]] = cw
 			} else {
@@ -296,7 +297,7 @@ func (c *Code) buildEncoder() {
 // insertWide stores v's codeword in the open-addressed table. A value that
 // repeats in D (possible only in corrupt tables) keeps its last codeword,
 // as the dense table does.
-func (c *Code) insertWide(v uint32, cw codeword) {
+func (c *Code) insertWide(v uint32, cw Codeword) {
 	mask := uint32(len(c.wide) - 1)
 	for i := wideIndex(v, c.wideShift); ; i = (i + 1) & mask {
 		s := &c.wide[i]
@@ -307,19 +308,25 @@ func (c *Code) insertWide(v uint32, cw codeword) {
 	}
 }
 
-// lookup returns v's codeword; length 0 means v is not in the code.
-func (c *Code) lookup(v uint32) codeword {
-	if c.wide != nil {
-		return c.lookupWide(v)
-	}
-	if uint64(v) < uint64(len(c.dense)) {
+// Dense returns v's codeword from the dense table: the whole lookup for a
+// code whose values all lie below 256, which every stream of at most 8
+// bits is. For a value outside the table, or a code with the wide table,
+// it returns the absent codeword. It inlines, as Lookup and BitWriter.Put
+// do, so a coder that knows a stream's width writes a field with neither a
+// call nor a dense-or-wide branch.
+func (c *Code) Dense(v uint32) Codeword {
+	if v < uint32(len(c.dense)) {
 		return c.dense[v]
 	}
-	return codeword{}
+	return Codeword{}
 }
 
-// lookupWide probes the open-addressed table for v.
-func (c *Code) lookupWide(v uint32) codeword {
+// Lookup returns v's codeword from whichever table the code has; length 0
+// means v is not in the code.
+func (c *Code) Lookup(v uint32) Codeword {
+	if c.wide == nil {
+		return c.Dense(v)
+	}
 	mask := uint32(len(c.wide) - 1)
 	for i := wideIndex(v, c.wideShift); ; i = (i + 1) & mask {
 		s := &c.wide[i]
@@ -348,13 +355,11 @@ func (c *Code) Prime() {
 // the code, which indicates the frequency pass and the encode pass saw
 // different data.
 func (c *Code) Encode(w *BitWriter, v uint32) error {
-	cw := c.lookup(v)
+	cw := c.Lookup(v)
 	if cw.len == 0 {
 		return absent(v)
 	}
-	if cw.len <= 32 {
-		w.write32(cw.bits, uint(cw.len)) // WriteBits' common case, inlined
-	} else {
+	if !w.Put(cw) {
 		w.writeWide(cw.bits, uint(cw.len))
 	}
 	return nil
@@ -368,7 +373,7 @@ func absent(v uint32) error { return fmt.Errorf("huffman: value %d not present i
 
 // CodeLen reports the codeword length in bits for v, or 0 if absent.
 func (c *Code) CodeLen(v uint32) int {
-	return int(c.lookup(v).len)
+	return int(c.Lookup(v).len)
 }
 
 // ErrBadCode reports a codeword that exceeds every valid length, meaning the

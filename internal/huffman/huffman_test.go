@@ -85,7 +85,7 @@ func TestPaperExample(t *testing.T) {
 	}
 	c.buildEncoder()
 	for i, v := range c.D {
-		cw := c.lookup(v)
+		cw := c.Lookup(v)
 		if cw.bits != wantCodes[i].bits || cw.len != wantCodes[i].len {
 			t.Errorf("value %d: codeword %0*b (len %d), want %0*b (len %d)",
 				v, cw.len, cw.bits, cw.len, wantCodes[i].len, wantCodes[i].bits, wantCodes[i].len)

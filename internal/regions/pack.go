@@ -2,7 +2,8 @@ package regions
 
 import (
 	"container/heap"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/cfg"
 )
@@ -80,6 +81,28 @@ type packer struct {
 // realizes the table-word savings the paper attributes to packing small
 // fragmented regions together.
 func packRegions(res *Result, x *blockIndex, maxWords int) {
+	pk := newPacker(res, x, maxWords)
+	pk.mergeRelated()
+	pk.firstFitDecreasing()
+
+	// Renumber compactly in ascending original-ID order.
+	var out []*Region
+	for _, r := range pk.regions {
+		if r == nil {
+			continue
+		}
+		r.ID = len(out)
+		for _, i := range r.Members {
+			res.RegionOf[i] = int32(r.ID)
+		}
+		out = append(out, r)
+	}
+	res.Regions = out
+}
+
+// newPacker sets up the packing of res's regions, numbered 0..n-1, into
+// buffers of maxWords words.
+func newPacker(res *Result, x *blockIndex, maxWords int) *packer {
 	n := len(res.Regions)
 	pk := &packer{
 		x:        x,
@@ -97,22 +120,7 @@ func packRegions(res *Result, x *blockIndex, maxWords int) {
 	for id, r := range res.Regions {
 		pk.words[id] = x.bufferWords(r.Members)
 	}
-	pk.mergeRelated()
-	pk.firstFitDecreasing()
-
-	// Renumber compactly in ascending original-ID order.
-	var out []*Region
-	for _, r := range pk.regions {
-		if r == nil {
-			continue
-		}
-		r.ID = len(out)
-		for _, i := range r.Members {
-			res.RegionOf[i] = int32(r.ID)
-		}
-		out = append(out, r)
-	}
-	res.Regions = out
+	return pk
 }
 
 // mergeRelated is phase 1: greedy merging of related pairs by savings.
@@ -271,33 +279,133 @@ func (pk *packer) merge(a, b int32) {
 }
 
 // firstFitDecreasing is phase 2: first-fit-decreasing packing of what
-// remains, for the function-offset-table savings.
+// remains, for the function-offset-table savings. Each region, largest
+// first, joins the first bin, in the order the bins opened, that it fits,
+// or opens a bin.
+//
+// Region id fits a bin of w words when w ≤ maxWords − words[id] + 1, or
+// with one word more when the bin's last block falls through to id's first
+// (mergedWords). A min-tree over the bins' word counts finds the first bin
+// under the plain bound in log time. A knitted bin ends in a fallthrough
+// predecessor of id's first block, so knitPos finds those through Preds
+// and FallsTo: one block at most, in a program laid out as lifted.
 func (pk *packer) firstFitDecreasing() {
-	var ids []int32
+	ids := pk.liveBySize()
+	// binAt holds each bin's region ID by position, binPos each region's
+	// bin position (pk.slot, idle after phase 1, holds -1 everywhere).
+	binAt := make([]int32, 0, len(ids))
+	binPos := pk.slot
+	tree := newMinTree()
+	for _, id := range ids {
+		limit := pk.maxWords - pk.words[id] + 1
+		pos := tree.firstAtMost(limit)
+		if k := pk.knitPos(id, limit+1, binPos); k >= 0 && (pos < 0 || k < pos) {
+			pos = k
+		}
+		if pos < 0 {
+			binPos[id] = int32(len(binAt))
+			tree.set(len(binAt), pk.words[id])
+			binAt = append(binAt, id)
+			continue
+		}
+		bin := binAt[pos]
+		pk.merge(bin, id)
+		tree.set(pos, pk.words[bin])
+	}
+}
+
+// liveBySize lists the live regions by decreasing BufferWords, ties by ID.
+func (pk *packer) liveBySize() []int32 {
+	n := 0
+	for _, r := range pk.regions {
+		if r != nil {
+			n++
+		}
+	}
+	ids := make([]int32, 0, n)
 	for id, r := range pk.regions {
 		if r != nil {
 			ids = append(ids, int32(id))
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		wi, wj := pk.words[ids[i]], pk.words[ids[j]]
-		if wi != wj {
-			return wi > wj
+	slices.SortFunc(ids, func(a, b int32) int {
+		if wa, wb := pk.words[a], pk.words[b]; wa != wb {
+			return wb - wa
 		}
-		return ids[i] < ids[j]
+		return int(a - b)
 	})
-	var bins []int32
-	for _, id := range ids {
-		placed := false
-		for _, bin := range bins {
-			if pk.mergedWords(bin, id) <= pk.maxWords {
-				pk.merge(bin, id)
-				placed = true
-				break
-			}
+	return ids
+}
+
+// knitPos returns the lowest position, by binPos, of the bins of at most
+// limit words whose last block falls through to region id's first block,
+// or -1.
+func (pk *packer) knitPos(id int32, limit int, binPos []int32) int {
+	first := pk.regions[id].Members[0]
+	pos := -1
+	for _, p := range pk.x.Preds(first) {
+		g := pk.regionOf[p]
+		if pk.x.FallsTo[p] != first || g == noRegion || binPos[g] < 0 || pk.words[g] > limit {
+			continue
 		}
-		if !placed {
-			bins = append(bins, id)
+		if m := pk.regions[g].Members; m[len(m)-1] == p && (pos < 0 || int(binPos[g]) < pos) {
+			pos = int(binPos[g])
 		}
 	}
+	return pos
+}
+
+// minTree is a segment tree over bin positions holding each bin's word
+// count; positions not yet opened hold math.MaxInt32. It starts small and
+// doubles as bins open, since most regions join a bin rather than open one.
+type minTree struct {
+	leaves int     // a power of two
+	node   []int32 // node[1] is the root; node i's children are 2i and 2i+1
+}
+
+func newMinTree() *minTree {
+	t := &minTree{}
+	t.grow(64)
+	return t
+}
+
+// grow widens the tree to leaves positions, keeping the values it holds.
+func (t *minTree) grow(leaves int) {
+	node := make([]int32, 2*leaves)
+	for i := range node {
+		node[i] = math.MaxInt32
+	}
+	copy(node[leaves:], t.node[t.leaves:])
+	t.leaves, t.node = leaves, node
+	for i := leaves - 1; i >= 1; i-- {
+		node[i] = min(node[2*i], node[2*i+1])
+	}
+}
+
+// set stores v at position pos.
+func (t *minTree) set(pos, v int) {
+	if pos >= t.leaves {
+		t.grow(2 * t.leaves)
+	}
+	i := t.leaves + pos
+	t.node[i] = int32(v)
+	for i > 1 {
+		i /= 2
+		t.node[i] = min(t.node[2*i], t.node[2*i+1])
+	}
+}
+
+// firstAtMost returns the lowest position holding at most limit, or -1.
+func (t *minTree) firstAtMost(limit int) int {
+	if int(t.node[1]) > limit {
+		return -1
+	}
+	i := 1
+	for i < t.leaves {
+		i *= 2
+		if int(t.node[i]) > limit {
+			i++
+		}
+	}
+	return i - t.leaves
 }

@@ -1,7 +1,9 @@
 package regions
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -183,5 +185,113 @@ cl_mid: xor  t2, 9, t2
 	mid, okM := inRegion(res, x, "cl_mid")
 	if !okH || !okM || hdr != mid {
 		t.Fatalf("loop split: cl_hdr in %d (%v), cl_mid in %d (%v)", hdr, okH, mid, okM)
+	}
+}
+
+// randomRegions lifts one function of nb blocks with random instruction
+// counts, most falling through to the next, and cuts its blocks into
+// regions: runs of consecutive blocks, some with their members shuffled,
+// numbered in random order. Consecutive runs knit when the first ends in a
+// fallthrough. A third of the programs have blocks of 10–12 instructions
+// and one-block regions, so that few regions share a tight bin.
+func randomRegions(t *testing.T, rng *rand.Rand, nb int) (*Result, *blockIndex) {
+	t.Helper()
+	nop := cfg.Inst{Word: isa.Encode(isa.Nop())}
+	f := &cfg.Func{Name: "f"}
+	even := rng.Intn(3) == 0
+	for i := 0; i < nb; i++ {
+		size := 1 + rng.Intn(20)
+		if even {
+			size = 10 + rng.Intn(3)
+		}
+		b := &cfg.Block{Label: fmt.Sprintf("f$%d", i), Insts: make([]cfg.Inst, size)}
+		if i == 0 {
+			b.Label = "f"
+		}
+		for k := range b.Insts {
+			b.Insts[k] = nop
+		}
+		f.Blocks = append(f.Blocks, b)
+	}
+	for i, b := range f.Blocks[:nb-1] {
+		if rng.Intn(4) != 0 {
+			b.FallsTo = f.Blocks[i+1].Label
+		}
+	}
+	x, err := cfg.NewIndex(&cfg.Program{Funcs: []*cfg.Func{f}, Entry: "f"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs [][]int32
+	for i := 0; i < nb; {
+		n := min(1+rng.Intn(4), nb-i)
+		if even {
+			n = 1
+		}
+		run := make([]int32, n)
+		for k := range run {
+			run[k] = int32(i + k)
+		}
+		if rng.Intn(5) == 0 {
+			rng.Shuffle(n, func(a, b int) { run[a], run[b] = run[b], run[a] })
+		}
+		runs = append(runs, run)
+		i += n
+	}
+	res := &Result{RegionOf: make([]int32, nb)}
+	for id, k := range rng.Perm(len(runs)) {
+		r := &Region{ID: id, Members: runs[k]}
+		for _, i := range r.Members {
+			r.Blocks = append(r.Blocks, x.Blocks[i])
+			res.RegionOf[i] = int32(id)
+		}
+		res.Regions = append(res.Regions, r)
+	}
+	return res, newBlockIndex(x)
+}
+
+// TestFirstFitMatchesLinearScan: the min-tree first fit packs random
+// regions, with random sizes and knits, into the bins the linear scan
+// picks, under buffer bounds from the largest region's size up. Some
+// trials open more bins than the tree's first 64 leaves.
+func TestFirstFitMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	mostBins := 0
+	for trial := 0; trial < 300; trial++ {
+		res, bx := randomRegions(t, rng, 2+rng.Intn(600))
+		largest := 0
+		for _, r := range res.Regions {
+			largest = max(largest, bx.bufferWords(r.Members))
+		}
+		maxWords := largest + rng.Intn(3*largest)
+
+		clone := func() *Result {
+			c := &Result{RegionOf: append([]int32(nil), res.RegionOf...)}
+			for _, r := range res.Regions {
+				c.Regions = append(c.Regions, &Region{ID: r.ID,
+					Blocks: append([]*cfg.Block(nil), r.Blocks...), Members: append([]int32(nil), r.Members...)})
+			}
+			return c
+		}
+		got, want := newPacker(clone(), bx, maxWords), newPacker(clone(), bx, maxWords)
+		got.firstFitDecreasing()
+		refFirstFitDecreasing(want)
+		if !reflect.DeepEqual(got.regionOf, want.regionOf) || !reflect.DeepEqual(got.words, want.words) {
+			t.Fatalf("trial %d (K=%d words): packing differs from the linear scan:\n got %v\nwant %v",
+				trial, maxWords, got.regionOf, want.regionOf)
+		}
+		bins := 0
+		for id := range got.regions {
+			if g, w := got.regions[id], want.regions[id]; (g == nil) != (w == nil) || g != nil && !reflect.DeepEqual(g.Members, w.Members) {
+				t.Fatalf("trial %d: region %d differs from the linear scan", trial, id)
+			}
+			if got.regions[id] != nil {
+				bins++
+			}
+		}
+		mostBins = max(mostBins, bins)
+	}
+	if mostBins <= 128 {
+		t.Errorf("at most %d bins in a trial; want some past 128, so the tree grows twice", mostBins)
 	}
 }

@@ -640,3 +640,36 @@ func refBuildPreds(p *cfg.Program, workers int) *refPreds {
 	}
 	return pr
 }
+
+// refFirstFitDecreasing is the packer's phase 2 as a linear scan, kept as
+// the oracle for the min-tree first fit: each region, largest first, tries
+// every open bin in turn through mergedWords.
+func refFirstFitDecreasing(pk *packer) {
+	var ids []int32
+	for id, r := range pk.regions {
+		if r != nil {
+			ids = append(ids, int32(id))
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		wi, wj := pk.words[ids[i]], pk.words[ids[j]]
+		if wi != wj {
+			return wi > wj
+		}
+		return ids[i] < ids[j]
+	})
+	var bins []int32
+	for _, id := range ids {
+		placed := false
+		for _, bin := range bins {
+			if pk.mergedWords(bin, id) <= pk.maxWords {
+				pk.merge(bin, id)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			bins = append(bins, id)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package streamcomp
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/huffman"
@@ -151,5 +152,133 @@ func TestTrainMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refCompress is the field-by-field Compress, kept as the oracle for the
+// per-format cases: it walks isa.LayoutOf's fields for every word and takes
+// each field's MTF step and Code.Encode in turn.
+func refCompress(c *Compressor, w *huffman.BitWriter, seq []uint32) error {
+	mtf := c.newMTF()
+	put := func(k isa.StreamKind, v uint32) error {
+		if mtf != nil {
+			v = mtf[k].encode(v)
+		}
+		if err := c.codes[k].Encode(w, v); err != nil {
+			return fieldError(k, err)
+		}
+		return nil
+	}
+	for _, word := range seq {
+		lay := isa.LayoutOf(word)
+		if word&^lay.Cover != 0 {
+			return fmt.Errorf("streamcomp: word %#08x is not a canonical region instruction", word)
+		}
+		if err := put(isa.StreamOpcode, word>>26); err != nil {
+			return err
+		}
+		for _, r := range lay.Fields {
+			if err := put(r.Kind, word>>r.Shift&(1<<r.Bits-1)); err != nil {
+				return err
+			}
+		}
+	}
+	return put(isa.StreamOpcode, isa.OpIllegal)
+}
+
+// randWord draws a canonical word of a legal format with random fields.
+func randWord(rng *rand.Rand) uint32 {
+	for {
+		w := rng.Uint32()
+		if lay := isa.LayoutOf(w); lay.Format != isa.FormatIllegal {
+			return w & lay.Cover
+		}
+	}
+}
+
+// skewCodes rebuilds some of c's codes over the values they code, minus a
+// few left out so that words holding them meet an absent value. Where a
+// code has enough values, the rebuilt one has Fibonacci frequencies, so its
+// rarest values get codewords longer than 32 bits.
+func skewCodes(rng *rand.Rand, c *Compressor) (long bool) {
+	for k, code := range c.codes {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		freq := map[uint32]uint64{}
+		a, b := uint64(1), uint64(1)
+		for i, j := range rng.Perm(len(code.D)) {
+			if i > 0 && rng.Intn(40) == 0 {
+				continue // absent from the rebuilt code
+			}
+			freq[code.D[j]] = 1 + uint64(rng.Intn(50))
+			if i < 40 {
+				freq[code.D[j]] = a
+				a, b = b, a+b
+			}
+		}
+		c.codes[k] = huffman.Build(freq)
+		long = long || c.codes[k].MaxLen() > 32
+	}
+	return long
+}
+
+// TestCompressMatchesReference: Compress writes the bits refCompress
+// writes, and fails where and as it fails, on random words of every format
+// with MTF off and on. The codes leave out some values and code others in
+// more than 32 bits; some sequences hold a non-canonical word (an operate
+// word with sbz bits set, an illegal opcode, the sentinel). Bits written
+// before a failure are compared too.
+func TestCompressMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	formats := map[isa.Format]int{}
+	var errs, longs int
+	for trial := 0; trial < 40; trial++ {
+		pool := make([]uint32, 50+rng.Intn(400))
+		for i := range pool {
+			pool[i] = randWord(rng)
+		}
+		seqs := make([][]uint32, 60)
+		for i := range seqs {
+			for n := rng.Intn(80); n > 0; n-- {
+				seqs[i] = append(seqs[i], pool[rng.Intn(len(pool))])
+			}
+		}
+		for _, mtf := range []bool{false, true} {
+			c := Train(seqs, Options{MTF: mtf, Workers: 1})
+			if skewCodes(rng, c) {
+				longs++
+			}
+			for i, seq := range seqs {
+				seq = append([]uint32(nil), seq...)
+				if len(seq) > 0 && rng.Intn(8) == 0 {
+					add := isa.Encode(isa.OpR(isa.OpIntA, 1, 2, isa.FnADD, 3))
+					bad := []uint32{add | 1<<13, 0x01 << 26, 0x3E<<26 | 0x1234, isa.Sentinel}
+					seq[rng.Intn(len(seq))] = bad[rng.Intn(len(bad))]
+				}
+				for _, w := range seq {
+					formats[isa.FormatOfWord(w)]++
+				}
+				var got, want huffman.BitWriter
+				gotErr, wantErr := c.Compress(&got, seq), refCompress(c, &want, seq)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("trial %d MTF=%v seq %d: Compress error %v, reference %v", trial, mtf, i, gotErr, wantErr)
+				}
+				if gotErr != nil {
+					errs++
+				}
+				if got.Len() != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("trial %d MTF=%v seq %d: %d bits differ from the reference's %d", trial, mtf, i, got.Len(), want.Len())
+				}
+			}
+		}
+	}
+	for f := isa.FormatPal; f <= isa.FormatIllegal; f++ {
+		if formats[f] == 0 {
+			t.Errorf("no %v word was compressed", f)
+		}
+	}
+	if errs == 0 || longs == 0 {
+		t.Errorf("%d failed sequences and %d skewed compressors with codewords past 32 bits; want both", errs, longs)
 	}
 }

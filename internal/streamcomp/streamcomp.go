@@ -103,12 +103,10 @@ func Train(seqs [][]uint32, opts Options) *Compressor {
 		count = func(f *streamCounts, seq []uint32) {
 			mtf := c.newMTF()
 			for _, w := range seq {
-				f.add(isa.StreamOpcode, mtf[isa.StreamOpcode].encode(w>>26))
-				for _, r := range isa.LayoutOf(w).Fields {
-					f.add(r.Kind, mtf[r.Kind].encode(w>>r.Shift&(1<<r.Bits-1)))
-				}
+				lay := isa.LayoutOf(w)
+				countWord(f, mtfWord(mtf, w, lay), lay.Format)
 			}
-			f.add(isa.StreamOpcode, mtf[isa.StreamOpcode].encode(isa.OpIllegal))
+			f.addDense(isa.StreamOpcode, mtf[isa.StreamOpcode].encode(isa.OpIllegal))
 		}
 	}
 	freqs := countChunks(seqs, opts.Workers, count)
@@ -136,12 +134,44 @@ func Train(seqs [][]uint32, opts Options) *Compressor {
 // sentinel opcode, into f.
 func countFields(f *streamCounts, seq []uint32) {
 	for _, w := range seq {
-		f.add(isa.StreamOpcode, w>>26)
-		for _, r := range isa.LayoutOf(w).Fields {
-			f.add(r.Kind, w>>r.Shift&(1<<r.Bits-1))
-		}
+		countWord(f, w, isa.LayoutOf(w).Format)
 	}
-	f.add(isa.StreamOpcode, isa.OpIllegal)
+	f.addDense(isa.StreamOpcode, isa.OpIllegal)
+}
+
+// countWord counts the opcode and the fields of w, split as format splits
+// a word. Each case spells out its format's isa.LayoutOf fields (stream,
+// shift and width, in decode order; TestFormatCasesMatchLayout holds them
+// to it), so a field costs a shift, a mask and a count, with no loop over
+// the layout and no dense-or-map branch. An illegal-format word has only
+// its opcode.
+func countWord(f *streamCounts, w uint32, format isa.Format) {
+	f.addDense(isa.StreamOpcode, w>>26)
+	switch format {
+	case isa.FormatPal:
+		f.addSparse(isa.StreamPalFunc, w&(1<<26-1))
+	case isa.FormatMem:
+		f.addDense(isa.StreamMemRA, w>>21&31)
+		f.addDense(isa.StreamMemRB, w>>16&31)
+		f.addDense(isa.StreamMemDisp, w&0xFFFF)
+	case isa.FormatBranch:
+		f.addDense(isa.StreamBrRA, w>>21&31)
+		f.addSparse(isa.StreamBrDisp, w&(1<<21-1))
+	case isa.FormatOpReg:
+		f.addDense(isa.StreamOpRA, w>>21&31)
+		f.addDense(isa.StreamOpFunc, w>>5&0xFF)
+		f.addDense(isa.StreamOpRB, w>>16&31)
+		f.addDense(isa.StreamOpRC, w&31)
+	case isa.FormatOpLit:
+		f.addDense(isa.StreamOpRA, w>>21&31)
+		f.addDense(isa.StreamOpFunc, w>>5&0xFF)
+		f.addDense(isa.StreamOpLit, w>>13&0xFF)
+		f.addDense(isa.StreamOpRC, w&31)
+	case isa.FormatJump:
+		f.addDense(isa.StreamJmpRA, w>>21&31)
+		f.addDense(isa.StreamJmpRB, w>>16&31)
+		f.addDense(isa.StreamJmpHint, w&0xFFFF)
+	}
 }
 
 // denseBits is the widest stream counted in a flat array: the 16-bit
@@ -216,15 +246,18 @@ func forSeen(seen []uint64, fn func(v uint32)) {
 	}
 }
 
-// add counts one occurrence of value v in stream k.
-func (f *streamCounts) add(k isa.StreamKind, v uint32) {
-	if d := f.dense[k]; d != nil {
-		d[v]++
+// addDense counts one occurrence of value v in stream k, a stream of at
+// most denseBits bits.
+func (f *streamCounts) addDense(k isa.StreamKind, v uint32) {
+	d := f.dense[k]
+	if d[v] == 0 {
 		f.seen[k][v>>6] |= 1 << (v & 63)
-	} else {
-		f.sparse[k][v]++
 	}
+	d[v]++
 }
+
+// addSparse is addDense for a stream wider than denseBits.
+func (f *streamCounts) addSparse(k isa.StreamKind, v uint32) { f.sparse[k][v]++ }
 
 // merge adds o's counts into f.
 func (f *streamCounts) merge(o *streamCounts) {
@@ -326,35 +359,75 @@ func (c *Compressor) newMTF() []*mtfState {
 	return out
 }
 
+// mtfWord returns w with its opcode and each field of its layout replaced
+// by the value's move-to-front index in the field's stream, and fronts each
+// value. A word uses each stream at most once, so stepping its fields
+// together gives the indices a field-by-field walk would. An index fits its
+// field: an alphabet holds distinct values of the stream's width.
+func mtfWord(mtf []*mtfState, w uint32, lay *isa.WordLayout) uint32 {
+	t := mtf[isa.StreamOpcode].encode(w>>26) << 26
+	for _, r := range lay.Fields {
+		t |= mtf[r.Kind].encode(w>>r.Shift&(1<<r.Bits-1)) << r.Shift
+	}
+	return t
+}
+
 // Compress appends the merged codeword sequence for seq (plus the sentinel)
 // to w. MTF state starts fresh for each sequence so regions decompress
 // independently. A word its format's fields do not cover (an illegal
 // opcode, the sentinel, an operate word with sbz bits set) is refused:
 // the decoder could not give it back.
+//
+// Each format is one case that names its streams in decode order, as
+// countWord does, so a field costs a shift, a mask, an inlined table
+// lookup and an inlined bit write. Streams of at most 8 bits always have a
+// dense table (Code.Dense); the wider ones may have either (Code.Lookup).
+// Under MTF the word's fields are replaced by their recency indices first,
+// and the same cases code those. A field BitWriter.Put cannot write (an
+// absent value, a codeword past 32 bits) sends the rest of the word to
+// finishWord.
 func (c *Compressor) Compress(w *huffman.BitWriter, seq []uint32) error {
 	mtf := c.newMTF()
-	codes := &c.codes
-	// Each field is one call, to its code's Encode: a helper that also
-	// took the MTF step made it two calls and pgp's regions ~15% slower.
+	cs := &c.codes
 	for _, word := range seq {
 		lay := isa.LayoutOf(word)
 		if word&^lay.Cover != 0 {
 			return fmt.Errorf("streamcomp: word %#08x is not a canonical region instruction", word)
 		}
-		op := word >> 26
+		v := word
 		if mtf != nil {
-			op = mtf[isa.StreamOpcode].encode(op)
+			v = mtfWord(mtf, word, lay)
 		}
-		if err := codes[isa.StreamOpcode].Encode(w, op); err != nil {
-			return fieldError(isa.StreamOpcode, err)
+		mark := w.Len()
+		ok := w.Put(cs[isa.StreamOpcode].Dense(v >> 26))
+		switch lay.Format {
+		case isa.FormatPal:
+			ok = ok && w.Put(cs[isa.StreamPalFunc].Lookup(v&(1<<26-1)))
+		case isa.FormatMem:
+			ok = ok && w.Put(cs[isa.StreamMemRA].Dense(v>>21&31)) &&
+				w.Put(cs[isa.StreamMemRB].Dense(v>>16&31)) &&
+				w.Put(cs[isa.StreamMemDisp].Lookup(v&0xFFFF))
+		case isa.FormatBranch:
+			ok = ok && w.Put(cs[isa.StreamBrRA].Dense(v>>21&31)) &&
+				w.Put(cs[isa.StreamBrDisp].Lookup(v&(1<<21-1)))
+		case isa.FormatOpReg:
+			ok = ok && w.Put(cs[isa.StreamOpRA].Dense(v>>21&31)) &&
+				w.Put(cs[isa.StreamOpFunc].Dense(v>>5&0xFF)) &&
+				w.Put(cs[isa.StreamOpRB].Dense(v>>16&31)) &&
+				w.Put(cs[isa.StreamOpRC].Dense(v&31))
+		case isa.FormatOpLit:
+			ok = ok && w.Put(cs[isa.StreamOpRA].Dense(v>>21&31)) &&
+				w.Put(cs[isa.StreamOpFunc].Dense(v>>5&0xFF)) &&
+				w.Put(cs[isa.StreamOpLit].Dense(v>>13&0xFF)) &&
+				w.Put(cs[isa.StreamOpRC].Dense(v&31))
+		case isa.FormatJump:
+			ok = ok && w.Put(cs[isa.StreamJmpRA].Dense(v>>21&31)) &&
+				w.Put(cs[isa.StreamJmpRB].Dense(v>>16&31)) &&
+				w.Put(cs[isa.StreamJmpHint].Lookup(v&0xFFFF))
 		}
-		for _, r := range lay.Fields {
-			v := word >> r.Shift & (1<<r.Bits - 1)
-			if mtf != nil {
-				v = mtf[r.Kind].encode(v)
-			}
-			if err := codes[r.Kind].Encode(w, v); err != nil {
-				return fieldError(r.Kind, err)
+		if !ok {
+			if err := c.finishWord(w, lay, v, w.Len()-mark); err != nil {
+				return err
 			}
 		}
 	}
@@ -362,8 +435,46 @@ func (c *Compressor) Compress(w *huffman.BitWriter, seq []uint32) error {
 	if mtf != nil {
 		op = mtf[isa.StreamOpcode].encode(op)
 	}
-	if err := codes[isa.StreamOpcode].Encode(w, op); err != nil {
+	if err := cs[isa.StreamOpcode].Encode(w, op); err != nil {
 		return fieldError(isa.StreamOpcode, err)
+	}
+	return nil
+}
+
+// finishWord is Compress's cold path. The fast path wrote the first fields
+// of v, a word of layout lay, as written bits, and stopped at a field
+// BitWriter.Put refused. finishWord walks the layout past those fields and
+// encodes the rest through Code.Encode, which writes a long codeword and
+// names an absent value, so the error is the one a field-by-field encoder
+// gives. A stop at a field Put takes, or between fields, means the format's
+// case strayed from its layout; that is reported rather than papered over.
+func (c *Compressor) finishWord(w *huffman.BitWriter, lay *isa.WordLayout, v uint32, written int) error {
+	stopped := false
+	put := func(k isa.StreamKind, x uint32) error {
+		n := c.codes[k].CodeLen(x)
+		if written > 0 {
+			written -= n // written by the fast path
+			return nil
+		}
+		if written < 0 || !stopped && n > 0 && n <= 32 {
+			return fmt.Errorf("streamcomp: the %v case strayed from its layout before the %v field", lay.Format, k)
+		}
+		stopped = true
+		if err := c.codes[k].Encode(w, x); err != nil {
+			return fieldError(k, err)
+		}
+		return nil
+	}
+	if err := put(isa.StreamOpcode, v>>26); err != nil {
+		return err
+	}
+	for _, r := range lay.Fields {
+		if err := put(r.Kind, v>>r.Shift&(1<<r.Bits-1)); err != nil {
+			return err
+		}
+	}
+	if !stopped {
+		return fmt.Errorf("streamcomp: the %v case stopped past its layout", lay.Format)
 	}
 	return nil
 }
@@ -502,6 +613,9 @@ func (c *Compressor) UnmarshalBinary(data []byte) error {
 				v, m := binary.Uvarint(data[pos:])
 				if m <= 0 {
 					return fmt.Errorf("streamcomp: truncated alphabet for stream %d", i)
+				}
+				if k > 0 && v == 0 {
+					return fmt.Errorf("streamcomp: alphabet for stream %d repeats value %d", i, prev)
 				}
 				pos += m
 				prev += v

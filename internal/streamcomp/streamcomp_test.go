@@ -307,6 +307,9 @@ func TestUnmarshalRejectsOutOfRangeValues(t *testing.T) {
 	}{
 		{"register value", false, func(c *Compressor) { d := c.codes[k].D; d[len(d)-1] = 32 }},
 		{"alphabet value", true, func(c *Compressor) { a := c.alphabets[k]; a[len(a)-1] = 32 }},
+		// A repeat would let an alphabet outgrow its field, and an MTF
+		// index with it.
+		{"repeated alphabet value", true, func(c *Compressor) { a := c.alphabets[k]; a[1] = a[0] }},
 		{"MTF index", true, func(c *Compressor) { d := c.codes[k].D; d[len(d)-1] = uint32(len(c.alphabets[k])) }},
 	} {
 		tables, err := Train(seqs, Options{MTF: c.mtf}).MarshalBinary()
@@ -373,6 +376,77 @@ func TestStreamBitsSumToBlob(t *testing.T) {
 		}
 		if sum != uint64(w.Len()) {
 			t.Errorf("MTF=%v: stream bits sum to %d, Compress wrote %d", opts.MTF, sum, w.Len())
+		}
+	}
+}
+
+// TestFormatCasesMatchLayout holds the per-format cases of countWord and
+// Compress to isa.LayoutOf: each case must give every field of its layout
+// (stream, shift and width) and no other stream a value. For every opcode,
+// and both literal-flag settings, it probes each field with a word whose
+// field alone is all ones (a wrong stream, shift or narrower width shows)
+// and one whose field alone is zero (a wider width shows). The count pass
+// must count exactly the layout's values. The encode pass, given a
+// one-value code per stream holding that value, must encode the word in
+// one bit per field with no absent value.
+func TestFormatCasesMatchLayout(t *testing.T) {
+	for i := uint32(0); i < 128; i++ {
+		base := i>>1<<26 | i&1<<12
+		lay := isa.LayoutOf(base)
+		flag := base & (1 << 12)
+		if flag != 0 && lay.Format != isa.FormatOpLit {
+			continue // bit 12 is an operand bit of this format, not a flag
+		}
+		var probes []uint32
+		for _, r := range lay.Fields {
+			field := uint32(1<<r.Bits-1) << r.Shift
+			probes = append(probes, base|field, base|^field&(1<<26-1))
+		}
+		if len(lay.Fields) == 0 {
+			probes = append(probes, base, base|(1<<26-1))
+		}
+		for _, p := range probes {
+			w := p&^(1<<12) | flag
+			if isa.LayoutOf(w) != lay {
+				t.Fatalf("%#08x: probe %#08x left the %v layout", base, w, lay.Format)
+			}
+			want := map[isa.StreamKind]uint32{isa.StreamOpcode: w >> 26}
+			for _, r := range lay.Fields {
+				want[r.Kind] = w >> r.Shift & (1<<r.Bits - 1)
+			}
+
+			f := getStreamCounts()
+			countWord(f, w, lay.Format)
+			for k := isa.StreamKind(0); k < isa.NumStreams; k++ {
+				values, counts := f.sorted(k)
+				v, ok := want[k]
+				switch {
+				case !ok && len(values) != 0:
+					t.Errorf("%v word %#08x: count pass gave %v values %v, not in the layout", lay.Format, w, k, values)
+				case ok && (len(values) != 1 || values[0] != v || counts[0] != 1):
+					t.Errorf("%v word %#08x: count pass gave %v values %v, layout says %#x", lay.Format, w, k, values, v)
+				}
+			}
+			putStreamCounts(f)
+
+			if lay.Format == isa.FormatIllegal {
+				continue // Compress refuses these words
+			}
+			w &= lay.Cover
+			c := &Compressor{}
+			for k := range c.codes {
+				c.codes[k] = huffman.Build(nil)
+			}
+			c.codes[isa.StreamOpcode] = huffman.Build(map[uint32]uint64{w >> 26: 1, isa.OpIllegal: 1})
+			for _, r := range lay.Fields {
+				c.codes[r.Kind] = huffman.Build(map[uint32]uint64{w >> r.Shift & (1<<r.Bits - 1): 1})
+			}
+			var bw huffman.BitWriter
+			if err := c.Compress(&bw, []uint32{w}); err != nil {
+				t.Errorf("%v word %#08x: encode pass: %v", lay.Format, w, err)
+			} else if n := 1 + len(lay.Fields) + 1; bw.Len() != n {
+				t.Errorf("%v word %#08x: encode pass wrote %d bits, want %d (opcode, fields, sentinel)", lay.Format, w, bw.Len(), n)
+			}
 		}
 	}
 }
