@@ -400,6 +400,46 @@ func TestSquashRejectsATUse(t *testing.T) {
 	}
 }
 
+// TestGeneratedNameCollisionsFailSquash: the names the rewriter gives its
+// stubs and reserved areas share the output's symbol table with the input's
+// labels, so an input label that is one of them must fail the squash,
+// naming the symbol. The label is on a hot block, which survives. A
+// compile-time restore stub (rs$N) exists only in that mode, so rs$0
+// collides only there.
+func TestGeneratedNameCollisionsFailSquash(t *testing.T) {
+	const anchor = "        bne  t1, digit\n"
+	for _, tc := range []struct {
+		label  string
+		reject [2]bool // without, with compile-time restore stubs
+	}{
+		{symDecomp, [2]bool{true, true}},
+		{symStubArea, [2]bool{true, true}},
+		{symRtBuf, [2]bool{true, true}},
+		{stubPrefix + "coldsel", [2]bool{true, true}},
+		{"rs$0", [2]bool{false, true}},
+	} {
+		src := strings.Replace(testProgram, anchor, anchor+tc.label+":\n", 1)
+		if src == testProgram {
+			t.Fatal("testProgram lost its anchor line")
+		}
+		obj, _, counts := prepare(t, src, profInput)
+		for mode, ctrs := range []bool{false, true} {
+			conf := DefaultConfig()
+			conf.Regions.K = 96
+			conf.CompileTimeRestoreStubs = ctrs
+			_, err := Squash(obj, counts, conf)
+			switch {
+			case tc.reject[mode] && err == nil:
+				t.Errorf("label %s, restore stubs %v: squash accepted the collision", tc.label, ctrs)
+			case tc.reject[mode] && !strings.Contains(err.Error(), tc.label):
+				t.Errorf("label %s, restore stubs %v: error does not name the symbol: %v", tc.label, ctrs, err)
+			case !tc.reject[mode] && err != nil:
+				t.Errorf("label %s, restore stubs %v: %v", tc.label, ctrs, err)
+			}
+		}
+	}
+}
+
 func TestMaxLiveStubsBounded(t *testing.T) {
 	obj, _, counts := prepare(t, testProgram, profInput)
 	conf := DefaultConfig()
