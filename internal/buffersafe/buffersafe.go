@@ -29,17 +29,6 @@ type Result struct {
 // buffer-safe.
 func (r *Result) IsSafe(fn int32) bool { return r.Safe[fn] }
 
-// SafeCount reports how many functions are buffer-safe.
-func (r *Result) SafeCount() int {
-	n := 0
-	for _, s := range r.Safe {
-		if s {
-			n++
-		}
-	}
-	return n
-}
-
 // AnalyzeWorkers computes buffer safety for every function of the numbered
 // program x. compressed holds, by block number, the blocks chosen for
 // compression. An address-taken function may be called from anywhere,
