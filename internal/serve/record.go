@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -114,9 +115,14 @@ func contentKey(obj, prof []byte, config *core.Config) string {
 	return hex.EncodeToString(k[:8])
 }
 
+// maxRecordMs is the largest arrival offset a replay can schedule: the
+// longest time.Duration, in milliseconds.
+const maxRecordMs = float64(math.MaxInt64 / int64(time.Millisecond))
+
 // ReadStream parses a recorded JSONL stream. Blank lines are skipped; a
 // malformed line is an error (a truncated stream should fail loudly, not
-// silently replay a prefix).
+// silently replay a prefix), and so is an arrival offset that is negative
+// or past what a replay can schedule.
 func ReadStream(r io.Reader) ([]RecordEntry, error) {
 	var entries []RecordEntry
 	sc := bufio.NewScanner(r)
@@ -131,6 +137,9 @@ func ReadStream(r io.Reader) ([]RecordEntry, error) {
 		var e RecordEntry
 		if err := json.Unmarshal([]byte(text), &e); err != nil {
 			return nil, fmt.Errorf("serve: record stream line %d: %w", line, err)
+		}
+		if !(e.TMs >= 0 && e.TMs <= maxRecordMs) {
+			return nil, fmt.Errorf("serve: record stream line %d: arrival offset %v ms outside [0, %v]", line, e.TMs, maxRecordMs)
 		}
 		entries = append(entries, e)
 	}

@@ -114,3 +114,53 @@ func TestRecorderNil(t *testing.T) {
 	var r *StreamRecorder
 	r.Record(&Request{Op: OpSquash}) // must not panic
 }
+
+// FuzzReadStream feeds arbitrary bytes to ReadStream, as squashload reads a
+// recorded stream, and every entry it returns to replayRequest with no
+// fallback, with a fallback payload and with a fallback benchmark. Nothing
+// may panic; an entry's arrival offset must be one a replay can schedule;
+// and a replayed request must carry one object per item it lists.
+func FuzzReadStream(f *testing.F) {
+	conf := core.DefaultConfig()
+	var rec bytes.Buffer
+	r := NewStreamRecorder(&rec)
+	for _, req := range []*Request{
+		{Op: OpSquash, Obj: []byte("obj"), Profile: []byte("prof"), Config: &conf},
+		{Op: OpBench, Bench: "adpcm", Scale: 0.5, NoImage: true},
+		{Op: OpBatch, Items: []BatchItem{{Obj: []byte("o"), Profile: []byte("p")}, {Bench: "gsm", Scale: 1}}},
+	} {
+		r.Record(req)
+	}
+	f.Add(rec.Bytes())
+	f.Add([]byte("\n  \n{\"t_ms\":1,\"op\":\"bench\",\"bench\":\"gsm\"}\n"))
+	f.Add([]byte(`{"t_ms":-5,"op":"squash"}`))
+	f.Add([]byte(`{"t_ms":1e300,"op":"batch","items":[{},{"bench":"x"}]}`))
+	f.Add([]byte(`{"op":"batch","items":null,"config":{"Theta":2}}`))
+	f.Add([]byte(`{"op":"squash"`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := ReadStream(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, e := range entries {
+			if !(e.TMs >= 0 && e.TMs <= maxRecordMs) {
+				t.Fatalf("accepted arrival offset %v ms", e.TMs)
+			}
+		}
+		for _, o := range []LoadOptions{
+			{},
+			{FallbackObj: []byte("obj"), FallbackProfile: []byte("prof")},
+			{FallbackBench: "adpcm"},
+		} {
+			for i := range entries {
+				req, objects, ok := o.replayRequest(&entries[i])
+				if !ok {
+					continue
+				}
+				if n := max(1, len(req.Items)); n != objects {
+					t.Fatalf("%s request with %d items counted as %d objects", req.Op, len(req.Items), objects)
+				}
+			}
+		}
+	})
+}
