@@ -295,6 +295,16 @@ func (x *Index) Num(label string) int32 {
 	return NoBlock
 }
 
+// DataSym returns the index in Prog.DataSymbols of the data symbol with the
+// given name, or -1 when no data symbol has it or a block label does. Of
+// data symbols sharing a name, it returns the last.
+func (x *Index) DataSym(name string) int32 {
+	if v, ok := x.num[name]; ok && v < 0 {
+		return -1 - v
+	}
+	return -1
+}
+
 // Target returns the number of the block in references, or NoBlock.
 func (x *Index) Target(in Inst) int32 {
 	switch in.Kind() {

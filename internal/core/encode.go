@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -62,25 +63,20 @@ type encoder struct {
 	// is made once, when the entries are known.
 	stubs  []string
 	stubOf []int32
-	// place holds, for each block of the output program in layout order
-	// (the order of Lower's text symbols), the slot of addr its linked
-	// address fills: the block number of a surviving block or of the
-	// compressed block an entry stub stands for, or len(x.Blocks) plus a
-	// slot constant. addr is read by slot once the image is linked; the
-	// slot of a compressed block without an entry stub stays 0.
-	place []int32
-	addr  []uint32
-	// dataSyms is the linked image's data symbols, in Program.DataSymbols
-	// order.
-	dataSyms []objfile.Symbol
+	// addr holds output addresses by slot: the block number of a surviving
+	// block or of the compressed block an entry stub stands for, or
+	// len(x.Blocks) plus a slot constant. The slot of a compressed block
+	// without an entry stub stays 0.
+	addr []uint32
 }
 
 // regionLayout fixes where every region instruction lands in the runtime
 // buffer (word offsets; offset 0 is the dispatch jump the decompressor
-// writes).
+// writes). An instruction's offset is its block's plus its index plus the
+// expanded calls before it in the block, each of which takes two words;
+// buildSeq walks the blocks the same way.
 type regionLayout struct {
 	blockOff []int    // buffer word offset of each block, in layout order
-	instOff  [][]int  // [block index][inst index] -> buffer word offset
 	inserted [][2]int // (block index, buffer offset) of knit branches
 	words    int
 	order    []int32 // block numbers in layout order (consistency check)
@@ -93,7 +89,8 @@ type regionLayout struct {
 type rsStub struct {
 	label  string
 	region int
-	resume int // buffer word offset to return to
+	resume int      // buffer word offset to return to
+	call   cfg.Inst // the call site's instruction
 	isJSR  bool
 }
 
@@ -138,7 +135,6 @@ func (e *encoder) classifyCall(r *regions.Region, i int32, k int) callInfo {
 func (e *encoder) layoutRegion(r *regions.Region) *regionLayout {
 	lay := &regionLayout{
 		blockOff: make([]int, len(r.Blocks)),
-		instOff:  make([][]int, len(r.Blocks)),
 		order:    append([]int32(nil), r.Members...),
 	}
 	pos := 1
@@ -147,21 +143,13 @@ func (e *encoder) layoutRegion(r *regions.Region) *regionLayout {
 		lay.blockOff[bi] = pos
 		e.blockOff[i] = pos
 		lay.boundaries++
-		calls := e.x.Calls(i)
-		k := 0 // next call site
-		lay.instOff[bi] = make([]int, len(b.Insts))
-		for j := range b.Insts {
-			lay.instOff[bi][j] = pos
-			expand := false
-			if k < len(calls) && calls[k].InstIdx == j {
-				expand = e.classifyCall(r, i, k).expand
-				k++
-			}
-			if expand && !e.conf.CompileTimeRestoreStubs {
-				pos += 2
-				lay.boundaries++ // resume point after the call
-			} else {
-				pos++
+		pos += len(b.Insts)
+		if !e.conf.CompileTimeRestoreStubs {
+			for k := range e.x.Calls(i) {
+				if e.classifyCall(r, i, k).expand {
+					pos++            // an expanded call takes two buffer words
+					lay.boundaries++ // resume point after the call
+				}
 			}
 		}
 		next := cfg.NoBlock
@@ -196,15 +184,14 @@ func (e *encoder) intraOff(r *regions.Region, i int32) (int, bool) {
 	return 0, false
 }
 
-// run executes the layout, transform, encode, and accounting phases.
-func (e *encoder) run(stats *Stats) (*Output, error) {
-	// Phase 1: region layouts (address-independent). Regions are mutually
-	// independent here, so the layouts fan out; each writes only its own
-	// slot, indexed by region ID, so the merged result is order-free.
-	sp := e.span.Child("layout")
+// layout computes every region's buffer layout. Regions are mutually
+// independent here, so the layouts fan out; each writes only its own slot,
+// indexed by region ID, and its own blocks' offsets, so the merged result is
+// order-free.
+func (e *encoder) layout() error {
 	e.layouts = make([]*regionLayout, len(e.res.Regions))
 	e.blockOff = make([]int, len(e.x.Blocks))
-	if err := parallel.ForEach(len(e.res.Regions), e.conf.Workers, func(i int) error {
+	return parallel.ForEach(len(e.res.Regions), e.conf.Workers, func(i int) error {
 		r := e.res.Regions[i]
 		lay := e.layoutRegion(r)
 		if lay.words > e.conf.Regions.K/isa.WordSize {
@@ -213,36 +200,23 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 		}
 		e.layouts[r.ID] = lay
 		return nil
-	}); err != nil {
+	})
+}
+
+// run executes the layout, transform, encode, and accounting phases.
+func (e *encoder) run(stats *Stats) (*Output, error) {
+	// Phase 1: region layouts (address-independent).
+	sp := e.span.Child("layout")
+	if err := e.layout(); err != nil {
 		return nil, err
 	}
 	sp.End()
 
-	// Phase 2: build and link the output program.
+	// Phase 2: lay out and write the output image.
 	sp = e.span.Child("build.link")
-	out, entryStubWords, rsWords, stubAreaWords, err := e.buildOutput()
+	im, words, err := e.writeImage()
 	if err != nil {
 		return nil, err
-	}
-	obj2, err := cfg.Lower(out)
-	if err != nil {
-		return nil, err
-	}
-	im, err := objfile.Link(out.Entry, obj2)
-	if err != nil {
-		return nil, err
-	}
-	// The linked symbols are Lower's: the data symbols, then one per
-	// output block in layout order, so each block's address lands in its
-	// slot by position.
-	nd := len(out.DataSymbols)
-	if len(im.Symbols) != nd+len(e.place) {
-		return nil, fmt.Errorf("linked %d symbols for %d data symbols and %d blocks", len(im.Symbols), nd, len(e.place))
-	}
-	e.dataSyms = im.Symbols[:nd]
-	e.addr = make([]uint32, int(e.slot(slotRS0))+len(e.rs))
-	for j, s := range im.Symbols[nd:] {
-		e.addr[e.place[j]] = s.Addr()
 	}
 	sp.End()
 
@@ -335,14 +309,14 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 	rtbufWords := e.conf.Regions.K / isa.WordSize
 	blobWords := len(im.Text) - preBlobWords
 	foot := Footprint{
-		NeverCompressed:    (preBlobWords - entryStubWords - rsWords - DecompWords - stubAreaWords - rtbufWords) * isa.WordSize,
-		EntryStubs:         entryStubWords * isa.WordSize,
-		RestoreStubsStatic: rsWords * isa.WordSize,
+		NeverCompressed:    (preBlobWords - words.entryStubs - words.restoreStubs - DecompWords - words.stubArea - rtbufWords) * isa.WordSize,
+		EntryStubs:         words.entryStubs * isa.WordSize,
+		RestoreStubsStatic: words.restoreStubs * isa.WordSize,
 		Decompressor:       DecompWords * isa.WordSize,
 		OffsetTable:        offtabBytes,
 		CompressedCode:     blobWords * isa.WordSize,
 		CodeTables:         len(tables),
-		StubArea:           stubAreaWords * isa.WordSize,
+		StubArea:           words.stubArea * isa.WordSize,
 		RuntimeBuffer:      e.conf.Regions.K,
 	}
 	layoutBytes := len(im.Text)*isa.WordSize + offtabBytes + len(tables)
@@ -365,7 +339,7 @@ func (e *encoder) run(stats *Stats) (*Output, error) {
 	}
 
 	stats.SquashedBytes = foot.Total()
-	stats.EntryStubCount = entryStubWords / regions.EntryStubWords
+	stats.EntryStubCount = words.entryStubs / regions.EntryStubWords
 	stats.StaticRestoreStubCount = len(e.rs)
 	if n := e.res.CompressibleInsts; n > 0 {
 		stats.CompressionRatio = float64(len(blob)+len(tables)) / float64(n*isa.WordSize)
@@ -442,19 +416,16 @@ func (e *encoder) publishMetrics(comp RegionCoder, seqs [][]uint32, blob, tables
 	}
 }
 
-// buildOutput assembles the rewritten program: surviving code with
-// references retargeted to stubs, the stubs themselves, and the reserved
-// decompressor/stub-area/buffer regions. It reports the word sizes of the
-// stub groups for accounting, and records each output block's address
-// slot in e.place.
-func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stubAreaWords int, err error) {
-	// Entry stubs: two words each — a call to the decompressor through the
-	// AT entry point, then the tag word <region index, buffer offset>.
-	// In compile-time-restore-stub mode, static stubs call compressed
-	// callees by symbol, so every such callee needs an entry stub even if
-	// all its callers share its region. The entries are found first, so
-	// that each stub's label is made once and every reference below is
-	// retargeted by block number.
+// outputWords are the word sizes of the output's stub groups, for the
+// footprint.
+type outputWords struct{ entryStubs, restoreStubs, stubArea int }
+
+// findEntries finds every region's entries, sorts each region's by label,
+// and names their entry stubs: each label is made once, here, so every
+// reference is retargeted by block number. In compile-time-restore-stub
+// mode, static stubs call compressed callees by symbol, so every such
+// callee needs an entry stub even if all its callers share its region.
+func (e *encoder) findEntries() [][]int32 {
 	extraEntries := map[int][]int32{}
 	if e.conf.CompileTimeRestoreStubs {
 		for _, r := range e.res.Regions {
@@ -474,9 +445,6 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 	}
 	entries := make([][]int32, len(e.res.Regions))
 	e.stubOf = make([]int32, len(e.x.Blocks))
-	// Surviving blocks and entry stubs stand for distinct blocks, so only
-	// the reserved areas and restore stubs can exceed one slot per block.
-	e.place = make([]int32, 0, int(e.slot(slotRS0)))
 	for _, r := range e.res.Regions {
 		ents := e.res.Entries(e.x, r)
 		for _, extra := range extraEntries[r.ID] {
@@ -493,159 +461,372 @@ func (e *encoder) buildOutput() (out *cfg.Program, entryStubWords, rsWords, stub
 		}
 		entries[r.ID] = ents
 	}
+	return entries
+}
 
-	out = &cfg.Program{
-		Data:        append([]byte(nil), e.prog.Data...),
-		DataSymbols: append([]objfile.Symbol(nil), e.prog.DataSymbols...),
-		Entry:       e.prog.Entry,
-		Refs:        slices.Clone(e.prog.Refs),
-		DataRelocs:  slices.Clone(e.prog.DataRelocs),
+// restoreStubs lists the compile-time restore stubs (ablation) in e.rs:
+// one per expanded call site, in region, block and call order. No call
+// expands in the buffer in this mode, so instruction j of a block sits at
+// the block's buffer offset plus j.
+func (e *encoder) restoreStubs() {
+	if !e.conf.CompileTimeRestoreStubs {
+		return
 	}
-	if e.x.Entry != cfg.NoBlock {
-		out.Entry = e.retarget(e.x.Entry)
-	}
-	// Surviving instructions keep their reference indices, so retargeting
-	// the copied side table retargets every one of them.
-	for k, t := range e.x.RefTo {
-		if t >= 0 && e.stubOf[t] > 0 {
-			out.Refs[k].Sym = e.retarget(t)
+	for _, r := range e.res.Regions {
+		for bi, b := range r.Blocks {
+			i := r.Members[bi]
+			for k := range e.x.Calls(i) {
+				info := e.classifyCall(r, i, k)
+				if !info.expand {
+					continue
+				}
+				j := info.site.InstIdx
+				e.rs = append(e.rs, rsStub{
+					label:  fmt.Sprintf("rs$%d", len(e.rs)),
+					region: r.ID,
+					resume: e.blockOff[i] + j + 1,
+					call:   b.Insts[j],
+					isJSR:  info.site.Indirect,
+				})
+			}
 		}
 	}
-	for k, t := range e.x.RelocTo {
-		if t >= 0 {
-			out.DataRelocs[k].Sym = e.retarget(t)
+}
+
+// stubAreaWords is the size of the runtime's restore-stub area, which
+// compile-time restore stubs replace.
+func (e *encoder) stubAreaWords() int {
+	if e.conf.CompileTimeRestoreStubs {
+		return 0
+	}
+	return e.conf.StubCapacity * StubSlotWords
+}
+
+// checkNames rejects a name the output would define twice. A data symbol
+// must be the only symbol of its name, even when the block of that name is
+// compressed, so that every name resolves the same way in the input and
+// the output. A name the rewriter makes (an entry or restore stub's, or a
+// reserved area's) must not be defined by a surviving block or a data
+// symbol.
+func (e *encoder) checkNames() error {
+	for k, s := range e.prog.DataSymbols {
+		if e.x.DataSym(s.Name) != int32(k) {
+			return fmt.Errorf("symbol %q defined twice", s.Name)
 		}
 	}
+	taken := func(name string) error {
+		if b := e.x.Num(name); (b != cfg.NoBlock && !e.compressed[b]) || e.x.DataSym(name) >= 0 {
+			return fmt.Errorf("symbol %q defined twice: the input defines a name the rewriter makes", name)
+		}
+		return nil
+	}
+	for _, name := range e.stubs {
+		if err := taken(name); err != nil {
+			return err
+		}
+	}
+	for _, s := range e.rs {
+		if err := taken(s.label); err != nil {
+			return err
+		}
+	}
+	for _, name := range [...]string{symDecomp, symStubArea, symRtBuf} {
+		if err := taken(name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	// Surviving functions.
-	for fi, f := range e.prog.Funcs {
-		var kept []*cfg.Block
-		for bi, b := range f.Blocks {
-			i := e.x.FuncStart[fi] + int32(bi)
+// knits reports whether the kept block i, followed in its function by the
+// kept block next (or cfg.NoBlock), needs a br to its fallthrough.
+func (e *encoder) knits(i, next int32) bool {
+	return i != cfg.NoBlock && e.x.FallsTo[i] != cfg.NoBlock && e.x.FallsTo[i] != next
+}
+
+// relocOf is the relocation a symbolic reference kind patches with.
+var relocOf = [...]objfile.RelocKind{
+	cfg.TargetBranch: objfile.RelBrDisp21,
+	cfg.TargetHi16:   objfile.RelHi16,
+	cfg.TargetLo16:   objfile.RelLo16,
+}
+
+// writeImage lays out the output image and writes it. The text is the
+// surviving blocks in function and block order, each followed by a knit br
+// where its fallthrough is not the next kept block of its function, then
+// the entry stubs region by region, the compile-time restore stubs, and the
+// reserved areas, filled with trapping sentinels: the decompressor (entered
+// only through the interception hook), the restore-stub area (rewritten at
+// run time), and the runtime buffer. Every address is a prefix sum over
+// that order, stored in e.addr by slot before any word is written, so each
+// reference resolves by block number.
+//
+// The image is the one objfile.Link makes of cfg.Lower of the same output
+// program: the symbols are the data symbols, then one per output block in
+// text order (SymFunc for a function's first kept block and for each stub
+// and area, SymLabel for the rest); the relocations are the data
+// relocations, then the text relocations in text order. Where Link would
+// fail, so does writeImage: a name defined twice, a reference left
+// pointing at a compressed block that has no entry stub, and a branch
+// displacement out of range.
+func (e *encoder) writeImage() (*objfile.Image, outputWords, error) {
+	x, p := e.x, e.prog
+	entries := e.findEntries()
+	e.restoreStubs()
+	if err := e.checkNames(); err != nil {
+		return nil, outputWords{}, err
+	}
+	words := outputWords{stubArea: e.stubAreaWords()}
+	reserved := [...]struct {
+		name  string
+		words int
+		slot  int
+	}{
+		{symDecomp, DecompWords, slotDecomp},
+		{symStubArea, words.stubArea, slotStubArea},
+		{symRtBuf, e.conf.Regions.K / isa.WordSize, slotRtBuf},
+	}
+
+	// The layout: addresses, and the sizes of the text and the tables.
+	e.addr = make([]uint32, int(e.slot(slotRS0))+len(e.rs))
+	n, nsym, nrel := 0, len(p.DataSymbols), len(p.DataRelocs)
+	place := func(slot int32, size int) {
+		e.addr[slot] = objfile.TextBase + uint32(n*isa.WordSize)
+		n += size
+		nsym++
+	}
+	for fi := range p.Funcs {
+		prev := cfg.NoBlock
+		for i := x.FuncStart[fi]; i < x.FuncStart[fi+1]; i++ {
 			if e.compressed[i] {
 				continue
 			}
-			// The block shares b's instructions: nothing past here edits
-			// them, and their references resolve through out.Refs.
-			nb := &cfg.Block{
-				Label:      b.Label,
-				Insts:      b.Insts,
-				JT:         b.JT,
-				SrcWordOff: b.SrcWordOff,
-				Freq:       b.Freq,
-				Weight:     b.Weight,
+			if e.knits(prev, i) {
+				n, nrel = n+1, nrel+1
 			}
-			if t := e.x.FallsTo[i]; t != cfg.NoBlock {
-				nb.FallsTo = e.retarget(t)
+			place(i, len(x.Blocks[i].Insts))
+			for _, in := range x.Blocks[i].Insts {
+				switch in.Kind() {
+				case cfg.TargetBranch, cfg.TargetHi16, cfg.TargetLo16:
+					nrel++
+				}
 			}
-			kept = append(kept, nb)
-			e.place = append(e.place, i)
+			prev = i
 		}
-		if len(kept) == 0 {
-			continue
+		if e.knits(prev, cfg.NoBlock) {
+			n, nrel = n+1, nrel+1
 		}
-		name := f.Name
-		if kept[0].Label != name {
-			name = kept[0].Label
+	}
+	for _, r := range e.res.Regions {
+		for _, entry := range entries[r.ID] {
+			place(entry, regions.EntryStubWords)
+			nrel++
 		}
-		out.Funcs = append(out.Funcs, &cfg.Func{Name: name, Blocks: kept})
+	}
+	for k, s := range e.rs {
+		place(e.slot(slotRS0+k), 3)
+		if nrel++; !s.isJSR {
+			nrel++
+		}
+	}
+	for _, a := range reserved {
+		place(e.slot(a.slot), a.words)
 	}
 
+	im := &objfile.Image{
+		Text:    make([]uint32, 0, n),
+		Data:    append([]byte(nil), p.Data...),
+		Symbols: append(make([]objfile.Symbol, 0, nsym), p.DataSymbols...),
+		Relocs:  make([]objfile.Reloc, len(p.DataRelocs), nrel),
+	}
+	for k, r := range p.DataRelocs {
+		sym, a, err := e.resolve(x.RelocTo[k], x.DataSym(r.Sym), r.Sym)
+		switch {
+		case err != nil:
+		case r.Section != objfile.SecData || r.Kind != objfile.RelWord32:
+			err = fmt.Errorf("%v relocation in the data relocations", r.Kind)
+		case int(r.Offset)+4 > len(im.Data):
+			err = fmt.Errorf("past end of section")
+		}
+		if err != nil {
+			return nil, words, fmt.Errorf("data relocation at %#x: %w", r.Offset, err)
+		}
+		binary.LittleEndian.PutUint32(im.Data[r.Offset:], uint32(int64(a)+int64(r.Addend)))
+		r.Sym = sym
+		im.Relocs[k] = r
+	}
+
+	w := imageWriter{im}
+	knit := func(i int32) error {
+		t := x.FallsTo[i]
+		a, err := e.blockAddr(t)
+		if err == nil {
+			err = w.reloc(isa.OpBR<<26|isa.RegZero<<21, objfile.RelBrDisp21, e.retarget(t), a, 0)
+		}
+		if err != nil {
+			return fmt.Errorf("knit branch after block %s: %w", x.Blocks[i].Label, err)
+		}
+		return nil
+	}
+	for fi := range p.Funcs {
+		prev, kind := cfg.NoBlock, objfile.SymFunc
+		for i := x.FuncStart[fi]; i < x.FuncStart[fi+1]; i++ {
+			if e.compressed[i] {
+				continue
+			}
+			if e.knits(prev, i) {
+				if err := knit(prev); err != nil {
+					return nil, words, err
+				}
+			}
+			b := x.Blocks[i]
+			w.symbol(b.Label, kind)
+			kind = objfile.SymLabel
+			for _, in := range b.Insts {
+				switch k := in.Kind(); k {
+				case cfg.TargetBranch, cfg.TargetHi16, cfg.TargetLo16:
+					ref := p.RefOf(in)
+					sym, a, err := e.resolve(x.Target(in), x.DataTarget(in), ref.Sym)
+					if err == nil {
+						err = w.reloc(in.Word, relocOf[k], sym, a, ref.Addend)
+					}
+					if err != nil {
+						return nil, words, fmt.Errorf("block %s: %w", b.Label, err)
+					}
+				default:
+					w.word(in.Word)
+				}
+			}
+			prev = i
+		}
+		if e.knits(prev, cfg.NoBlock) {
+			if err := knit(prev); err != nil {
+				return nil, words, err
+			}
+		}
+	}
+
+	// Entry stubs: two words each — a call to the decompressor through the
+	// AT entry point, then the tag word <region index, buffer offset>.
+	decomp := e.addr[e.slot(slotDecomp)]
 	for _, r := range e.res.Regions {
 		for _, entry := range entries[r.ID] {
 			off := e.blockOff[entry]
 			if off >= 1<<16 || r.ID >= 1<<16 {
-				return nil, 0, 0, 0, fmt.Errorf("tag overflow: region %d offset %d", r.ID, off)
+				return nil, words, fmt.Errorf("tag overflow: region %d offset %d", r.ID, off)
 			}
-			tag := uint32(r.ID)<<16 | uint32(off)
-			sb := &cfg.Block{
-				Label: e.retarget(entry),
-				Insts: []cfg.Inst{
-					out.Refer(isa.Encode(isa.Br(isa.OpBSR, isa.RegAT, 0)), cfg.TargetBranch,
-						symDecomp, int32(isa.RegAT*isa.WordSize)),
-					cfg.RawWord(tag),
-				},
+			w.symbol(e.retarget(entry), objfile.SymFunc)
+			if err := w.reloc(isa.Encode(isa.Br(isa.OpBSR, isa.RegAT, 0)), objfile.RelBrDisp21,
+				symDecomp, decomp, int32(isa.RegAT*isa.WordSize)); err != nil {
+				return nil, words, err
 			}
-			out.Funcs = append(out.Funcs, &cfg.Func{Name: sb.Label, Blocks: []*cfg.Block{sb}})
-			e.place = append(e.place, entry)
-			entryStubWords += regions.EntryStubWords
+			w.word(uint32(r.ID)<<16 | uint32(off))
+			words.entryStubs += regions.EntryStubWords
 		}
 	}
 
-	// Compile-time restore stubs (ablation): one static stub per expanded
-	// call site, each three words: the call, the decompressor invocation,
-	// and the tag.
-	if e.conf.CompileTimeRestoreStubs {
-		for _, r := range e.res.Regions {
-			lay := e.layouts[r.ID]
-			for bi, b := range r.Blocks {
-				i := r.Members[bi]
-				for k := range e.x.Calls(i) {
-					info := e.classifyCall(r, i, k)
-					if !info.expand {
-						continue
-					}
-					j := info.site.InstIdx
-					in := b.Insts[j]
-					stub := rsStub{
-						label:  fmt.Sprintf("rs$%d", len(e.rs)),
-						region: r.ID,
-						resume: lay.instOff[bi][j] + 1,
-						isJSR:  info.site.Indirect,
-					}
-					e.place = append(e.place, e.slot(slotRS0+len(e.rs)))
-					e.rs = append(e.rs, stub)
-					tag := uint32(r.ID)<<16 | uint32(stub.resume)
-					ra := in.RA()
-					bsr := isa.Encode(isa.Br(isa.OpBSR, ra, 0))
-					callInst := cfg.Inst{Word: in.Word}
-					if !stub.isJSR {
-						target := e.prog.Target(in)
-						if info.callee != cfg.NoBlock {
-							target = e.retarget(info.callee)
-						}
-						callInst = out.Refer(bsr, cfg.TargetBranch, target, 0)
-					}
-					sb := &cfg.Block{
-						Label: stub.label,
-						Insts: []cfg.Inst{
-							callInst,
-							out.Refer(bsr, cfg.TargetBranch, symDecomp, int32(ra*isa.WordSize)),
-							cfg.RawWord(tag),
-						},
-					}
-					out.Funcs = append(out.Funcs, &cfg.Func{Name: sb.Label, Blocks: []*cfg.Block{sb}})
-					rsWords += 3
-				}
+	// Compile-time restore stubs: three words each — the call, the
+	// decompressor invocation, and the tag.
+	for _, s := range e.rs {
+		w.symbol(s.label, objfile.SymFunc)
+		ra := s.call.RA()
+		bsr := isa.Encode(isa.Br(isa.OpBSR, ra, 0))
+		if s.isJSR {
+			w.word(s.call.Word)
+		} else {
+			sym, a, err := e.resolve(x.Target(s.call), x.DataTarget(s.call), p.Target(s.call))
+			if err == nil {
+				err = w.reloc(bsr, objfile.RelBrDisp21, sym, a, 0)
+			}
+			if err != nil {
+				return nil, words, fmt.Errorf("restore stub %s: %w", s.label, err)
 			}
 		}
+		if err := w.reloc(bsr, objfile.RelBrDisp21, symDecomp, decomp, int32(ra*isa.WordSize)); err != nil {
+			return nil, words, err
+		}
+		w.word(uint32(s.region)<<16 | uint32(s.resume))
+		words.restoreStubs += 3
 	}
 
-	// Reserved regions, filled with trapping sentinels: the decompressor
-	// (entered only through the interception hook), the restore-stub area
-	// (rewritten at run time), and the runtime buffer.
-	reserved := func(name string, words, slot int) {
-		insts := make([]cfg.Inst, words)
-		for i := range insts {
-			insts[i] = cfg.RawWord(isa.Sentinel)
+	for _, a := range reserved {
+		w.symbol(a.name, objfile.SymFunc)
+		for k := 0; k < a.words; k++ {
+			w.word(isa.Sentinel)
 		}
-		blk := &cfg.Block{Label: name, Insts: insts}
-		out.Funcs = append(out.Funcs, &cfg.Func{Name: name, Blocks: []*cfg.Block{blk}})
-		e.place = append(e.place, e.slot(slot))
 	}
-	stubAreaWords = e.conf.StubCapacity * StubSlotWords
-	if e.conf.CompileTimeRestoreStubs {
-		stubAreaWords = 0
+	if len(im.Text) != n || len(im.Symbols) != nsym || len(im.Relocs) != nrel {
+		return nil, words, fmt.Errorf("wrote %d words, %d symbols and %d relocations, laid out %d, %d and %d",
+			len(im.Text), len(im.Symbols), len(im.Relocs), n, nsym, nrel)
 	}
-	reserved(symDecomp, DecompWords, slotDecomp)
-	reserved(symStubArea, stubAreaWords, slotStubArea)
-	reserved(symRtBuf, e.conf.Regions.K/isa.WordSize, slotRtBuf)
-	return out, entryStubWords, rsWords, stubAreaWords, nil
+
+	if x.Entry == cfg.NoBlock {
+		return nil, words, fmt.Errorf("entry symbol %q not defined", p.Entry)
+	}
+	var err error
+	if im.Entry, err = e.blockAddr(x.Entry); err != nil {
+		return nil, words, fmt.Errorf("entry: %w", err)
+	}
+	return im, words, nil
+}
+
+// resolve returns the name and the output address of a reference that the
+// index resolved to block t or data symbol d, or neither, by the name sym:
+// a compressed block is reached through its entry stub.
+func (e *encoder) resolve(t, d int32, sym string) (string, uint32, error) {
+	switch {
+	case t != cfg.NoBlock:
+		a, err := e.blockAddr(t)
+		return e.retarget(t), a, err
+	case d >= 0:
+		return sym, e.prog.DataSymbols[d].Addr(), nil
+	}
+	return sym, 0, fmt.Errorf("undefined symbol %q", sym)
+}
+
+// imageWriter appends text words with their symbols and relocations to an
+// image.
+type imageWriter struct{ im *objfile.Image }
+
+// symbol defines a text symbol at the next word.
+func (w imageWriter) symbol(name string, kind objfile.SymKind) {
+	w.im.Symbols = append(w.im.Symbols, objfile.Symbol{
+		Name: name, Section: objfile.SecText, Offset: uint32(len(w.im.Text) * isa.WordSize), Kind: kind,
+	})
+}
+
+// word appends a word that is not relocated.
+func (w imageWriter) word(v uint32) { w.im.Text = append(w.im.Text, v) }
+
+// reloc appends word wd, its kind's field patched to reach address a (that
+// of sym) plus addend as objfile.Link patches it, and records the
+// relocation.
+func (w imageWriter) reloc(wd uint32, kind objfile.RelocKind, sym string, a uint32, addend int32) error {
+	off := uint32(len(w.im.Text) * isa.WordSize)
+	v := int64(a) + int64(addend)
+	switch kind {
+	case objfile.RelBrDisp21:
+		d := v - int64(objfile.TextBase+off) - isa.WordSize
+		if d%isa.WordSize != 0 {
+			return fmt.Errorf("branch target %#x of %q misaligned", v, sym)
+		}
+		if d /= isa.WordSize; d < -(1<<20) || d >= 1<<20 {
+			return fmt.Errorf("branch displacement %d to %q out of range", d, sym)
+		}
+		wd = wd&^0x1FFFFF | uint32(d)&0x1FFFFF
+	case objfile.RelHi16:
+		wd = wd&^0xFFFF | uint32((v-int64(int16(v)))>>16)&0xFFFF
+	case objfile.RelLo16:
+		wd = wd&^0xFFFF | uint32(uint16(v))
+	}
+	w.im.Relocs = append(w.im.Relocs, objfile.Reloc{Section: objfile.SecText, Offset: off, Kind: kind, Sym: sym, Addend: addend})
+	w.word(wd)
+	return nil
 }
 
 // buildSeq produces the final instruction word sequence for region r: all
 // displacement fields resolved against the fixed buffer layout and the
-// linked addresses in e.addr, calls rewritten per their
+// output addresses in e.addr, calls rewritten per their
 // classification (intra-region, buffer-safe, expanded, or routed through a
 // compile-time restore stub). The sequence appends into dst, which the
 // caller sizes to the exact length implied by the layout (see scratch.go);
@@ -655,8 +836,11 @@ func (e *encoder) buildSeq(r *regions.Region, dst []uint32) ([]uint32, error) {
 	bufWordBase := int(e.addr[e.slot(slotRtBuf)]) / isa.WordSize
 	// wordAddr: the text word of block t's post-rewrite equivalent.
 	wordAddr := func(t int32) (int, error) {
-		a, err := e.blockAddr(r, t)
-		return int(a) / isa.WordSize, err
+		a, err := e.blockAddr(t)
+		if err != nil {
+			return 0, fmt.Errorf("region %d: %w", r.ID, err)
+		}
+		return int(a) / isa.WordSize, nil
 	}
 	// extDisp: displacement from buffer position pos (skip words into the
 	// instruction group) to an absolute text word.
@@ -674,8 +858,8 @@ func (e *encoder) buildSeq(r *regions.Region, dst []uint32) ([]uint32, error) {
 		}
 		calls := e.x.Calls(i)
 		k := 0 // next call site
+		pos := lay.blockOff[bi]
 		for j, in := range b.Insts {
-			pos := lay.instOff[bi][j]
 			if in.Raw() {
 				return nil, fmt.Errorf("raw word inside region block %s", b.Label)
 			}
@@ -685,19 +869,9 @@ func (e *encoder) buildSeq(r *regions.Region, dst []uint32) ([]uint32, error) {
 				info = e.classifyCall(r, i, k)
 				k++
 			}
-			// The layout and this pass must agree on which calls expand:
-			// a disagreement would shift every later buffer offset.
 			width := 1
 			if isCall && info.expand && !e.conf.CompileTimeRestoreStubs {
 				width = 2
-			}
-			layWidth := 0
-			if j+1 < len(b.Insts) {
-				layWidth = lay.instOff[bi][j+1] - pos
-			}
-			if layWidth != 0 && layWidth != width {
-				return nil, fmt.Errorf("region %d block %s inst %d: layout width %d, encode width %d (callee %q expand=%v intra=%v)",
-					r.ID, b.Label, j, layWidth, width, info.site.Callee, info.expand, info.intra)
 			}
 			// Words are copied; a resolved reference patches only the
 			// displacement or immediate bits, as the linker would.
@@ -780,10 +954,24 @@ func (e *encoder) buildSeq(r *regions.Region, dst []uint32) ([]uint32, error) {
 				}
 			}
 			seq = append(seq, w)
+			pos += width
+		}
+		// The layout and this pass must agree on which calls expand: a
+		// disagreement would shift every later buffer offset.
+		knit := insIdx < len(lay.inserted) && lay.inserted[insIdx][0] == bi
+		end := lay.words
+		switch {
+		case knit:
+			end = lay.inserted[insIdx][1]
+		case bi+1 < len(r.Blocks):
+			end = lay.blockOff[bi+1]
+		}
+		if pos != end {
+			return nil, fmt.Errorf("region %d block %s: encoding ends at buffer word %d, layout at %d",
+				r.ID, b.Label, pos, end)
 		}
 		// Knit branch inserted after this block by the layout.
-		if insIdx < len(lay.inserted) && lay.inserted[insIdx][0] == bi {
-			pos := lay.inserted[insIdx][1]
+		if knit {
 			t := e.x.FallsTo[i]
 			var disp int32
 			if off, intra := e.intraOff(r, t); intra {
@@ -817,15 +1005,14 @@ func (e *encoder) rsWord(region, resume int) (int, error) {
 	return 0, fmt.Errorf("no compile-time restore stub for region %d resume %d", region, resume)
 }
 
-// blockAddr returns the linked address of block t's post-rewrite
-// equivalent, for a reference from region r: the block itself, or its
-// entry stub when it is compressed.
-func (e *encoder) blockAddr(r *regions.Region, t int32) (uint32, error) {
+// blockAddr returns the output address of block t's post-rewrite
+// equivalent: the block itself, or its entry stub when it is compressed.
+func (e *encoder) blockAddr(t int32) (uint32, error) {
 	if t == cfg.NoBlock {
-		return 0, fmt.Errorf("region %d branches to a symbol that is not a block", r.ID)
+		return 0, fmt.Errorf("branch to a symbol that is not a block")
 	}
 	if e.addr[t] == 0 {
-		return 0, fmt.Errorf("region %d references %s, which has no address", r.ID, e.retarget(t))
+		return 0, fmt.Errorf("reference to %s, which has no address", e.retarget(t))
 	}
 	return e.addr[t], nil
 }
@@ -848,11 +1035,14 @@ func (e *encoder) laAddr(r *regions.Region, in cfg.Inst) (int64, error) {
 	// stub, never to a buffer address: the pointer may be used after the
 	// buffer has been overwritten by another region.
 	if t := e.x.Target(in); t != cfg.NoBlock {
-		a, err := e.blockAddr(r, t)
-		return int64(a), err
+		a, err := e.blockAddr(t)
+		if err != nil {
+			return 0, fmt.Errorf("region %d: %w", r.ID, err)
+		}
+		return int64(a), nil
 	}
 	if d := e.x.DataTarget(in); d >= 0 {
-		return int64(e.dataSyms[d].Addr()), nil
+		return int64(e.prog.DataSymbols[d].Addr()), nil
 	}
 	return 0, fmt.Errorf("la of unknown symbol %q in region %d", e.prog.Target(in), r.ID)
 }

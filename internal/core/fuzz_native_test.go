@@ -15,9 +15,10 @@ import (
 
 // FuzzSquash is the native fuzz entry for `go test -fuzz=FuzzSquash`: the
 // fuzzer picks a program seed, a config word, and a run input, and the
-// target checks that the squashed binary reproduces the baseline behaviour
-// and that its fast-path run is identical to a reference run
-// (assertModesIdentical).
+// target checks that the squashed binary reproduces the baseline behaviour,
+// that its fast-path run is identical to a reference run
+// (assertModesIdentical), and that its image is the one the Lower-and-Link
+// reference writes (checkWriterOracle).
 // The CI fuzz-smoke job runs it for a short fixed budget.
 func FuzzSquash(f *testing.F) {
 	f.Add(int64(0), uint16(0), []byte(""))
@@ -61,6 +62,8 @@ func FuzzSquash(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seed %d: squash (%+v): %v", seed, conf, err)
 		}
+		// The image writer and the Lower-and-Link reference agree.
+		checkWriterOracle(t, obj, prof.Profile, conf)
 
 		base := vm.New(im, input)
 		base.StackCheck = true

@@ -207,23 +207,41 @@ func checkAT(p *cfg.Program, workers int) error {
 // both. Telemetry on or off, the output image is byte-identical; the
 // equivalence tests compare digests to enforce that.
 func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs.Recorder) (*Output, error) {
-	if conf.StubCapacity <= 0 {
-		conf.StubCapacity = 16
-	}
 	root := rec.Span("squash",
 		"theta", conf.Theta, "K", conf.Regions.K, "coder", conf.Coder, "workers", conf.Workers)
 	defer root.End()
-
-	sp := root.Child("cfg.decode")
-	p, err := cfg.BuildWorkers(obj, "main", conf.Workers)
+	enc, stats, err := newEncoder(obj, counts, conf, rec, root)
+	if err != nil {
+		return nil, err
+	}
+	out, err := enc.run(stats)
 	if err != nil {
 		return nil, fmt.Errorf("squash: %w", err)
 	}
+	rec.Counter("squash_runs_total").Inc()
+	rec.Counter("squash_regions_total").Add(uint64(out.Stats.RegionCount))
+	rec.Counter("squash_input_bytes_total").Add(uint64(out.Stats.InputBytes))
+	rec.Counter("squash_output_bytes_total").Add(uint64(out.Stats.SquashedBytes))
+	return out, nil
+}
+
+// newEncoder runs the squash phases before the encoder's, as spans under
+// root: it lifts and profiles the object, selects and partitions the cold
+// regions, and finds the buffer-safe functions. rec and root may be nil.
+func newEncoder(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs.Recorder, root *obs.Span) (*encoder, *Stats, error) {
+	if conf.StubCapacity <= 0 {
+		conf.StubCapacity = 16
+	}
+	sp := root.Child("cfg.decode")
+	p, err := cfg.BuildWorkers(obj, "main", conf.Workers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("squash: %w", err)
+	}
 	if err := p.AttachProfile(counts); err != nil {
-		return nil, fmt.Errorf("squash: %w", err)
+		return nil, nil, fmt.Errorf("squash: %w", err)
 	}
 	if err := checkAT(p, conf.Workers); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sp.End()
 
@@ -236,7 +254,7 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 		// original blocks classifies everything it sees.
 		ust, err := unswitch.Run(p, profile.ColdThreshold(p, conf.Theta).IsCold)
 		if err != nil {
-			return nil, fmt.Errorf("squash: %w", err)
+			return nil, nil, fmt.Errorf("squash: %w", err)
 		}
 		stats.Unswitched = ust.Unswitched
 		stats.TableBytesReclaimed = ust.TableBytesReclaimed
@@ -246,42 +264,25 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 	// unswitching's rewrite is checked here.
 	x, err := cfg.NewIndex(p, conf.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("squash: %w", err)
+		return nil, nil, fmt.Errorf("squash: %w", err)
 	}
 	conf.Regions.Workers = conf.Workers
 	res, err := regions.PartitionIndex(x, profile.ColdBlocks(x, conf.Theta), conf.Regions)
 	if err != nil {
-		return nil, fmt.Errorf("squash: %w", err)
+		return nil, nil, fmt.Errorf("squash: %w", err)
 	}
 	if err := checkTagBounds(conf.Regions.K, len(res.Regions)); err != nil {
-		return nil, fmt.Errorf("squash: %w", err)
+		return nil, nil, fmt.Errorf("squash: %w", err)
 	}
 	stats.ColdInsts = res.ColdInsts
 	stats.CompressibleInsts = res.CompressibleInsts
 	stats.TotalInsts = res.TotalInsts
 	stats.RegionCount = len(res.Regions)
-	sp.SetArg("regions", len(res.Regions))
-	sp.SetArg("cold_insts", res.ColdInsts)
-	sp.End()
 
 	compressed := make([]bool, len(x.Blocks))
 	for i, id := range res.RegionOf {
 		compressed[i] = id >= 0
 	}
-
-	if conf.Interpret {
-		// Interpreted code cannot be returned into natively; every call
-		// must go through the stub machinery.
-		conf.BufferSafe = false
-	}
-	sp = root.Child("buffersafe")
-	bs := &buffersafe.Result{Safe: make([]bool, len(p.Funcs))} // nothing is safe
-	if conf.BufferSafe {
-		bs = buffersafe.AnalyzeWorkers(x, compressed, conf.Workers)
-	}
-	stats.BufferSafeCalls, stats.CallsInRegions = buffersafe.CallSiteStats(x, compressed, bs)
-	sp.End()
-
 	// §7 diagnostic: warn when a loop's back edge crosses a region
 	// boundary (or leaves compressed code entirely), since repeated
 	// decompression per iteration follows if the loop ever runs hot.
@@ -299,8 +300,24 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 					from, to, fromIn, toIn))
 		}
 	}
+	sp.SetArg("regions", len(res.Regions))
+	sp.SetArg("cold_insts", res.ColdInsts)
+	sp.End()
 
-	enc := &encoder{
+	if conf.Interpret {
+		// Interpreted code cannot be returned into natively; every call
+		// must go through the stub machinery.
+		conf.BufferSafe = false
+	}
+	sp = root.Child("buffersafe")
+	bs := &buffersafe.Result{Safe: make([]bool, len(p.Funcs))} // nothing is safe
+	if conf.BufferSafe {
+		bs = buffersafe.AnalyzeWorkers(x, compressed, conf.Workers)
+	}
+	stats.BufferSafeCalls, stats.CallsInRegions = buffersafe.CallSiteStats(x, compressed, bs)
+	sp.End()
+
+	return &encoder{
 		conf:       conf,
 		prog:       p,
 		x:          x,
@@ -309,14 +326,5 @@ func SquashObs(obj *objfile.Object, counts profile.Counts, conf Config, rec *obs
 		safe:       bs,
 		rec:        rec,
 		span:       root,
-	}
-	out, err := enc.run(&stats)
-	if err != nil {
-		return nil, fmt.Errorf("squash: %w", err)
-	}
-	rec.Counter("squash_runs_total").Inc()
-	rec.Counter("squash_regions_total").Add(uint64(out.Stats.RegionCount))
-	rec.Counter("squash_input_bytes_total").Add(uint64(out.Stats.InputBytes))
-	rec.Counter("squash_output_bytes_total").Add(uint64(out.Stats.SquashedBytes))
-	return out, nil
+	}, &stats, nil
 }
